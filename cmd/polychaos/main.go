@@ -167,36 +167,46 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *nruns > 1 || *jsonOut {
-		return runSweep(opt, kinds, *seed, *nruns, *parallel, *csv, *jsonOut, sloFCT.Seconds(), out, errw)
-	}
-
-	var runs []harness.ChaosRun
-	var traces []*telemetry.Trace
-	if *trace {
-		// Traced runs are still independent simulations; run them on
-		// the same worker pool, one trace per backend.
-		topt := &harness.TraceOptions{}
-		runs = make([]harness.ChaosRun, len(kinds))
-		traces = make([]*telemetry.Trace, len(kinds))
-		sweep.ForEach(len(kinds), *parallel, func(i int) {
-			runs[i], traces[i] = harness.RunChaosTraced(opt, kinds[i], *seed, topt)
-		})
-	} else {
-		var err error
-		runs, err = harness.RunChaosAll(opt, kinds, *seed, *parallel)
+		// The multi-seed path: the template repeated over derived
+		// sub-seeds per backend, aggregated by the sweep engine.
+		var p harness.SweepParams
+		if *sloFCT > 0 {
+			p.SLO = &metrics.SLO{FCTDeadline: sloFCT.Seconds()}
+		}
+		cells, err := p.Cells(opt, kinds)
 		if err != nil {
 			fmt.Fprintf(errw, "polychaos: %v\n", err)
-			return 1
+			return 2
 		}
+		m := sweep.Matrix{Cells: cells, Seeds: *nruns, BaseSeed: *seed, Parallelism: *parallel}
+		return m.Emit("polychaos", sweep.Format(*csv, *jsonOut), out, errw)
+	}
+
+	// Runs (traced or not) are independent simulations, one per
+	// backend on the worker pool.
+	var obs harness.Observers
+	if *trace {
+		obs.Trace = &telemetry.Options{}
+	}
+	results, err := harness.RunEach(opt, kinds, *seed, obs, *parallel)
+	if err != nil {
+		fmt.Fprintf(errw, "polychaos: %v\n", err)
+		return 1
+	}
+	runs := make([]harness.ChaosRun, len(results))
+	for i, r := range results {
+		runs[i] = r.Detail.(harness.ChaosRun)
 	}
 	if *csv {
 		writeCSV(out, runs)
 	} else {
 		writeTable(out, opt, runs, *seed, *verbose)
 	}
-	for i, tr := range traces {
-		base := fmt.Sprintf("%s-%s", *traceOut, runs[i].Backend)
-		paths, err := tr.WriteFiles(base)
+	for i, r := range results {
+		if r.Trace == nil {
+			continue
+		}
+		paths, err := r.Trace.WriteFiles(fmt.Sprintf("%s-%s", *traceOut, runs[i].Backend))
 		if err != nil {
 			fmt.Fprintf(errw, "polychaos: %v\n", err)
 			return 1
@@ -206,56 +216,10 @@ func run(args []string, out, errw io.Writer) int {
 			// The explain report is the trace's headline: which flows
 			// stalled and what killed them. CSV stdout stays pure.
 			fmt.Fprintln(out)
-			if err := tr.WriteExplain(out); err != nil {
+			if err := r.Trace.WriteExplain(out); err != nil {
 				fmt.Fprintf(errw, "polychaos: %v\n", err)
 				return 1
 			}
-		}
-	}
-	return 0
-}
-
-// runSweep is the multi-seed path: the chaos template repeated over
-// derived sub-seeds per backend, aggregated by the sweep engine.
-func runSweep(opt harness.ChaosOptions, kinds []store.BackendKind, seed int64, runs, parallel int, csv, jsonOut bool, sloFCT float64, out, errw io.Writer) int {
-	p := harness.DefaultSweepParams()
-	p.Chaos = opt
-	if sloFCT > 0 {
-		p.SLO = &metrics.SLO{FCTDeadline: sloFCT}
-	}
-	var cells []sweep.Cell
-	for _, be := range kinds {
-		cell, err := harness.NewSweepCell("chaos", be, p)
-		if err != nil {
-			fmt.Fprintf(errw, "polychaos: %v\n", err)
-			return 2
-		}
-		cells = append(cells, cell)
-	}
-	res, err := sweep.Matrix{Cells: cells, Seeds: runs, BaseSeed: seed, Parallelism: parallel}.Run()
-	if err != nil {
-		fmt.Fprintf(errw, "polychaos: %v\n", err)
-		return 1
-	}
-	switch {
-	case jsonOut:
-		js, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(errw, "polychaos: %v\n", err)
-			return 1
-		}
-		out.Write(js)
-		io.WriteString(out, "\n")
-	case csv:
-		fmt.Fprint(out, res.CSV())
-	default:
-		fmt.Fprint(out, res.Table(nil))
-	}
-	for _, c := range res.Cells {
-		if len(c.Errors) > 0 {
-			fmt.Fprintf(errw, "polychaos: backend %s: %d run(s) failed: %s\n",
-				c.Backend, len(c.Errors), c.Errors[0])
-			return 1
 		}
 	}
 	return 0
@@ -276,7 +240,7 @@ func writeTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, 
 	}
 	targets := 0
 	if len(runs) > 0 {
-		targets = runs[0].FaultTargets
+		targets = len(runs[0].FaultTargets)
 	}
 	fmt.Fprintf(w, "k=%d, pattern=%s, %d KB objects; fault: %s x%d at %s tier (frac %.2f) at %v, %s%s; deadline %v\n\n",
 		opt.FatTreeK, opt.Pattern, opt.Bytes>>10,
@@ -295,25 +259,16 @@ func writeTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, 
 			r.Backend, r.Completed, r.Flows, r.Stalled,
 			p50, p99, r.GoodputGbps, r.RouteDrops, r.QueueDrops)
 	}
-	if verbose {
+	if verbose && len(runs) > 0 {
+		// The schedule depends only on the plan and the seed, so any
+		// backend's run has it.
 		fmt.Fprintf(w, "\nfault schedule (seed %d):\n", seed)
-		writeSchedule(w, opt, seed)
-	}
-}
-
-// writeSchedule re-derives and prints the seeded fault schedule
-// without running any traffic: the same Inject call the runs used.
-func writeSchedule(w io.Writer, opt harness.ChaosOptions, seed int64) {
-	in, err := harness.ChaosSchedule(opt, seed)
-	if err != nil {
-		fmt.Fprintf(w, "  (schedule unavailable: %v)\n", err)
-		return
-	}
-	for _, t := range in.Targets {
-		fmt.Fprintf(w, "  strike %s\n", t)
-	}
-	for _, ev := range in.Events {
-		fmt.Fprintf(w, "  %10v  %-14s %s\n", ev.At, ev.Action, ev.Target)
+		for _, t := range runs[0].FaultTargets {
+			fmt.Fprintf(w, "  strike %s\n", t)
+		}
+		for _, ev := range runs[0].FaultEvents {
+			fmt.Fprintf(w, "  %10v  %-14s %s\n", ev.At, ev.Action, ev.Target)
+		}
 	}
 }
 
@@ -330,6 +285,6 @@ func writeCSV(w io.Writer, runs []harness.ChaosRun) {
 		fmt.Fprintf(w, "%s,%d,%d,%d,%.6f,%s,%s,%.6f,%d,%d,%d,%d\n",
 			r.Backend, r.Flows, r.Completed, r.Stalled, r.StallRate(),
 			p50, p99, r.GoodputGbps,
-			r.RouteDrops, r.LinkDrops, r.QueueDrops, r.FaultTargets)
+			r.RouteDrops, r.LinkDrops, r.QueueDrops, len(r.FaultTargets))
 	}
 }

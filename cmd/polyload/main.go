@@ -37,7 +37,6 @@ import (
 	"polyraptor/internal/harness"
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/store"
-	"polyraptor/internal/topology"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -121,10 +120,6 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "polyload: -p99-max must be >= 0, got %v\n", *p99Max)
 		return 2
 	}
-	if err := topology.CheckArity(*k); err != nil {
-		fmt.Fprintf(errw, "polyload: %v\n", err)
-		return 2
-	}
 
 	params := harness.DefaultSweepParams()
 	params.FatTreeK = *k
@@ -164,11 +159,9 @@ func run(args []string, out, errw io.Writer) int {
 		// Cell construction validates the scenario options (fabric arity,
 		// fan-out, store config) without running anything — surface those
 		// as flag errors too.
-		for _, be := range kinds {
-			if _, err := harness.NewSweepCell(o.Scenario, be, o.Params); err != nil {
-				fmt.Fprintf(errw, "polyload: %v\n", err)
-				return 2
-			}
+		if _, err := harness.SweepCells(o.Scenario, kinds, o.Params); err != nil {
+			fmt.Fprintf(errw, "polyload: %v\n", err)
+			return 2
 		}
 		opts = append(opts, o)
 	}

@@ -156,3 +156,35 @@ func TestHelp(t *testing.T) {
 		t.Error("usage text missing flag docs")
 	}
 }
+
+// TestGoldenReport: the default incast+shuffle knee search on rq and
+// tcp reproduces, byte for byte, the report captured from polyload at
+// commit b5526c0 — before the harness was collapsed onto Run.
+func TestGoldenReport(t *testing.T) {
+	want, err := os.ReadFile("../../internal/harness/testdata/polyload_incast_shuffle.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	args := []string{"-scenarios", "incast,shuffle", "-backends", "rq,tcp", "-format", "json"}
+	if code := run(args, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("polyload %v differs from the golden report (%d vs %d bytes)", args, out.Len(), len(want))
+	}
+}
+
+// TestFanoutBeyondFabricIsAFlagError: a k=2 fabric has one out-of-rack
+// host, so fig1a's default 3 replicas cannot be placed. This used to
+// spin the replica picker forever; it must be an immediate exit 2.
+func TestFanoutBeyondFabricIsAFlagError(t *testing.T) {
+	var out, errw bytes.Buffer
+	args := []string{"-k", "2", "-scenarios", "fig1a", "-backends", "rq", "-rungs", "2", "-refine", "0", "-seeds", "1"}
+	if code := run(args, &out, &errw); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "replicas") {
+		t.Fatalf("error does not name the impossible fan-out: %s", errw.String())
+	}
+}

@@ -99,89 +99,47 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *nruns > 1 || *jsonOut {
-		return runSweep(opt, kinds, *seed, *nruns, *parallel, *csv, *jsonOut, out, errw)
-	}
-
-	var runs []harness.ShuffleRun
-	var traces []*telemetry.Trace
-	if *trace {
-		// Traced runs are still independent simulations; run them on
-		// the same worker pool, one trace per backend.
-		topt := &harness.TraceOptions{}
-		runs = make([]harness.ShuffleRun, len(kinds))
-		traces = make([]*telemetry.Trace, len(kinds))
-		sweep.ForEach(len(kinds), *parallel, func(i int) {
-			runs[i], traces[i] = harness.RunShuffleTraced(opt, kinds[i], *seed, topt)
-		})
-	} else {
-		var err error
-		runs, err = harness.RunShuffleAll(opt, kinds, *seed, *parallel)
+		// The multi-seed path: the template repeated over derived
+		// sub-seeds per backend, aggregated by the sweep engine.
+		cells, err := harness.SweepParams{}.Cells(opt, kinds)
 		if err != nil {
 			fmt.Fprintf(errw, "polyshuffle: %v\n", err)
-			return 1
+			return 2
 		}
+		m := sweep.Matrix{Cells: cells, Seeds: *nruns, BaseSeed: *seed, Parallelism: *parallel}
+		return m.Emit("polyshuffle", sweep.Format(*csv, *jsonOut), out, errw)
+	}
+
+	// Runs (traced or not) are independent simulations, one per
+	// backend on the worker pool.
+	var obs harness.Observers
+	if *trace {
+		obs.Trace = &telemetry.Options{}
+	}
+	results, err := harness.RunEach(opt, kinds, *seed, obs, *parallel)
+	if err != nil {
+		fmt.Fprintf(errw, "polyshuffle: %v\n", err)
+		return 1
+	}
+	runs := make([]harness.ShuffleRun, len(results))
+	for i, r := range results {
+		runs[i] = r.Detail.(harness.ShuffleRun)
 	}
 	if *csv {
 		writeCSV(out, runs)
 	} else {
 		writeTable(out, opt, runs)
 	}
-	for i, tr := range traces {
-		base := fmt.Sprintf("%s-%s", *traceOut, runs[i].Backend)
-		paths, err := tr.WriteFiles(base)
+	for i, r := range results {
+		if r.Trace == nil {
+			continue
+		}
+		paths, err := r.Trace.WriteFiles(fmt.Sprintf("%s-%s", *traceOut, runs[i].Backend))
 		if err != nil {
 			fmt.Fprintf(errw, "polyshuffle: %v\n", err)
 			return 1
 		}
 		fmt.Fprintf(errw, "polyshuffle: wrote %s\n", strings.Join(paths, ", "))
-	}
-	return 0
-}
-
-// runSweep is the multi-seed path: the shuffle template repeated over
-// derived sub-seeds per backend, aggregated by the sweep engine.
-func runSweep(opt harness.ShuffleOptions, kinds []store.BackendKind, seed int64, runs, parallel int, csv, jsonOut bool, out, errw io.Writer) int {
-	p := harness.DefaultSweepParams()
-	p.FatTreeK = opt.FatTreeK
-	p.Mappers = opt.Mappers
-	p.Reducers = opt.Reducers
-	p.Bytes = opt.BytesPerPair
-	p.ShuffleSkew = opt.Skew
-	p.Straggler = opt.StragglerFactor
-	var cells []sweep.Cell
-	for _, be := range kinds {
-		cell, err := harness.NewSweepCell("shuffle", be, p)
-		if err != nil {
-			fmt.Fprintf(errw, "polyshuffle: %v\n", err)
-			return 2
-		}
-		cells = append(cells, cell)
-	}
-	res, err := sweep.Matrix{Cells: cells, Seeds: runs, BaseSeed: seed, Parallelism: parallel}.Run()
-	if err != nil {
-		fmt.Fprintf(errw, "polyshuffle: %v\n", err)
-		return 1
-	}
-	switch {
-	case jsonOut:
-		js, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(errw, "polyshuffle: %v\n", err)
-			return 1
-		}
-		out.Write(js)
-		io.WriteString(out, "\n")
-	case csv:
-		fmt.Fprint(out, res.CSV())
-	default:
-		fmt.Fprint(out, res.Table(nil))
-	}
-	for _, c := range res.Cells {
-		if len(c.Errors) > 0 {
-			fmt.Fprintf(errw, "polyshuffle: backend %s: %d run(s) failed: %s\n",
-				c.Backend, len(c.Errors), c.Errors[0])
-			return 1
-		}
 	}
 	return 0
 }

@@ -24,14 +24,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
+	"polyraptor/internal/harness"
 	"polyraptor/internal/netsim"
 	"polyraptor/internal/polyraptor"
 	"polyraptor/internal/sim"
+	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/tcpsim"
 	"polyraptor/internal/telemetry"
 	"polyraptor/internal/topology"
 	"polyraptor/internal/workload"
@@ -39,9 +39,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// scenario bundles one polysim configuration.
+// scenario is one polysim configuration: a single transfer pattern
+// from (or to) host 0, as a harness.Scenario.
 type scenario struct {
-	proto    string
 	pattern  string
 	k        int
 	bytes    int64
@@ -49,9 +49,11 @@ type scenario struct {
 	senders  int
 	detach   bool
 	trim     bool
-	// traceBase, when non-empty, attaches a PolyScope trace to the run
-	// and writes the export set (<traceBase>.trace.json, ...) after it.
-	traceBase string
+	// w, when non-nil, makes the run verbose: fabric banner,
+	// per-receiver/flow completion lines and queue totals. Metrics are
+	// returned either way, so -runs > 1 aggregates exactly what a
+	// single run reports.
+	w io.Writer
 }
 
 // run is main with its dependencies injected, so tests can drive the
@@ -82,10 +84,15 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	sc := scenario{
-		proto: *proto, pattern: *pattern, k: *k, bytes: *bytes,
+		pattern: *pattern, k: *k, bytes: *bytes,
 		replicas: *replicas, senders: *senders, detach: *detach, trim: *trim,
 	}
-	if err := sc.validate(); err != nil {
+	backend, ok := store.ParseBackend(*proto)
+	if !ok {
+		fmt.Fprintf(errw, "polysim: unknown protocol %q (rq|tcp|dctcp)\n", *proto)
+		return 2
+	}
+	if err := sc.Validate(); err != nil {
 		fmt.Fprintf(errw, "polysim: %v\n", err)
 		return 2
 	}
@@ -93,68 +100,61 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "polysim: -runs must be >= 1, got %d\n", *runs)
 		return 2
 	}
+	if *trace && *runs > 1 {
+		fmt.Fprintln(errw, "polysim: -trace applies to the single-run mode (drop -runs, or use polysweep -trace)")
+		return 2
+	}
+
+	if *runs > 1 {
+		return sweep.Matrix{
+			Cells: []sweep.Cell{{
+				Scenario: sc.pattern,
+				Backend:  *proto,
+				Params:   sc.Params(),
+				Runner: sweep.RunnerFunc(func(s int64) (sweep.Metrics, error) {
+					res, err := harness.Run(sc, backend, s, harness.Observers{})
+					return res.Metrics, err
+				}),
+			}},
+			Seeds:       *runs,
+			BaseSeed:    *seed,
+			Parallelism: *parallel,
+		}.Emit("polysim", "table", out, errw)
+	}
+
+	sc.w = out
+	var obs harness.Observers
 	if *trace {
-		if *runs > 1 {
-			fmt.Fprintln(errw, "polysim: -trace applies to the single-run mode (drop -runs, or use polysweep -trace)")
-			return 2
-		}
-		sc.traceBase = *traceOut
+		obs.Trace = &telemetry.Options{}
 	}
-
-	if *runs == 1 {
-		metrics, err := sc.runOnce(*seed, out)
-		if err != nil {
-			fmt.Fprintf(errw, "polysim: %v\n", err)
-			return 1
+	res, err := harness.Run(sc, backend, *seed, obs)
+	if err == nil && res.Trace != nil {
+		res.Trace.SetMeta("backend", *proto) // the name the user typed, not its canonical form
+		var paths []string
+		if paths, err = res.Trace.WriteFiles(*traceOut); err == nil {
+			fmt.Fprintf(out, "trace: wrote %s\n", strings.Join(paths, ", "))
 		}
-		fmt.Fprintf(out, "%s %s: %.3f Gbps (makespan %v)\n",
-			sc.proto, sc.pattern, metrics["goodput_gbps"],
-			sim.Time(metrics["makespan_s"]*1e9))
-		return 0
 	}
-
-	res, err := sweep.Matrix{
-		Cells: []sweep.Cell{{
-			Scenario: sc.pattern,
-			Backend:  sc.proto,
-			Params: map[string]string{
-				"k":     fmt.Sprint(sc.k),
-				"bytes": fmt.Sprint(sc.bytes),
-			},
-			Runner: sweep.RunnerFunc(func(s int64) (sweep.Metrics, error) {
-				return sc.runOnce(s, nil)
-			}),
-		}},
-		Seeds:       *runs,
-		BaseSeed:    *seed,
-		Parallelism: *parallel,
-	}.Run()
 	if err != nil {
 		fmt.Fprintf(errw, "polysim: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(out, res.Table(nil))
-	if n := len(res.Cells[0].Errors); n > 0 {
-		fmt.Fprintf(errw, "polysim: %d run(s) failed\n", n)
-		return 1
-	}
+	fmt.Fprintf(out, "%s %s: %.3f Gbps (makespan %v)\n",
+		*proto, sc.pattern, res.Metrics["goodput_gbps"],
+		sim.Time(res.Metrics["makespan_s"]*1e9))
 	return 0
 }
 
-// validate rejects impossible flag combinations before anything is
+func (sc scenario) Name() string { return sc.pattern }
+
+func (sc scenario) Params() map[string]string {
+	return map[string]string{"k": fmt.Sprint(sc.k), "bytes": fmt.Sprint(sc.bytes)}
+}
+
+// Validate rejects impossible flag combinations before anything is
 // built: the peer picker requires enough distinct out-of-rack hosts,
-// and an oversized -senders/-replicas used to spin it forever.
-func (sc scenario) validate() error {
-	switch sc.proto {
-	case "rq", "tcp", "dctcp":
-	default:
-		return fmt.Errorf("unknown protocol %q (rq|tcp|dctcp)", sc.proto)
-	}
-	switch sc.pattern {
-	case "unicast", "multicast", "multisource", "incast":
-	default:
-		return fmt.Errorf("unknown pattern %q (unicast|multicast|multisource|incast)", sc.pattern)
-	}
+// and an oversized -senders/-replicas would spin it forever.
+func (sc scenario) Validate() error {
 	if err := topology.CheckArity(sc.k); err != nil {
 		return err
 	}
@@ -163,6 +163,7 @@ func (sc scenario) validate() error {
 	}
 	// Peers must sit outside the client's rack.
 	switch sc.pattern {
+	case "unicast":
 	case "multicast", "multisource":
 		if err := topology.CheckFanout(sc.k, sc.replicas, "replicas"); err != nil {
 			return fmt.Errorf("pattern %s %w", sc.pattern, err)
@@ -171,169 +172,79 @@ func (sc scenario) validate() error {
 		if err := topology.CheckFanout(sc.k, sc.senders, "senders"); err != nil {
 			return fmt.Errorf("incast %w", err)
 		}
+	default:
+		return fmt.Errorf("unknown pattern %q (unicast|multicast|multisource|incast)", sc.pattern)
 	}
 	return nil
 }
 
-// netConfig builds the switch configuration for one seeded run.
-func (sc scenario) netConfig(seed int64) netsim.Config {
-	ncfg := netsim.DefaultConfig()
-	ncfg.Seed = seed
-	ncfg.Trimming = sc.trim && sc.proto == "rq"
-	if sc.proto == "dctcp" {
-		ncfg.ECNThreshold = 20
-	}
-	return ncfg
-}
-
-// runOnce executes the scenario for one seed. When w is non-nil the
-// run is verbose: fabric banner, per-receiver/flow completion lines
-// and queue totals. Metrics are returned either way, so -runs > 1
-// aggregates exactly what a single run reports.
-func (sc scenario) runOnce(seed int64, w io.Writer) (sweep.Metrics, error) {
-	ncfg := sc.netConfig(seed)
-	ft, err := topology.NewFatTree(sc.k, ncfg)
+// Run executes the pattern for one seed.
+func (sc scenario) Run(env *harness.Env) (harness.Result, error) {
+	pcfg := polyraptor.DefaultConfig()
+	pcfg.StragglerDetach = sc.detach
+	ft, tr, err := env.Build(sc.k, func(c *netsim.Config) { c.Trimming = c.Trimming && sc.trim }, &pcfg)
 	if err != nil {
-		return nil, err
+		return harness.Result{}, err
 	}
-	if w != nil {
-		fmt.Fprintf(w, "fabric: k=%d (%d hosts), link %d Mbps, delay %v, trimming=%v, ecn=%d\n",
-			sc.k, ft.NumHosts(), ncfg.LinkRate/1e6, ncfg.LinkDelay, ncfg.Trimming, ncfg.ECNThreshold)
-	}
-
-	// PolyScope tracing: the recorder must be attached before any flow
-	// starts so session-open events land in it; the probe starts after
-	// all flows exist so every gauge sees every tick.
-	var tr *telemetry.Trace
-	if sc.traceBase != "" {
-		tr = telemetry.New(telemetry.Options{})
-		tr.SetMeta("scenario", sc.pattern)
-		tr.SetMeta("backend", sc.proto)
-		tr.SetMeta("seed", strconv.FormatInt(seed, 10))
-		ft.Net.Rec = tr.Rec
-	}
+	env.Observe()
+	ncfg := ft.Net.Cfg
+	sc.printf("fabric: k=%d (%d hosts), link %d Mbps, delay %v, trimming=%v, ecn=%d\n",
+		sc.k, ft.NumHosts(), ncfg.LinkRate/1e6, ncfg.LinkDelay, ncfg.Trimming, ncfg.ECNThreshold)
 
 	var last sim.Time
-	var openSessions func() float64
 	transferred := sc.bytes // bytes the pattern moves end to end
-	if sc.pattern == "incast" {
+	report := func(c store.Completion) {
+		last = max(last, c.End)
+		if tr.RQ != nil {
+			ev := c.RQ
+			sc.printf("receiver %3d: %8.3f Gbps  (%d symbols, %d trims, %v, detached=%v)\n",
+				ev.Receiver, ev.GoodputGbps(), ev.Symbols, ev.Trims, ev.End-ev.Start, ev.Detached)
+		} else {
+			r := c.TCP
+			sc.printf("flow %2d %3d->%3d: %8.3f Gbps  (%d rtx, %d RTO, %v)\n",
+				r.Flow, r.Src, r.Dst, r.GoodputGbps(), r.Retransmits, r.Timeouts, r.End-r.Start)
+		}
+	}
+	switch sc.pattern {
+	case "unicast":
+		tr.Unicast(0, pick(ft, 0, env.Seed, 1)[0], sc.bytes, report)
+	case "multicast":
+		tr.Multicast(0, pick(ft, 0, env.Seed, sc.replicas), sc.bytes, report)
+	case "multisource":
+		tr.MultiSource(pick(ft, 0, env.Seed, sc.replicas), 0, sc.bytes, report)
+	case "incast":
 		transferred = sc.bytes * int64(sc.senders)
-	}
-
-	if sc.proto == "rq" {
-		pcfg := polyraptor.DefaultConfig()
-		pcfg.StragglerDetach = sc.detach
-		sys := polyraptor.NewSystem(ft.Net, pcfg, seed)
-		sys.PruneGroup = ft.PruneMulticastLeaf
-		openSessions = func() float64 { send, recv := sys.OpenSessions(); return float64(send + recv) }
-		report := func(ev polyraptor.CompletionEvent) {
-			if ev.End > last {
-				last = ev.End
-			}
-			if w != nil {
-				fmt.Fprintf(w, "receiver %3d: %8.3f Gbps  (%d symbols, %d trims, %v, detached=%v)\n",
-					ev.Receiver, ev.GoodputGbps(), ev.Symbols, ev.Trims, ev.End-ev.Start, ev.Detached)
-			}
-		}
-		switch sc.pattern {
-		case "unicast":
-			sys.StartUnicast(0, pick(ft, 0, seed, 1)[0], sc.bytes, report)
-		case "multicast":
-			peers := pick(ft, 0, seed, sc.replicas)
-			g := ft.InstallMulticastGroup(0, peers)
-			sys.StartMulticast(0, peers, g, sc.bytes, report)
-		case "multisource":
-			peers := pick(ft, 0, seed, sc.replicas)
-			sys.StartMultiSource(peers, 0, sc.bytes, report)
-		case "incast":
-			ic := workload.GenerateIncast(workload.IncastConfig{Senders: sc.senders, BytesPerSender: sc.bytes, Seed: seed}, ft)
-			for _, s := range ic.Senders {
-				sys.StartUnicast(s, ic.Client, ic.Bytes, report)
-			}
-		}
-	} else {
-		tcfg := tcpsim.DefaultConfig()
-		if sc.proto == "dctcp" {
-			tcfg = tcpsim.DCTCPConfig()
-		}
-		sys := tcpsim.NewSystem(ft.Net, tcfg)
-		openSessions = func() float64 { return float64(sys.OpenFlows()) }
-		report := func(r tcpsim.FlowResult) {
-			if r.End > last {
-				last = r.End
-			}
-			if w != nil {
-				fmt.Fprintf(w, "flow %2d %3d->%3d: %8.3f Gbps  (%d rtx, %d RTO, %v)\n",
-					r.Flow, r.Src, r.Dst, r.GoodputGbps(), r.Retransmits, r.Timeouts, r.End-r.Start)
-			}
-		}
-		switch sc.pattern {
-		case "unicast":
-			sys.StartFlow(0, pick(ft, 0, seed, 1)[0], sc.bytes, report)
-		case "multicast":
-			for _, p := range pick(ft, 0, seed, sc.replicas) {
-				sys.StartFlow(0, p, sc.bytes, report) // multi-unicast emulation
-			}
-		case "multisource":
-			for _, p := range pick(ft, 0, seed, sc.replicas) {
-				sys.StartFlow(p, 0, sc.bytes/int64(sc.replicas), report)
-			}
-		case "incast":
-			ic := workload.GenerateIncast(workload.IncastConfig{Senders: sc.senders, BytesPerSender: sc.bytes, Seed: seed}, ft)
-			for _, s := range ic.Senders {
-				sys.StartFlow(s, ic.Client, ic.Bytes, report)
-			}
+		ic := workload.GenerateIncast(workload.IncastConfig{Senders: sc.senders, BytesPerSender: sc.bytes, Seed: env.Seed}, ft)
+		for _, s := range ic.Senders {
+			tr.Unicast(s, ic.Client, ic.Bytes, report)
 		}
 	}
-
-	if tr != nil {
-		ft.Net.RegisterProbes(tr.Probe)
-		tr.Probe.Gauge("open-sessions", "count", openSessions)
-		tr.Start(ft.Net.Eng)
-	}
-	ft.Net.Eng.Run()
+	env.Drain(0)
 	tot := ft.Net.QueueTotals()
-	if w != nil {
-		fmt.Fprintf(w, "switch queues: %d enqueued, %d trimmed, %d dropped (events: %d)\n",
-			tot.Enqueued, tot.Trimmed, tot.Dropped, ft.Net.Eng.Processed())
-	}
-	if tr != nil {
-		tr.Finish(ft.Net.Now())
-		paths, err := tr.WriteFiles(sc.traceBase)
-		if err != nil {
-			return nil, err
-		}
-		if w != nil {
-			fmt.Fprintf(w, "trace: wrote %s\n", strings.Join(paths, ", "))
-		}
-	}
+	sc.printf("switch queues: %d enqueued, %d trimmed, %d dropped (events: %d)\n",
+		tot.Enqueued, tot.Trimmed, tot.Dropped, ft.Net.Eng.Processed())
 	if last <= 0 {
-		return nil, fmt.Errorf("no session completed (pattern %s)", sc.pattern)
+		return harness.Result{}, fmt.Errorf("no session completed (pattern %s)", sc.pattern)
 	}
-	return sweep.Metrics{
+	return harness.Result{Metrics: sweep.Metrics{
 		"goodput_gbps": float64(transferred*8) / last.Seconds() / 1e9,
 		"makespan_s":   last.Seconds(),
 		"trimmed":      float64(tot.Trimmed),
 		"dropped":      float64(tot.Dropped),
-	}, nil
+	}}, nil
 }
 
-// pick selects n distinct hosts outside host `client`'s rack.
-func pick(ft *topology.FatTree, client int, seed int64, n int) []int {
-	rng := sim.RNG(seed, "polysim-peers")
-	var out []int
-	for len(out) < n {
-		p := rng.Intn(ft.NumHosts())
-		if p == client || ft.SameRack(client, p) {
-			continue
-		}
-		dup := false
-		for _, q := range out {
-			dup = dup || q == p
-		}
-		if !dup {
-			out = append(out, p)
-		}
+// printf writes one line of the verbose report, if there is one.
+func (sc scenario) printf(format string, args ...any) {
+	if sc.w != nil {
+		fmt.Fprintf(sc.w, format, args...)
 	}
+}
+
+// pick selects n distinct hosts outside host `client`'s rack; Validate
+// has checked that the fabric has that many.
+func pick(ft *topology.FatTree, client int, seed int64, n int) []int {
+	out, _ := harness.PickDistinct(sim.RNG(seed, "polysim-peers"), ft.NumHosts(), n,
+		func(h int) bool { return ft.SameRack(client, h) })
 	return out
 }

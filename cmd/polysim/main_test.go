@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"polyraptor/internal/harness"
 	"polyraptor/internal/netsim"
+	"polyraptor/internal/store"
+	"polyraptor/internal/telemetry"
 	"polyraptor/internal/topology"
 )
 
@@ -116,12 +119,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestScenarioValidateBounds pins the out-of-rack arithmetic: a k=4
 // fabric has 16 hosts, 2 per rack, so at most 14 eligible peers.
 func TestScenarioValidateBounds(t *testing.T) {
-	sc := scenario{proto: "rq", pattern: "incast", k: 4, bytes: 1, senders: 14}
-	if err := sc.validate(); err != nil {
+	sc := scenario{pattern: "incast", k: 4, bytes: 1, senders: 14}
+	if err := sc.Validate(); err != nil {
 		t.Fatalf("14 senders on k=4 should be valid: %v", err)
 	}
 	sc.senders = 15
-	if err := sc.validate(); err == nil {
+	if err := sc.Validate(); err == nil {
 		t.Fatal("15 senders on k=4 accepted")
 	}
 }
@@ -135,5 +138,38 @@ func TestRunHelpExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "Usage") {
 		t.Fatalf("help output missing usage: %s", errw.String())
+	}
+}
+
+// TestTCPMultiSourceMovesEveryByte: the TCP multi-source emulation
+// fetches a 1/R share per replica and the last share carries the
+// remainder. polysim used to start bytes/replicas per share (4 MiB over
+// 3 replicas moved 4,194,303 bytes) while computing goodput over the
+// full object; the flows its trace records must sum to -bytes.
+func TestTCPMultiSourceMovesEveryByte(t *testing.T) {
+	const size, replicas = 100001, 3 // 33333 + 33333 + 33335
+	sc := scenario{pattern: "multisource", k: 4, bytes: size, replicas: replicas, trim: true}
+	for _, be := range []store.BackendKind{store.BackendTCP, store.BackendDCTCP} {
+		res, err := harness.Run(sc, be, 1, harness.Observers{Trace: &telemetry.Options{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moved int64
+		flows := res.Trace.Explain()
+		for _, d := range flows {
+			moved += d.Info.Bytes
+		}
+		if len(flows) != replicas || moved != size {
+			t.Fatalf("%v: %d flows moved %d bytes, want %d flows summing to %d", be, len(flows), moved, replicas, size)
+		}
+	}
+	// The CLI surface agrees: one line per share.
+	var out, errw bytes.Buffer
+	args := []string{"-proto", "tcp", "-pattern", "multisource", "-k", "4", "-bytes", "100001", "-replicas", "3"}
+	if code := run(args, &out, &errw); code != 0 {
+		t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
+	}
+	if n := strings.Count(out.String(), "\nflow "); n != replicas {
+		t.Fatalf("want %d flow lines, got %d:\n%s", replicas, n, out.String())
 	}
 }

@@ -29,6 +29,7 @@ import (
 
 	"polyraptor/internal/harness"
 	"polyraptor/internal/store"
+	"polyraptor/internal/sweep"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -106,53 +107,30 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *nruns > 1 || *jsonOut {
-		return runSweep(cfg, kinds, *nruns, *parallel, *csv, *jsonOut, out, errw)
-	}
-
-	runs, err := harness.RunStorageCluster(harness.StorageOptions{
-		Cluster: cfg, Backends: kinds, Parallelism: *parallel,
-	})
-	if err != nil {
-		fmt.Fprintf(errw, "polystore: %v\n", err)
-		return 1
-	}
-
-	if *csv {
-		writeCSV(out, runs)
-		return 0
-	}
-	writeTable(out, cfg, runs)
-	return 0
-}
-
-// runSweep is the multi-seed path: the cluster template repeated over
-// derived sub-seeds per backend, aggregated by the sweep engine.
-func runSweep(cfg store.Config, kinds []store.BackendKind, runs, parallel int, csv, jsonOut bool, out, errw io.Writer) int {
-	res, err := harness.StorageSweep(cfg, kinds, runs, parallel)
-	if err != nil {
-		fmt.Fprintf(errw, "polystore: %v\n", err)
-		return 1
-	}
-	switch {
-	case jsonOut:
-		js, err := res.JSON()
+		// The multi-seed path: the cluster template repeated over
+		// derived sub-seeds per backend, aggregated by the sweep engine.
+		cells, err := harness.SweepParams{}.Cells(harness.Storage{Cluster: cfg}, kinds)
 		if err != nil {
 			fmt.Fprintf(errw, "polystore: %v\n", err)
-			return 1
+			return 2
 		}
-		out.Write(js)
-		io.WriteString(out, "\n")
-	case csv:
-		fmt.Fprint(out, res.CSV())
-	default:
-		fmt.Fprint(out, res.Table(nil))
+		m := sweep.Matrix{Cells: cells, Seeds: *nruns, BaseSeed: cfg.Seed, Parallelism: *parallel}
+		return m.Emit("polystore", sweep.Format(*csv, *jsonOut), out, errw)
 	}
-	for _, c := range res.Cells {
-		if len(c.Errors) > 0 {
-			fmt.Fprintf(errw, "polystore: backend %s: %d run(s) failed: %s\n",
-				c.Backend, len(c.Errors), c.Errors[0])
-			return 1
-		}
+
+	results, err := harness.RunEach(harness.Storage{Cluster: cfg}, kinds, cfg.Seed, harness.Observers{}, *parallel)
+	if err != nil {
+		fmt.Fprintf(errw, "polystore: %v\n", err)
+		return 1
+	}
+	runs := make([]harness.StorageRun, len(results))
+	for i, r := range results {
+		runs[i] = r.Detail.(harness.StorageRun)
+	}
+	if *csv {
+		writeCSV(out, runs)
+	} else {
+		writeTable(out, cfg, runs)
 	}
 	return 0
 }

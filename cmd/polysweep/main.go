@@ -43,7 +43,6 @@ import (
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
 	"polyraptor/internal/telemetry"
-	"polyraptor/internal/topology"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -193,17 +192,7 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 	if *trace {
-		// Traceable-scenario validation happens in NewSweepCell, but
-		// ablation cells bypass it — reject the combination here so
-		// -trace never silently produces nothing.
-		for _, s := range scen {
-			if s == "ablations" {
-				fmt.Fprintf(errw, "polysweep: -trace does not support the ablations bundle (traceable: %v)\n",
-					harness.TraceableScenarios())
-				return 2
-			}
-		}
-		p.Trace = &harness.TraceOptions{}
+		p.Trace = &telemetry.Options{}
 		var traceMu sync.Mutex
 		p.TraceSink = func(scenario, backend string, seed int64, tr *telemetry.Trace) {
 			base := fmt.Sprintf("%s-%s-%s-s%d", *traceOut, scenario, backend, seed)
@@ -222,9 +211,29 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "polysweep: %v\n", err)
 		return 2
 	}
-	if err := validateParams(p, scen); err != nil {
-		fmt.Fprintf(errw, "polysweep: %v\n", err)
-		return 2
+
+	// Building a cell validates its scenario against the fabric, so
+	// every impossible parameter is an error here, before anything runs
+	// (or is profiled).
+	var cells []sweep.Cell
+	for _, s := range scen {
+		var more []sweep.Cell
+		if s == "ablations" {
+			// Ablations contrast Polyraptor against itself (trimming
+			// off, pull-only start, ...), so the backend axis does not
+			// apply — say so instead of silently dropping it.
+			if *backends != "all" && *backends != "rq" && *backends != "polyraptor" {
+				fmt.Fprintln(errw, "polysweep: note: ablation cells always run on the rq backend; -backends does not apply to them")
+			}
+			more, err = harness.AblationCells(p)
+		} else {
+			more, err = harness.SweepCells(s, kinds, p)
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "polysweep: %v\n", err)
+			return 2
+		}
+		cells = append(cells, more...)
 	}
 
 	if *cpuprofile != "" {
@@ -251,29 +260,6 @@ func run(args []string, out, errw io.Writer) int {
 		}()
 	}
 
-	var cells []sweep.Cell
-	for _, s := range scen {
-		if s == "ablations" {
-			// Ablations contrast Polyraptor against itself (trimming
-			// off, pull-only start, ...), so the backend axis does not
-			// apply — say so instead of silently dropping it.
-			if *backends != "all" && *backends != "rq" && *backends != "polyraptor" {
-				fmt.Fprintln(errw, "polysweep: note: ablation cells always run on the rq backend; -backends does not apply to them")
-			}
-			cells = append(cells, harness.AblationCells(p)...)
-			continue
-		}
-		for _, be := range kinds {
-			cell, err := harness.NewSweepCell(s, be, p)
-			if err != nil {
-				fmt.Fprintf(errw, "polysweep: %v\n", err)
-				return 2
-			}
-			cells = append(cells, cell)
-		}
-	}
-
-	start := time.Now()
 	m := sweep.Matrix{Cells: cells, Seeds: *seeds, BaseSeed: *seed, Parallelism: *parallel}
 	if *verbose {
 		// Progress lines go to stderr in completion order; stdout stays
@@ -284,120 +270,31 @@ func run(args []string, out, errw io.Writer) int {
 				p.Elapsed.Round(time.Millisecond), p.ETA.Round(time.Millisecond))
 		}
 	}
-	res, err := m.Run()
-	if err != nil {
-		fmt.Fprintf(errw, "polysweep: %v\n", err)
-		return 1
-	}
+	start := time.Now()
+	code := m.Emit("polysweep", *format, out, errw)
 	// Wall clock goes to stderr so machine-readable stdout stays
 	// byte-identical across parallelism settings.
 	fmt.Fprintf(errw, "polysweep: %d cells x %d seeds (%d runs) in %v\n",
 		len(cells), *seeds, len(cells)**seeds, time.Since(start).Round(time.Millisecond))
-
-	switch *format {
-	case "table":
-		fmt.Fprint(out, res.Table(nil))
-	case "csv":
-		fmt.Fprint(out, res.CSV())
-	case "json":
-		js, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(errw, "polysweep: %v\n", err)
-			return 1
-		}
-		out.Write(js)
-		io.WriteString(out, "\n")
-	}
-	if bad := failedRuns(res); bad > 0 {
-		fmt.Fprintf(errw, "polysweep: %d run(s) failed (see errors above)\n", bad)
-		return 1
-	}
-	return 0
+	return code
 }
 
-// parseScenarios expands the -scenarios flag, preserving order and
-// rejecting unknown names before anything runs.
+// parseScenarios expands the -scenarios flag, preserving order. Names
+// are checked when their cells are built.
 func parseScenarios(arg string) ([]string, error) {
 	if arg == "all" {
 		return append(harness.SweepScenarios(), "ablations"), nil
 	}
-	known := map[string]bool{"ablations": true}
-	for _, s := range harness.SweepScenarios() {
-		known[s] = true
-	}
 	var out []string
 	for _, name := range strings.Split(arg, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
 		}
-		if !known[name] {
-			return nil, fmt.Errorf("unknown scenario %q (have %v, ablations)", name, harness.SweepScenarios())
-		}
-		out = append(out, name)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no scenarios selected")
 	}
 	return out, nil
-}
-
-// validateParams checks the scenario parameters against the fabric
-// before any cell runs — the sweep equivalent of polystore's up-front
-// flag validation.
-func validateParams(p harness.SweepParams, scenarios []string) error {
-	if err := topology.CheckArity(p.FatTreeK); err != nil {
-		return err
-	}
-	for _, s := range scenarios {
-		switch s {
-		case "ablations":
-			// A1 runs a 12-sender incast; peers must be out-of-rack, so
-			// a too-small fabric would spin the peer picker forever.
-			if topology.OutOfRackHosts(p.FatTreeK) < 12 {
-				return fmt.Errorf("ablations need >= 12 out-of-rack hosts (k >= 4), k=%d fabric has %d",
-					p.FatTreeK, topology.OutOfRackHosts(p.FatTreeK))
-			}
-		case "incast":
-			if err := topology.CheckFanout(p.FatTreeK, p.Senders, "senders"); err != nil {
-				return fmt.Errorf("incast %w", err)
-			}
-		case "shuffle":
-			opt := harness.ShuffleOptions{
-				FatTreeK:        p.FatTreeK,
-				Mappers:         p.Mappers,
-				Reducers:        p.Reducers,
-				BytesPerPair:    p.Bytes,
-				Skew:            p.ShuffleSkew,
-				StragglerFactor: p.Straggler,
-			}
-			if err := opt.Validate(); err != nil {
-				return err
-			}
-		case "fig1a", "fig1b":
-			if err := topology.CheckFanout(p.FatTreeK, p.Replicas, "replicas"); err != nil {
-				return fmt.Errorf("%s %w", s, err)
-			}
-			if p.Sessions < 1 {
-				return fmt.Errorf("%s needs sessions >= 1, got %d", s, p.Sessions)
-			}
-			if p.LoadFactor <= 0 {
-				return fmt.Errorf("%s needs load > 0, got %g", s, p.LoadFactor)
-			}
-		case "storage":
-			if err := p.Store.Validate(); err != nil {
-				return err
-			}
-		case "chaos":
-			if err := p.Chaos.Validate(); err != nil {
-				return err
-			}
-		}
-	}
-	if p.Bytes < 1 {
-		return fmt.Errorf("bytes must be >= 1, got %d", p.Bytes)
-	}
-	return nil
 }
 
 // writeHeapProfile snapshots the heap after a GC — the sweep's live
@@ -413,13 +310,4 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// failedRuns counts repetitions that errored across all cells.
-func failedRuns(res *sweep.Result) int {
-	n := 0
-	for _, c := range res.Cells {
-		n += len(c.Errors)
-	}
-	return n
 }

@@ -92,7 +92,11 @@ func ExampleFigure1c() {
 		Seed:           1,
 		Trimming:       true,
 	}
-	for _, s := range polyraptor.Figure1c(opt) {
+	series, err := polyraptor.Figure1c(opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range series {
 		ok := "collapsed"
 		if s.Y[0] > 0.5 {
 			ok = "healthy"

@@ -59,7 +59,11 @@ func demo(w io.Writer, k int, fracs []float64, flows int, bytes int64, reps, par
 				Backend:  be.String(),
 				Params:   map[string]string{"frac": fmt.Sprint(frac)},
 				Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-					r := harness.RunChaos(opt, be, seed)
+					res, err := harness.Run(opt, be, seed, harness.Observers{})
+					if err != nil {
+						return nil, err
+					}
+					r := res.Detail.(harness.ChaosRun)
 					return sweep.Metrics{
 						"stall_rate": r.StallRate(),
 						"fct_p99_s":  r.FCT.P99,

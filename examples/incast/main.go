@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"polyraptor/internal/harness"
+	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
 )
 
@@ -34,23 +35,17 @@ func main() {
 // demo sweeps sender counts for Polyraptor and TCP, `reps` seeds per
 // point, and prints mean goodput with 95% confidence half-widths.
 func demo(w io.Writer, k int, senders []int, block int64, reps, parallelism int) error {
-	opt := harness.IncastOptions{FatTreeK: k, Trimming: true}
 	var cells []sweep.Cell
 	for _, n := range senders {
-		for _, proto := range []string{"rq", "tcp"} {
-			n, proto := n, proto
+		sc := harness.Incast{FatTreeK: k, Senders: n, Bytes: block}
+		for _, be := range []store.BackendKind{store.BackendPolyraptor, store.BackendTCP} {
 			cells = append(cells, sweep.Cell{
 				Scenario: "incast",
-				Backend:  proto,
+				Backend:  be.String(),
 				Params:   map[string]string{"senders": fmt.Sprint(n)},
 				Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-					var g float64
-					if proto == "rq" {
-						g = harness.RunIncastRQ(opt, n, block, seed)
-					} else {
-						g = harness.RunIncastTCP(opt, n, block, seed)
-					}
-					return sweep.Metrics{"goodput_gbps": g}, nil
+					res, err := harness.Run(sc, be, seed, harness.Observers{})
+					return res.Metrics, err
 				}),
 			})
 		}

@@ -55,8 +55,8 @@ func demo(w io.Writer, k int, mappers []int, reducers int, pairBytes int64, reps
 				Backend:  be.String(),
 				Params:   map[string]string{"mappers": fmt.Sprint(m)},
 				Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-					r := harness.RunShuffle(opt, be, seed)
-					return sweep.Metrics{"shuffle_s": r.CompletionTime}, nil
+					res, err := harness.Run(opt, be, seed, harness.Observers{})
+					return res.Metrics, err
 				}),
 			})
 		}

@@ -42,15 +42,14 @@ func demo(w io.Writer, cfg store.Config) error {
 	fmt.Fprintf(w, "PolyStore: %d objects x %d MB, R=%d, zipf %.1f, on %d hosts; %v failure mid-run\n\n",
 		cfg.Objects, cfg.ObjectBytes>>20, cfg.Replicas, cfg.ZipfSkew, cfg.Hosts(), cfg.FailMode)
 
-	runs, err := harness.RunStorageCluster(harness.StorageOptions{
-		Cluster:  cfg,
-		Backends: []store.BackendKind{store.BackendPolyraptor, store.BackendTCP},
-	})
+	results, err := harness.RunEach(harness.Storage{Cluster: cfg},
+		[]store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, cfg.Seed, harness.Observers{}, 0)
 	if err != nil {
 		return err
 	}
 
-	for _, r := range runs {
+	for _, res := range results {
+		r := res.Detail.(harness.StorageRun)
 		rec := r.Result.Recovery
 		fmt.Fprintf(w, "%s:\n", r.Backend)
 		fmt.Fprintf(w, "  GETs: %.3f Gbps mean, FCT p50 %.2f ms / p99 %.2f ms (%d served)\n",

@@ -2,18 +2,14 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"polyraptor/internal/chaos"
-	"polyraptor/internal/metrics"
-	"polyraptor/internal/netsim"
-	"polyraptor/internal/polyraptor"
 	"polyraptor/internal/sim"
 	"polyraptor/internal/stats"
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/tcpsim"
-	"polyraptor/internal/telemetry"
 	"polyraptor/internal/topology"
 	"polyraptor/internal/workload"
 )
@@ -27,12 +23,12 @@ import (
 // not completed by then counts as stalled, the honest way to score a
 // transport that would otherwise retransmit into a hole forever.
 
-// ChaosPatterns lists the traffic patterns RunChaos accepts.
+// ChaosPatterns lists the traffic patterns ChaosOptions accepts.
 func ChaosPatterns() []string {
 	return []string{"one2one", "incast", "multicast", "shuffle"}
 }
 
-// ChaosOptions parametrises one chaos experiment.
+// ChaosOptions is the chaos scenario. Result.Detail is the ChaosRun.
 type ChaosOptions struct {
 	// FatTreeK is the fabric arity.
 	FatTreeK int
@@ -126,10 +122,7 @@ func (o ChaosOptions) Validate() error {
 	}
 	plan := o.Fault
 	plan.Seed = 1 // seed is injected per run; validate the rest
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return plan.Validate()
 }
 
 // ChaosRun is one transport's measurements under one executed fault
@@ -149,8 +142,11 @@ type ChaosRun struct {
 	// GoodputGbps is completed bytes over the makespan (last
 	// completion, or the deadline when anything stalled).
 	GoodputGbps float64
-	// FaultTargets is how many links/switches the plan struck.
-	FaultTargets int
+	// FaultTargets names the links/switches the plan struck and
+	// FaultEvents logs every fault action executed before the deadline,
+	// in timeline order. Both depend only on the plan and the seed.
+	FaultTargets []string
+	FaultEvents  []chaos.Event
 	// RouteDrops counts packets blackholed at switches (no live
 	// route, or a killed switch) — the fault signature.
 	RouteDrops int64
@@ -185,7 +181,7 @@ type chaosWorkload struct {
 // one2onePairs draws Flows cross-pod (src, dst) pairs over distinct
 // hosts. Cross-pod forces every transfer through the core layer,
 // where the default fault plan strikes.
-func one2onePairs(ft *topology.FatTree, flows int, seed int64) chaosWorkload {
+func one2onePairs(ft *topology.FatTree, flows int, seed int64) (chaosWorkload, error) {
 	rng := sim.RNG(seed, "chaos-pairs")
 	perm := rng.Perm(ft.NumHosts())
 	var w chaosWorkload
@@ -216,24 +212,24 @@ func one2onePairs(ft *topology.FatTree, flows int, seed int64) chaosWorkload {
 			}
 		}
 		if dst < 0 {
-			panic("harness: chaos one2one ran out of hosts (validate should have caught this)")
+			return w, fmt.Errorf("harness: chaos one2one ran out of hosts drawing flow %d of %d", i+1, flows)
 		}
 		used[dst] = true
 		w.srcs = append(w.srcs, src)
 		w.dsts = append(w.dsts, dst)
 	}
-	return w
+	return w, nil
 }
 
 // drawChaosWorkload materialises the pattern's transfers for one seed.
-func drawChaosWorkload(o ChaosOptions, ft *topology.FatTree, seed int64) chaosWorkload {
+func drawChaosWorkload(o ChaosOptions, ft *topology.FatTree, seed int64) (chaosWorkload, error) {
 	switch o.Pattern {
 	case "one2one":
-		w := one2onePairs(ft, o.Flows, seed)
+		w, err := one2onePairs(ft, o.Flows, seed)
 		for range w.srcs {
 			w.bytes = append(w.bytes, o.Bytes)
 		}
-		return w
+		return w, err
 	case "incast":
 		ic := workload.GenerateIncast(workload.IncastConfig{
 			Senders: o.Senders, BytesPerSender: o.Bytes, Seed: seed,
@@ -244,25 +240,19 @@ func drawChaosWorkload(o ChaosOptions, ft *topology.FatTree, seed int64) chaosWo
 			w.dsts = append(w.dsts, ic.Client)
 			w.bytes = append(w.bytes, ic.Bytes)
 		}
-		return w
+		return w, nil
 	case "multicast":
 		// One writer replicating to Replicas out-of-rack receivers —
 		// the PolyStore PUT pattern under faults.
 		rng := sim.RNG(seed, "chaos-multicast")
 		src := rng.Intn(ft.NumHosts())
-		var w chaosWorkload
-		seen := map[int]bool{src: true}
-		for len(w.dsts) < o.Replicas {
-			r := rng.Intn(ft.NumHosts())
-			if seen[r] || ft.SameRack(src, r) {
-				continue
-			}
-			seen[r] = true
+		dsts, err := PickDistinct(rng, ft.NumHosts(), o.Replicas, func(h int) bool { return ft.SameRack(src, h) })
+		w := chaosWorkload{dsts: dsts}
+		for range dsts {
 			w.srcs = append(w.srcs, src)
-			w.dsts = append(w.dsts, r)
 			w.bytes = append(w.bytes, o.Bytes)
 		}
-		return w
+		return w, err
 	case "shuffle":
 		sh := workload.GenerateShuffle(workload.ShuffleConfig{
 			Mappers: o.Mappers, Reducers: o.Reducers,
@@ -276,76 +266,68 @@ func drawChaosWorkload(o ChaosOptions, ft *topology.FatTree, seed int64) chaosWo
 				w.bytes = append(w.bytes, sh.Bytes[mi][ri])
 			}
 		}
-		return w
+		return w, nil
 	}
-	panic(fmt.Sprintf("harness: unknown chaos pattern %q", o.Pattern))
+	return chaosWorkload{}, fmt.Errorf("unknown chaos pattern %q (have %v)", o.Pattern, ChaosPatterns())
 }
 
-// RunChaos runs one transport under the fault plan for one seed. The
+func (o ChaosOptions) Name() string { return "chaos" }
+
+func (o ChaosOptions) Params() map[string]string {
+	return map[string]string{
+		"k":       strconv.Itoa(o.FatTreeK),
+		"pattern": o.Pattern,
+		"fault":   o.Fault.Kind.String(),
+		"layer":   o.Fault.Layer.String(),
+		"frac":    strconv.FormatFloat(o.Fault.Frac, 'g', -1, 64),
+	}
+}
+
+// Run runs one transport under the fault plan for one seed. The
 // workload draw and the fault targets depend only on the seed, so
 // backends compare on identical scenarios.
-func RunChaos(o ChaosOptions, backend store.BackendKind, seed int64) ChaosRun {
-	r, _ := RunChaosTraced(o, backend, seed, nil)
-	return r
-}
-
-// RunChaosTraced is RunChaos with an optional PolyScope trace
-// attached (nil topt reproduces RunChaos exactly). The returned trace
-// is finished and ready for export; it is nil when topt is nil.
-func RunChaosTraced(o ChaosOptions, backend store.BackendKind, seed int64, topt *TraceOptions) (ChaosRun, *telemetry.Trace) {
-	return runChaos(o, backend, seed, topt, meter{})
-}
-
-// RunChaosMetered is RunChaosTraced with PolyMeter instruments
-// attached: per-flow FCT/goodput histograms, fabric queue depth,
-// Polyraptor stall durations, and SLO attainment counters land in reg
-// under (chaos, backend) labels. A nil reg reproduces RunChaosTraced
-// exactly.
-func RunChaosMetered(o ChaosOptions, backend store.BackendKind, seed int64, topt *TraceOptions, reg *metrics.Registry, slo metrics.SLO) (ChaosRun, *telemetry.Trace) {
-	return runChaos(o, backend, seed, topt, newMeter(reg, "chaos", backend, slo))
-}
-
-func runChaos(o ChaosOptions, backend store.BackendKind, seed int64, topt *TraceOptions, mt meter) (ChaosRun, *telemetry.Trace) {
-	if err := o.Validate(); err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	ft, err := topology.NewFatTree(o.FatTreeK, backend.NetConfig(seed))
+func (o ChaosOptions) Run(env *Env) (Result, error) {
+	ft, tr, err := env.Build(o.FatTreeK, nil, nil)
 	if err != nil {
-		panic(err)
+		return Result{}, err
 	}
-	tr := newTrace(ft, topt, "chaos", backend, seed)
-	mt.fabric(ft)
+	env.Observe()
 	plan := o.Fault
-	plan.Seed = seed
+	plan.Seed = env.Seed
 	inj, err := chaos.Inject(ft, plan)
 	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
+		return Result{}, err
 	}
-	w := drawChaosWorkload(o, ft, seed)
+	w, err := drawChaosWorkload(o, ft, env.Seed)
+	if err != nil {
+		return Result{}, err
+	}
 
-	run := ChaosRun{Backend: backend.String(), FaultTargets: inj.TargetCount()}
+	run := ChaosRun{Backend: env.Backend.String(), FaultTargets: inj.Targets, Flows: len(w.srcs)}
+	env.Offered(run.Flows)
 	var fcts []float64
 	var completedBytes int64
 	var last sim.Time
-	record := func(bytes int64, end sim.Time) {
+	each := func(c store.Completion) {
+		env.Flow(c)
 		run.Completed++
-		completedBytes += bytes
-		fct := end.Seconds()
-		fcts = append(fcts, fct)
-		mt.flow(fct, perFlowGbps(bytes, fct))
-		if end > last {
-			last = end
+		completedBytes += c.Bytes
+		fcts = append(fcts, (c.End - c.Start).Seconds())
+		last = max(last, c.End)
+	}
+	// FCTs are per transfer on every pattern; multicast completes once
+	// per receiver on both transports (rq runs one group session, TCP
+	// multi-unicasts).
+	if o.Pattern == "multicast" {
+		tr.Multicast(w.srcs[0], w.dsts, w.bytes[0], each)
+	} else {
+		for i := range w.srcs {
+			tr.Unicast(w.srcs[i], w.dsts[i], w.bytes[i], each)
 		}
 	}
+	env.Drain(o.Deadline)
 
-	run.Flows = len(w.srcs)
-	mt.offered(run.Flows)
-	open := startChaosFlows(ft, backend, seed, w, o.Pattern == "multicast", record, mt)
-	startTrace(tr, ft, open)
-
-	ft.Net.Eng.RunUntil(o.Deadline)
-	finishTrace(tr, ft.Net.Now())
-
+	run.FaultEvents = inj.Events
 	run.Stalled = run.Flows - run.Completed
 	run.FCT = stats.Summarize(fcts)
 	makespan := last
@@ -358,93 +340,7 @@ func runChaos(o ChaosOptions, backend store.BackendKind, seed int64, topt *Trace
 	run.LinkDrops = tot.LinkDrops
 	run.QueueDrops = tot.Dropped
 	run.Trimmed = tot.Trimmed
-	return run, tr
-}
-
-// startChaosFlows starts the pairwise patterns (one2one, incast,
-// multicast) on the chosen transport. FCTs are per transfer; the
-// multicast pattern completes once per receiver on both transports
-// (rq runs one group session, TCP multi-unicasts). The returned gauge
-// reads the transport's live session/flow count — the trace probe's
-// open-sessions channel.
-func startChaosFlows(ft *topology.FatTree, backend store.BackendKind, seed int64, w chaosWorkload, multicast bool, record func(int64, sim.Time), mt meter) func() float64 {
-	if backend == store.BackendPolyraptor {
-		sys := polyraptor.NewSystem(ft.Net, polyraptor.DefaultConfig(), seed)
-		sys.PruneGroup = ft.PruneMulticastLeaf
-		mt.stallRQ(sys)
-		open := func() float64 { send, recv := sys.OpenSessions(); return float64(send + recv) }
-		if multicast {
-			g := ft.InstallMulticastGroup(w.srcs[0], w.dsts)
-			bytes := w.bytes[0]
-			sys.StartMulticast(w.srcs[0], w.dsts, g, bytes, func(ev polyraptor.CompletionEvent) {
-				record(bytes, ev.End)
-			})
-			return open
-		}
-		for i := range w.srcs {
-			bytes := w.bytes[i]
-			sys.StartUnicast(w.srcs[i], w.dsts[i], bytes, func(ev polyraptor.CompletionEvent) {
-				record(bytes, ev.End)
-			})
-		}
-		return open
-	}
-	sys := tcpsim.NewSystem(ft.Net, backendTCPConfig(backend))
-	for i := range w.srcs {
-		bytes := w.bytes[i]
-		sys.StartFlow(w.srcs[i], w.dsts[i], bytes, func(r tcpsim.FlowResult) {
-			record(bytes, r.End)
-		})
-	}
-	return func() float64 { return float64(sys.OpenFlows()) }
-}
-
-// backendTCPConfig maps the baseline backends to their stacks.
-func backendTCPConfig(backend store.BackendKind) tcpsim.Config {
-	if backend == store.BackendDCTCP {
-		return tcpsim.DCTCPConfig()
-	}
-	return tcpsim.DefaultConfig()
-}
-
-// ChaosSchedule executes the fault plan on an idle fabric — no
-// traffic — and returns the injection with its complete event log:
-// the dry run behind cmd/polychaos -v, showing exactly which targets
-// a seed strikes and when.
-func ChaosSchedule(o ChaosOptions, seed int64) (*chaos.Injection, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = seed
-	ft, err := topology.NewFatTree(o.FatTreeK, cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan := o.Fault
-	plan.Seed = seed
-	inj, err := chaos.Inject(ft, plan)
-	if err != nil {
-		return nil, err
-	}
-	ft.Net.Eng.RunUntil(o.Deadline)
-	return inj, nil
-}
-
-// RunChaosAll runs the same chaos template once per backend on the
-// sweep worker pool — the cmd/polychaos single-run path.
-func RunChaosAll(o ChaosOptions, backends []store.BackendKind, seed int64, parallelism int) ([]ChaosRun, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("harness: no backends selected")
-	}
-	out := make([]ChaosRun, len(backends))
-	sweep.ForEach(len(backends), parallelism, func(i int) {
-		out[i] = RunChaos(o, backends[i], seed)
-	})
-	return out, nil
+	return Result{Metrics: chaosMetrics(run), Detail: run}, nil
 }
 
 // chaosMetrics reduces one run to the scalars a sweep aggregates. The
@@ -461,7 +357,7 @@ func chaosMetrics(r ChaosRun) sweep.Metrics {
 		"blackholed":    float64(r.RouteDrops),
 		"link_drops":    float64(r.LinkDrops),
 		"queue_drops":   float64(r.QueueDrops),
-		"fault_targets": float64(r.FaultTargets),
+		"fault_targets": float64(len(r.FaultTargets)),
 	}
 	if r.Completed > 0 {
 		m["fct_p50_s"] = r.FCT.P50

@@ -7,8 +7,14 @@ import (
 
 	"polyraptor/internal/chaos"
 	"polyraptor/internal/store"
-	"polyraptor/internal/sweep"
+	"polyraptor/internal/telemetry"
 )
+
+// chaosRun runs one chaos scenario and returns its typed result.
+func chaosRun(t *testing.T, o ChaosOptions, be store.BackendKind, seed int64) ChaosRun {
+	t.Helper()
+	return mustRun(t, o, be, seed).Detail.(ChaosRun)
+}
 
 // tinyChaosOptions is the k=4 template the unit tests share: 6
 // cross-pod flows of 256 KB with a quarter of the core links
@@ -28,10 +34,10 @@ func tinyChaosOptions() ChaosOptions {
 // TestChaosSeveredPodStallsEveryone-like sweeps, not here).
 func TestChaosRQCompletesWhereTCPStrands(t *testing.T) {
 	o := tinyChaosOptions()
-	rq := RunChaos(o, store.BackendPolyraptor, 1)
-	tcp := RunChaos(o, store.BackendTCP, 1)
+	rq := chaosRun(t, o, store.BackendPolyraptor, 1)
+	tcp := chaosRun(t, o, store.BackendTCP, 1)
 
-	if rq.FaultTargets == 0 || tcp.FaultTargets == 0 {
+	if len(rq.FaultTargets) == 0 || len(tcp.FaultTargets) == 0 {
 		t.Fatal("no links were targeted; the fault plan is vacuous")
 	}
 	if rq.RouteDrops == 0 {
@@ -59,7 +65,7 @@ func TestChaosRecoveryUnstrandsTCP(t *testing.T) {
 	o := tinyChaosOptions()
 	o.Fault.RecoverAt = 100 * time.Millisecond
 	o.Deadline = 3 * time.Second
-	tcp := RunChaos(o, store.BackendTCP, 1)
+	tcp := chaosRun(t, o, store.BackendTCP, 1)
 	if tcp.Stalled != 0 {
 		t.Fatalf("tcp still stranded %d flows after the fault healed", tcp.Stalled)
 	}
@@ -81,7 +87,7 @@ func TestChaosPatternsRunOnAllBackends(t *testing.T) {
 			o.Fault.RecoverAt = 50 * time.Millisecond
 		}
 		for _, be := range []store.BackendKind{store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP} {
-			r := RunChaos(o, be, 3)
+			r := chaosRun(t, o, be, 3)
 			if r.Flows == 0 {
 				t.Fatalf("%s/%s: no flows", pattern, be)
 			}
@@ -95,19 +101,6 @@ func TestChaosPatternsRunOnAllBackends(t *testing.T) {
 				t.Fatalf("%s/%s: completed %d flows at %.4f Gbps", pattern, be, r.Completed, r.GoodputGbps)
 			}
 		}
-	}
-}
-
-func TestRunChaosDeterministicPerSeed(t *testing.T) {
-	o := tinyChaosOptions()
-	a := RunChaos(o, store.BackendPolyraptor, 5)
-	b := RunChaos(o, store.BackendPolyraptor, 5)
-	if a != b {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
-	}
-	c := RunChaos(o, store.BackendPolyraptor, 6)
-	if a == c {
-		t.Fatal("different seeds produced identical runs")
 	}
 }
 
@@ -166,45 +159,54 @@ func TestNewSweepCellChaos(t *testing.T) {
 	}
 }
 
-// TestChaosSweepParallelMatchesSerial is the determinism acceptance
-// criterion: the chaos cell matrix (3 backends x 3 seeds) produces
-// byte-identical aggregated JSON at parallelism 1 and GOMAXPROCS.
-// Runs under -race in CI.
-func TestChaosSweepParallelMatchesSerial(t *testing.T) {
-	matrix := func(parallelism int) sweep.Matrix {
-		p := tinySweepParams()
-		var cells []sweep.Cell
-		for _, be := range []store.BackendKind{store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP} {
-			cell, err := NewSweepCell("chaos", be, p)
-			if err != nil {
-				t.Fatalf("NewSweepCell(chaos, %v): %v", be, err)
+// TestTracedChaosAttributesBlackholeToDeadPath is the explain report's
+// regression test: under the PR 5 acceptance scenario (a quarter of
+// the core links blackholed mid-flow, hash-pinned TCP), every stranded
+// flow must be attributed to the dead path — blackholed packets, the
+// EvRouteDrop stream — and never to congestion, even though the same
+// run also records genuine queue drops on healthy flows.
+func TestTracedChaosAttributesBlackholeToDeadPath(t *testing.T) {
+	res, err := Run(testChaosOptions(), store.BackendTCP, 1, Observers{Trace: &telemetry.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, tr := res.Detail.(ChaosRun), res.Trace
+	if run.Stalled == 0 {
+		t.Fatal("no TCP flow stranded; the attribution scenario is vacuous")
+	}
+	diags := tr.Explain()
+	if len(diags) != run.Flows {
+		t.Fatalf("explain diagnosed %d flows, run had %d", len(diags), run.Flows)
+	}
+	stalled := 0
+	for _, d := range diags {
+		if !d.Stalled {
+			if d.Verdict != telemetry.VerdictCompleted {
+				t.Fatalf("flow %d completed but verdict is %q", d.Info.Flow, d.Verdict)
 			}
-			cells = append(cells, cell)
+			continue
 		}
-		return sweep.Matrix{Cells: cells, Seeds: 3, BaseSeed: 1, Parallelism: parallelism}
-	}
-	serial, err := matrix(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := matrix(0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := parallel.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Fatalf("parallel chaos sweep JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", sj, pj)
-	}
-	for _, c := range serial.Cells {
-		if len(c.Errors) > 0 {
-			t.Fatalf("cell %s errored: %v", c.Backend, c.Errors)
+		stalled++
+		if d.Verdict != telemetry.VerdictDeadPath {
+			t.Fatalf("stalled flow %d verdict %q, want %q (route=%d link=%d queue=%d)",
+				d.Info.Flow, d.Verdict, telemetry.VerdictDeadPath,
+				d.RouteDrops, d.LinkDrops, d.QueueDrops)
 		}
+		if d.RouteDrops == 0 {
+			t.Fatalf("stalled flow %d has dead-path verdict but no blackholed packets", d.Info.Flow)
+		}
+		if d.TopDropSite == "" {
+			t.Fatalf("stalled flow %d has no worst drop site", d.Info.Flow)
+		}
+	}
+	if stalled != run.Stalled {
+		t.Fatalf("explain found %d stalled flows, run counted %d", stalled, run.Stalled)
+	}
+	var report bytes.Buffer
+	if err := tr.WriteExplain(&report); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(report.Bytes(), []byte("dead-path")) {
+		t.Fatalf("explain report never says dead-path:\n%s", report.String())
 	}
 }

@@ -2,222 +2,58 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 
 	"polyraptor/internal/netsim"
 	"polyraptor/internal/polyraptor"
 	"polyraptor/internal/sim"
-	"polyraptor/internal/stats"
-	"polyraptor/internal/tcpsim"
+	"polyraptor/internal/store"
+	"polyraptor/internal/sweep"
 	"polyraptor/internal/topology"
 	"polyraptor/internal/workload"
 )
 
-// Extension experiments for the paper's "current work" list: network
-// hotspots (E1) and different application workloads (E2).
+// Extension experiments for the paper's "current work" list (E1–E4
+// and Ext-S, defined with results in EXPERIMENTS.md "Extensions"):
+// network hotspots (E1, a Sequence), different application workloads
+// (E2, FlowSizes), a DCTCP baseline (E3: Incast on
+// store.BackendDCTCP), oversubscribed fabrics (E4:
+// Incast.Oversubscribe) and straggler detachment (Ext-S, Straggler).
 
-// HotspotResult reports goodput under degraded core links.
-type HotspotResult struct {
-	// DegradedLinks is how many agg<->core links were slowed.
-	DegradedLinks int
-	// RQ1 and RQ3 are mean multi-source session goodputs with 1 and 3
-	// senders (Gbps).
-	RQ1, RQ3 float64
-	// TCP1 is the mean single-flow TCP goodput for the same transfers.
-	TCP1 float64
-}
-
-// RunHotspotExperiment degrades `frac` of the agg<->core links by
-// `divisor` and measures sequential (uncontended) transfers across
-// pods. Polyraptor sprays symbols over all equal-cost paths so a
-// hotspot costs it only its capacity share; a hash-pinned TCP flow
-// that lands on a degraded path is stuck at the degraded rate, and a
-// 3-source Polyraptor session additionally shifts load toward
-// replicas with healthy paths (the paper's "natural load balancing").
-func RunHotspotExperiment(k int, frac float64, divisor int64, transfers int, bytes int64, seed int64) HotspotResult {
-	res := HotspotResult{}
-
-	pick := func(ft *topology.FatTree, rng intner, client, n int) []int {
-		var out []int
-		for len(out) < n {
-			p := rng.Intn(ft.NumHosts())
-			if p == client || ft.Pod(p) == ft.Pod(client) {
-				continue // cross-pod: the transfer must traverse cores
-			}
-			dup := false
-			for _, q := range out {
-				dup = dup || q == p
-			}
-			if !dup {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-
-	runRQ := func(senders int) float64 {
-		ncfg := netsim.DefaultConfig()
-		ncfg.Seed = seed
-		ft, err := topology.NewFatTree(k, ncfg)
-		if err != nil {
-			panic(err)
-		}
-		res.DegradedLinks = ft.DegradeCoreLinks(frac, divisor, seed)
-		sys := polyraptor.NewSystem(ft.Net, polyraptor.DefaultConfig(), seed)
-		rng := sim.RNG(seed, "hotspot-pairs")
-		var goodputs []float64
-		for i := 0; i < transfers; i++ {
+// Hotspot is E1: sequential (uncontended) cross-pod fetches from
+// `senders` replicas while frac of the agg<->core links run at
+// 1/divisor of their rate; the degraded_links metric counts them.
+// Polyraptor sprays symbols over all equal-cost paths, so a hotspot
+// costs it only its capacity share, and a multi-source session
+// additionally shifts load toward replicas with healthy paths (the
+// paper's "natural load balancing"); run it with one sender on
+// store.BackendTCP for the hash-pinned flow that is stuck at the
+// degraded rate once it lands on a degraded path.
+func Hotspot(k int, frac float64, divisor int64, transfers int, bytes int64, senders int) Scenario {
+	return Sequence{
+		Label: "hotspot", Stream: "hotspot-pairs",
+		FatTreeK: k, Count: transfers, Gap: 200e6, Bytes: bytes,
+		DegradeFrac: frac, DegradeDiv: divisor,
+		Pick: func(rng *rand.Rand, ft *topology.FatTree) ([]int, int, error) {
 			client := rng.Intn(ft.NumHosts())
-			peers := pick(ft, rng, client, senders)
-			at := sim.Time(i) * 200e6 // sequential: isolate hotspot effect
-			ft.Net.Eng.At(at, func() {
-				start := ft.Net.Now()
-				sys.StartMultiSource(peers, client, bytes, func(ev polyraptor.CompletionEvent) {
-					goodputs = append(goodputs, gbps(bytes, ev.End-start))
-				})
+			// Cross-pod: every transfer must traverse the cores.
+			peers, err := PickDistinct(rng, ft.NumHosts(), senders, func(h int) bool {
+				return h == client || ft.Pod(h) == ft.Pod(client)
 			})
-		}
-		ft.Net.Eng.Run()
-		return stats.Mean(goodputs)
+			return peers, client, err
+		},
 	}
-
-	runTCP := func() float64 {
-		ncfg := netsim.DefaultConfig()
-		ncfg.Seed = seed
-		ncfg.Trimming = false
-		ft, err := topology.NewFatTree(k, ncfg)
-		if err != nil {
-			panic(err)
-		}
-		ft.DegradeCoreLinks(frac, divisor, seed)
-		sys := tcpsim.NewSystem(ft.Net, tcpsim.DefaultConfig())
-		rng := sim.RNG(seed, "hotspot-pairs")
-		var goodputs []float64
-		for i := 0; i < transfers; i++ {
-			client := rng.Intn(ft.NumHosts())
-			peers := pick(ft, rng, client, 1)
-			at := sim.Time(i) * 200e6
-			ft.Net.Eng.At(at, func() {
-				start := ft.Net.Now()
-				sys.StartFlow(peers[0], client, bytes, func(r tcpsim.FlowResult) {
-					goodputs = append(goodputs, gbps(bytes, r.End-start))
-				})
-			})
-		}
-		ft.Net.Eng.Run()
-		return stats.Mean(goodputs)
-	}
-
-	res.RQ1 = runRQ(1)
-	res.RQ3 = runRQ(3)
-	res.TCP1 = runTCP()
-	return res
 }
 
-// intner is the subset of *rand.Rand the helpers need.
-type intner interface{ Intn(int) int }
-
-// StragglerResult reports the straggler-detachment experiment (the
-// paper's proposed extension, Ext-S in DESIGN.md).
-type StragglerResult struct {
-	// HealthyGoodput is the mean goodput of the unimpaired multicast
-	// receivers.
-	HealthyGoodput float64
-	// StragglerGoodput is the impaired receiver's goodput.
-	StragglerGoodput float64
-	// Detached reports whether the impaired receiver was detached.
-	Detached bool
-}
-
-// RunStragglerExperiment multicasts an object to three receivers while
-// one of them is crushed by background incast, with detachment on or
-// off. With detachment the healthy receivers decouple from the
-// straggler's pace.
-func RunStragglerExperiment(detach bool, bytes int64, seed int64) StragglerResult {
-	st := topology.NewStar(8, netsim.DefaultConfig())
-	pcfg := polyraptor.DefaultConfig()
-	pcfg.StragglerDetach = detach
-	sys := polyraptor.NewSystem(st.Net, pcfg, seed)
-	sys.PruneGroup = st.PruneMulticastLeaf
-	for s := 4; s <= 7; s++ {
-		sys.StartUnicast(s, 3, 4<<20, nil) // persistent background on host 3
-	}
-	receivers := []int{1, 2, 3}
-	g := st.InstallMulticastGroup(0, receivers)
-	var evs []polyraptor.CompletionEvent
-	sys.StartMulticast(0, receivers, g, bytes, func(ev polyraptor.CompletionEvent) {
-		evs = append(evs, ev)
-	})
-	st.Net.Eng.Run()
-	var res StragglerResult
-	healthy := 0
-	for _, ev := range evs {
-		if ev.Receiver == 3 {
-			res.StragglerGoodput = ev.GoodputGbps()
-			res.Detached = ev.Detached
-		} else {
-			res.HealthyGoodput += ev.GoodputGbps()
-			healthy++
-		}
-	}
-	if healthy > 0 {
-		res.HealthyGoodput /= float64(healthy)
-	}
-	return res
-}
-
-// OversubscriptionResult reports incast goodput across fabric
-// oversubscription ratios (extension E4).
-type OversubscriptionResult struct {
-	Ratio   int64
-	RQ, TCP float64
-}
-
-// RunOversubscription measures a 12-way, 256 KB incast on a fabric
-// whose ToR uplinks run at 1/ratio capacity. Polyraptor's receiver-
-// paced pulls keep the (now scarcer) core bandwidth busy without
-// overflowing it; TCP's losses compound with the reduced capacity.
-func RunOversubscription(k int, ratio int64, seed int64) OversubscriptionResult {
-	senders, bytes := 12, int64(256<<10)
-	run := func(trim bool) float64 {
-		ncfg := netsim.DefaultConfig()
-		ncfg.Seed = seed
-		ncfg.Trimming = trim
-		ft, err := topology.NewFatTree(k, ncfg)
-		if err != nil {
-			panic(err)
-		}
-		ft.Oversubscribe(ratio)
-		ic := workload.GenerateIncast(workload.IncastConfig{Senders: senders, BytesPerSender: bytes, Seed: seed}, ft)
-		var last sim.Time
-		done := 0
-		if trim {
-			sys := polyraptor.NewSystem(ft.Net, polyraptor.DefaultConfig(), seed)
-			for _, s := range ic.Senders {
-				sys.StartUnicast(s, ic.Client, ic.Bytes, func(ev polyraptor.CompletionEvent) {
-					done++
-					if ev.End > last {
-						last = ev.End
-					}
-				})
-			}
-		} else {
-			sys := tcpsim.NewSystem(ft.Net, tcpsim.DefaultConfig())
-			for _, s := range ic.Senders {
-				sys.StartFlow(s, ic.Client, ic.Bytes, func(r tcpsim.FlowResult) {
-					done++
-					if r.End > last {
-						last = r.End
-					}
-				})
-			}
-		}
-		ft.Net.Eng.Run()
-		if done != senders {
-			panic("harness: oversubscription run incomplete")
-		}
-		return gbps(bytes*int64(senders), last)
-	}
-	return OversubscriptionResult{Ratio: ratio, RQ: run(true), TCP: run(false)}
+// FlowSizes is E2 ("different workloads"): a unicast permutation
+// workload whose sizes follow an empirical distribution. Short flows
+// ride the systematic first-RTT window; long flows exercise pull
+// pacing. Result.Detail is the []FlowSizeBucket that exposes both.
+type FlowSizes struct {
+	FatTreeK int
+	Dist     workload.SizeDist
+	Sessions int
 }
 
 // FlowSizeBucket aggregates results for one flow-size class.
@@ -231,112 +67,131 @@ type FlowSizeBucket struct {
 	Count int
 }
 
-// FlowSizeResult compares RQ and TCP under an empirical flow-size
-// distribution, bucketed by flow size.
-type FlowSizeResult struct {
-	Dist    string
-	RQ, TCP []FlowSizeBucket
+func (f FlowSizes) Name() string { return "flowsizes-" + f.Dist.Name }
+
+func (f FlowSizes) Params() map[string]string {
+	return map[string]string{"k": strconv.Itoa(f.FatTreeK), "sessions": strconv.Itoa(f.Sessions)}
 }
 
-// RunFlowSizeExperiment runs a unicast permutation workload whose
-// foreground sizes follow the given empirical distribution (E2:
-// "different workloads"). Short flows ride the systematic first-RTT
-// window; long flows exercise pull pacing — the buckets expose both.
-func RunFlowSizeExperiment(k int, dist workload.SizeDist, sessions int, seed int64) FlowSizeResult {
-	buckets := []struct {
-		label string
-		max   int64
-	}{
-		{"<100KB", 100 << 10},
-		{"100KB-1MB", 1 << 20},
-		{">1MB", 1 << 62},
+func (f FlowSizes) Validate() error {
+	if err := topology.CheckArity(f.FatTreeK); err != nil {
+		return err
 	}
-	type rec struct {
-		bytes int64
-		fct   sim.Time
+	if f.Sessions < 1 {
+		return fmt.Errorf("flow sizes need sessions >= 1, got %d", f.Sessions)
 	}
+	return nil
+}
 
-	mkSessions := func(ft *topology.FatTree) []workload.Session {
-		cfg := workload.Config{
-			Sessions:        sessions,
-			Lambda:          float64(ft.NumHosts()) * 0.2 * 1e9 / (8 * dist.Mean()),
-			Bytes:           1 << 20,
-			BackgroundBytes: 1 << 20,
-			BackgroundFrac:  0,
-			Replicas:        1,
-			Sizes:           &dist,
-			Seed:            seed,
-		}
-		return workload.Generate(cfg, ft)
-	}
-
-	bucketize := func(recs []rec) []FlowSizeBucket {
-		out := make([]FlowSizeBucket, len(buckets))
-		for i, b := range buckets {
-			out[i].Label = b.label
-		}
-		for _, r := range recs {
-			for i, b := range buckets {
-				if r.bytes <= b.max {
-					out[i].Count++
-					out[i].MeanFCT += r.fct
-					out[i].MeanGoodput += gbps(r.bytes, r.fct)
-					break
-				}
-			}
-		}
-		for i := range out {
-			if out[i].Count > 0 {
-				out[i].MeanFCT /= sim.Time(out[i].Count)
-				out[i].MeanGoodput /= float64(out[i].Count)
-			}
-		}
-		return out
-	}
-
-	// Polyraptor run.
-	ncfg := netsim.DefaultConfig()
-	ncfg.Seed = seed
-	ft, err := topology.NewFatTree(k, ncfg)
+func (f FlowSizes) Run(env *Env) (Result, error) {
+	ft, tr, err := env.Build(f.FatTreeK, nil, nil)
 	if err != nil {
-		panic(err)
+		return Result{}, err
 	}
-	sys := polyraptor.NewSystem(ft.Net, polyraptor.DefaultConfig(), seed)
-	var rqRecs []rec
-	for _, s := range mkSessions(ft) {
-		s := s
-		ft.Net.Eng.At(s.Start, func() {
-			start := ft.Net.Now()
-			sys.StartUnicast(s.Client, s.Peers[0], s.Bytes, func(ev polyraptor.CompletionEvent) {
-				rqRecs = append(rqRecs, rec{s.Bytes, ev.End - start})
-			})
-		})
-	}
+	sessions := workload.Generate(workload.Config{
+		Sessions:        f.Sessions,
+		Lambda:          float64(ft.NumHosts()) * 0.2 * 1e9 / (8 * f.Dist.Mean()),
+		Bytes:           1 << 20,
+		BackgroundBytes: 1 << 20,
+		Replicas:        1,
+		Sizes:           &f.Dist,
+		Seed:            env.Seed,
+	}, ft)
+	buckets := []FlowSizeBucket{{Label: "<100KB"}, {Label: "100KB-1MB"}, {Label: ">1MB"}}
+	limits := []int64{100 << 10, 1 << 20, 1 << 62}
+	completed := 0
+	playSessions(ft, tr, sessions, PatternMulticast, func(s *workload.Session, fct sim.Time) {
+		completed++
+		for i, limit := range limits {
+			if s.Bytes <= limit {
+				buckets[i].Count++
+				buckets[i].MeanFCT += fct
+				buckets[i].MeanGoodput += gbps(s.Bytes, fct)
+				break
+			}
+		}
+	})
 	ft.Net.Eng.Run()
+	if completed != f.Sessions {
+		return Result{}, fmt.Errorf("harness: %s on %v finished %d/%d sessions", f.Name(), env.Backend, completed, f.Sessions)
+	}
+	for i := range buckets {
+		if n := buckets[i].Count; n > 0 {
+			buckets[i].MeanFCT /= sim.Time(n)
+			buckets[i].MeanGoodput /= float64(n)
+		}
+	}
+	return Result{Metrics: sweep.Metrics{"sessions": float64(completed)}, Detail: buckets}, nil
+}
 
-	// TCP run.
-	ncfg2 := netsim.DefaultConfig()
-	ncfg2.Seed = seed
-	ncfg2.Trimming = false
-	ft2, err := topology.NewFatTree(k, ncfg2)
+// Straggler is Ext-S, the paper's proposed straggler-detachment
+// extension: on an 8-host star, host 0 multicasts an object to hosts
+// 1–3 while host 3 is crushed by four persistent background flows.
+// With Detach the healthy receivers decouple from the straggler's
+// pace. Result.Detail is the StragglerResult.
+type Straggler struct {
+	Detach bool
+	Bytes  int64
+}
+
+// StragglerResult reports the straggler-detachment experiment.
+type StragglerResult struct {
+	// HealthyGoodput is the mean goodput of the unimpaired multicast
+	// receivers.
+	HealthyGoodput float64
+	// StragglerGoodput is the impaired receiver's goodput.
+	StragglerGoodput float64
+	// Detached reports whether the impaired receiver was detached.
+	Detached bool
+}
+
+func (s Straggler) Name() string { return "straggler" }
+
+func (s Straggler) Params() map[string]string {
+	return map[string]string{"detach": strconv.FormatBool(s.Detach)}
+}
+
+func (s Straggler) Validate() error {
+	if s.Bytes < 1 {
+		return fmt.Errorf("straggler needs bytes >= 1, got %d", s.Bytes)
+	}
+	return nil
+}
+
+func (s Straggler) Run(env *Env) (Result, error) {
+	st := topology.NewStar(8, netsim.DefaultConfig())
+	env.net = st.Net
+	cfg := polyraptor.DefaultConfig()
+	cfg.StragglerDetach = s.Detach
+	tr, err := env.transport(st, &cfg)
 	if err != nil {
-		panic(err)
+		return Result{}, err
 	}
-	tsys := tcpsim.NewSystem(ft2.Net, tcpsim.DefaultConfig())
-	var tcpRecs []rec
-	for _, s := range mkSessions(ft2) {
-		s := s
-		ft2.Net.Eng.At(s.Start, func() {
-			start := ft2.Net.Now()
-			tsys.StartFlow(s.Client, s.Peers[0], s.Bytes, func(r tcpsim.FlowResult) {
-				tcpRecs = append(tcpRecs, rec{s.Bytes, r.End - start})
-			})
-		})
+	if tr.RQ == nil {
+		return Result{}, fmt.Errorf("harness: straggler detachment is a Polyraptor extension; %v has no multicast group to leave", env.Backend)
 	}
-	ft2.Net.Eng.Run()
-
-	if len(rqRecs) != len(tcpRecs) {
-		panic(fmt.Sprintf("harness: flow-size runs diverged: %d vs %d sessions", len(rqRecs), len(tcpRecs)))
+	const straggler = 3
+	for src := 4; src <= 7; src++ {
+		tr.Unicast(src, straggler, 4<<20, nil) // persistent background on the straggler
 	}
-	return FlowSizeResult{Dist: dist.Name, RQ: bucketize(rqRecs), TCP: bucketize(tcpRecs)}
+	var res StragglerResult
+	healthy := 0
+	tr.Multicast(0, []int{1, 2, straggler}, s.Bytes, func(c store.Completion) {
+		g := c.RQ.GoodputGbps()
+		if c.RQ.Receiver == straggler {
+			res.StragglerGoodput = g
+			res.Detached = c.RQ.Detached
+		} else {
+			res.HealthyGoodput += g
+			healthy++
+		}
+	})
+	st.Net.Eng.Run()
+	if healthy > 0 {
+		res.HealthyGoodput /= float64(healthy)
+	}
+	return Result{
+		Metrics: sweep.Metrics{"healthy_gbps": res.HealthyGoodput, "straggler_gbps": res.StragglerGoodput},
+		Detail:  res,
+	}, nil
 }

@@ -4,8 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"polyraptor/internal/store"
 	"polyraptor/internal/workload"
 )
+
+// hotspotGbps runs the E1 scenario and returns its mean goodput and
+// degraded-link count.
+func hotspotGbps(t *testing.T, frac float64, transfers int, bytes int64, senders int, be store.BackendKind, seed int64) (gbps float64, degraded int) {
+	t.Helper()
+	m := mustRun(t, Hotspot(4, frac, 10, transfers, bytes, senders), be, seed).Metrics
+	return m["goodput_gbps"], int(m["degraded_links"])
+}
 
 func TestHotspotExperiment(t *testing.T) {
 	// A single seed can legitimately let every hash-pinned TCP flow
@@ -14,19 +23,21 @@ func TestHotspotExperiment(t *testing.T) {
 	// while the per-seed invariants stay exact.
 	var rq3Sum, tcpSum float64
 	for seed := int64(1); seed <= 3; seed++ {
-		res := RunHotspotExperiment(4, 0.3, 10, 6, 1<<20, seed)
-		if res.DegradedLinks == 0 {
+		rq1, degraded := hotspotGbps(t, 0.3, 6, 1<<20, 1, store.BackendPolyraptor, seed)
+		rq3, _ := hotspotGbps(t, 0.3, 6, 1<<20, 3, store.BackendPolyraptor, seed)
+		tcp1, _ := hotspotGbps(t, 0.3, 6, 1<<20, 1, store.BackendTCP, seed)
+		if degraded == 0 {
 			t.Fatal("no links degraded at frac=0.3")
 		}
-		if res.RQ1 <= 0 || res.RQ3 <= 0 || res.TCP1 <= 0 {
-			t.Fatalf("zero goodput: %+v", res)
+		if rq1 <= 0 || rq3 <= 0 || tcp1 <= 0 {
+			t.Fatalf("zero goodput: rq1=%v rq3=%v tcp1=%v", rq1, rq3, tcp1)
 		}
 		// Three sources give more healthy-path diversity than one.
-		if res.RQ3 < res.RQ1*0.95 {
-			t.Fatalf("seed %d: RQ3 (%.3f) worse than RQ1 (%.3f) under hotspots", seed, res.RQ3, res.RQ1)
+		if rq3 < rq1*0.95 {
+			t.Fatalf("seed %d: RQ3 (%.3f) worse than RQ1 (%.3f) under hotspots", seed, rq3, rq1)
 		}
-		rq3Sum += res.RQ3
-		tcpSum += res.TCP1
+		rq3Sum += rq3
+		tcpSum += tcp1
 	}
 	// Spraying + multiple sources must beat a hash-pinned single TCP
 	// flow under hotspots on average.
@@ -36,46 +47,44 @@ func TestHotspotExperiment(t *testing.T) {
 }
 
 func TestHotspotNoDegradationAtZeroFrac(t *testing.T) {
-	res := RunHotspotExperiment(4, 0, 10, 2, 256<<10, 1)
-	if res.DegradedLinks != 0 {
-		t.Fatalf("degraded %d links at frac=0", res.DegradedLinks)
+	rq1, degraded := hotspotGbps(t, 0, 2, 256<<10, 1, store.BackendPolyraptor, 1)
+	if degraded != 0 {
+		t.Fatalf("degraded %d links at frac=0", degraded)
 	}
 	// Healthy fabric: sequential transfers near line rate.
-	if res.RQ1 < 0.8 {
-		t.Fatalf("RQ1 = %.3f on healthy fabric", res.RQ1)
+	if rq1 < 0.8 {
+		t.Fatalf("RQ1 = %.3f on healthy fabric", rq1)
 	}
 }
 
-func TestFlowSizeExperiment(t *testing.T) {
-	res := RunFlowSizeExperiment(4, workload.WebSearchDist(), 40, 1)
-	if res.Dist != "web-search" {
-		t.Fatalf("dist = %q", res.Dist)
+func TestFlowSizes(t *testing.T) {
+	sc := FlowSizes{FatTreeK: 4, Dist: workload.WebSearchDist(), Sessions: 40}
+	if sc.Name() != "flowsizes-web-search" {
+		t.Fatalf("name = %q", sc.Name())
 	}
+	rq := mustRun(t, sc, store.BackendPolyraptor, 1).Detail.([]FlowSizeBucket)
+	tcp := mustRun(t, sc, store.BackendTCP, 1).Detail.([]FlowSizeBucket)
+	// Both transports must cover the same sessions, bucket by bucket.
 	total := 0
-	for _, b := range res.RQ {
-		total += b.Count
+	for i := range rq {
+		total += rq[i].Count
+		if rq[i].Count != tcp[i].Count {
+			t.Fatalf("bucket %s: RQ %d sessions, TCP %d", rq[i].Label, rq[i].Count, tcp[i].Count)
+		}
 	}
 	if total != 40 {
-		t.Fatalf("RQ bucket counts sum to %d, want 40", total)
+		t.Fatalf("bucket counts sum to %d, want 40", total)
 	}
 	// Small flows must be fast for Polyraptor (first-RTT window):
 	// sub-millisecond mean FCT in an uncongested-ish fabric.
-	if res.RQ[0].Count > 0 && res.RQ[0].MeanFCT > 5e6 {
-		t.Fatalf("RQ small-flow mean FCT = %v", res.RQ[0].MeanFCT)
-	}
-	// TCP buckets must cover the same sessions.
-	totalTCP := 0
-	for _, b := range res.TCP {
-		totalTCP += b.Count
-	}
-	if totalTCP != 40 {
-		t.Fatalf("TCP bucket counts sum to %d", totalTCP)
+	if rq[0].Count > 0 && rq[0].MeanFCT > 5e6 {
+		t.Fatalf("RQ small-flow mean FCT = %v", rq[0].MeanFCT)
 	}
 }
 
-func TestStragglerExperimentContrast(t *testing.T) {
-	on := RunStragglerExperiment(true, 2<<20, 9)
-	off := RunStragglerExperiment(false, 2<<20, 9)
+func TestStragglerContrast(t *testing.T) {
+	on := mustRun(t, Straggler{Detach: true, Bytes: 2 << 20}, store.BackendPolyraptor, 9).Detail.(StragglerResult)
+	off := mustRun(t, Straggler{Detach: false, Bytes: 2 << 20}, store.BackendPolyraptor, 9).Detail.(StragglerResult)
 	if !on.Detached {
 		t.Fatal("detachment enabled but straggler not detached")
 	}
@@ -92,19 +101,22 @@ func TestStragglerExperimentContrast(t *testing.T) {
 }
 
 func TestOversubscriptionShapes(t *testing.T) {
-	full := RunOversubscription(4, 1, 1)
-	over := RunOversubscription(4, 4, 1)
+	incast := func(ratio int64, be store.BackendKind) float64 {
+		sc := Incast{FatTreeK: 4, Senders: 12, Bytes: 256 << 10, Oversubscribe: ratio}
+		return mustRun(t, sc, be, 1).Metrics["goodput_gbps"]
+	}
+	fullRQ, overRQ, overTCP := incast(1, store.BackendPolyraptor), incast(4, store.BackendPolyraptor), incast(4, store.BackendTCP)
 	// 4:1 oversubscription caps the out-of-rack aggregate at 0.25 of
 	// host rate-ish; both protocols must slow down, and Polyraptor
 	// must stay ahead of TCP.
-	if over.RQ >= full.RQ {
-		t.Fatalf("RQ unaffected by 4:1 oversubscription: %.3f vs %.3f", over.RQ, full.RQ)
+	if overRQ >= fullRQ {
+		t.Fatalf("RQ unaffected by 4:1 oversubscription: %.3f vs %.3f", overRQ, fullRQ)
 	}
-	if over.RQ <= over.TCP {
-		t.Fatalf("RQ (%.3f) lost to TCP (%.3f) under oversubscription", over.RQ, over.TCP)
+	if overRQ <= overTCP {
+		t.Fatalf("RQ (%.3f) lost to TCP (%.3f) under oversubscription", overRQ, overTCP)
 	}
-	if over.RQ < 0.15 {
-		t.Fatalf("RQ collapsed under oversubscription: %.3f", over.RQ)
+	if overRQ < 0.15 {
+		t.Fatalf("RQ collapsed under oversubscription: %.3f", overRQ)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"polyraptor/internal/stats"
+	"polyraptor/internal/store"
 )
 
 // tinyScale keeps harness unit tests fast; shape assertions are loose
@@ -12,8 +13,15 @@ func tinyScale() Scale {
 	return Scale{FatTreeK: 4, Sessions: 60, Bytes: 256 << 10, LoadFactor: 0.3, Seed: 1}
 }
 
-func TestRunFig1RQMulticastProducesForegroundGoodputs(t *testing.T) {
-	g := RunFig1RQ(tinyScale(), PatternMulticast, 3)
+// fig1Goodputs runs one Figure 1 arm and returns its ranked goodputs.
+func fig1Goodputs(t *testing.T, pattern Pattern, replicas int, backend store.BackendKind) []float64 {
+	t.Helper()
+	sc := tinyScale()
+	return mustRun(t, Fig1{Scale: sc, Pattern: pattern, Replicas: replicas}, backend, sc.Seed).Detail.([]float64)
+}
+
+func TestFig1RQMulticastProducesForegroundGoodputs(t *testing.T) {
+	g := fig1Goodputs(t, PatternMulticast, 3, store.BackendPolyraptor)
 	// ~80% of 60 sessions are foreground.
 	if len(g) < 35 || len(g) > 60 {
 		t.Fatalf("foreground sessions = %d", len(g))
@@ -35,10 +43,9 @@ func TestRunFig1RQMulticastProducesForegroundGoodputs(t *testing.T) {
 	}
 }
 
-func TestRunFig1TCPMulticastSlowerWithReplicas(t *testing.T) {
-	one := RunFig1TCP(tinyScale(), PatternMulticast, 1)
-	three := RunFig1TCP(tinyScale(), PatternMulticast, 3)
-	m1, m3 := stats.Mean(one), stats.Mean(three)
+func TestFig1TCPMulticastSlowerWithReplicas(t *testing.T) {
+	m1 := stats.Mean(fig1Goodputs(t, PatternMulticast, 1, store.BackendTCP))
+	m3 := stats.Mean(fig1Goodputs(t, PatternMulticast, 3, store.BackendTCP))
 	// Multi-unicast to 3 replicas shares the writer's uplink: mean
 	// session goodput must drop clearly below the single-replica case.
 	if m3 >= m1 {
@@ -53,29 +60,31 @@ func TestRQMulticastBeatsTCPMultiUnicast(t *testing.T) {
 	// The paper's headline for Fig 1a: with 3 replicas, Polyraptor
 	// multicast sustains much higher session goodput than TCP
 	// multi-unicast.
-	rq := RunFig1RQ(tinyScale(), PatternMulticast, 3)
-	tcp := RunFig1TCP(tinyScale(), PatternMulticast, 3)
-	if stats.Mean(rq) < 1.5*stats.Mean(tcp) {
-		t.Fatalf("RQ mean %.3f not clearly above TCP mean %.3f", stats.Mean(rq), stats.Mean(tcp))
+	rq := stats.Mean(fig1Goodputs(t, PatternMulticast, 3, store.BackendPolyraptor))
+	tcp := stats.Mean(fig1Goodputs(t, PatternMulticast, 3, store.BackendTCP))
+	if rq < 1.5*tcp {
+		t.Fatalf("RQ mean %.3f not clearly above TCP mean %.3f", rq, tcp)
 	}
 }
 
-func TestRunFig1MultiSource(t *testing.T) {
-	rq := RunFig1RQ(tinyScale(), PatternMultiSource, 3)
+func TestFig1MultiSource(t *testing.T) {
+	rq := fig1Goodputs(t, PatternMultiSource, 3, store.BackendPolyraptor)
 	if len(rq) == 0 {
 		t.Fatal("no multi-source completions")
 	}
 	if rq[0] < 0.6 {
 		t.Fatalf("best multi-source session only %.3f Gbps", rq[0])
 	}
-	tcp := RunFig1TCP(tinyScale(), PatternMultiSource, 3)
-	if len(tcp) == 0 {
+	if tcp := fig1Goodputs(t, PatternMultiSource, 3, store.BackendTCP); len(tcp) == 0 {
 		t.Fatal("no TCP multi-source completions")
 	}
 }
 
 func TestFigure1aShape(t *testing.T) {
-	series := Figure1a(tinyScale(), 20)
+	series, err := Figure1a(tinyScale(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 4 {
 		t.Fatalf("series = %d, want 4", len(series))
 	}
@@ -105,7 +114,10 @@ func TestFigure1cShapeAndContrast(t *testing.T) {
 		Seed:           1,
 		Trimming:       true,
 	}
-	series := Figure1c(opt)
+	series, err := Figure1c(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 2 {
 		t.Fatalf("series = %d, want 2 (RQ, TCP at one size)", len(series))
 	}
@@ -133,37 +145,83 @@ func TestFigure1cShapeAndContrast(t *testing.T) {
 	}
 }
 
-func TestAblationNoTrim(t *testing.T) {
-	res := RunAblationNoTrim(4, 8, 70<<10, 1)
-	if res.WithTrim <= res.WithoutTrim {
-		t.Fatalf("trimming did not help incast: with=%.3f without=%.3f",
-			res.WithTrim, res.WithoutTrim)
+// TestFigure1cSerialParallelIdentical: the figure itself is a sweep;
+// its series must not depend on parallelism.
+func TestFigure1cSerialParallelIdentical(t *testing.T) {
+	opt := IncastOptions{
+		FatTreeK:       4,
+		SenderCounts:   []int{2, 4},
+		BytesPerSender: []int64{32 << 10},
+		Repetitions:    3,
+		Seed:           1,
+		Trimming:       true,
+	}
+	opt.Parallelism = 1
+	serial, err := Figure1c(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Parallelism = 0
+	parallel, err := Figure1c(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != 2 || len(parallel) != 2 {
+		t.Fatalf("series counts = %d, %d, want 2", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if serial[i].Label != parallel[i].Label {
+			t.Fatalf("labels differ: %q vs %q", serial[i].Label, parallel[i].Label)
+		}
+		for j := range serial[i].Y {
+			if serial[i].Y[j] != parallel[i].Y[j] || serial[i].YErr[j] != parallel[i].YErr[j] {
+				t.Fatalf("series %q point %d differs: %v±%v vs %v±%v",
+					serial[i].Label, j,
+					serial[i].Y[j], serial[i].YErr[j],
+					parallel[i].Y[j], parallel[i].YErr[j])
+			}
+		}
 	}
 }
 
-func TestAblationInitialWindow(t *testing.T) {
-	res := RunAblationInitialWindow(4, 40<<10, 10, 1)
-	if res.MeanFCTWindow >= res.MeanFCTNoWindow {
-		t.Fatalf("initial window did not reduce short-flow FCT: %v vs %v",
-			res.MeanFCTWindow, res.MeanFCTNoWindow)
+// arms runs both arms of an ablation on Polyraptor and returns the
+// named metric of each.
+func arms(t *testing.T, a, b Scenario, metric string) (float64, float64) {
+	t.Helper()
+	return mustRun(t, a, store.BackendPolyraptor, 1).Metrics[metric],
+		mustRun(t, b, store.BackendPolyraptor, 1).Metrics[metric]
+}
+
+func TestAblationTrim(t *testing.T) {
+	a, b := AblationTrim(4, 8, 70<<10)
+	if with, without := arms(t, a, b, "goodput_gbps"); with <= without {
+		t.Fatalf("trimming did not help incast: with=%.3f without=%.3f", with, without)
 	}
 }
 
-func TestAblationPartitioning(t *testing.T) {
-	res := RunAblationPartitioning(4, 3, 6, 512<<10, 1)
-	if res.GoodputPartitioned <= 0 || res.GoodputRandom <= 0 {
-		t.Fatalf("ablation produced zero goodput: %+v", res)
+func TestAblationInitWindow(t *testing.T) {
+	a, b := AblationInitWindow(4, 40<<10, 10)
+	if window, pullOnly := arms(t, a, b, "fct_us"); window >= pullOnly {
+		t.Fatalf("initial window did not reduce short-flow FCT: %vus vs %vus", window, pullOnly)
+	}
+}
+
+func TestAblationESI(t *testing.T) {
+	a, b := AblationESI(4, 3, 6, 512<<10)
+	partitioned, random := arms(t, a, b, "goodput_gbps")
+	if partitioned <= 0 || random <= 0 {
+		t.Fatalf("ablation produced zero goodput: %v / %v", partitioned, random)
 	}
 	// Random seeding can only waste capacity (duplicates), never gain.
-	if res.GoodputRandom > res.GoodputPartitioned*1.05 {
-		t.Fatalf("random ESI beat partitioning: %+v", res)
+	if random > partitioned*1.05 {
+		t.Fatalf("random ESI (%v) beat partitioning (%v)", random, partitioned)
 	}
 }
 
-func TestAblationDecodeLatency(t *testing.T) {
-	res := RunAblationDecodeLatency(4, 512<<10, 2000, 5, 1)
-	if res.GoodputWithLatency >= res.GoodputNoLatency {
-		t.Fatalf("decode latency had no cost: %+v", res)
+func TestAblationDecode(t *testing.T) {
+	a, b := AblationDecode(4, 512<<10, 2000, 5)
+	if free, costly := arms(t, a, b, "goodput_gbps"); costly >= free {
+		t.Fatalf("decode latency had no cost: %v vs %v", free, costly)
 	}
 }
 
@@ -184,13 +242,13 @@ func TestScaleLambdaPreservesLoad(t *testing.T) {
 	}
 	// Delivered-load normalisation: 3-replica multicast arrivals slow
 	// down by the replication multiplier.
-	c3 := paper.workloadConfig(1e9, PatternMulticast, 3)
-	c1 := paper.workloadConfig(1e9, PatternMulticast, 1)
+	c3 := paper.workloadConfig(1e9, PatternMulticast, 3, 1)
+	c1 := paper.workloadConfig(1e9, PatternMulticast, 1, 1)
 	if ratio := c1.Lambda / c3.Lambda; ratio < 2.5 || ratio > 2.7 {
 		t.Fatalf("3-replica lambda ratio = %.2f, want ~2.6", ratio)
 	}
 	// Multi-source delivers one copy regardless of sender count.
-	cm := paper.workloadConfig(1e9, PatternMultiSource, 3)
+	cm := paper.workloadConfig(1e9, PatternMultiSource, 3, 1)
 	if cm.Lambda != c1.Lambda {
 		t.Fatal("multi-source lambda must not scale with senders")
 	}

@@ -4,45 +4,22 @@ import (
 	"math"
 
 	"polyraptor/internal/metrics"
-	"polyraptor/internal/polyraptor"
-	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/topology"
 )
 
 // PolyMeter wiring. A metered run owns a metrics.Registry built for
 // that run alone (single goroutine, nothing shared across sweep
-// workers); the meter value carries it into the run cores together
-// with the interned label set and the SLO under test. The zero meter
-// (nil registry) is the disabled state: every instrument the registry
-// hands out is nil and every recording site degenerates to a single
-// branch, so an unmetered run is bit-identical to the pre-PolyMeter
-// code path.
+// workers); Run wraps it with the run's label set and the SLO under
+// test. The zero meter (nil registry) is the disabled state: every
+// instrument the registry hands out is nil and every recording site
+// degenerates to a single branch, so an unmetered run is bit-identical
+// to one that never heard of PolyMeter.
 
 // meter bundles one run's PolyMeter attachments.
 type meter struct {
 	reg *metrics.Registry
 	l   metrics.Labels
 	slo metrics.SLO
-}
-
-// newMeter builds the meter for one (scenario, backend) run. A nil
-// registry disables everything.
-func newMeter(reg *metrics.Registry, scenario string, backend store.BackendKind, slo metrics.SLO) meter {
-	return meter{reg: reg, l: metrics.Labels{Scenario: scenario, Backend: backend.String()}, slo: slo}
-}
-
-// fabric attaches the queue-depth histogram to the fabric: every
-// port enqueue records the post-enqueue occupancy.
-func (mt meter) fabric(ft *topology.FatTree) {
-	ft.Net.QueueHist = mt.reg.Histogram("queue_depth_pkts", mt.l)
-}
-
-// stallRQ attaches the stall-duration histogram to a Polyraptor
-// system: every stall-guard firing records how long the session had
-// been starved.
-func (mt meter) stallRQ(sys *polyraptor.System) {
-	sys.StallHist = mt.reg.Histogram("stall_s", mt.l)
 }
 
 // offered declares how many flows the run offers. Attainment divides

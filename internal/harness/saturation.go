@@ -8,7 +8,6 @@ import (
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/topology"
 )
 
 // Saturation finder: walk a geometric ladder of offered load for one
@@ -21,35 +20,22 @@ import (
 // aggregation), so the knee is a pure function of the options: re-runs
 // and different parallelism levels reproduce it byte for byte.
 
-// SaturationScenarios lists the scenarios FindSaturation can drive.
-// The chaos scenario is excluded: its degradation axis is the fault
-// plan, not offered load.
+// SaturationScenarios lists the scenarios FindSaturation can drive:
+// the sweep scenarios with an offered-load axis (Loadable). The chaos
+// scenario is not one of them: its degradation axis is the fault plan.
 func SaturationScenarios() []string {
-	return []string{"fig1a", "fig1b", "incast", "shuffle", "storage"}
-}
-
-// loadKnob names what the load multiplier scales in each scenario.
-func loadKnob(scenario string) string {
-	switch scenario {
-	case "fig1a", "fig1b":
-		return "load_factor"
-	case "incast":
-		return "senders"
-	case "shuffle":
-		return "bytes_per_pair"
-	case "storage":
-		return "load_factor"
-	}
-	return ""
+	return scenarioNames(func(i int) bool {
+		_, ok := sweepScenarios[i].build(SweepParams{}).(Loadable)
+		return ok
+	})
 }
 
 // SaturationOptions parametrises one knee search.
 type SaturationOptions struct {
 	// Scenario is one of SaturationScenarios.
 	Scenario string
-	// Params is the scenario template; the load knob inside it is
-	// scaled per probe (fig1/storage: LoadFactor; incast: Senders;
-	// shuffle: Bytes per pair).
+	// Params sizes the scenario template, whose load knob
+	// (Loadable.ScaleLoad) is scaled per probe.
 	Params SweepParams
 	// SLO scores every flow; a flow that misses it (or never
 	// completes) counts against attainment.
@@ -99,12 +85,8 @@ func DefaultSaturationOptions(scenario string) SaturationOptions {
 // from DefaultSaturationOptions; the zero value fails here on every
 // numeric knob (Refine excepted — 0 legitimately means ladder-only).
 func (o SaturationOptions) Validate() error {
-	ok := false
-	for _, s := range SaturationScenarios() {
-		ok = ok || s == o.Scenario
-	}
-	if !ok {
-		return fmt.Errorf("saturation: unknown scenario %q (have %v)", o.Scenario, SaturationScenarios())
+	if _, err := o.template(); err != nil {
+		return err
 	}
 	if o.Target <= 0 || o.Target > 1 {
 		return fmt.Errorf("saturation: target attainment must be in (0, 1], got %g", o.Target)
@@ -125,6 +107,19 @@ func (o SaturationOptions) Validate() error {
 		return fmt.Errorf("saturation: need >= 1 seed, got %d", o.Seeds)
 	}
 	return nil
+}
+
+// template sizes the named scenario from Params.
+func (o SaturationOptions) template() (Loadable, error) {
+	for _, e := range sweepScenarios {
+		if e.name != o.Scenario {
+			continue
+		}
+		if ld, ok := e.build(o.Params).(Loadable); ok {
+			return ld, nil
+		}
+	}
+	return nil, fmt.Errorf("saturation: unknown scenario %q (have %v)", o.Scenario, SaturationScenarios())
 }
 
 // Rung is one probed load level.
@@ -173,42 +168,6 @@ type SaturationResult struct {
 	Censored string `json:"censored,omitempty"`
 }
 
-// applyLoad scales the scenario's load knob by the multiplier and
-// returns the effective knob value. Integer knobs round to the
-// nearest valid value, so distinct multipliers can collapse to the
-// same probe — the finder memoises on the returned knob.
-func applyLoad(scenario string, p SweepParams, load float64) (SweepParams, float64) {
-	switch scenario {
-	case "fig1a", "fig1b":
-		p.LoadFactor *= load
-		return p, p.LoadFactor
-	case "incast":
-		n := int(math.Round(float64(p.Senders) * load))
-		if n < 1 {
-			n = 1
-		}
-		// Senders are drawn outside the client's rack; the picker spins
-		// on a fan-in beyond the eligible host count.
-		if max := topology.OutOfRackHosts(p.FatTreeK); n > max {
-			n = max
-		}
-		p.Senders = n
-		return p, float64(n)
-	case "shuffle":
-		b := int64(math.Round(float64(p.Bytes) * load))
-		if b < 1 {
-			b = 1
-		}
-		p.Bytes = b
-		return p, float64(b)
-	case "storage":
-		p.Store.Lambda = 0 // re-derive the arrival rate from the scaled load factor
-		p.Store.LoadFactor *= load
-		return p, p.Store.LoadFactor
-	}
-	panic(fmt.Sprintf("harness: applyLoad on unknown scenario %q", scenario))
-}
-
 // worstFCTP99 reads the pooled FCT P99 from a metered cell: the
 // maximum over every *fct_s histogram (plain runs have one; storage
 // has a GET and a PUT tenant).
@@ -225,19 +184,6 @@ func worstFCTP99(c sweep.CellResult) float64 {
 	return worst
 }
 
-// headlineGoodput reads the scenario's headline goodput aggregate.
-func headlineGoodput(scenario string, c sweep.CellResult) float64 {
-	name := "goodput_gbps"
-	switch scenario {
-	case "fig1a", "fig1b":
-		name = "goodput_mean_gbps"
-	case "storage":
-		name = "get_gbps"
-	}
-	a, _ := c.Metric(name)
-	return a.Mean
-}
-
 // FindSaturation walks the ladder and bisects to the knee for one
 // (scenario, backend). Every probe is a full metered sweep over the
 // option's seeds; probes at equal effective knob values run once.
@@ -245,26 +191,27 @@ func FindSaturation(o SaturationOptions, backend store.BackendKind) (SaturationR
 	if err := o.Validate(); err != nil {
 		return SaturationResult{}, err
 	}
+	template, _ := o.template() // Validate vouched for it
 	res := SaturationResult{
 		Scenario: o.Scenario,
 		Backend:  backend.String(),
-		LoadKnob: loadKnob(o.Scenario),
+		LoadKnob: template.LoadKnob(),
 		Target:   o.Target,
 		P99Max:   o.P99Max,
 	}
-	slo := o.SLO
+	params := o.Params
+	params.SLO = &o.SLO
 	memo := map[float64]Rung{}
 	probe := func(load float64) (Rung, error) {
-		params, knob := applyLoad(o.Scenario, o.Params, load)
+		scaled, knob := template.ScaleLoad(load)
 		if r, ok := memo[knob]; ok {
 			r.Load = load
 			return r, nil
 		}
-		params.SLO = &slo
-		cell, err := NewSweepCell(o.Scenario, backend, params)
-		if err != nil {
+		if err := scaled.Validate(); err != nil {
 			return Rung{}, err
 		}
+		cell := params.cell(scaled, backend)
 		sr, err := (sweep.Matrix{
 			Cells: []sweep.Cell{cell}, Seeds: o.Seeds,
 			BaseSeed: o.BaseSeed, Parallelism: o.Parallelism,
@@ -277,12 +224,13 @@ func FindSaturation(o SaturationOptions, backend store.BackendKind) (SaturationR
 			return Rung{}, fmt.Errorf("saturation: probe at load %g failed: %s", load, c.Errors[0])
 		}
 		att, _ := c.Metric("slo_attainment")
+		goodput, _ := c.Metric(template.Headline())
 		r := Rung{
 			Load:        load,
 			Knob:        knob,
 			Attainment:  att.Mean,
 			FCTP99:      worstFCTP99(c),
-			GoodputGbps: headlineGoodput(o.Scenario, c),
+			GoodputGbps: goodput.Mean,
 		}
 		r.OK = r.Attainment >= o.Target && (o.P99Max <= 0 || r.FCTP99 <= o.P99Max)
 		if o.KeepHists {

@@ -2,20 +2,18 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
-	"polyraptor/internal/metrics"
-	"polyraptor/internal/polyraptor"
 	"polyraptor/internal/sim"
 	"polyraptor/internal/stats"
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/tcpsim"
-	"polyraptor/internal/telemetry"
 	"polyraptor/internal/topology"
 	"polyraptor/internal/workload"
 )
 
-// ShuffleOptions parametrises the many-to-many shuffle experiment: the
+// ShuffleOptions is the many-to-many shuffle scenario: the
 // full mapper×reducer transfer matrix started synchronously, measured
 // by shuffle completion time (the slowest pair gates the job) and
 // per-pair FCT percentiles. Polyraptor runs it as concurrently pulled
@@ -49,7 +47,7 @@ func DefaultShuffleOptions() ShuffleOptions {
 }
 
 // Validate surfaces impossible shuffle configurations before anything
-// runs — the same up-front contract as the other scenario params.
+// runs.
 func (o ShuffleOptions) Validate() error {
 	if err := topology.CheckArity(o.FatTreeK); err != nil {
 		return err
@@ -73,17 +71,6 @@ func (o ShuffleOptions) Validate() error {
 	return nil
 }
 
-func (o ShuffleOptions) workloadConfig(seed int64) workload.ShuffleConfig {
-	return workload.ShuffleConfig{
-		Mappers:         o.Mappers,
-		Reducers:        o.Reducers,
-		BytesPerPair:    o.BytesPerPair,
-		Skew:            o.Skew,
-		StragglerFactor: o.StragglerFactor,
-		Seed:            seed,
-	}
-}
-
 // ShuffleRun is one shuffle's reduced measurements.
 type ShuffleRun struct {
 	// Backend names the transport.
@@ -100,121 +87,62 @@ type ShuffleRun struct {
 	TotalBytes int64
 }
 
-// RunShuffle runs one shuffle under the named backend for one seed.
-// The workload draw (hosts, partition matrix, straggler) depends only
-// on the seed, so backends compare on identical matrices.
-func RunShuffle(opt ShuffleOptions, backend store.BackendKind, seed int64) ShuffleRun {
-	r, _ := RunShuffleTraced(opt, backend, seed, nil)
-	return r
-}
+func (o ShuffleOptions) Name() string { return "shuffle" }
 
-// RunShuffleTraced is RunShuffle with an optional PolyScope trace
-// attached (nil topt reproduces RunShuffle exactly). The returned
-// trace is finished and ready for export; it is nil when topt is nil.
-func RunShuffleTraced(opt ShuffleOptions, backend store.BackendKind, seed int64, topt *TraceOptions) (ShuffleRun, *telemetry.Trace) {
-	return runShuffle(opt, backend, seed, topt, meter{})
-}
-
-// RunShuffleMetered is RunShuffleTraced with PolyMeter instruments
-// attached: per-pair FCT/goodput histograms, fabric queue depth,
-// Polyraptor stall durations, and SLO attainment counters land in reg
-// under (shuffle, backend) labels. A nil reg reproduces
-// RunShuffleTraced exactly.
-func RunShuffleMetered(opt ShuffleOptions, backend store.BackendKind, seed int64, topt *TraceOptions, reg *metrics.Registry, slo metrics.SLO) (ShuffleRun, *telemetry.Trace) {
-	return runShuffle(opt, backend, seed, topt, newMeter(reg, "shuffle", backend, slo))
-}
-
-func runShuffle(opt ShuffleOptions, backend store.BackendKind, seed int64, topt *TraceOptions, mt meter) (ShuffleRun, *telemetry.Trace) {
-	if err := opt.Validate(); err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
+func (o ShuffleOptions) Params() map[string]string {
+	return map[string]string{
+		"k":        strconv.Itoa(o.FatTreeK),
+		"mappers":  strconv.Itoa(o.Mappers),
+		"reducers": strconv.Itoa(o.Reducers),
+		"bytes":    strconv.FormatInt(o.BytesPerPair, 10),
 	}
-	ft, err := topology.NewFatTree(opt.FatTreeK, backend.NetConfig(seed))
+}
+
+func (o ShuffleOptions) LoadKnob() string { return "bytes_per_pair" }
+func (o ShuffleOptions) Headline() string { return "goodput_gbps" }
+
+// ScaleLoad scales the mean partition size.
+func (o ShuffleOptions) ScaleLoad(mult float64) (Loadable, float64) {
+	o.BytesPerPair = max(int64(math.Round(float64(o.BytesPerPair)*mult)), 1)
+	return o, float64(o.BytesPerPair)
+}
+
+// Run runs one shuffle. The workload draw (hosts, partition matrix,
+// straggler) depends only on the seed, so backends compare on
+// identical matrices. Result.Detail is the ShuffleRun.
+func (o ShuffleOptions) Run(env *Env) (Result, error) {
+	ft, tr, err := env.Build(o.FatTreeK, nil, nil)
 	if err != nil {
-		panic(err)
+		return Result{}, err
 	}
-	tr := newTrace(ft, topt, "shuffle", backend, seed)
-	mt.fabric(ft)
-	sh := workload.GenerateShuffle(opt.workloadConfig(seed), ft)
-	pairs := opt.Mappers * opt.Reducers
-	mt.offered(pairs)
-
+	env.Observe()
+	sh := workload.GenerateShuffle(workload.ShuffleConfig{
+		Mappers: o.Mappers, Reducers: o.Reducers, BytesPerPair: o.BytesPerPair,
+		Skew: o.Skew, StragglerFactor: o.StragglerFactor, Seed: env.Seed,
+	}, ft)
+	pairs := o.Mappers * o.Reducers
+	env.Offered(pairs)
 	fcts := make([]float64, 0, pairs)
 	var last sim.Time
-	if backend == store.BackendPolyraptor {
-		sys := polyraptor.NewSystem(ft.Net, polyraptor.DefaultConfig(), seed)
-		sys.PruneGroup = ft.PruneMulticastLeaf
-		mt.stallRQ(sys)
-		done := false
-		sys.StartShuffle(sh.Mappers, sh.Reducers, sh.PairBytes, func(r polyraptor.ShuffleResult) {
-			for i := range r.Pairs {
-				fct := (r.Pairs[i].Event.End - r.Pairs[i].Event.Start).Seconds()
-				fcts = append(fcts, fct)
-				mt.flow(fct, perFlowGbps(r.Pairs[i].Event.Bytes, fct))
-			}
-			last = r.End
-			done = true
-		})
-		startTrace(tr, ft, func() float64 { send, recv := sys.OpenSessions(); return float64(send + recv) })
-		ft.Net.Eng.Run()
-		if !done {
-			// fcts is only filled by the aggregate callback, so report
-			// the live session counts instead — they point at the stuck
-			// pairs.
-			send, recv := sys.OpenSessions()
-			panic(fmt.Sprintf("harness: shuffle RQ did not complete (%d sender / %d receiver sessions still open)", send, recv))
-		}
-	} else {
-		var sys *tcpsim.System
-		if backend == store.BackendDCTCP {
-			sys = tcpsim.NewSystem(ft.Net, tcpsim.DCTCPConfig())
-		} else {
-			sys = tcpsim.NewSystem(ft.Net, tcpsim.DefaultConfig())
-		}
-		for mi, m := range sh.Mappers {
-			for ri, r := range sh.Reducers {
-				b := sh.Bytes[mi][ri]
-				sys.StartFlow(m, r, b, func(fr tcpsim.FlowResult) {
-					fct := (fr.End - fr.Start).Seconds()
-					fcts = append(fcts, fct)
-					mt.flow(fct, perFlowGbps(b, fct))
-					if fr.End > last {
-						last = fr.End
-					}
-				})
-			}
-		}
-		startTrace(tr, ft, func() float64 { return float64(sys.OpenFlows()) })
-		ft.Net.Eng.Run()
-		if len(fcts) != pairs {
-			panic(fmt.Sprintf("harness: shuffle %v finished %d/%d pairs", backend, len(fcts), pairs))
-		}
+	tr.Shuffle(sh.Mappers, sh.Reducers, sh.PairBytes, func(c store.Completion) {
+		env.Flow(c)
+		fcts = append(fcts, (c.End - c.Start).Seconds())
+		last = max(last, c.End)
+	})
+	env.Drain(0)
+	if len(fcts) != pairs {
+		return Result{}, fmt.Errorf("harness: shuffle on %v finished %d/%d pairs (%v sessions still open)",
+			env.Backend, len(fcts), pairs, tr.OpenSessions())
 	}
-	finishTrace(tr, ft.Net.Now())
-
 	total := sh.TotalBytes()
-	return ShuffleRun{
-		Backend:        backend.String(),
+	run := ShuffleRun{
+		Backend:        env.Backend.String(),
 		CompletionTime: last.Seconds(),
 		PairFCT:        stats.Summarize(fcts),
 		GoodputGbps:    gbps(total, last),
 		TotalBytes:     total,
-	}, tr
-}
-
-// RunShuffleAll runs the same shuffle template once per backend on the
-// sweep worker pool — the cmd/polyshuffle single-run path.
-func RunShuffleAll(opt ShuffleOptions, backends []store.BackendKind, seed int64, parallelism int) ([]ShuffleRun, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
 	}
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("harness: no backends selected")
-	}
-	out := make([]ShuffleRun, len(backends))
-	sweep.ForEach(len(backends), parallelism, func(i int) {
-		out[i] = RunShuffle(opt, backends[i], seed)
-	})
-	return out, nil
+	return Result{Metrics: shuffleMetrics(run), Detail: run}, nil
 }
 
 // shuffleMetrics reduces one run to the scalars a sweep aggregates.

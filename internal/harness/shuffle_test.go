@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"polyraptor/internal/store"
-	"polyraptor/internal/sweep"
 )
 
 func tinyShuffleOptions() ShuffleOptions {
@@ -18,21 +16,20 @@ func tinyShuffleOptions() ShuffleOptions {
 	}
 }
 
-func TestRunShuffleAllBackends(t *testing.T) {
+func TestShuffleOnAllBackends(t *testing.T) {
 	// 8 mappers into each reducer is past TCP's incast knee, where the
 	// pattern actually stresses the transport (a 3x4 matrix is too
 	// gentle: uncongested TCP wins on pure RTT).
 	opt := tinyShuffleOptions()
 	opt.Mappers = 8
 	opt.BytesPerPair = 64 << 10
-	runs, err := RunShuffleAll(opt, []store.BackendKind{
-		store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP,
-	}, 1, 0)
+	results, err := RunEach(opt, allBackends, 1, Observers{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]ShuffleRun{}
-	for _, r := range runs {
+	for _, res := range results {
+		r := res.Detail.(ShuffleRun)
 		byName[r.Backend] = r
 		if r.PairFCT.N != opt.Mappers*opt.Reducers {
 			t.Fatalf("%s: %d pair FCTs, want %d", r.Backend, r.PairFCT.N, opt.Mappers*opt.Reducers)
@@ -52,69 +49,6 @@ func TestRunShuffleAllBackends(t *testing.T) {
 	// shuffle well before loss-recovering TCP (deterministic per seed).
 	if rq, tcp := byName["polyraptor"], byName["tcp"]; rq.CompletionTime >= tcp.CompletionTime {
 		t.Fatalf("polyraptor shuffle (%v s) not faster than tcp (%v s)", rq.CompletionTime, tcp.CompletionTime)
-	}
-}
-
-func TestRunShuffleDeterministicPerSeed(t *testing.T) {
-	opt := tinyShuffleOptions()
-	a := RunShuffle(opt, store.BackendPolyraptor, 3)
-	b := RunShuffle(opt, store.BackendPolyraptor, 3)
-	if a != b {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
-	}
-	c := RunShuffle(opt, store.BackendPolyraptor, 4)
-	if a == c {
-		t.Fatal("different seeds produced identical runs")
-	}
-}
-
-// TestShuffleSweepParallelMatchesSerial is the shuffle determinism
-// acceptance test: 3 backends x 3 seeds of the shuffle cell produce
-// byte-identical aggregated JSON at parallelism 1 and GOMAXPROCS. Run
-// under -race in CI.
-func TestShuffleSweepParallelMatchesSerial(t *testing.T) {
-	matrix := func(parallelism int) sweep.Matrix {
-		p := tinySweepParams()
-		p.Bytes = 32 << 10
-		var cells []sweep.Cell
-		for _, be := range []store.BackendKind{store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP} {
-			cell, err := NewSweepCell("shuffle", be, p)
-			if err != nil {
-				t.Fatalf("NewSweepCell(shuffle, %v): %v", be, err)
-			}
-			cells = append(cells, cell)
-		}
-		return sweep.Matrix{Cells: cells, Seeds: 3, BaseSeed: 1, Parallelism: parallelism}
-	}
-	serial, err := matrix(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := matrix(0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := parallel.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Fatalf("parallel shuffle sweep JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", sj, pj)
-	}
-	for _, c := range serial.Cells {
-		if len(c.Errors) > 0 {
-			t.Fatalf("cell %s errored: %v", c.Backend, c.Errors)
-		}
-		for _, name := range []string{"shuffle_s", "pair_fct_p50_s", "pair_fct_p99_s", "goodput_gbps"} {
-			a, ok := c.Metric(name)
-			if !ok || a.N != 3 || a.Mean <= 0 {
-				t.Fatalf("cell %s metric %s = %+v ok=%v, want N=3 mean>0", c.Backend, name, a, ok)
-			}
-		}
 	}
 }
 

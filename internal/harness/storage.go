@@ -1,44 +1,80 @@
 package harness
 
 import (
-	"fmt"
+	"strconv"
 
 	"polyraptor/internal/stats"
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
 )
 
-// StorageOptions parametrises the storage-cluster experiment: one
-// store.Config template run once per backend on its own fabric, so the
-// transports see an identical request schedule.
-type StorageOptions struct {
-	// Cluster is the store configuration; its Backend field is
-	// overridden per run.
+// Storage is the storage-cluster scenario — the experiment the
+// PolyStore subsystem exists for: Polyraptor's one-to-many PUTs and
+// many-to-one GETs against TCP/DCTCP emulation on the same request
+// schedule. Cluster is the store configuration; its Backend and Seed
+// are overridden per run. Result.Detail is the StorageRun.
+type Storage struct {
 	Cluster store.Config
-	// Backends are the transports to compare.
-	Backends []store.BackendKind
-	// Parallelism caps concurrent backend runs; <= 0 means GOMAXPROCS.
-	// Each backend simulates on its own fabric, so results are
-	// identical at any setting.
-	Parallelism int
 }
 
-// DefaultStorageOptions compares Polyraptor against both baselines on
-// the default medium cluster.
-func DefaultStorageOptions() StorageOptions {
-	return StorageOptions{
-		Cluster:  store.DefaultConfig(),
-		Backends: []store.BackendKind{store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP},
+func (s Storage) Name() string { return "storage" }
+
+func (s Storage) Params() map[string]string {
+	return map[string]string{
+		"k":        strconv.Itoa(s.Cluster.FatTreeK),
+		"replicas": strconv.Itoa(s.Cluster.Replicas),
+		"requests": strconv.Itoa(s.Cluster.Requests),
+		"fail":     s.Cluster.FailMode.String(),
 	}
 }
 
-// ShortStorageOptions is sized for go test -short: a k=4 fabric,
-// Polyraptor versus TCP.
-func ShortStorageOptions() StorageOptions {
-	return StorageOptions{
-		Cluster:  store.ShortConfig(),
-		Backends: []store.BackendKind{store.BackendPolyraptor, store.BackendTCP},
+func (s Storage) Validate() error { return s.Cluster.Validate() }
+
+func (s Storage) LoadKnob() string { return "load_factor" }
+func (s Storage) Headline() string { return "get_gbps" }
+
+func (s Storage) ScaleLoad(mult float64) (Loadable, float64) {
+	s.Cluster.Lambda = 0 // re-derive the arrival rate from the scaled load factor
+	s.Cluster.LoadFactor *= mult
+	return s, s.Cluster.LoadFactor
+}
+
+// Run runs the cluster once. The store engine owns its fabric and
+// request loop, so the run is metered from the finished result: the
+// GET and PUT sides are separate tenants of the registry (their
+// latency targets differ in practice, and the pooled histograms stay
+// separable). A skipped GET (its object lost) never ran, so it counts
+// as offered but cannot meet the SLO.
+func (s Storage) Run(env *Env) (Result, error) {
+	cfg := s.Cluster
+	cfg.Backend = env.Backend
+	cfg.Seed = env.Seed
+	res, err := store.Run(cfg)
+	if err != nil {
+		return Result{}, err
 	}
+	gm, pm := env.mt.tenant("get"), env.mt.tenant("put")
+	getF, getG := res.GetFCTs(), res.GetGoodputs()
+	putF, putG := res.PutFCTs(), res.PutGoodputs()
+	gm.offered(len(getF) + res.SkippedGets)
+	pm.offered(len(putF))
+	for i, f := range getF {
+		gm.flow(f, getG[i])
+	}
+	for i, f := range putF {
+		pm.flow(f, putG[i])
+	}
+	run := StorageRun{
+		Backend:      res.Backend.String(),
+		GetFCT:       stats.Summarize(getF),
+		PutFCT:       stats.Summarize(putF),
+		GetGoodput:   stats.Summarize(getG),
+		PutGoodput:   stats.Summarize(putG),
+		GetFCTBefore: stats.Summarize(store.FCTs(res.GetsBeforeFailure())),
+		GetFCTDuring: stats.Summarize(store.FCTs(res.GetsDuringRecovery())),
+		Result:       res,
+	}
+	return Result{Metrics: storageMetrics(run), Detail: run}, nil
 }
 
 // StorageRun is one backend's reduced measurements.
@@ -70,47 +106,25 @@ func (r StorageRun) Interference() (ratio float64, ok bool) {
 	return r.GetFCTDuring.Mean / r.GetFCTBefore.Mean, true
 }
 
-// RunStorageCluster runs the cluster once per backend and reduces each
-// run to FCT and goodput summaries. It is the experiment the PolyStore
-// subsystem exists for: Polyraptor's one-to-many PUTs and many-to-one
-// GETs against TCP/DCTCP emulation on the same storage workload.
-func RunStorageCluster(opt StorageOptions) ([]StorageRun, error) {
-	if len(opt.Backends) == 0 {
-		return nil, fmt.Errorf("harness: no backends selected")
+// storageMetrics reduces one storage run to headline scalars (the
+// table columns of cmd/polystore). Goodput means are taken over the
+// requests in completion order, as every BENCH and golden file has
+// them — not the sorted-sample mean of the summaries.
+func storageMetrics(r StorageRun) sweep.Metrics {
+	res := r.Result
+	m := sweep.Metrics{
+		"get_gbps":      stats.Mean(res.GetGoodputs()),
+		"get_fct_p50_s": r.GetFCT.P50,
+		"get_fct_p99_s": r.GetFCT.P99,
+		"put_gbps":      stats.Mean(res.PutGoodputs()),
+		"put_fct_p99_s": r.PutFCT.P99,
+		"skipped_gets":  float64(res.SkippedGets),
 	}
-	// Backend runs are independent simulations on separate fabrics;
-	// run them on the sweep worker pool, slotted by index so the
-	// output order matches opt.Backends regardless of scheduling.
-	out := make([]StorageRun, len(opt.Backends))
-	errs := make([]error, len(opt.Backends))
-	sweep.ForEach(len(opt.Backends), opt.Parallelism, func(i int) {
-		cfg := opt.Cluster
-		cfg.Backend = opt.Backends[i]
-		res, err := store.Run(cfg)
-		if err != nil {
-			errs[i] = fmt.Errorf("harness: storage backend %v: %w", opt.Backends[i], err)
-			return
-		}
-		out[i] = newStorageRun(res)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if res.Recovery.Mode != store.FailNone {
+		m["recovery_s"] = res.Recovery.Duration().Seconds()
 	}
-	return out, nil
-}
-
-// newStorageRun reduces one raw run to the summaries reports print.
-func newStorageRun(res *store.Result) StorageRun {
-	return StorageRun{
-		Backend:      res.Backend.String(),
-		GetFCT:       stats.Summarize(res.GetFCTs()),
-		PutFCT:       stats.Summarize(res.PutFCTs()),
-		GetGoodput:   stats.Summarize(res.GetGoodputs()),
-		PutGoodput:   stats.Summarize(res.PutGoodputs()),
-		GetFCTBefore: stats.Summarize(store.FCTs(res.GetsBeforeFailure())),
-		GetFCTDuring: stats.Summarize(store.FCTs(res.GetsDuringRecovery())),
-		Result:       res,
+	if ratio, ok := r.Interference(); ok {
+		m["interference_x"] = ratio
 	}
+	return m
 }

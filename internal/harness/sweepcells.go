@@ -5,18 +5,14 @@ import (
 	"strconv"
 
 	"polyraptor/internal/metrics"
-	"polyraptor/internal/stats"
 	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
-	"polyraptor/internal/tcpsim"
 	"polyraptor/internal/telemetry"
 )
 
-// Sweep cells: every experiment the harness knows how to run —
-// Figure 1a/1b workloads, the incast pattern, the storage cluster and
-// the DESIGN.md ablations — expressed behind the one sweep.Runner
-// interface, so cmd/polysweep (and the -runs flags of the other CLIs)
-// can execute any backend x scenario x seed matrix on the worker pool.
+// Sweep cells: any Scenario behind the one sweep.Runner interface, so
+// cmd/polysweep (and the -runs flags of the other CLIs) can execute
+// any backend x scenario x seed matrix on the worker pool.
 
 // SweepParams sizes the canned sweep scenarios. The zero value is not
 // useful; start from DefaultSweepParams.
@@ -33,8 +29,6 @@ type SweepParams struct {
 	Sessions int
 	// LoadFactor is the fig1a/fig1b offered-load fraction.
 	LoadFactor float64
-	// Trimming enables NDP packet trimming for the Polyraptor backend.
-	Trimming bool
 	// Mappers and Reducers size the shuffle scenario's transfer matrix
 	// (Bytes is the mean partition size per pair).
 	Mappers, Reducers int
@@ -69,7 +63,7 @@ type SweepParams struct {
 	// timeline probes to every run of the scenarios that support
 	// tracing (TraceableScenarios); NewSweepCell rejects it up front on
 	// any other scenario. Tracing never changes run results.
-	Trace *TraceOptions
+	Trace *telemetry.Options
 	// TraceSink receives each traced run's finished trace. It is
 	// invoked from sweep worker goroutines — possibly concurrently —
 	// so implementations must be safe for concurrent use.
@@ -86,7 +80,6 @@ func DefaultSweepParams() SweepParams {
 		Senders:     8,
 		Sessions:    80,
 		LoadFactor:  0.33,
-		Trimming:    true,
 		Mappers:     4,
 		Reducers:    4,
 		ShuffleSkew: 0.9,
@@ -109,340 +102,179 @@ func testChaosOptions() ChaosOptions {
 	return o
 }
 
-// SweepScenarios lists the scenario names NewSweepCell accepts, plus
-// the "ablations" bundle expanded by AblationCells.
-func SweepScenarios() []string {
-	return []string{"fig1a", "fig1b", "incast", "shuffle", "storage", "chaos"}
+// sweepScenarios is the registry behind NewSweepCell: how each named
+// scenario is sized from SweepParams, and whether it observes its
+// fabric (Env.Observe) and so supports tracing. The figure scenarios
+// run many hundreds of overlapping sessions per cell and the storage
+// cluster owns its own fabric, so tracing there is rejected rather
+// than silently dropped.
+var sweepScenarios = []struct {
+	name      string
+	traceable bool
+	build     func(p SweepParams) Scenario
+}{
+	{"fig1a", false, func(p SweepParams) Scenario { return p.fig1(PatternMulticast) }},
+	{"fig1b", false, func(p SweepParams) Scenario { return p.fig1(PatternMultiSource) }},
+	{"incast", true, func(p SweepParams) Scenario {
+		return Incast{FatTreeK: p.FatTreeK, Senders: p.Senders, Bytes: p.Bytes}
+	}},
+	{"shuffle", true, func(p SweepParams) Scenario {
+		return ShuffleOptions{
+			FatTreeK: p.FatTreeK, Mappers: p.Mappers, Reducers: p.Reducers,
+			BytesPerPair: p.Bytes, Skew: p.ShuffleSkew, StragglerFactor: p.Straggler,
+		}
+	}},
+	{"storage", false, func(p SweepParams) Scenario { return Storage{Cluster: p.Store} }},
+	{"chaos", true, func(p SweepParams) Scenario { return p.Chaos }},
 }
+
+func (p SweepParams) fig1(pattern Pattern) Fig1 {
+	return Fig1{
+		Scale:    Scale{FatTreeK: p.FatTreeK, Sessions: p.Sessions, Bytes: p.Bytes, LoadFactor: p.LoadFactor},
+		Pattern:  pattern,
+		Replicas: p.Replicas,
+	}
+}
+
+// SweepScenarios lists the scenario names NewSweepCell accepts.
+func SweepScenarios() []string { return scenarioNames(func(int) bool { return true }) }
 
 // TraceableScenarios lists the sweep scenarios that support PolyScope
-// tracing (SweepParams.Trace). The figure scenarios run many hundreds
-// of overlapping sessions per cell and the storage cluster owns its
-// own reporting, so tracing there is rejected rather than silently
-// dropped.
+// tracing (SweepParams.Trace).
 func TraceableScenarios() []string {
-	return []string{"incast", "shuffle", "chaos"}
+	return scenarioNames(func(i int) bool { return sweepScenarios[i].traceable })
 }
 
-// metered reports whether runs should carry a PolyMeter registry.
-func (p SweepParams) metered() bool {
-	return p.Meter || p.SLO != nil
-}
-
-// slo resolves the spec metered flows are scored against.
-func (p SweepParams) slo() metrics.SLO {
-	if p.SLO == nil {
-		return metrics.SLO{}
+func scenarioNames(keep func(i int) bool) []string {
+	var out []string
+	for i, e := range sweepScenarios {
+		if keep(i) {
+			out = append(out, e.name)
+		}
 	}
-	return *p.SLO
+	return out
 }
 
-// emitTrace hands a finished trace to the sink, if both exist.
-func (p SweepParams) emitTrace(scenario string, backend store.BackendKind, seed int64, tr *telemetry.Trace) {
-	if tr != nil && p.TraceSink != nil {
-		p.TraceSink(scenario, backend.String(), seed, tr)
+// SweepCells builds one cell of the named scenario, sized from p, per
+// backend. Unknown scenarios, configurations their Validate rejects
+// and unsupported combinations are errors, reported before anything
+// runs.
+func SweepCells(scenario string, backends []store.BackendKind, p SweepParams) ([]sweep.Cell, error) {
+	for _, e := range sweepScenarios {
+		if e.name != scenario {
+			continue
+		}
+		if p.Trace != nil && !e.traceable {
+			return nil, fmt.Errorf("harness: scenario %q does not support tracing (traceable: %v)",
+				scenario, TraceableScenarios())
+		}
+		return p.Cells(e.build(p), backends)
 	}
+	return nil, fmt.Errorf("harness: unknown sweep scenario %q (have %v)", scenario, SweepScenarios())
 }
 
-// shuffleOptions builds the shuffle scenario options from the shared
-// sweep parameters (Bytes doubles as the mean partition size).
-func (p SweepParams) shuffleOptions() ShuffleOptions {
-	return ShuffleOptions{
-		FatTreeK:        p.FatTreeK,
-		Mappers:         p.Mappers,
-		Reducers:        p.Reducers,
-		BytesPerPair:    p.Bytes,
-		Skew:            p.ShuffleSkew,
-		StragglerFactor: p.Straggler,
+// NewSweepCell is SweepCells for a single backend.
+func NewSweepCell(scenario string, backend store.BackendKind, p SweepParams) (sweep.Cell, error) {
+	cells, err := SweepCells(scenario, []store.BackendKind{backend}, p)
+	if err != nil {
+		return sweep.Cell{}, err
 	}
+	return cells[0], nil
 }
 
-// scale builds the Fig1 Scale for one run seed.
-func (p SweepParams) scale(seed int64) Scale {
-	return Scale{
-		FatTreeK:   p.FatTreeK,
-		Sessions:   p.Sessions,
-		Bytes:      p.Bytes,
-		LoadFactor: p.LoadFactor,
-		Seed:       seed,
+// Cells wraps any scenario as one sweep cell per backend; only p's
+// observation fields (Meter, SLO, Trace, TraceSink) apply.
+func (p SweepParams) Cells(sc Scenario, backends []store.BackendKind) ([]sweep.Cell, error) {
+	if len(backends) == 0 {
+		return nil, fmt.Errorf("harness: no backends selected")
 	}
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	cells := make([]sweep.Cell, len(backends))
+	for i, be := range backends {
+		cells[i] = p.cell(sc, be)
+	}
+	return cells, nil
 }
 
-// runner adapts a per-seed run (parameterised by its meter) to the
-// sweep's Runner interface. Unmetered, the run gets the zero meter —
-// every instrument nil, every recording site one dead branch — and
-// the cell behaves exactly as before PolyMeter. Metered, each run
-// gets a fresh single-goroutine registry whose histograms become the
-// cell's pooled distributions and whose counters become
-// slo_attainment.
-func (p SweepParams) runner(scenario string, backend store.BackendKind, run func(seed int64, mt meter) (sweep.Metrics, error)) sweep.Runner {
-	if !p.metered() {
-		return sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-			return run(seed, meter{})
-		})
+// cell wraps one scenario x backend point as a sweep cell whose every
+// repetition is one Run. Unmetered, the run gets the zero Observers.
+// Metered (Meter or SLO), each run gets a fresh single-goroutine
+// registry whose histograms become the cell's pooled distributions and
+// whose counters become slo_attainment.
+func (p SweepParams) cell(sc Scenario, backend store.BackendKind) sweep.Cell {
+	run := func(seed int64, reg *metrics.Registry) (sweep.Metrics, error) {
+		obs := Observers{Trace: p.Trace, Registry: reg}
+		if p.SLO != nil {
+			obs.SLO = *p.SLO
+		}
+		res, err := Run(sc, backend, seed, obs)
+		if err != nil {
+			return nil, err
+		}
+		if res.Trace != nil && p.TraceSink != nil {
+			p.TraceSink(sc.Name(), backend.String(), seed, res.Trace)
+		}
+		return res.Metrics, nil
 	}
-	return sweep.HistRunnerFunc(func(seed int64) (sweep.Metrics, sweep.Hists, error) {
+	cell := sweep.Cell{Scenario: sc.Name(), Backend: backend.String(), Params: sc.Params()}
+	if !p.Meter && p.SLO == nil {
+		cell.Runner = sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) { return run(seed, nil) })
+		return cell
+	}
+	cell.Runner = sweep.HistRunnerFunc(func(seed int64) (sweep.Metrics, sweep.Hists, error) {
 		reg := metrics.NewRegistry()
-		m, err := run(seed, newMeter(reg, scenario, backend, p.slo()))
+		m, err := run(seed, reg)
 		if err != nil {
 			return nil, nil, err
 		}
 		m["slo_attainment"] = registryAttainment(reg)
 		return m, registryHists(reg), nil
 	})
+	return cell
 }
 
-// NewSweepCell builds the sweep cell for one scenario x backend point.
-// Unknown scenarios and unsupported combinations are errors, reported
-// before anything runs.
-func NewSweepCell(scenario string, backend store.BackendKind, p SweepParams) (sweep.Cell, error) {
-	if p.Trace != nil {
-		traceable := false
-		for _, s := range TraceableScenarios() {
-			traceable = traceable || s == scenario
-		}
-		if !traceable {
-			return sweep.Cell{}, fmt.Errorf("harness: scenario %q does not support tracing (traceable: %v)",
-				scenario, TraceableScenarios())
-		}
-	}
-	cell := sweep.Cell{Scenario: scenario, Backend: backend.String()}
-	switch scenario {
-	case "fig1a", "fig1b":
-		pattern := PatternMulticast
-		if scenario == "fig1b" {
-			pattern = PatternMultiSource
-		}
-		cell.Params = map[string]string{
-			"k":        strconv.Itoa(p.FatTreeK),
-			"replicas": strconv.Itoa(p.Replicas),
-			"sessions": strconv.Itoa(p.Sessions),
-		}
-		bytes := p.Bytes
-		cell.Runner = p.runner(scenario, backend, func(seed int64, mt meter) (sweep.Metrics, error) {
-			var goodputs []float64
-			if backend == store.BackendPolyraptor {
-				goodputs = RunFig1RQ(p.scale(seed), pattern, p.Replicas)
-			} else {
-				goodputs = runFig1Baseline(p.scale(seed), pattern, p.Replicas, backend)
-			}
-			// Fig1 reports per-session goodput, not raw FCTs; meter the
-			// sessions from the goodputs (fct = bytes over goodput).
-			mt.offered(len(goodputs))
-			for _, g := range goodputs {
-				mt.flow(fctFromGoodput(bytes, g), g)
-			}
-			return sessionMetrics(goodputs), nil
-		})
-	case "incast":
-		cell.Params = map[string]string{
-			"k":       strconv.Itoa(p.FatTreeK),
-			"senders": strconv.Itoa(p.Senders),
-			"bytes":   strconv.FormatInt(p.Bytes, 10),
-		}
-		opt := IncastOptions{FatTreeK: p.FatTreeK, Trimming: p.Trimming}
-		cell.Runner = p.runner(scenario, backend, func(seed int64, mt meter) (sweep.Metrics, error) {
-			switch backend {
-			case store.BackendPolyraptor, store.BackendTCP, store.BackendDCTCP:
-			default:
-				return nil, fmt.Errorf("harness: incast does not support backend %v", backend)
-			}
-			g, tr := runIncast(opt, backend, p.Senders, p.Bytes, seed, p.Trace, mt)
-			p.emitTrace("incast", backend, seed, tr)
-			return sweep.Metrics{"goodput_gbps": g}, nil
-		})
-	case "shuffle":
-		opt := p.shuffleOptions()
-		if err := opt.Validate(); err != nil {
-			return sweep.Cell{}, fmt.Errorf("harness: %w", err)
-		}
-		cell.Params = map[string]string{
-			"k":        strconv.Itoa(p.FatTreeK),
-			"mappers":  strconv.Itoa(p.Mappers),
-			"reducers": strconv.Itoa(p.Reducers),
-			"bytes":    strconv.FormatInt(p.Bytes, 10),
-		}
-		cell.Runner = p.runner(scenario, backend, func(seed int64, mt meter) (sweep.Metrics, error) {
-			r, tr := runShuffle(opt, backend, seed, p.Trace, mt)
-			p.emitTrace("shuffle", backend, seed, tr)
-			return shuffleMetrics(r), nil
-		})
-	case "chaos":
-		opt := p.Chaos
-		if err := opt.Validate(); err != nil {
-			return sweep.Cell{}, fmt.Errorf("harness: %w", err)
-		}
-		cell.Params = map[string]string{
-			"k":       strconv.Itoa(opt.FatTreeK),
-			"pattern": opt.Pattern,
-			"fault":   opt.Fault.Kind.String(),
-			"layer":   opt.Fault.Layer.String(),
-			"frac":    strconv.FormatFloat(opt.Fault.Frac, 'g', -1, 64),
-		}
-		cell.Runner = p.runner(scenario, backend, func(seed int64, mt meter) (sweep.Metrics, error) {
-			r, tr := runChaos(opt, backend, seed, p.Trace, mt)
-			p.emitTrace("chaos", backend, seed, tr)
-			return chaosMetrics(r), nil
-		})
-	case "storage":
-		cfg := p.Store
-		cell.Params = map[string]string{
-			"k":        strconv.Itoa(cfg.FatTreeK),
-			"replicas": strconv.Itoa(cfg.Replicas),
-			"requests": strconv.Itoa(cfg.Requests),
-			"fail":     cfg.FailMode.String(),
-		}
-		if err := validateStorageTemplate(cfg, backend); err != nil {
-			return sweep.Cell{}, err
-		}
-		cell.Runner = p.runner(scenario, backend, func(seed int64, mt meter) (sweep.Metrics, error) {
-			c := cfg
-			c.Backend = backend
-			c.Seed = seed
-			res, err := store.Run(c)
-			if err != nil {
-				return nil, err
-			}
-			meterStorage(mt, res)
-			return storageMetrics(res), nil
-		})
-	default:
-		return sweep.Cell{}, fmt.Errorf("harness: unknown sweep scenario %q (have %v)", scenario, SweepScenarios())
-	}
-	return cell, nil
-}
-
-// meterStorage meters a finished storage run: the GET and PUT sides
-// are separate tenants of the run's registry (their latency targets
-// differ in practice, and the pooled histograms stay separable). A
-// skipped GET (its object lost) never ran, so it counts as offered
-// but cannot meet the SLO.
-func meterStorage(mt meter, res *store.Result) {
-	gm, pm := mt.tenant("get"), mt.tenant("put")
-	getF, getG := res.GetFCTs(), res.GetGoodputs()
-	putF, putG := res.PutFCTs(), res.PutGoodputs()
-	gm.offered(len(getF) + res.SkippedGets)
-	pm.offered(len(putF))
-	for i, f := range getF {
-		gm.flow(f, getG[i])
-	}
-	for i, f := range putF {
-		pm.flow(f, putG[i])
-	}
-}
-
-// runFig1Baseline runs the Figure 1 baseline side under the named
-// transport: classic TCP on drop-tail, or DCTCP on ECN-marking
-// drop-tail (K=20).
-func runFig1Baseline(sc Scale, pattern Pattern, replicas int, kind store.BackendKind) []float64 {
-	if kind == store.BackendDCTCP {
-		return runFig1TCPWith(sc, pattern, replicas, tcpsim.DCTCPConfig(), 20)
-	}
-	return runFig1TCPWith(sc, pattern, replicas, tcpsim.DefaultConfig(), 0)
-}
-
-// validateStorageTemplate surfaces impossible storage configs at
-// matrix-build time rather than as per-repetition errors.
-func validateStorageTemplate(cfg store.Config, backend store.BackendKind) error {
-	cfg.Backend = backend
-	cfg.Seed = 1
-	return cfg.Validate()
-}
-
-// sessionMetrics reduces per-session goodputs to the per-run summary a
-// sweep aggregates across seeds.
-func sessionMetrics(goodputs []float64) sweep.Metrics {
-	s := stats.Summarize(goodputs)
-	return sweep.Metrics{
-		"goodput_mean_gbps": s.Mean,
-		"goodput_p50_gbps":  s.P50,
-		"goodput_p99_gbps":  s.P99,
-		"goodput_min_gbps":  s.Min,
-	}
-}
-
-// storageMetrics reduces one storage run to headline scalars (the
-// table columns of cmd/polystore).
-func storageMetrics(res *store.Result) sweep.Metrics {
-	get := stats.Summarize(res.GetFCTs())
-	put := stats.Summarize(res.PutFCTs())
-	m := sweep.Metrics{
-		"get_gbps":      stats.Mean(res.GetGoodputs()),
-		"get_fct_p50_s": get.P50,
-		"get_fct_p99_s": get.P99,
-		"put_gbps":      stats.Mean(res.PutGoodputs()),
-		"put_fct_p99_s": put.P99,
-		"skipped_gets":  float64(res.SkippedGets),
-	}
-	if res.Recovery.Mode != store.FailNone {
-		m["recovery_s"] = res.Recovery.Duration().Seconds()
-	}
-	before := stats.Summarize(store.FCTs(res.GetsBeforeFailure()))
-	during := stats.Summarize(store.FCTs(res.GetsDuringRecovery()))
-	if during.N > 0 && before.Mean > 0 {
-		m["interference_x"] = during.Mean / before.Mean
-	}
-	return m
-}
-
-// AblationCells returns the DESIGN.md A1-A4 ablations as sweep cells.
-// Each cell runs both arms of its ablation per seed and reports them
+// AblationCells returns the A1–A4 ablations (EXPERIMENTS.md
+// "Ablations") as sweep cells. Each cell runs both arms
+// of its ablation per seed on the Polyraptor backend and reports them
 // as paired metrics, so the sweep's CI95 covers the per-seed contrast.
-func AblationCells(p SweepParams) []sweep.Cell {
+func AblationCells(p SweepParams) ([]sweep.Cell, error) {
 	k := p.FatTreeK
-	return []sweep.Cell{
-		{
-			Scenario: "ablation-trim", Backend: "rq",
-			Params: map[string]string{"k": strconv.Itoa(k)},
-			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-				r := RunAblationNoTrim(k, 12, 70<<10, seed)
-				return sweep.Metrics{"trim_gbps": r.WithTrim, "notrim_gbps": r.WithoutTrim}, nil
-			}),
-		},
-		{
-			Scenario: "ablation-initwindow", Backend: "rq",
-			Params: map[string]string{"k": strconv.Itoa(k)},
-			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-				r := RunAblationInitialWindow(k, 40<<10, 20, seed)
-				return sweep.Metrics{
-					"fct_window_us":   float64(r.MeanFCTWindow.Microseconds()),
-					"fct_nowindow_us": float64(r.MeanFCTNoWindow.Microseconds()),
-				}, nil
-			}),
-		},
-		{
-			Scenario: "ablation-esi", Backend: "rq",
-			Params: map[string]string{"k": strconv.Itoa(k)},
-			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-				r := RunAblationPartitioning(k, 3, 8, 512<<10, seed)
-				return sweep.Metrics{"partitioned_gbps": r.GoodputPartitioned, "random_gbps": r.GoodputRandom}, nil
-			}),
-		},
-		{
-			Scenario: "ablation-decode", Backend: "rq",
-			Params: map[string]string{"k": strconv.Itoa(k)},
-			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
-				r := RunAblationDecodeLatency(k, 512<<10, 2000, 6, seed)
-				return sweep.Metrics{"nolat_gbps": r.GoodputNoLatency, "lat_gbps": r.GoodputWithLatency}, nil
-			}),
-		},
-	}
-}
-
-// StorageSweep runs one cluster template across backends x seeds on
-// the sweep engine — the multi-seed, parallel path behind
-// cmd/polystore's -runs flag.
-func StorageSweep(cfg store.Config, backends []store.BackendKind, seeds, parallelism int) (*sweep.Result, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("harness: no backends selected")
-	}
 	var cells []sweep.Cell
-	for _, be := range backends {
-		cell, err := NewSweepCell("storage", be, SweepParams{Store: cfg})
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
+	var invalid error
+	if p.Trace != nil {
+		invalid = fmt.Errorf("harness: the ablation bundle does not support tracing (traceable: %v)", TraceableScenarios())
 	}
-	return sweep.Matrix{Cells: cells, Seeds: seeds, BaseSeed: cfg.Seed, Parallelism: parallelism}.Run()
+	pair := func(name, metric, aKey, bKey string, a, b Scenario) {
+		for _, arm := range []Scenario{a, b} {
+			if err := arm.Validate(); err != nil && invalid == nil {
+				invalid = fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		cells = append(cells, sweep.Cell{
+			Scenario: name, Backend: "rq",
+			Params: map[string]string{"k": strconv.Itoa(k)},
+			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
+				ra, err := Run(a, store.BackendPolyraptor, seed, Observers{})
+				if err != nil {
+					return nil, err
+				}
+				rb, err := Run(b, store.BackendPolyraptor, seed, Observers{})
+				if err != nil {
+					return nil, err
+				}
+				return sweep.Metrics{aKey: ra.Metrics[metric], bKey: rb.Metrics[metric]}, nil
+			}),
+		})
+	}
+	a, b := AblationTrim(k, 12, 70<<10)
+	pair("ablation-trim", "goodput_gbps", "trim_gbps", "notrim_gbps", a, b)
+	a, b = AblationInitWindow(k, 40<<10, 20)
+	pair("ablation-initwindow", "fct_us", "fct_window_us", "fct_nowindow_us", a, b)
+	a, b = AblationESI(k, 3, 8, 512<<10)
+	pair("ablation-esi", "goodput_gbps", "partitioned_gbps", "random_gbps", a, b)
+	a, b = AblationDecode(k, 512<<10, 2000, 6)
+	pair("ablation-decode", "goodput_gbps", "nolat_gbps", "lat_gbps", a, b)
+	return cells, invalid
 }

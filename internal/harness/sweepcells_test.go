@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -22,65 +21,6 @@ func tinySweepParams() SweepParams {
 	st.Requests = 30
 	p.Store = st
 	return p
-}
-
-// acceptanceMatrix is the PR's acceptance configuration: 2 backends x
-// 2 scenarios x 5 seeds.
-func acceptanceMatrix(t *testing.T, parallelism int) sweep.Matrix {
-	t.Helper()
-	p := tinySweepParams()
-	var cells []sweep.Cell
-	for _, scenario := range []string{"incast", "storage"} {
-		for _, be := range []store.BackendKind{store.BackendPolyraptor, store.BackendTCP} {
-			cell, err := NewSweepCell(scenario, be, p)
-			if err != nil {
-				t.Fatalf("NewSweepCell(%s, %v): %v", scenario, be, err)
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return sweep.Matrix{Cells: cells, Seeds: 5, BaseSeed: 1, Parallelism: parallelism}
-}
-
-// TestSweepParallelMatchesSerial is the acceptance criterion: a
-// 2-backend x 2-scenario x 5-seed sweep run on the full worker pool
-// produces byte-identical aggregated JSON to the same sweep at
-// parallelism 1. Run under -race in CI.
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	serial, err := acceptanceMatrix(t, 1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := acceptanceMatrix(t, 0).Run() // 0 = GOMAXPROCS
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := parallel.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Fatalf("parallel sweep JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", sj, pj)
-	}
-	// The sweep must have actually measured something.
-	for _, c := range serial.Cells {
-		if len(c.Errors) > 0 {
-			t.Fatalf("cell %s/%s errored: %v", c.Scenario, c.Backend, c.Errors)
-		}
-		name := "goodput_gbps"
-		if c.Scenario == "storage" {
-			name = "get_gbps"
-		}
-		a, ok := c.Metric(name)
-		if !ok || a.N != 5 || a.Mean <= 0 {
-			t.Fatalf("cell %s/%s metric %s = %+v ok=%v, want N=5 mean>0",
-				c.Scenario, c.Backend, name, a, ok)
-		}
-	}
 }
 
 // TestNewSweepCellFig1 runs the fig1a and fig1b cells for one seed
@@ -126,7 +66,10 @@ func TestAblationCells(t *testing.T) {
 		t.Skip("ablation cells are slow")
 	}
 	p := tinySweepParams()
-	cells := AblationCells(p)
+	cells, err := AblationCells(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 4 {
 		t.Fatalf("AblationCells returned %d cells, want 4", len(cells))
 	}
@@ -146,11 +89,15 @@ func TestAblationCells(t *testing.T) {
 	}
 }
 
-// TestStorageSweep: the polystore -runs path aggregates per backend
-// with the shared seed stream.
-func TestStorageSweep(t *testing.T) {
+// TestSweepCellsSharedSeeds: the -runs path of the scenario CLIs — one
+// cell per backend, every backend on the same derived seed stream.
+func TestSweepCellsSharedSeeds(t *testing.T) {
 	p := tinySweepParams()
-	res, err := StorageSweep(p.Store, []store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, 2, 0)
+	cells, err := SweepCells("storage", []store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.Matrix{Cells: cells, Seeds: 2, BaseSeed: p.Store.Seed}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,40 +116,7 @@ func TestStorageSweep(t *testing.T) {
 	if out := res.Table(nil); !strings.Contains(out, "storage/polyraptor") {
 		t.Fatalf("table missing cell row:\n%s", out)
 	}
-}
-
-// TestFigure1cSerialParallelIdentical: the figure itself is now a
-// sweep; its series must not depend on parallelism.
-func TestFigure1cSerialParallelIdentical(t *testing.T) {
-	opt := IncastOptions{
-		FatTreeK:       4,
-		SenderCounts:   []int{2, 4},
-		BytesPerSender: []int64{32 << 10},
-		Repetitions:    3,
-		Seed:           1,
-		Trimming:       true,
-	}
-	serialOpt := opt
-	serialOpt.Parallelism = 1
-	parallelOpt := opt
-	parallelOpt.Parallelism = 0
-
-	serial := Figure1c(serialOpt)
-	parallel := Figure1c(parallelOpt)
-	if len(serial) != 2 || len(parallel) != 2 {
-		t.Fatalf("series counts = %d, %d, want 2", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Label != parallel[i].Label {
-			t.Fatalf("labels differ: %q vs %q", serial[i].Label, parallel[i].Label)
-		}
-		for j := range serial[i].Y {
-			if serial[i].Y[j] != parallel[i].Y[j] || serial[i].YErr[j] != parallel[i].YErr[j] {
-				t.Fatalf("series %q point %d differs: %v±%v vs %v±%v",
-					serial[i].Label, j,
-					serial[i].Y[j], serial[i].YErr[j],
-					parallel[i].Y[j], parallel[i].YErr[j])
-			}
-		}
+	if _, err := SweepCells("storage", nil, p); err == nil {
+		t.Fatal("empty backend list accepted")
 	}
 }

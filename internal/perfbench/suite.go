@@ -374,6 +374,16 @@ func simCases() []Case {
 }
 
 func e2eCases(quick bool) []Case {
+	// Every cell is one harness.Run on the Polyraptor backend. The
+	// scenarios are fixed and valid, so a failure is a bug: panic.
+	run := func(sc harness.Scenario, seed int64) harness.Result {
+		res, err := harness.Run(sc, store.BackendPolyraptor, seed, harness.Observers{})
+		if err != nil {
+			panic(err)
+		}
+		return res
+	}
+
 	sc := harness.BenchScale()
 	if quick {
 		sc.Sessions = 40
@@ -384,7 +394,7 @@ func e2eCases(quick bool) []Case {
 		OneShot: true,
 		Fn: func(n int) {
 			for i := 0; i < n; i++ {
-				goodputs := harness.RunFig1RQ(sc, harness.PatternMulticast, 3)
+				goodputs, _ := run(harness.Fig1{Scale: sc, Pattern: harness.PatternMulticast, Replicas: 3}, sc.Seed).Detail.([]float64)
 				fig1aMean = mean(goodputs)
 			}
 		},
@@ -393,18 +403,17 @@ func e2eCases(quick bool) []Case {
 		},
 	}
 
-	opt := harness.BenchIncastOptions()
-	senders, bytes := 12, int64(256<<10)
+	iopt := harness.Incast{FatTreeK: harness.BenchIncastOptions().FatTreeK, Senders: 12, Bytes: 256 << 10}
 	if quick {
-		senders, bytes = 8, 70<<10
+		iopt.Senders, iopt.Bytes = 8, 70<<10
 	}
 	var incastGoodput float64
 	incast := Case{
-		Name:    fmt.Sprintf("e2e/IncastRQ/%dx%dKB", senders, bytes>>10),
+		Name:    fmt.Sprintf("e2e/IncastRQ/%dx%dKB", iopt.Senders, iopt.Bytes>>10),
 		OneShot: true,
 		Fn: func(n int) {
 			for i := 0; i < n; i++ {
-				incastGoodput = harness.RunIncastRQ(opt, senders, bytes, 1)
+				incastGoodput = run(iopt, 1).Metrics["goodput_gbps"]
 			}
 		},
 		Metrics: func() map[string]float64 {
@@ -425,7 +434,7 @@ func e2eCases(quick bool) []Case {
 		OneShot: true,
 		Fn: func(n int) {
 			for i := 0; i < n; i++ {
-				shuffleRun = harness.RunShuffle(sopt, store.BackendPolyraptor, 1)
+				shuffleRun, _ = run(sopt, 1).Detail.(harness.ShuffleRun)
 			}
 		},
 		Metrics: func() map[string]float64 {
@@ -457,7 +466,7 @@ func e2eCases(quick bool) []Case {
 		OneShot: true,
 		Fn: func(n int) {
 			for i := 0; i < n; i++ {
-				chaosRun = harness.RunChaos(copt, store.BackendPolyraptor, 1)
+				chaosRun, _ = run(copt, 1).Detail.(harness.ChaosRun)
 			}
 		},
 		Metrics: func() map[string]float64 {

@@ -15,7 +15,8 @@
 // deterministic rank search shared by encoder and decoder. The
 // decisive properties (systematic output, statistically unique repair
 // symbols, decode failure probability decaying ~two decades per symbol
-// of overhead) are enforced by the test suite. See DESIGN.md.
+// of overhead) are enforced by the test suite. See README.md
+// "PolyCodec" and EXPERIMENTS.md "Decode-overhead model".
 package raptorq
 
 import (

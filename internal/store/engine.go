@@ -265,7 +265,7 @@ type engine struct {
 	cfg Config
 	ft  *topology.FatTree
 	cat *Catalog
-	be  backend
+	tr  *Transport
 
 	zipf    *workload.Zipf
 	kindRng *rand.Rand
@@ -295,11 +295,15 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr, err := NewTransport(cfg.Backend, ft.Net, ft, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		cfg:     cfg,
 		ft:      ft,
 		cat:     NewCatalog(ft),
-		be:      newBackend(cfg.Backend, ft, cfg.Seed),
+		tr:      tr,
 		zipf:    workload.NewZipf(cfg.Objects, cfg.ZipfSkew),
 		kindRng: sim.RNG(cfg.Seed, "store-kind"),
 		objRng:  sim.RNG(cfg.Seed, "store-objects"),
@@ -367,12 +371,22 @@ func (e *engine) issuePut() {
 	// the pre-loaded set — so no read observes a write in flight.
 	obj := e.cat.Add(e.cfg.ObjectBytes, replicas)
 	start := e.ft.Net.Now()
-	e.be.Write(client, replicas, obj.Bytes, func() {
+	group := int32(-1) // no group on TCP or for a single replica
+	each := func(c Completion) {
+		if c.Left > 0 {
+			return
+		}
+		e.ft.RemoveMulticastGroup(group)
 		e.res.Puts = append(e.res.Puts, Xfer{
 			Object: obj.ID, Client: client, Bytes: obj.Bytes,
 			Start: start, End: e.ft.Net.Now(),
 		})
-	})
+	}
+	if len(replicas) == 1 {
+		e.tr.Unicast(client, replicas[0], obj.Bytes, each)
+	} else {
+		group = e.tr.Multicast(client, replicas, obj.Bytes, each)
+	}
 }
 
 func (e *engine) issueGet() {
@@ -385,7 +399,10 @@ func (e *engine) issueGet() {
 	client := e.drawClient(srcs)
 	o := e.cat.Object(id)
 	start := e.ft.Net.Now()
-	e.be.Read(client, srcs, o.Bytes, func() {
+	e.tr.MultiSource(srcs, client, o.Bytes, func(c Completion) {
+		if c.Left > 0 {
+			return
+		}
 		e.res.Gets = append(e.res.Gets, Xfer{
 			Object: id, Client: client, Bytes: o.Bytes,
 			Start: start, End: e.ft.Net.Now(),

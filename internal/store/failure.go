@@ -177,7 +177,7 @@ func (e *engine) nextRepair(src int) {
 	e.repairQ[src] = q[1:]
 	start := e.ft.Net.Now()
 	bytes := e.cat.Object(r.object).Bytes
-	e.be.Write(src, []int{r.dst}, bytes, func() {
+	e.tr.Unicast(src, r.dst, bytes, func(Completion) {
 		e.cat.AddReplica(r.object, r.dst)
 		rec := &e.res.Recovery
 		rec.Repaired++

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -126,4 +127,57 @@ func (r *Result) errorLines() []string {
 		}
 	}
 	return out
+}
+
+// Emit is the shared tail of every CLI sweep path: run the matrix,
+// write the aggregate to out as "table", "csv" or "json", and report
+// failures on errw under the program's name. It returns the process
+// exit code: 0, or 1 when the sweep or any repetition failed.
+func (m Matrix) Emit(prog, format string, out, errw io.Writer) int {
+	res, err := m.Run()
+	if err == nil {
+		err = res.Write(out, format)
+	}
+	if err != nil {
+		fmt.Fprintf(errw, "%s: %v\n", prog, err)
+		return 1
+	}
+	if errs := res.errorLines(); len(errs) > 0 {
+		fmt.Fprintf(errw, "%s: %d run(s) failed, first: %s\n", prog, len(errs), errs[0])
+		return 1
+	}
+	return 0
+}
+
+// Format maps the -csv/-json flag pair of the scenario CLIs to a Write
+// format name.
+func Format(csv, json bool) string {
+	switch {
+	case json:
+		return "json"
+	case csv:
+		return "csv"
+	}
+	return "table"
+}
+
+// Write renders the result in the named format: "table", "csv" or
+// "json" (newline-terminated).
+func (r *Result) Write(w io.Writer, format string) error {
+	switch format {
+	case "table":
+		_, err := io.WriteString(w, r.Table(nil))
+		return err
+	case "csv":
+		_, err := io.WriteString(w, r.CSV())
+		return err
+	case "json":
+		js, err := r.JSON()
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(js, '\n'))
+		return err
+	}
+	return fmt.Errorf("unknown format %q (table|csv|json)", format)
 }

@@ -60,8 +60,8 @@ type Config struct {
 	Lambda float64
 	// Bytes is the foreground object size (paper: 4 MB).
 	Bytes int64
-	// BackgroundBytes is the background object size (assumed equal to
-	// foreground; documented in DESIGN.md).
+	// BackgroundBytes is the background object size (the paper does
+	// not give one; every experiment assumes it equals Bytes).
 	BackgroundBytes int64
 	// BackgroundFrac is the fraction of sessions that are background
 	// (paper: 0.20).

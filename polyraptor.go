@@ -12,10 +12,14 @@
 //   - The real UDP transport (NewServer / Fetch / FetchMultiSource):
 //     the paper's pull-based protocol over any net.PacketConn, running
 //     the real codec end to end.
-//   - The evaluation harness (Figure1a / Figure1b / Figure1c and the
-//     Ablation* helpers): discrete-event simulations on a k-ary
-//     FatTree with NDP trimming switches that regenerate every figure
-//     of the paper.
+//   - The evaluation harness (Figure1a / Figure1b / Figure1c):
+//     discrete-event simulations on a k-ary FatTree with NDP trimming
+//     switches that regenerate every figure of the paper. Each figure
+//     is a set of scenario runs through the one entry point
+//     internal/harness.Run(scenario, backend, seed, Observers), which
+//     also serves the ablations, extensions and CLIs; an impossible
+//     configuration (odd arity, more senders than out-of-rack hosts)
+//     is a returned error, never a panic or a hang.
 //
 // See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
 // results.
@@ -152,18 +156,18 @@ func BenchScale() SimScale { return harness.BenchScale() }
 
 // Figure1a regenerates the paper's Figure 1a (multicast replication:
 // rank-ordered session goodput, 1/3 replicas, RQ vs TCP).
-func Figure1a(sc SimScale, maxPoints int) []FigureSeries {
+func Figure1a(sc SimScale, maxPoints int) ([]FigureSeries, error) {
 	return harness.Figure1a(sc, maxPoints)
 }
 
 // Figure1b regenerates Figure 1b (multi-source fetch).
-func Figure1b(sc SimScale, maxPoints int) []FigureSeries {
+func Figure1b(sc SimScale, maxPoints int) ([]FigureSeries, error) {
 	return harness.Figure1b(sc, maxPoints)
 }
 
 // Figure1c regenerates Figure 1c (incast: goodput vs sender count
 // with 95% CIs).
-func Figure1c(opt IncastOptions) []FigureSeries {
+func Figure1c(opt IncastOptions) ([]FigureSeries, error) {
 	return harness.Figure1c(opt)
 }
 

@@ -111,7 +111,10 @@ func TestFacadeFigure1cTiny(t *testing.T) {
 		Seed:           1,
 		Trimming:       true,
 	}
-	series := polyraptor.Figure1c(opt)
+	series, err := polyraptor.Figure1c(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -119,5 +122,21 @@ func TestFacadeFigure1cTiny(t *testing.T) {
 		if len(s.Y) != 2 {
 			t.Fatalf("%s: %d points", s.Label, len(s.Y))
 		}
+	}
+}
+
+// TestFacadeFigure1cRejectsImpossibleFanIn: a k=4 fabric has 14 hosts
+// outside any rack; asking for 15 senders used to spin the sender
+// picker forever and must now be an error.
+func TestFacadeFigure1cRejectsImpossibleFanIn(t *testing.T) {
+	opt := polyraptor.IncastOptions{
+		FatTreeK: 4, SenderCounts: []int{15}, BytesPerSender: []int64{70 << 10},
+		Repetitions: 1, Seed: 1, Trimming: true,
+	}
+	if _, err := polyraptor.Figure1c(opt); err == nil {
+		t.Fatal("Figure1c accepted 15 senders on a k=4 fabric")
+	}
+	if _, err := polyraptor.Figure1a(polyraptor.SimScale{FatTreeK: 3, Sessions: 10, Bytes: 1 << 10, LoadFactor: 0.3}, 4); err == nil {
+		t.Fatal("Figure1a accepted an odd arity")
 	}
 }
