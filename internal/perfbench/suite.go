@@ -370,7 +370,56 @@ func simCases() []Case {
 			}
 		}
 	}
-	return []Case{runCase, cancelCase}
+	// ScheduleRun keeps one delay pending, which the engine serves from
+	// a single FIFO lane. NetsimMix is the hold model (every fired event
+	// schedules its successor) at the depth and delay mix PolyBench's
+	// sim_rq pass actually shows: about 1300 pending events, 45 % link
+	// propagation, 25 % header and 25 % data serialization, and 5 %
+	// timers with a delay of their own — RTOs and one-offs, which go to
+	// the heap — half of which are cancelled before they fire.
+	mixCase := Case{
+		Name:       "sim/EventEngine/NetsimMix",
+		RateName:   "events_per_sec",
+		UnitsPerOp: 1,
+	}
+	{
+		const depth = 1300
+		const prop, hdr, data = 10 * time.Microsecond, 512 * time.Nanosecond, 12 * time.Microsecond
+		mix := [20]sim.Time{prop, hdr, data, prop, hdr, prop, data, prop, hdr, prop, data, prop, hdr, prop, data, prop, hdr, prop, data, 0}
+		e := sim.NewEngine()
+		x := uint64(0x9E3779B97F4A7C15) // xorshift64 state: deterministic and allocation-free
+		var doomed sim.Timer
+		var hold func()
+		hold = func() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			d := mix[x%uint64(len(mix))]
+			if d == 0 {
+				tm := e.After(time.Microsecond+sim.Time(x>>32%200000), hold)
+				if x&(1<<20) != 0 {
+					doomed = tm
+				}
+				return
+			}
+			e.After(d, hold)
+			if doomed.Active() {
+				// Cancelled like an RTO by the next arrival; its
+				// successor keeps the depth constant.
+				doomed.Cancel()
+				e.After(d, hold)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			e.After(sim.Time(i)*10*time.Nanosecond, hold)
+		}
+		mixCase.Fn = func(n int) {
+			for i := 0; i < n; i++ {
+				e.Step()
+			}
+		}
+	}
+	return []Case{runCase, cancelCase, mixCase}
 }
 
 func e2eCases(quick bool) []Case {

@@ -126,6 +126,17 @@ type Facts struct {
 // toolchain either suppressed -m or changed its wording.
 func (f *Facts) EscapesSeen() bool { return f.escapeLines > 0 }
 
+// hasEscape reports whether an escape site for the same value at the
+// same position is already recorded.
+func (f *Facts) hasEscape(pos Pos, what string) bool {
+	for i := range f.Escapes {
+		if f.Escapes[i].Pos == pos && f.Escapes[i].What == what {
+			return true
+		}
+	}
+	return false
+}
+
 // InlinesSeen reports whether inlining decisions were recognized.
 func (f *Facts) InlinesSeen() bool { return f.inlineLines > 0 }
 
@@ -214,15 +225,17 @@ func ParseDiagnostics(output string, dir string) *Facts {
 			f.escapeLines++
 			what := strings.TrimSuffix(msg, " escapes to heap")
 			// -m=2 prints each decision twice: once opening the flow
-			// trace, once bare. Collapse the duplicate.
-			if n := len(f.Escapes); n > 0 && f.Escapes[n-1].Pos == pos && f.Escapes[n-1].What == what {
+			// trace, once bare. Collapse the duplicate. The bare lines
+			// of a function follow all of its traces, so the twin of a
+			// function's first site is not the last site parsed.
+			if f.hasEscape(pos, what) {
 				continue
 			}
 			f.Escapes = append(f.Escapes, EscapeSite{Pos: pos, What: what})
 		case strings.HasPrefix(msg, "moved to heap: "):
 			f.escapeLines++
 			what := strings.TrimPrefix(msg, "moved to heap: ")
-			if n := len(f.Escapes); n > 0 && f.Escapes[n-1].Pos == pos && f.Escapes[n-1].What == what {
+			if f.hasEscape(pos, what) {
 				continue
 			}
 			f.Escapes = append(f.Escapes, EscapeSite{Pos: pos, What: what, Moved: true})

@@ -118,6 +118,35 @@ func TestParseCannedDeepmod(t *testing.T) {
 	}
 }
 
+// Two panic strings in one function: the compiler prints both flow
+// traces and then both bare lines, so the first site's bare twin does
+// not directly follow it. Both must still collapse, or the twin (which
+// has no trace) reads as a real allocation — as it did for sim.At's
+// second argument check.
+func TestParseCollapsesInterleavedDuplicates(t *testing.T) {
+	const out = `# polyraptor/internal/sim
+internal/sim/sim.go:145:9: "past" escapes to heap:
+internal/sim/sim.go:145:9:   flow: {heap} = &{storage for "past"}:
+internal/sim/sim.go:145:9:     from "past" (spill) at internal/sim/sim.go:145:9
+internal/sim/sim.go:145:9:     from panic("past") (call parameter) at internal/sim/sim.go:145:8
+internal/sim/sim.go:148:9: "nil" escapes to heap:
+internal/sim/sim.go:148:9:   flow: {heap} = &{storage for "nil"}:
+internal/sim/sim.go:148:9:     from "nil" (spill) at internal/sim/sim.go:148:9
+internal/sim/sim.go:148:9:     from panic("nil") (call parameter) at internal/sim/sim.go:148:8
+internal/sim/sim.go:145:9: "past" escapes to heap
+internal/sim/sim.go:148:9: "nil" escapes to heap
+`
+	facts := ParseDiagnostics(out, "/repo")
+	if len(facts.Escapes) != 2 {
+		t.Fatalf("parsed %d escape sites, want 2: %+v", len(facts.Escapes), facts.Escapes)
+	}
+	for _, e := range facts.Escapes {
+		if !e.PanicOnly() {
+			t.Errorf("%s at line %d not classified panic-only", e.What, e.Pos.Line)
+		}
+	}
+}
+
 // ProvedStackAtSite adapts ProvedStackAt for a parsed position.
 func ProvedStackAtSite(f *Facts, p Pos) bool { return f.ProvedStackAt(p.File, p.Line) }
 

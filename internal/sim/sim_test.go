@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -58,6 +59,15 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		e.At(5*time.Microsecond, func() {})
 	})
 	e.Run()
+}
+
+func TestSchedulingNilCallbackPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a nil callback did not panic")
+		}
+	}()
+	NewEngine().After(time.Microsecond, nil)
 }
 
 func TestCancel(t *testing.T) {
@@ -206,6 +216,7 @@ func TestTimerActive(t *testing.T) {
 	if zero.Active() {
 		t.Fatal("zero Timer reports active")
 	}
+	zero.Cancel() // a no-op, not a nil dereference
 	e := NewEngine()
 	tm := e.At(time.Microsecond, func() {})
 	if !tm.Active() {
@@ -224,111 +235,282 @@ func TestTimerActive(t *testing.T) {
 
 // refModel is a brute-force reference event queue: a flat slice scanned
 // linearly, with the same (at, seq) ordering contract as the engine.
+// events[i] was the (i+1)-th event scheduled, so its seq is i+1.
 type refModel struct {
 	now    Time
-	seq    uint64
 	events []refEvent
 }
 
 type refEvent struct {
 	at   Time
-	seq  uint64
-	id   int
-	dead bool
+	dead bool // fired or cancelled
 }
 
-func (m *refModel) schedule(at Time, id int) int {
-	m.seq++
-	m.events = append(m.events, refEvent{at: at, seq: m.seq, id: id})
-	return len(m.events) - 1
+func (m *refModel) live() int {
+	n := 0
+	for _, ev := range m.events {
+		if !ev.dead {
+			n++
+		}
+	}
+	return n
 }
 
-func (m *refModel) cancel(idx int) { m.events[idx].dead = true }
+// step fires the (at, seq)-minimum live event with at <= deadline,
+// appending its index to log, and reports whether there was one. The
+// scan keeps the first minimum, which is the lowest seq.
+func (m *refModel) step(deadline Time, log *[]int) bool {
+	best := -1
+	for i, ev := range m.events {
+		if !ev.dead && ev.at <= deadline && (best < 0 || ev.at < m.events[best].at) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	m.now = m.events[best].at
+	m.events[best].dead = true
+	*log = append(*log, best)
+	return true
+}
 
-// runUntil fires all live events with at <= deadline in (at, seq)
-// order, appending fired ids to log, and returns the updated log.
-func (m *refModel) runUntil(deadline Time, log []int) []int {
-	for {
-		best := -1
-		for i, ev := range m.events {
-			if ev.dead || ev.at > deadline {
-				continue
-			}
-			if best < 0 || ev.at < m.events[best].at ||
-				(ev.at == m.events[best].at && ev.seq < m.events[best].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		m.now = m.events[best].at
-		log = append(log, m.events[best].id)
-		m.events[best].dead = true
+func (m *refModel) runUntil(deadline Time, log *[]int) {
+	for m.step(deadline, log) {
 	}
 	if m.now < deadline {
 		m.now = deadline
 	}
-	return log
+}
+
+// modelDeltas are the fixed delays the model trace schedules with: more
+// of them than the engine has lanes, so some recurring delays always
+// share the heap with the random ones.
+var modelDeltas = [...]Time{0, 1, 64, 512, 1000, 5000, 10000, 12000, 50000, 200000, 1000000, 2000000}
+
+// checkLanes verifies the lane invariants the engine's exactness rests
+// on: a live head, (at, seq) ascending from head to tail, live and
+// laneAt in step with the ring, and every live entry's slot pointing
+// back at it.
+func checkLanes(t testing.TB, e *Engine) {
+	t.Helper()
+	for li := 0; li < e.nLanes; li++ {
+		l := &e.lanes[li]
+		if l.n == 0 {
+			if l.live != 0 || e.laneAt[li] != maxTime {
+				t.Fatalf("lane %d empty but live=%d laneAt=%v", li, l.live, e.laneAt[li])
+			}
+			continue
+		}
+		mask := uint32(len(l.buf) - 1)
+		if head := l.buf[l.head]; head.fn == nil || e.laneAt[li] != head.at {
+			t.Fatalf("lane %d: head tombstoned or laneAt %v stale", li, e.laneAt[li])
+		}
+		if l.buf[(l.head+l.n-1)&mask].fn == nil {
+			t.Fatalf("lane %d: tail is a tombstone", li)
+		}
+		live := uint32(0)
+		var prev event
+		for i := uint32(0); i < l.n; i++ {
+			pos := (l.head + i) & mask
+			ev := l.buf[pos]
+			if i > 0 && (ev.at < prev.at || ev.seq <= prev.seq) {
+				t.Fatalf("lane %d: entry %d out of (at, seq) order", li, i)
+			}
+			prev = ev
+			if ev.fn == nil {
+				continue
+			}
+			live++
+			if sl := e.slots[ev.slot]; int(sl.lane) != li || uint32(sl.pos) != pos {
+				t.Fatalf("lane %d: slot of entry %d points at lane %d pos %d", li, i, sl.lane, sl.pos)
+			}
+		}
+		if live != l.live {
+			t.Fatalf("lane %d: live=%d, ring holds %d", li, l.live, live)
+		}
+	}
+}
+
+// checkAgainstModel runs prog, three bytes per operation (opcode and a
+// 16-bit argument), against the engine and the brute-force model and
+// requires the same firing order, clock, exact Pending and no leaked
+// slot after every operation. The opcodes mix fixed delays (lanes),
+// singly and in bursts, random delays (heap), absolute times that tie
+// with queued events, cancels aimed at a lane's head, middle, tail or
+// every other entry or at any timer ever issued (fired ones included),
+// RunUntil and single Steps.
+func checkAgainstModel(t testing.TB, prog []byte) {
+	t.Helper()
+	e := NewEngine()
+	m := &refModel{}
+	var got, want []int
+	var timers []Timer // timers[i] is the handle of m.events[i]
+	schedule := func(at Time) {
+		id := len(timers)
+		timers = append(timers, e.At(at, func() { got = append(got, id) }))
+		m.events = append(m.events, refEvent{at: at})
+	}
+	cancel := func(id int) {
+		timers[id].Cancel()
+		m.events[id].dead = true // a no-op if it already fired
+		if timers[id].Active() {
+			t.Fatalf("timer %d active after Cancel", id)
+		}
+	}
+	for op := 0; op+3 <= len(prog); op += 3 {
+		arg := int(prog[op+1]) | int(prog[op+2])<<8
+		switch code := prog[op] % 16; {
+		case code < 4:
+			schedule(e.Now() + modelDeltas[arg%len(modelDeltas)])
+		case code == 4:
+			// A burst under one delay: grows a lane's ring past its
+			// first capacity.
+			for i := 0; i <= arg/len(modelDeltas)%32; i++ {
+				schedule(e.Now() + modelDeltas[arg%len(modelDeltas)])
+			}
+		case code < 7:
+			schedule(e.Now() + Time(arg%1000))
+		case code == 7:
+			// The time of an earlier event: ties with it if it is still
+			// queued, and lands in a lane when the gap matches one.
+			at := e.Now()
+			if len(timers) > 0 && m.events[arg%len(timers)].at > at {
+				at = m.events[arg%len(timers)].at
+			}
+			schedule(at)
+		case code < 10:
+			if len(timers) > 0 {
+				cancel(arg % len(timers))
+			}
+		case code == 10:
+			// Head, middle or tail of a lane; seq-1 indexes timers.
+			if l := &e.lanes[arg%numLanes]; l.n > 0 {
+				off := [...]uint32{0, l.n / 2, l.n - 1}[arg/numLanes%3]
+				if ev := l.buf[(l.head+off)&uint32(len(l.buf)-1)]; ev.fn != nil {
+					cancel(int(ev.seq - 1))
+				}
+			}
+		case code == 11 && arg%2 == 0:
+			if len(timers) > 0 {
+				cancel(len(timers) - 1)
+			}
+		case code == 11:
+			// Two of every three entries of a lane: tombstones between
+			// live entries, which only a repack of the full ring removes.
+			l := &e.lanes[arg/2%numLanes]
+			for i := uint32(0); i < l.n; i++ {
+				if ev := l.buf[(l.head+i)&uint32(len(l.buf)-1)]; i%3 != 0 && ev.fn != nil {
+					cancel(int(ev.seq - 1))
+				}
+			}
+		case code < 15:
+			span := Time(arg % 2000)
+			if code == 14 {
+				span = Time(arg) * 16
+			}
+			e.RunUntil(e.Now() + span)
+			m.runUntil(m.now+span, &want)
+		default:
+			if e.Step() != m.step(maxTime, &want) {
+				t.Fatalf("op %d: Step disagrees with the model about an empty queue", op/3)
+			}
+		}
+		if e.Now() != m.now {
+			t.Fatalf("op %d: clock %v, model %v", op/3, e.Now(), m.now)
+		}
+		if e.Pending() != m.live() {
+			t.Fatalf("op %d: Pending = %d, model has %d live", op/3, e.Pending(), m.live())
+		}
+		if held := len(e.slots) - len(e.free); held != e.Pending() {
+			t.Fatalf("op %d: %d slots held for %d pending events", op/3, held, e.Pending())
+		}
+		checkLanes(t, e)
+	}
+	e.Run()
+	m.runUntil(maxTime, &want)
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, model fired %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("firing order diverges at %d: engine %d, model %d", i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", e.Pending())
+	}
+	if held := len(e.slots) - len(e.free); held != 0 {
+		t.Fatalf("%d slots leaked", held)
+	}
+}
+
+// modelProgram draws a checkAgainstModel program of n operations.
+func modelProgram(seed int64, n int) []byte {
+	prog := make([]byte, 3*n)
+	RNG(seed, "sim-stress").Read(prog)
+	return prog
 }
 
 // TestRandomizedAgainstReferenceModel drives the engine and a
-// brute-force model through the same random schedule/cancel/run-until
-// trace and requires identical firing order, clock and live-event
-// count at every step. Fixed seeds keep failures reproducible.
+// brute-force model through the same random trace. Fixed seeds keep
+// failures reproducible.
 func TestRandomizedAgainstReferenceModel(t *testing.T) {
+	if len(modelDeltas) <= numLanes {
+		t.Fatalf("the trace has %d fixed delays, need more than the %d lanes", len(modelDeltas), numLanes)
+	}
 	for seed := int64(1); seed <= 5; seed++ {
-		rng := RNG(seed, "sim-stress")
-		e := NewEngine()
-		m := &refModel{}
-		var got, want []int
-		type live struct {
-			tm  Timer
-			ref int
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkAgainstModel(t, modelProgram(seed, 4000))
+		})
+	}
+}
+
+// FuzzEngineOrder lets the fuzzer write the trace, seeded from the
+// randomized test's generator.
+func FuzzEngineOrder(f *testing.F) {
+	for seed := int64(1); seed <= 5; seed++ {
+		f.Add(modelProgram(seed, 300))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 3*512 {
+			prog = prog[:3*512] // the model is quadratic in the events scheduled
 		}
-		var timers []live // includes fired ones: cancel-after-fire is exercised too
-		nextID := 0
-		for op := 0; op < 4000; op++ {
-			switch r := rng.Float64(); {
-			case r < 0.55:
-				at := e.Now() + Time(rng.Intn(1000))
-				id := nextID
-				nextID++
-				tm := e.At(at, func() { got = append(got, id) })
-				ref := m.schedule(at, id)
-				timers = append(timers, live{tm, ref})
-			case r < 0.80 && len(timers) > 0:
-				i := rng.Intn(len(timers))
-				timers[i].tm.Cancel()
-				// Mirror in the model only if the event hasn't fired;
-				// Cancel after fire must be a no-op in both.
-				if !m.events[timers[i].ref].dead {
-					m.cancel(timers[i].ref)
-				}
-			default:
-				deadline := e.Now() + Time(rng.Intn(500))
-				e.RunUntil(deadline)
-				want = m.runUntil(deadline, want)
-			}
-			if e.Now() != m.now {
-				t.Fatalf("seed %d op %d: clock %v, model %v", seed, op, e.Now(), m.now)
-			}
+		checkAgainstModel(t, prog)
+	})
+}
+
+// An RTO-style timer re-armed on every ACK leaves a tombstone in the
+// middle of its lane each time. The ring must squeeze them out instead
+// of growing with the number of re-arms: it stays within four times
+// the live timers.
+func TestLaneStaysCompactUnderTimerChurn(t *testing.T) {
+	const flows, rto = 64, 200 * time.Millisecond
+	e := NewEngine()
+	rng := RNG(1, "sim-churn")
+	nop := func() {}
+	timers := make([]Timer, flows)
+	for i := range timers {
+		timers[i] = e.After(rto, nop)
+	}
+	for i := 0; i < 100000; i++ {
+		f := rng.Intn(flows)
+		timers[f].Cancel()
+		timers[f] = e.After(rto, nop)
+		if i%8 == 0 {
+			e.RunFor(time.Microsecond)
 		}
-		e.Run()
-		want = m.runUntil(1<<62, want)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, model fired %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: engine %d, model %d", seed, i, got[i], want[i])
-			}
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: Pending = %d after Run", seed, e.Pending())
-		}
-		if liveSlots := len(e.slots) - len(e.free); liveSlots != 0 {
-			t.Fatalf("seed %d: %d slots leaked", seed, liveSlots)
+	}
+	checkLanes(t, e)
+	if e.Pending() != flows {
+		t.Fatalf("Pending = %d, want %d", e.Pending(), flows)
+	}
+	if len(e.queue) != 0 {
+		t.Fatalf("%d of the timers sit in the heap, want all in one lane", len(e.queue))
+	}
+	for li := range e.lanes {
+		if n := len(e.lanes[li].buf); n > 4*flows {
+			t.Fatalf("lane %d ring holds %d entries for %d live timers", li, n, flows)
 		}
 	}
 }

@@ -152,6 +152,7 @@ func (s *System) StartFlow(src, dst int, bytes int64, onDone func(FlowResult)) i
 		start:    s.Net.Now(),
 		onDone:   onDone,
 	}
+	snd.rtoFn = snd.onRTO
 	s.Agents[src].senders[flow] = snd
 	snd.trySend()
 	return flow
@@ -266,6 +267,9 @@ type tcpSender struct {
 	rtoTimer     sim.Timer
 	rtoArmed     bool
 	sent         map[int64]sim.Time // first-transmission times (Karn)
+	// rtoFn is s.onRTO bound once: armRTO runs per ACK, and evaluating
+	// the method value there would allocate a closure each time.
+	rtoFn func()
 
 	// DCTCP state: smoothed mark fraction and per-window accounting.
 	alpha       float64
@@ -326,7 +330,7 @@ func (s *tcpSender) armRTO() {
 		s.rtoTimer.Cancel()
 	}
 	s.rtoArmed = true
-	s.rtoTimer = s.sys.Net.Eng.After(s.rto(), s.onRTO)
+	s.rtoTimer = s.sys.Net.Eng.After(s.rto(), s.rtoFn)
 }
 
 func (s *tcpSender) disarmRTO() {

@@ -171,16 +171,26 @@ func (ft *FatTree) RackHosts(rack int) []int {
 	return out
 }
 
+// portTable returns [0, 1, ..., n-1]. Route closures answer a single
+// downward port d as the one-element sub-slice t[d:d+1:d+1] of this
+// table instead of a fresh literal per packet per hop; candidate slices
+// are never mutated (netsim's liveCands copies before filtering).
+func portTable(n int) []int {
+	t := make([]int, n)
+	for i := range t {
+		t[i] = i
+	}
+	return t
+}
+
 // installRoutes sets the unicast forwarding closures. Edge and agg
 // switches return all uplinks as equal-cost candidates for non-local
 // destinations, which is what per-packet spraying and per-flow ECMP
 // choose among.
 func (ft *FatTree) installRoutes() {
 	half := ft.K / 2
-	upPorts := make([]int, half)
-	for i := range upPorts {
-		upPorts[i] = half + i
-	}
+	ports := portTable(ft.K)
+	upPorts := ports[half:]
 	for p := 0; p < ft.K; p++ {
 		for e := 0; e < half; e++ {
 			pod, eIdx := p, e
@@ -188,7 +198,7 @@ func (ft *FatTree) installRoutes() {
 			sw.Route = func(pkt *netsim.Packet) []int {
 				dp, de, dpos := ft.edgeOf(int(pkt.Dst))
 				if dp == pod && de == eIdx {
-					return []int{dpos}
+					return ports[dpos : dpos+1 : dpos+1]
 				}
 				return upPorts
 			}
@@ -199,7 +209,7 @@ func (ft *FatTree) installRoutes() {
 			sw.Route = func(pkt *netsim.Packet) []int {
 				dp, de, _ := ft.edgeOf(int(pkt.Dst))
 				if dp == pod {
-					return []int{de}
+					return ports[de : de+1 : de+1]
 				}
 				return upPorts
 			}
@@ -208,7 +218,8 @@ func (ft *FatTree) installRoutes() {
 	for c := range ft.cores {
 		sw := ft.cores[c]
 		sw.Route = func(pkt *netsim.Packet) []int {
-			return []int{ft.Pod(int(pkt.Dst))}
+			pod := ft.Pod(int(pkt.Dst))
+			return ports[pod : pod+1 : pod+1]
 		}
 	}
 }
@@ -349,9 +360,10 @@ func NewStar(n int, cfg netsim.Config) *Star {
 		st.Net.Connect(h, st.SW) // switch port i faces host i
 		st.Hosts = append(st.Hosts, h)
 	}
+	ports := portTable(n)
 	st.SW.Route = func(pkt *netsim.Packet) []int {
-		if int(pkt.Dst) < n {
-			return []int{int(pkt.Dst)}
+		if d := int(pkt.Dst); d < n {
+			return ports[d : d+1 : d+1]
 		}
 		return nil
 	}

@@ -100,7 +100,10 @@ func Generate(cfg Config, racks RackView) []Session {
 	perm := sim.RNG(cfg.Seed, "permutation")
 	peers := sim.RNG(cfg.Seed, "peers")
 	kindRng := sim.RNG(cfg.Seed, "kind")
-	sizeRng := sim.RNG(cfg.Seed, "sizes")
+	var sizeRng *rand.Rand
+	if cfg.Sizes != nil {
+		sizeRng = sim.RNG(cfg.Seed, "sizes")
+	}
 
 	n := racks.NumHosts()
 	order := perm.Perm(n)
