@@ -262,7 +262,9 @@ func MulAddRow(dst, src []byte, c byte) {
 			i += n
 		}
 	}
-	mulAddRowWords(dst[i:len(src)], src[i:], c)
+	if i < len(src) { // the plane multipliers are not free: skip them for a row the vector kernels finished
+		mulAddRowWords(dst[i:len(src)], src[i:], c)
+	}
 }
 
 // mulAddRowWords is the portable word-wise core of MulAddRow: 8 bytes
@@ -346,7 +348,9 @@ func ScaleRow(row []byte, c byte) {
 			i += n
 		}
 	}
-	scaleRowWords(row[i:], c)
+	if i < len(row) {
+		scaleRowWords(row[i:], c)
+	}
 }
 
 // scaleRowWords is the portable word-wise core of ScaleRow. c must be

@@ -195,8 +195,9 @@ func codecSymbols(k, t int) [][]byte {
 // encoders and decoders are constructed once and reused via Reset, so
 // the cells capture the replayed-schedule/arena regime the transport
 // actually runs in (one warm round happens inside runCase's Fn(1)
-// warmup). The Encode, DecodeSystematic, Decode5pctLoss and
-// Decode30pctLoss cells are locked at 0 allocs/op in ALLOC_BUDGET.json.
+// warmup). The Encode, DecodeSystematic, Decode5pctLoss,
+// Decode30pctLoss and DecodeCold30pct cells are locked at 0 allocs/op
+// in ALLOC_BUDGET.json.
 func codecCases(quick bool) []Case {
 	k := 256
 	if quick {
@@ -244,7 +245,9 @@ func codecCases(quick bool) []Case {
 	// Decode cells: one reused decoder per loss regime, each regime
 	// exercising a different pipeline layer — keep=1 the no-matrix
 	// systematic path, 5% the partial-systematic m x m solve, 30% the
-	// cached full inactivation replay.
+	// full inactivation decode: plan, prune, replay. The mask is fixed, so
+	// the 30% cell plans the same system every op; DecodeCold30pct below
+	// draws a new one.
 	mkDecode := func(name string, keep float64) Case {
 		srcEnc, err := raptorq.NewEncoder(src)
 		if err != nil {
@@ -289,6 +292,52 @@ func codecCases(quick bool) []Case {
 		}
 	}
 
+	// The case a lossy fabric actually produces: one reused decoder, a
+	// loss mask nobody has seen before on every block. Symbols come from
+	// a pregenerated pool; only the choice of survivors is drawn per op.
+	coldCase := Case{
+		Name:       fmt.Sprintf("codec/DecodeCold30pct/K=%d", k),
+		BytesPerOp: int64(k * t),
+		RateName:   "symbols_per_sec",
+		UnitsPerOp: float64(k),
+	}
+	{
+		pool := make([][]byte, 2*k)
+		for i := range pool {
+			pool[i] = enc.Symbol(uint32(i))
+		}
+		dec, err := raptorq.NewDecoder(k, t)
+		if err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		var extra []byte
+		coldCase.Fn = func(n int) {
+			for i := 0; i < n; i++ {
+				dec.Reset()
+				got := 0
+				for esi := 0; esi < k; esi++ {
+					if rng.Float64() < 0.70 {
+						dec.AddSymbol(uint32(esi), pool[esi])
+						got++
+					}
+				}
+				for esi := k; got < k+2; esi++ {
+					dec.AddSymbol(uint32(esi), pool[esi])
+					got++
+				}
+				// Singular at K+2 is a ~1e-4 event: top up from past the pool.
+				for esi := uint32(2 * k); ; esi++ {
+					if _, err := dec.Decode(); err == nil {
+						break
+					}
+					extra = enc.AppendSymbol(extra[:0], esi)
+					dec.AddSymbol(esi, extra)
+				}
+			}
+		}
+	}
+
 	// Block-parallel object encode: partition a multi-block object and
 	// solve the per-block precodes on the worker pool (GOMAXPROCS-wide;
 	// output is identical for every worker count). Construction-heavy
@@ -325,6 +374,7 @@ func codecCases(quick bool) []Case {
 		mkDecode("DecodeSystematic", 1.01),
 		mkDecode("Decode5pctLoss", 0.95),
 		mkDecode("Decode30pctLoss", 0.70),
+		coldCase,
 		objCase,
 	}
 }

@@ -28,7 +28,8 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 //
 // Decode may be retried after adding more symbols if it fails with
 // ErrSingular (probability ~1e-2 at zero overhead, falling roughly two
-// decades per additional symbol).
+// decades per additional symbol). Retrying without a new symbol is
+// answered from memory: the verdict belongs to the received set.
 //
 // Decoding is layered by how much work the received set actually
 // requires:
@@ -38,12 +39,14 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 //     systematic path back-substitutes repair equations against the
 //     received sources and solves only an m x m system (see
 //     partial.go);
-//   - otherwise: the full inactivation solve, with the recorded
-//     elimination cached per (K, received-ESI set) so repeated loss
-//     patterns replay at kernel speed (see schedule.go).
+//   - otherwise: the full inactivation decode — plan the elimination
+//     over the received ESI set (solver.go), prune it, replay it over
+//     the received symbols (schedule.go). A loss pattern is new on
+//     every block, so nothing is remembered between blocks; the plan is
+//     cheap enough not to need it.
 //
 // A Decoder can be reused for many blocks via Reset; in the steady
-// state (same K, same symbol size, recurring loss shape) the whole
+// state (same K, same symbol size, any loss pattern) the whole
 // AddSymbol/Decode cycle allocates nothing.
 type Decoder struct {
 	p    Params
@@ -52,33 +55,29 @@ type Decoder struct {
 	// srcHave counts received symbols with esi < K (systematic fast path).
 	srcHave int
 	decoded [][]byte
-
-	// cache holds recorded decode eliminations keyed by the received
-	// pattern; shared across decoders (tests may inject their own).
-	cache *decodeSchedCache
+	// singularAt is the received count at which Decode last found the
+	// set rank-deficient; 0 when it has not.
+	singularAt int
 
 	// Intake arena: received symbols are copied into symBuf chunks
-	// instead of one allocation each. The chunk doubles when it fills,
-	// so after one warm round Reset reuses a chunk big enough for the
-	// whole block and intake allocates nothing. Grown chunks abandon
-	// (never copy) the old buffer — symbols already handed to recv keep
-	// their old backing.
+	// instead of one allocation each. The first chunk holds the block
+	// (K symbols plus intakeSlack); whatever arrives beyond it starts a
+	// chunk of twice the size, so after one warm round Reset reuses a
+	// chunk big enough for everything and intake allocates nothing.
+	// Grown chunks abandon (never copy) the old buffer — symbols already
+	// handed to recv keep their old backing.
 	symBuf []byte
 	symOff int
 
-	// Reused solve scratch (see partial.go for the partial-path pieces).
-	out       [][]byte
-	outBuf    []byte
-	esiBuf    []uint32
-	ltScratch []int32
-	slots     slotArena // symbol-width replay slots
-	lanes     slotArena // lane-width replay slots (partial path)
-	coefBuf   []byte
-	rhsBuf    []byte
-	eqRows    [][]byte
-	eqSymRows [][]byte
-	rowOfCol  []int
-	missBuf   []uint32
+	// Result storage: what a returned source symbol may alias besides
+	// the intake arena.
+	out    [][]byte
+	outBuf []byte
+	rhsBuf []byte
+
+	// sc is the matrix paths' working memory: the Decoder's own, made
+	// on first use, unless an ObjectDecoder lends its worker's.
+	sc *solveScratch
 
 	// Test hooks: force one decode path regardless of eligibility.
 	// forcePartial also disables the fall-back to the full solver so
@@ -86,6 +85,27 @@ type Decoder struct {
 	forceFull    bool
 	forcePartial bool
 }
+
+// solveScratch is everything a matrix decode works in that its result
+// does not alias, so one instance serves any number of blocks in turn
+// (see partial.go for the partial-path pieces).
+type solveScratch struct {
+	plan      planner
+	slots     slotArena // symbol-width replay slots
+	lanes     slotArena // lane-width replay slots (partial path)
+	esiBuf    []uint32
+	rowBuf    [][]byte // the rows of the system being loaded into slots
+	ltScratch []int32
+	coefBuf   []byte
+	eqRows    [][]byte
+	eqSymRows [][]byte
+	rowOfCol  []int
+	missBuf   []uint32
+}
+
+// intakeSlack is how many symbols beyond K the first intake chunk
+// holds: the overhead a receiver normally needs before a block decodes.
+const intakeSlack = 4
 
 // NewDecoder creates a decoder for a block of k source symbols of the
 // given size.
@@ -98,10 +118,9 @@ func NewDecoder(k, symbolSize int) (*Decoder, error) {
 		return nil, err
 	}
 	return &Decoder{
-		p:     p,
-		t:     symbolSize,
-		recv:  make(map[uint32][]byte, k+2),
-		cache: defaultDecodeSchedCache,
+		p:    p,
+		t:    symbolSize,
+		recv: make(map[uint32][]byte, k+2),
 	}, nil
 }
 
@@ -113,6 +132,7 @@ func (d *Decoder) Reset() {
 	clear(d.recv)
 	d.srcHave = 0
 	d.decoded = nil
+	d.singularAt = 0
 	d.symOff = 0
 }
 
@@ -152,14 +172,15 @@ func (d *Decoder) storeSym(data []byte) []byte {
 	return out
 }
 
-// growSymBuf starts a fresh, larger intake chunk. The old chunk is
-// abandoned, not copied: symbols already stored keep referencing it.
+// growSymBuf starts a fresh intake chunk: the block-sized first one, or
+// double the one that just filled. The old chunk is abandoned, not
+// copied: symbols already stored keep referencing it.
 //
 //go:noinline
 func (d *Decoder) growSymBuf() {
 	n := 2 * len(d.symBuf)
-	if min := 64 * d.t; n < min {
-		n = min
+	if n == 0 {
+		n = (d.p.K + intakeSlack) * d.t
 	}
 	d.symBuf = make([]byte, n)
 	d.symOff = 0
@@ -194,10 +215,14 @@ func (d *Decoder) Source(esi uint32) []byte {
 // result is cached and returned on subsequent calls (and invalidated
 // by Reset). It returns ErrNeedMoreSymbols when fewer than K symbols
 // are held and ErrSingular when the held set does not have full rank
-// (add more symbols and retry).
+// (add more symbols and retry; until one arrives the verdict is
+// repeated without solving again).
 func (d *Decoder) Decode() ([][]byte, error) {
 	if d.decoded != nil {
 		return d.decoded, nil
+	}
+	if d.singularAt == len(d.recv) {
+		return nil, ErrSingular
 	}
 	k := d.p.K
 	out := d.outSlice()
@@ -212,21 +237,24 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	if len(d.recv) < k {
 		return nil, ErrNeedMoreSymbols
 	}
-	m := k - d.srcHave
-	if !d.forceFull && (d.forcePartial || m <= partialMaxMissing(k)) {
-		err := d.decodePartial(out, m)
-		if err == nil {
-			d.decoded = out
-			return out, nil
-		}
-		if d.forcePartial {
-			return nil, err
-		}
-		// Fall through to the full solver: the partial path caps how
-		// many repair rows it considers, so it can miss rank the full
-		// system still has.
+	if d.sc == nil {
+		d.sc = new(solveScratch)
 	}
-	if err := d.decodeFull(out); err != nil {
+	m := k - d.srcHave
+	partial := !d.forceFull && (d.forcePartial || m <= partialMaxMissing(k))
+	var err error
+	if partial {
+		err = d.decodePartial(out, m)
+	}
+	// The partial path caps how many repair rows it considers, so it can
+	// miss rank the full system still has: fall back on any failure.
+	if !d.forcePartial && (!partial || err != nil) {
+		err = d.decodeFull(out)
+	}
+	if err != nil {
+		if errors.Is(err, ErrSingular) {
+			d.singularAt = len(d.recv)
+		}
 		return nil, err
 	}
 	d.decoded = out
@@ -246,56 +274,40 @@ func (d *Decoder) outSlice() [][]byte {
 // sortedESIs collects the received ESIs in ascending order into the
 // reused scratch slice.
 func (d *Decoder) sortedESIs() []uint32 {
-	esis := d.esiBuf[:0]
+	esis := d.sc.esiBuf[:0]
 	//polyvet:orderfree collection order is erased by the sort below
 	for esi := range d.recv {
 		esis = append(esis, esi)
 	}
 	slices.Sort(esis)
-	d.esiBuf = esis
+	d.sc.esiBuf = esis
 	return esis
 }
 
-// decodeFull runs the full inactivation decode. The recorded
-// elimination for this exact (K, ESI set) is looked up in the schedule
-// cache; on a hit the solve is a pure replay over arena slots, on a
-// miss the recording solver runs and the schedule is cached for next
-// time. Slot layout for the decode system: S LDPC rows (zero RHS),
-// the received symbols in ascending-ESI order, H HDPC rows (zero RHS).
+// decodeFull runs the full inactivation decode: plan the elimination
+// of the received set, then replay it over the received symbols. Slot
+// layout for the decode system: S LDPC rows (zero RHS), the received
+// symbols in ascending-ESI order, H HDPC rows and the Horner scratch
+// (zero RHS).
 func (d *Decoder) decodeFull(out [][]byte) error {
 	esis := d.sortedESIs()
-	k := d.p.K
-	if sched := d.cache.get(k, esis); sched != nil {
-		s, n := d.p.S, len(esis)
-		syms := d.slots.slots(sched.nSlots, d.t)
-		for i := 0; i < s; i++ {
-			clear(syms[i])
-		}
-		for i, esi := range esis {
-			copy(syms[s+i], d.recv[esi])
-		}
-		for i := s + n; i < sched.nSlots; i++ {
-			clear(syms[i])
-		}
-		sched.replay(syms)
-		d.fillFromSlots(out, syms, sched.outSlot)
-		return nil
-	}
-	sol := newSolver(d.p.L, d.t)
-	sol.record = true
-	addConstraintRows(sol, d.p)
-	scratch := d.ltScratch
+	pl := &d.sc.plan
+	pl.reset(d.p, len(esis))
 	for _, esi := range esis {
-		scratch = d.p.AppendLTIndices(scratch[:0], esi)
-		sol.addBinaryRow(scratch, d.recv[esi])
+		pl.addESI(esi)
 	}
-	d.ltScratch = scratch
-	c, err := sol.solve()
+	sched, err := pl.plan()
 	if err != nil {
 		return err
 	}
-	d.cache.put(k, esis, sol.sched)
-	d.fillFromCols(out, c)
+	rows := d.sc.rowBuf[:0]
+	for _, esi := range esis {
+		rows = append(rows, d.recv[esi])
+	}
+	d.sc.rowBuf = rows
+	syms := d.sc.slots.load(sched.nSlots, d.t, d.p.S, rows)
+	sched.replay(syms)
+	d.fillFromSlots(out, syms, sched.outSlot)
 	return nil
 }
 
@@ -309,7 +321,7 @@ func (d *Decoder) fillFromSlots(out, syms [][]byte, outSlot []int32) {
 	k := d.p.K
 	buf := d.regenBuf(k - d.srcHave)
 	off := 0
-	scratch := d.ltScratch
+	scratch := d.sc.ltScratch
 	for i := 0; i < k; i++ {
 		if sym, ok := d.recv[uint32(i)]; ok {
 			out[i] = sym
@@ -317,48 +329,26 @@ func (d *Decoder) fillFromSlots(out, syms [][]byte, outSlot []int32) {
 		}
 		dst := buf[off : off+d.t : off+d.t]
 		off += d.t
-		clear(dst)
 		scratch = d.p.AppendLTIndices(scratch[:0], uint32(i))
 		for _, col := range scratch {
 			gf256.AddRow(dst, syms[outSlot[col]])
 		}
 		out[i] = dst
 	}
-	d.ltScratch = scratch
-}
-
-// fillFromCols is fillFromSlots for the recording-solver path, where
-// the intermediates are addressed by column directly.
-func (d *Decoder) fillFromCols(out [][]byte, c [][]byte) {
-	k := d.p.K
-	buf := d.regenBuf(k - d.srcHave)
-	off := 0
-	scratch := d.ltScratch
-	for i := 0; i < k; i++ {
-		if sym, ok := d.recv[uint32(i)]; ok {
-			out[i] = sym
-			continue
-		}
-		dst := buf[off : off+d.t : off+d.t]
-		off += d.t
-		scratch = d.p.AppendLTIndices(scratch[:0], uint32(i))
-		for _, col := range scratch {
-			gf256.AddRow(dst, c[col])
-		}
-		out[i] = dst
-	}
-	d.ltScratch = scratch
+	d.sc.ltScratch = scratch
 }
 
 // regenBuf returns the reused backing store for m regenerated source
-// symbols, zeroed. noinline keeps its grow allocation out of annotated
-// callers under the compiler-verified gate.
+// symbols, zeroed. It grows to twice the need (m <= K bounds it), so the
+// next, heavier loss on a reused decoder does not allocate again.
+// noinline keeps the grow allocation out of annotated callers under the
+// compiler-verified gate.
 //
 //go:noinline
 func (d *Decoder) regenBuf(m int) []byte {
 	need := m * d.t
 	if cap(d.outBuf) < need {
-		d.outBuf = make([]byte, need)
+		d.outBuf = make([]byte, min(2*need, d.p.K*d.t))
 	}
 	d.outBuf = d.outBuf[:need]
 	clear(d.outBuf)

@@ -7,11 +7,12 @@ import (
 	"polyraptor/internal/gf256"
 )
 
-// addConstraintRows installs the S LDPC binary rows and H HDPC dense
-// rows of the precode into the solver. Both encoder (precode solve) and
-// decoder (recovery solve) call this, so the constraint structure is
-// shared by construction.
-func addConstraintRows(s *solver, p Params) {
+// addConstraintRows installs the precode constraints into the planner:
+// the S LDPC binary rows, and the H HDPC rows as their generating
+// picks. Both encoder (precode solve) and decoder (recovery solve) plan
+// on top of these, so the constraint structure is shared by
+// construction.
+func addConstraintRows(pl *planner, p Params) {
 	// LDPC rows (RFC 5053 §5.4.2.3 / RFC 6330 §5.3.3.3): each of the
 	// B free LT columns contributes to exactly three of the S LDPC rows
 	// through a circulant walk; row i additionally carries the identity
@@ -37,7 +38,7 @@ func addConstraintRows(s *solver, p Params) {
 		if pi1 != pi2 {
 			cols = append(cols, pi1, pi2)
 		}
-		s.addBinaryRow(cols, nil)
+		pl.addRow(cols)
 	}
 	// HDPC rows: the RFC 6330 §5.3.3.3 MT x Gamma shape. Gamma is the
 	// lower-triangular alpha-power Toeplitz matrix Gamma[j][c] =
@@ -46,35 +47,18 @@ func addConstraintRows(s *solver, p Params) {
 	// two seeded row picks per column, so
 	//
 	//	coeff_r[c] = sum_{j >= c, MT[r][j]=1} alpha^(j-c)
-	//	           = alpha * coeff_r[c+1] + MT[r][c].
+	//	           = alpha * coeff_r[c+1] + MT[r][c],
 	//
-	// The rows are GF(256)-dense (every decode benefits: they catch the
-	// handful of columns the sparse phase cannot resolve, failure
-	// probability ~2^-8 per missing rank, measured by the failure-curve
-	// test) but carry Horner structure the solver exploits: the whole
-	// dense back-substitution collapses to one shared alpha-weighted
-	// running sum plus two XORs per column instead of H dense
-	// multiply-accumulates per pivot (see emitHornerChain in solver.go).
+	// plus the identity coefficient 1 at column L-H+r. The rows are
+	// GF(256)-dense (every decode benefits: they catch the handful of
+	// columns the sparse phase cannot resolve, failure probability
+	// ~2^-8 per missing rank, measured by the failure-curve test) but
+	// they are never written out: the Horner structure lets the planner
+	// substitute them as one shared alpha-weighted running sum plus two
+	// XORs per column instead of H dense multiply-accumulates per pivot
+	// (see assembleDense in solver.go), so the picks are all it keeps.
 	state := hdpcSeed(p)
-	picks := hdpcPicks(p, &state)
-	for r := int32(0); r < int32(p.H); r++ {
-		coeff := make([]byte, p.L)
-		var acc byte
-		for c := p.L - p.H - 1; c >= 0; c-- {
-			acc = gf256.Mul(acc, 2)
-			if picks[c][0] == r {
-				acc ^= 1
-			}
-			if picks[c][1] == r {
-				acc ^= 1
-			}
-			coeff[c] = acc
-		}
-		coeff[p.L-p.H+int(r)] = 1
-		s.addDenseRow(coeff, nil)
-	}
-	s.hornerPicks = picks
-	s.hornerCols = p.L - p.H
+	pl.picks = hdpcPicks(p, &state)
 }
 
 // hdpcPicks derives MT's two distinct row picks for every Gamma-region
@@ -180,7 +164,7 @@ func (e *Encoder) Reset(source [][]byte) error {
 		e.p = p
 		e.sched = sched
 		e.c = make([][]byte, p.L)
-		e.ltRepair = make(map[uint32][]int32)
+		e.ltRepair = nil
 	}
 	e.t = t
 	e.src = source
@@ -195,17 +179,7 @@ func (e *Encoder) Reset(source [][]byte) error {
 //
 //polyvet:noalloc steady-state precode solve: arena slots plus recorded gf256 kernels
 func (e *Encoder) replayPrecode(source [][]byte) {
-	syms := e.slots.slots(e.sched.nSlots, e.t)
-	s := e.p.S
-	for i := 0; i < s; i++ {
-		clear(syms[i])
-	}
-	for i, src := range source {
-		copy(syms[s+i], src)
-	}
-	for i := s + e.p.K; i < e.sched.nSlots; i++ {
-		clear(syms[i])
-	}
+	syms := e.slots.load(e.sched.nSlots, e.t, e.p.S, source)
 	e.sched.replay(syms)
 	for c, slot := range e.sched.outSlot {
 		e.c[c] = syms[slot]
@@ -220,6 +194,9 @@ func (e *Encoder) ltIndices(esi uint32) []int32 {
 	idx, ok := e.ltRepair[esi]
 	if !ok {
 		idx = e.p.LTIndices(esi)
+		if e.ltRepair == nil {
+			e.ltRepair = make(map[uint32][]int32) // first repair symbol of this K
+		}
 		if len(e.ltRepair) < ltRepairCacheCap {
 			e.ltRepair[esi] = idx
 		}

@@ -121,37 +121,28 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzSchedCache hammers the decode-schedule cache with a tiny
-// capacity so eviction and re-recording churn constantly: a reused
-// decoder with an injected 1-3 entry cache decodes a stream of
-// mask-derived loss patterns, and every successful decode must still
-// reproduce the source exactly while the cache never exceeds its
-// capacity. This is the satellite fuzz target for the factorization-
-// cache layer; the name is distinct from FuzzDecode so `go test
-// -fuzz=FuzzDecode` keeps selecting exactly one target.
-func FuzzSchedCache(f *testing.F) {
-	f.Add(uint8(4), uint8(0), int64(1), []byte{0x01, 0x02, 0x03})
-	f.Add(uint8(9), uint8(1), int64(2), []byte{0xff, 0x00, 0xff, 0x00})
-	f.Add(uint8(15), uint8(2), int64(3), []byte{0x10, 0x20, 0x30, 0x40, 0x50})
-	f.Add(uint8(7), uint8(0), int64(4), bytes.Repeat([]byte{0xab}, 16))
-	f.Fuzz(func(t *testing.T, kb, capb uint8, seed int64, rounds []byte) {
-		k := 4 + int(kb)%16
-		const symSize = 8
-		cache := newDecodeSchedCache(1 + int(capb)%3)
-
-		state := uint64(seed)*0x9e3779b97f4a7c15 + 1
-		next := func() byte {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			return byte(state)
+// FuzzPlan drives the planner through a byte program on one reused
+// decoder: the first byte picks K, then every three bytes are a round —
+// which sources to drop (a bit pattern applied cyclically), how far
+// past K the repair window starts, and the overhead (0-2). Each round
+// must agree with the dense rank oracle on the verdict and decode to
+// the exact source, so scratch left behind by any earlier round (a
+// wider dense system, a longer op list, a singular abort half way
+// through) can never leak into a later plan.
+func FuzzPlan(f *testing.F) {
+	f.Add([]byte{9, 0x01, 0, 1, 0xff, 7, 0, 0x00, 3, 2})
+	f.Add([]byte{0, 0x01, 0, 0, 0x01, 1, 0, 0x01, 2, 0})
+	f.Add([]byte{31, 0x55, 200, 2, 0xaa, 0, 0, 0xf0, 13, 1, 0x0f, 99, 2})
+	f.Add([]byte{63, 0xff, 0, 0, 0xfe, 0, 1, 0x80, 255, 2, 0xff, 17, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 4 {
+			return
 		}
+		k := 1 + int(prog[0])%64
+		const symSize = 4
 		source := make([][]byte, k)
 		for i := range source {
-			source[i] = make([]byte, symSize)
-			for j := range source[i] {
-				source[i][j] = next()
-			}
+			source[i] = []byte{byte(i), byte(i >> 3), prog[0], byte(7 * i)}
 		}
 		enc, err := NewEncoder(source)
 		if err != nil {
@@ -161,48 +152,24 @@ func FuzzSchedCache(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.cache = cache
-		dec.forceFull = true // the cache serves the full-solver path
-
-		if len(rounds) > 32 {
-			rounds = rounds[:32]
+		dec.forceFull = true
+		rounds := prog[1:]
+		if len(rounds) > 3*16 {
+			rounds = rounds[:3*16]
 		}
-		for _, b := range rounds {
-			dec.Reset()
-			// Drop the source rows selected by b's bits (cyclically), and
-			// cover each drop with a repair symbol.
-			dropped := 0
+		for ; len(rounds) >= 3; rounds = rounds[3:] {
+			drop, window, overhead := rounds[0], uint32(rounds[1]), int(rounds[2])%3
+			var esis []uint32
 			for i := 0; i < k; i++ {
-				if b&(1<<(i%8)) != 0 {
-					dropped++
-					continue
-				}
-				if _, err := dec.AddSymbol(uint32(i), enc.Symbol(uint32(i))); err != nil {
-					t.Fatal(err)
+				if drop&(1<<(i%8)) == 0 {
+					esis = append(esis, uint32(i))
 				}
 			}
-			for r := 0; r < dropped+1; r++ {
-				esi := uint32(k + int(b)%5 + r) // shift the repair window too
-				if _, err := dec.AddSymbol(esi, enc.Symbol(esi)); err != nil {
-					t.Fatal(err)
-				}
+			for esi := uint32(k) + window; len(esis) < k+overhead; esi++ {
+				esis = append(esis, esi)
 			}
-			out, err := dec.Decode()
-			switch {
-			case err == nil:
-				for i := range out {
-					if !bytes.Equal(out[i], source[i]) {
-						t.Fatalf("cache churn corrupted symbol %d: got %x want %x", i, out[i], source[i])
-					}
-				}
-			case errors.Is(err, ErrSingular):
-				// Legal at +1 overhead; the next round resets anyway.
-			default:
-				t.Fatalf("Decode: unexpected error %v", err)
-			}
-			if got, max := cache.len(), cache.cap; got > max {
-				t.Fatalf("cache holds %d entries, cap %d", got, max)
-			}
+			dec.Reset()
+			checkPlanAgainstOracle(t, dec, enc, source, esis)
 		}
 	})
 }

@@ -189,6 +189,10 @@ type ObjectDecoder struct {
 	workers  int
 	readyBuf []int
 	okBuf    []bool
+	// scratch[w] is worker w's matrix-solve working memory, lent to
+	// whichever block that worker is decoding: the planner and replay
+	// slots warm up once per object, not once per block.
+	scratch []*solveScratch
 }
 
 // NewObjectDecoder creates a decoder for an object with the given
@@ -239,9 +243,14 @@ func (od *ObjectDecoder) TryDecode() bool {
 	if workers > len(ready) {
 		workers = len(ready)
 	}
-	if workers <= 1 || len(ready) < 2 {
+	for len(od.scratch) < workers {
+		od.scratch = append(od.scratch, new(solveScratch))
+	}
+	if workers <= 1 {
 		for _, i := range ready {
-			if _, err := od.blocks[i].Decode(); err == nil {
+			d := od.blocks[i]
+			d.sc = od.scratch[0]
+			if _, err := d.Decode(); err == nil {
 				od.done[i] = true
 				od.nDone++
 			}
@@ -255,7 +264,7 @@ func (od *ObjectDecoder) TryDecode() bool {
 	clear(ok)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, sc := range od.scratch[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -264,7 +273,9 @@ func (od *ObjectDecoder) TryDecode() bool {
 				if j >= len(ready) {
 					return
 				}
-				if _, err := od.blocks[ready[j]].Decode(); err == nil {
+				d := od.blocks[ready[j]]
+				d.sc = sc
+				if _, err := d.Decode(); err == nil {
 					ok[j] = true
 				}
 			}
@@ -293,7 +304,7 @@ func (od *ObjectDecoder) Object() ([]byte, error) {
 		return nil, errors.New("raptorq: object incomplete")
 	}
 	out := make([]byte, 0, od.layout.F)
-	for i, d := range od.blocks {
+	for _, d := range od.blocks {
 		src, err := d.Decode()
 		if err != nil {
 			return nil, err
@@ -301,7 +312,6 @@ func (od *ObjectDecoder) Object() ([]byte, error) {
 		for j := range src {
 			out = append(out, src[j]...)
 		}
-		_ = i
 	}
 	return out[:od.layout.F], nil
 }

@@ -167,9 +167,9 @@ var (
 )
 
 // systematicIndex finds the smallest seed j such that the precode
-// matrix for (p, j) has full rank, by running the structural part of
-// the solver with zero-length symbols. The search is deterministic, so
-// encoder and decoder derive identical parameters from K alone.
+// matrix for (p, j) has full rank, by planning its elimination (which
+// touches no symbol). The search is deterministic, so encoder and
+// decoder derive identical parameters from K alone.
 func systematicIndex(p Params) (int, error) {
 	sidxMu.Lock()
 	if j, ok := sidxCache[p.K]; ok {
@@ -192,14 +192,9 @@ func systematicIndex(p Params) (int, error) {
 
 // precodeRankOK reports whether the L x L precode constraint matrix
 // (S LDPC rows, H HDPC rows, K LT rows for ESIs 0..K-1) is invertible.
-// It runs the regular solver with zero-length symbols so only the
-// structural elimination cost is paid.
+// The planner works on structure alone, so the verdict costs no symbol
+// work; the schedule that comes with it is dropped.
 func precodeRankOK(p Params) bool {
-	s := newSolver(p.L, 0)
-	addConstraintRows(s, p)
-	for i := 0; i < p.K; i++ {
-		s.addBinaryRow(p.LTIndices(uint32(i)), nil)
-	}
-	_, err := s.solve()
+	_, err := planPrecode(p)
 	return err == nil
 }

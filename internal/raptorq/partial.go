@@ -49,8 +49,10 @@ import (
 const partialExtraRows = 8
 
 // partialMaxMissing bounds how many missing source rows the partial
-// path will take on. Beyond ~K/8 the m x m dense solve and the lane
-// replay stop being cheaper than a cached full solve; the absolute cap
+// path will take on. Against plan + replay at K=256 the m x m dense
+// solve and the lane replay break even at m = K/8 with 1 KiB symbols and
+// near m = K/5 with 128-byte ones, and lose from there on (table in
+// EXPERIMENTS.md "Cold decode: plan, prune, replay"). The absolute cap
 // bounds the lane arena for huge blocks.
 func partialMaxMissing(k int) int {
 	m := k / 8
@@ -68,20 +70,20 @@ func partialMaxMissing(k int) int {
 // Decode). Everything it touches is reused scratch: in the steady
 // state it allocates nothing.
 func (d *Decoder) decodePartial(out [][]byte, m int) error {
-	k := d.p.K
+	k, sc := d.p.K, d.sc
 	sched, err := precodeSchedule(d.p)
 	if err != nil {
 		return err
 	}
 
 	// Missing source rows, ascending.
-	miss := d.missBuf[:0]
+	miss := sc.missBuf[:0]
 	for i := 0; i < k; i++ {
 		if _, ok := d.recv[uint32(i)]; !ok {
 			miss = append(miss, uint32(i))
 		}
 	}
-	d.missBuf = miss
+	sc.missBuf = miss
 
 	// Repair rows: the sorted received set's tail (every ESI >= K).
 	esis := d.sortedESIs()
@@ -99,7 +101,7 @@ func (d *Decoder) decodePartial(out [][]byte, m int) error {
 	// Lane replay: unit byte-lanes in the missing rows expose the
 	// GF(256) coefficient of every intermediate on every missing
 	// source.
-	lanes := d.lanes.slots(nSlots, m)
+	lanes := sc.lanes.slots(nSlots, m)
 	for i := range lanes {
 		clear(lanes[i])
 	}
@@ -110,37 +112,29 @@ func (d *Decoder) decodePartial(out [][]byte, m int) error {
 
 	// Base replay: the known part C0 of every intermediate, from the
 	// received sources with zeros in the missing rows.
-	base := d.slots.slots(nSlots, d.t)
-	for i := 0; i < s; i++ {
-		clear(base[i])
-	}
+	rows := sc.rowBuf[:0]
 	for i := 0; i < k; i++ {
-		if sym, ok := d.recv[uint32(i)]; ok {
-			copy(base[s+i], sym)
-		} else {
-			clear(base[s+i])
-		}
+		rows = append(rows, d.recv[uint32(i)])
 	}
-	for i := s + k; i < nSlots; i++ {
-		clear(base[i])
-	}
+	sc.rowBuf = rows
+	base := sc.slots.load(nSlots, d.t, s, rows)
 	sched.replay(base)
 
 	// Assemble the reduced r x m system.
 	r := len(repairs)
-	if cap(d.coefBuf) < r*m {
-		d.coefBuf = make([]byte, r*m)
+	if cap(sc.coefBuf) < r*m {
+		sc.coefBuf = make([]byte, r*m)
 	}
-	d.coefBuf = d.coefBuf[:r*m]
+	sc.coefBuf = sc.coefBuf[:r*m]
 	if cap(d.rhsBuf) < r*d.t {
 		d.rhsBuf = make([]byte, r*d.t)
 	}
 	d.rhsBuf = d.rhsBuf[:r*d.t]
-	eq := d.eqRows[:0]
-	eqSym := d.eqSymRows[:0]
-	scratch := d.ltScratch
+	eq := sc.eqRows[:0]
+	eqSym := sc.eqSymRows[:0]
+	scratch := sc.ltScratch
 	for i, esi := range repairs {
-		coef := d.coefBuf[i*m : (i+1)*m : (i+1)*m]
+		coef := sc.coefBuf[i*m : (i+1)*m : (i+1)*m]
 		clear(coef)
 		rhs := d.rhsBuf[i*d.t : (i+1)*d.t : (i+1)*d.t]
 		copy(rhs, d.recv[esi])
@@ -153,13 +147,13 @@ func (d *Decoder) decodePartial(out [][]byte, m int) error {
 		eq = append(eq, coef)
 		eqSym = append(eqSym, rhs)
 	}
-	d.ltScratch = scratch
-	d.eqRows, d.eqSymRows = eq, eqSym
+	sc.ltScratch = scratch
+	sc.eqRows, sc.eqSymRows = eq, eqSym
 
-	if cap(d.rowOfCol) < m {
-		d.rowOfCol = make([]int, m)
+	if cap(sc.rowOfCol) < m {
+		sc.rowOfCol = make([]int, m)
 	}
-	rowOfCol := d.rowOfCol[:m]
+	rowOfCol := sc.rowOfCol[:m]
 	if err := gaussJordanScratch(eq, eqSym, m, rowOfCol); err != nil {
 		return err
 	}

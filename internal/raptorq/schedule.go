@@ -1,26 +1,28 @@
 package raptorq
 
 import (
+	"bytes"
 	"sync"
 
 	"polyraptor/internal/gf256"
 )
 
-// Recorded elimination schedules: the structural part of a solve
-// (pivot selection, inactivation, the dense Gauss-Jordan) depends only
-// on which rows are present, never on the symbol bytes. The solver can
-// therefore run once in recording mode and emit the exact sequence of
-// GF(256) row operations it performed; replaying that sequence over a
-// fresh set of right-hand-side symbols reproduces the solve
-// byte-for-byte at pure-kernel speed, with zero allocation and zero
-// structural work. This is the factorization cache the codec pipeline
-// is built on:
+// Elimination schedules: the structural part of a solve (pivot
+// selection, inactivation, the dense Gauss-Jordan) depends only on
+// which rows are present, never on the symbol bytes. The planner
+// (solver.go) therefore works on structure alone and emits the exact
+// sequence of GF(256) row operations that solves the system; replaying
+// that sequence over a set of right-hand-side symbols performs the
+// solve at pure-kernel speed, with zero allocation and zero structural
+// work. Every matrix solve in the codec is plan, prune, replay:
 //
-//   - the encoder's precode system depends only on K, so one recorded
-//     schedule per K serves every encode (precodeCache);
-//   - a decoder's system depends on (K, received-ESI set), so repeated
-//     loss patterns reuse a bounded cache of schedules
-//     (decodeSchedCache);
+//   - the encoder's precode system depends only on K, so one schedule
+//     per K serves every encode (precodeCache);
+//   - a decoder's system depends on (K, received-ESI set), and on a
+//     lossy fabric that set is new on every block, so a full decode
+//     plans afresh each time — on planner scratch its Decoder (or its
+//     ObjectDecoder worker) owns, at a fraction of the replay's cost —
+//     and nothing is cached;
 //   - the partial-systematic decode path replays the precode schedule
 //     twice (once over byte lanes, once over the received sources) to
 //     reduce the whole decode to an m x m system over the missing rows.
@@ -41,10 +43,10 @@ const (
 
 // schedule is a replayable elimination: ops over nSlots row slots,
 // and outSlot mapping each intermediate column to the slot that holds
-// its value after replay. Slot layout follows the recording solver:
-// binary row r is slot r, dense row j is slot (number of binary
-// rows)+j. A schedule is immutable after prune and safe for concurrent
-// replay over distinct slot sets.
+// its value after replay. Slot layout follows the planner: binary row
+// r is slot r, HDPC row j is slot (number of binary rows)+j, then the
+// Horner scratch slot. A schedule is immutable after prune and safe
+// for concurrent replay over distinct slot sets.
 type schedule struct {
 	nSlots  int
 	ops     []schedOp
@@ -70,29 +72,32 @@ func (sc *schedule) replay(syms [][]byte) {
 	}
 }
 
+// opDead marks an operation prune found useless, until it compacts.
+const opDead uint8 = 0xff
+
 // prune drops operations that cannot influence any output slot: a
-// backward liveness pass seeded from outSlot. The big win is the dense
-// HDPC substitution — every HDPC row absorbs one MulAddRow per pivot
-// during recording, but only the handful of HDPC rows that end up as
-// Gauss-Jordan pivots ever reach an output, so the rest of that work
-// vanishes from the replay.
-func (sc *schedule) prune() {
-	live := make([]bool, sc.nSlots)
+// backward liveness pass seeded from outSlot, over the caller's
+// nSlots-wide scratch. Every elimination is logged while planning,
+// whether or not its row ever becomes a pivot or a Gauss-Jordan row —
+// the HDPC rows absorb the whole Horner chain but only a handful reach
+// an output — so this is where that work vanishes from the replay.
+//
+//polyvet:noalloc plan phase over reused scratch
+func (sc *schedule) prune(live []bool) {
+	clear(live)
 	for _, s := range sc.outSlot {
 		live[s] = true
 	}
-	keep := make([]bool, len(sc.ops))
 	for i := len(sc.ops) - 1; i >= 0; i-- {
-		op := sc.ops[i]
-		if !live[op.dst] {
-			continue
+		if op := &sc.ops[i]; live[op.dst] {
+			live[op.src] = true
+		} else {
+			op.kind = opDead
 		}
-		keep[i] = true
-		live[op.src] = true
 	}
 	out := sc.ops[:0]
-	for i, op := range sc.ops {
-		if keep[i] {
+	for _, op := range sc.ops {
+		if op.kind != opDead {
 			out = append(out, op)
 		}
 	}
@@ -133,6 +138,58 @@ func (a *slotArena) grow(n, t int) {
 	a.views = make([][]byte, n)
 }
 
+// load returns n slots of width t set up as a system's right-hand
+// sides: rows (nil is a zero row) in slots first, first+1, ..., zero in
+// every other slot. Every replay starts here — the precode rows after
+// the S zero LDPC slots, a decode's received rows likewise, zeros in
+// the HDPC and scratch slots behind them.
+//
+//polyvet:noalloc steady-state replay set-up; the grow path is split out cold
+func (a *slotArena) load(n, t, first int, rows [][]byte) [][]byte {
+	if cap(a.buf) < n*t || cap(a.views) < n {
+		a.growLoaded(n, t, first, rows)
+		return a.views
+	}
+	syms := a.slots(n, t)
+	for _, sym := range syms[:first] {
+		clear(sym)
+	}
+	for i, row := range rows {
+		if row == nil {
+			clear(syms[first+i])
+		} else {
+			copy(syms[first+i], row)
+		}
+	}
+	for _, sym := range syms[first+len(rows):] {
+		clear(sym)
+	}
+	return syms
+}
+
+// growLoaded is the cold path of load: it allocates the arena already
+// holding the system. bytes.Join fills new memory in one pass, where
+// make followed by the copies above would write it twice — which shows
+// wherever encoders are built in a loop and every arena is fresh pages.
+//
+//go:noinline
+func (a *slotArena) growLoaded(n, t, first int, rows [][]byte) {
+	zero := make([]byte, t)
+	a.views = make([][]byte, n)
+	for i := range a.views {
+		a.views[i] = zero
+	}
+	for i, row := range rows {
+		if row != nil {
+			a.views[first+i] = row
+		}
+	}
+	a.buf = bytes.Join(a.views, nil)
+	for i := range a.views {
+		a.views[i] = a.buf[i*t : (i+1)*t : (i+1)*t]
+	}
+}
+
 var (
 	precodeMu sync.Mutex
 	// precodeCache holds one recorded precode elimination per K. The
@@ -143,10 +200,9 @@ var (
 	precodeCache = map[int]*schedule{}
 )
 
-// precodeSchedule returns the recorded precode elimination for p,
-// building and caching it on first use. Two goroutines racing on a
-// cold K may both build; the schedules are equivalent and either may
-// win the cache slot.
+// precodeSchedule returns the precode elimination for p, planning and
+// caching it on first use. Two goroutines racing on a cold K may both
+// plan; the schedules are equivalent and either may win the cache slot.
 func precodeSchedule(p Params) (*schedule, error) {
 	precodeMu.Lock()
 	sc := precodeCache[p.K]
@@ -154,120 +210,26 @@ func precodeSchedule(p Params) (*schedule, error) {
 	if sc != nil {
 		return sc, nil
 	}
-	s := newSolver(p.L, 0)
-	s.record = true
-	addConstraintRows(s, p)
-	var scratch []int32 // reused LT expansion; addBinaryRow copies it
-	for i := 0; i < p.K; i++ {
-		scratch = p.AppendLTIndices(scratch[:0], uint32(i))
-		s.addBinaryRow(scratch, nil)
-	}
-	if _, err := s.solve(); err != nil {
+	planned, err := planPrecode(p)
+	if err != nil {
 		// The systematic index search guarantees an invertible precode,
 		// so this is unreachable unless the cache was poisoned.
 		return nil, err
 	}
 	precodeMu.Lock()
-	precodeCache[p.K] = s.sched
+	precodeCache[p.K] = &planned
 	precodeMu.Unlock()
-	return s.sched, nil
+	return &planned, nil
 }
 
-// esiKey hashes a decode pattern (K plus the sorted received-ESI set)
-// for the schedule cache: FNV-1a over the words.
-//
-//polyvet:noalloc per-decode cache key on the decode hot path
-//polyvet:nobce single forward range walk; nothing indexes per element
-func esiKey(k int, esis []uint32) uint64 {
-	const prime = 1099511628211
-	h := uint64(1469598103934665603)
-	h ^= uint64(k)
-	h *= prime
-	for _, e := range esis {
-		h ^= uint64(e)
-		h *= prime
+// planPrecode plans the L x L precode system of p: the constraint rows
+// plus the LT rows of ESIs 0..K-1. The planner is the call's own, so
+// the returned schedule keeps its slices for good.
+func planPrecode(p Params) (schedule, error) {
+	var pl planner
+	pl.reset(p, p.K)
+	for i := 0; i < p.K; i++ {
+		pl.addESI(uint32(i))
 	}
-	return h
-}
-
-// decodeSched is one cached decode elimination: the exact pattern it
-// was recorded for (guarding against hash collisions) plus the
-// schedule. Symbol width is not part of the key — schedules are
-// structure-only and replay at any width.
-type decodeSched struct {
-	k    int
-	esis []uint32
-	s    *schedule
-}
-
-// decodeSchedCache is a bounded FIFO cache of decode schedules keyed
-// by (K, sorted ESI set). FIFO via the order slice keeps eviction
-// deterministic (no map iteration). Safe for concurrent use.
-type decodeSchedCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[uint64]*decodeSched
-	order []uint64
-}
-
-func newDecodeSchedCache(capacity int) *decodeSchedCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &decodeSchedCache{cap: capacity, m: make(map[uint64]*decodeSched, capacity)}
-}
-
-// defaultDecodeSchedCache is shared by every Decoder unless a test
-// injects its own. 64 entries of a few thousand 8-byte ops each keep
-// the bound in the low megabytes.
-var defaultDecodeSchedCache = newDecodeSchedCache(64)
-
-func equalESIs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// get returns the schedule recorded for exactly (k, esis), or nil.
-func (c *decodeSchedCache) get(k int, esis []uint32) *schedule {
-	key := esiKey(k, esis)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.m[key]
-	if e == nil || e.k != k || !equalESIs(e.esis, esis) {
-		return nil
-	}
-	return e.s
-}
-
-// put stores a schedule for (k, esis), evicting the oldest entries
-// when full. esis is copied. A hash collision overwrites the colliding
-// entry (correctness is preserved by get's exact match).
-func (c *decodeSchedCache) put(k int, esis []uint32, s *schedule) {
-	key := esiKey(k, esis)
-	cp := make([]uint32, len(esis))
-	copy(cp, esis)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.m[key]; !exists {
-		for len(c.m) >= c.cap && len(c.order) > 0 {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-		c.order = append(c.order, key)
-	}
-	c.m[key] = &decodeSched{k: k, esis: cp, s: s}
-}
-
-// len reports the current entry count (for tests).
-func (c *decodeSchedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	return pl.plan()
 }

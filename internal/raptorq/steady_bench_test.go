@@ -1,6 +1,7 @@
 package raptorq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,3 +91,104 @@ func benchDecode(b *testing.B, keep float64) {
 func BenchmarkDecodeSystematic(b *testing.B) { benchDecode(b, 1.01) }
 func BenchmarkDecode5pctLoss(b *testing.B)   { benchDecode(b, 0.95) }
 func BenchmarkDecode30pctLoss(b *testing.B)  { benchDecode(b, 0.70) }
+
+// BenchmarkDecodeCold30pct is the case the network actually produces:
+// one reused decoder, but a loss mask nobody has seen before on every
+// block, so each op pays plan + prune + replay. Symbols come from a
+// pregenerated pool; only the choice of survivors is drawn per op.
+func BenchmarkDecodeCold30pct(b *testing.B) {
+	const k, t = 256, 1024
+	enc, err := NewEncoder(benchSource(k, t))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := make([][]byte, 2*k)
+	for i := range pool {
+		pool[i] = enc.Symbol(uint32(i))
+	}
+	dec, err := NewDecoder(k, t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	run := func() {
+		dec.Reset()
+		n := 0
+		for i := 0; i < k; i++ {
+			if rng.Float64() < 0.70 {
+				dec.AddSymbol(uint32(i), pool[i])
+				n++
+			}
+		}
+		for esi := k; n < k+2; esi++ {
+			dec.AddSymbol(uint32(esi), pool[esi])
+			n++
+		}
+		for esi := 2 * k; ; esi++ {
+			if _, err := dec.Decode(); err == nil {
+				return
+			}
+			dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi))) // singular at K+2: rare
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	b.SetBytes(int64(k * t))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkPartialVsFull times the two matrix paths on the same
+// blocks — m missing sources out of K=256, K+2 symbols held, a fresh
+// choice of the m per op — to place the partialMaxMissing crossover
+// (EXPERIMENTS.md "Cold decode: plan, prune, replay").
+func BenchmarkPartialVsFull(b *testing.B) {
+	const k, t = 256, 1024
+	enc, err := NewEncoder(benchSource(k, t))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := make([][]byte, 2*k)
+	for i := range pool {
+		pool[i] = enc.Symbol(uint32(i))
+	}
+	for _, m := range []int{1, 4, 8, 16, 32, 64} {
+		for _, path := range []string{"partial", "full"} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, path), func(b *testing.B) {
+				dec, err := NewDecoder(k, t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dec.forcePartial, dec.forceFull = path == "partial", path == "full"
+				rng := rand.New(rand.NewSource(int64(m)))
+				gone := make([]bool, k)
+				run := func() {
+					clear(gone)
+					for _, i := range rng.Perm(k)[:m] {
+						gone[i] = true
+					}
+					dec.Reset()
+					for i := 0; i < k; i++ {
+						if !gone[i] {
+							dec.AddSymbol(uint32(i), pool[i])
+						}
+					}
+					for esi := k; esi < k+m+2; esi++ {
+						dec.AddSymbol(uint32(esi), pool[esi])
+					}
+					dec.Decode() // a singular draw costs the same solve
+				}
+				run()
+				b.SetBytes(k * t)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		}
+	}
+}
