@@ -80,6 +80,9 @@ type Case struct {
 	// Metrics, when set, is called after the run to attach
 	// benchmark-specific outputs.
 	Metrics func() map[string]float64
+	// Close, when set, releases what Fn opened (sockets, goroutines)
+	// once the case has been measured.
+	Close func()
 }
 
 // Options configures a suite run.
@@ -114,6 +117,9 @@ func Run(opts Options) Report {
 	start := time.Now()
 	for _, c := range Suite(opts.Quick) {
 		res := runCase(c, opts.budget())
+		if c.Close != nil {
+			c.Close()
+		}
 		rep.Results = append(rep.Results, res)
 		if opts.Progress != nil {
 			fmt.Fprintf(opts.Progress, "%-34s %12.1f ns/op %10.0f allocs/op%s\n",

@@ -1,8 +1,11 @@
 package perfbench
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"time"
 
 	"polyraptor/internal/chaos"
@@ -10,6 +13,7 @@ import (
 	"polyraptor/internal/harness"
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/raptorq"
+	"polyraptor/internal/rqudp"
 	"polyraptor/internal/sim"
 	"polyraptor/internal/store"
 	"polyraptor/internal/telemetry"
@@ -29,6 +33,7 @@ func Suite(quick bool) []Case {
 	cases = append(cases, telemetryCases()...)
 	cases = append(cases, metricsCases()...)
 	cases = append(cases, e2eCases(quick)...)
+	cases = append(cases, udpFetchCase(quick))
 	return cases
 }
 
@@ -578,6 +583,87 @@ func e2eCases(quick bool) []Case {
 		},
 	}
 	return []Case{fig1a, incast, shuffle, chaosCase}
+}
+
+// udpFetchCase is the real transport end to end, and PolyBench's
+// udp_fetch operation: one multi-source fetch of a 1 MiB object from two
+// servers over loopback UDP (default transport config, one codec
+// worker, one fetcher socket reused across fetches), byte-compared.
+// ns/op is a fetch, MB/s is object bytes, and allocs/op — the servers'
+// included — is locked in ALLOC_BUDGET.json. The sockets open on the
+// first run, because Suite is also called just to list names, and
+// Close releases them.
+func udpFetchCase(quick bool) Case {
+	size, name := 1<<20, "1MiB"
+	if quick {
+		size, name = 256<<10, "256KiB"
+	}
+	cfg := rqudp.DefaultConfig()
+	cfg.Workers = 1
+	var (
+		object  []byte
+		servers []*rqudp.Server
+		remotes []net.Addr
+		conn    net.PacketConn
+		flow    uint32
+		total   rqudp.FetchStats
+	)
+	listen := func() net.PacketConn {
+		c, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
+	start := func() {
+		object = make([]byte, size)
+		rand.New(rand.NewSource(23)).Read(object)
+		for i := 0; i < 2; i++ {
+			srv, err := rqudp.NewServer(listen(), object, cfg)
+			if err != nil {
+				panic(err)
+			}
+			go func() { _ = srv.Serve() }()
+			servers = append(servers, srv)
+			remotes = append(remotes, srv.Addr())
+		}
+		conn = listen()
+	}
+	return Case{
+		Name:       "e2e/UDPFetch2x" + name,
+		BytesPerOp: int64(size),
+		Fn: func(n int) {
+			if conn == nil {
+				start()
+			}
+			total = rqudp.FetchStats{}
+			for i := 0; i < n; i++ {
+				flow++
+				got, st, err := rqudp.FetchMultiSourceStats(context.Background(), conn, remotes, flow, cfg)
+				if err != nil || !bytes.Equal(got, object) {
+					panic(fmt.Sprintf("perfbench: loopback fetch %d failed: %v", flow, err))
+				}
+				total.Symbols += st.Symbols
+				total.Datagrams += st.Datagrams
+				total.ReadCalls += st.ReadCalls
+				total.PullsSent += st.PullsSent
+			}
+		},
+		Metrics: func() map[string]float64 {
+			return map[string]float64{
+				"datagrams_per_read": float64(total.Datagrams) / float64(total.ReadCalls),
+				"pulls_per_symbol":   float64(total.PullsSent) / float64(total.Symbols),
+			}
+		},
+		Close: func() {
+			for _, srv := range servers {
+				srv.Close()
+			}
+			if conn != nil {
+				conn.Close()
+			}
+		},
+	}
 }
 
 func mean(xs []float64) float64 {

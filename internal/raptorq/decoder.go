@@ -143,13 +143,20 @@ func (d *Decoder) K() int { return d.p.K }
 func (d *Decoder) SymbolSize() int { return d.t }
 
 // AddSymbol stores encoding symbol esi. It returns true if the symbol
-// was new (not a duplicate). The data is copied.
+// was new (not a duplicate). The data is copied — unless the block is
+// already decoded: then only the ESI is remembered, so that a replay
+// still reads as a duplicate, and the payload, which nothing will use,
+// takes no intake memory.
 func (d *Decoder) AddSymbol(esi uint32, data []byte) (bool, error) {
 	if len(data) != d.t {
 		return false, fmt.Errorf("raptorq: symbol size %d, want %d", len(data), d.t)
 	}
 	if _, dup := d.recv[esi]; dup {
 		return false, nil
+	}
+	if d.decoded != nil {
+		d.recv[esi] = nil
+		return true, nil
 	}
 	d.recv[esi] = d.storeSym(data)
 	if int(esi) < d.p.K {

@@ -297,6 +297,12 @@ func (od *ObjectDecoder) Complete() bool { return od.nDone == len(od.blocks) }
 // BlockComplete reports whether block sbn has been decoded.
 func (od *ObjectDecoder) BlockComplete(sbn int) bool { return od.done[sbn] }
 
+// BlockReady reports whether TryDecode has work on block sbn: it holds
+// at least K symbols and has not been decoded.
+func (od *ObjectDecoder) BlockReady(sbn int) bool {
+	return !od.done[sbn] && od.blocks[sbn].Ready()
+}
+
 // Object returns the reassembled object with padding stripped. It
 // errors if any block is still undecoded.
 func (od *ObjectDecoder) Object() ([]byte, error) {

@@ -3,6 +3,7 @@ package raptorq
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -124,5 +125,73 @@ func TestObjectIncompleteErrors(t *testing.T) {
 	dec, _ := NewObjectDecoder(enc.Layout())
 	if _, err := dec.Object(); err == nil {
 		t.Fatal("Object() on incomplete decoder succeeded")
+	}
+}
+
+// Symbols that arrive for a block already decoded — in a multi-source
+// fetch, the faster sender's round-robin repair symbols mostly do — are
+// still told apart as new or duplicate, but take no intake memory: they
+// used to overflow the block's first chunk and allocate one of twice the
+// size for nothing.
+func TestSymbolsAfterDecodeTakeNoMemory(t *testing.T) {
+	const k, symSize, late = 256, 64, 64
+	src := randSymbols(rand.New(rand.NewSource(3)), k, symSize)
+	enc, err := NewEncoder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// K+2 symbols, two of them repair: a real (partial) decode.
+	dec, err := NewDecoder(k, symSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for esi := uint32(2); esi < k+4; esi++ {
+		if fresh, err := dec.AddSymbol(esi, enc.Symbol(esi)); err != nil || !fresh {
+			t.Fatalf("esi %d: fresh=%v err=%v", esi, fresh, err)
+		}
+	}
+	want, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bytes.Equal(want[i], src[i]) {
+			t.Fatalf("source symbol %d wrong before the late arrivals", i)
+		}
+	}
+	lateSyms := make([][]byte, late)
+	for i := range lateSyms {
+		lateSyms[i] = enc.Symbol(uint32(k + 4 + i))
+	}
+	var st0, st1 runtime.MemStats
+	runtime.ReadMemStats(&st0)
+	for i, sym := range lateSyms {
+		if fresh, err := dec.AddSymbol(uint32(k+4+i), sym); err != nil || !fresh {
+			t.Fatalf("late esi %d: fresh=%v err=%v", k+4+i, fresh, err)
+		}
+	}
+	runtime.ReadMemStats(&st1)
+	if n := st1.Mallocs - st0.Mallocs; n != 0 {
+		t.Fatalf("%d late symbols made %d allocations (%d bytes)", late, n, st1.TotalAlloc-st0.TotalAlloc)
+	}
+	for i, sym := range lateSyms {
+		if fresh, _ := dec.AddSymbol(uint32(k+4+i), sym); fresh {
+			t.Fatalf("replayed late esi %d read as new", k+4+i)
+		}
+	}
+	if fresh, _ := dec.AddSymbol(0, src[0]); !fresh {
+		t.Fatal("a source symbol never received read as a duplicate")
+	}
+	if _, err := dec.AddSymbol(1, src[1][:symSize-1]); err == nil {
+		t.Fatal("a short symbol was accepted after decode")
+	}
+	got, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], src[i]) {
+			t.Fatalf("source symbol %d changed after the late arrivals", i)
+		}
 	}
 }

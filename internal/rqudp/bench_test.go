@@ -1,0 +1,65 @@
+package rqudp
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"testing"
+)
+
+// BenchmarkFetch2x1MiB is PolyBench's udp_fetch operation: one 1 MiB
+// multi-source fetch from two servers over loopback on a reused
+// socket. Beside ns and allocs per fetch it reports the counters the
+// socket path is judged by: datagrams per read and pulls per symbol.
+func BenchmarkFetch2x1MiB(b *testing.B) {
+	obj := make([]byte, 1<<20)
+	for i := range obj {
+		obj[i] = byte(i * 7)
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	var remotes []net.Addr
+	for i := 0; i < 2; i++ {
+		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := NewServer(conn, obj, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		go func() { _ = srv.Serve() }()
+		defer srv.Close()
+		remotes = append(remotes, srv.Addr())
+	}
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+
+	var total FetchStats
+	b.SetBytes(int64(len(obj)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, st, err := FetchMultiSourceStats(context.Background(), conn, remotes, uint32(i+1), cfg)
+		if err != nil || !bytes.Equal(got, obj) {
+			b.Fatalf("fetch %d: %v", i, err)
+		}
+		total.Symbols += st.Symbols
+		total.Duplicates += st.Duplicates
+		total.Retries += st.Retries
+		total.ReadCalls += st.ReadCalls
+		total.Datagrams += st.Datagrams
+		total.PullsSent += st.PullsSent
+		total.SendErrors += st.SendErrors
+	}
+	b.StopTimer()
+	if total.Duplicates+total.Retries+total.SendErrors != 0 {
+		b.Fatalf("loopback fetch was not clean: %+v", total)
+	}
+	b.ReportMetric(float64(total.Symbols)/float64(b.N), "symbols/fetch")
+	b.ReportMetric(float64(total.Datagrams)/float64(total.ReadCalls), "datagrams/read")
+	b.ReportMetric(float64(total.PullsSent)/float64(total.Symbols), "pulls/symbol")
+}

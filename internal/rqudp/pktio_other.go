@@ -1,0 +1,17 @@
+//go:build !(linux && (amd64 || arm64))
+
+package rqudp
+
+import "net"
+
+// mmsgReader is the batched socket reader; this platform has none, so
+// every pktIO reads through ReadFrom.
+type mmsgReader struct{}
+
+func newMmsgReader(*net.UDPConn) *mmsgReader { return nil }
+
+func (*mmsgReader) bind([]byte, int) {}
+
+func (*mmsgReader) recv(*[drainMax]datagram) (int, error) {
+	panic("rqudp: no batched reader on this platform")
+}

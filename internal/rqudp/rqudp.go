@@ -11,9 +11,16 @@
 //	   |                                  |    fix the ESI partition)
 //	   | <-- Announce{F, T, maxK} ------  |
 //	   | <-- Data x InitWindow ---------  |   (source symbols first)
-//	   | -- Pull{credits} ------------->  |   (one per arrival)
-//	   | <-- Data ... ------------------  |
+//	   | -- Pull{credits: n} ---------->  |   (one per drain: n fresh
+//	   | <-- Data x n ------------------  |    arrivals from this sender)
 //	   | -- Done ---------------------->  |
+//
+// Both sides read the socket in drains: block until a datagram is
+// there, take everything already queued (pktIO), then answer. The
+// receiver credits every fresh arrival exactly once, before it blocks
+// again — n is 1 when arrivals are spaced out and grows only when the
+// receiver is the slower side — and the sender sums the credits a drain
+// brought for each session before it emits.
 //
 // Lost symbols are never re-requested: a pull elicits the next fresh
 // symbol, which contributes equally to decoding. Multi-source fetches
@@ -24,9 +31,11 @@ package rqudp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"polyraptor/internal/raptorq"
@@ -71,8 +80,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSymbolSize keeps a Data packet inside one UDP datagram.
+const maxSymbolSize = 60000
+
 func (c Config) validate() error {
-	if c.SymbolSize <= 0 || c.SymbolSize > 60000 {
+	if c.SymbolSize <= 0 || c.SymbolSize > maxSymbolSize {
 		return fmt.Errorf("rqudp: SymbolSize %d out of range", c.SymbolSize)
 	}
 	if c.MaxBlockK <= 0 || c.MaxBlockK > raptorq.MaxK {
@@ -90,6 +102,26 @@ func (c Config) validate() error {
 	return nil
 }
 
+// Server-side limits. None is configurable: they bound what a peer can
+// make the server hold or send, not how a transfer performs.
+const (
+	// ctlMax is the longest packet a server accepts. Receivers send only
+	// Hello, Pull and Done, all under 16 bytes.
+	ctlMax = 64
+	// maxPullCredits caps the symbols one session is sent per drain,
+	// whatever its pulls asked for.
+	maxPullCredits = 1024
+	// maxSessions bounds the session table against a Hello flood.
+	maxSessions = 1024
+	// sessionIdle is how long a session outlives its last packet: the
+	// cleanup for a Done that was lost.
+	sessionIdle = time.Minute
+	sweepEvery  = sessionIdle / 4
+	// serveWake is how long Serve sleeps on an idle socket before it
+	// looks at the clock again.
+	serveWake = 200 * time.Millisecond
+)
+
 // Server serves one object to any number of receivers over a packet
 // connection. Create it with NewServer, run Serve in a goroutine, and
 // Close to stop.
@@ -98,22 +130,37 @@ type Server struct {
 	cfg  Config
 	enc  *raptorq.ObjectEncoder
 
-	sessions map[string]*serveSession
-	closed   chan struct{}
+	closed chan struct{}
+	now    func() time.Time // the clock; tests replace it
 
-	// pkt and sym are reusable scratch buffers for outgoing Data
-	// packets; send appends into them instead of allocating per symbol.
-	// They are touched only by the Serve goroutine.
+	// Everything from here to the counters is touched only by the Serve
+	// goroutine, so no locking is needed.
+	io        *pktIO
+	sessions  map[sessionKey]*serveSession
+	credited  []*serveSession // sessions this drain's pulls gave credits
+	lastSweep time.Time
+
+	// pkt, sym and ctl are reusable scratch buffers for outgoing
+	// packets; replies append into them instead of allocating.
 	pkt []byte
 	sym []byte
+	ctl []byte
+
+	readCalls, datagrams, pullsReceived, sendErrors atomic.Int64
 }
 
-// serveSession tracks one receiver's cursors. Sessions are touched
-// only by the Serve goroutine, so no locking is needed.
+// sessionKey identifies a session: the receiver's address and its flow.
+type sessionKey struct {
+	peer netip.AddrPort
+	flow uint32
+}
+
+// serveSession tracks one receiver's cursors.
 type serveSession struct {
-	hello      wire.Hello
+	key        sessionKey
 	cursors    []senderCursor
 	rrBlock    int // round-robin block pointer for repair symbols
+	credits    int // symbols owed for the pulls of the current drain
 	lastActive time.Time
 }
 
@@ -141,9 +188,10 @@ func NewServer(conn net.PacketConn, object []byte, cfg Config) (*Server, error) 
 		conn:     conn,
 		cfg:      cfg,
 		enc:      enc,
-		sessions: make(map[string]*serveSession),
+		sessions: make(map[sessionKey]*serveSession),
 		closed:   make(chan struct{}),
-		pkt:      make([]byte, 0, cfg.SymbolSize+32),
+		now:      time.Now,
+		pkt:      make([]byte, 0, cfg.SymbolSize+wire.DataOverhead),
 		sym:      make([]byte, 0, cfg.SymbolSize),
 	}, nil
 }
@@ -161,29 +209,42 @@ func (s *Server) Close() error {
 	return s.conn.Close()
 }
 
+// ServerStats counts a server's socket I/O since NewServer.
+type ServerStats struct {
+	// ReadCalls is the number of socket reads that returned datagrams
+	// and Datagrams how many they returned: Datagrams/ReadCalls is the
+	// mean drain.
+	ReadCalls, Datagrams int
+	// PullsReceived counts valid Pull packets for known sessions.
+	PullsReceived int
+	// SendErrors counts packets the socket refused to send.
+	SendErrors int
+}
+
+// Stats returns a snapshot of the counters; it may be called while
+// Serve runs.
+func (s *Server) Stats() ServerStats {
+	return ServerStats{
+		ReadCalls:     int(s.readCalls.Load()),
+		Datagrams:     int(s.datagrams.Load()),
+		PullsReceived: int(s.pullsReceived.Load()),
+		SendErrors:    int(s.sendErrors.Load()),
+	}
+}
+
 // Serve processes packets until Close. It is single-goroutine by
 // design: the encoder is immutable after construction and sessions are
 // private to this loop.
 func (s *Server) Serve() error {
-	buf := make([]byte, 65536)
-	lastSweep := time.Now()
+	s.io = newPktIO(s.conn, ctlMax)
+	s.lastSweep = s.now()
 	for {
 		select {
 		case <-s.closed:
 			return nil
 		default:
 		}
-		_ = s.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, from, err := s.conn.ReadFrom(buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if time.Since(lastSweep) > time.Minute {
-					s.sweep()
-					lastSweep = time.Now()
-				}
-				continue
-			}
+		if err := s.step(); err != nil {
 			select {
 			case <-s.closed:
 				return nil
@@ -191,77 +252,125 @@ func (s *Server) Serve() error {
 				return err
 			}
 		}
-		s.handle(buf[:n], from)
 	}
 }
 
-// sweep drops sessions idle for over a minute (lost Done messages).
-func (s *Server) sweep() {
-	cutoff := time.Now().Add(-time.Minute)
+// step is one wake-up of Serve: take what the socket has queued, handle
+// each datagram, then answer each session's pulls with one burst. It
+// also expires idle sessions, by the clock rather than on an idle
+// socket, which a busy server never has.
+func (s *Server) step() error {
+	n, err := s.io.read(serveWake)
+	if err != nil && !isTimeout(err) {
+		return err
+	}
+	now := s.now()
+	if now.Sub(s.lastSweep) >= sweepEvery {
+		s.sweep(now)
+	}
+	if n == 0 {
+		return nil
+	}
+	s.readCalls.Add(1)
+	s.datagrams.Add(int64(n))
+	for i := 0; i < n; i++ {
+		if d := s.io.pkt(i); d.data != nil {
+			s.handle(d.data, d.from, now)
+		}
+	}
+	for i, sess := range s.credited {
+		credits := min(sess.credits, maxPullCredits)
+		sess.credits = 0
+		for ; credits > 0; credits-- {
+			s.emit(sess)
+		}
+		s.credited[i] = nil
+	}
+	s.credited = s.credited[:0]
+	// A server whose pulls keep coming never blocks, and the runtime
+	// preempts a goroutine only after 10 ms: yield after each burst so
+	// that whatever shares the process — other servers, the receiver —
+	// is not starved for a whole transfer.
+	runtime.Gosched()
+	return nil
+}
+
+// sweep drops sessions idle for longer than sessionIdle (lost Done
+// messages).
+func (s *Server) sweep(now time.Time) {
+	s.lastSweep = now
 	for k, sess := range s.sessions {
-		if sess.lastActive.Before(cutoff) {
+		if now.Sub(sess.lastActive) > sessionIdle {
 			delete(s.sessions, k)
 		}
 	}
 }
 
-func (s *Server) handle(pkt []byte, from net.Addr) {
+// handle processes one datagram. A Hello is answered at once; a Pull
+// only adds to its session's credits, which step pays out.
+//
+//polyvet:noalloc per-datagram receive path; replies go into the server's scratch buffers and only a new session allocates, in newSession
+func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 	hdr, body, err := wire.ParseHeader(pkt)
 	if err != nil {
 		return // not ours; drop
 	}
-	key := fmt.Sprintf("%s|%d", from.String(), hdr.Flow)
+	key := sessionKey{peer: from, flow: hdr.Flow}
 	switch hdr.Type {
 	case wire.MsgHello:
 		hello, err := wire.ParseHello(hdr.Flow, body)
 		if err != nil {
 			return
 		}
-		sess, ok := s.sessions[key]
-		if !ok {
-			sess = s.newSession(hello)
+		sess := s.sessions[key]
+		if sess == nil {
+			if len(s.sessions) >= maxSessions {
+				return // table full: the receiver's stall guard says Hello again
+			}
+			sess = s.newSession(key, hello)
 			s.sessions[key] = sess
 		}
-		sess.lastActive = time.Now()
+		sess.lastActive = now
 		layout := s.enc.Layout()
-		out := wire.AppendAnnounce(nil, wire.Announce{
+		s.ctl = wire.AppendAnnounce(s.ctl[:0], wire.Announce{
 			Flow:       hdr.Flow,
 			ObjectSize: uint64(layout.F),
 			SymbolSize: uint32(layout.T),
 			MaxK:       uint32(s.cfg.MaxBlockK),
 		})
-		_, _ = s.conn.WriteTo(out, from)
+		s.send(s.ctl, from)
 		// Initial window (fresh symbols even on Hello retry: with a
 		// rateless code anything we send is useful).
 		for i := 0; i < s.cfg.InitWindow; i++ {
-			s.emit(sess, hdr.Flow, from)
+			s.emit(sess)
 		}
 	case wire.MsgPull:
 		pull, err := wire.ParsePull(hdr.Flow, body)
 		if err != nil {
 			return
 		}
-		sess, ok := s.sessions[key]
-		if !ok {
+		sess := s.sessions[key]
+		if sess == nil {
 			return // unknown session: receiver must re-Hello
 		}
-		sess.lastActive = time.Now()
-		credits := int(pull.Credits)
-		if credits > 1024 {
-			credits = 1024 // cap malicious/corrupt credit counts
+		s.pullsReceived.Add(1)
+		sess.lastActive = now
+		if sess.credits == 0 {
+			s.credited = append(s.credited, sess)
 		}
-		for i := 0; i < credits; i++ {
-			s.emit(sess, hdr.Flow, from)
-		}
+		sess.credits += int(pull.Credits)
 	case wire.MsgDone:
-		delete(s.sessions, key)
+		if sess := s.sessions[key]; sess != nil {
+			sess.credits = 0 // it may be on the credited list already
+			delete(s.sessions, key)
+		}
 	}
 }
 
 // newSession builds the per-block cursors for one receiver.
-func (s *Server) newSession(h wire.Hello) *serveSession {
+func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 	layout := s.enc.Layout()
-	sess := &serveSession{hello: h}
+	sess := &serveSession{key: key}
 	n := int64(h.SenderCount)
 	idx := int64(h.SenderIdx)
 	for _, k := range layout.K {
@@ -288,14 +397,14 @@ func (s *Server) newSession(h wire.Hello) *serveSession {
 // emit sends the session's next symbol: source symbols of the
 // partition block by block, then repair symbols round-robin across
 // blocks.
-func (s *Server) emit(sess *serveSession, flow uint32, to net.Addr) {
+func (s *Server) emit(sess *serveSession) {
 	// Source phase.
 	for b := range sess.cursors {
 		cur := &sess.cursors[b]
 		if cur.srcNext < cur.srcEnd {
 			esi := cur.srcNext
 			cur.srcNext++
-			s.send(flow, b, uint32(esi), to)
+			s.sendSymbol(sess.key, b, uint32(esi))
 			return
 		}
 	}
@@ -305,19 +414,26 @@ func (s *Server) emit(sess *serveSession, flow uint32, to net.Addr) {
 	cur := &sess.cursors[b]
 	esi := cur.repairNext
 	cur.repairNext += cur.stride
-	s.send(flow, b, uint32(esi), to)
+	s.sendSymbol(sess.key, b, uint32(esi))
 }
 
 //polyvet:noalloc per-datagram fast path; symbol and packet buffers are reused across sends
-func (s *Server) send(flow uint32, sbn int, esi uint32, to net.Addr) {
+func (s *Server) sendSymbol(to sessionKey, sbn int, esi uint32) {
 	s.sym = s.enc.Block(sbn).AppendSymbol(s.sym[:0], esi)
 	s.pkt = wire.AppendData(s.pkt[:0], wire.Data{
-		Flow:    flow,
+		Flow:    to.flow,
 		SBN:     uint32(sbn),
 		ESI:     esi,
 		Payload: s.sym,
 	})
-	_, _ = s.conn.WriteTo(s.pkt, to)
+	s.send(s.pkt, to.peer)
+}
+
+// send writes one packet and counts a refusal.
+func (s *Server) send(pkt []byte, to netip.AddrPort) {
+	if err := s.io.send(pkt, to); err != nil {
+		s.sendErrors.Add(1)
+	}
 }
 
 // FetchStats reports what happened during a fetch.
@@ -336,6 +452,16 @@ type FetchStats struct {
 	Retries int
 	// Elapsed is the wall-clock fetch duration.
 	Elapsed time.Duration
+	// ReadCalls is the number of socket reads that returned datagrams
+	// and Datagrams how many they returned: Datagrams/ReadCalls is the
+	// mean drain.
+	ReadCalls, Datagrams int
+	// PullsSent counts Pull packets, the stall guard's included.
+	// PullsSent/Symbols is how far per-drain crediting coalesced them;
+	// 1 is a pull per symbol.
+	PullsSent int
+	// SendErrors counts packets the socket refused to send.
+	SendErrors int
 }
 
 // Fetch retrieves the object served at remote over conn (unicast).
@@ -354,142 +480,219 @@ func FetchMultiSource(ctx context.Context, conn net.PacketConn, remotes []net.Ad
 }
 
 // FetchMultiSourceStats is FetchMultiSource returning transfer
-// statistics alongside the object.
+// statistics alongside the object. Remotes must be IP addresses with a
+// port.
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg Config) ([]byte, FetchStats, error) {
 	start := time.Now()
-	stats := FetchStats{PerSender: make([]int, len(remotes))}
+	f := fetcher{cfg: cfg, flow: flow}
+	f.stats.PerSender = make([]int, len(remotes))
 	if err := cfg.validate(); err != nil {
-		return nil, stats, err
+		return nil, f.stats, err
 	}
 	if len(remotes) == 0 || len(remotes) > 255 {
-		return nil, stats, fmt.Errorf("rqudp: %d remotes", len(remotes))
+		return nil, f.stats, fmt.Errorf("rqudp: %d remotes", len(remotes))
 	}
-	// senderOf maps a source address back to its index in remotes.
-	senderOf := make(map[string]int, len(remotes))
-	for i, r := range remotes {
-		senderOf[r.String()] = i
-	}
-	sendHello := func() {
-		for i, r := range remotes {
-			out := wire.AppendHello(nil, wire.Hello{
-				Flow:        flow,
-				SenderIdx:   uint8(i),
-				SenderCount: uint8(len(remotes)),
-			})
-			_, _ = conn.WriteTo(out, r)
+	for _, r := range remotes {
+		peer := addrPortOf(r)
+		if !peer.IsValid() {
+			return nil, f.stats, fmt.Errorf("rqudp: remote %v is not an IP address and port", r)
 		}
+		f.peers = append(f.peers, peer)
 	}
-	sendHello()
+	f.credits = make([]uint16, len(remotes))
+	f.io = newPktIO(conn, cfg.SymbolSize+wire.DataOverhead)
+	obj, err := f.run(ctx)
+	f.stats.Elapsed = time.Since(start)
+	return obj, f.stats, err
+}
 
+// fetcher is the state of one fetch.
+type fetcher struct {
+	io    *pktIO
+	cfg   Config
+	flow  uint32
+	peers []netip.AddrPort // the senders, in the caller's order
+	stats FetchStats
+	dec   *raptorq.ObjectDecoder // nil until the first Announce
+
+	// credits[i] counts the current drain's fresh symbols from sender i;
+	// sendPulls turns them into pulls.
+	credits []uint16
+	ctl     []byte // scratch for outgoing control packets
+}
+
+// run is the receive loop: drain the socket into the decoder, then
+// credit each sender for what it delivered.
+func (f *fetcher) run(ctx context.Context) ([]byte, error) {
+	f.sendHello()
 	var (
-		dec      *raptorq.ObjectDecoder
-		buf      = make([]byte, 65536)
 		retries  = 0
 		progress = false // any new symbol since last stall check
 		lastTick = time.Now()
 	)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(cfg.RetryInterval / 4))
-		n, from, err := conn.ReadFrom(buf)
+		n, err := f.io.read(f.cfg.RetryInterval / 4)
 		if err != nil {
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				return nil, stats, err
+			if !isTimeout(err) {
+				return nil, err
 			}
 			// Stall guard: on timeout with no progress, re-prime.
-			if time.Since(lastTick) >= cfg.RetryInterval {
+			if time.Since(lastTick) >= f.cfg.RetryInterval {
 				lastTick = time.Now()
 				if !progress {
 					retries++
-					stats.Retries++
-					if retries > cfg.MaxRetries {
-						stats.Elapsed = time.Since(start)
-						return nil, stats, fmt.Errorf("rqudp: fetch stalled after %d retries", retries-1)
+					f.stats.Retries++
+					if retries > f.cfg.MaxRetries {
+						return nil, fmt.Errorf("rqudp: fetch stalled after %d retries", retries-1)
 					}
-					if dec == nil {
-						sendHello()
+					if f.dec == nil {
+						f.sendHello()
 					} else {
-						pull := wire.AppendPull(nil, wire.Pull{Flow: flow, Credits: uint16(cfg.PullBatch)})
-						for _, r := range remotes {
-							_, _ = conn.WriteTo(pull, r)
+						for i := range f.credits {
+							f.credits[i] = uint16(f.cfg.PullBatch)
 						}
+						f.sendPulls()
 					}
 				}
 				progress = false
 			}
 			continue
 		}
-		hdr, body, err := wire.ParseHeader(buf[:n])
-		if err != nil || hdr.Flow != flow {
+		f.stats.ReadCalls++
+		f.stats.Datagrams += n
+		before := f.stats.Symbols
+		for i := 0; i < n; i++ {
+			if d := f.io.pkt(i); d.data != nil {
+				if err := f.handle(d); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if f.stats.Symbols == before {
 			continue
 		}
-		switch hdr.Type {
-		case wire.MsgAnnounce:
-			a, err := wire.ParseAnnounce(hdr.Flow, body)
-			if err != nil {
-				continue
+		// Only fresh symbols are progress and reset the stall budget: a
+		// sender replaying duplicates must not defeat MaxRetries (the
+		// fetch would stall forever instead of aborting).
+		progress = true
+		retries = 0
+		if f.dec.Complete() {
+			f.ctl = wire.AppendDone(f.ctl[:0], f.flow)
+			for _, peer := range f.peers {
+				f.send(f.ctl, peer)
 			}
-			if dec == nil {
-				layout, err := raptorq.NewBlockLayout(int64(a.ObjectSize), int(a.SymbolSize), int(a.MaxK))
-				if err != nil {
-					return nil, stats, fmt.Errorf("rqudp: bad announce: %w", err)
-				}
-				dec, err = raptorq.NewObjectDecoder(layout)
-				if err != nil {
-					return nil, stats, err
-				}
-				dec.SetWorkers(cfg.Workers)
-			}
-		case wire.MsgData:
-			d, err := wire.ParseData(hdr.Flow, body)
-			if err != nil || dec == nil {
-				continue
-			}
-			fresh, err := dec.AddSymbol(int(d.SBN), d.ESI, d.Payload)
-			if err != nil {
-				continue // e.g. geometry mismatch; ignore packet
-			}
-			if fresh {
-				stats.Symbols++
-				if idx, ok := senderOf[from.String()]; ok {
-					stats.PerSender[idx]++
-				}
-			} else {
-				stats.Duplicates++
-			}
-			progress = progress || fresh
-			// Only fresh symbols reset the stall budget: a sender
-			// replaying duplicates must not defeat MaxRetries (the fetch
-			// would stall forever instead of aborting).
-			if fresh {
-				retries = 0
-			}
-			if dec.TryDecode() {
-				done := wire.AppendDone(nil, flow)
-				for _, r := range remotes {
-					_, _ = conn.WriteTo(done, r)
-				}
-				stats.Elapsed = time.Since(start)
-				obj, err := dec.Object()
-				return obj, stats, err
-			}
-			if !fresh {
-				// No pull for a duplicate: clocking credits off
-				// duplicates would let a replaying sender sustain a
-				// data->pull->data ping-pong that keeps the socket warm
-				// and starves the stall guard, defeating MaxRetries.
-				// The sender goes quiet instead and the stall guard
-				// takes over.
-				continue
-			}
-			// Receiver-driven clocking: one pull per fresh arrival,
-			// addressed to the sender that delivered (its path has
-			// capacity).
-			pull := wire.AppendPull(nil, wire.Pull{Flow: flow, Credits: 1})
-			_, _ = conn.WriteTo(pull, from)
+			return f.dec.Object()
 		}
+		f.sendPulls()
+	}
+}
+
+// handle processes one datagram of a drain. It returns an error only
+// for an Announce the fetch cannot continue from.
+func (f *fetcher) handle(d datagram) error {
+	hdr, body, err := wire.ParseHeader(d.data)
+	if err != nil || hdr.Flow != f.flow {
+		return nil
+	}
+	switch hdr.Type {
+	case wire.MsgAnnounce:
+		a, err := wire.ParseAnnounce(hdr.Flow, body)
+		if err != nil || f.dec != nil {
+			return nil
+		}
+		if a.SymbolSize > maxSymbolSize {
+			return fmt.Errorf("rqudp: bad announce: symbol size %d", a.SymbolSize)
+		}
+		layout, err := raptorq.NewBlockLayout(int64(a.ObjectSize), int(a.SymbolSize), int(a.MaxK))
+		if err != nil {
+			return fmt.Errorf("rqudp: bad announce: %w", err)
+		}
+		if f.dec, err = raptorq.NewObjectDecoder(layout); err != nil {
+			return err
+		}
+		f.dec.SetWorkers(f.cfg.Workers)
+		if layout.T > f.cfg.SymbolSize {
+			// The sender's symbols are longer than this side was
+			// configured for: the ring dropped the initial window, so
+			// make room and ask for another.
+			f.io.setMaxPacket(layout.T + wire.DataOverhead)
+			f.sendHello()
+		}
+	case wire.MsgData:
+		data, err := wire.ParseData(hdr.Flow, body)
+		if err != nil || f.dec == nil {
+			return nil
+		}
+		fresh, err := f.dec.AddSymbol(int(data.SBN), data.ESI, data.Payload)
+		if err != nil {
+			return nil // e.g. geometry mismatch; ignore packet
+		}
+		if !fresh {
+			// No credit for a duplicate: clocking pulls off duplicates
+			// would let a replaying sender sustain a data->pull->data
+			// ping-pong that keeps the socket warm and starves the stall
+			// guard, defeating MaxRetries. The sender goes quiet instead
+			// and the stall guard takes over.
+			f.stats.Duplicates++
+			return nil
+		}
+		f.stats.Symbols++
+		// Decode a block the moment it can be, not at the end of the
+		// drain: what the drain still holds for it then costs no intake
+		// memory.
+		if f.dec.BlockReady(int(data.SBN)) {
+			f.dec.TryDecode()
+		}
+		// Receiver-driven clocking: one credit per fresh arrival, to the
+		// sender that delivered (its path has capacity).
+		for i, peer := range f.peers {
+			if peer == d.from {
+				f.stats.PerSender[i]++
+				f.credits[i]++
+				return nil
+			}
+		}
+		// Not from an address the fetch was given (a multi-homed
+		// sender, say): credit it where it came from.
+		f.sendPull(d.from, 1)
+	}
+	return nil
+}
+
+func (f *fetcher) sendHello() {
+	for i, peer := range f.peers {
+		f.ctl = wire.AppendHello(f.ctl[:0], wire.Hello{
+			Flow:        f.flow,
+			SenderIdx:   uint8(i),
+			SenderCount: uint8(len(f.peers)),
+		})
+		f.send(f.ctl, peer)
+	}
+}
+
+// sendPulls sends each sender one Pull for the credits it has earned,
+// and clears them.
+func (f *fetcher) sendPulls() {
+	for i, c := range f.credits {
+		if c > 0 {
+			f.credits[i] = 0
+			f.sendPull(f.peers[i], c)
+		}
+	}
+}
+
+func (f *fetcher) sendPull(to netip.AddrPort, credits uint16) {
+	f.ctl = wire.AppendPull(f.ctl[:0], wire.Pull{Flow: f.flow, Credits: credits})
+	f.send(f.ctl, to)
+	f.stats.PullsSent++
+}
+
+// send writes one packet and counts a refusal.
+func (f *fetcher) send(pkt []byte, to netip.AddrPort) {
+	if err := f.io.send(pkt, to); err != nil {
+		f.stats.SendErrors++
 	}
 }

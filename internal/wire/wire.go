@@ -61,6 +61,9 @@ var (
 
 const headerLen = 8
 
+// DataOverhead is the length of a Data packet beyond its payload.
+const DataOverhead = headerLen + 10
+
 // Header is the fixed prefix of every packet.
 type Header struct {
 	Type MsgType

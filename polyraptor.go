@@ -101,9 +101,12 @@ type (
 	Server = rqudp.Server
 	// TransportConfig tunes the UDP transport.
 	TransportConfig = rqudp.Config
-	// FetchStats reports symbols, duplicates, per-sender contributions
-	// and retries for one fetch.
+	// FetchStats reports symbols, duplicates, per-sender contributions,
+	// retries and the socket I/O (reads, datagrams, pulls, send errors)
+	// of one fetch.
 	FetchStats = rqudp.FetchStats
+	// ServerStats is the socket I/O a Server has done, from Server.Stats.
+	ServerStats = rqudp.ServerStats
 )
 
 // DefaultTransportConfig returns LAN-appropriate transport defaults.
