@@ -650,9 +650,16 @@ func udpFetchCase(quick bool) Case {
 			}
 		},
 		Metrics: func() map[string]float64 {
+			var sent rqudp.ServerStats // since the servers started: every run so far
+			for _, srv := range servers {
+				st := srv.Stats()
+				sent.SendCalls += st.SendCalls
+				sent.SymbolsSent += st.SymbolsSent
+			}
 			return map[string]float64{
 				"datagrams_per_read": float64(total.Datagrams) / float64(total.ReadCalls),
 				"pulls_per_symbol":   float64(total.PullsSent) / float64(total.Symbols),
+				"symbols_per_send":   float64(sent.SymbolsSent) / float64(sent.SendCalls),
 			}
 		},
 		Close: func() {

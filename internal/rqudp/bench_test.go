@@ -10,7 +10,8 @@ import (
 // BenchmarkFetch2x1MiB is PolyBench's udp_fetch operation: one 1 MiB
 // multi-source fetch from two servers over loopback on a reused
 // socket. Beside ns and allocs per fetch it reports the counters the
-// socket path is judged by: datagrams per read and pulls per symbol.
+// socket path is judged by: symbols per send (the mean train), datagrams
+// per read and pulls per symbol.
 func BenchmarkFetch2x1MiB(b *testing.B) {
 	obj := make([]byte, 1<<20)
 	for i := range obj {
@@ -19,6 +20,7 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	var remotes []net.Addr
+	var srvs []*Server
 	for i := 0; i < 2; i++ {
 		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 		if err != nil {
@@ -30,7 +32,7 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		}
 		go func() { _ = srv.Serve() }()
 		defer srv.Close()
-		remotes = append(remotes, srv.Addr())
+		remotes, srvs = append(remotes, srv.Addr()), append(srvs, srv)
 	}
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -60,6 +62,17 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		b.Fatalf("loopback fetch was not clean: %+v", total)
 	}
 	b.ReportMetric(float64(total.Symbols)/float64(b.N), "symbols/fetch")
+	var sent ServerStats
+	for _, srv := range srvs {
+		st := srv.Stats()
+		sent.SendCalls += st.SendCalls
+		sent.SymbolsSent += st.SymbolsSent
+		sent.SendErrors += st.SendErrors
+	}
+	if sent.SendErrors != 0 {
+		b.Fatalf("servers: %+v", sent)
+	}
+	b.ReportMetric(float64(sent.SymbolsSent)/float64(sent.SendCalls), "symbols/send")
 	b.ReportMetric(float64(total.Datagrams)/float64(total.ReadCalls), "datagrams/read")
 	b.ReportMetric(float64(total.PullsSent)/float64(total.Symbols), "pulls/symbol")
 }

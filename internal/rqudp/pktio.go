@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"syscall"
 	"time"
 )
 
@@ -24,7 +25,9 @@ type datagram struct {
 // until a datagram is there, then take what is already queued without
 // blocking again. On Linux with a *net.UDPConn that is one recvmmsg;
 // with any other conn a read is one ReadFrom and a "drain" is one
-// datagram, so the wire exchange is the pre-batching one.
+// datagram, so the wire exchange is the pre-batching one. Its sending
+// counterpart is sendTrain: a burst of equal-length packets to one peer
+// in one write, under the same conditions.
 //
 // Peers are netip.AddrPorts with the address unmapped, so the address a
 // caller passed in and the address a packet came from compare equal on
@@ -33,6 +36,10 @@ type pktIO struct {
 	conn net.PacketConn
 	udp  *net.UDPConn // conn, when it is one: sends need no net.Addr
 	mm   *mmsgReader  // batched reads; nil reads one datagram at a time
+	// train sends buf as one UDP_SEGMENT train of segLen-byte datagrams;
+	// nil (until useTrains, or for good after a refusal), sendTrain
+	// writes them one at a time.
+	train func(buf []byte, segLen int, to netip.AddrPort) error
 
 	slot     int    // bytes per ring slot: the longest valid packet plus one
 	ring     []byte // the slots back to back: drainMax with mm, else one
@@ -109,6 +116,43 @@ func (p *pktIO) send(pkt []byte, to netip.AddrPort) error {
 	return err
 }
 
+// useTrains lets sendTrain hand whole bursts to the kernel, where the
+// conn and the platform can. Only a loop that sends bursts asks: the
+// sender costs two allocations.
+func (p *pktIO) useTrains() {
+	if p.udp != nil {
+		p.train = newTrainSender(p.udp)
+	}
+}
+
+// sendTrain writes buf to a peer as datagrams of segLen bytes each (the
+// last may be shorter). It returns the socket writes it made and the
+// datagrams they failed to send. A train the kernel or the NIC will not
+// take at all — anything but a passing shortage — is sent again one
+// datagram at a time, and this socket is never offered a train again.
+//
+//polyvet:noalloc per-burst send path
+func (p *pktIO) sendTrain(buf []byte, segLen int, to netip.AddrPort) (calls, refused int) {
+	if p.train != nil && len(buf) > segLen {
+		err := p.train(buf, segLen, to)
+		if err == nil {
+			return 1, 0
+		}
+		if isShortage(err) {
+			return 1, (len(buf) + segLen - 1) / segLen
+		}
+		p.train, calls = nil, 1
+	}
+	for ; len(buf) > 0; calls++ {
+		n := min(segLen, len(buf))
+		if p.send(buf[:n], to) != nil {
+			refused++
+		}
+		buf = buf[n:]
+	}
+	return calls, refused
+}
+
 // addrPortOf converts a peer address to the shim's form. The result is
 // not IsValid for an address that is not an IP address and port.
 func addrPortOf(a net.Addr) netip.AddrPort {
@@ -123,6 +167,12 @@ func addrPortOf(a net.Addr) netip.AddrPort {
 		ap, _ = netip.ParseAddrPort(a.String())
 	}
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// isShortage reports whether a send failed for want of buffers or time,
+// which says nothing about the next one.
+func isShortage(err error) bool {
+	return errors.Is(err, syscall.EAGAIN) || errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.EINTR)
 }
 
 // isTimeout reports whether a read error is the deadline passing.

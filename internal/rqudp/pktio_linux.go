@@ -12,6 +12,25 @@ import (
 	"unsafe"
 )
 
+// udpSegment is the UDP_SEGMENT control message type: send the message
+// as datagrams of the given length.
+const udpSegment = 103
+
+// newTrainSender returns pktIO's train sender for conn: one sendmsg with
+// a UDP_SEGMENT control message, built once so that a train allocates
+// nothing.
+func newTrainSender(conn *net.UDPConn) func([]byte, int, netip.AddrPort) error {
+	oob := make([]byte, syscall.CmsgSpace(2))
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+	h.Level, h.Type = syscall.IPPROTO_UDP, udpSegment
+	h.SetLen(syscall.CmsgLen(2))
+	return func(buf []byte, segLen int, to netip.AddrPort) error {
+		binary.NativeEndian.PutUint16(oob[syscall.CmsgLen(0):], uint16(segLen))
+		_, _, err := conn.WriteMsgUDPAddrPort(buf, oob, to)
+		return err
+	}
+}
+
 // mmsghdr is the kernel's struct mmsghdr on 64-bit Linux.
 type mmsghdr struct {
 	hdr syscall.Msghdr

@@ -2,13 +2,20 @@
 
 package rqudp
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // mmsgReader is the batched socket reader; this platform has none, so
 // every pktIO reads through ReadFrom.
 type mmsgReader struct{}
 
 func newMmsgReader(*net.UDPConn) *mmsgReader { return nil }
+
+// newTrainSender returns nil: this platform sends a train one datagram
+// at a time.
+func newTrainSender(*net.UDPConn) func([]byte, int, netip.AddrPort) error { return nil }
 
 func (*mmsgReader) bind([]byte, int) {}
 

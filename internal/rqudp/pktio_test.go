@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -65,50 +66,177 @@ func (p *pullTap) ReadFrom(b []byte) (int, net.Addr, error) {
 	return n, from, err
 }
 
-// tappedServers starts n servers for obj behind pull taps.
-func tappedServers(t *testing.T, obj []byte, cfg Config, n int) ([]net.Addr, []*pullTap) {
+// relay is the network between a fetcher and one server: a socket that
+// forwards every datagram the server sends to whoever last wrote to it,
+// and everything else to the server. Both ends keep their own
+// *net.UDPConn, so the platform's trains and batched reads stay on, and
+// the relay sees, and can lose, single packets whichever shim sent them.
+// It never loses a Done, so that done closing means the server has been
+// told.
+type relay struct {
+	conn   net.PacketConn
+	server net.Addr
+	loss   float64
+	rng    *rand.Rand
+
+	mu     sync.Mutex
+	client net.Addr
+	book   wireBook
+	done   chan struct{}
+}
+
+// wireBook is what a relay saw pass.
+type wireBook struct {
+	hellos  int         // what reached the server: Hellos,
+	pulls   int         // Pulls,
+	credits int         // their credits,
+	maxPull int         // and the largest one
+	sent    [][2]uint32 // (SBN, ESI) of the Data the server sent, in order
+}
+
+// seen returns the book so far.
+func (r *relay) seen() wireBook {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := r.book
+	b.sent = slices.Clone(b.sent)
+	return b
+}
+
+// newRelay starts a relay in front of server and returns it; its address
+// is what a fetcher is given as the remote.
+func newRelay(t *testing.T, server net.Addr, loss float64, seed int64) *relay {
+	t.Helper()
+	r := &relay{conn: newUDP(t), server: server, loss: loss, rng: rand.New(rand.NewSource(seed)), done: make(chan struct{})}
+	t.Cleanup(func() { r.conn.Close() })
+	go func() {
+		buf := make([]byte, 65536)
+		for {
+			n, from, err := r.conn.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			r.forward(buf[:n], from)
+		}
+	}()
+	return r
+}
+
+func (r *relay) forward(pkt []byte, from net.Addr) {
+	hdr, body, err := wire.ParseHeader(pkt)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lost := r.rng.Float64() < r.loss
+	to := r.server
+	if from.String() == r.server.String() {
+		to = r.client
+	} else {
+		r.client = from
+	}
+	switch {
+	case err != nil:
+	case to != r.server:
+		if d, err := wire.ParseData(hdr.Flow, body); err == nil && hdr.Type == wire.MsgData {
+			r.book.sent = append(r.book.sent, [2]uint32{d.SBN, d.ESI})
+		}
+	case hdr.Type == wire.MsgDone:
+		lost = false
+		close(r.done)
+	case lost:
+	case hdr.Type == wire.MsgHello:
+		r.book.hellos++
+	case hdr.Type == wire.MsgPull:
+		if pull, err := wire.ParsePull(hdr.Flow, body); err == nil {
+			r.book.pulls++
+			r.book.credits += int(pull.Credits)
+			r.book.maxPull = max(r.book.maxPull, int(pull.Credits))
+		}
+	}
+	if !lost && to != nil {
+		_, _ = r.conn.WriteTo(pkt, to)
+	}
+}
+
+// relayedServers starts n servers for obj, each on wrap(a UDP socket) and
+// behind a relay; the relays' addresses are the remotes.
+func relayedServers(t *testing.T, obj []byte, cfg Config, n int, wrap func(net.PacketConn) net.PacketConn, loss float64) ([]net.Addr, []*relay, []*Server) {
 	t.Helper()
 	var remotes []net.Addr
-	var taps []*pullTap
+	var relays []*relay
+	var srvs []*Server
 	for i := 0; i < n; i++ {
-		tap := newPullTap(newUDP(t))
-		srv, err := NewServer(tap, obj, cfg)
+		srv, err := NewServer(wrap(newUDP(t)), obj, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		go func() { _ = srv.Serve() }()
 		t.Cleanup(func() { srv.Close() })
-		remotes = append(remotes, srv.Addr())
-		taps = append(taps, tap)
+		r := newRelay(t, srv.Addr(), loss, int64(100+i))
+		remotes, relays, srvs = append(remotes, r.conn.LocalAddr()), append(relays, r), append(srvs, srv)
 	}
-	return remotes, taps
+	return remotes, relays, srvs
 }
 
-// The same two-server fetch through the platform's shim and through the
-// portable one: same bytes, every fresh symbol attributed to a sender,
-// and every fresh symbol credited to the sender it came from exactly
-// once — all but those of the last drain, which is answered with Done.
+// refSchedule is the first count (SBN, ESI) that sender idx of n is to
+// emit for blocks of ks source symbols: its slice of each block's source
+// symbols, block by block, then repair symbols round-robin across the
+// blocks from its residue class K+idx, step n.
+func refSchedule(ks []int, idx, n, count int) [][2]uint32 {
+	var out [][2]uint32
+	for b, k := range ks {
+		il, is, jl, _ := raptorq.Partition(k, n)
+		lo, hi := idx*il, (idx+1)*il
+		if idx >= jl {
+			lo = jl*il + (idx-jl)*is
+			hi = lo + is
+		}
+		for esi := lo; esi < hi; esi++ {
+			out = append(out, [2]uint32{uint32(b), uint32(esi)})
+		}
+	}
+	for r := 0; len(out) < count; r++ {
+		b := r % len(ks)
+		out = append(out, [2]uint32{uint32(b), uint32(ks[b] + idx + r/len(ks)*n)})
+	}
+	return out[:count]
+}
+
+// shims are the two packet I/O paths a loop can be on; maxDrain is the
+// most datagrams one read returns.
+var shims = []struct {
+	name     string
+	wrap     func(net.PacketConn) net.PacketConn
+	maxDrain int
+}{
+	{"platform", func(c net.PacketConn) net.PacketConn { return c }, drainMax},
+	{"portable", func(c net.PacketConn) net.PacketConn { return passConn{c} }, 1},
+}
+
+// The same two-server fetch with both ends on the platform's shim —
+// trains and batched reads where the platform has them — and with both
+// on the portable one, each behind relays that watch the wire:
+// same bytes, every fresh symbol attributed to a sender and credited to
+// it exactly once (all but those of the last drain, which is answered
+// with Done), and from either shim a server emits the same symbols: its
+// schedule, in order, nothing twice.
 func TestShimDifferential(t *testing.T) {
 	obj := randObject(t, 400_000)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	for _, tc := range []struct {
-		name string
-		wrap func(net.PacketConn) net.PacketConn
-		// lastDrain bounds the fresh symbols of the final drain.
-		lastDrain int
-	}{
-		{"platform", func(c net.PacketConn) net.PacketConn { return c }, drainMax},
-		{"portable", func(c net.PacketConn) net.PacketConn { return passConn{c} }, 1},
-	} {
+	layout, err := raptorq.NewBlockLayout(int64(len(obj)), cfg.SymbolSize, cfg.MaxBlockK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range shims {
 		t.Run(tc.name, func(t *testing.T) {
-			remotes, taps := tappedServers(t, obj, cfg, 2)
-			conn := newUDP(t)
+			remotes, relays, srvs := relayedServers(t, obj, cfg, 2, tc.wrap, 0)
+			conn := tc.wrap(newUDP(t))
 			defer conn.Close()
+			lastDrain := tc.maxDrain // bounds the fresh symbols of the final drain
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			const flow = 77
-			got, st, err := FetchMultiSourceStats(ctx, tc.wrap(conn), remotes, flow, cfg)
+			got, st, err := FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,31 +249,38 @@ func TestShimDifferential(t *testing.T) {
 			if sum := st.PerSender[0] + st.PerSender[1]; sum != st.Symbols {
 				t.Fatalf("per-sender sum %d != symbols %d", sum, st.Symbols)
 			}
-			if st.ReadCalls == 0 || st.Datagrams < st.Symbols || st.Datagrams > st.ReadCalls*drainMax {
+			if st.ReadCalls == 0 || st.Datagrams < st.Symbols || st.Datagrams > st.ReadCalls*lastDrain {
 				t.Fatalf("read counters inconsistent: %+v", st)
 			}
 			uncredited, pulls := 0, 0
-			for i, tap := range taps {
+			for i, r := range relays {
 				select {
-				case <-tap.done:
+				case <-r.done:
 				case <-ctx.Done():
 					t.Fatalf("server %d never saw Done", i)
 				}
-				tap.mu.Lock()
-				credits := tap.credits[flow]
-				pulls += tap.pulls[flow]
-				maxPull := tap.maxPull
-				tap.mu.Unlock()
-				if maxPull > tc.lastDrain {
-					t.Fatalf("sender %d was sent a pull for %d credits; a drain holds at most %d", i, maxPull, tc.lastDrain)
+				b := r.seen()
+				pulls += b.pulls
+				if b.maxPull > lastDrain {
+					t.Fatalf("sender %d was sent a pull for %d credits; a drain holds at most %d", i, b.maxPull, lastDrain)
 				}
-				if credits > st.PerSender[i] {
-					t.Fatalf("sender %d credited %d times for %d fresh symbols", i, credits, st.PerSender[i])
+				if b.credits > st.PerSender[i] {
+					t.Fatalf("sender %d credited %d times for %d fresh symbols", i, b.credits, st.PerSender[i])
 				}
-				uncredited += st.PerSender[i] - credits
+				uncredited += st.PerSender[i] - b.credits
+				if want := refSchedule(layout.K, i, 2, len(b.sent)); !slices.Equal(b.sent, want) {
+					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.sent))
+				}
+				if owed := cfg.InitWindow + b.credits; len(b.sent) > owed || len(b.sent) < st.PerSender[i] {
+					t.Fatalf("sender %d emitted %d symbols: it was owed %d and %d arrived", i, len(b.sent), owed, st.PerSender[i])
+				}
+				// The counters trail the wire by the burst being sent.
+				if ss := srvs[i].Stats(); ss.SendErrors != 0 || ss.SendCalls > ss.SymbolsSent || ss.SymbolsSent+maxPullCredits < len(b.sent) {
+					t.Fatalf("server %d: %+v for %d symbols on the wire", i, ss, len(b.sent))
+				}
 			}
-			if uncredited < 1 || uncredited > tc.lastDrain {
-				t.Fatalf("%d fresh symbols never credited; only the last drain's (1..%d) may be", uncredited, tc.lastDrain)
+			if uncredited < 1 || uncredited > lastDrain {
+				t.Fatalf("%d fresh symbols never credited; only the last drain's (1..%d) may be", uncredited, lastDrain)
 			}
 			if pulls != st.PullsSent {
 				t.Fatalf("servers read %d pulls, fetcher counted %d sent", pulls, st.PullsSent)
@@ -154,64 +289,42 @@ func TestShimDifferential(t *testing.T) {
 	}
 }
 
-// dropConn drops a fixed fraction of everything written to it, control
-// packets included.
-type dropConn struct {
-	net.PacketConn
-	mu   sync.Mutex
-	rng  *rand.Rand
-	rate float64
-}
-
-func (d *dropConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	d.mu.Lock()
-	drop := d.rng.Float64() < d.rate
-	d.mu.Unlock()
-	if drop {
-		return len(p), nil
-	}
-	return d.PacketConn.WriteTo(p, addr)
-}
-
-// A quarter of the packets lost in either direction — the server's
-// Announce and Data, or the fetcher's Hello, Pull and Done — still
-// completes: a lost pull of n credits only shrinks the window by n, and
-// the stall guard re-primes it.
-func TestFetchSurvivesLossEitherDirection(t *testing.T) {
+// The same again with the network losing a quarter of the packets each
+// way: the fetch completes on either shim, what a server emits is still
+// its schedule in order, and the books balance — it never sends a symbol
+// it was not asked for, by a Hello's window or a Pull's credits that
+// reached it.
+func TestShimDifferentialUnderLoss(t *testing.T) {
 	obj := randObject(t, 150_000)
 	cfg := DefaultConfig()
+	cfg.Workers = 1
 	cfg.RetryInterval = 20 * time.Millisecond
-	lossy := func(c net.PacketConn, seed int64) net.PacketConn {
-		return &dropConn{PacketConn: c, rng: rand.New(rand.NewSource(seed)), rate: 0.25}
+	layout, err := raptorq.NewBlockLayout(int64(len(obj)), cfg.SymbolSize, cfg.MaxBlockK)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name               string
-		wrapSrv, wrapFetch func(net.PacketConn) net.PacketConn
-	}{
-		{"server->fetcher", func(c net.PacketConn) net.PacketConn { return lossy(c, 5) }, func(c net.PacketConn) net.PacketConn { return c }},
-		{"fetcher->server", func(c net.PacketConn) net.PacketConn { return c }, func(c net.PacketConn) net.PacketConn { return lossy(c, 6) }},
-	} {
+	for _, tc := range shims {
 		t.Run(tc.name, func(t *testing.T) {
-			var remotes []net.Addr
-			for i := 0; i < 2; i++ {
-				srv, err := NewServer(tc.wrapSrv(newUDP(t)), obj, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				remotes = append(remotes, srv.Addr())
-			}
-			conn := newUDP(t)
+			remotes, relays, _ := relayedServers(t, obj, cfg, 2, tc.wrap, 0.25)
+			conn := tc.wrap(newUDP(t))
 			defer conn.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			got, st, err := FetchMultiSourceStats(ctx, tc.wrapFetch(conn), remotes, 31, cfg)
+			got, st, err := FetchMultiSourceStats(ctx, conn, remotes, 78, cfg)
 			if err != nil {
 				t.Fatalf("fetch under 25%% loss failed: %v (%+v)", err, st)
 			}
 			if !bytes.Equal(got, obj) {
 				t.Fatal("fetch under loss corrupted object")
+			}
+			for i, r := range relays {
+				b := r.seen()
+				if want := refSchedule(layout.K, i, 2, len(b.sent)); !slices.Equal(b.sent, want) {
+					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.sent))
+				}
+				if owed := b.hellos*cfg.InitWindow + b.credits; len(b.sent) > owed || st.PerSender[i] > len(b.sent) {
+					t.Fatalf("sender %d emitted %d symbols: it was owed %d and %d arrived", i, len(b.sent), owed, st.PerSender[i])
+				}
 			}
 		})
 	}
@@ -531,7 +644,8 @@ func TestAddrPortOf(t *testing.T) {
 }
 
 // A fetch over wildcard ("dual-stack" where the host has IPv6) sockets
-// with the server named by its IPv4 address.
+// with the server named by its IPv4 address: addresses match, and the
+// server's bursts still leave as trains where the host sends any.
 func TestFetchWildcardSockets(t *testing.T) {
 	obj := randObject(t, 50_000)
 	srvConn, err := net.ListenPacket("udp", ":0")
@@ -562,19 +676,16 @@ func TestFetchWildcardSockets(t *testing.T) {
 	if st.PerSender[0] != st.Symbols || st.Retries != 0 || st.SendErrors != 0 {
 		t.Fatalf("symbols not attributed to the sender: %+v", st)
 	}
+	if ss := srv.Stats(); ss.SendErrors != 0 || trainRefusal(t) == "" && ss.SymbolsSent < 4*ss.SendCalls {
+		t.Fatalf("wildcard server sent %d symbols in %d calls (%d errors); want trains", ss.SymbolsSent, ss.SendCalls, ss.SendErrors)
+	}
 }
 
 // Both shims turn a passed read deadline into an error isTimeout
 // recognises, and keep a deadline armed across reads instead of
 // re-arming it for each one.
 func TestShimReadDeadline(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wrap func(net.PacketConn) net.PacketConn
-	}{
-		{"platform", func(c net.PacketConn) net.PacketConn { return c }},
-		{"portable", func(c net.PacketConn) net.PacketConn { return passConn{c} }},
-	} {
+	for _, tc := range shims {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := newUDP(t)
 			defer conn.Close()

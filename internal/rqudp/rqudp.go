@@ -10,17 +10,20 @@
 //	   | -- Hello{flow, idx, count} -->   |   (per sender; idx/count
 //	   |                                  |    fix the ESI partition)
 //	   | <-- Announce{F, T, maxK} ------  |
-//	   | <-- Data x InitWindow ---------  |   (source symbols first)
-//	   | -- Pull{credits: n} ---------->  |   (one per drain: n fresh
-//	   | <-- Data x n ------------------  |    arrivals from this sender)
-//	   | -- Done ---------------------->  |
+//	   | <== Data x InitWindow =========  |   (source symbols first;
+//	   | -- Pull{credits: n} ---------->  |    one per drain: n fresh
+//	   | <== Data x n ==================  |    arrivals from this sender;
+//	   | -- Done ---------------------->  |    <== is one train)
 //
 // Both sides read the socket in drains: block until a datagram is
 // there, take everything already queued (pktIO), then answer. The
 // receiver credits every fresh arrival exactly once, before it blocks
 // again — n is 1 when arrivals are spaced out and grows only when the
 // receiver is the slower side — and the sender sums the credits a drain
-// brought for each session before it emits.
+// brought for each session before it answers them with one burst: the
+// n equal-length Data packets are built back to back in one buffer and
+// handed to the socket as a train (pktIO.sendTrain: one UDP_SEGMENT
+// sendmsg where the kernel takes it, a write per packet elsewhere).
 //
 // Lost symbols are never re-requested: a pull elicits the next fresh
 // symbol, which contributes equally to decoding. Multi-source fetches
@@ -80,8 +83,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxSymbolSize keeps a Data packet inside one UDP datagram.
-const maxSymbolSize = 60000
+// maxSymbolSize keeps a Data packet inside one UDP datagram. maxSymbols
+// and maxBlocks bound what an Announce may claim (4 GiB at the defaults):
+// a fetch allocates for every block and symbol before one has arrived.
+const (
+	maxSymbolSize = 60000
+	maxSymbols    = 1 << 22
+	maxBlocks     = 1 << 16
+)
 
 func (c Config) validate() error {
 	if c.SymbolSize <= 0 || c.SymbolSize > maxSymbolSize {
@@ -111,6 +120,10 @@ const (
 	// maxPullCredits caps the symbols one session is sent per drain,
 	// whatever its pulls asked for.
 	maxPullCredits = 1024
+	// trainMax is the most packets one train holds (the kernel's
+	// UDP_MAX_SEGMENTS), and trainBytes the most bytes: one UDP payload.
+	trainMax   = 64
+	trainBytes = 65507
 	// maxSessions bounds the session table against a Hello flood.
 	maxSessions = 1024
 	// sessionIdle is how long a session outlives its last packet: the
@@ -140,13 +153,13 @@ type Server struct {
 	credited  []*serveSession // sessions this drain's pulls gave credits
 	lastSweep time.Time
 
-	// pkt, sym and ctl are reusable scratch buffers for outgoing
-	// packets; replies append into them instead of allocating.
-	pkt []byte
-	sym []byte
-	ctl []byte
+	// train and ctl are reusable scratch buffers for outgoing packets: a
+	// burst of Data packets back to back (made by open, so that a server
+	// not yet serving holds none) and an Announce.
+	train []byte
+	ctl   []byte
 
-	readCalls, datagrams, pullsReceived, sendErrors atomic.Int64
+	readCalls, datagrams, pullsReceived, sendCalls, symbolsSent, sendErrors atomic.Int64
 }
 
 // sessionKey identifies a session: the receiver's address and its flow.
@@ -159,6 +172,7 @@ type sessionKey struct {
 type serveSession struct {
 	key        sessionKey
 	cursors    []senderCursor
+	srcBlock   int // first block whose source symbols are not all sent
 	rrBlock    int // round-robin block pointer for repair symbols
 	credits    int // symbols owed for the pulls of the current drain
 	lastActive time.Time
@@ -191,8 +205,6 @@ func NewServer(conn net.PacketConn, object []byte, cfg Config) (*Server, error) 
 		sessions: make(map[sessionKey]*serveSession),
 		closed:   make(chan struct{}),
 		now:      time.Now,
-		pkt:      make([]byte, 0, cfg.SymbolSize+wire.DataOverhead),
-		sym:      make([]byte, 0, cfg.SymbolSize),
 	}, nil
 }
 
@@ -217,6 +229,10 @@ type ServerStats struct {
 	ReadCalls, Datagrams int
 	// PullsReceived counts valid Pull packets for known sessions.
 	PullsReceived int
+	// SendCalls is the number of socket writes that carried Data and
+	// SymbolsSent how many symbols they carried: SymbolsSent/SendCalls
+	// is the mean train.
+	SendCalls, SymbolsSent int
 	// SendErrors counts packets the socket refused to send.
 	SendErrors int
 }
@@ -228,6 +244,8 @@ func (s *Server) Stats() ServerStats {
 		ReadCalls:     int(s.readCalls.Load()),
 		Datagrams:     int(s.datagrams.Load()),
 		PullsReceived: int(s.pullsReceived.Load()),
+		SendCalls:     int(s.sendCalls.Load()),
+		SymbolsSent:   int(s.symbolsSent.Load()),
 		SendErrors:    int(s.sendErrors.Load()),
 	}
 }
@@ -236,8 +254,7 @@ func (s *Server) Stats() ServerStats {
 // design: the encoder is immutable after construction and sessions are
 // private to this loop.
 func (s *Server) Serve() error {
-	s.io = newPktIO(s.conn, ctlMax)
-	s.lastSweep = s.now()
+	s.open()
 	for {
 		select {
 		case <-s.closed:
@@ -253,6 +270,16 @@ func (s *Server) Serve() error {
 			}
 		}
 	}
+}
+
+// open readies the packet I/O and the train buffer: as many Data packets
+// as one train may hold.
+func (s *Server) open() {
+	s.io = newPktIO(s.conn, ctlMax)
+	s.io.useTrains()
+	s.lastSweep = s.now()
+	pktLen := s.enc.Layout().T + wire.DataOverhead
+	s.train = make([]byte, 0, min(trainMax, trainBytes/pktLen)*pktLen)
 }
 
 // step is one wake-up of Serve: take what the socket has queued, handle
@@ -279,11 +306,8 @@ func (s *Server) step() error {
 		}
 	}
 	for i, sess := range s.credited {
-		credits := min(sess.credits, maxPullCredits)
+		s.pay(sess, min(sess.credits, maxPullCredits))
 		sess.credits = 0
-		for ; credits > 0; credits-- {
-			s.emit(sess)
-		}
 		s.credited[i] = nil
 	}
 	s.credited = s.credited[:0]
@@ -306,8 +330,9 @@ func (s *Server) sweep(now time.Time) {
 	}
 }
 
-// handle processes one datagram. A Hello is answered at once; a Pull
-// only adds to its session's credits, which step pays out.
+// handle processes one datagram. A Hello is answered with an Announce
+// at once; its initial window and a Pull's symbols are only credited to
+// the session, and step pays them out: handle sends no Data.
 //
 //polyvet:noalloc per-datagram receive path; replies go into the server's scratch buffers and only a new session allocates, in newSession
 func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
@@ -338,12 +363,12 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 			SymbolSize: uint32(layout.T),
 			MaxK:       uint32(s.cfg.MaxBlockK),
 		})
-		s.send(s.ctl, from)
+		if s.io.send(s.ctl, from) != nil {
+			s.sendErrors.Add(1)
+		}
 		// Initial window (fresh symbols even on Hello retry: with a
 		// rateless code anything we send is useful).
-		for i := 0; i < s.cfg.InitWindow; i++ {
-			s.emit(sess)
-		}
+		s.credit(sess, s.cfg.InitWindow)
 	case wire.MsgPull:
 		pull, err := wire.ParsePull(hdr.Flow, body)
 		if err != nil {
@@ -355,10 +380,7 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		}
 		s.pullsReceived.Add(1)
 		sess.lastActive = now
-		if sess.credits == 0 {
-			s.credited = append(s.credited, sess)
-		}
-		sess.credits += int(pull.Credits)
+		s.credit(sess, int(pull.Credits))
 	case wire.MsgDone:
 		if sess := s.sessions[key]; sess != nil {
 			sess.credits = 0 // it may be on the credited list already
@@ -394,45 +416,51 @@ func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 	return sess
 }
 
-// emit sends the session's next symbol: source symbols of the
-// partition block by block, then repair symbols round-robin across
-// blocks.
-func (s *Server) emit(sess *serveSession) {
-	// Source phase.
-	for b := range sess.cursors {
-		cur := &sess.cursors[b]
-		if cur.srcNext < cur.srcEnd {
+// credit owes a session n more symbols, to be paid when the drain ends.
+func (s *Server) credit(sess *serveSession, n int) {
+	if sess.credits == 0 && n > 0 {
+		s.credited = append(s.credited, sess)
+	}
+	sess.credits += n
+}
+
+// next advances the session's schedule by one symbol: the source symbols
+// of its partition block by block, then repair symbols round-robin
+// across blocks.
+func (sess *serveSession) next() (sbn int, esi uint32) {
+	for ; sess.srcBlock < len(sess.cursors); sess.srcBlock++ {
+		if cur := &sess.cursors[sess.srcBlock]; cur.srcNext < cur.srcEnd {
 			esi := cur.srcNext
 			cur.srcNext++
-			s.sendSymbol(sess.key, b, uint32(esi))
-			return
+			return sess.srcBlock, uint32(esi)
 		}
 	}
-	// Repair phase: round-robin blocks.
-	b := sess.rrBlock % len(sess.cursors)
+	sbn = sess.rrBlock % len(sess.cursors)
 	sess.rrBlock++
-	cur := &sess.cursors[b]
-	esi := cur.repairNext
+	cur := &sess.cursors[sbn]
+	repair := cur.repairNext
 	cur.repairNext += cur.stride
-	s.sendSymbol(sess.key, b, uint32(esi))
+	return sbn, uint32(repair)
 }
 
-//polyvet:noalloc per-datagram fast path; symbol and packet buffers are reused across sends
-func (s *Server) sendSymbol(to sessionKey, sbn int, esi uint32) {
-	s.sym = s.enc.Block(sbn).AppendSymbol(s.sym[:0], esi)
-	s.pkt = wire.AppendData(s.pkt[:0], wire.Data{
-		Flow:    to.flow,
-		SBN:     uint32(sbn),
-		ESI:     esi,
-		Payload: s.sym,
-	})
-	s.send(s.pkt, to.peer)
-}
-
-// send writes one packet and counts a refusal.
-func (s *Server) send(pkt []byte, to netip.AddrPort) {
-	if err := s.io.send(pkt, to); err != nil {
-		s.sendErrors.Add(1)
+// pay sends a session its next n symbols as trains. Each symbol is
+// generated in place behind its Data header: no payload is copied.
+//
+//polyvet:noalloc per-burst send path; every train is built in the server's one train buffer
+func (s *Server) pay(sess *serveSession, n int) {
+	t := s.enc.Layout().T
+	pktLen := t + wire.DataOverhead
+	for n > 0 {
+		buf := s.train[:0]
+		for ; n > 0 && len(buf)+pktLen <= cap(buf); n-- {
+			sbn, esi := sess.next()
+			buf = wire.AppendDataHeader(buf, wire.Data{Flow: sess.key.flow, SBN: uint32(sbn), ESI: esi}, t)
+			buf = s.enc.Block(sbn).AppendSymbol(buf, esi)
+		}
+		calls, refused := s.io.sendTrain(buf, pktLen, sess.key.peer)
+		s.sendCalls.Add(int64(calls))
+		s.symbolsSent.Add(int64(len(buf) / pktLen))
+		s.sendErrors.Add(int64(refused))
 	}
 }
 
@@ -454,7 +482,8 @@ type FetchStats struct {
 	Elapsed time.Duration
 	// ReadCalls is the number of socket reads that returned datagrams
 	// and Datagrams how many they returned: Datagrams/ReadCalls is the
-	// mean drain.
+	// mean drain. A datagram is one packet as its sender wrote it: the
+	// segments of a train count one each.
 	ReadCalls, Datagrams int
 	// PullsSent counts Pull packets, the stall guard's included.
 	// PullsSent/Symbols is how far per-drain crediting coalesced them;
@@ -603,8 +632,9 @@ func (f *fetcher) handle(d datagram) error {
 		if err != nil || f.dec != nil {
 			return nil
 		}
-		if a.SymbolSize > maxSymbolSize {
-			return fmt.Errorf("rqudp: bad announce: symbol size %d", a.SymbolSize)
+		kt := a.ObjectSize / uint64(a.SymbolSize) // source symbols, rounded down
+		if a.SymbolSize > maxSymbolSize || kt >= maxSymbols || kt/uint64(a.MaxK) >= maxBlocks {
+			return fmt.Errorf("rqudp: bad announce: %d bytes in symbols of %d, blocks of %d", a.ObjectSize, a.SymbolSize, a.MaxK)
 		}
 		layout, err := raptorq.NewBlockLayout(int64(a.ObjectSize), int(a.SymbolSize), int(a.MaxK))
 		if err != nil {

@@ -85,10 +85,18 @@ type scriptedServer struct {
 
 func newScriptedServer(t testing.TB) *scriptedServer {
 	t.Helper()
+	return newScriptedServerWith(t, 64, 256, 64*20)
+}
+
+// newScriptedServerWith is newScriptedServer for an object of objLen
+// bytes in symbols of symbolSize, blocks of at most maxK.
+func newScriptedServerWith(t testing.TB, symbolSize, maxK, objLen int) *scriptedServer {
+	t.Helper()
 	cfg := DefaultConfig()
-	cfg.SymbolSize = 64
+	cfg.SymbolSize = symbolSize
+	cfg.MaxBlockK = maxK
 	cfg.Workers = 1
-	obj := make([]byte, 64*20)
+	obj := make([]byte, objLen)
 	for i := range obj {
 		obj[i] = byte(i)
 	}
@@ -99,8 +107,7 @@ func newScriptedServer(t testing.TB) *scriptedServer {
 	}
 	s := &scriptedServer{Server: srv, conn: conn, clock: time.Unix(1_000_000, 0)}
 	srv.now = func() time.Time { return s.clock }
-	srv.io = newPktIO(conn, ctlMax)
-	srv.lastSweep = s.clock
+	srv.open()
 	return s
 }
 

@@ -1,0 +1,254 @@
+package rqudp
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"net/netip"
+	"syscall"
+	"testing"
+	"time"
+
+	"polyraptor/internal/wire"
+)
+
+// The schedule of a many-block session, for each of three senders, is
+// the reference one: the source-phase block cursor skips exhausted blocks
+// without changing the order the rescan from block 0 gave.
+func TestEmitOrderMatchesReference(t *testing.T) {
+	s := newScriptedServerWith(t, 16, 10, 16*10*40+5) // 41 blocks
+	layout := s.enc.Layout()
+	if layout.Z() < 40 {
+		t.Fatalf("only %d blocks", layout.Z())
+	}
+	for idx := 0; idx < 3; idx++ {
+		sess := s.newSession(key(4000+idx, 1), wire.Hello{Flow: 1, SenderIdx: uint8(idx), SenderCount: 3})
+		count := layout.TotalSymbols()/3 + 5*layout.Z() + 7 // its source symbols and five rounds of repair
+		var got [][2]uint32
+		for i := 0; i < count; i++ {
+			sbn, esi := sess.next()
+			got = append(got, [2]uint32{uint32(sbn), esi})
+		}
+		want := refSchedule(layout.K, idx, 3, count)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("sender %d, symbol %d: emitted %v, reference %v", idx, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// trainTap stands in for the kernel's train sender on a scripted server:
+// it records each train's segment count, checks every segment is a Data
+// packet of the flow, and answers with err.
+type trainTap struct {
+	t    testing.TB
+	segs []int
+	err  error
+}
+
+func (tt *trainTap) send(buf []byte, segLen int, to netip.AddrPort) error {
+	tt.segs = append(tt.segs, (len(buf)+segLen-1)/segLen)
+	for ; len(buf) > 0; buf = buf[min(segLen, len(buf)):] {
+		hdr, body, err := wire.ParseHeader(buf[:min(segLen, len(buf))])
+		if err == nil && hdr.Type == wire.MsgData {
+			_, err = wire.ParseData(hdr.Flow, body)
+		}
+		if err != nil || hdr.Type != wire.MsgData {
+			tt.t.Fatalf("train segment is not a Data packet: %v", err)
+		}
+	}
+	return tt.err
+}
+
+// A train the socket will not take is sent again packet by packet, costs
+// no SendErrors for what that delivered, and is the last one offered; a
+// train refused for a passing shortage is lost, counted, and not the last.
+func TestTrainFallback(t *testing.T) {
+	s := newScriptedServer(t)
+	tap := &trainTap{t: t, err: syscall.ENOBUFS}
+	s.io.train = tap.send
+	s.conn.push(hello(1), 3000)
+	s.run(t)
+	if st := s.Stats(); st.SendErrors != s.cfg.InitWindow || st.SendCalls != 1 || s.conn.sent[3000] != 1 || s.io.train == nil {
+		t.Fatalf("a train refused with ENOBUFS: %+v, %d packets written, train sender kept: %v", st, s.conn.sent[3000], s.io.train != nil)
+	}
+
+	tap.err = syscall.EIO
+	s.conn.push(pull(1, 5), 3000)
+	s.run(t)
+	if st := s.Stats(); st.SendErrors != s.cfg.InitWindow || st.SendCalls != 1+1+5 || st.SymbolsSent != s.cfg.InitWindow+5 {
+		t.Fatalf("a train refused with EIO: %+v, want no new send errors and 1+5 more calls", st)
+	}
+	if got := s.conn.sent[3000]; got != 1+5 {
+		t.Fatalf("%d packets written, want the Announce and the 5 resent segments", got)
+	}
+	if s.io.train != nil {
+		t.Fatal("the socket is still offered trains after refusing one")
+	}
+	s.conn.push(pull(1, 7), 3000)
+	s.run(t)
+	if len(tap.segs) != 2 || s.conn.sent[3000] != 1+5+7 {
+		t.Fatalf("%d trains offered, %d packets written; want 2 and %d", len(tap.segs), s.conn.sent[3000], 1+5+7)
+	}
+}
+
+// Trains are cut to what the kernel takes: one UDP payload and 64
+// segments. A 60,000-byte symbol travels alone, as a plain write, and a
+// pull beyond the credit clamp is paid in 64-segment trains.
+func TestTrainLengths(t *testing.T) {
+	big := newScriptedServerWith(t, maxSymbolSize, 4, 2*maxSymbolSize)
+	tap := &trainTap{t: t}
+	big.io.train = tap.send
+	big.conn.push(hello(1), 3000)
+	big.run(t)
+	if st := big.Stats(); len(tap.segs) != 0 || st.SendCalls != big.cfg.InitWindow || st.SymbolsSent != big.cfg.InitWindow || big.conn.sent[3000] != 1+big.cfg.InitWindow {
+		t.Fatalf("60,000-byte symbols: %d trains, %+v, %d packets", len(tap.segs), st, big.conn.sent[3000])
+	}
+
+	s := newScriptedServer(t)
+	s.conn.push(hello(1), 3000)
+	s.run(t)
+	s.io.train = tap.send
+	before := s.Stats()
+	s.conn.push(pull(1, maxPullCredits+1), 3000)
+	s.run(t)
+	total := 0
+	for _, n := range tap.segs {
+		if n > trainMax {
+			t.Fatalf("a train of %d segments", n)
+		}
+		total += n
+	}
+	st := s.Stats()
+	if total != maxPullCredits || len(tap.segs) != maxPullCredits/trainMax || st.SendCalls-before.SendCalls != len(tap.segs) || st.SymbolsSent-before.SymbolsSent != total {
+		t.Fatalf("a %d-credit pull was paid %d symbols in trains of %v (%+v)", maxPullCredits+1, total, tap.segs, st)
+	}
+}
+
+// trainRefusal says why sockets on this host do not take UDP_SEGMENT
+// trains, with the errno if the kernel refused one; "" if they do.
+func trainRefusal(t *testing.T) string {
+	t.Helper()
+	conn := newUDP(t)
+	defer conn.Close()
+	train := newTrainSender(conn.(*net.UDPConn))
+	if train == nil {
+		return "no train sender on this platform"
+	}
+	if err := train(make([]byte, 200), 100, addrPortOf(conn.LocalAddr())); err != nil {
+		var errno syscall.Errno
+		errors.As(err, &errno)
+		return fmt.Sprintf("the kernel refuses UDP_SEGMENT (errno %d: %v)", int(errno), err)
+	}
+	return ""
+}
+
+// On loopback the fast path is what a fetch takes: the server's bursts
+// leave as trains.
+func TestTrainsUsedOnLoopback(t *testing.T) {
+	if why := trainRefusal(t); why != "" {
+		t.Skipf("%s: the packet-by-packet fallback is what the other tests ran", why)
+	}
+	obj := randObject(t, 1<<20)
+	cfg := DefaultConfig()
+	srv := startServer(t, obj, cfg)
+	conn := newUDP(t)
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, st, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, 4, cfg)
+	if err != nil || !bytes.Equal(got, obj) {
+		t.Fatalf("fetch: %v", err)
+	}
+	ss := srv.Stats()
+	if ss.SendErrors != 0 || ss.SymbolsSent < st.Symbols || ss.SymbolsSent < 4*ss.SendCalls {
+		t.Fatalf("server sent %d symbols in %d calls (%d errors); want trains of 4 or more on average", ss.SymbolsSent, ss.SendCalls, ss.SendErrors)
+	}
+	t.Logf("%.1f symbols/send, %.1f datagrams/read", float64(ss.SymbolsSent)/float64(ss.SendCalls), float64(st.Datagrams)/float64(st.ReadCalls))
+}
+
+// fetcherFeed is a fetcher on a scripted conn, fed datagrams by hand.
+type fetcherFeed struct {
+	fetcher
+	fed int
+}
+
+func newFetcherFeed(flow uint32) *fetcherFeed {
+	ff := &fetcherFeed{}
+	ff.fetcher = fetcher{cfg: DefaultConfig(), flow: flow, io: newPktIO(newScriptConn(), 256)}
+	ff.cfg.Workers = 1
+	ff.peers = []netip.AddrPort{addrPortOf(peer(5000)), addrPortOf(peer(5001))}
+	ff.credits = make([]uint16, 2)
+	ff.stats.PerSender = make([]int, 2)
+	return ff
+}
+
+// FuzzFetcherHandle feeds a fetcher arbitrary datagrams from its two
+// senders and from a stranger: the hostile server. Whatever arrives —
+// an Announce lying about the size, a second one mid-fetch, Data before
+// any, ESIs outside the partition, payloads of the wrong length — it
+// must not panic, must count no more symbols than it was fed, and must
+// grant no more credits than it saw fresh symbols.
+//
+// Input framing: one byte whose low two bits pick the source (3: the
+// last one again) and whose high bits give the datagram's length, 0..63;
+// then the datagram.
+func FuzzFetcherHandle(f *testing.F) {
+	frame := func(pkts ...[]byte) []byte {
+		var out []byte
+		for i, p := range pkts {
+			out = append(out, byte(len(p)<<2|i%3))
+			out = append(out, p...)
+		}
+		return out
+	}
+	const flow = 9
+	announce := func(size uint64, t, k uint32) []byte {
+		return wire.AppendAnnounce(nil, wire.Announce{Flow: flow, ObjectSize: size, SymbolSize: t, MaxK: k})
+	}
+	data := func(sbn, esi uint32, n int) []byte {
+		return wire.AppendData(nil, wire.Data{Flow: flow, SBN: sbn, ESI: esi, Payload: make([]byte, n)})
+	}
+	f.Add(frame(announce(64, 8, 4), data(0, 0, 8), data(1, 0, 8), data(0, 0, 8), data(0, 1, 8), data(1, 1, 8), data(0, 2, 8)))
+	f.Add(frame(data(0, 0, 8), announce(64, 8, 4), announce(1<<40, 8, 4), data(0, 1, 9), data(0, 1<<31, 8), data(7, 0, 8)))
+	f.Add(frame(announce(1<<62, 1, 1)))
+	f.Add(frame(announce(1<<63, 8, 4), announce(1<<30, 1, 1<<31), announce(64, 60001, 4)))
+	f.Add(frame(announce(24, 8, 1<<20), data(0, 5, 8), data(0, 1<<32-1, 8), data(0, 2, 8), data(0, 7, 8)))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		ff := newFetcherFeed(flow)
+		from := ff.peers[0]
+		for len(in) > 0 && (ff.dec == nil || !ff.dec.Complete()) {
+			if src := int(in[0] & 3); src < 2 {
+				from = ff.peers[src]
+			} else if src == 2 {
+				from = addrPortOf(peer(6000))
+			}
+			n := min(int(in[0]>>2), len(in)-1)
+			if hdr, body, err := wire.ParseHeader(in[1 : 1+n]); err == nil && hdr.Type == wire.MsgAnnounce {
+				// An object within the limits is allocated for in full,
+				// which is as intended and too slow to fuzz: keep those
+				// that are accepted small.
+				if a, err := wire.ParseAnnounce(hdr.Flow, body); err == nil && a.ObjectSize/uint64(a.SymbolSize) > 1<<12 && a.ObjectSize/uint64(a.SymbolSize) < maxSymbols {
+					t.Skip("a large object within the limits")
+				}
+			}
+			ff.fed++
+			if err := ff.handle(datagram{data: in[1 : 1+n], from: from}); err != nil {
+				break // a fetch ends on the Announce it cannot use
+			}
+			in = in[1+n:]
+		}
+		st := ff.stats
+		if st.Symbols+st.Duplicates > ff.fed {
+			t.Fatalf("%d symbols and %d duplicates from %d datagrams", st.Symbols, st.Duplicates, ff.fed)
+		}
+		granted := st.PullsSent + int(ff.credits[0]) + int(ff.credits[1])
+		if granted > st.Symbols || st.PerSender[0]+st.PerSender[1] > st.Symbols {
+			t.Fatalf("%d credits granted, %v attributed, for %d fresh symbols", granted, st.PerSender, st.Symbols)
+		}
+	})
+}

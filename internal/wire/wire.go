@@ -162,11 +162,17 @@ type Data struct {
 
 // AppendData marshals a Data packet. The payload is copied into dst.
 func AppendData(dst []byte, d Data) []byte {
+	return append(AppendDataHeader(dst, d, len(d.Payload)), d.Payload...)
+}
+
+// AppendDataHeader marshals everything of a Data packet but its payload,
+// for a sender that generates the payloadLen bytes in place after it.
+// d.Payload is ignored.
+func AppendDataHeader(dst []byte, d Data, payloadLen int) []byte {
 	dst = appendHeader(dst, MsgData, d.Flow)
 	dst = binary.BigEndian.AppendUint32(dst, d.SBN)
 	dst = binary.BigEndian.AppendUint32(dst, d.ESI)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(d.Payload)))
-	return append(dst, d.Payload...)
+	return binary.BigEndian.AppendUint16(dst, uint16(payloadLen))
 }
 
 // ParseData unmarshals a Data body. The payload aliases body.

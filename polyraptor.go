@@ -105,7 +105,9 @@ type (
 	// retries and the socket I/O (reads, datagrams, pulls, send errors)
 	// of one fetch.
 	FetchStats = rqudp.FetchStats
-	// ServerStats is the socket I/O a Server has done, from Server.Stats.
+	// ServerStats is the socket I/O a Server has done, from Server.Stats:
+	// reads, datagrams, pulls, and the sends that carried symbols
+	// (SymbolsSent/SendCalls is the mean train).
 	ServerStats = rqudp.ServerStats
 )
 
