@@ -1,6 +1,7 @@
 package raptorq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -31,6 +32,15 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 // decades per additional symbol). Retrying without a new symbol is
 // answered from memory: the verdict belongs to the received set.
 //
+// A source symbol's home is its place in the result: the block is one
+// buffer of K symbols, AddSymbol copies source symbol i straight to slot
+// i of it, and every decode layer writes what is missing into the slots
+// still empty. What Decode and Source return are views of that buffer —
+// no symbol is copied a second time — and they stay valid, and
+// unchanged, until Reset: once the block has decoded, nothing that
+// arrives is written anywhere. Repair symbols wait in a side store
+// until the decode that uses them.
+//
 // Decoding is layered by how much work the received set actually
 // requires:
 //
@@ -49,31 +59,31 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 // state (same K, same symbol size, any loss pattern) the whole
 // AddSymbol/Decode cycle allocates nothing.
 type Decoder struct {
-	p    Params
-	t    int
-	recv map[uint32][]byte
-	// srcHave counts received symbols with esi < K (systematic fast path).
+	p Params
+	t int
+
+	// home is the block: source symbol i at home[i*t:]. It is the
+	// decoder's own, or an ObjectDecoder's window of its object. Bit i of
+	// have is set once source symbol i has been seen: until the block
+	// decodes that means slot i holds it; afterwards arrivals are
+	// remembered, not stored.
+	home    []byte
+	have    []uint64
 	srcHave int
-	decoded [][]byte
+
+	// rep lists the repair symbols seen, ascending by ESI; their payloads
+	// are in store, the decoder's own or the one its ObjectDecoder's
+	// blocks share.
+	rep   []repairRef
+	store *repairStore
+
+	decoded bool
 	// singularAt is the received count at which Decode last found the
 	// set rank-deficient; 0 when it has not.
 	singularAt int
 
-	// Intake arena: received symbols are copied into symBuf chunks
-	// instead of one allocation each. The first chunk holds the block
-	// (K symbols plus intakeSlack); whatever arrives beyond it starts a
-	// chunk of twice the size, so after one warm round Reset reuses a
-	// chunk big enough for everything and intake allocates nothing.
-	// Grown chunks abandon (never copy) the old buffer — symbols already
-	// handed to recv keep their old backing.
-	symBuf []byte
-	symOff int
-
-	// Result storage: what a returned source symbol may alias besides
-	// the intake arena.
-	out    [][]byte
-	outBuf []byte
-	rhsBuf []byte
+	// out is Decode's result, K views of home; empty until asked for.
+	out [][]byte
 
 	// sc is the matrix paths' working memory: the Decoder's own, made
 	// on first use, unless an ObjectDecoder lends its worker's.
@@ -86,6 +96,43 @@ type Decoder struct {
 	forcePartial bool
 }
 
+// repairRef is one repair symbol a block has seen: its ESI and its slot
+// in the repair store — unless it came after the block had decoded.
+type repairRef struct {
+	esi, slot uint32
+}
+
+// repairIndexRoom is the room a block's repair index starts with: the
+// repair symbols of a 256-symbol block that lost a third of its sources,
+// or of one without loss and the few dozen a round-robin sender still
+// sends it once it has decoded. repairStoreRoom is the symbols an
+// object's store first makes room for: a fetch without loss seldom holds
+// more at a time.
+const (
+	repairIndexRoom = 128
+	repairStoreRoom = 16
+)
+
+// repairStore holds repair symbols' payloads, all of one length, back to
+// back in arrival order; emptying it rewinds it.
+type repairStore []byte
+
+// put copies data into the next slot and returns which that is.
+func (s *repairStore) put(data []byte) uint32 {
+	if cap(*s) == 0 {
+		*s = make(repairStore, 0, repairStoreRoom*len(data))
+	}
+	slot := len(*s) / len(data)
+	*s = append(*s, data...)
+	return uint32(slot)
+}
+
+// sym returns the t-byte payload in slot.
+func (s repairStore) sym(slot uint32, t int) []byte {
+	off := int(slot) * t
+	return s[off : off+t : off+t]
+}
+
 // solveScratch is everything a matrix decode works in that its result
 // does not alias, so one instance serves any number of blocks in turn
 // (see partial.go for the partial-path pieces).
@@ -93,19 +140,15 @@ type solveScratch struct {
 	plan      planner
 	slots     slotArena // symbol-width replay slots
 	lanes     slotArena // lane-width replay slots (partial path)
-	esiBuf    []uint32
-	rowBuf    [][]byte // the rows of the system being loaded into slots
+	rowBuf    [][]byte  // the rows of the system being loaded into slots
 	ltScratch []int32
 	coefBuf   []byte
+	rhsBuf    []byte
 	eqRows    [][]byte
 	eqSymRows [][]byte
 	rowOfCol  []int
 	missBuf   []uint32
 }
-
-// intakeSlack is how many symbols beyond K the first intake chunk
-// holds: the overhead a receiver normally needs before a block decodes.
-const intakeSlack = 4
 
 // NewDecoder creates a decoder for a block of k source symbols of the
 // given size.
@@ -117,23 +160,30 @@ func NewDecoder(k, symbolSize int) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Decoder{
-		p:    p,
-		t:    symbolSize,
-		recv: make(map[uint32][]byte, k+2),
-	}, nil
+	// One buffer: the block, and behind it room for as many repair symbols
+	// (a block can arrive as nothing else), so that a decoder reused
+	// through Reset allocates for none of them, whatever the loss.
+	n := k * symbolSize
+	buf := make([]byte, 2*n)
+	store := repairStore(buf[n:n])
+	return &Decoder{p: p, t: symbolSize, home: buf[:n:n], have: make([]uint64, haveWords(k)), store: &store}, nil
 }
+
+// haveWords is the length of the presence set of a k-symbol block.
+func haveWords(k int) int { return (k + 63) / 64 }
 
 // Reset returns the decoder to its empty state for a new block with
 // the same (K, symbol size), retaining every internal buffer — the
 // steady-state path allocates nothing. All symbol slices previously
 // returned by Decode or Source are invalidated.
 func (d *Decoder) Reset() {
-	clear(d.recv)
+	clear(d.have)
 	d.srcHave = 0
-	d.decoded = nil
+	d.rep = d.rep[:0]
+	*d.store = (*d.store)[:0]
+	d.decoded = false
 	d.singularAt = 0
-	d.symOff = 0
+	d.out = d.out[:0]
 }
 
 // K returns the number of source symbols in the block.
@@ -143,58 +193,64 @@ func (d *Decoder) K() int { return d.p.K }
 func (d *Decoder) SymbolSize() int { return d.t }
 
 // AddSymbol stores encoding symbol esi. It returns true if the symbol
-// was new (not a duplicate). The data is copied — unless the block is
-// already decoded: then only the ESI is remembered, so that a replay
+// was new (not a duplicate); a duplicate is dropped before a byte of it
+// is written, whatever it carries. The data is copied — unless the block
+// is already decoded: then only the ESI is remembered, so that a replay
 // still reads as a duplicate, and the payload, which nothing will use,
-// takes no intake memory.
+// is written nowhere.
 func (d *Decoder) AddSymbol(esi uint32, data []byte) (bool, error) {
 	if len(data) != d.t {
 		return false, fmt.Errorf("raptorq: symbol size %d, want %d", len(data), d.t)
 	}
-	if _, dup := d.recv[esi]; dup {
-		return false, nil
+	if esi < uint32(d.p.K) {
+		return d.addSource(esi, data), nil
 	}
-	if d.decoded != nil {
-		d.recv[esi] = nil
-		return true, nil
-	}
-	d.recv[esi] = d.storeSym(data)
-	if int(esi) < d.p.K {
-		d.srcHave++
-	}
-	return true, nil
+	return d.addRepair(esi, data), nil
 }
 
-// storeSym copies data into the intake arena and returns the stable
-// copy.
+// addSource receives source symbol esi in place.
 //
-//polyvet:noalloc per-symbol intake; the chunk-grow path is split out cold
-func (d *Decoder) storeSym(data []byte) []byte {
-	if d.symOff+d.t > len(d.symBuf) {
-		d.growSymBuf()
+//polyvet:noalloc per-symbol intake: one copy, to the symbol's place in the result
+func (d *Decoder) addSource(esi uint32, data []byte) bool {
+	w, bit := esi>>6, uint64(1)<<(esi&63)
+	if d.have[w]&bit != 0 {
+		return false
 	}
-	out := d.symBuf[d.symOff : d.symOff+d.t : d.symOff+d.t]
-	d.symOff += d.t
-	copy(out, data)
-	return out
+	d.have[w] |= bit
+	d.srcHave++
+	if !d.decoded {
+		copy(d.home[int(esi)*d.t:], data)
+	}
+	return true
 }
 
-// growSymBuf starts a fresh intake chunk: the block-sized first one, or
-// double the one that just filled. The old chunk is abandoned, not
-// copied: symbols already stored keep referencing it.
-//
-//go:noinline
-func (d *Decoder) growSymBuf() {
-	n := 2 * len(d.symBuf)
-	if n == 0 {
-		n = (d.p.K + intakeSlack) * d.t
+// addRepair files repair symbol esi. A Polyraptor sender's repair ESIs
+// ascend, so the place is nearly always the end; anything else is found
+// by binary search.
+func (d *Decoder) addRepair(esi uint32, data []byte) bool {
+	i := len(d.rep)
+	if i > 0 && d.rep[i-1].esi >= esi {
+		var dup bool
+		i, dup = slices.BinarySearchFunc(d.rep, esi, func(r repairRef, esi uint32) int {
+			return cmp.Compare(r.esi, esi)
+		})
+		if dup {
+			return false
+		}
 	}
-	d.symBuf = make([]byte, n)
-	d.symOff = 0
+	ref := repairRef{esi: esi}
+	if !d.decoded {
+		ref.slot = d.store.put(data)
+	}
+	if d.rep == nil {
+		d.rep = make([]repairRef, 0, repairIndexRoom)
+	}
+	d.rep = slices.Insert(d.rep, i, ref)
+	return true
 }
 
-// Received returns the number of distinct encoding symbols held.
-func (d *Decoder) Received() int { return len(d.recv) }
+// Received returns the number of distinct encoding symbols seen.
+func (d *Decoder) Received() int { return d.srcHave + len(d.rep) }
 
 // SourceKnown returns how many source symbols arrived directly
 // (esi < K) — these are available to the application immediately,
@@ -204,45 +260,59 @@ func (d *Decoder) SourceKnown() int { return d.srcHave }
 
 // Ready reports whether at least K distinct symbols are available, the
 // minimum for a decode attempt.
-func (d *Decoder) Ready() bool { return len(d.recv) >= d.p.K }
+func (d *Decoder) Ready() bool { return d.Received() >= d.p.K }
+
+// has reports whether source symbol i has been seen.
+func (d *Decoder) has(i int) bool { return d.have[i>>6]>>(i&63)&1 != 0 }
+
+// src returns source symbol i's slot of the block.
+func (d *Decoder) src(i int) []byte {
+	return d.home[i*d.t : (i+1)*d.t : (i+1)*d.t]
+}
 
 // Source returns the source symbol for esi if it was received directly
-// or already decoded, else nil.
+// or already decoded, else nil. The slice is a view of the block.
 func (d *Decoder) Source(esi uint32) []byte {
-	if d.decoded != nil {
-		return d.decoded[esi]
-	}
-	if int(esi) < d.p.K {
-		return d.recv[esi]
+	if esi < uint32(d.p.K) && (d.decoded || d.has(int(esi))) {
+		return d.src(int(esi))
 	}
 	return nil
 }
 
-// Decode attempts to reconstruct all K source symbols. On success the
-// result is cached and returned on subsequent calls (and invalidated
-// by Reset). It returns ErrNeedMoreSymbols when fewer than K symbols
-// are held and ErrSingular when the held set does not have full rank
-// (add more symbols and retry; until one arrives the verdict is
+// Decode attempts to reconstruct all K source symbols and returns them
+// as views of the decoder's block, in order and back to back. On
+// success the result is cached and returned on subsequent calls (and
+// invalidated by Reset). It returns ErrNeedMoreSymbols when fewer than K
+// symbols are held and ErrSingular when the held set does not have full
+// rank (add more symbols and retry; until one arrives the verdict is
 // repeated without solving again).
 func (d *Decoder) Decode() ([][]byte, error) {
-	if d.decoded != nil {
-		return d.decoded, nil
+	if err := d.decode(); err != nil {
+		return nil, err
 	}
-	if d.singularAt == len(d.recv) {
-		return nil, ErrSingular
-	}
-	k := d.p.K
-	out := d.outSlice()
-	if d.srcHave == k {
-		// Pure systematic delivery: no matrix work at all.
-		for i := 0; i < k; i++ {
-			out[i] = d.recv[uint32(i)]
+	if len(d.out) == 0 {
+		for i := 0; i < d.p.K; i++ {
+			d.out = append(d.out, d.src(i))
 		}
-		d.decoded = out
-		return out, nil
 	}
-	if len(d.recv) < k {
-		return nil, ErrNeedMoreSymbols
+	return d.out, nil
+}
+
+// decode is Decode without the views: it leaves the block complete.
+func (d *Decoder) decode() error {
+	if d.decoded {
+		return nil
+	}
+	k, n := d.p.K, d.Received()
+	switch {
+	case d.srcHave == k:
+		// Pure systematic delivery: every symbol is where it belongs.
+		d.decoded = true
+		return nil
+	case n < k:
+		return ErrNeedMoreSymbols
+	case n == d.singularAt:
+		return ErrSingular
 	}
 	if d.sc == nil {
 		d.sc = new(solveScratch)
@@ -251,44 +321,21 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	partial := !d.forceFull && (d.forcePartial || m <= partialMaxMissing(k))
 	var err error
 	if partial {
-		err = d.decodePartial(out, m)
+		err = d.decodePartial(m)
 	}
 	// The partial path caps how many repair rows it considers, so it can
 	// miss rank the full system still has: fall back on any failure.
 	if !d.forcePartial && (!partial || err != nil) {
-		err = d.decodeFull(out)
+		err = d.decodeFull()
 	}
 	if err != nil {
 		if errors.Is(err, ErrSingular) {
-			d.singularAt = len(d.recv)
+			d.singularAt = n
 		}
-		return nil, err
+		return err
 	}
-	d.decoded = out
-	return out, nil
-}
-
-// outSlice returns the reused K-wide result slice, cleared.
-func (d *Decoder) outSlice() [][]byte {
-	if cap(d.out) < d.p.K {
-		d.out = make([][]byte, d.p.K)
-	}
-	d.out = d.out[:d.p.K]
-	clear(d.out)
-	return d.out
-}
-
-// sortedESIs collects the received ESIs in ascending order into the
-// reused scratch slice.
-func (d *Decoder) sortedESIs() []uint32 {
-	esis := d.sc.esiBuf[:0]
-	//polyvet:orderfree collection order is erased by the sort below
-	for esi := range d.recv {
-		esis = append(esis, esi)
-	}
-	slices.Sort(esis)
-	d.sc.esiBuf = esis
-	return esis
+	d.decoded = true
+	return nil
 }
 
 // decodeFull runs the full inactivation decode: plan the elimination
@@ -296,68 +343,49 @@ func (d *Decoder) sortedESIs() []uint32 {
 // layout for the decode system: S LDPC rows (zero RHS), the received
 // symbols in ascending-ESI order, H HDPC rows and the Horner scratch
 // (zero RHS).
-func (d *Decoder) decodeFull(out [][]byte) error {
-	esis := d.sortedESIs()
+func (d *Decoder) decodeFull() error {
 	pl := &d.sc.plan
-	pl.reset(d.p, len(esis))
-	for _, esi := range esis {
-		pl.addESI(esi)
+	pl.reset(d.p, d.Received())
+	rows := d.sc.rowBuf[:0]
+	for i := 0; i < d.p.K; i++ {
+		if d.has(i) {
+			pl.addESI(uint32(i))
+			rows = append(rows, d.src(i))
+		}
 	}
+	for _, r := range d.rep {
+		pl.addESI(r.esi)
+		rows = append(rows, d.store.sym(r.slot, d.t))
+	}
+	d.sc.rowBuf = rows
 	sched, err := pl.plan()
 	if err != nil {
 		return err
 	}
-	rows := d.sc.rowBuf[:0]
-	for _, esi := range esis {
-		rows = append(rows, d.recv[esi])
-	}
-	d.sc.rowBuf = rows
 	syms := d.sc.slots.load(sched.nSlots, d.t, d.p.S, rows)
 	sched.replay(syms)
-	d.fillFromSlots(out, syms, sched.outSlot)
+	d.fillFromSlots(syms, sched.outSlot)
 	return nil
 }
 
-// fillFromSlots assembles the source symbols after a schedule replay:
-// received sources come straight from the intake store, missing ones
-// are regenerated by LT expansion over the intermediate slots into the
-// reused output arena.
+// fillFromSlots completes the block after a schedule replay: every
+// missing source symbol is regenerated by LT expansion over the
+// intermediate slots, straight into its own slot, cleared first of
+// whatever an earlier block left there.
 //
-//polyvet:noalloc steady-state decode assembly over reused buffers
-func (d *Decoder) fillFromSlots(out, syms [][]byte, outSlot []int32) {
-	k := d.p.K
-	buf := d.regenBuf(k - d.srcHave)
-	off := 0
+//polyvet:noalloc steady-state decode assembly, in place
+func (d *Decoder) fillFromSlots(syms [][]byte, outSlot []int32) {
 	scratch := d.sc.ltScratch
-	for i := 0; i < k; i++ {
-		if sym, ok := d.recv[uint32(i)]; ok {
-			out[i] = sym
+	for i := 0; i < d.p.K; i++ {
+		if d.has(i) {
 			continue
 		}
-		dst := buf[off : off+d.t : off+d.t]
-		off += d.t
+		dst := d.src(i)
+		clear(dst)
 		scratch = d.p.AppendLTIndices(scratch[:0], uint32(i))
 		for _, col := range scratch {
 			gf256.AddRow(dst, syms[outSlot[col]])
 		}
-		out[i] = dst
 	}
 	d.sc.ltScratch = scratch
-}
-
-// regenBuf returns the reused backing store for m regenerated source
-// symbols, zeroed. It grows to twice the need (m <= K bounds it), so the
-// next, heavier loss on a reused decoder does not allocate again.
-// noinline keeps the grow allocation out of annotated callers under the
-// compiler-verified gate.
-//
-//go:noinline
-func (d *Decoder) regenBuf(m int) []byte {
-	need := m * d.t
-	if cap(d.outBuf) < need {
-		d.outBuf = make([]byte, min(2*need, d.p.K*d.t))
-	}
-	d.outBuf = d.outBuf[:need]
-	clear(d.outBuf)
-	return d.outBuf
 }

@@ -177,9 +177,19 @@ func (oe *ObjectEncoder) Symbol(sbn int, esi uint32) []byte {
 }
 
 // ObjectDecoder reassembles an object from (SBN, ESI, data) symbols.
+//
+// It owns one buffer the size of the object (padded to whole symbols),
+// made when the first symbol arrives, and every block's Decoder receives
+// and decodes in place in its window of it: a source symbol is copied
+// once, from the caller's packet to where it belongs in the result, and
+// Object returns that buffer. Repair symbols of all blocks share one
+// side store.
 type ObjectDecoder struct {
 	layout BlockLayout
-	blocks []*Decoder
+	buf    []byte
+	blocks []Decoder
+	store  repairStore
+	spent  int // bytes of store whose block has decoded
 	done   []bool
 	nDone  int
 
@@ -197,17 +207,35 @@ type ObjectDecoder struct {
 
 // NewObjectDecoder creates a decoder for an object with the given
 // layout (communicated out-of-band, e.g. in Polyraptor's session
-// establishment).
+// establishment). It holds no symbol memory until a symbol arrives.
 func NewObjectDecoder(layout BlockLayout) (*ObjectDecoder, error) {
-	od := &ObjectDecoder{layout: layout, done: make([]bool, layout.Z())}
-	for _, k := range layout.K {
-		d, err := NewDecoder(k, layout.T)
+	if layout.T <= 0 {
+		return nil, fmt.Errorf("raptorq: invalid symbol size %d", layout.T)
+	}
+	z := layout.Z()
+	od := &ObjectDecoder{layout: layout, blocks: make([]Decoder, z), done: make([]bool, z)}
+	have := make([]uint64, layout.TotalSymbols()/64+z) // a word too many per block at most
+	for i, k := range layout.K {
+		p, err := NewParams(k)
 		if err != nil {
 			return nil, err
 		}
-		od.blocks = append(od.blocks, d)
+		w := haveWords(k)
+		od.blocks[i] = Decoder{p: p, t: layout.T, have: have[:w:w], store: &od.store}
+		have = have[w:]
 	}
 	return od, nil
+}
+
+// makeBuf makes the object's buffer and gives each block its window.
+func (od *ObjectDecoder) makeBuf() {
+	t := od.layout.T
+	od.buf = make([]byte, od.layout.TotalSymbols()*t)
+	rest := od.buf
+	for i := range od.blocks {
+		n := od.blocks[i].p.K * t
+		od.blocks[i].home, rest = rest[:n:n], rest[n:]
+	}
 }
 
 // AddSymbol feeds one received symbol. It returns true if the symbol
@@ -215,6 +243,9 @@ func NewObjectDecoder(layout BlockLayout) (*ObjectDecoder, error) {
 func (od *ObjectDecoder) AddSymbol(sbn int, esi uint32, data []byte) (bool, error) {
 	if sbn < 0 || sbn >= len(od.blocks) {
 		return false, fmt.Errorf("raptorq: SBN %d out of range [0,%d)", sbn, len(od.blocks))
+	}
+	if od.buf == nil && len(data) == od.layout.T {
+		od.makeBuf()
 	}
 	return od.blocks[sbn].AddSymbol(esi, data)
 }
@@ -224,14 +255,22 @@ func (od *ObjectDecoder) AddSymbol(sbn int, esi uint32, data []byte) (bool, erro
 func (od *ObjectDecoder) SetWorkers(n int) { od.workers = n }
 
 // TryDecode attempts to decode every ready, not-yet-decoded block and
-// reports whether the whole object is now recovered. When two or more
-// blocks are ready it fans the per-block solves out over a worker
-// pool; completion flags are written by block index afterwards, so
-// results and observable state are identical to the serial order.
+// reports whether the whole object is now recovered. A block that holds
+// all its source symbols is complete as it stands; when two or more
+// need a solve it fans them out over a worker pool, each worker writing
+// its block's window only. Completion flags are written by block index
+// afterwards, so results and observable state are identical to the
+// serial order.
 func (od *ObjectDecoder) TryDecode() bool {
 	ready := od.readyBuf[:0]
-	for i, d := range od.blocks {
-		if !od.done[i] && d.Ready() {
+	for i := range od.blocks {
+		d := &od.blocks[i]
+		switch {
+		case od.done[i] || !d.Ready():
+		case d.SourceKnown() == d.K():
+			_ = d.decode() // nothing to solve: it cannot fail
+			od.finish(i)
+		default:
 			ready = append(ready, i)
 		}
 	}
@@ -240,28 +279,30 @@ func (od *ObjectDecoder) TryDecode() bool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ready) {
-		workers = len(ready)
-	}
+	workers = min(workers, len(ready))
 	for len(od.scratch) < workers {
 		od.scratch = append(od.scratch, new(solveScratch))
 	}
 	if workers <= 1 {
 		for _, i := range ready {
-			d := od.blocks[i]
+			d := &od.blocks[i]
 			d.sc = od.scratch[0]
-			if _, err := d.Decode(); err == nil {
-				od.done[i] = true
-				od.nDone++
+			if d.decode() == nil {
+				od.finish(i)
 			}
 		}
-		return od.nDone == len(od.blocks)
+	} else {
+		od.decodeParallel(ready, workers)
 	}
-	if cap(od.okBuf) < len(ready) {
-		od.okBuf = make([]bool, len(ready))
-	}
-	ok := od.okBuf[:len(ready)]
-	clear(ok)
+	return od.nDone == len(od.blocks)
+}
+
+// decodeParallel is TryDecode's worker pool over the ready blocks. It is
+// a function of its own so that what its goroutines capture is allocated
+// here, not by every TryDecode.
+func (od *ObjectDecoder) decodeParallel(ready []int, workers int) {
+	ok := sized(od.okBuf, len(ready))
+	od.okBuf = ok
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for _, sc := range od.scratch[:workers] {
@@ -273,22 +314,31 @@ func (od *ObjectDecoder) TryDecode() bool {
 				if j >= len(ready) {
 					return
 				}
-				d := od.blocks[ready[j]]
+				d := &od.blocks[ready[j]]
 				d.sc = sc
-				if _, err := d.Decode(); err == nil {
-					ok[j] = true
-				}
+				ok[j] = d.decode() == nil
 			}
 		}()
 	}
 	wg.Wait()
 	for j, i := range ready {
 		if ok[j] {
-			od.done[i] = true
-			od.nDone++
+			od.finish(i)
 		}
 	}
-	return od.nDone == len(od.blocks)
+}
+
+// finish records that block i has decoded. Its repair symbols are spent
+// with it, and once every symbol in the store is, the store is rewound:
+// blocks that complete one after another, as a sender's source phase
+// delivers them, share the room of one.
+func (od *ObjectDecoder) finish(i int) {
+	od.done[i] = true
+	od.nDone++
+	od.spent += len(od.blocks[i].rep) * od.layout.T
+	if od.spent == len(od.store) {
+		od.store, od.spent = od.store[:0], 0
+	}
 }
 
 // Complete reports whether every block has been decoded.
@@ -303,21 +353,15 @@ func (od *ObjectDecoder) BlockReady(sbn int) bool {
 	return !od.done[sbn] && od.blocks[sbn].Ready()
 }
 
-// Object returns the reassembled object with padding stripped. It
-// errors if any block is still undecoded.
+// Object returns the reassembled object with padding stripped: the
+// decoder's own buffer, not a copy, with no room to append into the
+// padding. Nothing writes to it once the object is complete — a symbol
+// that arrives afterwards is only counted — so the caller may keep it
+// and need not keep the decoder. It errors if any block is still
+// undecoded.
 func (od *ObjectDecoder) Object() ([]byte, error) {
 	if !od.Complete() {
 		return nil, errors.New("raptorq: object incomplete")
 	}
-	out := make([]byte, 0, od.layout.F)
-	for _, d := range od.blocks {
-		src, err := d.Decode()
-		if err != nil {
-			return nil, err
-		}
-		for j := range src {
-			out = append(out, src[j]...)
-		}
-	}
-	return out[:od.layout.F], nil
+	return od.buf[:od.layout.F:od.layout.F], nil
 }

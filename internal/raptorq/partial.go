@@ -66,34 +66,35 @@ func partialMaxMissing(k int) int {
 }
 
 // decodePartial recovers the m missing source symbols via the reduced
-// system and fills out. It requires len(d.recv) >= K (checked by
-// Decode). Everything it touches is reused scratch: in the steady
-// state it allocates nothing.
-func (d *Decoder) decodePartial(out [][]byte, m int) error {
+// system and copies them to their slots of the block. It requires at
+// least K symbols held (checked by decode). Everything it works in is
+// reused scratch: in the steady state it allocates nothing.
+func (d *Decoder) decodePartial(m int) error {
 	k, sc := d.p.K, d.sc
 	sched, err := precodeSchedule(d.p)
 	if err != nil {
 		return err
 	}
 
-	// Missing source rows, ascending.
-	miss := sc.missBuf[:0]
-	for i := 0; i < k; i++ {
-		if _, ok := d.recv[uint32(i)]; !ok {
-			miss = append(miss, uint32(i))
-		}
-	}
-	sc.missBuf = miss
-
-	// Repair rows: the sorted received set's tail (every ESI >= K).
-	esis := d.sortedESIs()
-	repairs := esis[d.srcHave:]
-	if len(repairs) > m+partialExtraRows {
-		repairs = repairs[:m+partialExtraRows]
-	}
+	// Repair rows: the lowest ESIs held, a few more than unknowns.
+	repairs := d.rep[:min(len(d.rep), m+partialExtraRows)]
 	if len(repairs) < m {
 		return ErrSingular
 	}
+
+	// Missing source rows, ascending, and the received ones for the base
+	// replay below, with nil — a zero row — where one is missing.
+	miss := sc.missBuf[:0]
+	rows := sc.rowBuf[:0]
+	for i := 0; i < k; i++ {
+		if d.has(i) {
+			rows = append(rows, d.src(i))
+		} else {
+			rows = append(rows, nil)
+			miss = append(miss, uint32(i))
+		}
+	}
+	sc.missBuf, sc.rowBuf = miss, rows
 
 	s := d.p.S
 	nSlots := sched.nSlots
@@ -112,33 +113,22 @@ func (d *Decoder) decodePartial(out [][]byte, m int) error {
 
 	// Base replay: the known part C0 of every intermediate, from the
 	// received sources with zeros in the missing rows.
-	rows := sc.rowBuf[:0]
-	for i := 0; i < k; i++ {
-		rows = append(rows, d.recv[uint32(i)])
-	}
-	sc.rowBuf = rows
 	base := sc.slots.load(nSlots, d.t, s, rows)
 	sched.replay(base)
 
 	// Assemble the reduced r x m system.
 	r := len(repairs)
-	if cap(sc.coefBuf) < r*m {
-		sc.coefBuf = make([]byte, r*m)
-	}
-	sc.coefBuf = sc.coefBuf[:r*m]
-	if cap(d.rhsBuf) < r*d.t {
-		d.rhsBuf = make([]byte, r*d.t)
-	}
-	d.rhsBuf = d.rhsBuf[:r*d.t]
+	sc.coefBuf = sized(sc.coefBuf, r*m)
+	sc.rhsBuf = sized(sc.rhsBuf, r*d.t)
 	eq := sc.eqRows[:0]
 	eqSym := sc.eqSymRows[:0]
 	scratch := sc.ltScratch
-	for i, esi := range repairs {
+	for i, rep := range repairs {
 		coef := sc.coefBuf[i*m : (i+1)*m : (i+1)*m]
 		clear(coef)
-		rhs := d.rhsBuf[i*d.t : (i+1)*d.t : (i+1)*d.t]
-		copy(rhs, d.recv[esi])
-		scratch = d.p.AppendLTIndices(scratch[:0], esi)
+		rhs := sc.rhsBuf[i*d.t : (i+1)*d.t : (i+1)*d.t]
+		copy(rhs, d.store.sym(rep.slot, d.t))
+		scratch = d.p.AppendLTIndices(scratch[:0], rep.esi)
 		for _, col := range scratch {
 			slot := sched.outSlot[col]
 			gf256.AddRow(coef, lanes[slot])
@@ -150,21 +140,13 @@ func (d *Decoder) decodePartial(out [][]byte, m int) error {
 	sc.ltScratch = scratch
 	sc.eqRows, sc.eqSymRows = eq, eqSym
 
-	if cap(sc.rowOfCol) < m {
-		sc.rowOfCol = make([]int, m)
-	}
-	rowOfCol := sc.rowOfCol[:m]
+	rowOfCol := sized(sc.rowOfCol, m)
+	sc.rowOfCol = rowOfCol
 	if err := gaussJordanScratch(eq, eqSym, m, rowOfCol); err != nil {
 		return err
 	}
-
-	for i := 0; i < k; i++ {
-		if sym, ok := d.recv[uint32(i)]; ok {
-			out[i] = sym
-		}
-	}
 	for j, esi := range miss {
-		out[esi] = eqSym[rowOfCol[j]]
+		copy(d.src(int(esi)), eqSym[rowOfCol[j]])
 	}
 	return nil
 }

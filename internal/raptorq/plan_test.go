@@ -209,28 +209,40 @@ func TestSingularVerdictIsRemembered(t *testing.T) {
 	}
 }
 
-// TestIntakeOneChunkPerBlock pins the intake arena's sizing: a block
-// that decodes at the usual K+2 costs one chunk, not a doubling walk.
+// TestIntakeOneChunkPerBlock pins what intake allocates on a fresh
+// decoder, whose one chunk is the block with room for repair symbols
+// behind it: nothing for the K source symbols — the block is their place
+// and there is no intake copy to make room for — and for the repair
+// symbols of the usual K+2 their index.
 func TestIntakeOneChunkPerBlock(t *testing.T) {
 	const k, symSize, runs = 256, 32, 4
 	sym := make([]byte, symSize)
-	decs := make([]*Decoder, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range decs {
-		var err error
-		if decs[i], err = NewDecoder(k, symSize); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		symbols uint32
+		want    float64
+		what    string
+	}{
+		{k, 0, "source symbols go to their place in the block"},
+		{k + 2, 1, "the repair index"},
+	} {
+		decs := make([]*Decoder, runs+1) // AllocsPerRun makes one warm-up call
+		for i := range decs {
+			var err error
+			if decs[i], err = NewDecoder(k, symSize); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		d := decs[next]
-		next++
-		for esi := uint32(0); esi < k+2; esi++ {
-			d.AddSymbol(esi, sym)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			d := decs[next]
+			next++
+			for esi := uint32(0); esi < tc.symbols; esi++ {
+				d.AddSymbol(esi, sym)
+			}
+		})
+		if allocs != tc.want {
+			t.Fatalf("%d AddSymbol calls on a fresh decoder made %v allocations, want %v (%s)", tc.symbols, allocs, tc.want, tc.what)
 		}
-	})
-	if allocs != 1 {
-		t.Fatalf("K+2 AddSymbol calls on a fresh decoder made %v allocations, want 1 (the intake chunk)", allocs)
 	}
 }
 

@@ -8,8 +8,16 @@ import (
 	"time"
 )
 
-// drainMax is the most datagrams one read hands to a protocol loop.
-const drainMax = 32
+// drainMax is the most messages one read takes from the socket: without
+// coalesced reads, the most datagrams it hands to a protocol loop. With
+// them a message is a whole train, so a read asks for groMsgs, each into
+// a slot that holds the longest train there is: groMsgs x trainMax
+// datagrams at most, which one pull can still credit.
+const (
+	drainMax = 32
+	groMsgs  = 8
+	groSlot  = 1 << 16
+)
 
 // datagram is one received packet. data aliases the ring and is valid
 // until the next read; pkt hands it out as nil for a datagram the loops
@@ -27,7 +35,8 @@ type datagram struct {
 // with any other conn a read is one ReadFrom and a "drain" is one
 // datagram, so the wire exchange is the pre-batching one. Its sending
 // counterpart is sendTrain: a burst of equal-length packets to one peer
-// in one write, under the same conditions.
+// in one write, under the same conditions; with coalesceReads such a
+// train also arrives as one message, which the reader takes apart again.
 //
 // Peers are netip.AddrPorts with the address unmapped, so the address a
 // caller passed in and the address a packet came from compare equal on
@@ -41,38 +50,82 @@ type pktIO struct {
 	// writes them one at a time.
 	train func(buf []byte, segLen int, to netip.AddrPort) error
 
-	slot     int    // bytes per ring slot: the longest valid packet plus one
-	ring     []byte // the slots back to back: drainMax with mm, else one
-	pkts     [drainMax]datagram
-	deadline time.Time // the read deadline armed on conn
+	slot     int        // the longest valid packet plus one: longer ones are dropped
+	ring     []byte     // where reads land: one slot, or drainMax of them with mm
+	pkts     []datagram // the last read's datagrams; as many as a read can return
+	gro      *groRing   // the ring of coalesced reads, while they are on
+	deadline time.Time  // the read deadline armed on conn
 }
 
-// newPktIO returns the shim for conn. maxPacket is the longest packet
-// the loop accepts; anything longer is dropped on arrival.
-func newPktIO(conn net.PacketConn, maxPacket int) *pktIO {
+// groRing is what coalesced reads land in and are taken apart into: half
+// a megabyte, so fetches pass theirs on through groRings, which holds as
+// many as fetches commonly run side by side in one process, instead of
+// leaving one each to the collector. The datagrams come first: they are
+// the part the collector has to scan.
+type groRing struct {
+	pkts [groMsgs * trainMax]datagram
+	buf  [groMsgs * groSlot]byte
+}
+
+var groRings = make(chan *groRing, 4)
+
+// newPktIO returns the shim for conn. It cannot read until setMaxPacket
+// has sized its ring.
+func newPktIO(conn net.PacketConn) *pktIO {
 	p := &pktIO{conn: conn}
 	if udp, ok := conn.(*net.UDPConn); ok {
 		p.udp = udp
 		p.mm = newMmsgReader(udp)
 	}
-	p.setMaxPacket(maxPacket)
 	return p
 }
 
-// setMaxPacket sizes the ring for packets of up to n bytes. A slot is
-// one byte longer, so a datagram that fills its slot was longer than n.
+// setMaxPacket sizes the ring for packets of up to n bytes; anything
+// longer is dropped on arrival. A slot is one byte longer, so a datagram
+// that fills its slot was longer than n; coalesced reads have their own.
 func (p *pktIO) setMaxPacket(n int) {
 	p.slot = n + 1
-	if p.mm == nil {
-		p.ring = make([]byte, p.slot)
+	switch {
+	case p.mm == nil:
+		p.ring, p.pkts = make([]byte, p.slot), make([]datagram, 1)
+	case p.gro == nil:
+		p.ring, p.pkts = make([]byte, drainMax*p.slot), make([]datagram, drainMax)
+		p.mm.bind(p.ring, p.slot, drainMax)
+	}
+}
+
+// coalesceReads asks the kernel to deliver a train to this socket as the
+// one message it was sent as (UDP_GRO) and makes room for such messages.
+// Where there is no batched reader, or the kernel refuses, nothing
+// changes. The socket is not ours: whoever turns this on calls
+// restoreReads before handing it back.
+func (p *pktIO) coalesceReads() {
+	if p.mm == nil || p.mm.setGRO(1) != nil {
 		return
 	}
-	p.ring = make([]byte, drainMax*p.slot)
-	p.mm.bind(p.ring, p.slot)
+	select {
+	case p.gro = <-groRings:
+	default:
+		p.gro = new(groRing)
+	}
+	p.ring, p.pkts = nil, p.gro.pkts[:]
+	p.mm.bind(p.gro.buf[:], groSlot, groMsgs)
+}
+
+// restoreReads undoes coalesceReads. Nothing may read p afterwards.
+func (p *pktIO) restoreReads() {
+	if p.gro != nil {
+		_ = p.mm.setGRO(0) // it was set a moment ago: the socket takes the option
+		select {
+		case groRings <- p.gro:
+		default:
+		}
+		p.gro, p.pkts = nil, nil
+	}
 }
 
 // read blocks until a datagram arrives, then returns how many it took:
-// all that were queued, up to drainMax. pkt(i) holds them until the
+// all that were queued, up to len(p.pkts). pkt(i) holds them until the
 // next read. It returns a timeout error (see isTimeout) when nothing
 // arrives for wait; the deadline is re-armed only once less than half
 // of wait is left on it, so a timeout comes between wait/2 and wait
@@ -85,7 +138,7 @@ func (p *pktIO) read(wait time.Duration) (int, error) {
 		}
 	}
 	if p.mm != nil {
-		return p.mm.recv(&p.pkts)
+		return p.mm.recv(p.pkts)
 	}
 	n, from, err := p.conn.ReadFrom(p.ring)
 	if err != nil {
@@ -151,6 +204,25 @@ func (p *pktIO) sendTrain(buf []byte, segLen int, to netip.AddrPort) (calls, ref
 		buf = buf[n:]
 	}
 	return calls, refused
+}
+
+// splitTrain takes one received message apart into the datagrams it was
+// sent as, segLen bytes each and the last whatever is left, in pkts, and
+// returns how many; a segLen that is not positive says it is one. Should
+// pkts be too short, its last takes the rest of the message: that is
+// then longer than a packet can be, and dropped as such.
+func splitTrain(msg []byte, segLen int, from netip.AddrPort, pkts []datagram) int {
+	for n := range pkts {
+		end := len(msg)
+		if segLen > 0 && segLen < end && n < len(pkts)-1 {
+			end = segLen
+		}
+		pkts[n] = datagram{data: msg[:end:end], from: from}
+		if msg = msg[end:]; len(msg) == 0 {
+			return n + 1
+		}
+	}
+	return 0
 }
 
 // addrPortOf converts a peer address to the shim's form. The result is

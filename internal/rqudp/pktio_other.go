@@ -3,6 +3,7 @@
 package rqudp
 
 import (
+	"errors"
 	"net"
 	"net/netip"
 )
@@ -17,8 +18,12 @@ func newMmsgReader(*net.UDPConn) *mmsgReader { return nil }
 // at a time.
 func newTrainSender(*net.UDPConn) func([]byte, int, netip.AddrPort) error { return nil }
 
-func (*mmsgReader) bind([]byte, int) {}
+// A pktIO calls none of these: its mmsgReader is nil.
 
-func (*mmsgReader) recv(*[drainMax]datagram) (int, error) {
+func (*mmsgReader) bind([]byte, int, int) {}
+
+func (*mmsgReader) setGRO(int) error { return errors.ErrUnsupported }
+
+func (*mmsgReader) recv([]datagram) (int, error) {
 	panic("rqudp: no batched reader on this platform")
 }

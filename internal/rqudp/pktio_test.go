@@ -19,13 +19,22 @@ import (
 // puts a loop on the portable shim: one ReadFrom per read, WriteTo.
 type passConn struct{ net.PacketConn }
 
-// batched reports whether this platform gives a UDP socket the batched
-// reader; the tests that need a multi-datagram drain skip without it.
-func batched(t *testing.T) bool {
+// fetchDrain reports the most messages one read of a fetch takes from
+// wrap(a UDP socket) on this host, and the most datagrams they can hold:
+// 1 and 1 without batched reads, drainMax of each with them, and groMsgs
+// trains of trainMax where the kernel also coalesces.
+func fetchDrain(t *testing.T, wrap func(net.PacketConn) net.PacketConn) (msgs, datagrams int) {
 	t.Helper()
 	conn := newUDP(t)
 	defer conn.Close()
-	return newPktIO(conn, 64).mm != nil
+	io := newPktIO(wrap(conn))
+	io.coalesceReads()
+	defer io.restoreReads()
+	io.setMaxPacket(64)
+	if io.gro != nil {
+		return groMsgs, len(io.pkts)
+	}
+	return len(io.pkts), len(io.pkts)
 }
 
 // pullTap wraps a server's socket and adds up the credits of the pulls
@@ -201,15 +210,13 @@ func refSchedule(ks []int, idx, n, count int) [][2]uint32 {
 	return out[:count]
 }
 
-// shims are the two packet I/O paths a loop can be on; maxDrain is the
-// most datagrams one read returns.
+// shims are the two packet I/O paths a loop can be on.
 var shims = []struct {
-	name     string
-	wrap     func(net.PacketConn) net.PacketConn
-	maxDrain int
+	name string
+	wrap func(net.PacketConn) net.PacketConn
 }{
-	{"platform", func(c net.PacketConn) net.PacketConn { return c }, drainMax},
-	{"portable", func(c net.PacketConn) net.PacketConn { return passConn{c} }, 1},
+	{"platform", func(c net.PacketConn) net.PacketConn { return c }},
+	{"portable", func(c net.PacketConn) net.PacketConn { return passConn{c} }},
 }
 
 // The same two-server fetch with both ends on the platform's shim —
@@ -232,7 +239,7 @@ func TestShimDifferential(t *testing.T) {
 			remotes, relays, srvs := relayedServers(t, obj, cfg, 2, tc.wrap, 0)
 			conn := tc.wrap(newUDP(t))
 			defer conn.Close()
-			lastDrain := tc.maxDrain // bounds the fresh symbols of the final drain
+			_, lastDrain := fetchDrain(t, tc.wrap) // bounds the fresh symbols of the final drain
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			const flow = 77
@@ -402,7 +409,8 @@ func TestSilentSenderRecovered(t *testing.T) {
 	credits := live.credits[flow]
 	live.mu.Unlock()
 	earned := credits - st.Retries*cfg.PullBatch
-	if lost := st.PerSender[1] - earned; lost < 1 || lost > drainMax {
+	_, drain := fetchDrain(t, shims[0].wrap)
+	if lost := st.PerSender[1] - earned; lost < 1 || lost > drain {
 		t.Fatalf("live sender: %d credits for %d fresh symbols and %d recoveries", credits, st.PerSender[1], st.Retries)
 	}
 }
@@ -443,13 +451,33 @@ func (s *fakeSender) send(t *testing.T, to net.Addr, pkts ...[]byte) {
 	}
 }
 
+// sendOnceCredited reads the sender's socket until it has seen pulls for
+// credits symbols, then sends pkt.
+func (s *fakeSender) sendOnceCredited(to net.Addr, credits int, pkt []byte) {
+	buf := make([]byte, 2048)
+	for seen := 0; seen < credits; {
+		_ = s.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		n, _, err := s.conn.ReadFrom(buf)
+		if err != nil {
+			return
+		}
+		if hdr, body, err := wire.ParseHeader(buf[:n]); err == nil && hdr.Type == wire.MsgPull {
+			pull, _ := wire.ParsePull(hdr.Flow, body)
+			seen += int(pull.Credits)
+		}
+	}
+	_, _ = s.conn.WriteTo(pkt, to)
+}
+
 // A fetcher that was away while a hundred symbols queued up coalesces
 // them into pulls of at most one drain each: no count comes near the
 // server's clamp or wraps the wire's uint16, and no arrival is credited
-// twice or not at all.
+// twice or not at all. This sender writes packet by packet, so a drain is
+// as many datagrams as a read takes messages: fewer with coalesced reads,
+// whose slots are sized for trains, than without.
 func TestCoalescedCreditsBounded(t *testing.T) {
-	if drainMax > maxPullCredits {
-		t.Fatalf("a drain (%d) can earn more credits than a server pays out (%d)", drainMax, maxPullCredits)
+	if most := groMsgs * trainMax; most > maxPullCredits || drainMax > maxPullCredits {
+		t.Fatalf("a drain (%d coalesced, %d not) can earn more credits than a server pays out (%d)", most, drainMax, maxPullCredits)
 	}
 	const symbolSize, k, queued = 64, 200, 100
 	obj := randObject(t, symbolSize*k)
@@ -457,6 +485,7 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	snd := newFakeSender(t, obj, symbolSize, flow)
 	conn := newUDP(t)
 	defer conn.Close()
+	drain, _ := fetchDrain(t, shims[0].wrap)
 
 	// Everything is in the socket before the fetch starts reading.
 	pkts := [][]byte{snd.announce()}
@@ -514,11 +543,8 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	if sum != queued {
 		t.Fatalf("%d queued symbols earned %d credits: %v", queued, sum, credits)
 	}
-	if biggest > drainMax {
-		t.Fatalf("a pull carried %d credits, more than a drain of %d: %v", biggest, drainMax, credits)
-	}
-	if batched(t) && biggest != drainMax {
-		t.Fatalf("no full drain: largest pull %d, want %d: %v", biggest, drainMax, credits)
+	if biggest != drain {
+		t.Fatalf("largest pull %d, want a full drain of %d and no more: %v", biggest, drain, credits)
 	}
 	if st.Duplicates != 0 || st.Retries != 0 {
 		t.Fatalf("not clean: %+v", st)
@@ -550,24 +576,10 @@ func TestBadDatagramDropsOnlyItself(t *testing.T) {
 		}
 	}
 	snd.send(t, conn.LocalAddr(), pkts...)
-	go func() {
-		// The last source symbol completes the block once the burst has
-		// been credited; had a bad datagram taken its neighbours along,
-		// K-1 symbols plus this one would not be enough.
-		buf := make([]byte, 2048)
-		for seen := 0; seen < k-1; {
-			_ = snd.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			n, _, err := snd.conn.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			if hdr, body, err := wire.ParseHeader(buf[:n]); err == nil && hdr.Type == wire.MsgPull {
-				pull, _ := wire.ParsePull(hdr.Flow, body)
-				seen += int(pull.Credits)
-			}
-		}
-		_, _ = snd.conn.WriteTo(snd.data(k-1), conn.LocalAddr())
-	}()
+	// The last source symbol completes the block once the burst has been
+	// credited; had a bad datagram taken its neighbours along, K-1 symbols
+	// plus this one would not be enough.
+	go snd.sendOnceCredited(conn.LocalAddr(), k-1, snd.data(k-1))
 
 	cfg := DefaultConfig()
 	cfg.SymbolSize = symbolSize
@@ -689,7 +701,8 @@ func TestShimReadDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := newUDP(t)
 			defer conn.Close()
-			io := newPktIO(tc.wrap(conn), 64)
+			io := newPktIO(tc.wrap(conn))
+			io.setMaxPacket(64)
 			const wait = 200 * time.Millisecond
 			start := time.Now()
 			n, err := io.read(wait)

@@ -23,7 +23,11 @@
 // brought for each session before it answers them with one burst: the
 // n equal-length Data packets are built back to back in one buffer and
 // handed to the socket as a train (pktIO.sendTrain: one UDP_SEGMENT
-// sendmsg where the kernel takes it, a write per packet elsewhere).
+// sendmsg where the kernel takes it, a write per packet elsewhere). For
+// the length of a fetch the receiver's socket takes a train as the one
+// message it was sent as (pktIO.coalesceReads: UDP_GRO, same condition)
+// and each symbol is copied once, from that message to its place in the
+// object the fetch returns (raptorq.ObjectDecoder).
 //
 // Lost symbols are never re-requested: a pull elicits the next fresh
 // symbol, which contributes equally to decoding. Multi-source fetches
@@ -83,13 +87,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxSymbolSize keeps a Data packet inside one UDP datagram. maxSymbols
-// and maxBlocks bound what an Announce may claim (4 GiB at the defaults):
-// a fetch allocates for every block and symbol before one has arrived.
+// maxSymbolSize keeps a Data packet inside one UDP datagram. The others
+// bound what an Announce may claim: a fetch makes a decoder per block on
+// its arrival, and room for the padded object on the first symbol's.
 const (
-	maxSymbolSize = 60000
-	maxSymbols    = 1 << 22
-	maxBlocks     = 1 << 16
+	maxSymbolSize  = 60000
+	maxSymbols     = 1 << 22
+	maxBlocks      = 1 << 16
+	maxObjectBytes = 1 << 32
 )
 
 func (c Config) validate() error {
@@ -275,8 +280,9 @@ func (s *Server) Serve() error {
 // open readies the packet I/O and the train buffer: as many Data packets
 // as one train may hold.
 func (s *Server) open() {
-	s.io = newPktIO(s.conn, ctlMax)
+	s.io = newPktIO(s.conn)
 	s.io.useTrains()
+	s.io.setMaxPacket(ctlMax)
 	s.lastSweep = s.now()
 	pktLen := s.enc.Layout().T + wire.DataOverhead
 	s.train = make([]byte, 0, min(trainMax, trainBytes/pktLen)*pktLen)
@@ -529,7 +535,10 @@ func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []n
 		f.peers = append(f.peers, peer)
 	}
 	f.credits = make([]uint16, len(remotes))
-	f.io = newPktIO(conn, cfg.SymbolSize+wire.DataOverhead)
+	f.io = newPktIO(conn)
+	f.io.coalesceReads() // a sender's train is to arrive as one read
+	defer f.io.restoreReads()
+	f.io.setMaxPacket(cfg.SymbolSize + wire.DataOverhead)
 	obj, err := f.run(ctx)
 	f.stats.Elapsed = time.Since(start)
 	return obj, f.stats, err
@@ -632,8 +641,9 @@ func (f *fetcher) handle(d datagram) error {
 		if err != nil || f.dec != nil {
 			return nil
 		}
-		kt := a.ObjectSize / uint64(a.SymbolSize) // source symbols, rounded down
-		if a.SymbolSize > maxSymbolSize || kt >= maxSymbols || kt/uint64(a.MaxK) >= maxBlocks {
+		t := uint64(a.SymbolSize)
+		kt := a.ObjectSize/t + min(a.ObjectSize%t, 1) // source symbols
+		if t > maxSymbolSize || kt >= maxSymbols || kt/uint64(a.MaxK) >= maxBlocks || kt*t > maxObjectBytes {
 			return fmt.Errorf("rqudp: bad announce: %d bytes in symbols of %d, blocks of %d", a.ObjectSize, a.SymbolSize, a.MaxK)
 		}
 		layout, err := raptorq.NewBlockLayout(int64(a.ObjectSize), int(a.SymbolSize), int(a.MaxK))

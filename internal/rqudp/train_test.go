@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -178,12 +179,48 @@ type fetcherFeed struct {
 
 func newFetcherFeed(flow uint32) *fetcherFeed {
 	ff := &fetcherFeed{}
-	ff.fetcher = fetcher{cfg: DefaultConfig(), flow: flow, io: newPktIO(newScriptConn(), 256)}
+	ff.fetcher = fetcher{cfg: DefaultConfig(), flow: flow, io: newPktIO(newScriptConn())}
+	ff.io.setMaxPacket(256)
 	ff.cfg.Workers = 1
 	ff.peers = []netip.AddrPort{addrPortOf(peer(5000)), addrPortOf(peer(5001))}
 	ff.credits = make([]uint16, 2)
 	ff.stats.PerSender = make([]int, 2)
 	return ff
+}
+
+// What an Announce may claim is bounded in bytes as well as in symbols
+// and blocks: the object's buffer is made in one piece when the first
+// symbol arrives. One that fits is accepted and, no Data following, costs
+// its block decoders and nothing else; one past the bound ends the fetch.
+func TestAnnounceBytesBound(t *testing.T) {
+	const flow = 9
+	for _, tc := range []struct {
+		name       string
+		size       uint64
+		symbolSize uint32
+		ok         bool
+	}{
+		{"padded to the bound exactly", maxObjectBytes - 5, 2048, true},
+		{"one symbol over", maxObjectBytes + 1, 2048, false},
+		{"the most symbols of the longest size", (maxSymbols - 1) * maxSymbolSize, maxSymbolSize, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := newFetcherFeed(flow)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := ff.handle(datagram{
+				data: wire.AppendAnnounce(nil, wire.Announce{Flow: flow, ObjectSize: tc.size, SymbolSize: tc.symbolSize, MaxK: 256}),
+				from: ff.peers[0],
+			})
+			runtime.ReadMemStats(&after)
+			if tc.ok != (err == nil) || tc.ok != (ff.dec != nil) {
+				t.Fatalf("err = %v, decoder made: %v", err, ff.dec != nil)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+				t.Fatalf("an Announce of %d bytes alone cost %d bytes", tc.size, got)
+			}
+		})
+	}
 }
 
 // FuzzFetcherHandle feeds a fetcher arbitrary datagrams from its two
@@ -217,6 +254,7 @@ func FuzzFetcherHandle(f *testing.F) {
 	f.Add(frame(announce(1<<62, 1, 1)))
 	f.Add(frame(announce(1<<63, 8, 4), announce(1<<30, 1, 1<<31), announce(64, 60001, 4)))
 	f.Add(frame(announce(24, 8, 1<<20), data(0, 5, 8), data(0, 1<<32-1, 8), data(0, 2, 8), data(0, 7, 8)))
+	f.Add(frame(announce(4<<20, 32, 256), data(3, 7, 32))) // the one Data that makes room for the whole object
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		ff := newFetcherFeed(flow)
@@ -229,11 +267,14 @@ func FuzzFetcherHandle(f *testing.F) {
 			}
 			n := min(int(in[0]>>2), len(in)-1)
 			if hdr, body, err := wire.ParseHeader(in[1 : 1+n]); err == nil && hdr.Type == wire.MsgAnnounce {
-				// An object within the limits is allocated for in full,
-				// which is as intended and too slow to fuzz: keep those
-				// that are accepted small.
-				if a, err := wire.ParseAnnounce(hdr.Flow, body); err == nil && a.ObjectSize/uint64(a.SymbolSize) > 1<<12 && a.ObjectSize/uint64(a.SymbolSize) < maxSymbols {
-					t.Skip("a large object within the limits")
+				// An object within the limits gets a decoder per block now
+				// and its bytes with the first Data, which is as intended
+				// and too slow to fuzz: keep those that are accepted small.
+				if a, err := wire.ParseAnnounce(hdr.Flow, body); err == nil {
+					size, kt := uint64(a.SymbolSize), (a.ObjectSize-1)/uint64(a.SymbolSize)+1
+					if size <= maxSymbolSize && kt < maxSymbols && kt/uint64(a.MaxK) < maxBlocks && kt*size <= maxObjectBytes && kt*size > 4<<20 {
+						t.Skip("a large object within the limits")
+					}
 				}
 			}
 			ff.fed++

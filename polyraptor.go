@@ -40,7 +40,8 @@ type (
 	// encoding symbols; systematic and rateless.
 	ObjectEncoder = raptorq.ObjectEncoder
 	// ObjectDecoder reconstructs an object from any sufficiently large
-	// symbol set.
+	// symbol set, in place: symbols are received into one buffer the
+	// size of the object, and Object returns that buffer, not a copy.
 	ObjectDecoder = raptorq.ObjectDecoder
 	// BlockLayout describes an object's source-block partitioning.
 	BlockLayout = raptorq.BlockLayout
