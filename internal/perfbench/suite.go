@@ -12,6 +12,7 @@ import (
 	"polyraptor/internal/gf256"
 	"polyraptor/internal/harness"
 	"polyraptor/internal/metrics"
+	"polyraptor/internal/netshim"
 	"polyraptor/internal/raptorq"
 	"polyraptor/internal/rqudp"
 	"polyraptor/internal/sim"
@@ -33,7 +34,7 @@ func Suite(quick bool) []Case {
 	cases = append(cases, telemetryCases()...)
 	cases = append(cases, metricsCases()...)
 	cases = append(cases, e2eCases(quick)...)
-	cases = append(cases, udpFetchCase(quick))
+	cases = append(cases, udpFetchCases(quick)...)
 	return cases
 }
 
@@ -585,27 +586,48 @@ func e2eCases(quick bool) []Case {
 	return []Case{fig1a, incast, shuffle, chaosCase}
 }
 
-// udpFetchCase is the real transport end to end, and PolyBench's
-// udp_fetch operation: one multi-source fetch of a 1 MiB object from two
-// servers over loopback UDP (default transport config, one codec
-// worker, one fetcher socket reused across fetches), byte-compared.
-// ns/op is a fetch, MB/s is object bytes, and allocs/op — the servers'
-// included — is locked in ALLOC_BUDGET.json. The sockets open on the
-// first run, because Suite is also called just to list names, and
-// Close releases them.
-func udpFetchCase(quick bool) Case {
-	size, name := 1<<20, "1MiB"
+// udpFetchCases are the real transport end to end. The first is
+// PolyBench's udp_fetch operation: one multi-source fetch of a 1 MiB
+// object from two servers over loopback UDP (default transport config,
+// one codec worker, one fetcher socket reused across fetches),
+// byte-compared; ns/op is a fetch, MB/s is object bytes, and allocs/op —
+// the servers' included — is locked in ALLOC_BUDGET.json. The rest are
+// the loss ladder: the same fetch of 1 and 8 MiB with each server behind
+// a hostile-network shim that loses that percentage of the symbols,
+// reporting what the loss cost in stall recoveries, re-grants and symbols
+// received. They are measurements, with no ceiling: what a fetch
+// allocates under loss depends on which blocks the loss touched.
+func udpFetchCases(quick bool) []Case {
 	if quick {
-		size, name = 256<<10, "256KiB"
+		return []Case{
+			udpFetchCase("e2e/UDPFetch2x256KiB", 256<<10, -1),
+			udpFetchCase("e2e/UDPFetchLoss/256KiBx5", 256<<10, 5),
+		}
 	}
+	cases := []Case{udpFetchCase("e2e/UDPFetch2x1MiB", 1<<20, -1)}
+	for _, size := range []int{1, 8} {
+		for _, pct := range []float64{0.1, 1, 5, 25} {
+			cases = append(cases, udpFetchCase(fmt.Sprintf("e2e/UDPFetchLoss/%dMiBx%g", size, pct), size<<20, pct))
+		}
+	}
+	return cases
+}
+
+// udpFetchCase is one cell of udpFetchCases: fetches of size bytes from
+// two servers, behind shims losing lossPct percent of their symbols
+// unless that is negative. The sockets open on the first run, because
+// Suite is also called just to list names, and Close releases them.
+func udpFetchCase(name string, size int, lossPct float64) Case {
 	cfg := rqudp.DefaultConfig()
 	cfg.Workers = 1
 	var (
 		object  []byte
 		servers []*rqudp.Server
+		shims   []*netshim.Shim
 		remotes []net.Addr
 		conn    net.PacketConn
 		flow    uint32
+		runs    int
 		total   rqudp.FetchStats
 	)
 	listen := func() net.PacketConn {
@@ -625,18 +647,26 @@ func udpFetchCase(quick bool) Case {
 			}
 			go func() { _ = srv.Serve() }()
 			servers = append(servers, srv)
-			remotes = append(remotes, srv.Addr())
+			remote := srv.Addr()
+			if lossPct >= 0 {
+				sh, err := netshim.New(remote, netshim.Config{Seed: int64(23 + i), Down: netshim.Faults{Loss: lossPct / 100}})
+				if err != nil {
+					panic(err)
+				}
+				shims, remote = append(shims, sh), sh.Addr()
+			}
+			remotes = append(remotes, remote)
 		}
 		conn = listen()
 	}
 	return Case{
-		Name:       "e2e/UDPFetch2x" + name,
+		Name:       name,
 		BytesPerOp: int64(size),
 		Fn: func(n int) {
 			if conn == nil {
 				start()
 			}
-			total = rqudp.FetchStats{}
+			total, runs = rqudp.FetchStats{}, n
 			for i := 0; i < n; i++ {
 				flow++
 				got, st, err := rqudp.FetchMultiSourceStats(context.Background(), conn, remotes, flow, cfg)
@@ -647,24 +677,40 @@ func udpFetchCase(quick bool) Case {
 				total.Datagrams += st.Datagrams
 				total.ReadCalls += st.ReadCalls
 				total.PullsSent += st.PullsSent
+				total.Retries += st.Retries
+				total.Regrants += st.Regrants
 			}
 		},
 		Metrics: func() map[string]float64 {
+			for _, sh := range shims {
+				if err := sh.Err(); err != nil {
+					panic(fmt.Sprintf("perfbench: %s: %v", name, err))
+				}
+			}
 			var sent rqudp.ServerStats // since the servers started: every run so far
 			for _, srv := range servers {
 				st := srv.Stats()
 				sent.SendCalls += st.SendCalls
 				sent.SymbolsSent += st.SymbolsSent
 			}
-			return map[string]float64{
+			m := map[string]float64{
 				"datagrams_per_read": float64(total.Datagrams) / float64(total.ReadCalls),
 				"pulls_per_symbol":   float64(total.PullsSent) / float64(total.Symbols),
 				"symbols_per_send":   float64(sent.SymbolsSent) / float64(sent.SendCalls),
 			}
+			if lossPct >= 0 {
+				m["retries_per_fetch"] = float64(total.Retries) / float64(runs)
+				m["regrants_per_fetch"] = float64(total.Regrants) / float64(runs)
+				m["symbols_per_fetch"] = float64(total.Symbols) / float64(runs)
+			}
+			return m
 		},
 		Close: func() {
 			for _, srv := range servers {
 				srv.Close()
+			}
+			for _, sh := range shims {
+				sh.Close()
 			}
 			if conn != nil {
 				conn.Close()

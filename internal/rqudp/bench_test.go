@@ -10,8 +10,11 @@ import (
 // BenchmarkFetch2x1MiB is PolyBench's udp_fetch operation: one 1 MiB
 // multi-source fetch from two servers over loopback on a reused
 // socket. Beside ns and allocs per fetch it reports the counters the
-// socket path is judged by: symbols per send (the mean train), datagrams
-// per read and pulls per symbol.
+// socket path is judged by — symbols per send (the mean train), datagrams
+// per read and pulls per symbol — and what a fetch has to say about where
+// its time went: the share of it spent waiting on the socket and spent in
+// the decoder, symbols slid over and re-grants per fetch, and the share
+// of the pulls the servers found stale.
 func BenchmarkFetch2x1MiB(b *testing.B) {
 	obj := make([]byte, 1<<20)
 	for i := range obj {
@@ -56,6 +59,11 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		total.Datagrams += st.Datagrams
 		total.PullsSent += st.PullsSent
 		total.SendErrors += st.SendErrors
+		total.Lost += st.Lost
+		total.Regrants += st.Regrants
+		total.Elapsed += st.Elapsed
+		total.Idle += st.Idle
+		total.Decode += st.Decode
 	}
 	b.StopTimer()
 	if total.Duplicates+total.Retries+total.SendErrors != 0 {
@@ -68,6 +76,8 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		sent.SendCalls += st.SendCalls
 		sent.SymbolsSent += st.SymbolsSent
 		sent.SendErrors += st.SendErrors
+		sent.PullsReceived += st.PullsReceived
+		sent.StalePulls += st.StalePulls
 	}
 	if sent.SendErrors != 0 {
 		b.Fatalf("servers: %+v", sent)
@@ -75,4 +85,9 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	b.ReportMetric(float64(sent.SymbolsSent)/float64(sent.SendCalls), "symbols/send")
 	b.ReportMetric(float64(total.Datagrams)/float64(total.ReadCalls), "datagrams/read")
 	b.ReportMetric(float64(total.PullsSent)/float64(total.Symbols), "pulls/symbol")
+	b.ReportMetric(float64(total.Idle)/float64(total.Elapsed), "idle/elapsed")
+	b.ReportMetric(float64(total.Decode)/float64(total.Elapsed), "decode/elapsed")
+	b.ReportMetric(float64(total.Lost)/float64(b.N), "lost/fetch")
+	b.ReportMetric(float64(total.Regrants)/float64(b.N), "regrants/fetch")
+	b.ReportMetric(float64(sent.StalePulls)/float64(sent.PullsReceived), "stale/pull")
 }

@@ -98,8 +98,13 @@ func (p *pktIO) setMaxPacket(n int) {
 // one message it was sent as (UDP_GRO) and makes room for such messages.
 // Where there is no batched reader, or the kernel refuses, nothing
 // changes. The socket is not ours: whoever turns this on calls
-// restoreReads before handing it back.
+// restoreReads before handing it back. What stays is a receive buffer of
+// twice the usual size: a window that arrives packet by packet is charged
+// over 2 KB a packet, and a fetcher that fell behind would lose its end.
 func (p *pktIO) coalesceReads() {
+	if p.udp != nil {
+		_ = p.udp.SetReadBuffer(standingWindow * 4096)
+	}
 	if p.mm == nil || p.mm.setGRO(1) != nil {
 		return
 	}
@@ -127,11 +132,12 @@ func (p *pktIO) restoreReads() {
 // read blocks until a datagram arrives, then returns how many it took:
 // all that were queued, up to len(p.pkts). pkt(i) holds them until the
 // next read. It returns a timeout error (see isTimeout) when nothing
-// arrives for wait; the deadline is re-armed only once less than half
-// of wait is left on it, so a timeout comes between wait/2 and wait
-// after the last arrival and a busy socket costs no timer updates.
+// arrives for wait; the deadline is re-armed only with under half of wait
+// left on it (or over all of it: the last wait was longer), so a timeout
+// comes wait/2 to wait after the last arrival and costs no timer updates.
 func (p *pktIO) read(wait time.Duration) (int, error) {
-	if now := time.Now(); p.deadline.Sub(now) < wait/2 {
+	now := time.Now()
+	if left := p.deadline.Sub(now); left < wait/2 || left > wait {
 		p.deadline = now.Add(wait)
 		if err := p.conn.SetReadDeadline(p.deadline); err != nil {
 			return 0, err

@@ -125,19 +125,19 @@ func TestCoalescedReadsOnLoopback(t *testing.T) {
 	srv := startServer(t, obj, cfg)
 	remote := addrPortOf(srv.Addr())
 
-	// By hand first: say Hello, and look at how the initial window lands.
+	// By hand first: say Hello, and look at how the burst it grants lands.
 	conn := newUDP(t)
 	defer conn.Close()
 	io := newPktIO(conn)
 	io.coalesceReads()
 	io.setMaxPacket(cfg.SymbolSize + wire.DataOverhead)
-	if err := io.send(wire.AppendHello(nil, wire.Hello{Flow: 1, SenderCount: 1}), remote); err != nil {
+	if err := io.send(wire.AppendHello(nil, wire.Hello{Flow: 1, SenderCount: 1, Grant: firstGrant}), remote); err != nil {
 		t.Fatal(err)
 	}
-	for data := 0; data < cfg.InitWindow; {
+	for data := 0; data < firstGrant; {
 		n, err := io.read(5 * time.Second)
 		if err != nil {
-			t.Fatalf("after %d of the window's %d symbols: %v", data, cfg.InitWindow, err)
+			t.Fatalf("after %d of the burst's %d symbols: %v", data, firstGrant, err)
 		}
 		var train []datagram
 		for i := 0; i < n; i++ {
@@ -148,11 +148,11 @@ func TestCoalescedReadsOnLoopback(t *testing.T) {
 		data += len(train)
 		for i := 1; i < len(train); i++ {
 			if prev := train[i-1].data; unsafe.Pointer(&train[i].data[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)) {
-				t.Fatalf("segments %d and %d of a %d-symbol window are not back to back: they came as separate messages", i-1, i, cfg.InitWindow)
+				t.Fatalf("segments %d and %d of a %d-symbol burst are not back to back: they came as separate messages", i-1, i, firstGrant)
 			}
 		}
-		if len(train) > 0 && len(train) < cfg.InitWindow {
-			t.Fatalf("a read returned %d symbols of the window's %d", len(train), cfg.InitWindow)
+		if len(train) > 0 && len(train) < firstGrant {
+			t.Fatalf("a read returned %d symbols of the burst's %d", len(train), firstGrant)
 		}
 	}
 	_ = io.send(wire.AppendDone(nil, 1), remote)
@@ -195,7 +195,7 @@ func TestOversizeSegmentDropsOnlyItself(t *testing.T) {
 	}
 	pktLen := symbolSize + wire.DataOverhead
 	var first, last [][]byte
-	for esi := uint32(0); esi < k-1; esi++ {
+	for esi := uint32(0); esi < k; esi++ {
 		if esi < 10 {
 			first = append(first, snd.data(esi))
 		} else if esi > 10 {
@@ -207,15 +207,13 @@ func TestOversizeSegmentDropsOnlyItself(t *testing.T) {
 	sendTrain(pktLen, first...)
 	sendTrain(pktLen+32, long(1000), long(1001), snd.data(10))
 	sendTrain(pktLen, last...)
+	// All K source symbols and nothing else that is valid: had a long
+	// segment taken a neighbour along, the block would never complete.
 	sent := 1 + len(first) + 3 + len(last)
-	// The last source symbol completes the block once the trains have been
-	// credited; had a long segment taken a neighbour along, K-1 symbols
-	// plus this one would not be enough.
-	go snd.sendOnceCredited(conn.LocalAddr(), k-1, snd.data(k-1))
 
 	cfg := DefaultConfig()
 	cfg.SymbolSize = symbolSize
-	cfg.RetryInterval = time.Second // a stall recovery would hide a dropped neighbour
+	cfg.RetryInterval = time.Second
 	cfg.MaxRetries = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -226,8 +224,8 @@ func TestOversizeSegmentDropsOnlyItself(t *testing.T) {
 	if !bytes.Equal(got, obj) {
 		t.Fatal("object corrupted")
 	}
-	if st.Symbols != k || st.Retries != 0 || st.Datagrams != sent+1 {
-		t.Fatalf("got %d symbols, %d retries and %d datagrams; want exactly the %d valid symbols, no retry and the %d datagrams sent: %+v", st.Symbols, st.Retries, st.Datagrams, k, sent+1, st)
+	if st.Symbols != k || st.Retries != 0 || st.Datagrams != sent {
+		t.Fatalf("got %d symbols, %d retries and %d datagrams; want exactly the %d valid symbols, no retry and the %d datagrams sent: %+v", st.Symbols, st.Retries, st.Datagrams, k, sent, st)
 	}
 }
 

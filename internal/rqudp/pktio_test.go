@@ -3,14 +3,13 @@ package rqudp
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"net"
 	"net/netip"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
+	"polyraptor/internal/netshim"
 	"polyraptor/internal/raptorq"
 	"polyraptor/internal/wire"
 )
@@ -37,141 +36,14 @@ func fetchDrain(t *testing.T, wrap func(net.PacketConn) net.PacketConn) (msgs, d
 	return len(io.pkts), len(io.pkts)
 }
 
-// pullTap wraps a server's socket and adds up the credits of the pulls
-// the server reads, per flow. done is closed when a Done arrives: the
-// receiver sends nothing after it, so the sums are final.
-type pullTap struct {
-	net.PacketConn
-	mu      sync.Mutex
-	credits map[uint32]int
-	pulls   map[uint32]int
-	maxPull int
-	done    chan struct{}
-}
-
-func newPullTap(conn net.PacketConn) *pullTap {
-	return &pullTap{PacketConn: conn, credits: map[uint32]int{}, pulls: map[uint32]int{}, done: make(chan struct{})}
-}
-
-func (p *pullTap) ReadFrom(b []byte) (int, net.Addr, error) {
-	n, from, err := p.PacketConn.ReadFrom(b)
-	if err != nil {
-		return n, from, err
-	}
-	if hdr, body, err := wire.ParseHeader(b[:n]); err == nil {
-		p.mu.Lock()
-		switch hdr.Type {
-		case wire.MsgPull:
-			if pull, err := wire.ParsePull(hdr.Flow, body); err == nil {
-				p.credits[hdr.Flow] += int(pull.Credits)
-				p.pulls[hdr.Flow]++
-				p.maxPull = max(p.maxPull, int(pull.Credits))
-			}
-		case wire.MsgDone:
-			close(p.done)
-		}
-		p.mu.Unlock()
-	}
-	return n, from, err
-}
-
-// relay is the network between a fetcher and one server: a socket that
-// forwards every datagram the server sends to whoever last wrote to it,
-// and everything else to the server. Both ends keep their own
-// *net.UDPConn, so the platform's trains and batched reads stay on, and
-// the relay sees, and can lose, single packets whichever shim sent them.
-// It never loses a Done, so that done closing means the server has been
-// told.
-type relay struct {
-	conn   net.PacketConn
-	server net.Addr
-	loss   float64
-	rng    *rand.Rand
-
-	mu     sync.Mutex
-	client net.Addr
-	book   wireBook
-	done   chan struct{}
-}
-
-// wireBook is what a relay saw pass.
-type wireBook struct {
-	hellos  int         // what reached the server: Hellos,
-	pulls   int         // Pulls,
-	credits int         // their credits,
-	maxPull int         // and the largest one
-	sent    [][2]uint32 // (SBN, ESI) of the Data the server sent, in order
-}
-
-// seen returns the book so far.
-func (r *relay) seen() wireBook {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.book
-	b.sent = slices.Clone(b.sent)
-	return b
-}
-
-// newRelay starts a relay in front of server and returns it; its address
-// is what a fetcher is given as the remote.
-func newRelay(t *testing.T, server net.Addr, loss float64, seed int64) *relay {
-	t.Helper()
-	r := &relay{conn: newUDP(t), server: server, loss: loss, rng: rand.New(rand.NewSource(seed)), done: make(chan struct{})}
-	t.Cleanup(func() { r.conn.Close() })
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			n, from, err := r.conn.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			r.forward(buf[:n], from)
-		}
-	}()
-	return r
-}
-
-func (r *relay) forward(pkt []byte, from net.Addr) {
-	hdr, body, err := wire.ParseHeader(pkt)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lost := r.rng.Float64() < r.loss
-	to := r.server
-	if from.String() == r.server.String() {
-		to = r.client
-	} else {
-		r.client = from
-	}
-	switch {
-	case err != nil:
-	case to != r.server:
-		if d, err := wire.ParseData(hdr.Flow, body); err == nil && hdr.Type == wire.MsgData {
-			r.book.sent = append(r.book.sent, [2]uint32{d.SBN, d.ESI})
-		}
-	case hdr.Type == wire.MsgDone:
-		lost = false
-		close(r.done)
-	case lost:
-	case hdr.Type == wire.MsgHello:
-		r.book.hellos++
-	case hdr.Type == wire.MsgPull:
-		if pull, err := wire.ParsePull(hdr.Flow, body); err == nil {
-			r.book.pulls++
-			r.book.credits += int(pull.Credits)
-			r.book.maxPull = max(r.book.maxPull, int(pull.Credits))
-		}
-	}
-	if !lost && to != nil {
-		_, _ = r.conn.WriteTo(pkt, to)
-	}
-}
-
-// relayedServers starts n servers for obj, each on wrap(a UDP socket) and
-// behind a relay; the relays' addresses are the remotes.
-func relayedServers(t *testing.T, obj []byte, cfg Config, n int, wrap func(net.PacketConn) net.PacketConn, loss float64) ([]net.Addr, []*relay, []*Server) {
+// shimmedServers starts n servers for obj, each on wrap(a UDP socket) and
+// behind a hostile-network shim made from cfg (its seed stepped for each);
+// the shims' addresses are the remotes. Every shim's books are checked
+// when the test ends.
+func shimmedServers(t *testing.T, obj []byte, cfg Config, n int, wrap func(net.PacketConn) net.PacketConn, hostile netshim.Config) ([]net.Addr, []*netshim.Shim, []*Server) {
 	t.Helper()
 	var remotes []net.Addr
-	var relays []*relay
+	var shims []*netshim.Shim
 	var srvs []*Server
 	for i := 0; i < n; i++ {
 		srv, err := NewServer(wrap(newUDP(t)), obj, cfg)
@@ -180,10 +52,20 @@ func relayedServers(t *testing.T, obj []byte, cfg Config, n int, wrap func(net.P
 		}
 		go func() { _ = srv.Serve() }()
 		t.Cleanup(func() { srv.Close() })
-		r := newRelay(t, srv.Addr(), loss, int64(100+i))
-		remotes, relays, srvs = append(remotes, r.conn.LocalAddr()), append(relays, r), append(srvs, srv)
+		hostile.Seed++
+		sh, err := netshim.New(srv.Addr(), hostile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			sh.Close()
+			if err := sh.Err(); err != nil {
+				t.Errorf("server %d: %v", i, err)
+			}
+		})
+		remotes, shims, srvs = append(remotes, sh.Addr()), append(shims, sh), append(srvs, srv)
 	}
-	return remotes, relays, srvs
+	return remotes, shims, srvs
 }
 
 // refSchedule is the first count (SBN, ESI) that sender idx of n is to
@@ -221,11 +103,12 @@ var shims = []struct {
 
 // The same two-server fetch with both ends on the platform's shim —
 // trains and batched reads where the platform has them — and with both
-// on the portable one, each behind relays that watch the wire:
-// same bytes, every fresh symbol attributed to a sender and credited to
-// it exactly once (all but those of the last drain, which is answered
-// with Done), and from either shim a server emits the same symbols: its
-// schedule, in order, nothing twice.
+// on the portable one, each behind a network shim that watches the wire:
+// same bytes, every fresh symbol attributed to a sender, every pull
+// counted, no more outstanding at the end than a window per sender, and
+// from either shim a server emits the same symbols: its schedule, in
+// order, nothing twice. (That no server emits beyond its grant, or a Seq
+// twice, the network shim checks itself.)
 func TestShimDifferential(t *testing.T) {
 	obj := randObject(t, 400_000)
 	cfg := DefaultConfig()
@@ -236,10 +119,18 @@ func TestShimDifferential(t *testing.T) {
 	}
 	for _, tc := range shims {
 		t.Run(tc.name, func(t *testing.T) {
-			remotes, relays, srvs := relayedServers(t, obj, cfg, 2, tc.wrap, 0)
-			conn := tc.wrap(newUDP(t))
-			defer conn.Close()
-			_, lastDrain := fetchDrain(t, tc.wrap) // bounds the fresh symbols of the final drain
+			remotes, nets, srvs := shimmedServers(t, obj, cfg, 2, tc.wrap, netshim.Config{Record: true})
+			// Through a shim a window arrives packet by packet, and a socket
+			// is charged two kilobytes and more for each: make room for a
+			// whole one, or a fetcher that falls behind loses symbols to its
+			// own socket, which a fetch survives and this test counts.
+			udp := newUDP(t)
+			defer udp.Close()
+			if err := udp.(*net.UDPConn).SetReadBuffer(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			conn := tc.wrap(udp)
+			_, lastDrain := fetchDrain(t, tc.wrap) // bounds the datagrams of one read
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			const flow = 77
@@ -250,7 +141,7 @@ func TestShimDifferential(t *testing.T) {
 			if !bytes.Equal(got, obj) {
 				t.Fatal("fetched object differs")
 			}
-			if st.Duplicates != 0 || st.Retries != 0 || st.SendErrors != 0 {
+			if st.Duplicates != 0 || st.Retries != 0 || st.SendErrors != 0 || st.Lost != 0 {
 				t.Fatalf("loopback fetch was not clean: %+v", st)
 			}
 			if sum := st.PerSender[0] + st.PerSender[1]; sum != st.Symbols {
@@ -259,35 +150,37 @@ func TestShimDifferential(t *testing.T) {
 			if st.ReadCalls == 0 || st.Datagrams < st.Symbols || st.Datagrams > st.ReadCalls*lastDrain {
 				t.Fatalf("read counters inconsistent: %+v", st)
 			}
-			uncredited, pulls := 0, 0
-			for i, r := range relays {
+			if st.Idle <= 0 || st.Idle > st.Elapsed {
+				t.Fatalf("idle for %v of %v", st.Idle, st.Elapsed)
+			}
+			pulls, window := 0, standingWindow/2
+			for i, n := range nets {
 				select {
-				case <-r.done:
+				case <-n.Done():
 				case <-ctx.Done():
 					t.Fatalf("server %d never saw Done", i)
 				}
-				b := r.seen()
-				pulls += b.pulls
-				if b.maxPull > lastDrain {
-					t.Fatalf("sender %d was sent a pull for %d credits; a drain holds at most %d", i, b.maxPull, lastDrain)
+				b := n.Book(flow)
+				pulls += b.Pulls
+				if b.Hellos < 1 || b.Hellos > 1+st.Regrants || b.Missed != 0 {
+					t.Fatalf("server %d: %d Hellos reached it, the shim missed %d symbols", i, b.Hellos, b.Missed)
 				}
-				if b.credits > st.PerSender[i] {
-					t.Fatalf("sender %d credited %d times for %d fresh symbols", i, b.credits, st.PerSender[i])
+				if int(b.MaxStep) > window {
+					t.Fatalf("sender %d was granted %d symbols at once; its window is %d", i, b.MaxStep, window)
 				}
-				uncredited += st.PerSender[i] - b.credits
-				if want := refSchedule(layout.K, i, 2, len(b.sent)); !slices.Equal(b.sent, want) {
-					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.sent))
+				if want := refSchedule(layout.K, i, 2, len(b.Emitted)); !slices.Equal(b.Emitted, want) {
+					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.Emitted))
 				}
-				if owed := cfg.InitWindow + b.credits; len(b.sent) > owed || len(b.sent) < st.PerSender[i] {
-					t.Fatalf("sender %d emitted %d symbols: it was owed %d and %d arrived", i, len(b.sent), owed, st.PerSender[i])
+				// What a server emitted arrived, but for what was in flight
+				// when the object was complete: a window, and one more for
+				// each time the fetcher would not wait.
+				if out := len(b.Emitted) - st.PerSender[i]; out < 0 || out > window*(1+st.Regrants) {
+					t.Fatalf("sender %d emitted %d symbols, %d arrived, %d re-grants", i, len(b.Emitted), st.PerSender[i], st.Regrants)
 				}
 				// The counters trail the wire by the burst being sent.
-				if ss := srvs[i].Stats(); ss.SendErrors != 0 || ss.SendCalls > ss.SymbolsSent || ss.SymbolsSent+maxPullCredits < len(b.sent) {
-					t.Fatalf("server %d: %+v for %d symbols on the wire", i, ss, len(b.sent))
+				if ss := srvs[i].Stats(); ss.SendErrors != 0 || ss.SendCalls > ss.SymbolsSent || ss.SymbolsSent+maxPullCredits < len(b.Emitted) {
+					t.Fatalf("server %d: %+v for %d symbols on the wire", i, ss, len(b.Emitted))
 				}
-			}
-			if uncredited < 1 || uncredited > lastDrain {
-				t.Fatalf("%d fresh symbols never credited; only the last drain's (1..%d) may be", uncredited, lastDrain)
 			}
 			if pulls != st.PullsSent {
 				t.Fatalf("servers read %d pulls, fetcher counted %d sent", pulls, st.PullsSent)
@@ -297,22 +190,22 @@ func TestShimDifferential(t *testing.T) {
 }
 
 // The same again with the network losing a quarter of the packets each
-// way: the fetch completes on either shim, what a server emits is still
-// its schedule in order, and the books balance — it never sends a symbol
-// it was not asked for, by a Hello's window or a Pull's credits that
-// reached it.
+// way: the fetch completes on either shim without waiting for the stall
+// guard more than once, what a server emits is still its schedule in
+// order, and the books balance — it never sends a symbol it was not
+// granted by a Hello or a Pull that reached it.
 func TestShimDifferentialUnderLoss(t *testing.T) {
 	obj := randObject(t, 150_000)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.RetryInterval = 20 * time.Millisecond
 	layout, err := raptorq.NewBlockLayout(int64(len(obj)), cfg.SymbolSize, cfg.MaxBlockK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range shims {
 		t.Run(tc.name, func(t *testing.T) {
-			remotes, relays, _ := relayedServers(t, obj, cfg, 2, tc.wrap, 0.25)
+			lossy := netshim.Faults{Loss: 0.25}
+			remotes, nets, _ := shimmedServers(t, obj, cfg, 2, tc.wrap, netshim.Config{Seed: 100, Up: lossy, Down: lossy, Record: true})
 			conn := tc.wrap(newUDP(t))
 			defer conn.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -324,70 +217,40 @@ func TestShimDifferentialUnderLoss(t *testing.T) {
 			if !bytes.Equal(got, obj) {
 				t.Fatal("fetch under loss corrupted object")
 			}
-			for i, r := range relays {
-				b := r.seen()
-				if want := refSchedule(layout.K, i, 2, len(b.sent)); !slices.Equal(b.sent, want) {
-					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.sent))
+			if st.Retries > 1 || st.Lost == 0 {
+				t.Fatalf("%d stall recoveries and %d symbols slid over at 25%% loss: %+v", st.Retries, st.Lost, st)
+			}
+			for i, n := range nets {
+				b := n.Book(78)
+				if want := refSchedule(layout.K, i, 2, len(b.Emitted)); !slices.Equal(b.Emitted, want) {
+					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order", i, len(b.Emitted))
 				}
-				if owed := b.hellos*cfg.InitWindow + b.credits; len(b.sent) > owed || st.PerSender[i] > len(b.sent) {
-					t.Fatalf("sender %d emitted %d symbols: it was owed %d and %d arrived", i, len(b.sent), owed, st.PerSender[i])
+				if st.PerSender[i] > len(b.Emitted) || uint32(len(b.Emitted)) != b.Sent {
+					t.Fatalf("sender %d emitted %d symbols up to Seq %d and %d arrived", i, len(b.Emitted), b.Sent, st.PerSender[i])
 				}
 			}
 		})
 	}
 }
 
-// muteConn is a server socket that stops delivering Data: for good
-// after `after` packets when `resume` is zero, else for the next
-// `resume` packets only.
-type muteConn struct {
-	net.PacketConn
-	mu            sync.Mutex
-	sent          int
-	after, resume int
-}
-
-func (m *muteConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if hdr, _, err := wire.ParseHeader(p); err == nil && hdr.Type == wire.MsgData {
-		m.mu.Lock()
-		m.sent++
-		mute := m.sent > m.after && (m.resume == 0 || m.sent <= m.after+m.resume)
-		m.mu.Unlock()
-		if mute {
-			return len(p), nil
-		}
-	}
-	return m.PacketConn.WriteTo(p, addr)
-}
-
-// One sender goes silent for good mid-fetch and the other loses a whole
-// window at once, so every pull clock stops. The stall guard has to
-// restart the live sender, and the books must still balance: it is
-// credited once per fresh symbol it delivered plus one PullBatch per
-// recovery, nothing for the silent one's sake.
+// One sender is silent from the start and the other goes silent in the
+// middle of the fetch, for longer than the fetcher keeps re-granting a
+// sender it does not hear: every clock stops. The stall guard has to
+// restart the live sender once it speaks again, and the books must still
+// balance (the network shims check them).
 func TestSilentSenderRecovered(t *testing.T) {
-	obj := randObject(t, 300_000)
+	obj := randObject(t, 2<<20)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.RetryInterval = 20 * time.Millisecond
-	silent := &muteConn{PacketConn: newUDP(t), after: 40}
-	live := newPullTap(&muteConn{PacketConn: newUDP(t), after: 100, resume: cfg.InitWindow})
-	var remotes []net.Addr
-	for _, c := range []net.PacketConn{silent, live} {
-		srv, err := NewServer(c, obj, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve() }()
-		defer srv.Close()
-		remotes = append(remotes, srv.Addr())
-	}
+	remotes, nets, _ := shimmedServers(t, obj, cfg, 2, shims[0].wrap, netshim.Config{})
+	nets[0].Mute(0, 0)
+	nets[1].Mute(2*time.Millisecond, 3*cfg.RetryInterval)
 	conn := newUDP(t)
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	const flow = 9
-	got, st, err := FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
+	got, st, err := FetchMultiSourceStats(ctx, conn, remotes, 9, cfg)
 	if err != nil {
 		t.Fatalf("fetch failed: %v (%+v)", err, st)
 	}
@@ -397,21 +260,15 @@ func TestSilentSenderRecovered(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("the stall guard never ran; the senders were not silent together")
 	}
-	if st.PerSender[0] != 40 {
-		t.Fatalf("silent sender delivered %d symbols, want the 40 before it went quiet", st.PerSender[0])
+	if st.PerSender[0] != 0 || st.PerSender[1] != st.Symbols {
+		t.Fatalf("the silent sender delivered %d symbols of %d", st.PerSender[0], st.Symbols)
 	}
-	select {
-	case <-live.done:
-	case <-ctx.Done():
-		t.Fatal("live server never saw Done")
-	}
-	live.mu.Lock()
-	credits := live.credits[flow]
-	live.mu.Unlock()
-	earned := credits - st.Retries*cfg.PullBatch
-	_, drain := fetchDrain(t, shims[0].wrap)
-	if lost := st.PerSender[1] - earned; lost < 1 || lost > drain {
-		t.Fatalf("live sender: %d credits for %d fresh symbols and %d recoveries", credits, st.PerSender[1], st.Retries)
+	// Each sender was re-granted when it fell silent, but not for ever: the
+	// one never heard got its Hello again maxRegrants times, and after
+	// that only at the guard's intervals.
+	up, _ := nets[0].Counts()
+	if st.Regrants < 2 || up.Passed < 1+maxRegrants || up.Passed > 1+maxRegrants+st.Retries+1 {
+		t.Fatalf("%d re-grants in all and %d packets to the silent sender, want its Hello, %d re-grants, one per stall recovery (%d) and a Done: %+v", st.Regrants, up.Passed, maxRegrants, st.Retries, st)
 	}
 }
 
@@ -438,8 +295,11 @@ func (s *fakeSender) announce() []byte {
 	return wire.AppendAnnounce(nil, wire.Announce{Flow: s.flow, ObjectSize: uint64(l.F), SymbolSize: uint32(l.T), MaxK: 256})
 }
 
-func (s *fakeSender) data(esi uint32) []byte {
-	return wire.AppendData(nil, wire.Data{Flow: s.flow, ESI: esi, Payload: s.enc.Symbol(0, esi)})
+// data is symbol esi of block 0, emitted as the esi-th of the session.
+func (s *fakeSender) data(esi uint32) []byte { return s.dataSeq(esi, esi) }
+
+func (s *fakeSender) dataSeq(esi, seq uint32) []byte {
+	return wire.AppendData(nil, wire.Data{Flow: s.flow, ESI: esi, Seq: seq, Payload: s.enc.Symbol(0, esi)})
 }
 
 func (s *fakeSender) send(t *testing.T, to net.Addr, pkts ...[]byte) {
@@ -451,33 +311,46 @@ func (s *fakeSender) send(t *testing.T, to net.Addr, pkts ...[]byte) {
 	}
 }
 
-// sendOnceCredited reads the sender's socket until it has seen pulls for
-// credits symbols, then sends pkt.
-func (s *fakeSender) sendOnceCredited(to net.Addr, credits int, pkt []byte) {
+// grants reads the sender's socket until a Hello or a Pull grants upTo
+// symbols or more, and returns every grant up to that one in the order
+// they came; nil if none did in ten seconds.
+func (s *fakeSender) grants(upTo uint32) []uint32 {
 	buf := make([]byte, 2048)
-	for seen := 0; seen < credits; {
+	var seen []uint32
+	for {
 		_ = s.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		n, _, err := s.conn.ReadFrom(buf)
 		if err != nil {
-			return
+			return nil
 		}
-		if hdr, body, err := wire.ParseHeader(buf[:n]); err == nil && hdr.Type == wire.MsgPull {
-			pull, _ := wire.ParsePull(hdr.Flow, body)
-			seen += int(pull.Credits)
+		hdr, body, err := wire.ParseHeader(buf[:n])
+		if err != nil {
+			continue
+		}
+		switch hdr.Type {
+		case wire.MsgHello:
+			h, _ := wire.ParseHello(hdr.Flow, body)
+			seen = append(seen, h.Grant)
+		case wire.MsgPull:
+			p, _ := wire.ParsePull(hdr.Flow, body)
+			seen = append(seen, p.Grant)
+		default:
+			continue
+		}
+		if int32(seen[len(seen)-1]-upTo) >= 0 {
+			return seen
 		}
 	}
-	_, _ = s.conn.WriteTo(pkt, to)
 }
 
-// A fetcher that was away while a hundred symbols queued up coalesces
-// them into pulls of at most one drain each: no count comes near the
-// server's clamp or wraps the wire's uint16, and no arrival is credited
-// twice or not at all. This sender writes packet by packet, so a drain is
-// as many datagrams as a read takes messages: fewer with coalesced reads,
-// whose slots are sized for trains, than without.
+// A fetcher that was away while a hundred symbols queued up slides its
+// window over them drain by drain: the grants only ever rise, none is
+// further ahead of what the sender has emitted than the sender's window,
+// and they come a step of the window apart at the closest, not one per
+// symbol, however few datagrams a read takes.
 func TestCoalescedCreditsBounded(t *testing.T) {
-	if most := groMsgs * trainMax; most > maxPullCredits || drainMax > maxPullCredits {
-		t.Fatalf("a drain (%d coalesced, %d not) can earn more credits than a server pays out (%d)", most, drainMax, maxPullCredits)
+	if standingWindow > maxPullCredits {
+		t.Fatalf("a fetch's whole window (%d) is more than a server pays out at once (%d)", standingWindow, maxPullCredits)
 	}
 	const symbolSize, k, queued = 64, 200, 100
 	obj := randObject(t, symbolSize*k)
@@ -485,7 +358,7 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	snd := newFakeSender(t, obj, symbolSize, flow)
 	conn := newUDP(t)
 	defer conn.Close()
-	drain, _ := fetchDrain(t, shims[0].wrap)
+	window := uint32(min(trainMax, standingWindow))
 
 	// Everything is in the socket before the fetch starts reading.
 	pkts := [][]byte{snd.announce()}
@@ -493,31 +366,14 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 		pkts = append(pkts, snd.data(uint32(esi)))
 	}
 	snd.send(t, conn.LocalAddr(), pkts...)
-	// The rest follows once the fetcher has asked for it.
-	rest := make(chan []int, 1)
+	// The rest follows once the fetcher has slid its window over that.
+	rest := make(chan []uint32, 1)
 	go func() {
-		buf := make([]byte, 2048)
-		want := queued // credits to see before the remainder is sent
-		var credits []int
-		for want > 0 {
-			_ = snd.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			n, _, err := snd.conn.ReadFrom(buf)
-			if err != nil {
-				rest <- nil
-				return
-			}
-			hdr, body, err := wire.ParseHeader(buf[:n])
-			if err != nil || hdr.Type != wire.MsgPull {
-				continue // the Hello
-			}
-			pull, _ := wire.ParsePull(hdr.Flow, body)
-			credits = append(credits, int(pull.Credits))
-			want -= int(pull.Credits)
-		}
-		for esi := queued; esi < k; esi++ {
+		grants := snd.grants(queued + window - window/4)
+		for esi := queued; grants != nil && esi < k; esi++ {
 			_, _ = snd.conn.WriteTo(snd.data(uint32(esi)), conn.LocalAddr())
 		}
-		rest <- credits
+		rest <- grants
 	}()
 
 	cfg := DefaultConfig()
@@ -531,22 +387,22 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	if !bytes.Equal(got, obj) {
 		t.Fatal("object corrupted")
 	}
-	credits := <-rest
-	if credits == nil {
-		t.Fatal("the queued symbols were never all credited")
+	grants := <-rest
+	if grants == nil {
+		t.Fatal("the window never slid over the queued symbols")
 	}
-	sum, biggest := 0, 0
-	for _, c := range credits {
-		sum += c
-		biggest = max(biggest, c)
+	if grants[0] != window {
+		t.Fatalf("the Hello granted %d, want the sender's window %d: %v", grants[0], window, grants)
 	}
-	if sum != queued {
-		t.Fatalf("%d queued symbols earned %d credits: %v", queued, sum, credits)
+	for i := 1; i < len(grants); i++ {
+		if step := grants[i] - grants[i-1]; step < window/4 || step > window {
+			t.Fatalf("grant %d follows %d: want steps of %d to %d: %v", grants[i], grants[i-1], window/4, window, grants)
+		}
 	}
-	if biggest != drain {
-		t.Fatalf("largest pull %d, want a full drain of %d and no more: %v", biggest, drain, credits)
+	if last := grants[len(grants)-1]; last > queued+window {
+		t.Fatalf("granted %d with %d symbols emitted and a window of %d: %v", last, queued, window, grants)
 	}
-	if st.Duplicates != 0 || st.Retries != 0 {
+	if st.Duplicates != 0 || st.Retries != 0 || st.Lost != 0 || st.PullsSent > k/int(window/4)+maxRegrants {
 		t.Fatalf("not clean: %+v", st)
 	}
 }
@@ -563,8 +419,10 @@ func TestBadDatagramDropsOnlyItself(t *testing.T) {
 	conn := newUDP(t)
 	defer conn.Close()
 
+	// All K source symbols and nothing else that is valid: had a bad
+	// datagram taken a neighbour along, the block would never complete.
 	pkts := [][]byte{snd.announce()}
-	for esi := 0; esi < k-1; esi++ {
+	for esi := 0; esi < k; esi++ {
 		pkts = append(pkts, snd.data(uint32(esi)))
 		switch esi {
 		case 10:
@@ -576,14 +434,10 @@ func TestBadDatagramDropsOnlyItself(t *testing.T) {
 		}
 	}
 	snd.send(t, conn.LocalAddr(), pkts...)
-	// The last source symbol completes the block once the burst has been
-	// credited; had a bad datagram taken its neighbours along, K-1 symbols
-	// plus this one would not be enough.
-	go snd.sendOnceCredited(conn.LocalAddr(), k-1, snd.data(k-1))
 
 	cfg := DefaultConfig()
 	cfg.SymbolSize = symbolSize
-	cfg.RetryInterval = time.Second // a stall recovery would hide a dropped neighbour
+	cfg.RetryInterval = time.Second
 	cfg.MaxRetries = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -597,7 +451,7 @@ func TestBadDatagramDropsOnlyItself(t *testing.T) {
 	if st.Symbols != k || st.Retries != 0 {
 		t.Fatalf("got %d symbols and %d retries, want exactly the %d valid ones and none: %+v", st.Symbols, st.Retries, k, st)
 	}
-	if want := len(pkts) + 1; st.Datagrams != want {
+	if want := len(pkts); st.Datagrams != want {
 		t.Fatalf("read %d datagrams, %d were sent", st.Datagrams, want)
 	}
 }

@@ -7,29 +7,40 @@
 // The protocol mirrors the paper's design at real-network granularity:
 //
 //	receiver                            sender
-//	   | -- Hello{flow, idx, count} -->   |   (per sender; idx/count
-//	   |                                  |    fix the ESI partition)
-//	   | <-- Announce{F, T, maxK} ------  |
-//	   | <== Data x InitWindow =========  |   (source symbols first;
-//	   | -- Pull{credits: n} ---------->  |    one per drain: n fresh
-//	   | <== Data x n ==================  |    arrivals from this sender;
-//	   | -- Done ---------------------->  |    <== is one train)
+//	   | -- Hello{flow, idx, count,   -->  |   (per sender; idx/count fix
+//	   |          grant: w} ------------>  |    the ESI partition)
+//	   | <-- Announce{F, T, maxK} ------   |
+//	   | <== Data{seq 0..w-1} ==========   |   (source symbols first;
+//	   | -- Pull{grant: hi+w} --------->   |    <== is one train)
+//	   | <== Data{seq w..hi+w-1} =======   |
+//	   | -- Done ---------------------->   |
+//
+// The sender numbers a session's Data packets as it emits them (Seq), and
+// a grant is cumulative: "you may have emitted this many in all". The
+// receiver keeps, per sender, hi — one past the highest Seq a fresh symbol
+// carried — and after each drain of its socket grants hi+w, w being the
+// sender's share of the standing window, one full train at most. A lost
+// symbol leaves a gap below hi, and that is all: the window has slid over
+// it, so the pull that its successors earn asks for its replacement too,
+// which is what a trimmed header tells the paper's receiver. A lost pull
+// is restated by the next; a repeated, late or stale one changes nothing,
+// because the sender keeps the highest. A clock matters only when all
+// that was outstanding is lost at once: a sender unheard through a few
+// round trips of waiting is granted a window more, maxRegrants times, and
+// the RetryInterval stall guard is left with dead senders and lost Hellos.
 //
 // Both sides read the socket in drains: block until a datagram is
-// there, take everything already queued (pktIO), then answer. The
-// receiver credits every fresh arrival exactly once, before it blocks
-// again — n is 1 when arrivals are spaced out and grows only when the
-// receiver is the slower side — and the sender sums the credits a drain
-// brought for each session before it answers them with one burst: the
-// n equal-length Data packets are built back to back in one buffer and
-// handed to the socket as a train (pktIO.sendTrain: one UDP_SEGMENT
-// sendmsg where the kernel takes it, a write per packet elsewhere). For
-// the length of a fetch the receiver's socket takes a train as the one
-// message it was sent as (pktIO.coalesceReads: UDP_GRO, same condition)
-// and each symbol is copied once, from that message to its place in the
-// object the fetch returns (raptorq.ObjectDecoder).
+// there, take everything already queued (pktIO), then answer. The sender
+// answers a drain's grants with one burst a session: the equal-length
+// Data packets are built back to back in one buffer and handed to the
+// socket as trains (pktIO.sendTrain: one UDP_SEGMENT sendmsg where the
+// kernel takes it, a write per packet elsewhere). For the length of a
+// fetch the receiver's socket takes a train as the one message it was
+// sent as (pktIO.coalesceReads: UDP_GRO, same condition) and each symbol
+// is copied once, from that message to its place in the object the fetch
+// returns (raptorq.ObjectDecoder).
 //
-// Lost symbols are never re-requested: a pull elicits the next fresh
+// Lost symbols are never re-requested: a grant elicits the next fresh
 // symbol, which contributes equally to decoding. Multi-source fetches
 // send one Hello per sender with a distinct index; senders partition
 // source symbols and use disjoint repair ESI residue classes, so an
@@ -57,10 +68,11 @@ type Config struct {
 	// MaxBlockK bounds source symbols per block (default 256; larger
 	// blocks amortise better but decode slower).
 	MaxBlockK int
-	// InitWindow is the number of symbols a sender blasts after Hello.
+	// InitWindow is the most a receiver's Hello lets a sender blast: its
+	// first grant is this or the sender's window, whichever is less.
 	InitWindow int
-	// PullBatch is the credit count in recovery pulls issued by the
-	// stall guard.
+	// PullBatch is how many symbols more the stall guard grants each
+	// sender at a recovery.
 	PullBatch int
 	// RetryInterval is the receiver's stall guard period.
 	RetryInterval time.Duration
@@ -80,7 +92,7 @@ func DefaultConfig() Config {
 	return Config{
 		SymbolSize:    1024,
 		MaxBlockK:     256,
-		InitWindow:    16,
+		InitWindow:    trainMax,
 		PullBatch:     16,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    50,
@@ -123,7 +135,7 @@ const (
 	// Hello, Pull and Done, all under 16 bytes.
 	ctlMax = 64
 	// maxPullCredits caps the symbols one session is sent per drain,
-	// whatever its pulls asked for.
+	// whatever its pulls granted.
 	maxPullCredits = 1024
 	// trainMax is the most packets one train holds (the kernel's
 	// UDP_MAX_SEGMENTS), and trainBytes the most bytes: one UDP payload.
@@ -155,7 +167,7 @@ type Server struct {
 	// goroutine, so no locking is needed.
 	io        *pktIO
 	sessions  map[sessionKey]*serveSession
-	credited  []*serveSession // sessions this drain's pulls gave credits
+	owed      []*serveSession // sessions this drain's grants put ahead of what they were sent
 	lastSweep time.Time
 
 	// train and ctl are reusable scratch buffers for outgoing packets: a
@@ -164,7 +176,7 @@ type Server struct {
 	train []byte
 	ctl   []byte
 
-	readCalls, datagrams, pullsReceived, sendCalls, symbolsSent, sendErrors atomic.Int64
+	readCalls, datagrams, pullsReceived, stalePulls, sendCalls, symbolsSent, sendErrors atomic.Int64
 }
 
 // sessionKey identifies a session: the receiver's address and its flow.
@@ -173,14 +185,15 @@ type sessionKey struct {
 	flow uint32
 }
 
-// serveSession tracks one receiver's cursors.
+// serveSession tracks one receiver's cursors and its window: the next Seq
+// and the highest grant heard, which wrap and are equal between drains.
 type serveSession struct {
-	key        sessionKey
-	cursors    []senderCursor
-	srcBlock   int // first block whose source symbols are not all sent
-	rrBlock    int // round-robin block pointer for repair symbols
-	credits    int // symbols owed for the pulls of the current drain
-	lastActive time.Time
+	key           sessionKey
+	cursors       []senderCursor
+	srcBlock      int // first block whose source symbols are not all sent
+	rrBlock       int // round-robin block pointer for repair symbols
+	sent, granted uint32
+	lastActive    time.Time
 }
 
 // senderCursor is the per-block symbol schedule for one sender in an
@@ -232,8 +245,10 @@ type ServerStats struct {
 	// and Datagrams how many they returned: Datagrams/ReadCalls is the
 	// mean drain.
 	ReadCalls, Datagrams int
-	// PullsReceived counts valid Pull packets for known sessions.
-	PullsReceived int
+	// PullsReceived counts valid Pull packets for known sessions, and
+	// StalePulls those, and the Hellos, whose grant was not ahead of one
+	// already heard: repeats, stragglers, what a re-grant overtook.
+	PullsReceived, StalePulls int
 	// SendCalls is the number of socket writes that carried Data and
 	// SymbolsSent how many symbols they carried: SymbolsSent/SendCalls
 	// is the mean train.
@@ -249,6 +264,7 @@ func (s *Server) Stats() ServerStats {
 		ReadCalls:     int(s.readCalls.Load()),
 		Datagrams:     int(s.datagrams.Load()),
 		PullsReceived: int(s.pullsReceived.Load()),
+		StalePulls:    int(s.stalePulls.Load()),
 		SendCalls:     int(s.sendCalls.Load()),
 		SymbolsSent:   int(s.symbolsSent.Load()),
 		SendErrors:    int(s.sendErrors.Load()),
@@ -289,7 +305,7 @@ func (s *Server) open() {
 }
 
 // step is one wake-up of Serve: take what the socket has queued, handle
-// each datagram, then answer each session's pulls with one burst. It
+// each datagram, then send each session what it is owed as one burst. It
 // also expires idle sessions, by the clock rather than on an idle
 // socket, which a busy server never has.
 func (s *Server) step() error {
@@ -311,12 +327,11 @@ func (s *Server) step() error {
 			s.handle(d.data, d.from, now)
 		}
 	}
-	for i, sess := range s.credited {
-		s.pay(sess, min(sess.credits, maxPullCredits))
-		sess.credits = 0
-		s.credited[i] = nil
+	for i, sess := range s.owed {
+		s.pay(sess, int(sess.granted-sess.sent))
+		s.owed[i] = nil
 	}
-	s.credited = s.credited[:0]
+	s.owed = s.owed[:0]
 	// A server whose pulls keep coming never blocks, and the runtime
 	// preempts a goroutine only after 10 ms: yield after each burst so
 	// that whatever shares the process — other servers, the receiver —
@@ -337,8 +352,8 @@ func (s *Server) sweep(now time.Time) {
 }
 
 // handle processes one datagram. A Hello is answered with an Announce
-// at once; its initial window and a Pull's symbols are only credited to
-// the session, and step pays them out: handle sends no Data.
+// at once; its grant and a Pull's only raise what the session may be
+// sent, and step pays the difference out: handle sends no Data.
 //
 //polyvet:noalloc per-datagram receive path; replies go into the server's scratch buffers and only a new session allocates, in newSession
 func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
@@ -372,9 +387,13 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		if s.io.send(s.ctl, from) != nil {
 			s.sendErrors.Add(1)
 		}
-		// Initial window (fresh symbols even on Hello retry: with a
-		// rateless code anything we send is useful).
-		s.credit(sess, s.cfg.InitWindow)
+		// A Hello behind what the session was sent comes from a new fetch,
+		// the last one's Done lost, or from far back in this one: it
+		// counts from here, since anything sent is useful.
+		if int32(hello.Grant-sess.sent) < 0 {
+			hello.Grant += sess.sent
+		}
+		s.grant(sess, hello.Grant)
 	case wire.MsgPull:
 		pull, err := wire.ParsePull(hdr.Flow, body)
 		if err != nil {
@@ -386,10 +405,10 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		}
 		s.pullsReceived.Add(1)
 		sess.lastActive = now
-		s.credit(sess, int(pull.Credits))
+		s.grant(sess, pull.Grant)
 	case wire.MsgDone:
 		if sess := s.sessions[key]; sess != nil {
-			sess.credits = 0 // it may be on the credited list already
+			sess.granted = sess.sent // it may be on the owed list already
 			delete(s.sessions, key)
 		}
 	}
@@ -422,12 +441,20 @@ func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 	return sess
 }
 
-// credit owes a session n more symbols, to be paid when the drain ends.
-func (s *Server) credit(sess *serveSession, n int) {
-	if sess.credits == 0 && n > 0 {
-		s.credited = append(s.credited, sess)
+// grant lets a session have been sent g symbols in all, to be paid when
+// the drain ends. One not ahead of the highest heard, as serial numbers,
+// changes nothing, so pulls may be lost, repeated and overtaken; one that
+// is counts for maxPullCredits beyond what was sent and no more: the
+// receiver's next pull restates the rest.
+func (s *Server) grant(sess *serveSession, g uint32) {
+	if int32(g-sess.granted) <= 0 {
+		s.stalePulls.Add(1)
+		return
 	}
-	sess.credits += n
+	if sess.granted == sess.sent {
+		s.owed = append(s.owed, sess)
+	}
+	sess.granted = sess.sent + min(g-sess.sent, maxPullCredits)
 }
 
 // next advances the session's schedule by one symbol: the source symbols
@@ -460,12 +487,13 @@ func (s *Server) pay(sess *serveSession, n int) {
 		buf := s.train[:0]
 		for ; n > 0 && len(buf)+pktLen <= cap(buf); n-- {
 			sbn, esi := sess.next()
-			buf = wire.AppendDataHeader(buf, wire.Data{Flow: sess.key.flow, SBN: uint32(sbn), ESI: esi}, t)
+			buf = wire.AppendDataHeader(buf, wire.Data{Flow: sess.key.flow, SBN: uint32(sbn), ESI: esi, Seq: sess.sent}, t)
+			sess.sent++
 			buf = s.enc.Block(sbn).AppendSymbol(buf, esi)
 		}
+		s.symbolsSent.Add(int64(len(buf) / pktLen)) // first: a receiver that has them all may look
 		calls, refused := s.io.sendTrain(buf, pktLen, sess.key.peer)
 		s.sendCalls.Add(int64(calls))
-		s.symbolsSent.Add(int64(len(buf) / pktLen))
 		s.sendErrors.Add(int64(refused))
 	}
 }
@@ -474,26 +502,32 @@ func (s *Server) pay(sess *serveSession, n int) {
 type FetchStats struct {
 	// Symbols is the number of fresh (non-duplicate) symbols received.
 	Symbols int
-	// Duplicates counts symbols the decoder already held (e.g. after a
-	// Hello retry re-triggered an initial window).
+	// Duplicates counts symbols the decoder already held (e.g. what a
+	// network that duplicates packets delivered twice).
 	Duplicates int
 	// PerSender counts fresh symbols contributed by each remote, in
 	// the order passed to FetchMultiSource — the observable form of
 	// the paper's "each server contributes symbols at its available
 	// capacity".
 	PerSender []int
-	// Retries is the number of stall recoveries performed.
-	Retries int
-	// Elapsed is the wall-clock fetch duration.
-	Elapsed time.Duration
+	// Lost counts the symbols a window slid over: Seq numbers skipped when
+	// a later one arrived first. The next grant pulled their replacements.
+	Lost int
+	// Regrants counts the times a sender unheard for a few round trips was
+	// granted another window, and Retries the stall recoveries: nothing
+	// fresh from anyone for a whole RetryInterval.
+	Regrants, Retries int
+	// Elapsed is the wall-clock fetch duration, Idle the part of it spent
+	// blocked on the socket, waiting for the senders, and Decode the part
+	// spent solving blocks that symbols were missing from.
+	Elapsed, Idle, Decode time.Duration
 	// ReadCalls is the number of socket reads that returned datagrams
 	// and Datagrams how many they returned: Datagrams/ReadCalls is the
 	// mean drain. A datagram is one packet as its sender wrote it: the
 	// segments of a train count one each.
 	ReadCalls, Datagrams int
-	// PullsSent counts Pull packets, the stall guard's included.
-	// PullsSent/Symbols is how far per-drain crediting coalesced them;
-	// 1 is a pull per symbol.
+	// PullsSent counts Pull packets, re-grants included: one per sender
+	// per drain at most, none until a window has slid by a quarter.
 	PullsSent int
 	// SendErrors counts packets the socket refused to send.
 	SendErrors int
@@ -519,7 +553,7 @@ func FetchMultiSource(ctx context.Context, conn net.PacketConn, remotes []net.Ad
 // port.
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg Config) ([]byte, FetchStats, error) {
 	start := time.Now()
-	f := fetcher{cfg: cfg, flow: flow}
+	f := fetcher{cfg: cfg, flow: flow, now: start}
 	f.stats.PerSender = make([]int, len(remotes))
 	if err := cfg.validate(); err != nil {
 		return nil, f.stats, err
@@ -527,14 +561,13 @@ func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []n
 	if len(remotes) == 0 || len(remotes) > 255 {
 		return nil, f.stats, fmt.Errorf("rqudp: %d remotes", len(remotes))
 	}
-	for _, r := range remotes {
-		peer := addrPortOf(r)
-		if !peer.IsValid() {
+	f.senders = make([]sender, len(remotes))
+	for i, r := range remotes {
+		if f.senders[i].peer = addrPortOf(r); !f.senders[i].peer.IsValid() {
 			return nil, f.stats, fmt.Errorf("rqudp: remote %v is not an IP address and port", r)
 		}
-		f.peers = append(f.peers, peer)
 	}
-	f.credits = make([]uint16, len(remotes))
+	f.setWindow()
 	f.io = newPktIO(conn)
 	f.io.coalesceReads() // a sender's train is to arrive as one read
 	defer f.io.restoreReads()
@@ -544,63 +577,80 @@ func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []n
 	return obj, f.stats, err
 }
 
+// Receiver-side constants. Like the server's, none is configurable.
+const (
+	// standingWindow is how many symbols a fetch keeps in flight over all
+	// its senders: what a receive socket queues, with room to spare.
+	standingWindow = 128
+	// A sender is silent after quietRTTs smoothed round trips without a
+	// fresh symbol, quietFloor at the least, and is then granted another
+	// window: maxRegrants times in a row, then only by the stall guard.
+	quietRTTs   = 4
+	quietFloor  = 2 * time.Millisecond
+	maxRegrants = 3
+)
+
 // fetcher is the state of one fetch.
 type fetcher struct {
-	io    *pktIO
-	cfg   Config
-	flow  uint32
-	peers []netip.AddrPort // the senders, in the caller's order
-	stats FetchStats
-	dec   *raptorq.ObjectDecoder // nil until the first Announce
+	io      *pktIO
+	cfg     Config
+	flow    uint32
+	senders []sender // in the caller's order
+	stats   FetchStats
+	dec     *raptorq.ObjectDecoder // nil until the first Announce
 
-	// credits[i] counts the current drain's fresh symbols from sender i;
-	// sendPulls turns them into pulls.
-	credits []uint16
-	ctl     []byte // scratch for outgoing control packets
+	// window is each sender's share of the standing window. Grants are
+	// multiples of step, a quarter of it: a socket read one datagram at a
+	// time asks once per step, and bursts end where source partitions do.
+	window, step uint32
+	now          time.Time     // when the current drain was read
+	srtt         time.Duration // smoothed time from a grant to its first symbol; 0 before the first
+	ctl          []byte        // scratch for outgoing control packets
 }
 
-// run is the receive loop: drain the socket into the decoder, then
-// credit each sender for what it delivered.
+// sender is one remote's window. hi is one past the highest Seq a fresh
+// symbol from it carried and granted the last grant sent to it: what lies
+// between is in flight, lost, or unsent because the pull was lost, and
+// nothing records which. A gap below hi is simply no longer in flight.
+type sender struct {
+	peer        netip.AddrPort
+	hi, granted uint32
+	// A round trip is timed from probeAt (zero: none is), when a grant
+	// beyond probe went out, to the first Seq that only it can have let out.
+	probe    uint32
+	probeAt  time.Time
+	heard    time.Duration // stats.Idle at the last fresh symbol from it, or re-grant to it
+	regrants int           // re-grants since that symbol
+}
+
+// setWindow splits the standing window over the senders.
+func (f *fetcher) setWindow() {
+	f.window = uint32(max(1, min(trainMax, standingWindow/len(f.senders))))
+	f.step = max(1, f.window/4)
+}
+
+// run is the receive loop: drain the socket into the decoder, then slide
+// each sender's window over what arrived.
 func (f *fetcher) run(ctx context.Context) ([]byte, error) {
-	f.sendHello()
-	var (
-		retries  = 0
-		progress = false // any new symbol since last stall check
-		lastTick = time.Now()
-	)
+	for i := range f.senders {
+		f.grant(i, uint32(min(f.cfg.InitWindow, int(f.window))))
+	}
+	retries, progress, lastTick := 0, false, f.now // progress: any new symbol since the last stall check
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n, err := f.io.read(f.cfg.RetryInterval / 4)
-		if err != nil {
-			if !isTimeout(err) {
-				return nil, err
-			}
-			// Stall guard: on timeout with no progress, re-prime.
-			if time.Since(lastTick) >= f.cfg.RetryInterval {
-				lastTick = time.Now()
-				if !progress {
-					retries++
-					f.stats.Retries++
-					if retries > f.cfg.MaxRetries {
-						return nil, fmt.Errorf("rqudp: fetch stalled after %d retries", retries-1)
-					}
-					if f.dec == nil {
-						f.sendHello()
-					} else {
-						for i := range f.credits {
-							f.credits[i] = uint16(f.cfg.PullBatch)
-						}
-						f.sendPulls()
-					}
-				}
-				progress = false
-			}
-			continue
+		blocked := time.Now()
+		n, err := f.io.read(f.quiet())
+		f.now = time.Now()
+		f.stats.Idle += f.now.Sub(blocked)
+		if err != nil && !isTimeout(err) {
+			return nil, err
 		}
-		f.stats.ReadCalls++
-		f.stats.Datagrams += n
+		if err == nil {
+			f.stats.ReadCalls++
+			f.stats.Datagrams += n
+		}
 		before := f.stats.Symbols
 		for i := 0; i < n; i++ {
 			if d := f.io.pkt(i); d.data != nil {
@@ -609,22 +659,67 @@ func (f *fetcher) run(ctx context.Context) ([]byte, error) {
 				}
 			}
 		}
-		if f.stats.Symbols == before {
-			continue
-		}
 		// Only fresh symbols are progress and reset the stall budget: a
-		// sender replaying duplicates must not defeat MaxRetries (the
-		// fetch would stall forever instead of aborting).
-		progress = true
-		retries = 0
-		if f.dec.Complete() {
-			f.ctl = wire.AppendDone(f.ctl[:0], f.flow)
-			for _, peer := range f.peers {
-				f.send(f.ctl, peer)
+		// sender replaying duplicates must not defeat MaxRetries.
+		if f.stats.Symbols != before {
+			progress, retries = true, 0
+			if f.dec.Complete() {
+				f.ctl = wire.AppendDone(f.ctl[:0], f.flow)
+				for i := range f.senders {
+					f.send(f.ctl, f.senders[i].peer)
+				}
+				return f.dec.Object()
 			}
-			return f.dec.Object()
 		}
-		f.sendPulls()
+		// Stall guard: nothing fresh from anyone for a whole interval. The
+		// senders are dead, or the Hellos were lost: say everything again.
+		if f.now.Sub(lastTick) >= f.cfg.RetryInterval {
+			lastTick = f.now
+			if !progress {
+				retries++
+				f.stats.Retries++
+				if retries > f.cfg.MaxRetries {
+					return nil, fmt.Errorf("rqudp: fetch stalled after %d retries", retries-1)
+				}
+				for i := range f.senders {
+					f.regrant(i, uint32(f.cfg.PullBatch))
+				}
+			}
+			progress = false
+		}
+		f.slide()
+	}
+}
+
+// quiet is how long the fetch waits on a silent socket, and for a silent
+// sender, before a window is granted again. Only time spent waiting counts
+// (stats.Idle is the clock): while the fetcher is busy, decoding, say,
+// what a sender sent lies in the socket and says nothing about it.
+func (f *fetcher) quiet() time.Duration {
+	q := f.cfg.RetryInterval / 4
+	if f.srtt > 0 {
+		q = min(q, max(quietRTTs*f.srtt, quietFloor))
+	}
+	return q
+}
+
+// slide ends a drain: each sender whose window has room for another step
+// beyond its grant is sent one Pull for all of it, and each that has been
+// silent too long is granted a window more, in case what is outstanding
+// was lost whole, the symbols or the pull.
+func (f *fetcher) slide() {
+	quiet := f.quiet()
+	for i := range f.senders {
+		s := &f.senders[i]
+		want := s.hi + f.window
+		want -= want % f.step
+		if int32(want-s.granted) > 0 {
+			f.grant(i, want)
+		} else if s.regrants < maxRegrants && f.stats.Idle-s.heard >= quiet {
+			s.regrants++
+			f.stats.Regrants++
+			f.regrant(i, f.window)
+		}
 	}
 }
 
@@ -656,10 +751,12 @@ func (f *fetcher) handle(d datagram) error {
 		f.dec.SetWorkers(f.cfg.Workers)
 		if layout.T > f.cfg.SymbolSize {
 			// The sender's symbols are longer than this side was
-			// configured for: the ring dropped the initial window, so
-			// make room and ask for another.
+			// configured for: the ring dropped the first bursts, so make
+			// room and ask for them again.
 			f.io.setMaxPacket(layout.T + wire.DataOverhead)
-			f.sendHello()
+			for i := range f.senders {
+				f.regrant(i, f.window)
+			}
 		}
 	case wire.MsgData:
 		data, err := wire.ParseData(hdr.Flow, body)
@@ -671,11 +768,10 @@ func (f *fetcher) handle(d datagram) error {
 			return nil // e.g. geometry mismatch; ignore packet
 		}
 		if !fresh {
-			// No credit for a duplicate: clocking pulls off duplicates
-			// would let a replaying sender sustain a data->pull->data
-			// ping-pong that keeps the socket warm and starves the stall
-			// guard, defeating MaxRetries. The sender goes quiet instead
-			// and the stall guard takes over.
+			// A duplicate moves no window, whatever its Seq: clocking
+			// pulls off duplicates would let a replaying sender sustain a
+			// data->pull->data ping-pong that starves the stall guard and
+			// defeats MaxRetries. It goes quiet instead, and is counted out.
 			f.stats.Duplicates++
 			return nil
 		}
@@ -684,48 +780,76 @@ func (f *fetcher) handle(d datagram) error {
 		// drain: what the drain still holds for it then costs no intake
 		// memory.
 		if f.dec.BlockReady(int(data.SBN)) {
+			t0 := time.Now()
 			f.dec.TryDecode()
+			f.stats.Decode += time.Since(t0)
 		}
-		// Receiver-driven clocking: one credit per fresh arrival, to the
-		// sender that delivered (its path has capacity).
-		for i, peer := range f.peers {
-			if peer == d.from {
-				f.stats.PerSender[i]++
-				f.credits[i]++
-				return nil
+		// Receiver-driven clocking: the window of the sender that
+		// delivered slides up to this symbol (its path has capacity).
+		for i := range f.senders {
+			s := &f.senders[i]
+			if s.peer != d.from {
+				continue
 			}
+			if f.stats.PerSender[i]++; f.stats.PerSender[i] == 1 {
+				// Its first symbol says where the sender counts from: not
+				// from 0 on a session left over from an earlier fetch.
+				s.hi, s.granted = data.Seq, s.granted+data.Seq
+			}
+			s.heard, s.regrants = f.stats.Idle, 0
+			if !s.probeAt.IsZero() && int32(data.Seq-s.probe) >= 0 {
+				if rtt := f.now.Sub(s.probeAt); f.srtt == 0 {
+					f.srtt = rtt
+				} else {
+					f.srtt += (rtt - f.srtt) / 8
+				}
+				s.probeAt = time.Time{}
+			}
+			if gap := int32(data.Seq - s.hi); gap >= 0 {
+				f.stats.Lost += int(gap)
+				s.hi = data.Seq + 1
+			}
+			return nil
 		}
-		// Not from an address the fetch was given (a multi-homed
-		// sender, say): credit it where it came from.
-		f.sendPull(d.from, 1)
+		// Not from an address the fetch was given (a multi-homed sender,
+		// say): slide its window there, statelessly; it keeps the highest.
+		f.sendPull(d.from, data.Seq+1+f.window)
 	}
 	return nil
 }
 
-func (f *fetcher) sendHello() {
-	for i, peer := range f.peers {
-		f.ctl = wire.AppendHello(f.ctl[:0], wire.Hello{
-			Flow:        f.flow,
-			SenderIdx:   uint8(i),
-			SenderCount: uint8(len(f.peers)),
-		})
-		f.send(f.ctl, peer)
+// grant tells sender i that it may have emitted `to` symbols in all: with
+// a Hello until it has been heard from, which says what a Pull does and
+// opens the session if none did yet, then with a Pull.
+func (f *fetcher) grant(i int, to uint32) {
+	s := &f.senders[i]
+	if s.probeAt.IsZero() {
+		s.probe, s.probeAt = s.granted, f.now
 	}
+	s.granted = to
+	if f.stats.PerSender[i] > 0 {
+		f.sendPull(s.peer, to)
+		return
+	}
+	f.ctl = wire.AppendHello(f.ctl[:0], wire.Hello{
+		Flow:        f.flow,
+		SenderIdx:   uint8(i),
+		SenderCount: uint8(len(f.senders)),
+		Grant:       to,
+	})
+	f.send(f.ctl, s.peer)
 }
 
-// sendPulls sends each sender one Pull for the credits it has earned,
-// and clears them.
-func (f *fetcher) sendPulls() {
-	for i, c := range f.credits {
-		if c > 0 {
-			f.credits[i] = 0
-			f.sendPull(f.peers[i], c)
-		}
-	}
+// regrant grants sender i another n symbols whatever has arrived: what
+// was outstanding is taken for lost, the round trip being timed with it.
+func (f *fetcher) regrant(i int, n uint32) {
+	s := &f.senders[i]
+	s.heard, s.probeAt = f.stats.Idle, time.Time{}
+	f.grant(i, s.granted+n)
 }
 
-func (f *fetcher) sendPull(to netip.AddrPort, credits uint16) {
-	f.ctl = wire.AppendPull(f.ctl[:0], wire.Pull{Flow: f.flow, Credits: credits})
+func (f *fetcher) sendPull(to netip.AddrPort, grant uint32) {
+	f.ctl = wire.AppendPull(f.ctl[:0], wire.Pull{Flow: f.flow, Grant: grant})
 	f.send(f.ctl, to)
 	f.stats.PullsSent++
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"polyraptor/internal/wire"
+	"polyraptor/internal/netshim"
 )
 
 func newUDP(t *testing.T) net.PacketConn {
@@ -112,51 +112,25 @@ func TestMultiSourceFetch(t *testing.T) {
 	}
 }
 
-// lossyConn wraps a PacketConn and drops a deterministic fraction of
-// outgoing data packets — simulating congestion loss on the symbol
-// path while leaving control traffic intact.
-type lossyConn struct {
-	net.PacketConn
-	mu   sync.Mutex
-	rng  *rand.Rand
-	rate float64
-}
-
-func (l *lossyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if hdr, _, err := wire.ParseHeader(p); err == nil && hdr.Type == wire.MsgData {
-		l.mu.Lock()
-		drop := l.rng.Float64() < l.rate
-		l.mu.Unlock()
-		if drop {
-			return len(p), nil // swallowed by the "network"
-		}
-	}
-	return l.PacketConn.WriteTo(p, addr)
-}
-
+// A quarter of the symbols lost on the way: the window slides over the
+// gaps and the fetch never waits for the stall guard.
 func TestFetchSurvivesSymbolLoss(t *testing.T) {
 	obj := randObject(t, 150_000)
-	base := newUDP(t)
-	lossy := &lossyConn{PacketConn: base, rng: rand.New(rand.NewSource(5)), rate: 0.25}
-	srv, err := NewServer(lossy, obj, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve() }()
-	defer srv.Close()
-
+	cfg := DefaultConfig()
+	remotes, _, _ := shimmedServers(t, obj, cfg, 1, shims[0].wrap, netshim.Config{Seed: 5, Down: netshim.Faults{Loss: 0.25}})
 	conn := newUDP(t)
 	defer conn.Close()
-	cfg := DefaultConfig()
-	cfg.RetryInterval = 30 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	got, err := Fetch(ctx, conn, srv.Addr(), 9, cfg)
+	got, st, err := FetchMultiSourceStats(ctx, conn, remotes, 9, cfg)
 	if err != nil {
 		t.Fatalf("fetch under 25%% loss failed: %v", err)
 	}
 	if !bytes.Equal(got, obj) {
 		t.Fatal("fetch under loss corrupted object")
+	}
+	if st.Retries != 0 || st.Lost == 0 {
+		t.Fatalf("%d stall recoveries, %d symbols slid over: %+v", st.Retries, st.Lost, st)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 type scriptConn struct {
 	in      []scripted
 	sent    map[int]int // packets written, by destination port
+	seqs    []uint32    // the Seq of each Data packet written
 	bad     error       // the first malformed packet the server wrote
 	failing bool        // refuse every write
 }
@@ -57,7 +58,9 @@ func (c *scriptConn) WriteTo(p []byte, to net.Addr) (int, error) {
 	switch {
 	case err != nil:
 	case hdr.Type == wire.MsgData:
-		_, err = wire.ParseData(hdr.Flow, body)
+		var d wire.Data
+		d, err = wire.ParseData(hdr.Flow, body)
+		c.seqs = append(c.seqs, d.Seq)
 	case hdr.Type == wire.MsgAnnounce:
 		_, err = wire.ParseAnnounce(hdr.Flow, body)
 	default:
@@ -123,12 +126,15 @@ func (s *scriptedServer) run(t testing.TB) {
 	}
 }
 
+// firstGrant is what the Hellos of these tests grant.
+const firstGrant = 16
+
 func hello(flow uint32) []byte {
-	return wire.AppendHello(nil, wire.Hello{Flow: flow, SenderCount: 1})
+	return wire.AppendHello(nil, wire.Hello{Flow: flow, SenderCount: 1, Grant: firstGrant})
 }
 
-func pull(flow uint32, credits uint16) []byte {
-	return wire.AppendPull(nil, wire.Pull{Flow: flow, Credits: credits})
+func pull(flow uint32, grant uint32) []byte {
+	return wire.AppendPull(nil, wire.Pull{Flow: flow, Grant: grant})
 }
 
 // A session whose Done was lost must expire even though the server is
@@ -146,7 +152,7 @@ func TestLostDoneExpiresUnderTraffic(t *testing.T) {
 	// once a second for two idle limits.
 	for i := 0; i < 2*int(sessionIdle/time.Second); i++ {
 		s.clock = s.clock.Add(time.Second)
-		s.conn.push(pull(2, 1), busy)
+		s.conn.push(pull(2, uint32(firstGrant+1+i)), busy)
 		s.run(t)
 		if _, alive := s.sessions[key(stale, 1)]; alive && s.clock.Sub(time.Unix(1_000_000, 0)) > sessionIdle+sweepEvery {
 			t.Fatalf("stale session still held %v after its last packet", s.clock.Sub(time.Unix(1_000_000, 0)))
@@ -177,18 +183,19 @@ func TestSessionTableCap(t *testing.T) {
 	if n := s.conn.sent[refused]; n != 0 {
 		t.Fatalf("the Hello over the cap was answered with %d packets", n)
 	}
-	// A Hello retry inside the table is not a new session.
+	// A Hello retry inside the table is not a new session, and grants
+	// nothing that the first did not.
 	before := s.conn.sent[first]
 	s.conn.push(hello(1), first)
-	s.conn.push(pull(1, 3), first)
+	s.conn.push(pull(1, firstGrant+3), first)
 	s.run(t)
-	if got := s.conn.sent[first] - before; got != 1+s.cfg.InitWindow+3 {
-		t.Fatalf("existing session got %d packets for a Hello and a 3-credit pull, want %d", got, 1+s.cfg.InitWindow+3)
+	if got := s.conn.sent[first] - before; got != 1+3 {
+		t.Fatalf("existing session got %d packets for the same Hello and a pull granting 3 more, want %d", got, 1+3)
 	}
 	// The existing session stays active while the rest go idle; once
 	// they are swept there is room for the one that was refused.
 	s.clock = s.clock.Add(sessionIdle / 2)
-	s.conn.push(pull(1, 1), first)
+	s.conn.push(pull(1, firstGrant+4), first)
 	s.run(t)
 	s.clock = s.clock.Add(sessionIdle/2 + sweepEvery)
 	s.conn.push(hello(1), refused)
@@ -196,52 +203,111 @@ func TestSessionTableCap(t *testing.T) {
 	if len(s.sessions) != 2 {
 		t.Fatalf("%d sessions after the idle limit, want the active one and the newcomer", len(s.sessions))
 	}
-	if s.conn.sent[refused] != 1+s.cfg.InitWindow {
+	if s.conn.sent[refused] != 1+firstGrant {
 		t.Fatalf("newcomer got %d packets, want an Announce and a window", s.conn.sent[refused])
 	}
 }
 
-// Pulls that arrive in one drain are paid out as one burst per session,
-// clamped to maxPullCredits however much they ask for; a Done in the
-// same drain cancels what its session was owed.
+// A drain's grants are paid out as one burst per session, however many
+// pulls brought them: the highest counts, the others are stale. No grant,
+// however far ahead, is worth more than maxPullCredits at a time, and
+// the next pull that restates it is paid the next lot; a Done in the same
+// drain cancels what its session was owed.
 func TestServerSumsCreditsPerDrain(t *testing.T) {
 	s := newScriptedServer(t)
 	s.conn.push(hello(1), 3000)
 	s.conn.push(hello(2), 3001)
 	s.run(t)
 	base0, base1 := s.conn.sent[3000], s.conn.sent[3001]
+	tap := &trainTap{t: t}
+	s.io.train = tap.send
 	// One drain, as the batched reader would deliver it.
+	const far = firstGrant + 1<<20
 	now := s.clock
-	for _, d := range []struct {
-		pkt  []byte
-		port int
-	}{
-		{pull(1, 2), 3000}, {pull(2, 65535), 3001}, {pull(1, 3), 3000}, {pull(2, 65535), 3001},
-		{pull(9, 5), 3000}, // no such session
-	} {
-		s.handle(d.pkt, key(d.port, 0).peer, now)
+	drain := func(ds ...scripted) {
+		for _, d := range ds {
+			s.handle(d.pkt, addrPortOf(d.from), now)
+		}
+		s.conn.push(wire.AppendDone(nil, 7), 3002) // any datagram: step pays out what is owed
+		s.run(t)
 	}
-	if len(s.credited) != 2 {
-		t.Fatalf("%d sessions on the credited list, want 2", len(s.credited))
+	drain(
+		scripted{pull(1, firstGrant+2), peer(3000)}, scripted{pull(2, far), peer(3001)},
+		scripted{pull(1, firstGrant+5), peer(3000)}, scripted{pull(2, far), peer(3001)},
+		scripted{pull(1, firstGrant+3), peer(3000)}, // overtaken on the way
+		scripted{pull(9, 5), peer(3000)},            // no such session
+	)
+	if got := s.conn.sent[3000] - base0; got != 0 || len(tap.segs) < 1 || tap.segs[0] != 5 {
+		t.Fatalf("session 1, granted 2, 5 and 3 more in one drain, was sent %d packets and trains of %v; want one train of 5", got, tap.segs)
 	}
-	s.conn.push(wire.AppendDone(nil, 7), 3002) // any datagram: step pays the credits out
-	s.run(t)
-	if got := s.conn.sent[3000] - base0; got != 5 {
-		t.Fatalf("session 1 was sent %d symbols for pulls of 2 and 3", got)
+	paid := func(trains []int) (n int) {
+		for _, segs := range trains {
+			n += segs
+		}
+		return n
 	}
-	if got := s.conn.sent[3001] - base1; got != maxPullCredits {
-		t.Fatalf("session 2 was sent %d symbols, want the clamp %d", got, maxPullCredits)
+	if paid(tap.segs[1:]) != maxPullCredits || s.conn.sent[3001] != base1 {
+		t.Fatalf("session 2 was sent %d symbols in trains and %d packets, want the cap %d", paid(tap.segs[1:]), s.conn.sent[3001]-base1, maxPullCredits)
 	}
-	if st := s.Stats(); st.PullsReceived != 4 || st.SendErrors != 0 {
-		t.Fatalf("stats %+v, want 4 pulls received", st)
+	// Session 2's second pull was not stale: it restated what the cap left
+	// owing, though in the same drain that earned it nothing more.
+	if st := s.Stats(); st.PullsReceived != 5 || st.StalePulls != 1 || st.SendErrors != 0 {
+		t.Fatalf("stats %+v, want 5 pulls received, the overtaken one stale", st)
+	}
+	for _, sess := range s.sessions {
+		if sess.sent != sess.granted {
+			t.Fatalf("session %v: sent %d, granted %d after the drain", sess.key, sess.sent, sess.granted)
+		}
 	}
 
-	s.handle(pull(1, 4), key(3000, 0).peer, now)
-	s.handle(wire.AppendDone(nil, 1), key(3000, 0).peer, now)
-	s.conn.push(wire.AppendDone(nil, 7), 3002)
+	// The cap discarded nothing: the receiver's next pull says it again.
+	tap.segs = nil
+	drain(scripted{pull(2, far), peer(3001)})
+	if paid(tap.segs) != maxPullCredits {
+		t.Fatalf("the grant restated was paid %d symbols more, want %d", paid(tap.segs), maxPullCredits)
+	}
+
+	tap.segs = nil
+	drain(scripted{pull(1, firstGrant+9), peer(3000)}, scripted{wire.AppendDone(nil, 1), peer(3000)})
+	if len(tap.segs) != 0 || s.conn.sent[3000] != base0 {
+		t.Fatalf("a session that said Done was still sent trains of %v", tap.segs)
+	}
+}
+
+// The counters wrap: a session that has been sent 2^32-10 symbols takes a
+// grant of 6 for what it is, 16 more, numbers them through zero, and
+// takes the grants from before the wrap as stale.
+func TestGrantsWrapAround(t *testing.T) {
+	s := newScriptedServer(t)
+	s.conn.push(hello(1), 3000)
 	s.run(t)
-	if got := s.conn.sent[3000] - base0; got != 5 {
-		t.Fatalf("a session that said Done was still sent %d symbols", got-5)
+	sess := s.sessions[key(3000, 1)]
+	sess.sent, sess.granted = 1<<32-10, 1<<32-10
+	s.conn.seqs = nil
+	s.conn.push(pull(1, 6), 3000)
+	s.conn.push(pull(1, 1<<32-11), 3000)
+	s.run(t)
+	if len(s.conn.seqs) != 16 || s.conn.seqs[0] != 1<<32-10 || s.conn.seqs[15] != 5 {
+		t.Fatalf("sent Seqs %v, want the 16 from 2^32-10 through 5", s.conn.seqs)
+	}
+	if sess.sent != 6 || sess.granted != 6 || s.Stats().StalePulls != 1 {
+		t.Fatalf("sent %d, granted %d, %d stale pulls; want 6, 6 and 1", sess.sent, sess.granted, s.Stats().StalePulls)
+	}
+}
+
+// A Hello for a session that is far past its grant — a new fetch on the
+// socket and flow of one whose Done was lost — is not stale: it counts
+// from where the session is, and the symbols say where that is.
+func TestHelloOnLeftoverSession(t *testing.T) {
+	s := newScriptedServer(t)
+	s.conn.push(hello(1), 3000)
+	s.conn.push(pull(1, 500), 3000)
+	s.run(t)
+	s.conn.seqs = nil
+	s.conn.push(hello(1), 3000)
+	s.run(t)
+	if len(s.conn.seqs) != firstGrant || s.conn.seqs[0] != 500 {
+		t.Fatalf("a Hello granting %d to a session at 500 was sent Seqs %v", firstGrant, s.conn.seqs)
 	}
 }
 
@@ -251,8 +317,8 @@ func TestSendErrorsCounted(t *testing.T) {
 	s.conn.failing = true
 	s.conn.push(hello(1), 3000)
 	s.run(t)
-	if st := s.Stats(); st.SendErrors != 1+s.cfg.InitWindow || st.ReadCalls != 1 || st.Datagrams != 1 {
-		t.Fatalf("server stats %+v, want %d send errors from 1 datagram", st, 1+s.cfg.InitWindow)
+	if st := s.Stats(); st.SendErrors != 1+firstGrant || st.ReadCalls != 1 || st.Datagrams != 1 {
+		t.Fatalf("server stats %+v, want %d send errors from 1 datagram", st, 1+firstGrant)
 	}
 
 	conn := newScriptConn()
@@ -264,16 +330,18 @@ func TestSendErrorsCounted(t *testing.T) {
 	if err == nil {
 		t.Fatal("a fetch that could send nothing succeeded")
 	}
-	// Two Hellos at the start and two per recovery.
-	if want := 2 * (1 + cfg.MaxRetries); st.SendErrors != want || st.PullsSent != 0 {
-		t.Fatalf("fetch stats %+v, want %d send errors", st, want)
+	// Two Hellos at the start, two per recovery, and two each time the
+	// senders, unheard, were granted another window before that.
+	if least := 2 * (1 + cfg.MaxRetries); st.SendErrors < least || st.SendErrors > least+2*maxRegrants || st.SendErrors != least+st.Regrants || st.PullsSent != 0 {
+		t.Fatalf("fetch stats %+v, want %d send errors and one per re-grant", st, least)
 	}
 }
 
 // FuzzServerHandle feeds arbitrary datagrams from two peers through the
 // server's receive path. Whatever arrives, the server must not panic,
-// must keep its table within the cap, and must write only well-formed
-// Announce and Data packets.
+// must keep its table within the cap, must write only well-formed
+// Announce and Data packets, no more than maxPullCredits of them for any
+// one datagram, and must owe nobody anything when it blocks again.
 //
 // Input framing: one byte whose low bit picks the peer and whose high
 // bits, masked to 0..127, give the datagram's length; then the datagram.
@@ -286,30 +354,45 @@ func FuzzServerHandle(f *testing.F) {
 		}
 		return out
 	}
-	f.Add(frame(hello(1), pull(1, 3), wire.AppendDone(nil, 1)))
-	f.Add(frame(hello(1), hello(1), pull(1, 65535), pull(1, 65535)))
+	f.Add(frame(hello(1), pull(1, firstGrant+3), wire.AppendDone(nil, 1)))
+	f.Add(frame(hello(1), hello(1), pull(1, 1<<31-1), pull(1, 1<<31-1)))
 	f.Add(frame(pull(2, 1), wire.AppendDone(nil, 2), hello(2), make([]byte, 100)))
-	f.Add(frame(wire.AppendHello(nil, wire.Hello{Flow: 3, SenderIdx: 4, SenderCount: 5}), pull(3, 40)))
+	f.Add(frame(wire.AppendHello(nil, wire.Hello{Flow: 3, SenderIdx: 4, SenderCount: 5, Grant: 40}), pull(3, 80)))
 	f.Add([]byte{0xA7, 1, 9, 0})
+	f.Add(frame(hello(1), hello(1), pull(1, firstGrant-5), pull(1, 0)))                        // grants behind what was sent
+	f.Add(frame(hello(1), hello(1), pull(1, firstGrant+1<<31), pull(1, firstGrant+1<<31-1)))   // half the counter ahead: behind, and the most that is ahead
+	f.Add(frame(hello(1), hello(1), pull(1, 1<<32-1), pull(1, 0), pull(1, 1<<32-1)))           // the counter's last value
+	f.Add(frame(hello(1), hello(1), []byte{0xA7, 1, byte(wire.MsgPull), 0, 0, 0, 0, 1, 0, 9})) // a version 1 Pull, 9 credits
+	f.Add(frame(wire.AppendHello(nil, wire.Hello{Flow: 1, SenderCount: 1, Grant: 1<<32 - 1}), hello(1), hello(1)))
 
 	s := newScriptedServer(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		clear(s.sessions)
-		s.conn.bad = nil
+		s.conn.bad, s.conn.seqs = nil, s.conn.seqs[:0]
 		clear(s.conn.sent)
+		datagrams := 0
 		for len(in) > 0 {
 			port, n := 5000+int(in[0]&1), int(in[0]>>1)
 			in = in[1:]
 			n = min(n, len(in))
 			s.conn.push(in[:n], port)
 			in = in[n:]
+			datagrams++
 		}
 		s.run(t)
 		if len(s.sessions) > maxSessions {
 			t.Fatalf("%d sessions", len(s.sessions))
 		}
-		if len(s.credited) != 0 {
-			t.Fatalf("%d sessions left on the credited list", len(s.credited))
+		if len(s.owed) != 0 {
+			t.Fatalf("%d sessions left on the owed list", len(s.owed))
+		}
+		for _, sess := range s.sessions {
+			if sess.sent != sess.granted {
+				t.Fatalf("session %v sent %d, granted %d", sess.key, sess.sent, sess.granted)
+			}
+		}
+		if len(s.conn.seqs) > datagrams*maxPullCredits {
+			t.Fatalf("%d symbols sent for %d datagrams", len(s.conn.seqs), datagrams)
 		}
 	})
 }

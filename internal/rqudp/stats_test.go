@@ -79,16 +79,17 @@ func TestFetchStatsMultiSourceBalance(t *testing.T) {
 
 // The attribution rules, on a fixed interleaving of three senders and a
 // stranger fed to the fetcher by hand: every fresh symbol counts for the
-// sender it came from and earns that sender one credit, whoever's
-// partition it is from; a duplicate counts for nobody and earns nothing;
-// a fresh symbol from an address the fetch was not given is credited
-// there, at once, and attributed to no sender.
+// sender it came from and slides that sender's window, whoever's partition
+// it is from; a duplicate counts for nobody and moves nothing; the Seqs a
+// sender skipped are counted lost when a later one arrives, late arrivals
+// too; a fresh symbol from an address the fetch was not given is granted
+// a window there, at once, and attributed to no sender. Then the senders
+// fall silent: each is granted another window once per quiet period of
+// waiting, maxRegrants times, and no more until it is heard again.
 func TestFetchAttribution(t *testing.T) {
 	const symbolSize, k, flow = 32, 30, 14
 	snd := newFakeSender(t, randObject(t, symbolSize*k), symbolSize, flow)
-	ff := newFetcherFeed(flow)
-	ff.peers = append(ff.peers, addrPortOf(peer(5002)))
-	ff.credits, ff.stats.PerSender = make([]uint16, 3), make([]int, 3)
+	ff := newFetcherFeed(flow, 3)
 	stranger := addrPortOf(peer(6000))
 	feed := func(from netip.AddrPort, pkt []byte) {
 		t.Helper()
@@ -96,21 +97,23 @@ func TestFetchAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feed(ff.peers[1], snd.announce())
-	// (sender, esi); sender 3 is the stranger. ESIs 0-9, 10-19 and 20-29
-	// are the three partitions, 30 and up repair.
-	script := [][2]int{
-		{0, 0}, {1, 10}, {2, 20}, {0, 1}, {0, 1}, {1, 11}, {2, 0}, {3, 12}, {2, 21}, {1, 2},
-		{0, 30}, {3, 30}, {1, 31}, {2, 22}, {3, 13}, {0, 3}, {2, 31}, {1, 14},
+	feed(ff.senders[1].peer, snd.announce())
+	// (sender, ESI, Seq); sender 3 is the stranger. ESIs 0-9, 10-19 and
+	// 20-29 are the three partitions, 30 and up repair. Sender 0 loses its
+	// Seq 2; sender 1 its 1 and 2, of which 2 arrives late; sender 2's 1
+	// rides on a duplicate, which is as good as lost.
+	script := [][3]uint32{
+		{0, 0, 0}, {1, 10, 0}, {2, 20, 0}, {0, 1, 1}, {0, 1, 7}, {1, 11, 3}, {2, 0, 1}, {3, 12, 40}, {2, 21, 2}, {1, 2, 2},
+		{0, 30, 3}, {3, 30, 41}, {1, 31, 4}, {2, 22, 3}, {3, 13, 42}, {0, 3, 4}, {2, 31, 4}, {1, 14, 5},
 	}
-	wantPer, wantDup, wantStranger := []int{0, 0, 0}, 0, 0
-	seen := map[int]bool{}
+	wantPer, wantHi, wantDup, wantStranger := []int{0, 0, 0}, []uint32{5, 6, 4}, 0, 0
+	seen := map[uint32]bool{}
 	for _, step := range script {
 		from, esi := stranger, step[1]
 		if step[0] < 3 {
-			from = ff.peers[step[0]]
+			from = ff.senders[step[0]].peer
 		}
-		feed(from, snd.data(uint32(esi)))
+		feed(from, snd.dataSeq(esi, step[2]))
 		switch {
 		case seen[esi]:
 			wantDup++
@@ -128,9 +131,12 @@ func TestFetchAttribution(t *testing.T) {
 	if sum := wantPer[0] + wantPer[1] + wantPer[2] + wantStranger; st.Symbols != sum {
 		t.Fatalf("%d symbols, want %d", st.Symbols, sum)
 	}
-	for i, c := range ff.credits {
-		if int(c) != wantPer[i] {
-			t.Fatalf("sender %d has earned %d credits for %d fresh symbols", i, c, wantPer[i])
+	if st.Lost != 1+2+1 {
+		t.Fatalf("%d symbols counted lost, want one, two and one", st.Lost)
+	}
+	for i, s := range ff.senders {
+		if s.hi != wantHi[i] || s.granted != 0 {
+			t.Fatalf("sender %d: window at %d, granted %d; want it at %d and nothing granted before the drain ends", i, s.hi, s.granted, wantHi[i])
 		}
 	}
 	// Nothing has been sent to the senders yet: their pulls go out when the
@@ -139,12 +145,48 @@ func TestFetchAttribution(t *testing.T) {
 	if st.PullsSent != wantStranger || sent[6000] != wantStranger || len(sent) != 1 {
 		t.Fatalf("%d pulls sent, packets by port %v; want %d, all to the stranger", st.PullsSent, sent, wantStranger)
 	}
-	ff.sendPulls()
+	ff.slide()
 	if ff.stats.PullsSent != wantStranger+3 || sent[5000] != 1 || sent[5001] != 1 || sent[5002] != 1 {
 		t.Fatalf("after the drain: %d pulls sent, packets by port %v; want one to each sender", ff.stats.PullsSent, sent)
 	}
-	if slices.Max(ff.credits) != 0 {
-		t.Fatalf("credits left after the pulls: %v", ff.credits)
+	for i, s := range ff.senders {
+		if ahead := s.granted - s.hi; ahead > ff.window || ahead <= ff.window-ff.step || s.granted%ff.step != 0 {
+			t.Fatalf("sender %d: window at %d, granted %d; want a multiple of %d within the last step of %d ahead", i, s.hi, s.granted, ff.step, ff.window)
+		}
+	}
+	ff.slide()
+	if ff.stats.PullsSent != wantStranger+3 {
+		t.Fatal("a second pull for the same window")
+	}
+
+	// Silence. Half a quiet period is not yet one.
+	granted := ff.senders[0].granted
+	ff.stats.Idle += ff.quiet() / 2
+	ff.slide()
+	if ff.stats.Regrants != 0 {
+		t.Fatalf("%d re-grants before the quiet period was up", ff.stats.Regrants)
+	}
+	for round := 1; round <= maxRegrants+2; round++ {
+		ff.stats.Idle += ff.quiet()
+		ff.slide()
+		if want := 3 * min(round, maxRegrants); ff.stats.Regrants != want || ff.stats.PullsSent != wantStranger+3+want {
+			t.Fatalf("silent round %d: %d re-grants and %d pulls, want %d of each", round, ff.stats.Regrants, ff.stats.PullsSent-wantStranger-3, want)
+		}
+	}
+	if got := ff.senders[0].granted; got != granted+maxRegrants*ff.window {
+		t.Fatalf("sender 0 granted %d after %d re-grants of %d from %d", got, maxRegrants, ff.window, granted)
+	}
+	// Sender 0 is heard again, far along its new grants: the rest of the
+	// window it skipped is lost, and it may be re-granted again.
+	feed(ff.senders[0].peer, snd.dataSeq(5, 100))
+	ff.slide()
+	if s := ff.senders[0]; ff.stats.Lost != 4+95 || s.hi != 101 || s.regrants != 0 {
+		t.Fatalf("after Seq 100: %+v, %d lost", s, ff.stats.Lost)
+	}
+	ff.stats.Idle += ff.quiet()
+	ff.slide()
+	if ff.stats.Regrants != 3*maxRegrants+1 {
+		t.Fatalf("%d re-grants, want one more for the sender that was heard", ff.stats.Regrants)
 	}
 }
 

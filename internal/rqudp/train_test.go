@@ -73,14 +73,14 @@ func TestTrainFallback(t *testing.T) {
 	s.io.train = tap.send
 	s.conn.push(hello(1), 3000)
 	s.run(t)
-	if st := s.Stats(); st.SendErrors != s.cfg.InitWindow || st.SendCalls != 1 || s.conn.sent[3000] != 1 || s.io.train == nil {
+	if st := s.Stats(); st.SendErrors != firstGrant || st.SendCalls != 1 || s.conn.sent[3000] != 1 || s.io.train == nil {
 		t.Fatalf("a train refused with ENOBUFS: %+v, %d packets written, train sender kept: %v", st, s.conn.sent[3000], s.io.train != nil)
 	}
 
 	tap.err = syscall.EIO
-	s.conn.push(pull(1, 5), 3000)
+	s.conn.push(pull(1, firstGrant+5), 3000)
 	s.run(t)
-	if st := s.Stats(); st.SendErrors != s.cfg.InitWindow || st.SendCalls != 1+1+5 || st.SymbolsSent != s.cfg.InitWindow+5 {
+	if st := s.Stats(); st.SendErrors != firstGrant || st.SendCalls != 1+1+5 || st.SymbolsSent != firstGrant+5 {
 		t.Fatalf("a train refused with EIO: %+v, want no new send errors and 1+5 more calls", st)
 	}
 	if got := s.conn.sent[3000]; got != 1+5 {
@@ -89,7 +89,7 @@ func TestTrainFallback(t *testing.T) {
 	if s.io.train != nil {
 		t.Fatal("the socket is still offered trains after refusing one")
 	}
-	s.conn.push(pull(1, 7), 3000)
+	s.conn.push(pull(1, firstGrant+5+7), 3000)
 	s.run(t)
 	if len(tap.segs) != 2 || s.conn.sent[3000] != 1+5+7 {
 		t.Fatalf("%d trains offered, %d packets written; want 2 and %d", len(tap.segs), s.conn.sent[3000], 1+5+7)
@@ -98,14 +98,14 @@ func TestTrainFallback(t *testing.T) {
 
 // Trains are cut to what the kernel takes: one UDP payload and 64
 // segments. A 60,000-byte symbol travels alone, as a plain write, and a
-// pull beyond the credit clamp is paid in 64-segment trains.
+// grant beyond the clamp is paid in 64-segment trains.
 func TestTrainLengths(t *testing.T) {
 	big := newScriptedServerWith(t, maxSymbolSize, 4, 2*maxSymbolSize)
 	tap := &trainTap{t: t}
 	big.io.train = tap.send
 	big.conn.push(hello(1), 3000)
 	big.run(t)
-	if st := big.Stats(); len(tap.segs) != 0 || st.SendCalls != big.cfg.InitWindow || st.SymbolsSent != big.cfg.InitWindow || big.conn.sent[3000] != 1+big.cfg.InitWindow {
+	if st := big.Stats(); len(tap.segs) != 0 || st.SendCalls != firstGrant || st.SymbolsSent != firstGrant || big.conn.sent[3000] != 1+firstGrant {
 		t.Fatalf("60,000-byte symbols: %d trains, %+v, %d packets", len(tap.segs), st, big.conn.sent[3000])
 	}
 
@@ -114,7 +114,7 @@ func TestTrainLengths(t *testing.T) {
 	s.run(t)
 	s.io.train = tap.send
 	before := s.Stats()
-	s.conn.push(pull(1, maxPullCredits+1), 3000)
+	s.conn.push(pull(1, firstGrant+maxPullCredits+1), 3000)
 	s.run(t)
 	total := 0
 	for _, n := range tap.segs {
@@ -125,7 +125,7 @@ func TestTrainLengths(t *testing.T) {
 	}
 	st := s.Stats()
 	if total != maxPullCredits || len(tap.segs) != maxPullCredits/trainMax || st.SendCalls-before.SendCalls != len(tap.segs) || st.SymbolsSent-before.SymbolsSent != total {
-		t.Fatalf("a %d-credit pull was paid %d symbols in trains of %v (%+v)", maxPullCredits+1, total, tap.segs, st)
+		t.Fatalf("a grant of %d more was paid %d symbols in trains of %v (%+v)", maxPullCredits+1, total, tap.segs, st)
 	}
 }
 
@@ -177,14 +177,19 @@ type fetcherFeed struct {
 	fed int
 }
 
-func newFetcherFeed(flow uint32) *fetcherFeed {
+// newFetcherFeed is a fetch from n senders, at ports 5000 and up, as it
+// stands before its Hellos.
+func newFetcherFeed(flow uint32, n int) *fetcherFeed {
 	ff := &fetcherFeed{}
-	ff.fetcher = fetcher{cfg: DefaultConfig(), flow: flow, io: newPktIO(newScriptConn())}
+	ff.fetcher = fetcher{cfg: DefaultConfig(), flow: flow, io: newPktIO(newScriptConn()), now: time.Unix(1_000_000, 0)}
 	ff.io.setMaxPacket(256)
 	ff.cfg.Workers = 1
-	ff.peers = []netip.AddrPort{addrPortOf(peer(5000)), addrPortOf(peer(5001))}
-	ff.credits = make([]uint16, 2)
-	ff.stats.PerSender = make([]int, 2)
+	ff.senders = make([]sender, n)
+	for i := range ff.senders {
+		ff.senders[i].peer = addrPortOf(peer(5000 + i))
+	}
+	ff.stats.PerSender = make([]int, n)
+	ff.setWindow()
 	return ff
 }
 
@@ -205,12 +210,12 @@ func TestAnnounceBytesBound(t *testing.T) {
 		{"the most symbols of the longest size", (maxSymbols - 1) * maxSymbolSize, maxSymbolSize, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ff := newFetcherFeed(flow)
+			ff := newFetcherFeed(flow, 2)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			err := ff.handle(datagram{
 				data: wire.AppendAnnounce(nil, wire.Announce{Flow: flow, ObjectSize: tc.size, SymbolSize: tc.symbolSize, MaxK: 256}),
-				from: ff.peers[0],
+				from: ff.senders[0].peer,
 			})
 			runtime.ReadMemStats(&after)
 			if tc.ok != (err == nil) || tc.ok != (ff.dec != nil) {
@@ -226,9 +231,11 @@ func TestAnnounceBytesBound(t *testing.T) {
 // FuzzFetcherHandle feeds a fetcher arbitrary datagrams from its two
 // senders and from a stranger: the hostile server. Whatever arrives —
 // an Announce lying about the size, a second one mid-fetch, Data before
-// any, ESIs outside the partition, payloads of the wrong length — it
-// must not panic, must count no more symbols than it was fed, and must
-// grant no more credits than it saw fresh symbols.
+// any, ESIs outside the partition, payloads of the wrong length, Seqs
+// that leap, run backwards or ride on duplicates — it must not panic,
+// must count no more symbols than it was fed, must send no more pulls
+// than it saw fresh symbols, and must leave no sender's grant more than a
+// window beyond the highest Seq a fresh symbol of its own carried.
 //
 // Input framing: one byte whose low two bits pick the source (3: the
 // last one again) and whose high bits give the datagram's length, 0..63;
@@ -246,22 +253,26 @@ func FuzzFetcherHandle(f *testing.F) {
 	announce := func(size uint64, t, k uint32) []byte {
 		return wire.AppendAnnounce(nil, wire.Announce{Flow: flow, ObjectSize: size, SymbolSize: t, MaxK: k})
 	}
-	data := func(sbn, esi uint32, n int) []byte {
-		return wire.AppendData(nil, wire.Data{Flow: flow, SBN: sbn, ESI: esi, Payload: make([]byte, n)})
+	seq := func(sbn, esi, seq uint32, n int) []byte {
+		return wire.AppendData(nil, wire.Data{Flow: flow, SBN: sbn, ESI: esi, Seq: seq, Payload: make([]byte, n)})
 	}
+	data := func(sbn, esi uint32, n int) []byte { return seq(sbn, esi, esi, n) }
 	f.Add(frame(announce(64, 8, 4), data(0, 0, 8), data(1, 0, 8), data(0, 0, 8), data(0, 1, 8), data(1, 1, 8), data(0, 2, 8)))
 	f.Add(frame(data(0, 0, 8), announce(64, 8, 4), announce(1<<40, 8, 4), data(0, 1, 9), data(0, 1<<31, 8), data(7, 0, 8)))
 	f.Add(frame(announce(1<<62, 1, 1)))
 	f.Add(frame(announce(1<<63, 8, 4), announce(1<<30, 1, 1<<31), announce(64, 60001, 4)))
 	f.Add(frame(announce(24, 8, 1<<20), data(0, 5, 8), data(0, 1<<32-1, 8), data(0, 2, 8), data(0, 7, 8)))
-	f.Add(frame(announce(4<<20, 32, 256), data(3, 7, 32))) // the one Data that makes room for the whole object
+	f.Add(frame(announce(4<<20, 32, 256), data(3, 7, 32)))                                                                               // the one Data that makes room for the whole object
+	f.Add(frame(announce(800, 8, 100), seq(0, 0, 0, 8), seq(0, 1, 1<<30, 8), seq(0, 2, 1<<31, 8), seq(0, 3, 3<<30, 8), seq(0, 4, 5, 8))) // Seq leaping by 2^30, then home
+	f.Add(frame(announce(800, 8, 100), seq(0, 0, 9, 8), seq(0, 1, 8, 8), seq(0, 2, 7, 8), seq(0, 3, 1<<32-1, 8), seq(0, 4, 0, 8)))       // Seq running backwards, through zero
+	f.Add(frame(announce(800, 8, 100), seq(0, 0, 0, 8), seq(0, 0, 1, 8), seq(0, 0, 2, 8), seq(0, 0, 300, 8), seq(0, 0, 1<<31, 8)))       // duplicates with rising Seq
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		ff := newFetcherFeed(flow)
-		from := ff.peers[0]
+		ff := newFetcherFeed(flow, 2)
+		from := ff.senders[0].peer
 		for len(in) > 0 && (ff.dec == nil || !ff.dec.Complete()) {
 			if src := int(in[0] & 3); src < 2 {
-				from = ff.peers[src]
+				from = ff.senders[src].peer
 			} else if src == 2 {
 				from = addrPortOf(peer(6000))
 			}
@@ -282,14 +293,61 @@ func FuzzFetcherHandle(f *testing.F) {
 				break // a fetch ends on the Announce it cannot use
 			}
 			in = in[1+n:]
+			ff.slide() // a drain of one datagram ends
+			for i, s := range ff.senders {
+				if s.granted-s.hi > ff.window && ff.stats.PerSender[i] > 0 {
+					t.Fatalf("sender %d: granted %d, highest Seq %d, window %d", i, s.granted, s.hi, ff.window)
+				}
+			}
 		}
 		st := ff.stats
 		if st.Symbols+st.Duplicates > ff.fed {
 			t.Fatalf("%d symbols and %d duplicates from %d datagrams", st.Symbols, st.Duplicates, ff.fed)
 		}
-		granted := st.PullsSent + int(ff.credits[0]) + int(ff.credits[1])
-		if granted > st.Symbols || st.PerSender[0]+st.PerSender[1] > st.Symbols {
-			t.Fatalf("%d credits granted, %v attributed, for %d fresh symbols", granted, st.PerSender, st.Symbols)
+		if st.PullsSent > st.Symbols || st.PerSender[0]+st.PerSender[1] > st.Symbols || st.Regrants != 0 {
+			t.Fatalf("%d pulls sent, %d re-grants, %v attributed, for %d fresh symbols", st.PullsSent, st.Regrants, st.PerSender, st.Symbols)
+		}
+		for i, s := range ff.senders {
+			if st.PerSender[i] == 0 && s.hi != 0 {
+				t.Fatalf("sender %d: highest Seq %d, and no fresh symbol", i, s.hi)
+			}
 		}
 	})
+}
+
+// A sender that replays one symbol under ever higher Seqs moves nothing:
+// its window stays where its one fresh symbol put it, it earns no grant
+// beyond the one that symbol earned, and it is not heard from, which is
+// what lets the stall guard count it out
+// (TestDuplicatesOnlySenderHitsRetryAbort).
+func TestDuplicatesMoveNoWindow(t *testing.T) {
+	const symbolSize, k, flow = 32, 30, 15
+	snd := newFakeSender(t, randObject(t, symbolSize*k), symbolSize, flow)
+	ff := newFetcherFeed(flow, 2)
+	from := ff.senders[0].peer
+	feed := func(pkt []byte) {
+		t.Helper()
+		if err := ff.handle(datagram{data: pkt, from: from}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(snd.announce())
+	feed(snd.dataSeq(0, 0))
+	ff.slide()
+	s := ff.senders[0]
+	if s.hi != 1 || s.granted != ff.window || ff.stats.PullsSent != 1 {
+		t.Fatalf("after one symbol: %+v, %d pulls", s, ff.stats.PullsSent)
+	}
+	heard := ff.stats.Idle
+	for seq := uint32(1); seq < 200; seq++ {
+		ff.stats.Idle += time.Microsecond
+		feed(snd.dataSeq(0, seq))
+		ff.slide()
+	}
+	if got := ff.senders[0]; got.hi != 1 || got.granted != s.granted || got.heard != heard || ff.stats.PullsSent != 1 {
+		t.Fatalf("199 duplicates with rising Seq moved the window: %+v, %d pulls", got, ff.stats.PullsSent)
+	}
+	if ff.stats.Duplicates != 199 || ff.stats.Symbols != 1 || ff.stats.Lost != 0 {
+		t.Fatalf("%+v", ff.stats)
+	}
 }

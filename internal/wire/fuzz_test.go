@@ -12,20 +12,23 @@ import (
 // what follows) and but for the header's reserved byte (which a sender
 // leaves zero and a parser does not read).
 func FuzzParse(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Flow: 1, SenderIdx: 2, SenderCount: 3}))
+	f.Add(AppendHello(nil, Hello{Flow: 1, SenderIdx: 2, SenderCount: 3, Grant: 64}))
 	f.Add(AppendHello(nil, Hello{Flow: 1, SenderIdx: 3, SenderCount: 3})) // refused: no such sender
 	f.Add(AppendAnnounce(nil, Announce{Flow: 2, ObjectSize: 1 << 40, SymbolSize: 1024, MaxK: 256}))
 	f.Add(AppendAnnounce(nil, Announce{Flow: 2, ObjectSize: 0, SymbolSize: 1024, MaxK: 256})) // refused: no geometry
-	f.Add(AppendData(nil, Data{Flow: 3, SBN: 4, ESI: 1<<32 - 1, Payload: []byte("payload")}))
-	f.Add(AppendData(nil, Data{Flow: 3})[:headerLen+9])                  // cut short in the length field
+	f.Add(AppendData(nil, Data{Flow: 3, SBN: 4, ESI: 1<<32 - 1, Seq: 1<<32 - 1, Payload: []byte("payload")}))
+	f.Add(AppendData(nil, Data{Flow: 3})[:headerLen+13])                 // cut short in the length field
 	f.Add(append(AppendData(nil, Data{Flow: 3, Payload: []byte{1}}), 9)) // a byte after the payload
-	f.Add(AppendPull(nil, Pull{Flow: 4, Credits: 65535}))
-	f.Add(AppendPull(nil, Pull{Flow: 4})) // refused: no credits
+	f.Add(AppendPull(nil, Pull{Flow: 4, Grant: 1<<32 - 1}))
+	f.Add(AppendPull(nil, Pull{Flow: 4})) // a grant of zero: the counter wraps
 	f.Add(AppendDone(nil, 5))
 	f.Add([]byte{Magic, Version, byte(MsgDone), 0xFF, 0, 0, 0, 5}) // the reserved byte set
 	f.Add([]byte{Magic, Version + 1, byte(MsgDone), 0, 0, 0, 0, 5})
 	f.Add([]byte{Magic, Version, byte(MsgDone) + 1, 0, 0, 0, 0, 5})
 	f.Add([]byte{Magic, Version, byte(MsgHello)})
+	f.Add([]byte{Magic, 1, byte(MsgPull), 0, 0, 0, 0, 4, 0, 16})                          // a version 1 Pull of 16 credits
+	f.Add(AppendHello(nil, Hello{Flow: 1, SenderCount: 1, Grant: 1 << 31})[:headerLen+5]) // cut short in the grant
+	f.Add(AppendPull(nil, Pull{Flow: 4, Grant: 1 << 31})[:headerLen+3])
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		hdr, body, err := ParseHeader(pkt)

@@ -3,6 +3,22 @@
 // followed by a message-specific body, all big-endian. The format is
 // versioned and deliberately tiny — symbols are self-describing via
 // (SBN, ESI), which is all a rateless receiver needs.
+//
+// Version 2, byte by byte (version 1 counted credits per pull and had no
+// Seq; a packet of it is refused with ErrBadVersion):
+//
+//	header    magic 0xA7 | version 2 | type | 0 | flow u32
+//	Hello     idx u8 | count u8 | grant u32
+//	Announce  object bytes u64 | symbol bytes u32 | max K u32
+//	Data      SBN u32 | ESI u32 | seq u32 | len u16 | payload
+//	Pull      grant u32
+//	Done      (header only)
+//
+// Seq numbers the Data packets of one session in the order their sender
+// emitted them, from 0. A grant is cumulative: "you may have emitted this
+// many in all". Both wrap at 2^32 and are compared as serial numbers; a
+// grant restates everything before it, so one that is lost, repeated or
+// overtaken changes nothing.
 package wire
 
 import (
@@ -14,7 +30,7 @@ import (
 // Magic and Version guard against cross-protocol traffic.
 const (
 	Magic   = 0xA7
-	Version = 1
+	Version = 2
 )
 
 // MsgType enumerates protocol messages.
@@ -62,7 +78,7 @@ var (
 const headerLen = 8
 
 // DataOverhead is the length of a Data packet beyond its payload.
-const DataOverhead = headerLen + 10
+const DataOverhead = headerLen + 14
 
 // Header is the fixed prefix of every packet.
 type Header struct {
@@ -97,22 +113,24 @@ func ParseHeader(pkt []byte) (Header, []byte, error) {
 // Hello opens a session.
 type Hello struct {
 	Flow        uint32
-	SenderIdx   uint8 // this sender's index in a multi-source fetch
-	SenderCount uint8 // total senders (1 for unicast)
+	SenderIdx   uint8  // this sender's index in a multi-source fetch
+	SenderCount uint8  // total senders (1 for unicast)
+	Grant       uint32 // the first grant: the burst the receiver asks for
 }
 
 // AppendHello marshals a Hello.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendHeader(dst, MsgHello, h.Flow)
-	return append(dst, h.SenderIdx, h.SenderCount)
+	dst = append(dst, h.SenderIdx, h.SenderCount)
+	return binary.BigEndian.AppendUint32(dst, h.Grant)
 }
 
 // ParseHello unmarshals a Hello body.
 func ParseHello(flow uint32, body []byte) (Hello, error) {
-	if len(body) < 2 {
+	if len(body) < 6 {
 		return Hello{}, ErrTruncated
 	}
-	h := Hello{Flow: flow, SenderIdx: body[0], SenderCount: body[1]}
+	h := Hello{Flow: flow, SenderIdx: body[0], SenderCount: body[1], Grant: binary.BigEndian.Uint32(body[2:6])}
 	if h.SenderCount == 0 || h.SenderIdx >= h.SenderCount {
 		return Hello{}, fmt.Errorf("wire: sender %d of %d invalid", h.SenderIdx, h.SenderCount)
 	}
@@ -157,6 +175,7 @@ type Data struct {
 	Flow    uint32
 	SBN     uint32
 	ESI     uint32
+	Seq     uint32 // the sender's emit counter for this session
 	Payload []byte
 }
 
@@ -172,48 +191,47 @@ func AppendDataHeader(dst []byte, d Data, payloadLen int) []byte {
 	dst = appendHeader(dst, MsgData, d.Flow)
 	dst = binary.BigEndian.AppendUint32(dst, d.SBN)
 	dst = binary.BigEndian.AppendUint32(dst, d.ESI)
+	dst = binary.BigEndian.AppendUint32(dst, d.Seq)
 	return binary.BigEndian.AppendUint16(dst, uint16(payloadLen))
 }
 
 // ParseData unmarshals a Data body. The payload aliases body.
 func ParseData(flow uint32, body []byte) (Data, error) {
-	if len(body) < 10 {
+	if len(body) < 14 {
 		return Data{}, ErrTruncated
 	}
-	n := int(binary.BigEndian.Uint16(body[8:10]))
-	if len(body) < 10+n {
+	n := int(binary.BigEndian.Uint16(body[12:14]))
+	if len(body) < 14+n {
 		return Data{}, ErrTruncated
 	}
 	return Data{
 		Flow:    flow,
 		SBN:     binary.BigEndian.Uint32(body[0:4]),
 		ESI:     binary.BigEndian.Uint32(body[4:8]),
-		Payload: body[10 : 10+n],
+		Seq:     binary.BigEndian.Uint32(body[8:12]),
+		Payload: body[14 : 14+n],
 	}, nil
 }
 
 // Pull requests more symbols.
 type Pull struct {
-	Flow    uint32
-	Credits uint16 // number of fresh symbols requested
+	Flow  uint32
+	Grant uint32 // how many symbols the sender may have emitted in all
 }
 
 // AppendPull marshals a Pull.
 func AppendPull(dst []byte, p Pull) []byte {
 	dst = appendHeader(dst, MsgPull, p.Flow)
-	return binary.BigEndian.AppendUint16(dst, p.Credits)
+	return binary.BigEndian.AppendUint32(dst, p.Grant)
 }
 
-// ParsePull unmarshals a Pull body.
+// ParsePull unmarshals a Pull body. Every grant is valid: the counter
+// wraps.
 func ParsePull(flow uint32, body []byte) (Pull, error) {
-	if len(body) < 2 {
+	if len(body) < 4 {
 		return Pull{}, ErrTruncated
 	}
-	p := Pull{Flow: flow, Credits: binary.BigEndian.Uint16(body[0:2])}
-	if p.Credits == 0 {
-		return Pull{}, fmt.Errorf("wire: pull with zero credits")
-	}
-	return p, nil
+	return Pull{Flow: flow, Grant: binary.BigEndian.Uint32(body[0:4])}, nil
 }
 
 // AppendDone marshals a Done message (header only).

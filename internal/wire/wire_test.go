@@ -7,7 +7,7 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{Flow: 0xDEADBEEF, SenderIdx: 2, SenderCount: 5}
+	h := Hello{Flow: 0xDEADBEEF, SenderIdx: 2, SenderCount: 5, Grant: 1<<32 - 2}
 	pkt := AppendHello(nil, h)
 	hdr, body, err := ParseHeader(pkt)
 	if err != nil {
@@ -26,13 +26,13 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloValidation(t *testing.T) {
-	if _, err := ParseHello(1, []byte{0}); err != ErrTruncated {
+	if _, err := ParseHello(1, []byte{0, 1, 0, 0, 0}); err != ErrTruncated {
 		t.Fatalf("short hello: %v", err)
 	}
-	if _, err := ParseHello(1, []byte{0, 0}); err == nil {
+	if _, err := ParseHello(1, []byte{0, 0, 0, 0, 0, 1}); err == nil {
 		t.Fatal("zero sender count accepted")
 	}
-	if _, err := ParseHello(1, []byte{3, 3}); err == nil {
+	if _, err := ParseHello(1, []byte{3, 3, 0, 0, 0, 1}); err == nil {
 		t.Fatal("senderIdx >= senderCount accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestAnnounceValidation(t *testing.T) {
 }
 
 func TestDataRoundTrip(t *testing.T) {
-	d := Data{Flow: 9, SBN: 3, ESI: 77, Payload: []byte("symbol-bytes")}
+	d := Data{Flow: 9, SBN: 3, ESI: 77, Seq: 1<<32 - 1, Payload: []byte("symbol-bytes")}
 	hdr, body, err := ParseHeader(AppendData(nil, d))
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,11 @@ func TestDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SBN != d.SBN || got.ESI != d.ESI || !bytes.Equal(got.Payload, d.Payload) {
+	if got.SBN != d.SBN || got.ESI != d.ESI || got.Seq != d.Seq || !bytes.Equal(got.Payload, d.Payload) {
 		t.Fatalf("round trip: %+v != %+v", got, d)
+	}
+	if want := len(d.Payload) + DataOverhead; len(AppendData(nil, d)) != want {
+		t.Fatalf("a Data packet of %d bytes, DataOverhead says %d", len(AppendData(nil, d)), want)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestDataTruncatedPayload(t *testing.T) {
 }
 
 func TestPullRoundTrip(t *testing.T) {
-	p := Pull{Flow: 4, Credits: 12}
+	p := Pull{Flow: 4, Grant: 1 << 31}
 	hdr, body, err := ParseHeader(AppendPull(nil, p))
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +102,23 @@ func TestPullRoundTrip(t *testing.T) {
 	if got != p {
 		t.Fatalf("round trip: %+v != %+v", got, p)
 	}
-	if _, err := ParsePull(1, []byte{0, 0}); err == nil {
-		t.Fatal("zero credits accepted")
+	// Every grant is one: the counter wraps through zero.
+	if got, err := ParsePull(1, []byte{0, 0, 0, 0}); err != nil || got.Grant != 0 {
+		t.Fatalf("a grant of zero: %+v, %v", got, err)
+	}
+	if _, err := ParsePull(1, []byte{0, 0, 1}); err != ErrTruncated {
+		t.Fatalf("short pull: %v", err)
+	}
+}
+
+// A packet of the version that counted credits is not half-understood:
+// it is refused whole, whatever its type.
+func TestVersion1Refused(t *testing.T) {
+	for typ := MsgHello; typ <= MsgDone; typ++ {
+		v1 := []byte{Magic, 1, byte(typ), 0, 0, 0, 0, 7, 0, 12, 0, 0, 0, 0}
+		if _, _, err := ParseHeader(v1); err != ErrBadVersion {
+			t.Fatalf("a version 1 %v: %v", typ, err)
+		}
 	}
 }
 
@@ -132,11 +150,11 @@ func TestParseHeaderRejectsGarbage(t *testing.T) {
 }
 
 func TestDataRoundTripQuick(t *testing.T) {
-	f := func(flow, sbn, esi uint32, payload []byte) bool {
+	f := func(flow, sbn, esi, seq uint32, payload []byte) bool {
 		if len(payload) > 60000 {
 			payload = payload[:60000]
 		}
-		d := Data{Flow: flow, SBN: sbn, ESI: esi, Payload: payload}
+		d := Data{Flow: flow, SBN: sbn, ESI: esi, Seq: seq, Payload: payload}
 		hdr, body, err := ParseHeader(AppendData(nil, d))
 		if err != nil || hdr.Flow != flow {
 			return false
@@ -145,7 +163,7 @@ func TestDataRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.SBN == sbn && got.ESI == esi && bytes.Equal(got.Payload, payload)
+		return got.SBN == sbn && got.ESI == esi && got.Seq == seq && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -154,7 +172,7 @@ func TestDataRoundTripQuick(t *testing.T) {
 
 func TestAppendReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 128)
-	out := AppendPull(buf, Pull{Flow: 1, Credits: 1})
+	out := AppendPull(buf, Pull{Flow: 1, Grant: 1})
 	if &out[0] != &buf[:1][0] {
 		t.Fatal("AppendPull reallocated despite capacity")
 	}
