@@ -85,8 +85,9 @@ type Result struct {
 
 // Run executes one repetition of sc on the named backend. It returns
 // an error — never panics, never hangs — on an invalid scenario, an
-// unknown backend (store.NewTransport rejects it), or a run that ends
-// with transfers outstanding.
+// unknown backend (store.NewTransport rejects it), a run that ends
+// with transfers outstanding, or one that drains with its books
+// unbalanced (store.Transport.Audit).
 func Run(sc Scenario, backend store.BackendKind, seed int64, obs Observers) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
@@ -94,6 +95,9 @@ func Run(sc Scenario, backend store.BackendKind, seed int64, obs Observers) (Res
 	env := &Env{Backend: backend, Seed: seed, scenario: sc.Name(), obs: obs}
 	env.mt = meter{reg: obs.Registry, l: metrics.Labels{Scenario: sc.Name(), Backend: backend.String()}, slo: obs.SLO}
 	res, err := sc.Run(env)
+	if err == nil && env.tr != nil {
+		err = env.tr.Audit()
+	}
 	if err != nil {
 		return Result{}, err
 	}

@@ -240,8 +240,11 @@ func goldenSweep(t *testing.T, p SweepParams, parallelism int) []byte {
 // reproduces, byte for byte, the documents captured from polysweep at
 // commit b5526c0 (before the harness was collapsed onto Run), plain
 // and metered, and does so at parallelism 1 and GOMAXPROCS alike. It
-// is also the serial==parallel determinism test for every scenario;
-// CI runs it under -race.
+// is also the serial==parallel determinism test for every scenario,
+// and, because Run audits every run that drains, the conservation
+// test: 192 of its 208 runs end with no session open and every packet
+// accounted for (the rest stop at a chaos deadline). CI runs it under
+// -race.
 func TestGoldenSweeps(t *testing.T) {
 	metered := DefaultSweepParams()
 	metered.SLO = &metrics.SLO{FCTDeadline: 0.005}

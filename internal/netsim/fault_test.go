@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -264,5 +265,73 @@ func TestSetLossRateValidation(t *testing.T) {
 			}()
 			a.NIC.SetLossRate(bad)
 		}()
+	}
+}
+
+// TestLiveCandsFastPathMatches flaps ports and switches at random,
+// redundant calls included, and holds liveCands — which skips the probe
+// while the network counts nothing down — to the per-candidate probe on
+// every switch after every step. The count must equal what is down, and
+// be zero again once everything is back up.
+func TestLiveCandsFastPathMatches(t *testing.T) {
+	n, _, swA, swB, swC, _, _ := forkTopology(DefaultConfig())
+	switches := []*Switch{swA, swB, swC}
+	var ports []*Port
+	for _, s := range switches {
+		ports = append(ports, s.Ports...)
+	}
+	for _, h := range n.Hosts {
+		ports = append(ports, h.NIC)
+	}
+	check := func(step int) {
+		t.Helper()
+		down := 0
+		for _, p := range ports {
+			if !p.Up() {
+				down++
+			}
+		}
+		for _, s := range switches {
+			if s.Down() {
+				down++
+			}
+		}
+		if n.faults != down {
+			t.Fatalf("step %d: network counts %d down, %d are", step, n.faults, down)
+		}
+		for _, s := range switches {
+			all := make([]int, len(s.Ports))
+			for i := range all {
+				all[i] = i
+			}
+			for _, cands := range [][]int{all, all[1:], all[:1], nil} {
+				got := slices.Clone(s.liveCands(cands))
+				if want := s.probeCands(cands); !slices.Equal(got, want) {
+					t.Fatalf("step %d: %s.liveCands(%v) = %v, probe says %v (%d down)", step, s.Name, cands, got, want, down)
+				}
+			}
+		}
+	}
+	rng := sim.RNG(5, "flap")
+	check(-1)
+	for step := 0; step < 2000; step++ {
+		// Mostly up, so that the count passes through zero often.
+		up := rng.Intn(3) > 0
+		if i := rng.Intn(len(ports) + len(switches)); i < len(ports) {
+			ports[i].SetUp(up)
+		} else {
+			switches[i-len(ports)].SetDown(!up)
+		}
+		check(step)
+	}
+	for _, p := range ports {
+		p.SetUp(true)
+	}
+	for _, s := range switches {
+		s.SetDown(false)
+	}
+	check(2000)
+	if n.faults != 0 {
+		t.Fatalf("everything is back up and the network still counts %d down", n.faults)
 	}
 }

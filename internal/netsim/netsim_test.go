@@ -334,3 +334,45 @@ func TestFIFOCompaction(t *testing.T) {
 		t.Fatalf("fifo failed to compact: len(buf)=%d", len(f.buf))
 	}
 }
+
+// TestPacketsOutstanding: the count is zero at rest, counts packets
+// parked behind a dead link as accounted for, reads a leak positive and a
+// double free negative.
+func TestPacketsOutstanding(t *testing.T) {
+	n, a, b, _ := twoHosts(DefaultConfig())
+	b.Deliver = func(p *Packet) { n.FreePacket(p) }
+	send := func() {
+		p := n.AllocPacket()
+		p.Kind, p.Size, p.Dst, p.Group = KindData, DataSize, 1, -1
+		a.Send(p)
+	}
+	for i := 0; i < 3; i++ {
+		send()
+	}
+	if got := n.PacketsOutstanding(); got != 1 {
+		t.Fatalf("one frame on the wire and two queued: %d outstanding, want 1", got)
+	}
+	n.Eng.Run()
+	if got := n.PacketsOutstanding(); got != 0 {
+		t.Fatalf("%d outstanding after the drain", got)
+	}
+	// The link dies under three more: the frame on the wire is cut and
+	// freed, two stay parked in the NIC's queue.
+	for i := 0; i < 3; i++ {
+		send()
+	}
+	a.NIC.SetUp(false)
+	n.Eng.Run()
+	if got, parked := n.PacketsOutstanding(), a.NIC.QueueLen(); got != 0 || parked != 2 {
+		t.Fatalf("%d outstanding with %d parked behind a dead link, want 0 and 2", got, parked)
+	}
+	leaked := n.AllocPacket()
+	if got := n.PacketsOutstanding(); got != 1 {
+		t.Fatalf("%d outstanding with one packet held, want 1", got)
+	}
+	n.FreePacket(leaked)
+	n.FreePacket(leaked)
+	if got := n.PacketsOutstanding(); got != -1 {
+		t.Fatalf("%d outstanding after a double free, want -1", got)
+	}
+}

@@ -79,8 +79,13 @@ type Network struct {
 	// lossRNG is the "link-loss" stream. The first SetLossRate seeds it:
 	// most fabrics never have a lossy link, and seeding costs 10 µs.
 	lossRNG *rand.Rand
-	// pktFree is the packet free list behind AllocPacket/FreePacket.
-	pktFree []*Packet
+	// pktFree is the packet free list behind AllocPacket/FreePacket;
+	// pktCreated counts the packets AllocPacket had to make.
+	pktFree    []*Packet
+	pktCreated int
+	// faults counts the ports and switches that are down. While it is
+	// zero every candidate of every route is live.
+	faults int
 }
 
 // New creates an empty network with the given configuration.
@@ -209,6 +214,12 @@ type Port struct {
 	up         bool
 	cut        bool // the in-flight frame crossed a down window: lose it
 	lossRate   float64
+	// txTime is the serialization time of a txSize-byte frame at txRate,
+	// the last one kick worked out: frames come in two sizes, and the
+	// division is the dearest instruction on the path.
+	txSize int32
+	txRate int64
+	txTime sim.Time
 
 	// Serialization and propagation state. A port serializes one frame
 	// at a time (txPkt) and its propagation delay is constant, so frames
@@ -255,8 +266,12 @@ func (p *Port) SetUp(up bool) {
 	}
 	p.up = up
 	if up {
+		p.net.faults--
 		p.kick()
-	} else if p.busy {
+		return
+	}
+	p.net.faults++
+	if p.busy {
 		// Mark the in-flight frame cut now: a flap faster than one
 		// serialization time must still lose the frame even though the
 		// link is back up when serialization completes.
@@ -341,8 +356,11 @@ func (p *Port) kick() {
 	}
 	p.busy = true
 	p.txPkt = pkt
-	tx := sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
-	p.net.Eng.After(tx, p.txDone)
+	if pkt.Size != p.txSize || p.rate != p.txRate {
+		p.txSize, p.txRate = pkt.Size, p.rate
+		p.txTime = sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
+	}
+	p.net.Eng.After(p.txTime, p.txDone)
 }
 
 // onTxDone completes serialization of the frame on the wire: account
@@ -417,7 +435,17 @@ func (s *Switch) addPort(p *Port) int {
 // of its neighbours' equal-cost candidate sets — the local link-state
 // reaction of a real ECMP group. Egress port state is separate: chaos
 // takes a killed switch's ports down so queued frames stop draining.
-func (s *Switch) SetDown(down bool) { s.down = down }
+func (s *Switch) SetDown(down bool) {
+	if s.down == down {
+		return
+	}
+	s.down = down
+	if down {
+		s.net.faults++
+	} else {
+		s.net.faults--
+	}
+}
 
 // Down reports whether the switch is killed.
 func (s *Switch) Down() bool { return s.down }
@@ -431,9 +459,18 @@ func (s *Switch) portLive(i int) bool {
 
 // liveCands filters the equal-cost candidate set to live ports. The
 // common all-live case returns the input slice untouched (route
-// closures share candidate slices, so they are never mutated); the
-// filtered copy lives in a per-switch scratch buffer.
+// closures share candidate slices, so they are never mutated) and,
+// while nothing in the network is down, unprobed; the filtered copy
+// lives in a per-switch scratch buffer.
 func (s *Switch) liveCands(cands []int) []int {
+	if s.net.faults == 0 {
+		return cands
+	}
+	return s.probeCands(cands)
+}
+
+// probeCands is liveCands without the shortcut: it asks every candidate.
+func (s *Switch) probeCands(cands []int) []int {
 	for i, c := range cands {
 		if s.portLive(c) {
 			continue

@@ -116,7 +116,28 @@ func (n *Network) AllocPacket() *Packet {
 		*p = Packet{}
 		return p
 	}
+	n.pktCreated++
 	return &Packet{}
+}
+
+// PacketsOutstanding returns how many of the packets AllocPacket created
+// are neither on the free list nor waiting in a port's queue. Once the
+// engine has drained nothing is on a wire or inside a transport, so it
+// must be 0: a leak reads positive, a double free negative (and so does a
+// packet the caller made itself and let the network free).
+func (n *Network) PacketsOutstanding() int {
+	out := n.pktCreated - len(n.pktFree)
+	for _, s := range n.Switches {
+		for _, p := range s.Ports {
+			out -= p.QueueLen()
+		}
+	}
+	for _, h := range n.Hosts {
+		if h.NIC != nil {
+			out -= h.NIC.QueueLen()
+		}
+	}
+	return out
 }
 
 // FreePacket retires a packet to the network's free list. The caller

@@ -13,11 +13,14 @@ import (
 	"polyraptor/internal/harness"
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/netshim"
+	"polyraptor/internal/netsim"
 	"polyraptor/internal/raptorq"
 	"polyraptor/internal/rqudp"
 	"polyraptor/internal/sim"
 	"polyraptor/internal/store"
+	"polyraptor/internal/tcpsim"
 	"polyraptor/internal/telemetry"
+	"polyraptor/internal/topology"
 )
 
 // rowLen is the row length for the gf256 kernels: the 1436-byte
@@ -31,6 +34,7 @@ func Suite(quick bool) []Case {
 	cases = append(cases, gf256Cases()...)
 	cases = append(cases, codecCases(quick)...)
 	cases = append(cases, simCases()...)
+	cases = append(cases, tcpsimCases()...)
 	cases = append(cases, telemetryCases()...)
 	cases = append(cases, metricsCases()...)
 	cases = append(cases, e2eCases(quick)...)
@@ -476,6 +480,46 @@ func simCases() []Case {
 		}
 	}
 	return []Case{runCase, cancelCase, mixCase}
+}
+
+// tcpsimCases measures the TCP model's ACK clock: a flow between two
+// hosts whose switch forwards at half the NIC rate, an op being one
+// segment acknowledged — the sender's transmit, four link events each
+// way, the receiver's ACK, the sender's RTT sample, window update and RTO
+// re-arm. After the slow-start overshoot the flow saws along in
+// congestion avoidance, one drop-tail loss and fast retransmit per cycle.
+// None of that allocates (TestAckClockAllocatesNothing in tcpsim); a flow
+// is 2^18 segments and the next starts as it ends, which is the cell's
+// ~5e-5 allocations per op.
+func tcpsimCases() []Case {
+	const segs = 1 << 18 // 2 MB of sent table, made on the first call
+	var eng *sim.Engine
+	acked := 0
+	return []Case{{
+		Name:       "tcpsim/AckClock",
+		RateName:   "segments_per_sec",
+		UnitsPerOp: 1,
+		Fn: func(n int) {
+			if eng == nil {
+				cfg := netsim.DefaultConfig()
+				cfg.Trimming = false
+				st := topology.NewStar(2, cfg)
+				st.SW.Ports[1].SetRate(cfg.LinkRate / 2)
+				sys := tcpsim.NewSystem(st.Net, tcpsim.TunedConfig())
+				deliver := st.Hosts[0].Deliver
+				st.Hosts[0].Deliver = func(pkt *netsim.Packet) {
+					acked++ // the receiver acknowledges every segment
+					deliver(pkt)
+				}
+				var next func(tcpsim.FlowResult)
+				next = func(tcpsim.FlowResult) { sys.StartFlow(0, 1, segs*int64(sys.Cfg.SegPayload), next) }
+				next(tcpsim.FlowResult{})
+				eng = st.Net.Eng
+			}
+			for until := acked + n; acked < until && eng.Step(); {
+			}
+		},
+	}}
 }
 
 func e2eCases(quick bool) []Case {

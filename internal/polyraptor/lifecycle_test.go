@@ -14,13 +14,17 @@ import (
 // dropped ctrl or ack packet (the completion-loss deadlock), and the
 // stall guard's re-fire cadence is pinned.
 
-// assertNoOpenSessions fails the test if any agent still holds a
-// session after the simulation has drained.
+// assertNoOpenSessions fails the test if, after the simulation has
+// drained, any agent still holds a session or a packet the network
+// created is not back on its free list.
 func assertNoOpenSessions(t *testing.T, sys *System) {
 	t.Helper()
 	send, recv := sys.OpenSessions()
 	if send != 0 || recv != 0 {
 		t.Fatalf("leaked sessions: %d sender, %d receiver", send, recv)
+	}
+	if out := sys.Net.PacketsOutstanding(); out != 0 {
+		t.Fatalf("%d packets unaccounted for after the drain (leaked if positive, freed twice if negative)", out)
 	}
 }
 
@@ -71,14 +75,16 @@ func TestSessionLifecycleNoLeak(t *testing.T) {
 }
 
 // dropFirst wraps a host's Deliver to swallow the first `n` packets of
-// the given kind, simulating trimmed-queue loss of control traffic.
-// It returns a counter of how many packets were dropped.
-func dropFirst(host *netsim.Host, kind netsim.Kind, n int) *int {
+// the given kind, simulating trimmed-queue loss of control traffic
+// (and, like a queue, retiring what it drops). It returns a counter of
+// how many packets were dropped.
+func dropFirst(net *netsim.Network, host *netsim.Host, kind netsim.Kind, n int) *int {
 	dropped := 0
 	prev := host.Deliver
 	host.Deliver = func(p *netsim.Packet) {
 		if p.Kind == kind && dropped < n {
 			dropped++
+			net.FreePacket(p)
 			return
 		}
 		if prev != nil {
@@ -99,7 +105,7 @@ func TestMulticastCompletesDespiteDroppedCtrl(t *testing.T) {
 	sys := NewSystem(st.Net, DefaultConfig(), 12)
 	sys.PruneGroup = st.PruneMulticastLeaf
 
-	dropped := dropFirst(st.Hosts[0], netsim.KindCtrl, 1)
+	dropped := dropFirst(st.Net, st.Hosts[0], netsim.KindCtrl, 1)
 	receivers := []int{1, 2, 3}
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
@@ -124,7 +130,7 @@ func TestMultiSourceCompletesDespiteDroppedCtrl(t *testing.T) {
 	// retransmit reaches it and the maps drain.
 	st := topology.NewStar(4, netsim.DefaultConfig())
 	sys := NewSystem(st.Net, DefaultConfig(), 13)
-	dropped := dropFirst(st.Hosts[1], netsim.KindCtrl, 1)
+	dropped := dropFirst(st.Net, st.Hosts[1], netsim.KindCtrl, 1)
 	var evs []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3}, 0, 512<<10, collect(&evs))
 	st.Net.Eng.Run()
@@ -144,7 +150,7 @@ func TestCompletionSurvivesDroppedAck(t *testing.T) {
 	st := topology.NewStar(4, netsim.DefaultConfig())
 	sys := NewSystem(st.Net, DefaultConfig(), 14)
 	sys.PruneGroup = st.PruneMulticastLeaf
-	dropped := dropFirst(st.Hosts[1], netsim.KindAck, 1)
+	dropped := dropFirst(st.Net, st.Hosts[1], netsim.KindAck, 1)
 	receivers := []int{1, 2, 3}
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
@@ -176,6 +182,7 @@ func TestStallGuardRefiresEveryPullTimeout(t *testing.T) {
 	st.Hosts[0].Deliver = func(p *netsim.Packet) {
 		if p.Kind == netsim.KindPull && st.Net.Now() < blackout {
 			guardPulls = append(guardPulls, st.Net.Now())
+			st.Net.FreePacket(p)
 			return
 		}
 		prev(p)

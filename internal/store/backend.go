@@ -128,6 +128,7 @@ type Transport struct {
 	RQ *polyraptor.System
 
 	tcp    *tcpsim.System
+	net    *netsim.Network
 	fabric GroupFabric
 }
 
@@ -136,7 +137,7 @@ type Transport struct {
 // rq, when non-nil, overrides polyraptor.DefaultConfig — the ablation
 // and straggler-detachment hook.
 func NewTransport(kind BackendKind, net *netsim.Network, fabric GroupFabric, seed int64, rq *polyraptor.Config) (*Transport, error) {
-	t := &Transport{fabric: fabric}
+	t := &Transport{net: net, fabric: fabric}
 	switch kind {
 	case BackendPolyraptor:
 		cfg := polyraptor.DefaultConfig()
@@ -257,4 +258,18 @@ func (t *Transport) OpenSessions() float64 {
 		return float64(send + recv)
 	}
 	return float64(t.tcp.OpenFlows())
+}
+
+// Audit checks the books of a run whose engine has drained: no session
+// is open and every packet the network created is free again, or parked
+// at a port that went down. A run cut off at a deadline is not at rest
+// and passes unexamined.
+func (t *Transport) Audit() error {
+	if t.net.Eng.Pending() != 0 {
+		return nil
+	}
+	if open, pkts := t.OpenSessions(), t.net.PacketsOutstanding(); open != 0 || pkts != 0 {
+		return fmt.Errorf("store: the run drained with %v sessions open and %d packets unaccounted for", open, pkts)
+	}
+	return nil
 }

@@ -346,7 +346,7 @@ func Run(cfg Config) (*Result, error) {
 
 	ft.Net.Eng.Run()
 	e.res.Makespan = ft.Net.Now()
-	return &e.res, nil
+	return &e.res, tr.Audit()
 }
 
 // issueRequest draws and starts one GET or PUT.

@@ -284,3 +284,37 @@ func TestParseHelpers(t *testing.T) {
 		t.Fatal("ParseFailMode accepted meteor")
 	}
 }
+
+// TestAuditCatchesLeaks: a drained run balances its books on every
+// backend; a packet that never came back, or one freed twice, does not.
+func TestAuditCatchesLeaks(t *testing.T) {
+	for _, kind := range []BackendKind{BackendPolyraptor, BackendTCP, BackendDCTCP} {
+		ft, err := topology.NewFatTree(4, kind.NetConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTransport(kind, ft.Net, ft, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Multicast(0, []int{5, 9, 13}, 256<<10, nil)
+		tr.MultiSource([]int{6, 10, 14}, 1, 256<<10, nil)
+		ft.Net.Eng.RunUntil(100 * sim.Time(1000))
+		if err := tr.Audit(); err != nil {
+			t.Fatalf("%v: a run still in flight was audited: %v", kind, err)
+		}
+		ft.Net.Eng.Run()
+		if err := tr.Audit(); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		leaked := ft.Net.AllocPacket()
+		if tr.Audit() == nil {
+			t.Fatalf("%v: a leaked packet passed the audit", kind)
+		}
+		ft.Net.FreePacket(leaked)
+		ft.Net.FreePacket(leaked)
+		if tr.Audit() == nil {
+			t.Fatalf("%v: a packet freed twice passed the audit", kind)
+		}
+	}
+}

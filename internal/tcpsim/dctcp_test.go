@@ -22,6 +22,7 @@ func TestDCTCPSingleFlowCompletes(t *testing.T) {
 	var res []FlowResult
 	sys.StartFlow(0, 1, 1<<20, func(r FlowResult) { res = append(res, r) })
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != 1 {
 		t.Fatal("no completion")
 	}
@@ -120,7 +121,7 @@ func TestDCTCPAlphaConverges(t *testing.T) {
 	sys := NewSystem(st.Net, DCTCPConfig())
 	sys.StartFlow(1, 0, 4<<20, nil)
 	sys.StartFlow(2, 0, 4<<20, nil)
-	snd := sys.Agents[1].senders[0]
+	snd := sys.flows[0].snd
 	st.Net.Eng.RunUntil(20 * time.Millisecond)
 	if snd.alpha == 0 {
 		t.Fatal("alpha never updated under persistent congestion")
@@ -129,7 +130,7 @@ func TestDCTCPAlphaConverges(t *testing.T) {
 	st2 := dctcpNet(2)
 	sys2 := NewSystem(st2.Net, DCTCPConfig())
 	sys2.StartFlow(0, 1, 1<<20, nil)
-	snd2 := sys2.Agents[0].senders[0]
+	snd2 := sys2.flows[0].snd
 	st2.Net.Eng.Run()
 	if snd2.alpha != 0 {
 		t.Fatalf("alpha = %v for an uncontended flow", snd2.alpha)

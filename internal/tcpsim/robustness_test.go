@@ -26,7 +26,7 @@ func TestBlackholeBacksOffAndNeverCompletes(t *testing.T) {
 	if completed {
 		t.Fatal("flow through a blackhole completed")
 	}
-	snd := sys.Agents[0].senders[0]
+	snd := sys.flows[0].snd
 	if snd == nil {
 		t.Fatal("sender state vanished")
 	}
@@ -70,7 +70,7 @@ func TestRTTEstimatorConverges(t *testing.T) {
 	sys := NewSystem(st.Net, DefaultConfig())
 	var got FlowResult
 	sys.StartFlow(0, 1, 1<<20, func(r FlowResult) { got = r })
-	snd := sys.Agents[0].senders[0]
+	snd := sys.flows[0].snd
 	st.Net.Eng.Run()
 	_ = got
 	// Base star RTT is ~65µs, but the flow's own slow-start burst
@@ -100,6 +100,7 @@ func TestManyFlowsAllComplete(t *testing.T) {
 		sys.StartFlow(src, dst, 128<<10, func(r FlowResult) { done++ })
 	}
 	ft.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if done != 50 {
 		t.Fatalf("%d/50 flows completed", done)
 	}
@@ -111,6 +112,7 @@ func TestZeroByteFlowStillCompletes(t *testing.T) {
 	ok := false
 	sys.StartFlow(0, 1, 0, func(r FlowResult) { ok = true })
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if !ok {
 		t.Fatal("zero-byte flow never completed")
 	}

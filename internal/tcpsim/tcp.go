@@ -92,10 +92,21 @@ func (r FlowResult) GoodputGbps() float64 {
 
 // System attaches a TCP agent to every host.
 type System struct {
-	Net      *netsim.Network
-	Cfg      Config
-	Agents   []*Agent
-	nextFlow int32
+	Net    *netsim.Network
+	Cfg    Config
+	Agents []*Agent
+	// flows is indexed by flow id, which StartFlow hands out densely. A
+	// slot is cleared when its flow finishes, so what the table keeps per
+	// finished flow is two nil pointers.
+	flows []flowSlot
+	open  int // senders in flows
+}
+
+// flowSlot holds the two endpoints of one flow: ACKs go to snd at the
+// source host, segments to rcv at the destination.
+type flowSlot struct {
+	snd *tcpSender
+	rcv *tcpReceiver
 }
 
 // NewSystem wires an agent onto every host of the network.
@@ -118,21 +129,14 @@ func (s *System) proto() string {
 	return "tcp"
 }
 
-// OpenFlows counts the live sender sessions across all agents — the
-// open-session gauge sampled by PolyScope timeline probes.
-func (s *System) OpenFlows() int {
-	n := 0
-	for _, a := range s.Agents {
-		n += len(a.senders)
-	}
-	return n
-}
+// OpenFlows counts the live sender sessions — the open-session gauge
+// sampled by PolyScope timeline probes.
+func (s *System) OpenFlows() int { return s.open }
 
 // StartFlow begins a TCP transfer of `bytes` from src to dst. onDone
 // fires at the sender when the final segment is cumulatively acked.
 func (s *System) StartFlow(src, dst int, bytes int64, onDone func(FlowResult)) int32 {
-	flow := s.nextFlow
-	s.nextFlow++
+	flow := int32(len(s.flows))
 	s.Net.Rec.OpenFlow(s.Net.Now(), flow, s.proto(),
 		s.Agents[src].host.ID, s.Agents[dst].host.ID, bytes, 1)
 	segs := (bytes + int64(s.Cfg.SegPayload) - 1) / int64(s.Cfg.SegPayload)
@@ -148,49 +152,42 @@ func (s *System) StartFlow(src, dst int, bytes int64, onDone func(FlowResult)) i
 		total:    segs,
 		cwnd:     s.Cfg.InitCwnd,
 		ssthresh: 1 << 30,
-		sent:     make(map[int64]sim.Time),
+		sent:     newSentTable(segs),
 		start:    s.Net.Now(),
 		onDone:   onDone,
 	}
 	snd.rtoFn = snd.onRTO
-	s.Agents[src].senders[flow] = snd
+	s.flows = append(s.flows, flowSlot{snd: snd})
+	s.open++
 	snd.trySend()
 	return flow
 }
 
-// Agent is the per-host TCP endpoint: it demultiplexes segments to
-// senders and receivers. Receiver state is created on first data
-// arrival.
+// Agent is the per-host TCP endpoint: it hands segments and ACKs to
+// the flow's endpoints in the system's table. Receiver state is
+// created on first data arrival.
 type Agent struct {
-	sys       *System
-	host      *netsim.Host
-	senders   map[int32]*tcpSender
-	receivers map[int32]*tcpReceiver
+	sys  *System
+	host *netsim.Host
 }
 
 func newAgent(sys *System, host *netsim.Host) *Agent {
-	a := &Agent{
-		sys:       sys,
-		host:      host,
-		senders:   make(map[int32]*tcpSender),
-		receivers: make(map[int32]*tcpReceiver),
-	}
+	a := &Agent{sys: sys, host: host}
 	host.Deliver = a.deliver
 	return a
 }
 
 func (a *Agent) deliver(pkt *netsim.Packet) {
+	slot := &a.sys.flows[pkt.Flow]
 	switch pkt.Kind {
 	case netsim.KindData:
-		rcv, ok := a.receivers[pkt.Flow]
-		if !ok {
-			rcv = &tcpReceiver{agent: a, flow: pkt.Flow, peer: pkt.Src, ooo: make(map[int64]bool)}
-			a.receivers[pkt.Flow] = rcv
+		if slot.rcv == nil {
+			slot.rcv = &tcpReceiver{agent: a, flow: pkt.Flow, peer: pkt.Src}
 		}
-		rcv.onData(pkt)
+		slot.rcv.onData(pkt)
 	case netsim.KindAck:
-		if snd, ok := a.senders[pkt.Flow]; ok {
-			snd.onAck(pkt.Seq, pkt.ECNEcho)
+		if slot.snd != nil {
+			slot.snd.onAck(pkt.Seq, pkt.ECNEcho)
 		}
 	}
 	// Handlers read fields synchronously and never retain the pointer;
@@ -205,7 +202,41 @@ type tcpReceiver struct {
 	flow     int32
 	peer     int32
 	expected int64
-	ooo      map[int64]bool
+	// ooo is the set of segments buffered above expected: bit i stands
+	// for segment oooBase+i. It is rebased whenever it empties, so it
+	// grows to the widest reordering window, not with the flow.
+	ooo     []uint64
+	oooBase int64
+	oooHeld int
+}
+
+// held reports whether segment seq is buffered out of order.
+func (r *tcpReceiver) held(seq int64) bool {
+	i := uint64(seq - r.oooBase)
+	return i>>6 < uint64(len(r.ooo)) && r.ooo[i>>6]>>(i&63)&1 != 0
+}
+
+// release moves expected past the segments held right above it.
+func (r *tcpReceiver) release() {
+	for r.held(r.expected) {
+		i := uint64(r.expected - r.oooBase)
+		r.ooo[i>>6] &^= 1 << (i & 63)
+		r.oooHeld--
+		r.expected++
+	}
+}
+
+// hold buffers segment seq, which is above expected and not held.
+func (r *tcpReceiver) hold(seq int64) {
+	if r.oooHeld == 0 {
+		r.oooBase, r.ooo = r.expected&^63, r.ooo[:0]
+	}
+	i := uint64(seq - r.oooBase)
+	for i>>6 >= uint64(len(r.ooo)) {
+		r.ooo = append(r.ooo, 0)
+	}
+	r.ooo[i>>6] |= 1 << (i & 63)
+	r.oooHeld++
 }
 
 func (r *tcpReceiver) onData(pkt *netsim.Packet) {
@@ -213,16 +244,13 @@ func (r *tcpReceiver) onData(pkt *netsim.Packet) {
 	switch {
 	case seq == r.expected:
 		r.expected++
-		for r.ooo[r.expected] {
-			delete(r.ooo, r.expected)
-			r.expected++
-		}
+		r.release()
 		r.agent.sys.Net.Rec.Record(r.agent.sys.Net.Now(), r.flow, telemetry.EvSymbol, r.agent.host.ID, seq)
 	case seq > r.expected:
-		if !r.ooo[seq] {
+		if !r.held(seq) {
 			r.agent.sys.Net.Rec.Record(r.agent.sys.Net.Now(), r.flow, telemetry.EvSymbol, r.agent.host.ID, seq)
+			r.hold(seq)
 		}
-		r.ooo[seq] = true
 	default:
 		// Below the cumulative point: a spurious retransmission.
 		r.agent.sys.Net.Rec.Record(r.agent.sys.Net.Now(), r.flow, telemetry.EvDup, r.agent.host.ID, seq)
@@ -266,7 +294,7 @@ type tcpSender struct {
 	backoff      int
 	rtoTimer     sim.Timer
 	rtoArmed     bool
-	sent         map[int64]sim.Time // first-transmission times (Karn)
+	sent         sentTable
 	// rtoFn is s.onRTO bound once: armRTO runs per ACK, and evaluating
 	// the method value there would allocate a closure each time.
 	rtoFn func()
@@ -298,9 +326,9 @@ func (s *tcpSender) trySend() {
 
 func (s *tcpSender) transmit(seq int64, first bool) {
 	if first {
-		s.sent[seq] = s.sys.Net.Now()
+		s.sent.first(seq, s.sys.Net.Now())
 	} else {
-		delete(s.sent, seq) // Karn: never time retransmitted segments
+		s.sent.clear(seq) // Karn: never time retransmitted segments
 		s.retransmits++
 		s.sys.Net.Rec.Record(s.sys.Net.Now(), s.flow, telemetry.EvRetransmit, s.sys.Agents[s.src].host.ID, seq)
 	}
@@ -360,27 +388,56 @@ func (s *tcpSender) onRTO() {
 	s.trySend()
 }
 
-func (s *tcpSender) sampleRTT(ackSeq int64) {
-	// Use the earliest unacked first-transmission at or below ackSeq —
-	// one sample per ACK. The selection must not depend on map
-	// iteration order: feeding the EWMA once per covered segment in
-	// random order made srtt/rttvar (and so RTO behaviour) vary from
-	// run to run under cumulative ACKs.
-	earliest := int64(-1)
-	var at sim.Time
-	//polyvet:orderfree argmin over distinct seq keys: every visit order selects the same (earliest, at) pair, and delete is per-key
-	for seq, t := range s.sent {
-		if seq < ackSeq {
-			if earliest < 0 || seq < earliest {
-				earliest, at = seq, t
+// sentTable holds the first-transmission time of every segment still
+// to be timed (Karn), indexed by segment number.
+type sentTable struct {
+	at  []sim.Time // unsent where there is nothing to time
+	low int64      // every entry below low is unsent
+}
+
+const unsent sim.Time = -1
+
+func newSentTable(segs int64) sentTable {
+	t := sentTable{at: make([]sim.Time, segs)}
+	for i := range t.at {
+		t.at[i] = unsent
+	}
+	return t
+}
+
+// first records a first transmission of seq. After an RTO's go-back-N a
+// late ACK can leave nextSeq below the ACK point, and trySend then sends
+// from there as first transmissions, so seq may be below low.
+func (t *sentTable) first(seq int64, now sim.Time) {
+	t.at[seq] = now
+	t.low = min(t.low, seq)
+}
+
+func (t *sentTable) clear(seq int64) { t.at[seq] = unsent }
+
+// take clears every entry below ack and returns the earliest segment's
+// time among them, unsent if there is none — one sample per ACK, whatever
+// it covers.
+func (t *sentTable) take(ack int64) sim.Time {
+	at := unsent
+	for seq := t.low; seq < ack; seq++ {
+		if t.at[seq] != unsent {
+			if at == unsent {
+				at = t.at[seq]
 			}
-			delete(s.sent, seq)
+			t.at[seq] = unsent
 		}
 	}
-	if earliest < 0 {
+	t.low = max(t.low, ack)
+	return at
+}
+
+func (s *tcpSender) sampleRTT(ack int64, now sim.Time) {
+	at := s.sent.take(ack)
+	if at == unsent {
 		return
 	}
-	rtt := s.sys.Net.Now() - at
+	rtt := now - at
 	if s.srtt == 0 {
 		s.srtt = rtt
 		s.rttvar = rtt / 2
@@ -403,7 +460,7 @@ func (s *tcpSender) onAck(ack int64, ecnEcho bool) {
 		s.highAck = ack
 		s.dupAcks = 0
 		s.backoff = 0
-		s.sampleRTT(ack)
+		s.sampleRTT(ack, s.sys.Net.Now())
 		if s.sys.Cfg.DCTCP {
 			s.dctcpOnAck(newly, ecnEcho)
 		}
@@ -481,8 +538,8 @@ func (s *tcpSender) finish() {
 	s.done = true
 	s.disarmRTO()
 	s.sys.Net.Rec.CloseFlow(s.sys.Net.Now(), s.flow, s.sys.Agents[s.dst].host.ID)
-	delete(s.sys.Agents[s.src].senders, s.flow)
-	delete(s.sys.Agents[s.dst].receivers, s.flow)
+	s.sys.flows[s.flow] = flowSlot{}
+	s.sys.open--
 	if s.onDone != nil {
 		s.onDone(FlowResult{
 			Flow:        s.flow,

@@ -15,12 +15,26 @@ func tcpNet(hosts int) *topology.Star {
 	return topology.NewStar(hosts, cfg)
 }
 
+// assertAtRest fails the test if, after the simulation has drained, a
+// flow is still open or a packet the network created is not back on its
+// free list.
+func assertAtRest(t *testing.T, sys *System) {
+	t.Helper()
+	if n := sys.OpenFlows(); n != 0 {
+		t.Fatalf("%d flows open after the drain", n)
+	}
+	if out := sys.Net.PacketsOutstanding(); out != 0 {
+		t.Fatalf("%d packets unaccounted for after the drain (leaked if positive, freed twice if negative)", out)
+	}
+}
+
 func TestSingleFlowCompletes(t *testing.T) {
 	st := tcpNet(2)
 	sys := NewSystem(st.Net, DefaultConfig())
 	var res []FlowResult
 	sys.StartFlow(0, 1, 1<<20, func(r FlowResult) { res = append(res, r) })
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != 1 {
 		t.Fatalf("completions = %d", len(res))
 	}
@@ -109,6 +123,7 @@ func TestLossRecoveryViaFastRetransmit(t *testing.T) {
 		sys.StartFlow(s, 0, 2<<20, func(r FlowResult) { res = append(res, r) })
 	}
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != 4 {
 		t.Fatalf("completions = %d, want 4 (flows wedged?)", len(res))
 	}
@@ -138,6 +153,7 @@ func TestIncastCollapse(t *testing.T) {
 		sys.StartFlow(s, 0, per, func(r FlowResult) { res = append(res, r) })
 	}
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != n {
 		t.Fatalf("completions = %d, want %d", len(res), n)
 	}
@@ -172,6 +188,7 @@ func TestRetransmissionTimeoutRecoversTailLoss(t *testing.T) {
 		sys.StartFlow(s, 0, 64<<10, func(r FlowResult) { res = append(res, r) })
 	}
 	st.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != 3 {
 		t.Fatalf("flows wedged: %d/3 done", len(res))
 	}
@@ -186,6 +203,7 @@ func TestECMPPinsFlowInFatTree(t *testing.T) {
 	var res []FlowResult
 	sys.StartFlow(0, 15, 1<<20, func(r FlowResult) { res = append(res, r) })
 	ft.Net.Eng.Run()
+	assertAtRest(t, sys)
 	if len(res) != 1 {
 		t.Fatal("fat-tree TCP flow did not complete")
 	}
@@ -198,5 +216,34 @@ func TestFlowResultGoodput(t *testing.T) {
 	r := FlowResult{Bytes: 1e9 / 8, Start: 0, End: time.Second}
 	if g := r.GoodputGbps(); g < 0.99 || g > 1.01 {
 		t.Fatalf("GoodputGbps = %v", g)
+	}
+}
+
+// TestAckClockAllocatesNothing: once a flow is past slow start, nothing
+// on the path of a segment and its ACK allocates — transmit, the links,
+// the receiver's out-of-order set, the RTT sample, the RTO re-arm, fast
+// retransmit and recovery included (the switch forwards at half the NIC
+// rate, so the flow loses a segment every congestion-avoidance cycle).
+// polyperf's tcpsim/AckClock cell times the same set-up.
+func TestAckClockAllocatesNothing(t *testing.T) {
+	st := tcpNet(2)
+	st.SW.Ports[1].SetRate(st.Net.Cfg.LinkRate / 2)
+	sys := NewSystem(st.Net, TunedConfig())
+	sys.StartFlow(0, 1, int64(sys.Cfg.SegPayload)<<18, nil)
+	snd := sys.flows[0].snd
+	for i := 0; i < 400_000; i++ {
+		st.Net.Eng.Step()
+	}
+	rtx := snd.retransmits
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 20_000; i++ {
+			st.Net.Eng.Step()
+		}
+	})
+	if snd.done || snd.retransmits == rtx {
+		t.Fatalf("measured nothing: done %v, retransmits %d -> %d", snd.done, rtx, snd.retransmits)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 20,000 events of a flow in congestion avoidance, want 0", allocs)
 	}
 }

@@ -29,6 +29,10 @@ type FatTree struct {
 	groupTouched map[int32][]*netsim.Switch
 }
 
+// hostCoord is where a host hangs in the tree: what edgeOf computes,
+// kept per host so that the route closures index instead of dividing.
+type hostCoord struct{ pod, edge, pos int32 }
+
 // NewFatTree builds a k-ary fat-tree (k even, >= 2) over a fresh
 // network with the given config.
 func NewFatTree(k int, cfg netsim.Config) (*FatTree, error) {
@@ -191,25 +195,30 @@ func (ft *FatTree) installRoutes() {
 	half := ft.K / 2
 	ports := portTable(ft.K)
 	upPorts := ports[half:]
+	at := make([]hostCoord, len(ft.Hosts))
+	for h := range at {
+		pod, e, pos := ft.edgeOf(h)
+		at[h] = hostCoord{int32(pod), int32(e), int32(pos)}
+	}
 	for p := 0; p < ft.K; p++ {
 		for e := 0; e < half; e++ {
-			pod, eIdx := p, e
+			pod, eIdx := int32(p), int32(e)
 			sw := ft.edge(p, e)
 			sw.Route = func(pkt *netsim.Packet) []int {
-				dp, de, dpos := ft.edgeOf(int(pkt.Dst))
-				if dp == pod && de == eIdx {
-					return ports[dpos : dpos+1 : dpos+1]
+				d := at[pkt.Dst]
+				if d.pod == pod && d.edge == eIdx {
+					return ports[d.pos : d.pos+1 : d.pos+1]
 				}
 				return upPorts
 			}
 		}
 		for a := 0; a < half; a++ {
-			pod := p
+			pod := int32(p)
 			sw := ft.agg(p, a)
 			sw.Route = func(pkt *netsim.Packet) []int {
-				dp, de, _ := ft.edgeOf(int(pkt.Dst))
-				if dp == pod {
-					return ports[de : de+1 : de+1]
+				d := at[pkt.Dst]
+				if d.pod == pod {
+					return ports[d.edge : d.edge+1 : d.edge+1]
 				}
 				return upPorts
 			}
@@ -218,7 +227,7 @@ func (ft *FatTree) installRoutes() {
 	for c := range ft.cores {
 		sw := ft.cores[c]
 		sw.Route = func(pkt *netsim.Packet) []int {
-			pod := ft.Pod(int(pkt.Dst))
+			pod := at[pkt.Dst].pod
 			return ports[pod : pod+1 : pod+1]
 		}
 	}

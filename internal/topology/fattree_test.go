@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"polyraptor/internal/netsim"
@@ -321,5 +322,49 @@ func TestStarTopology(t *testing.T) {
 	st.Net.Eng.Run()
 	if count != 3 {
 		t.Fatalf("star multicast delivered %d/3", count)
+	}
+}
+
+// TestRouteTablesMatchArithmetic holds the installed routes, which read
+// per-host coordinate tables, to the edgeOf/Pod arithmetic they replaced:
+// every switch, every destination.
+func TestRouteTablesMatchArithmetic(t *testing.T) {
+	for _, k := range []int{2, 4, 8, 16} {
+		ft, err := NewFatTree(k, netsim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := k / 2
+		var up []int
+		for p := half; p < k; p++ {
+			up = append(up, p)
+		}
+		check := func(sw *netsim.Switch, dst int, want []int) {
+			t.Helper()
+			got := sw.Route(&netsim.Packet{Dst: int32(dst)})
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d %s -> host %d: route %v, arithmetic %v", k, sw.Name, dst, got, want)
+			}
+		}
+		for dst := range ft.Hosts {
+			dp, de, dpos := ft.edgeOf(dst)
+			for p := 0; p < k; p++ {
+				for i := 0; i < half; i++ {
+					want := up
+					if dp == p && de == i {
+						want = []int{dpos}
+					}
+					check(ft.edge(p, i), dst, want)
+					want = up
+					if dp == p {
+						want = []int{de}
+					}
+					check(ft.agg(p, i), dst, want)
+				}
+			}
+			for _, core := range ft.cores {
+				check(core, dst, []int{ft.Pod(dst)})
+			}
+		}
 	}
 }
