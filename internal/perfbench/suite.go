@@ -206,8 +206,8 @@ func codecSymbols(k, t int) [][]byte {
 // the cells capture the replayed-schedule/arena regime the transport
 // actually runs in (one warm round happens inside runCase's Fn(1)
 // warmup). The Encode, DecodeSystematic, Decode5pctLoss,
-// Decode30pctLoss and DecodeCold30pct cells are locked at 0 allocs/op
-// in ALLOC_BUDGET.json.
+// Decode30pctLoss, DecodeCold30pct and DecodePartial cells are locked at
+// 0 allocs/op in ALLOC_BUDGET.json.
 func codecCases(quick bool) []Case {
 	k := 256
 	if quick {
@@ -311,11 +311,11 @@ func codecCases(quick bool) []Case {
 		RateName:   "symbols_per_sec",
 		UnitsPerOp: float64(k),
 	}
+	pool := make([][]byte, 2*k)
+	for i := range pool {
+		pool[i] = enc.Symbol(uint32(i))
+	}
 	{
-		pool := make([][]byte, 2*k)
-		for i := range pool {
-			pool[i] = enc.Symbol(uint32(i))
-		}
 		dec, err := raptorq.NewDecoder(k, t)
 		if err != nil {
 			panic(err)
@@ -348,6 +348,59 @@ func codecCases(quick bool) []Case {
 		}
 	}
 
+	// The partial-systematic path alone: exactly m sources missing, a
+	// fresh choice of them every op, m+2 repair symbols. m=13 is the
+	// median block of a 5 % loss fabric, m=32 the most the path takes
+	// on at K=256.
+	mkPartial := func(m int) Case {
+		dec, err := raptorq.NewDecoder(k, t)
+		if err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(int64(19 + m)))
+		perm := make([]int, k)
+		for i := range perm {
+			perm[i] = i
+		}
+		gone := make([]bool, k)
+		return Case{
+			Name:       fmt.Sprintf("codec/DecodePartial/m=%d/K=%d", m, k),
+			BytesPerOp: int64(k * t),
+			RateName:   "symbols_per_sec",
+			UnitsPerOp: float64(k),
+			Fn: func(n int) {
+				for i := 0; i < n; i++ {
+					clear(gone)
+					for j := 0; j < m; j++ {
+						r := j + rng.Intn(k-j)
+						perm[j], perm[r] = perm[r], perm[j]
+						gone[perm[j]] = true
+					}
+					dec.Reset()
+					for esi := 0; esi < k; esi++ {
+						if !gone[esi] {
+							dec.AddSymbol(uint32(esi), pool[esi])
+						}
+					}
+					for esi := k; esi < k+m+2; esi++ {
+						dec.AddSymbol(uint32(esi), pool[esi])
+					}
+					// A singular draw is rare: top up until it decodes.
+					for esi := k + m + 2; ; esi++ {
+						if _, err := dec.Decode(); err == nil {
+							break
+						}
+						dec.AddSymbol(uint32(esi), pool[esi])
+					}
+				}
+			},
+		}
+	}
+	partialMs := []int{1, 13, 32}
+	if quick {
+		partialMs = partialMs[:1] // K=64 takes the partial path up to m=8
+	}
+
 	// Block-parallel object encode: partition a multi-block object and
 	// solve the per-block precodes on the worker pool (GOMAXPROCS-wide;
 	// output is identical for every worker count). Construction-heavy
@@ -378,15 +431,18 @@ func codecCases(quick bool) []Case {
 	}
 	objCase.UnitsPerOp = float64(layout.Z())
 
-	return []Case{
+	cases := []Case{
 		encCase,
 		repairCase,
 		mkDecode("DecodeSystematic", 1.01),
 		mkDecode("Decode5pctLoss", 0.95),
 		mkDecode("Decode30pctLoss", 0.70),
 		coldCase,
-		objCase,
 	}
+	for _, m := range partialMs {
+		cases = append(cases, mkPartial(m))
+	}
+	return append(cases, objCase)
 }
 
 func simCases() []Case {

@@ -28,12 +28,12 @@ const BudgetFile = "ALLOC_BUDGET.json"
 type BudgetCell struct {
 	// AllocsPerOp is the inclusive allocs/op ceiling.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// LockMBps opts the cell into benchdrift's throughput gate: a
+	// ReportMBps opts the cell into benchdrift's throughput report: a
 	// >DriftMBpsTolerance MB/s regression between consecutive reports
-	// fails. Only cells whose trajectory is stable across the recorded
-	// machines opt in; wall-clock noise on shared runners would turn a
-	// blanket lock into a flake machine.
-	LockMBps bool `json:"lock_mbps,omitempty"`
+	// is listed, never fatal; it locks nothing. Only cells whose
+	// trajectory is stable across the recorded machines opt in;
+	// wall-clock noise on shared runners would bury the report.
+	ReportMBps bool `json:"report_mbps,omitempty"`
 }
 
 // A Budget is the parsed ALLOC_BUDGET.json.

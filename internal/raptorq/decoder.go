@@ -138,11 +138,11 @@ func (s repairStore) sym(slot uint32, t int) []byte {
 // (see partial.go for the partial-path pieces).
 type solveScratch struct {
 	plan      planner
-	slots     slotArena // symbol-width replay slots
-	lanes     slotArena // lane-width replay slots (partial path)
+	slots     slotArena // replay slots
 	rowBuf    [][]byte  // the rows of the system being loaded into slots
 	ltScratch []int32
-	coefBuf   []byte
+	liveSlot  []bool // partial path: slots its repair rows read
+	keepOp    []bool // partial path: precode ops that reach those slots
 	rhsBuf    []byte
 	eqRows    [][]byte
 	eqSymRows [][]byte
@@ -363,7 +363,7 @@ func (d *Decoder) decodeFull() error {
 		return err
 	}
 	syms := d.sc.slots.load(sched.nSlots, d.t, d.p.S, rows)
-	sched.replay(syms)
+	sched.replay(syms, nil)
 	d.fillFromSlots(syms, sched.outSlot)
 	return nil
 }

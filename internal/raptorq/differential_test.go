@@ -2,8 +2,9 @@ package raptorq
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -87,71 +88,214 @@ func decodeWith(t *testing.T, k, symSize int, enc *Encoder, missing []int, repai
 	return dec.Decode()
 }
 
-// TestPartialMatchesFullDifferential sweeps (K, loss fraction, loss
-// pattern) — including adversarial masks and random masks — and
-// asserts the partial-systematic decode is byte-identical to the full
-// solver, which in turn must reproduce the source exactly.
+// TestPartialMatchesFullDifferential asserts that the partial-systematic
+// decode is byte-identical to the full solver, which in turn must
+// reproduce the source exactly, in two sweeps:
+//   - K x every m the partial path takes on x symbol sizes — 1,024 and 64
+//     replay through the 32-byte vector kernels, 1,436 (not a multiple of
+//     32) through the checked ones — with a random mask and, in turn, one
+//     of the fixed patterns per m;
+//   - every fixed pattern plus three random masks at m in {1, 2, K/16,
+//     K/8, K/4}, so the partialMaxMissing edge sees every pattern and
+//     K/4 runs the partial path past it (the range BenchmarkPartialVsFull
+//     times to place the crossover).
+//
+// One reused decoder per path and (K, size) also checks that nothing
+// leaks between blocks.
 func TestPartialMatchesFullDifferential(t *testing.T) {
-	const symSize = 64
-	for _, k := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(1000 + k)))
-		source := make([][]byte, k)
-		for i := range source {
-			source[i] = make([]byte, symSize)
-			rng.Read(source[i])
+	for _, k := range []int{10, 101, 256, 1000} {
+		for _, symSize := range []int{1024, 1436, 64} {
+			rng, enc, source, full, part := partialPair(t, k, symSize)
+			for m := 1; m <= partialMaxMissing(k); m++ {
+				pat := lossPatterns[m%len(lossPatterns)]
+				for _, c := range []struct {
+					name    string
+					missing []int
+				}{{pat.name, pat.rows(k, m)}, {"random", rng.Perm(k)[:m]}} {
+					if err := partialMatchesFull(full, part, enc, source, c.missing); err != nil {
+						t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, c.name, m, err)
+					}
+				}
+			}
 		}
-		enc, err := NewEncoder(source)
+	}
+	for _, k := range []int{16, 64, 256} {
+		for _, symSize := range []int{64, 1024} {
+			rng, enc, source, full, part := partialPair(t, k, symSize)
+			for _, m := range []int{1, 2, k / 16, k / 8, k / 4} {
+				for _, pat := range lossPatterns {
+					if err := partialMatchesFull(full, part, enc, source, pat.rows(k, m)); err != nil {
+						t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, pat.name, m, err)
+					}
+				}
+				for s := 0; s < 3; s++ {
+					if err := partialMatchesFull(full, part, enc, source, rng.Perm(k)[:m]); err != nil {
+						t.Fatalf("k=%d T=%d random#%d m=%d: %v", k, symSize, s, m, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// partialPair makes a random K-symbol block of size symSize, its encoder,
+// and two decoders pinned to the full and the partial path.
+func partialPair(t *testing.T, k, symSize int) (rng *rand.Rand, enc *Encoder, source [][]byte, full, part *Decoder) {
+	t.Helper()
+	rng = rand.New(rand.NewSource(int64(1000*k + symSize)))
+	source = make([][]byte, k)
+	for i := range source {
+		source[i] = make([]byte, symSize)
+		rng.Read(source[i])
+	}
+	var err error
+	if enc, err = NewEncoder(source); err != nil {
+		t.Fatal(err)
+	}
+	if full, err = NewDecoder(k, symSize); err != nil {
+		t.Fatal(err)
+	}
+	if part, err = NewDecoder(k, symSize); err != nil {
+		t.Fatal(err)
+	}
+	full.forceFull, part.forcePartial = true, true
+	return rng, enc, source, full, part
+}
+
+// partialMatchesFull decodes one received set — every source but missing,
+// m + partialExtraRows repair symbols — on both decoders and compares.
+func partialMatchesFull(full, part *Decoder, enc *Encoder, source [][]byte, missing []int) error {
+	k := len(source)
+	gone := make([]bool, k)
+	for _, r := range missing {
+		gone[r] = true
+	}
+	var got [2][][]byte
+	for i, dec := range []*Decoder{full, part} {
+		dec.Reset()
+		for esi := 0; esi < k; esi++ {
+			if !gone[esi] {
+				dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi)))
+			}
+		}
+		for esi := k; esi < k+len(missing)+partialExtraRows; esi++ {
+			dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi)))
+		}
+		var err error
+		if got[i], err = dec.Decode(); err != nil {
+			// The partial path caps its repair subset; a rank-deficient
+			// subset is legal (Decode would fall back) but with
+			// partialExtraRows spare equations it should not happen on
+			// these fixed seeds.
+			return fmt.Errorf("%s path: %w", [2]string{"full", "partial"}[i], err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		if !bytes.Equal(got[0][i], source[i]) {
+			return fmt.Errorf("full decode corrupt at %d", i)
+		}
+		if !bytes.Equal(got[1][i], got[0][i]) {
+			return fmt.Errorf("partial != full at symbol %d:\n  partial %x\n  full    %x", i, got[1][i], got[0][i])
+		}
+	}
+	return nil
+}
+
+// TestLivePassKeepsEveryOutput: the cached precode schedule is already
+// pruned, so the partial path's liveness pass seeded with every column
+// must keep every op — exactly the ops prune kept — and seeded with the
+// columns of a few repair rows it must drop some.
+func TestLivePassKeepsEveryOutput(t *testing.T) {
+	for _, k := range []int{10, 101, 256, 1000} {
+		p, err := NewParams(k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sched, err := precodeSchedule(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make([]bool, sched.nSlots)
+		keep := make([]bool, len(sched.ops))
+		for _, s := range sched.outSlot {
+			live[s] = true
+		}
+		sched.liveOps(live, keep)
+		for i, kept := range keep {
+			if !kept {
+				t.Fatalf("K=%d: op %d of %d dropped with every column live", k, i, len(keep))
+			}
+		}
+		for _, rows := range []int{3, 21} {
+			clear(live)
+			for esi := k; esi < k+rows; esi++ {
+				for _, col := range p.AppendLTIndices(nil, uint32(esi)) {
+					live[sched.outSlot[col]] = true
+				}
+			}
+			sched.liveOps(live, keep)
+			n := 0
+			for _, kept := range keep {
+				if kept {
+					n++
+				}
+			}
+			t.Logf("K=%d: %d repair rows read %d of %d ops", k, rows, n, len(keep))
+			if k >= 256 && n == len(keep) {
+				t.Errorf("K=%d: %d repair rows replay the whole schedule", k, rows)
+			}
+		}
+	}
+}
 
-		type cse struct {
-			name    string
-			missing []int
+// TestConcurrentDecodersLeaveSchedulesUntouched runs block-parallel
+// object decodes — partial and full paths, all blocks of one K — and
+// checks that the precode schedule every worker shares is the one that
+// was cached. Runs under -race in CI.
+func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
+	const symSize, maxK = 256, 64
+	p, err := NewParams(maxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := precodeSchedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, outSlot := slices.Clone(sched.ops), slices.Clone(sched.outSlot)
+
+	rng := rand.New(rand.NewSource(5))
+	data := make([]byte, 16*maxK*symSize)
+	rng.Read(data)
+	enc, err := NewObjectEncoder(data, symSize, maxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := enc.Layout()
+	for _, loss := range []float64{0.05, 0.3} {
+		dec, err := NewObjectDecoder(layout)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var cases []cse
-		counts := []int{1, 2, k / 16, k / 8, k / 4}
-		for _, m := range counts {
-			if m < 1 || m > k {
-				continue
-			}
-			for _, pat := range lossPatterns {
-				cases = append(cases, cse{pat.name, pat.rows(k, m)})
-			}
-			// Random masks: three seeds per loss count.
-			for s := 0; s < 3; s++ {
-				perm := rng.Perm(k)[:m]
-				cases = append(cases, cse{"random", perm})
-			}
-		}
-		for _, c := range cases {
-			m := len(c.missing)
-			repairs := m + partialExtraRows
-			full, errFull := decodeWith(t, k, symSize, enc, c.missing, repairs, false)
-			part, errPart := decodeWith(t, k, symSize, enc, c.missing, repairs, true)
-			if errFull != nil {
-				t.Fatalf("k=%d %s m=%d: full solver failed: %v", k, c.name, m, errFull)
-			}
-			if errPart != nil {
-				// The partial path caps its repair subset; a rank-deficient
-				// subset is legal (Decode would fall back) but with
-				// partialExtraRows spare equations it should not happen on
-				// these fixed seeds.
-				if errors.Is(errPart, ErrSingular) {
-					t.Fatalf("k=%d %s m=%d: partial path rank-deficient", k, c.name, m)
+		dec.SetWorkers(4)
+		for sbn, k := range layout.K {
+			for esi, got := uint32(0), 0; got < k+4; esi++ {
+				if esi < uint32(k) && rng.Float64() < loss {
+					continue
 				}
-				t.Fatalf("k=%d %s m=%d: partial path failed: %v", k, c.name, m, errPart)
-			}
-			for i := 0; i < k; i++ {
-				if !bytes.Equal(full[i], source[i]) {
-					t.Fatalf("k=%d %s m=%d: full decode corrupt at %d", k, c.name, m, i)
-				}
-				if !bytes.Equal(part[i], full[i]) {
-					t.Fatalf("k=%d %s m=%d: partial != full at symbol %d:\n  partial %x\n  full    %x",
-						k, c.name, m, i, part[i], full[i])
-				}
+				dec.AddSymbol(sbn, esi, enc.Symbol(sbn, esi))
+				got++
 			}
 		}
+		if !dec.TryDecode() {
+			t.Fatalf("loss %.2f: object did not decode", loss)
+		}
+		if obj, err := dec.Object(); err != nil || !bytes.Equal(obj, data) {
+			t.Fatalf("loss %.2f: object corrupt (%v)", loss, err)
+		}
+	}
+	if !slices.Equal(sched.ops, ops) || !slices.Equal(sched.outSlot, outSlot) {
+		t.Fatal("concurrent decoders changed the cached precode schedule")
 	}
 }
 

@@ -180,7 +180,7 @@ func (e *Encoder) Reset(source [][]byte) error {
 //polyvet:noalloc steady-state precode solve: arena slots plus recorded gf256 kernels
 func (e *Encoder) replayPrecode(source [][]byte) {
 	syms := e.slots.load(e.sched.nSlots, e.t, e.p.S, source)
-	e.sched.replay(syms)
+	e.sched.replay(syms, nil)
 	for c, slot := range e.sched.outSlot {
 		e.c[c] = syms[slot]
 	}

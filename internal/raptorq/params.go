@@ -7,7 +7,8 @@
 // rateless (any number of repair symbols can be generated). Decoding
 // uses sparse Gaussian elimination with column inactivation.
 //
-// Deviation from RFC 6330, by necessity of an offline build: the RFC's
+// Conformance: a RaptorQ-architecture code whose symbols do not
+// interoperate with RFC 6330's, by necessity of an offline build: the RFC's
 // large numeric lookup tables (systematic indices Table 2, Rand tables
 // V0..V3) are replaced by algorithmically derived equivalents — the
 // S/H parameter derivation follows the published Raptor derivation

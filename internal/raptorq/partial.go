@@ -19,10 +19,14 @@ import (
 //	C[col] = C0[col] + sum_j gamma[col][j] * x_j
 //
 // where x_j is the j-th *missing* source symbol, C0 is the precode
-// replay with zeros in the missing rows (computed at full symbol
-// width), and gamma[col][j] is a GF(256) scalar — recovered for all
-// columns at once by replaying the same schedule over m-byte "lanes"
-// seeded with unit vectors e_j in the missing rows.
+// replay with zeros in the missing rows, and gamma[col][j] is a GF(256)
+// scalar. Both come out of one replay: every slot is T + roundUp(m, 32)
+// bytes wide, the received sources fill the heads, and missing row j
+// carries the unit vector e_j in its tail, so afterwards the head of
+// each slot is C0[col] and the tail gamma[col] (the rounding keeps a
+// row of 1 KiB symbols whole for the 32-byte kernels). Only the ops that
+// can reach a column the chosen repair rows read are replayed: at K=256,
+// 3,647 of 6,063 for 3 rows, 4,233 for 21.
 //
 // Each received repair symbol with ESI e then yields one equation over
 // the x_j:
@@ -49,11 +53,13 @@ import (
 const partialExtraRows = 8
 
 // partialMaxMissing bounds how many missing source rows the partial
-// path will take on. Against plan + replay at K=256 the m x m dense
-// solve and the lane replay break even at m = K/8 with 1 KiB symbols and
-// near m = K/5 with 128-byte ones, and lose from there on (table in
-// EXPERIMENTS.md "Cold decode: plan, prune, replay"). The absolute cap
-// bounds the lane arena for huge blocks.
+// path will take on. At K=256 with 1 KiB symbols it decodes m = 32 in
+// under three quarters of the full solver's time and ties it at m = 48;
+// with 1,436-byte symbols, whose slots are no multiple of 32 wide, m = 32
+// is still a little faster (table in EXPERIMENTS.md "Partial decode at
+// one pruned replay"). K/8 stays below both with room for a noisy draw. The
+// absolute cap bounds the coefficient tail of the replay slots for huge
+// blocks.
 func partialMaxMissing(k int) int {
 	m := k / 8
 	if m < 1 {
@@ -70,7 +76,7 @@ func partialMaxMissing(k int) int {
 // least K symbols held (checked by decode). Everything it works in is
 // reused scratch: in the steady state it allocates nothing.
 func (d *Decoder) decodePartial(m int) error {
-	k, sc := d.p.K, d.sc
+	k, t, sc := d.p.K, d.t, d.sc
 	sched, err := precodeSchedule(d.p)
 	if err != nil {
 		return err
@@ -82,60 +88,55 @@ func (d *Decoder) decodePartial(m int) error {
 		return ErrSingular
 	}
 
-	// Missing source rows, ascending, and the received ones for the base
-	// replay below, with nil — a zero row — where one is missing.
+	// Slots: the received sources in the heads of their rows, e_j in the
+	// tail of the j-th missing one, zero everywhere else.
+	w := t + (m+31)&^31
+	syms := sc.slots.slots(sched.nSlots, w)
 	miss := sc.missBuf[:0]
-	rows := sc.rowBuf[:0]
-	for i := 0; i < k; i++ {
-		if d.has(i) {
-			rows = append(rows, d.src(i))
-		} else {
-			rows = append(rows, nil)
-			miss = append(miss, uint32(i))
+	for i, sym := range syms {
+		switch esi := i - d.p.S; {
+		case esi < 0 || esi >= k:
+			clear(sym)
+		case d.has(esi):
+			clear(sym[copy(sym, d.src(esi)):])
+		default:
+			clear(sym)
+			sym[t+len(miss)] = 1
+			miss = append(miss, uint32(esi))
 		}
 	}
-	sc.missBuf, sc.rowBuf = miss, rows
+	sc.missBuf = miss
 
-	s := d.p.S
-	nSlots := sched.nSlots
-
-	// Lane replay: unit byte-lanes in the missing rows expose the
-	// GF(256) coefficient of every intermediate on every missing
-	// source.
-	lanes := sc.lanes.slots(nSlots, m)
-	for i := range lanes {
-		clear(lanes[i])
-	}
-	for j, esi := range miss {
-		lanes[s+int(esi)][j] = 1
-	}
-	sched.replay(lanes)
-
-	// Base replay: the known part C0 of every intermediate, from the
-	// received sources with zeros in the missing rows.
-	base := sc.slots.load(nSlots, d.t, s, rows)
-	sched.replay(base)
-
-	// Assemble the reduced r x m system.
-	r := len(repairs)
-	sc.coefBuf = sized(sc.coefBuf, r*m)
-	sc.rhsBuf = sized(sc.rhsBuf, r*d.t)
-	eq := sc.eqRows[:0]
-	eqSym := sc.eqSymRows[:0]
+	// Replay what the repair rows' LT columns depend on, and nothing else.
+	live := sized(sc.liveSlot, sched.nSlots)
+	clear(live)
 	scratch := sc.ltScratch
-	for i, rep := range repairs {
-		coef := sc.coefBuf[i*m : (i+1)*m : (i+1)*m]
-		clear(coef)
-		rhs := sc.rhsBuf[i*d.t : (i+1)*d.t : (i+1)*d.t]
-		copy(rhs, d.store.sym(rep.slot, d.t))
+	for _, rep := range repairs {
 		scratch = d.p.AppendLTIndices(scratch[:0], rep.esi)
 		for _, col := range scratch {
-			slot := sched.outSlot[col]
-			gf256.AddRow(coef, lanes[slot])
-			gf256.AddRow(rhs, base[slot])
+			live[sched.outSlot[col]] = true
 		}
-		eq = append(eq, coef)
-		eqSym = append(eqSym, rhs)
+	}
+	sc.liveSlot = live
+	sc.keepOp = sized(sc.keepOp, len(sched.ops))
+	sched.liveOps(live, sc.keepOp)
+	sched.replay(syms, sc.keepOp)
+
+	// Assemble the reduced r x m system, one equation per repair row:
+	// its head is recv[e] - sum C0, its tail the coefficients a_e.
+	r := len(repairs)
+	sc.rhsBuf = sized(sc.rhsBuf, r*w)
+	eq := sc.eqRows[:0]
+	eqSym := sc.eqSymRows[:0]
+	for i, rep := range repairs {
+		row := sc.rhsBuf[i*w : (i+1)*w : (i+1)*w]
+		clear(row[copy(row, d.store.sym(rep.slot, t)):])
+		scratch = d.p.AppendLTIndices(scratch[:0], rep.esi)
+		for _, col := range scratch {
+			gf256.AddRow(row, syms[sched.outSlot[col]])
+		}
+		eq = append(eq, row[t:t+m:t+m])
+		eqSym = append(eqSym, row[:t:t])
 	}
 	sc.ltScratch = scratch
 	sc.eqRows, sc.eqSymRows = eq, eqSym

@@ -23,9 +23,9 @@ import (
 //     plans afresh each time — on planner scratch its Decoder (or its
 //     ObjectDecoder worker) owns, at a fraction of the replay's cost —
 //     and nothing is cached;
-//   - the partial-systematic decode path replays the precode schedule
-//     twice (once over byte lanes, once over the received sources) to
-//     reduce the whole decode to an m x m system over the missing rows.
+//   - the partial-systematic decode path replays the part of the
+//     precode schedule its repair rows read, once, to reduce the whole
+//     decode to an m x m system over the missing rows.
 
 // schedOp is one recorded row operation over the replay slots.
 type schedOp struct {
@@ -53,14 +53,17 @@ type schedule struct {
 	outSlot []int32
 }
 
-// replay applies the recorded operations to the caller's slot symbols.
-// syms must have nSlots rows of equal width (any width: the schedule
-// is structure-only, so 1-byte coefficient lanes and full symbols
-// replay identically).
+// replay applies the recorded operations to the caller's slot symbols,
+// all of them when keep is nil, else op i only where keep[i]. syms must
+// have nSlots rows of one width (any width: the schedule is
+// structure-only).
 //
 //polyvet:noalloc schedule replay is the steady-state codec solve: pure gf256 kernel calls over caller-provided slots
-func (sc *schedule) replay(syms [][]byte) {
-	for _, op := range sc.ops {
+func (sc *schedule) replay(syms [][]byte, keep []bool) {
+	for i, op := range sc.ops {
+		if keep != nil && !keep[i] {
+			continue
+		}
 		switch op.kind {
 		case opAdd:
 			gf256.AddRow(syms[op.dst], syms[op.src])
@@ -72,32 +75,38 @@ func (sc *schedule) replay(syms [][]byte) {
 	}
 }
 
-// opDead marks an operation prune found useless, until it compacts.
-const opDead uint8 = 0xff
+// liveOps sets keep[i] for exactly the ops that can reach a slot marked
+// in live, which it extends backwards to every slot they read. It leaves
+// the schedule — shared by every decoder of its K — as it is.
+//
+//polyvet:noalloc liveness over reused scratch
+func (sc *schedule) liveOps(live, keep []bool) {
+	for i := len(sc.ops) - 1; i >= 0; i-- {
+		op := sc.ops[i]
+		keep[i] = live[op.dst]
+		if keep[i] {
+			live[op.src] = true
+		}
+	}
+}
 
-// prune drops operations that cannot influence any output slot: a
-// backward liveness pass seeded from outSlot, over the caller's
-// nSlots-wide scratch. Every elimination is logged while planning,
-// whether or not its row ever becomes a pivot or a Gauss-Jordan row —
+// prune drops operations that cannot influence any output slot: liveOps
+// seeded from outSlot, over the caller's nSlots- and len(ops)-wide
+// scratch. Every elimination is logged while planning, whether or not
+// its row ever becomes a pivot or a Gauss-Jordan row —
 // the HDPC rows absorb the whole Horner chain but only a handful reach
 // an output — so this is where that work vanishes from the replay.
 //
 //polyvet:noalloc plan phase over reused scratch
-func (sc *schedule) prune(live []bool) {
+func (sc *schedule) prune(live, keep []bool) {
 	clear(live)
 	for _, s := range sc.outSlot {
 		live[s] = true
 	}
-	for i := len(sc.ops) - 1; i >= 0; i-- {
-		if op := &sc.ops[i]; live[op.dst] {
-			live[op.src] = true
-		} else {
-			op.kind = opDead
-		}
-	}
+	sc.liveOps(live, keep)
 	out := sc.ops[:0]
-	for _, op := range sc.ops {
-		if op.kind != opDead {
+	for i, op := range sc.ops {
+		if keep[i] {
 			out = append(out, op)
 		}
 	}

@@ -90,6 +90,7 @@ type planner struct {
 	ops      []schedOp
 	outSlot  []int32
 	liveSlot []bool
+	keepOp   []bool
 
 	plans int // plan calls, for tests
 }
@@ -196,7 +197,8 @@ func (pl *planner) plan() (schedule, error) {
 	pl.backSubstitute()
 	sc := schedule{nSlots: len(pl.rowStart) + pl.p.H, ops: pl.ops, outSlot: pl.outSlot}
 	pl.liveSlot = sized(pl.liveSlot, sc.nSlots)
-	sc.prune(pl.liveSlot)
+	pl.keepOp = sized(pl.keepOp, len(sc.ops))
+	sc.prune(pl.liveSlot, pl.keepOp)
 	return sc, nil
 }
 

@@ -145,50 +145,54 @@ func BenchmarkDecodeCold30pct(b *testing.B) {
 // BenchmarkPartialVsFull times the two matrix paths on the same
 // blocks — m missing sources out of K=256, K+2 symbols held, a fresh
 // choice of the m per op — to place the partialMaxMissing crossover
-// (EXPERIMENTS.md "Cold decode: plan, prune, replay").
+// (EXPERIMENTS.md "Partial decode at one pruned replay"), at T=1,024 and
+// at T=1,436, whose partial slots are no multiple of 32 wide and replay
+// through the checked kernels.
 func BenchmarkPartialVsFull(b *testing.B) {
-	const k, t = 256, 1024
-	enc, err := NewEncoder(benchSource(k, t))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := make([][]byte, 2*k)
-	for i := range pool {
-		pool[i] = enc.Symbol(uint32(i))
-	}
-	for _, m := range []int{1, 4, 8, 16, 32, 64} {
-		for _, path := range []string{"partial", "full"} {
-			b.Run(fmt.Sprintf("m=%d/%s", m, path), func(b *testing.B) {
-				dec, err := NewDecoder(k, t)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dec.forcePartial, dec.forceFull = path == "partial", path == "full"
-				rng := rand.New(rand.NewSource(int64(m)))
-				gone := make([]bool, k)
-				run := func() {
-					clear(gone)
-					for _, i := range rng.Perm(k)[:m] {
-						gone[i] = true
+	const k = 256
+	for _, t := range []int{1024, 1436} {
+		enc, err := NewEncoder(benchSource(k, t))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool := make([][]byte, 2*k)
+		for i := range pool {
+			pool[i] = enc.Symbol(uint32(i))
+		}
+		for _, m := range []int{1, 4, 8, 16, 32, 48, 64} {
+			for _, path := range []string{"partial", "full"} {
+				b.Run(fmt.Sprintf("T=%d/m=%d/%s", t, m, path), func(b *testing.B) {
+					dec, err := NewDecoder(k, t)
+					if err != nil {
+						b.Fatal(err)
 					}
-					dec.Reset()
-					for i := 0; i < k; i++ {
-						if !gone[i] {
-							dec.AddSymbol(uint32(i), pool[i])
+					dec.forcePartial, dec.forceFull = path == "partial", path == "full"
+					rng := rand.New(rand.NewSource(int64(m)))
+					gone := make([]bool, k)
+					run := func() {
+						clear(gone)
+						for _, i := range rng.Perm(k)[:m] {
+							gone[i] = true
 						}
+						dec.Reset()
+						for i := 0; i < k; i++ {
+							if !gone[i] {
+								dec.AddSymbol(uint32(i), pool[i])
+							}
+						}
+						for esi := k; esi < k+m+2; esi++ {
+							dec.AddSymbol(uint32(esi), pool[esi])
+						}
+						dec.Decode() // a singular draw costs the same solve
 					}
-					for esi := k; esi < k+m+2; esi++ {
-						dec.AddSymbol(uint32(esi), pool[esi])
-					}
-					dec.Decode() // a singular draw costs the same solve
-				}
-				run()
-				b.SetBytes(k * t)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
 					run()
-				}
-			})
+					b.SetBytes(int64(k * t))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run()
+					}
+				})
+			}
 		}
 	}
 }

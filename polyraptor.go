@@ -7,8 +7,10 @@
 // Three layers are exposed:
 //
 //   - The systematic rateless codec (EncodeObject / NewObjectDecoder):
-//     RFC 6330-architecture RaptorQ — LDPC+HDPC precode, LT encoding
-//     with permanently-inactive symbols, inactivation decoding.
+//     a RaptorQ-architecture code — LDPC+HDPC precode, LT encoding
+//     with permanently-inactive symbols, inactivation decoding — that
+//     is not RFC 6330 wire-compatible; the deviation paragraph of
+//     internal/raptorq/params.go is its conformance statement.
 //   - The real UDP transport (NewServer / Fetch / FetchMultiSource):
 //     the paper's pull-based protocol over any net.PacketConn, running
 //     the real codec end to end.
