@@ -1,11 +1,11 @@
 // Command polyperf runs Polyraptor's fixed performance suite (gf256
 // kernels, RaptorQ codec, event engine, end-to-end figure cells) and
-// writes a BENCH_<n>.json report — the repo's perf trajectory; compare
-// reports across PRs to spot regressions.
+// writes a BENCH_<n>.json report — the repo's perf trajectory, kept in
+// bench/; compare reports across PRs to spot regressions.
 //
 // Usage:
 //
-//	polyperf                # full suite, writes next BENCH_<n>.json
+//	polyperf                # full suite, writes the next bench/BENCH_<n>.json
 //	polyperf -quick         # CI smoke: small workloads, short budgets
 //	polyperf -out perf.json # explicit output path
 //	polyperf -out -         # JSON to stdout
@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		quick      = fs.Bool("quick", false, "small workloads and short budgets (CI smoke)")
-		out        = fs.String("out", "", `output path; "" = next BENCH_<n>.json in the working directory, "-" = stdout`)
+		out        = fs.String("out", "", `output path; "" = next BENCH_<n>.json in `+benchDir+`/ under the working directory, "-" = stdout`)
 		list       = fs.Bool("list", false, "print suite case names and exit")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (taken after the suite) to this file")
@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	path := *out
 	if path == "" {
 		var err error
-		path, rep.Index, err = nextBenchPath(".")
+		path, rep.Index, err = nextBenchPath(benchDir)
 		if err != nil {
 			fmt.Fprintf(stderr, "polyperf: %v\n", err)
 			return 1
@@ -134,11 +134,18 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
+// benchDir is where the trajectory lives, relative to the repository
+// root: polyvet's benchmark gates read it there (deep.BenchDir).
+const benchDir = "bench"
+
 var benchName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// nextBenchPath returns the next free BENCH_<n>.json in dir and its
-// index.
+// nextBenchPath returns the next free BENCH_<n>.json in dir, which it
+// makes if need be, and its index.
 func nextBenchPath(dir string) (string, int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", 0, err
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return "", 0, err

@@ -12,7 +12,7 @@
 // against the compiler's stack proofs along the way.
 //
 // Two benchmark gates run instead of package analysis when package
-// patterns are omitted:
+// patterns are omitted, over the reports in -benchdir (default bench/):
 //
 //	polyvet -allocbudget ALLOC_BUDGET.json   newest BENCH_<n>.json vs ceilings
 //	polyvet -benchdrift                      consecutive BENCH_<n>.json diffs
@@ -64,7 +64,7 @@ func run(args []string) int {
 	deepMode := fs.Bool("deep", false, "also run the compiler-ground-truth gates (escape, bce, inline)")
 	budgetPath := fs.String("allocbudget", "", "check the newest BENCH_<n>.json against this budget file")
 	benchDrift := fs.Bool("benchdrift", false, "diff consecutive BENCH_<n>.json reports for alloc/throughput drift")
-	benchDir := fs.String("benchdir", ".", "directory holding the BENCH_<n>.json trajectory")
+	benchDir := fs.String("benchdir", deep.BenchDir, "directory holding the BENCH_<n>.json trajectory")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0

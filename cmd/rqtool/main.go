@@ -174,7 +174,8 @@ func roundtrip(args []string) {
 		die(err)
 	}
 	t0 := time.Now()
-	enc, err := polyraptor.EncodeObject(data, *symbol, *maxK)
+	// Precode every block up front, so that the time reported is the encode.
+	enc, err := polyraptor.EncodeObjectWorkers(data, *symbol, *maxK, 0)
 	if err != nil {
 		die(err)
 	}

@@ -39,7 +39,45 @@ func Suite(quick bool) []Case {
 	cases = append(cases, metricsCases()...)
 	cases = append(cases, e2eCases(quick)...)
 	cases = append(cases, udpFetchCases(quick)...)
+	cases = append(cases, newServerCase(quick))
 	return cases
+}
+
+// newServerCase is a server's set-up: NewServer on an object of 16 MiB
+// (1 MiB quick), its socket opened once on the first run. NewServer builds
+// views of the object's blocks and precodes none, so the cell is O(blocks)
+// in time and allocations; its allocs/op is locked in ALLOC_BUDGET.json.
+func newServerCase(quick bool) Case {
+	size := 16 << 20
+	if quick {
+		size = 1 << 20
+	}
+	var (
+		object []byte
+		conn   net.PacketConn
+	)
+	return Case{
+		Name: fmt.Sprintf("rqudp/NewServer/%dMiB", size>>20),
+		Fn: func(n int) {
+			if conn == nil {
+				c, err := net.ListenPacket("udp", "127.0.0.1:0")
+				if err != nil {
+					panic(err)
+				}
+				object, conn = make([]byte, size), c
+			}
+			for i := 0; i < n; i++ {
+				if _, err := rqudp.NewServer(conn, object, rqudp.DefaultConfig()); err != nil {
+					panic(err)
+				}
+			}
+		},
+		Close: func() {
+			if conn != nil {
+				conn.Close()
+			}
+		},
+	}
 }
 
 // metricsCases measures the PolyMeter hot paths: the enabled histogram
@@ -402,9 +440,9 @@ func codecCases(quick bool) []Case {
 	}
 
 	// Block-parallel object encode: partition a multi-block object and
-	// solve the per-block precodes on the worker pool (GOMAXPROCS-wide;
-	// output is identical for every worker count). Construction-heavy
-	// by design — it carries the non-steady-state cost.
+	// solve the per-block precodes up front on the worker pool
+	// (GOMAXPROCS-wide; output is identical for every worker count).
+	// Construction-heavy by design — it carries the non-steady-state cost.
 	objBytes := 2 << 20
 	if quick {
 		objBytes = 256 << 10
@@ -419,7 +457,7 @@ func codecCases(quick bool) []Case {
 		UnitsPerOp: 0, // patched below once the layout is known
 		Fn: func(n int) {
 			for i := 0; i < n; i++ {
-				if _, err := raptorq.NewObjectEncoder(objData, rowLen, k); err != nil {
+				if _, err := raptorq.NewObjectEncoderWorkers(objData, rowLen, k, 0); err != nil {
 					panic(err)
 				}
 			}

@@ -21,8 +21,12 @@ import (
 // over the trajectory maximum, because per-op averages wobble with
 // the benchmark iteration count.
 
-// BudgetFile is the default budget filename at the repo root.
-const BudgetFile = "ALLOC_BUDGET.json"
+// BudgetFile is the default budget filename at the repo root, and
+// BenchDir the directory there that holds the BENCH_<n>.json trajectory.
+const (
+	BudgetFile = "ALLOC_BUDGET.json"
+	BenchDir   = "bench"
+)
 
 // A BudgetCell is one benchmark's locked limits.
 type BudgetCell struct {

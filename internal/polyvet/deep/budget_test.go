@@ -219,8 +219,8 @@ func TestRepoBudgetLocksHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := filepath.Join(root, BudgetFile)
-	diags, err := CheckBudget(root, bp)
+	bp, dir := filepath.Join(root, BudgetFile), filepath.Join(root, BenchDir)
+	diags, err := CheckBudget(dir, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRepoBudgetLocksHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift, err := CheckDrift(root, budget)
+	drift, err := CheckDrift(dir, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,10 @@ func TestEncoderRepairConsistentWithLT(t *testing.T) {
 	}
 	for esi := uint32(32); esi < 64; esi++ {
 		want := make([]byte, 16)
-		for _, c := range enc.p.LTIndices(esi) {
+		c := enc.intermediates()
+		for _, col := range enc.p.LTIndices(esi) {
 			for i := range want {
-				want[i] ^= enc.c[c][i]
+				want[i] ^= c[col][i]
 			}
 		}
 		if !bytes.Equal(enc.Symbol(esi), want) {

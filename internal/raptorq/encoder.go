@@ -3,6 +3,7 @@ package raptorq
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"polyraptor/internal/gf256"
 )
@@ -86,15 +87,28 @@ func hdpcSeed(p Params) uint64 {
 // 2^32-1, making the code rateless.
 //
 // An Encoder is safe for concurrent use after construction: Symbol only
-// reads the intermediate symbols, and the repair-expansion cache is
+// reads the intermediate symbols, the precode of a lazily built block
+// runs once under its own lock, and the repair-expansion cache is
 // internally synchronised. Reset, however, must not run concurrently
 // with any other method.
 type Encoder struct {
 	p   Params
 	t   int
-	c   [][]byte   // L intermediate symbols (views into the replay arena)
-	src [][]byte   // source symbols (referenced, not copied)
-	mu  sync.Mutex // guards ltRepair
+	src [][]byte // source symbols (referenced, not copied)
+
+	// c holds the L intermediate symbols (views into the replay arena)
+	// once ready is set. NewEncoder and Reset precode at once; a block of
+	// NewObjectEncoder waits for its first repair symbol, precodes under
+	// lazyMu, and ready publishes c to readers that never took the lock.
+	// Every reader goes through intermediates.
+	c      [][]byte
+	ready  atomic.Bool
+	lazyMu sync.Mutex
+	// precodes counts this block's precodes into its ObjectEncoder's
+	// total; nil for an Encoder of its own.
+	precodes *atomic.Int64
+
+	mu sync.Mutex // guards ltRepair
 	// ltRepair memoises LT expansions of repair ESIs. Entries are
 	// immutable once stored, so readers copy the reference out under mu
 	// and XOR outside it. Bounded: serving the same object to many
@@ -137,6 +151,17 @@ func NewEncoder(source [][]byte) (*Encoder, error) {
 // by Symbol are unaffected; the intermediate views read by AppendSymbol
 // are rebuilt.
 func (e *Encoder) Reset(source [][]byte) error {
+	if err := e.rekey(source); err != nil {
+		return err
+	}
+	e.precode()
+	return nil
+}
+
+// rekey validates source and keys the encoder to it without precoding:
+// the intermediates of the previous block are gone, and the schedule
+// for K is at hand (derived here, so that no later precode can fail).
+func (e *Encoder) rekey(source [][]byte) error {
 	k := len(source)
 	if k == 0 {
 		return fmt.Errorf("raptorq: no source symbols")
@@ -163,13 +188,49 @@ func (e *Encoder) Reset(source [][]byte) error {
 		}
 		e.p = p
 		e.sched = sched
-		e.c = make([][]byte, p.L)
+		e.c = nil
 		e.ltRepair = nil
 	}
 	e.t = t
 	e.src = source
-	e.replayPrecode(source)
+	e.ready.Store(false)
 	return nil
+}
+
+// precode computes the intermediates of the keyed block and publishes
+// them. Callers either own the encoder outright or hold lazyMu.
+func (e *Encoder) precode() {
+	if e.c == nil {
+		e.c = make([][]byte, e.p.L)
+	}
+	e.replayPrecode(e.src)
+	e.ready.Store(true)
+	if e.precodes != nil {
+		e.precodes.Add(1)
+	}
+}
+
+// intermediates returns the L intermediate symbols, precoding the block
+// first if it never was: one atomic load once it has been.
+func (e *Encoder) intermediates() [][]byte {
+	if !e.ready.Load() {
+		e.precodeOnce()
+	}
+	return e.c
+}
+
+// precodeOnce is the cold half of intermediates: the first reader of a
+// lazily built block precodes it, and any that arrive meanwhile wait for
+// it. noinline keeps the arena's allocation out of AppendSymbol under
+// the compiler-verified gate, as growZero does.
+//
+//go:noinline
+func (e *Encoder) precodeOnce() {
+	e.lazyMu.Lock()
+	defer e.lazyMu.Unlock()
+	if !e.ready.Load() {
+		e.precode()
+	}
 }
 
 // replayPrecode computes the L intermediate symbols by replaying the
@@ -240,8 +301,9 @@ func (e *Encoder) AppendSymbol(dst []byte, esi uint32) []byte {
 		dst = growZero(dst, e.t)
 	}
 	buf := dst[start:]
-	for _, c := range e.ltIndices(esi) {
-		gf256.AddRow(buf, e.c[c])
+	c := e.intermediates()
+	for _, col := range e.ltIndices(esi) {
+		gf256.AddRow(buf, c[col])
 	}
 	return dst
 }

@@ -18,8 +18,9 @@ func uncachedSymbol(e *Encoder, esi uint32) []byte {
 		copy(out, e.src[esi])
 		return out
 	}
-	for _, c := range e.p.LTIndices(esi) {
-		gf256.AddRow(out, e.c[c])
+	c := e.intermediates()
+	for _, col := range e.p.LTIndices(esi) {
+		gf256.AddRow(out, c[col])
 	}
 	return out
 }

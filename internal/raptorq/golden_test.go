@@ -1,6 +1,7 @@
 package raptorq
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
@@ -14,7 +15,9 @@ import (
 // intermediates are the unique solution of the precode system, so no
 // change of pivot order, schedule pruning or storage layout may move
 // them — and a receiver built before the change must still decode what
-// a sender built after it emits.
+// a sender built after it emits. Both ways of building an encoder are
+// held to them: NewEncoder precodes at once, a block of NewObjectEncoder
+// on its first repair symbol, which is why the repairs are hashed first.
 func TestEncodedSymbolsGolden(t *testing.T) {
 	const symSize = 24
 	golden := []struct {
@@ -28,22 +31,37 @@ func TestEncodedSymbolsGolden(t *testing.T) {
 	}
 	for _, g := range golden {
 		src := randSymbols(rand.New(rand.NewSource(int64(7000+g.k))), g.k, symSize)
-		enc, err := NewEncoder(src)
+		eager, err := NewEncoder(src)
 		if err != nil {
 			t.Fatalf("K=%d: %v", g.k, err)
 		}
-		h := sha256.New()
-		for _, c := range enc.c {
-			h.Write(c)
+		lazy, err := NewObjectEncoder(bytes.Join(src, nil), symSize, g.k)
+		if err != nil {
+			t.Fatalf("K=%d: %v", g.k, err)
 		}
-		inter := hex.EncodeToString(h.Sum(nil))
-		h.Reset()
-		for esi := uint32(g.k); esi < uint32(g.k)+64; esi++ {
-			h.Write(enc.Symbol(esi))
+		if n := lazy.Precoded(); n != 0 {
+			t.Fatalf("K=%d: NewObjectEncoder precoded %d blocks before a repair symbol was asked for", g.k, n)
 		}
-		rep := hex.EncodeToString(h.Sum(nil))
-		if inter != g.intermediate || rep != g.repairs {
-			t.Errorf("K=%d (L=%d): encoded symbols moved\n  intermediates %s\n  repairs       %s", g.k, len(enc.c), inter, rep)
+		for _, b := range []struct {
+			name string
+			enc  *Encoder
+		}{{"NewEncoder", eager}, {"NewObjectEncoder", lazy.Block(0)}} {
+			h := sha256.New()
+			for esi := uint32(g.k); esi < uint32(g.k)+64; esi++ {
+				h.Write(b.enc.Symbol(esi))
+			}
+			rep := hex.EncodeToString(h.Sum(nil))
+			h.Reset()
+			for _, c := range b.enc.intermediates() {
+				h.Write(c)
+			}
+			inter := hex.EncodeToString(h.Sum(nil))
+			if inter != g.intermediate || rep != g.repairs {
+				t.Errorf("K=%d (L=%d), %s: encoded symbols moved\n  intermediates %s\n  repairs       %s", g.k, b.enc.p.L, b.name, inter, rep)
+			}
+		}
+		if n := lazy.Precoded(); n != 1 {
+			t.Errorf("K=%d: %d precodes for one block", g.k, n)
 		}
 	}
 }

@@ -76,66 +76,72 @@ func NewBlockLayout(f int64, t, maxK int) (BlockLayout, error) {
 
 // ObjectEncoder encodes a whole object: one Encoder per source block.
 type ObjectEncoder struct {
-	layout BlockLayout
-	blocks []*Encoder
+	layout   BlockLayout
+	blocks   []Encoder
+	precoded atomic.Int64 // block precodes run, counted by the blocks
 }
 
 // NewObjectEncoder partitions data into blocks of at most maxK symbols
 // of size t and builds per-block encoders. The final symbol of the
 // final block is zero-padded; the layout records the true object size
-// so decoding strips the padding. Block encoders are built on a worker
-// pool sized to GOMAXPROCS; use NewObjectEncoderWorkers to control it.
+// so decoding strips the padding. It builds views only: the source
+// symbols are windows of data, and a block is precoded the first time
+// it is asked for a repair symbol, so an object whose receivers lose
+// nothing is never precoded at all. NewObjectEncoderWorkers pays every
+// precode up front instead.
 func NewObjectEncoder(data []byte, t, maxK int) (*ObjectEncoder, error) {
-	return NewObjectEncoderWorkers(data, t, maxK, 0)
-}
-
-// NewObjectEncoderWorkers is NewObjectEncoder with an explicit worker
-// count for the per-block precode solves; workers <= 0 selects
-// GOMAXPROCS. Source blocks are independent, and results are placed by
-// block index, so the produced encoder is identical for every worker
-// count — parallelism changes wall-clock only, never output.
-func NewObjectEncoderWorkers(data []byte, t, maxK, workers int) (*ObjectEncoder, error) {
 	layout, err := NewBlockLayout(int64(len(data)), t, maxK)
 	if err != nil {
 		return nil, err
 	}
-	z := layout.Z()
-	srcs := make([][][]byte, z)
-	off := 0
-	for bi, k := range layout.K {
-		syms := make([][]byte, k)
-		for i := 0; i < k; i++ {
-			end := off + t
-			if end <= len(data) {
-				syms[i] = data[off:end]
-			} else {
-				// Zero-padded tail symbol.
-				pad := make([]byte, t)
-				copy(pad, data[off:])
-				syms[i] = pad
-			}
-			off = end
+	oe := &ObjectEncoder{layout: layout, blocks: make([]Encoder, layout.Z())}
+	syms := make([][]byte, layout.TotalSymbols())
+	for i := range syms {
+		off := i * t
+		if off+t <= len(data) {
+			syms[i] = data[off : off+t : off+t]
+		} else {
+			// Zero-padded tail symbol.
+			pad := make([]byte, t)
+			copy(pad, data[off:])
+			syms[i] = pad
 		}
-		srcs[bi] = syms
 	}
-	enc := &ObjectEncoder{layout: layout, blocks: make([]*Encoder, z)}
+	for bi, k := range layout.K {
+		e := &oe.blocks[bi]
+		e.precodes = &oe.precoded
+		if bi > 0 && k == oe.blocks[bi-1].p.K {
+			e.p, e.sched = oe.blocks[bi-1].p, oe.blocks[bi-1].sched
+		}
+		if err := e.rekey(syms[:k:k]); err != nil {
+			return nil, err
+		}
+		syms = syms[k:]
+	}
+	return oe, nil
+}
+
+// NewObjectEncoderWorkers is NewObjectEncoder with every block precoded
+// before it returns, on a pool of workers; workers <= 0 selects
+// GOMAXPROCS. Source blocks are independent, and results are placed by
+// block index, so the produced encoder is identical for every worker
+// count — parallelism changes wall-clock only, never output.
+func NewObjectEncoderWorkers(data []byte, t, maxK, workers int) (*ObjectEncoder, error) {
+	oe, err := NewObjectEncoder(data, t, maxK)
+	if err != nil {
+		return nil, err
+	}
+	z := len(oe.blocks)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > z {
-		workers = z
-	}
+	workers = min(workers, z)
 	if workers <= 1 {
-		for bi := range srcs {
-			e, err := NewEncoder(srcs[bi])
-			if err != nil {
-				return nil, err
-			}
-			enc.blocks[bi] = e
+		for bi := range oe.blocks {
+			oe.blocks[bi].precode()
 		}
-		return enc, nil
+		return oe, nil
 	}
-	errs := make([]error, z)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -147,33 +153,28 @@ func NewObjectEncoderWorkers(data []byte, t, maxK, workers int) (*ObjectEncoder,
 				if bi >= z {
 					return
 				}
-				e, err := NewEncoder(srcs[bi])
-				if err != nil {
-					errs[bi] = err
-					continue
-				}
-				enc.blocks[bi] = e
+				oe.blocks[bi].precode()
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return enc, nil
+	return oe, nil
 }
 
 // Layout returns the object's block layout.
 func (oe *ObjectEncoder) Layout() BlockLayout { return oe.layout }
 
 // Block returns the encoder for source block sbn.
-func (oe *ObjectEncoder) Block(sbn int) *Encoder { return oe.blocks[sbn] }
+func (oe *ObjectEncoder) Block(sbn int) *Encoder { return &oe.blocks[sbn] }
+
+// Precoded returns how many block precodes the encoder has run: one per
+// block when NewObjectEncoderWorkers built it, one per block asked for a
+// repair symbol so far when NewObjectEncoder did.
+func (oe *ObjectEncoder) Precoded() int { return int(oe.precoded.Load()) }
 
 // Symbol returns encoding symbol (sbn, esi).
 func (oe *ObjectEncoder) Symbol(sbn int, esi uint32) []byte {
-	return oe.blocks[sbn].Symbol(esi)
+	return oe.Block(sbn).Symbol(esi)
 }
 
 // ObjectDecoder reassembles an object from (SBN, ESI, data) symbols.
@@ -205,9 +206,33 @@ type ObjectDecoder struct {
 	scratch []*solveScratch
 }
 
+// decodeMem is what an ObjectDecoder solves in and keeps repair symbols
+// in: its workers' scratch and its repair store, about 0.4 MB for blocks
+// of 256 symbols of 1 KiB. An object that completes passes its own on
+// through decodeMems, and the next decoder made takes it, instead of
+// leaving one to the collector per object.
+type decodeMem struct {
+	scratch []*solveScratch
+	store   repairStore
+}
+
+// decodeMems holds as many as decoders commonly run side by side in one
+// process; what does not fit is left to the collector.
+var decodeMems = make(chan decodeMem, 4)
+
+// A store or slot arena that one object's loss or block size grew past
+// these is left to the collector too, as fmt leaves a large print buffer,
+// so that a process does not keep its worst object's memory for good.
+const (
+	keepStoreMax = 64 << 10
+	keepSlotsMax = 1 << 20
+)
+
 // NewObjectDecoder creates a decoder for an object with the given
 // layout (communicated out-of-band, e.g. in Polyraptor's session
-// establishment). It holds no symbol memory until a symbol arrives.
+// establishment). It makes no symbol memory until a symbol arrives, and
+// takes its solve memory from an object decoded before it when one has
+// passed it on.
 func NewObjectDecoder(layout BlockLayout) (*ObjectDecoder, error) {
 	if layout.T <= 0 {
 		return nil, fmt.Errorf("raptorq: invalid symbol size %d", layout.T)
@@ -224,7 +249,43 @@ func NewObjectDecoder(layout BlockLayout) (*ObjectDecoder, error) {
 		od.blocks[i] = Decoder{p: p, t: layout.T, have: have[:w:w], store: &od.store}
 		have = have[w:]
 	}
+	select {
+	case m := <-decodeMems:
+		od.scratch, od.store = m.scratch, m.store
+	default:
+	}
 	return od, nil
+}
+
+// release passes the decoder's solve memory on once the object is
+// complete: nothing is solved or stored after that, since every block
+// takes later symbols for duplicates or counts them only.
+func (od *ObjectDecoder) release() {
+	if od.scratch == nil && od.store == nil {
+		return
+	}
+	m := decodeMem{scratch: od.scratch[:0], store: od.store[:0]}
+	if cap(m.store) > keepStoreMax {
+		m.store = nil
+	}
+	for _, sc := range od.scratch {
+		// The rows of the last system loaded are views of this object,
+		// which the scratch must not keep alive once passed on.
+		clear(sc.rowBuf[:cap(sc.rowBuf)])
+		if cap(sc.slots.buf) <= keepSlotsMax {
+			m.scratch = append(m.scratch, sc)
+		}
+	}
+	if len(m.scratch) > 0 || cap(m.store) > 0 {
+		select {
+		case decodeMems <- m:
+		default:
+		}
+	}
+	od.scratch, od.store = nil, nil
+	for i := range od.blocks {
+		od.blocks[i].sc = nil
+	}
 }
 
 // makeBuf makes the object's buffer and gives each block its window.
@@ -260,7 +321,8 @@ func (od *ObjectDecoder) SetWorkers(n int) { od.workers = n }
 // need a solve it fans them out over a worker pool, each worker writing
 // its block's window only. Completion flags are written by block index
 // afterwards, so results and observable state are identical to the
-// serial order.
+// serial order. The call that completes the object passes its solve
+// memory on to the next decoder made.
 func (od *ObjectDecoder) TryDecode() bool {
 	ready := od.readyBuf[:0]
 	for i := range od.blocks {
@@ -294,7 +356,11 @@ func (od *ObjectDecoder) TryDecode() bool {
 	} else {
 		od.decodeParallel(ready, workers)
 	}
-	return od.nDone == len(od.blocks)
+	if !od.Complete() {
+		return false
+	}
+	od.release()
+	return true
 }
 
 // decodeParallel is TryDecode's worker pool over the ready blocks. It is

@@ -5,6 +5,8 @@ import (
 	"context"
 	"net"
 	"testing"
+
+	"polyraptor/internal/wire"
 )
 
 // BenchmarkFetch2x1MiB is PolyBench's udp_fetch operation: one 1 MiB
@@ -13,8 +15,10 @@ import (
 // socket path is judged by — symbols per send (the mean train), datagrams
 // per read and pulls per symbol — and what a fetch has to say about where
 // its time went: the share of it spent waiting on the socket and spent in
-// the decoder, symbols slid over and re-grants per fetch, and the share
-// of the pulls the servers found stale.
+// the decoder, symbols slid over and re-grants per fetch, the share of
+// the pulls the servers found stale, and the blocks the servers precoded
+// per fetch: their servers are fresh, so that is the blocks some fetch
+// was sent repair symbols of, over b.N.
 func BenchmarkFetch2x1MiB(b *testing.B) {
 	obj := make([]byte, 1<<20)
 	for i := range obj {
@@ -78,6 +82,7 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		sent.SendErrors += st.SendErrors
 		sent.PullsReceived += st.PullsReceived
 		sent.StalePulls += st.StalePulls
+		sent.Precoded += st.Precoded
 	}
 	if sent.SendErrors != 0 {
 		b.Fatalf("servers: %+v", sent)
@@ -90,4 +95,39 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	b.ReportMetric(float64(total.Lost)/float64(b.N), "lost/fetch")
 	b.ReportMetric(float64(total.Regrants)/float64(b.N), "regrants/fetch")
 	b.ReportMetric(float64(sent.StalePulls)/float64(sent.PullsReceived), "stale/pull")
+	b.ReportMetric(float64(sent.Precoded)/float64(b.N), "precoded/fetch")
+}
+
+// BenchmarkFirstRepairBurst is the stall a receiver sees when it first
+// needs repair from a fresh server: a 1 MiB object's source symbols are
+// granted and sent, then one pull asks for a repair symbol of each of its
+// four blocks, and ns/op is the step that answers it. "fresh" precodes
+// all four blocks in that burst; "warm" asks a second time, of a server
+// whose blocks the first burst precoded.
+func BenchmarkFirstRepairBurst(b *testing.B) {
+	for _, warm := range []bool{false, true} {
+		name := "fresh"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := newScriptedServerWith(b, 1024, 256, 1<<20)
+				layout := s.enc.Layout()
+				grant, z := uint32(layout.TotalSymbols()), uint32(layout.Z())
+				s.conn.push(wire.AppendHello(nil, wire.Hello{Flow: 1, SenderCount: 1, Grant: grant}), 3000)
+				s.run(b)
+				if warm {
+					grant += z
+					s.conn.push(pull(1, grant), 3000)
+					s.run(b)
+				}
+				grant += z
+				s.conn.push(pull(1, grant), 3000)
+				b.StartTimer()
+				s.run(b)
+			}
+		})
+	}
 }

@@ -40,6 +40,12 @@
 // is copied once, from that message to its place in the object the fetch
 // returns (raptorq.ObjectDecoder).
 //
+// The code is systematic, and the sender is too: a source symbol goes
+// out from where it lies in the object, and a block is precoded only when
+// some receiver is first owed a repair symbol of it. NewServer therefore
+// does no codec work, and a fetch that loses nothing, and whose senders
+// do not run past the source symbols, costs no precode at all.
+//
 // Lost symbols are never re-requested: a grant elicits the next fresh
 // symbol, which contributes equally to decoding. Multi-source fetches
 // send one Hello per sender with a distinct index; senders partition
@@ -79,11 +85,11 @@ type Config struct {
 	// MaxRetries bounds consecutive stall recoveries before the fetch
 	// aborts.
 	MaxRetries int
-	// Workers bounds the block-parallel codec work: server-side object
-	// encoding (per-block precode solves) and receiver-side block
-	// decoding. Zero selects the codec default (GOMAXPROCS); 1 forces
-	// serial. Output is byte-identical for every worker count — the
-	// knob trades construction/decode wall-clock only.
+	// Workers bounds the receiver's block-parallel decoding. Zero selects
+	// the codec default (GOMAXPROCS); 1 forces serial. Output is
+	// byte-identical for every worker count — the knob trades decode
+	// wall-clock only. A server precodes a block when it first needs a
+	// repair symbol of it, on its Serve goroutine, whatever Workers says.
 	Workers int
 }
 
@@ -206,13 +212,16 @@ type senderCursor struct {
 	stride          int64
 }
 
-// NewServer builds the object encoders (the expensive part) and
-// returns a server ready to Serve.
+// NewServer returns a server ready to Serve object, which it keeps and
+// reads but never writes. It builds views of the object's blocks only:
+// source symbols are sent from where they lie, and a block is precoded
+// the first time a receiver is owed a repair symbol of it, in the middle
+// of that burst (ServerStats.Precoded counts them).
 func NewServer(conn net.PacketConn, object []byte, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	enc, err := raptorq.NewObjectEncoderWorkers(object, cfg.SymbolSize, cfg.MaxBlockK, cfg.Workers)
+	enc, err := raptorq.NewObjectEncoder(object, cfg.SymbolSize, cfg.MaxBlockK)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +248,8 @@ func (s *Server) Close() error {
 	return s.conn.Close()
 }
 
-// ServerStats counts a server's socket I/O since NewServer.
+// ServerStats counts a server's socket I/O since NewServer, and its
+// precodes.
 type ServerStats struct {
 	// ReadCalls is the number of socket reads that returned datagrams
 	// and Datagrams how many they returned: Datagrams/ReadCalls is the
@@ -255,12 +265,16 @@ type ServerStats struct {
 	SendCalls, SymbolsSent int
 	// SendErrors counts packets the socket refused to send.
 	SendErrors int
+	// Precoded is how many of the object's blocks have been precoded: those
+	// some receiver was sent a repair symbol of. Source symbols need none.
+	Precoded int
 }
 
 // Stats returns a snapshot of the counters; it may be called while
 // Serve runs.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
+		Precoded:      s.enc.Precoded(),
 		ReadCalls:     int(s.readCalls.Load()),
 		Datagrams:     int(s.datagrams.Load()),
 		PullsReceived: int(s.pullsReceived.Load()),
@@ -272,8 +286,8 @@ func (s *Server) Stats() ServerStats {
 }
 
 // Serve processes packets until Close. It is single-goroutine by
-// design: the encoder is immutable after construction and sessions are
-// private to this loop.
+// design: the encoder is safe for concurrent use, its lazy precodes
+// included, and sessions are private to this loop.
 func (s *Server) Serve() error {
 	s.open()
 	for {

@@ -18,6 +18,7 @@ type scriptConn struct {
 	in      []scripted
 	sent    map[int]int // packets written, by destination port
 	seqs    []uint32    // the Seq of each Data packet written
+	ids     [][2]uint32 // and its (SBN, ESI)
 	bad     error       // the first malformed packet the server wrote
 	failing bool        // refuse every write
 }
@@ -61,6 +62,7 @@ func (c *scriptConn) WriteTo(p []byte, to net.Addr) (int, error) {
 		var d wire.Data
 		d, err = wire.ParseData(hdr.Flow, body)
 		c.seqs = append(c.seqs, d.Seq)
+		c.ids = append(c.ids, [2]uint32{d.SBN, d.ESI})
 	case hdr.Type == wire.MsgAnnounce:
 		_, err = wire.ParseAnnounce(hdr.Flow, body)
 	default:

@@ -60,20 +60,24 @@ var (
 )
 
 // EncodeObject partitions data into blocks of at most maxBlockK
-// symbols of symbolSize bytes and precodes each block. The returned
-// encoder generates any encoding symbol on demand:
+// symbols of symbolSize bytes. The returned encoder generates any
+// encoding symbol on demand; it keeps data, and precodes a block only
+// when first asked for a repair symbol of it, so source symbols cost
+// nothing to produce and a block never asked for repair is never
+// precoded:
 //
 //	enc, _ := polyraptor.EncodeObject(data, 1024, 256)
 //	sym := enc.Symbol(0, 5) // source symbol 5 of block 0
-//	rep := enc.Symbol(0, uint32(enc.Layout().K[0])) // first repair
+//	rep := enc.Symbol(0, uint32(enc.Layout().K[0])) // first repair: precodes block 0
 func EncodeObject(data []byte, symbolSize, maxBlockK int) (*ObjectEncoder, error) {
 	return raptorq.NewObjectEncoder(data, symbolSize, maxBlockK)
 }
 
-// EncodeObjectWorkers is EncodeObject with an explicit worker count
-// for the per-block precode solves; workers <= 0 selects GOMAXPROCS.
-// Blocks are independent, so the produced encoder is byte-identical
-// for every worker count.
+// EncodeObjectWorkers is EncodeObject that pays every precode up front:
+// the blocks are precoded before it returns, on workers goroutines
+// (workers <= 0 selects GOMAXPROCS). Blocks are independent, so the
+// produced encoder is byte-identical for every worker count, and to
+// EncodeObject's.
 func EncodeObjectWorkers(data []byte, symbolSize, maxBlockK, workers int) (*ObjectEncoder, error) {
 	return raptorq.NewObjectEncoderWorkers(data, symbolSize, maxBlockK, workers)
 }
@@ -110,19 +114,23 @@ type (
 	FetchStats = rqudp.FetchStats
 	// ServerStats is the socket I/O a Server has done, from Server.Stats:
 	// reads, datagrams, pulls, and the sends that carried symbols
-	// (SymbolsSent/SendCalls is the mean train).
+	// (SymbolsSent/SendCalls is the mean train); and the blocks it has
+	// precoded.
 	ServerStats = rqudp.ServerStats
 )
 
 // DefaultTransportConfig returns LAN-appropriate transport defaults.
 func DefaultTransportConfig() TransportConfig { return rqudp.DefaultConfig() }
 
-// NewServer builds a server for one object. Run Serve in a goroutine
-// and Close to stop:
+// NewServer builds a server for one object. It does no codec work: the
+// server sends source symbols from blob as it lies and precodes a block
+// the first time a receiver needs a repair symbol of it, so it is ready
+// in time proportional to the block count. Run Serve in a goroutine and
+// Close to stop:
 //
 //	conn, _ := net.ListenPacket("udp", ":9000")
 //	srv, _ := polyraptor.NewServer(conn, blob, polyraptor.DefaultTransportConfig())
-//	go srv.Serve()
+//	go srv.Serve() // sends at once; srv.Stats().Precoded counts the blocks precoded
 func NewServer(conn net.PacketConn, object []byte, cfg TransportConfig) (*Server, error) {
 	return rqudp.NewServer(conn, object, cfg)
 }
