@@ -16,9 +16,9 @@
 // the first breaches. A Done is never harmed, so that once one has passed
 // the server has been told.
 //
-// Not here yet, and wanted by the sans-IO work (ROADMAP item 2): a rate
-// limit with a bounded queue, and NDP-style trimming (forward the header,
-// drop the payload).
+// Not here yet, and wanted by the congestion story over real sockets
+// (ROADMAP item 7(a)): a rate limit with a bounded queue, and NDP-style
+// trimming (forward the header, drop the payload).
 package netshim
 
 import (

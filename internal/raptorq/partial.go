@@ -56,8 +56,8 @@ const partialExtraRows = 8
 // path will take on. At K=256 with 1 KiB symbols it decodes m = 32 in
 // under three quarters of the full solver's time and ties it at m = 48;
 // with 1,436-byte symbols, whose slots are no multiple of 32 wide, m = 32
-// is still a little faster (table in EXPERIMENTS.md "Partial decode at
-// one pruned replay"). K/8 stays below both with room for a noisy draw. The
+// is still a little faster (table in docs/perf/pr28-partial-decode.md).
+// K/8 stays below both with room for a noisy draw. The
 // absolute cap bounds the coefficient tail of the replay slots for huge
 // blocks.
 func partialMaxMissing(k int) int {

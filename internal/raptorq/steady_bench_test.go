@@ -145,7 +145,7 @@ func BenchmarkDecodeCold30pct(b *testing.B) {
 // BenchmarkPartialVsFull times the two matrix paths on the same
 // blocks — m missing sources out of K=256, K+2 symbols held, a fresh
 // choice of the m per op — to place the partialMaxMissing crossover
-// (EXPERIMENTS.md "Partial decode at one pruned replay"), at T=1,024 and
+// (docs/perf/pr28-partial-decode.md), at T=1,024 and
 // at T=1,436, whose partial slots are no multiple of 32 wide and replay
 // through the checked kernels.
 func BenchmarkPartialVsFull(b *testing.B) {

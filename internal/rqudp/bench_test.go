@@ -15,10 +15,9 @@ import (
 // socket path is judged by — symbols per send (the mean train), datagrams
 // per read and pulls per symbol — and what a fetch has to say about where
 // its time went: the share of it spent waiting on the socket and spent in
-// the decoder, symbols slid over and re-grants per fetch, the share of
-// the pulls the servers found stale, and the blocks the servers precoded
-// per fetch: their servers are fresh, so that is the blocks some fetch
-// was sent repair symbols of, over b.N.
+// the decoder, symbols slid over and re-grants per fetch, and the blocks
+// the servers precoded per fetch: their servers are fresh, so that is the
+// blocks some fetch was sent repair symbols of, over b.N.
 func BenchmarkFetch2x1MiB(b *testing.B) {
 	obj := make([]byte, 1<<20)
 	for i := range obj {
@@ -80,8 +79,6 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 		sent.SendCalls += st.SendCalls
 		sent.SymbolsSent += st.SymbolsSent
 		sent.SendErrors += st.SendErrors
-		sent.PullsReceived += st.PullsReceived
-		sent.StalePulls += st.StalePulls
 		sent.Precoded += st.Precoded
 	}
 	if sent.SendErrors != 0 {
@@ -94,7 +91,6 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	b.ReportMetric(float64(total.Decode)/float64(total.Elapsed), "decode/elapsed")
 	b.ReportMetric(float64(total.Lost)/float64(b.N), "lost/fetch")
 	b.ReportMetric(float64(total.Regrants)/float64(b.N), "regrants/fetch")
-	b.ReportMetric(float64(sent.StalePulls)/float64(sent.PullsReceived), "stale/pull")
 	b.ReportMetric(float64(sent.Precoded)/float64(b.N), "precoded/fetch")
 }
 

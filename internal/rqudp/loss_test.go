@@ -66,14 +66,15 @@ func (r *rung) quartile(q int) int {
 
 // The loss ladder (ROADMAP item 1): 8 MiB from two senders through the
 // hostile-network shim, default Config. A lost symbol or a lost pull costs
-// a replacement and never a wait: no rung below 25 % ever sees the stall
-// guard, and completion time is flat in loss but for what loss must cost,
+// a replacement and never a wait: no rung below 25 % has a stall period,
+// and completion time is flat in loss but for what loss must cost,
 // the solving of the blocks it touched. That is a third of a millisecond a
 // block whether one symbol is missing or sixty, on the fetcher's CPU, and
 // on a two-CPU host, where that CPU is also the shims' and the servers',
 // it comes on top of a transfer that the shim makes quicker than any real
 // network would: the time bars are therefore on the fetch net of
-// FetchStats.Decode, and the table in EXPERIMENTS.md has both.
+// FetchStats.Decode, and the table in docs/perf/pr21-socket-window.md has
+// both.
 //
 // Times are the best of five fetches a rung (of up to twenty, if the
 // first five miss the bar), taken turn and turn about with the lossless
@@ -99,7 +100,7 @@ func TestLossLadder(t *testing.T) {
 		base    *rung
 		factor  float64       // the rung's best time is at most this many of base's,
 		plus    time.Duration // and this; no bar if both are zero
-		retries int           // no fetch on it saw more stall recoveries than this
+		retries int           // no fetch on it saw more stall periods than this
 		loss    float64       // the share of symbols its network loses
 	}{
 		{"0.1% of symbols lost", newRung(t, obj, 2, 0, data(0.001)), clean, 1.3, 0, 0, 0.001},
@@ -132,7 +133,7 @@ func TestLossLadder(t *testing.T) {
 			t.Logf("best %v, %v net of decoding (lossless %v, %v); symbols %v (lossless %v); %d re-grants, %d retries",
 				r.best, r.bestNet, base.best, base.bestNet, r.symbols, base.symbols, r.regrants, r.retries)
 			if r.retries > tc.retries {
-				t.Errorf("a fetch waited for the stall guard %d times, want at most %d", r.retries, tc.retries)
+				t.Errorf("a fetch had %d stall periods, want at most %d", r.retries, tc.retries)
 			}
 			if !within() {
 				t.Errorf("best fetch %v net of decoding, want at most %.1f x the lossless %v + %v", r.bestNet, tc.factor, base.bestNet, tc.plus)

@@ -25,9 +25,20 @@
 // which is what a trimmed header tells the paper's receiver. A lost pull
 // is restated by the next; a repeated, late or stale one changes nothing,
 // because the sender keeps the highest. A clock matters only when all
-// that was outstanding is lost at once: a sender unheard through a few
-// round trips of waiting is granted a window more, maxRegrants times, and
-// the RetryInterval stall guard is left with dead senders and lost Hellos.
+// that was outstanding is lost at once. The mechanisms, each with a test
+// that fails without it:
+//
+//   - the sliding grant (TestCoalescedCreditsBounded);
+//   - the backoff re-grant (TestSilentSenderRecovered): a window more for a
+//     sender unheard for quiet of waiting, then after 2q, 4q... up to
+//     RetryInterval, until it is heard. q is 4 srtt, 2 ms to RetryInterval/4;
+//     no test needs the srtt, kept as 4 srtt measured 7.6 ms under loss;
+//   - a Hello, not a Pull, until the sender is heard (TestLostHelloRegranted);
+//   - the abort after MaxRetries RetryIntervals and one more with nothing
+//     fresh, duplicates being no progress (TestFetchStatsStallCounting);
+//   - making room for longer symbols (TestFetchLongerSymbolsThanConfigured);
+//   - the server's sweep of sessions whose Done was lost, by the clock
+//     (TestLostDoneExpiresUnderTraffic), and its cap (TestSessionTableCap).
 //
 // Both sides read the socket in drains: block until a datagram is
 // there, take everything already queued (pktIO), then answer. The sender
@@ -46,11 +57,9 @@
 // does no codec work, and a fetch that loses nothing, and whose senders
 // do not run past the source symbols, costs no precode at all.
 //
-// Lost symbols are never re-requested: a grant elicits the next fresh
-// symbol, which contributes equally to decoding. Multi-source fetches
-// send one Hello per sender with a distinct index; senders partition
-// source symbols and use disjoint repair ESI residue classes, so an
-// uncoordinated replica set never produces duplicate symbols.
+// Multi-source fetches send one Hello per sender with a distinct index;
+// senders partition source symbols and use disjoint repair ESI residue
+// classes, so an uncoordinated replica set never produces duplicates.
 package rqudp
 
 import (
@@ -74,16 +83,10 @@ type Config struct {
 	// MaxBlockK bounds source symbols per block (default 256; larger
 	// blocks amortise better but decode slower).
 	MaxBlockK int
-	// InitWindow is the most a receiver's Hello lets a sender blast: its
-	// first grant is this or the sender's window, whichever is less.
-	InitWindow int
-	// PullBatch is how many symbols more the stall guard grants each
-	// sender at a recovery.
-	PullBatch int
-	// RetryInterval is the receiver's stall guard period.
+	// RetryInterval is the receiver's stall period, and the longest it
+	// waits on a silent sender before granting it again.
 	RetryInterval time.Duration
-	// MaxRetries bounds consecutive stall recoveries before the fetch
-	// aborts.
+	// MaxRetries bounds consecutive stall periods before the fetch aborts.
 	MaxRetries int
 	// Workers bounds the receiver's block-parallel decoding. Zero selects
 	// the codec default (GOMAXPROCS); 1 forces serial. Output is
@@ -98,8 +101,6 @@ func DefaultConfig() Config {
 	return Config{
 		SymbolSize:    1024,
 		MaxBlockK:     256,
-		InitWindow:    trainMax,
-		PullBatch:     16,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    50,
 	}
@@ -121,9 +122,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxBlockK <= 0 || c.MaxBlockK > raptorq.MaxK {
 		return fmt.Errorf("rqudp: MaxBlockK %d out of range", c.MaxBlockK)
-	}
-	if c.InitWindow < 1 || c.PullBatch < 1 {
-		return fmt.Errorf("rqudp: InitWindow and PullBatch must be >= 1")
 	}
 	if c.RetryInterval <= 0 || c.MaxRetries < 1 {
 		return fmt.Errorf("rqudp: RetryInterval and MaxRetries must be positive")
@@ -182,7 +180,7 @@ type Server struct {
 	train []byte
 	ctl   []byte
 
-	readCalls, datagrams, pullsReceived, stalePulls, sendCalls, symbolsSent, sendErrors atomic.Int64
+	readCalls, datagrams, pullsReceived, sendCalls, symbolsSent, sendErrors atomic.Int64
 }
 
 // sessionKey identifies a session: the receiver's address and its flow.
@@ -255,10 +253,8 @@ type ServerStats struct {
 	// and Datagrams how many they returned: Datagrams/ReadCalls is the
 	// mean drain.
 	ReadCalls, Datagrams int
-	// PullsReceived counts valid Pull packets for known sessions, and
-	// StalePulls those, and the Hellos, whose grant was not ahead of one
-	// already heard: repeats, stragglers, what a re-grant overtook.
-	PullsReceived, StalePulls int
+	// PullsReceived counts valid Pull packets for known sessions.
+	PullsReceived int
 	// SendCalls is the number of socket writes that carried Data and
 	// SymbolsSent how many symbols they carried: SymbolsSent/SendCalls
 	// is the mean train.
@@ -278,7 +274,6 @@ func (s *Server) Stats() ServerStats {
 		ReadCalls:     int(s.readCalls.Load()),
 		Datagrams:     int(s.datagrams.Load()),
 		PullsReceived: int(s.pullsReceived.Load()),
-		StalePulls:    int(s.stalePulls.Load()),
 		SendCalls:     int(s.sendCalls.Load()),
 		SymbolsSent:   int(s.symbolsSent.Load()),
 		SendErrors:    int(s.sendErrors.Load()),
@@ -385,7 +380,7 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		sess := s.sessions[key]
 		if sess == nil {
 			if len(s.sessions) >= maxSessions {
-				return // table full: the receiver's stall guard says Hello again
+				return // table full: the receiver's re-grant says Hello again
 			}
 			sess = s.newSession(key, hello)
 			s.sessions[key] = sess
@@ -462,7 +457,6 @@ func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 // receiver's next pull restates the rest.
 func (s *Server) grant(sess *serveSession, g uint32) {
 	if int32(g-sess.granted) <= 0 {
-		s.stalePulls.Add(1)
 		return
 	}
 	if sess.granted == sess.sent {
@@ -527,9 +521,9 @@ type FetchStats struct {
 	// Lost counts the symbols a window slid over: Seq numbers skipped when
 	// a later one arrived first. The next grant pulled their replacements.
 	Lost int
-	// Regrants counts the times a sender unheard for a few round trips was
-	// granted another window, and Retries the stall recoveries: nothing
-	// fresh from anyone for a whole RetryInterval.
+	// Regrants counts the times a silent sender was granted another window,
+	// and Retries the stall periods: whole RetryIntervals with nothing fresh
+	// from anyone.
 	Regrants, Retries int
 	// Elapsed is the wall-clock fetch duration, Idle the part of it spent
 	// blocked on the socket, waiting for the senders, and Decode the part
@@ -547,24 +541,11 @@ type FetchStats struct {
 	SendErrors int
 }
 
-// Fetch retrieves the object served at remote over conn (unicast).
-func Fetch(ctx context.Context, conn net.PacketConn, remote net.Addr, flow uint32, cfg Config) ([]byte, error) {
-	data, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{remote}, flow, cfg)
-	return data, err
-}
-
-// FetchMultiSource retrieves one object replicated at every remote,
-// pulling from all of them concurrently (the paper's many-to-one
-// pattern). The senders need no coordination: the Hello index fixes
-// each one's disjoint symbol schedule.
-func FetchMultiSource(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg Config) ([]byte, error) {
-	data, _, err := FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
-	return data, err
-}
-
-// FetchMultiSourceStats is FetchMultiSource returning transfer
-// statistics alongside the object. Remotes must be IP addresses with a
-// port.
+// FetchMultiSourceStats retrieves one object replicated at every remote,
+// pulling from all of them concurrently (the paper's many-to-one pattern),
+// and returns transfer statistics alongside it. The senders need no
+// coordination: the Hello index fixes each one's disjoint symbol
+// schedule. Remotes must be IP addresses with a port.
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg Config) ([]byte, FetchStats, error) {
 	start := time.Now()
 	f := fetcher{cfg: cfg, flow: flow, now: start}
@@ -597,11 +578,9 @@ const (
 	// its senders: what a receive socket queues, with room to spare.
 	standingWindow = 128
 	// A sender is silent after quietRTTs smoothed round trips without a
-	// fresh symbol, quietFloor at the least, and is then granted another
-	// window: maxRegrants times in a row, then only by the stall guard.
-	quietRTTs   = 4
-	quietFloor  = 2 * time.Millisecond
-	maxRegrants = 3
+	// fresh symbol, quietFloor at the least.
+	quietRTTs  = 4
+	quietFloor = 2 * time.Millisecond
 )
 
 // fetcher is the state of one fetch.
@@ -634,7 +613,7 @@ type sender struct {
 	probe    uint32
 	probeAt  time.Time
 	heard    time.Duration // stats.Idle at the last fresh symbol from it, or re-grant to it
-	regrants int           // re-grants since that symbol
+	regrants int           // re-grants since that symbol: each doubles the wait for the next
 }
 
 // setWindow splits the standing window over the senders.
@@ -647,9 +626,9 @@ func (f *fetcher) setWindow() {
 // each sender's window over what arrived.
 func (f *fetcher) run(ctx context.Context) ([]byte, error) {
 	for i := range f.senders {
-		f.grant(i, uint32(min(f.cfg.InitWindow, int(f.window))))
+		f.grant(i, f.window)
 	}
-	retries, progress, lastTick := 0, false, f.now // progress: any new symbol since the last stall check
+	begin, freshIn, base := f.now, -1, 0 // freshIn: the last RetryInterval with a fresh symbol; base: Retries before it
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -675,8 +654,9 @@ func (f *fetcher) run(ctx context.Context) ([]byte, error) {
 		}
 		// Only fresh symbols are progress and reset the stall budget: a
 		// sender replaying duplicates must not defeat MaxRetries.
+		in := int(f.now.Sub(begin) / f.cfg.RetryInterval)
 		if f.stats.Symbols != before {
-			progress, retries = true, 0
+			freshIn, base = in, f.stats.Retries
 			if f.dec.Complete() {
 				f.ctl = wire.AppendDone(f.ctl[:0], f.flow)
 				for i := range f.senders {
@@ -685,30 +665,22 @@ func (f *fetcher) run(ctx context.Context) ([]byte, error) {
 				return f.dec.Object()
 			}
 		}
-		// Stall guard: nothing fresh from anyone for a whole interval. The
-		// senders are dead, or the Hellos were lost: say everything again.
-		if f.now.Sub(lastTick) >= f.cfg.RetryInterval {
-			lastTick = f.now
-			if !progress {
-				retries++
-				f.stats.Retries++
-				if retries > f.cfg.MaxRetries {
-					return nil, fmt.Errorf("rqudp: fetch stalled after %d retries", retries-1)
-				}
-				for i := range f.senders {
-					f.regrant(i, uint32(f.cfg.PullBatch))
-				}
+		// Each RetryInterval that passed with nothing fresh from anyone is a
+		// stall, and more than MaxRetries in a row end the fetch; asking
+		// again is slide's business.
+		if stalled := in - freshIn - 1; stalled > 0 {
+			if f.stats.Retries = base + stalled; stalled > f.cfg.MaxRetries {
+				return nil, fmt.Errorf("rqudp: fetch stalled after %d retries", f.cfg.MaxRetries)
 			}
-			progress = false
 		}
 		f.slide()
 	}
 }
 
-// quiet is how long the fetch waits on a silent socket, and for a silent
-// sender, before a window is granted again. Only time spent waiting counts
-// (stats.Idle is the clock): while the fetcher is busy, decoding, say,
-// what a sender sent lies in the socket and says nothing about it.
+// quiet is how long the fetch waits on a silent socket, and first waits
+// for a silent sender. Only time spent waiting counts (stats.Idle is the
+// clock): while the fetcher is busy, decoding, say, what a sender sent
+// lies in the socket and says nothing about it.
 func (f *fetcher) quiet() time.Duration {
 	q := f.cfg.RetryInterval / 4
 	if f.srtt > 0 {
@@ -718,21 +690,26 @@ func (f *fetcher) quiet() time.Duration {
 }
 
 // slide ends a drain: each sender whose window has room for another step
-// beyond its grant is sent one Pull for all of it, and each that has been
-// silent too long is granted a window more, in case what is outstanding
-// was lost whole, the symbols or the pull.
+// beyond its grant is sent one Pull for all of it, and each silent for
+// quiet, doubled for each re-grant since it was heard, RetryInterval at
+// most, is granted a window more: what is outstanding, the symbols or the
+// pull, is taken for lost, the round trip being timed with it.
 func (f *fetcher) slide() {
 	quiet := f.quiet()
 	for i := range f.senders {
 		s := &f.senders[i]
 		want := s.hi + f.window
 		want -= want % f.step
+		wait := quiet
+		for r := s.regrants; r > 0 && wait < f.cfg.RetryInterval; r-- {
+			wait *= 2
+		}
 		if int32(want-s.granted) > 0 {
 			f.grant(i, want)
-		} else if s.regrants < maxRegrants && f.stats.Idle-s.heard >= quiet {
-			s.regrants++
+		} else if f.stats.Idle-s.heard >= min(wait, f.cfg.RetryInterval) {
 			f.stats.Regrants++
-			f.regrant(i, f.window)
+			s.regrants, s.heard, s.probeAt = s.regrants+1, f.stats.Idle, time.Time{}
+			f.grant(i, s.granted+f.window)
 		}
 	}
 }
@@ -764,13 +741,10 @@ func (f *fetcher) handle(d datagram) error {
 		}
 		f.dec.SetWorkers(f.cfg.Workers)
 		if layout.T > f.cfg.SymbolSize {
-			// The sender's symbols are longer than this side was
-			// configured for: the ring dropped the first bursts, so make
-			// room and ask for them again.
+			// The sender's symbols are longer than this side was configured
+			// for: make room. A silent sender's re-grant asks again for what
+			// the ring dropped meanwhile.
 			f.io.setMaxPacket(layout.T + wire.DataOverhead)
-			for i := range f.senders {
-				f.regrant(i, f.window)
-			}
 		}
 	case wire.MsgData:
 		data, err := wire.ParseData(hdr.Flow, body)
@@ -784,7 +758,7 @@ func (f *fetcher) handle(d datagram) error {
 		if !fresh {
 			// A duplicate moves no window, whatever its Seq: clocking
 			// pulls off duplicates would let a replaying sender sustain a
-			// data->pull->data ping-pong that starves the stall guard and
+			// data->pull->data ping-pong that starves the stall clock and
 			// defeats MaxRetries. It goes quiet instead, and is counted out.
 			f.stats.Duplicates++
 			return nil
@@ -852,14 +826,6 @@ func (f *fetcher) grant(i int, to uint32) {
 		Grant:       to,
 	})
 	f.send(f.ctl, s.peer)
-}
-
-// regrant grants sender i another n symbols whatever has arrived: what
-// was outstanding is taken for lost, the round trip being timed with it.
-func (f *fetcher) regrant(i int, n uint32) {
-	s := &f.senders[i]
-	s.heard, s.probeAt = f.stats.Idle, time.Time{}
-	f.grant(i, s.granted+n)
 }
 
 func (f *fetcher) sendPull(to netip.AddrPort, grant uint32) {

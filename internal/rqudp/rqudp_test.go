@@ -46,7 +46,7 @@ func TestUnicastFetch(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, err := Fetch(ctx, conn, srv.Addr(), 7, DefaultConfig())
+	got, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, 7, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFetchTinyObject(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, err := Fetch(ctx, conn, srv.Addr(), 1, DefaultConfig())
+	got, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, 1, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFetchMultiBlockObject(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, err := Fetch(ctx, conn, srv.Addr(), 2, cfg)
+	got, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMultiSourceFetch(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, err := FetchMultiSource(ctx, conn, remotes, 3, cfg)
+	got, _, err := FetchMultiSourceStats(ctx, conn, remotes, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMultiSourceFetch(t *testing.T) {
 }
 
 // A quarter of the symbols lost on the way: the window slides over the
-// gaps and the fetch never waits for the stall guard.
+// gaps and the fetch never stalls.
 func TestFetchSurvivesSymbolLoss(t *testing.T) {
 	obj := randObject(t, 150_000)
 	cfg := DefaultConfig()
@@ -130,7 +130,7 @@ func TestFetchSurvivesSymbolLoss(t *testing.T) {
 		t.Fatal("fetch under loss corrupted object")
 	}
 	if st.Retries != 0 || st.Lost == 0 {
-		t.Fatalf("%d stall recoveries, %d symbols slid over: %+v", st.Retries, st.Lost, st)
+		t.Fatalf("%d stall periods, %d symbols slid over: %+v", st.Retries, st.Lost, st)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestConcurrentFetchers(t *testing.T) {
 			defer conn.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			got, err := Fetch(ctx, conn, srv.Addr(), uint32(i), DefaultConfig())
+			got, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, uint32(i), DefaultConfig())
 			if err != nil {
 				errs[i] = err
 				return
@@ -177,7 +177,7 @@ func TestFetchContextCancellation(t *testing.T) {
 	dead, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1") // nothing listens
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	_, err := Fetch(ctx, conn, dead, 1, DefaultConfig())
+	_, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{dead}, 1, DefaultConfig())
 	if err == nil {
 		t.Fatal("fetch from dead address succeeded?!")
 	}
@@ -192,7 +192,7 @@ func TestFetchStallAbort(t *testing.T) {
 	cfg.MaxRetries = 3
 	ctx := context.Background()
 	start := time.Now()
-	_, err := Fetch(ctx, conn, dead, 1, cfg)
+	_, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{dead}, 1, cfg)
 	if err == nil {
 		t.Fatal("stalled fetch did not abort")
 	}
@@ -203,10 +203,10 @@ func TestFetchStallAbort(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{SymbolSize: 0, MaxBlockK: 1, InitWindow: 1, PullBatch: 1, RetryInterval: 1, MaxRetries: 1},
-		{SymbolSize: 1, MaxBlockK: 0, InitWindow: 1, PullBatch: 1, RetryInterval: 1, MaxRetries: 1},
-		{SymbolSize: 1, MaxBlockK: 1, InitWindow: 0, PullBatch: 1, RetryInterval: 1, MaxRetries: 1},
-		{SymbolSize: 1, MaxBlockK: 1, InitWindow: 1, PullBatch: 1, RetryInterval: 0, MaxRetries: 1},
+		{SymbolSize: 0, MaxBlockK: 1, RetryInterval: 1, MaxRetries: 1},
+		{SymbolSize: 1, MaxBlockK: 0, RetryInterval: 1, MaxRetries: 1},
+		{SymbolSize: 1, MaxBlockK: 1, RetryInterval: 0, MaxRetries: 1},
+		{SymbolSize: 1, MaxBlockK: 1, RetryInterval: 1, MaxRetries: 0},
 	}
 	for i, cfg := range bad {
 		if err := cfg.validate(); err == nil {
@@ -233,7 +233,7 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	// The server must still serve a normal fetch afterwards.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	got, err := Fetch(ctx, conn, srv.Addr(), 4, DefaultConfig())
+	got, _, err := FetchMultiSourceStats(ctx, conn, []net.Addr{srv.Addr()}, 4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

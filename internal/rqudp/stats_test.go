@@ -67,7 +67,7 @@ func TestFetchStatsMultiSourceBalance(t *testing.T) {
 	}
 	total := 0
 	for i, n := range stats.PerSender {
-		if n < cfg.InitWindow {
+		if n < standingWindow/len(remotes) {
 			t.Fatalf("sender %d delivered %d symbols, not even its initial window: %+v", i, n, stats)
 		}
 		total += n
@@ -84,8 +84,9 @@ func TestFetchStatsMultiSourceBalance(t *testing.T) {
 // sender skipped are counted lost when a later one arrives, late arrivals
 // too; a fresh symbol from an address the fetch was not given is granted
 // a window there, at once, and attributed to no sender. Then the senders
-// fall silent: each is granted another window once per quiet period of
-// waiting, maxRegrants times, and no more until it is heard again.
+// fall silent: each is granted another window after quiet of waiting, and
+// again after twice as long each time, RetryInterval apart at most, until
+// it is heard again.
 func TestFetchAttribution(t *testing.T) {
 	const symbolSize, k, flow = 32, 30, 14
 	snd := newFakeSender(t, randObject(t, symbolSize*k), symbolSize, flow)
@@ -159,34 +160,49 @@ func TestFetchAttribution(t *testing.T) {
 		t.Fatal("a second pull for the same window")
 	}
 
-	// Silence. Half a quiet period is not yet one.
-	granted := ff.senders[0].granted
-	ff.stats.Idle += ff.quiet() / 2
-	ff.slide()
-	if ff.stats.Regrants != 0 {
-		t.Fatalf("%d re-grants before the quiet period was up", ff.stats.Regrants)
+	// Silence, from the senders' last fresh symbols on, watched in steps of
+	// half a quiet period q. With a round trip timed, q is its floor, a
+	// fiftieth of RetryInterval, so that all three are re-granted at q, 3q,
+	// 7q, 15q, 31q and 63q, then 50q apart.
+	ff.srtt = time.Microsecond
+	q := ff.quiet()
+	if 50*q != ff.cfg.RetryInterval {
+		t.Fatalf("quiet %v, RetryInterval %v", q, ff.cfg.RetryInterval)
 	}
-	for round := 1; round <= maxRegrants+2; round++ {
-		ff.stats.Idle += ff.quiet()
+	granted := ff.senders[0].granted
+	due := []time.Duration{q, 3 * q, 7 * q, 15 * q, 31 * q, 63 * q, 113 * q, 163 * q}
+	n := 0 // of due, those past
+	for idle := time.Duration(0); idle <= due[len(due)-1]; idle += q / 2 {
+		ff.stats.Idle = idle
 		ff.slide()
-		if want := 3 * min(round, maxRegrants); ff.stats.Regrants != want || ff.stats.PullsSent != wantStranger+3+want {
-			t.Fatalf("silent round %d: %d re-grants and %d pulls, want %d of each", round, ff.stats.Regrants, ff.stats.PullsSent-wantStranger-3, want)
+		for n < len(due) && due[n] <= idle {
+			n++
+		}
+		if want := 3 * n; ff.stats.Regrants != want || ff.stats.PullsSent != wantStranger+3+want {
+			t.Fatalf("silent for %v: %d re-grants and %d pulls, want %d of each", idle, ff.stats.Regrants, ff.stats.PullsSent-wantStranger-3, want)
 		}
 	}
-	if got := ff.senders[0].granted; got != granted+maxRegrants*ff.window {
-		t.Fatalf("sender 0 granted %d after %d re-grants of %d from %d", got, maxRegrants, ff.window, granted)
+	if got := ff.senders[0].granted; got != granted+uint32(len(due))*ff.window {
+		t.Fatalf("sender 0 granted %d after %d re-grants of %d from %d", got, len(due), ff.window, granted)
 	}
 	// Sender 0 is heard again, far along its new grants: the rest of the
-	// window it skipped is lost, and it may be re-granted again.
+	// window it skipped is lost, and its count starts over, at q and 3q,
+	// while the other two wait out RetryInterval.
 	feed(ff.senders[0].peer, snd.dataSeq(5, 100))
 	ff.slide()
 	if s := ff.senders[0]; ff.stats.Lost != 4+95 || s.hi != 101 || s.regrants != 0 {
 		t.Fatalf("after Seq 100: %+v, %d lost", s, ff.stats.Lost)
 	}
-	ff.stats.Idle += ff.quiet()
-	ff.slide()
-	if ff.stats.Regrants != 3*maxRegrants+1 {
-		t.Fatalf("%d re-grants, want one more for the sender that was heard", ff.stats.Regrants)
+	heard, before := ff.stats.Idle, ff.stats.Regrants
+	for _, c := range []struct {
+		after time.Duration
+		want  int
+	}{{q / 2, 0}, {q, 1}, {2 * q, 1}, {3 * q, 2}, {4 * q, 2}} {
+		ff.stats.Idle = heard + c.after
+		ff.slide()
+		if got := ff.stats.Regrants - before; got != c.want {
+			t.Fatalf("%v after sender 0 was heard: %d re-grants, want %d", c.after, got, c.want)
+		}
 	}
 }
 
@@ -304,21 +320,34 @@ func TestDuplicatesOnlySenderHitsRetryAbort(t *testing.T) {
 	}
 }
 
+// A fetch from an address nothing listens at is granted again and again
+// on the backoff, and aborts after MaxRetries stall periods and one more.
 func TestFetchStatsStallCounting(t *testing.T) {
 	conn := newUDP(t)
 	defer conn.Close()
 	dead, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1")
 	cfg := DefaultConfig()
 	cfg.RetryInterval = 10 * time.Millisecond
-	cfg.MaxRetries = 2
+	cfg.MaxRetries = 3
 	_, stats, err := FetchMultiSourceStats(context.Background(), conn, []net.Addr{dead}, 13, cfg)
 	if err == nil {
 		t.Fatal("dead fetch succeeded")
 	}
-	if stats.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2", stats.Retries)
+	if stats.Retries <= cfg.MaxRetries || stats.Regrants == 0 {
+		t.Fatalf("%d stall periods and %d re-grants, want more than %d and some", stats.Retries, stats.Regrants, cfg.MaxRetries)
 	}
 	if stats.Symbols != 0 {
 		t.Fatalf("symbols = %d from a dead address", stats.Symbols)
 	}
+}
+
+// regrantsDue is how many times a sender silent for idle of waiting is
+// granted again when the first wait is q and each later one twice the
+// last, most at the longest.
+func regrantsDue(idle, q, most time.Duration) (n int) {
+	for at, wait := q, q; at <= idle; at += wait {
+		n++
+		wait = min(2*wait, most)
+	}
+	return n
 }

@@ -318,7 +318,7 @@ func FuzzFetcherHandle(f *testing.F) {
 // A sender that replays one symbol under ever higher Seqs moves nothing:
 // its window stays where its one fresh symbol put it, it earns no grant
 // beyond the one that symbol earned, and it is not heard from, which is
-// what lets the stall guard count it out
+// what lets the stall clock count it out
 // (TestDuplicatesOnlySenderHitsRetryAbort).
 func TestDuplicatesMoveNoWindow(t *testing.T) {
 	const symbolSize, k, flow = 32, 30, 15

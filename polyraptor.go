@@ -106,11 +106,12 @@ type (
 	// Server serves one object to any number of pull-driven receivers
 	// over a net.PacketConn.
 	Server = rqudp.Server
-	// TransportConfig tunes the UDP transport.
+	// TransportConfig tunes the UDP transport: symbol and block size, the
+	// stall period and how many in a row abort a fetch, decode workers.
 	TransportConfig = rqudp.Config
 	// FetchStats reports symbols, duplicates, per-sender contributions,
-	// retries and the socket I/O (reads, datagrams, pulls, send errors)
-	// of one fetch.
+	// re-grants, stall periods and the socket I/O (reads, datagrams,
+	// pulls, send errors) of one fetch.
 	FetchStats = rqudp.FetchStats
 	// ServerStats is the socket I/O a Server has done, from Server.Stats:
 	// reads, datagrams, pulls, and the sends that carried symbols
@@ -135,19 +136,24 @@ func NewServer(conn net.PacketConn, object []byte, cfg TransportConfig) (*Server
 	return rqudp.NewServer(conn, object, cfg)
 }
 
-// Fetch retrieves the object served at remote (unicast).
+// Fetch retrieves the object served at remote (unicast). It gives up
+// after cfg.MaxRetries stall periods of cfg.RetryInterval in a row with no
+// new symbol, or when ctx is done.
 func Fetch(ctx context.Context, conn net.PacketConn, remote net.Addr, flow uint32, cfg TransportConfig) ([]byte, error) {
-	return rqudp.Fetch(ctx, conn, remote, flow, cfg)
+	data, _, err := rqudp.FetchMultiSourceStats(ctx, conn, []net.Addr{remote}, flow, cfg)
+	return data, err
 }
 
 // FetchMultiSource retrieves one object replicated at every remote,
 // pulling from all of them without sender coordination.
 func FetchMultiSource(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg TransportConfig) ([]byte, error) {
-	return rqudp.FetchMultiSource(ctx, conn, remotes, flow, cfg)
+	data, _, err := rqudp.FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
+	return data, err
 }
 
 // FetchMultiSourceStats is FetchMultiSource returning per-transfer
-// statistics (symbol counts, per-sender contributions, retries).
+// statistics (symbol counts, per-sender contributions, re-grants of
+// silent senders, stall periods).
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg TransportConfig) ([]byte, FetchStats, error) {
 	return rqudp.FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
 }
