@@ -11,10 +11,10 @@
 // The shim also keeps the books, per flow, and holds the transport to its
 // own rules for the window: the receiver's pulls never grant less than it
 // has granted; the server numbers its Data packets 0, 1, 2, ... and emits
-// none twice; and it never emits more than it was granted by what reached
-// it. Err reports
-// the first breaches. A Done is never harmed, so that once one has passed
-// the server has been told.
+// none twice; it never emits more than it was granted by what reached it;
+// and once a Pull that reached it said a block was finished, it emits no
+// symbol of that block. Err reports the first breaches. A Done is never
+// harmed, so that once one has passed the server has been told.
 //
 // Not here yet, and wanted by the congestion story over real sockets
 // (ROADMAP item 7(a)): a rate limit with a bounded queue, and NDP-style
@@ -83,6 +83,19 @@ type Book struct {
 
 	offered uint32 // the last grant the receiver sent, whether or not it arrived
 	done    bool   // a Done has passed: the next Hello opens a new book
+	// finished is what the Pulls the server has read said of the blocks,
+	// and told, oldest first, what those that reached it and that it may
+	// not have read yet said, each with the first Seq it can only have
+	// emitted after. (Past eight the oldest is dropped: a later one says
+	// more.)
+	finished wire.Blocks
+	told     [8]told
+	ntold    int
+}
+
+type told struct {
+	from   uint32
+	blocks wire.Blocks
 }
 
 // Shim is a running shim. Close it to stop.
@@ -292,11 +305,18 @@ func (s *Shim) offered(hdr wire.Header, body []byte, isDown bool) {
 		if int32(b.Granted-b.Sent) < 0 {
 			s.breach("flow %d: the server emitted %d symbols, granted %d", hdr.Flow, b.Sent, b.Granted)
 		}
+		n := 0
+		for ; n < b.ntold && int32(d.Seq-b.told[n].from) >= 0; n++ {
+			b.finished = b.finished.Merge(b.told[n].blocks)
+		}
+		if b.ntold = copy(b.told[:], b.told[n:b.ntold]); b.finished.Done(d.SBN) {
+			s.breach("flow %d: the server emitted Seq %d of block %d, which a Pull it had read said was finished", hdr.Flow, d.Seq, d.SBN)
+		}
 		if s.cfg.Record {
 			b.Emitted = append(b.Emitted, [2]uint32{d.SBN, d.ESI})
 		}
 	case hdr.Type == wire.MsgHello || hdr.Type == wire.MsgPull:
-		g, ok := grantOf(hdr, body)
+		g, _, ok := grantOf(hdr, body)
 		if !ok {
 			return
 		}
@@ -311,14 +331,14 @@ func (s *Shim) offered(hdr wire.Header, body []byte, isDown bool) {
 	}
 }
 
-// grantOf is the grant a Hello or a Pull carries.
-func grantOf(hdr wire.Header, body []byte) (uint32, bool) {
+// grantOf is the grant a Hello or a Pull carries, and the Pull's blocks.
+func grantOf(hdr wire.Header, body []byte) (uint32, wire.Blocks, bool) {
 	if hdr.Type == wire.MsgHello {
 		h, err := wire.ParseHello(hdr.Flow, body)
-		return h.Grant, err == nil
+		return h.Grant, wire.Blocks{}, err == nil
 	}
 	p, err := wire.ParsePull(hdr.Flow, body)
-	return p.Grant, err == nil
+	return p.Grant, p.Blocks, err == nil
 }
 
 // deliver passes a packet on, and enters what reaches the server in the
@@ -356,12 +376,22 @@ func (s *Shim) arrived(hdr wire.Header, body []byte) {
 		return
 	case wire.MsgHello:
 		b.Hellos++
+		b.finished, b.ntold = wire.Blocks{}, 0 // as the server does: a new fetch's blocks are all to do
 	case wire.MsgPull:
 		b.Pulls++
 	default:
 		return
 	}
-	g, _ := grantOf(hdr, body)
+	g, blocks, _ := grantOf(hdr, body)
+	if hdr.Type == wire.MsgPull {
+		// The server may emit up to what it was granted before it reads
+		// this; anything beyond, only after.
+		if b.ntold == len(b.told) {
+			b.ntold = copy(b.told[:], b.told[1:])
+		}
+		b.told[b.ntold] = told{from: b.Granted, blocks: blocks}
+		b.ntold++
+	}
 	if b.Hellos > 1 && hdr.Type == wire.MsgHello && int32(g-b.Granted) < 0 {
 		// A Hello behind what its session was sent counts from there, and
 		// that is at most what it was granted.

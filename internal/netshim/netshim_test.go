@@ -373,6 +373,16 @@ func TestBreachesAreCaught(t *testing.T) {
 			p.up(pull(20))
 			p.down(burst(0, 11)...)
 		}, "emitted 11 symbols, granted 10"},
+		{"a symbol of a block a Pull said was finished", func(p *pipe) {
+			p.up(wire.AppendPull(nil, wire.Pull{Flow: flow, Grant: 20, Blocks: wire.Blocks{Low: 2}}))
+			p.seqs(p.server)
+			p.down(burst(0, 11)...) // block 1's; Seqs 0-9 the Hello let out, and may be on their way
+		}, "Seq 10 of block 1"},
+		{"or emitted before the server read it", func(p *pipe) {
+			p.up(wire.AppendPull(nil, wire.Pull{Flow: flow, Grant: 20, Blocks: wire.Blocks{Low: 2}}))
+			p.seqs(p.server)
+			p.down(burst(0, 10)...)
+		}, ""},
 		{"a new fetch on the flow starts a new book", func(p *pipe) {
 			p.down(burst(0, 10)...)
 			p.up(wire.AppendDone(nil, flow), hello(5))

@@ -765,7 +765,7 @@ func udpFetchCase(name string, size int, lossPct float64) Case {
 		remotes []net.Addr
 		conn    net.PacketConn
 		flow    uint32
-		runs    int
+		runs    int // fetches in the last Fn, which total sums
 		total   rqudp.FetchStats
 	)
 	listen := func() net.PacketConn {
@@ -830,16 +830,20 @@ func udpFetchCase(name string, size int, lossPct float64) Case {
 				st := srv.Stats()
 				sent.SendCalls += st.SendCalls
 				sent.SymbolsSent += st.SymbolsSent
+				sent.Precoded += st.Precoded
 			}
 			m := map[string]float64{
 				"datagrams_per_read": float64(total.Datagrams) / float64(total.ReadCalls),
 				"pulls_per_symbol":   float64(total.PullsSent) / float64(total.Symbols),
 				"symbols_per_send":   float64(sent.SymbolsSent) / float64(sent.SendCalls),
+				"symbols_per_fetch":  float64(total.Symbols) / float64(runs),
+				// Blocks precoded since the servers started, over the fetches
+				// since then (flow counts them): the blocks repair was sent of.
+				"precoded_per_fetch": float64(sent.Precoded) / float64(flow),
 			}
 			if lossPct >= 0 {
 				m["retries_per_fetch"] = float64(total.Retries) / float64(runs)
 				m["regrants_per_fetch"] = float64(total.Regrants) / float64(runs)
-				m["symbols_per_fetch"] = float64(total.Symbols) / float64(runs)
 			}
 			return m
 		},

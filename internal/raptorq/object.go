@@ -413,6 +413,9 @@ func (od *ObjectDecoder) Complete() bool { return od.nDone == len(od.blocks) }
 // BlockComplete reports whether block sbn has been decoded.
 func (od *ObjectDecoder) BlockComplete(sbn int) bool { return od.done[sbn] }
 
+// BlockReceived returns the number of distinct symbols block sbn holds.
+func (od *ObjectDecoder) BlockReceived(sbn int) int { return od.blocks[sbn].Received() }
+
 // BlockReady reports whether TryDecode has work on block sbn: it holds
 // at least K symbols and has not been decoded.
 func (od *ObjectDecoder) BlockReady(sbn int) bool {

@@ -15,9 +15,11 @@ import (
 // socket path is judged by — symbols per send (the mean train), datagrams
 // per read and pulls per symbol — and what a fetch has to say about where
 // its time went: the share of it spent waiting on the socket and spent in
-// the decoder, symbols slid over and re-grants per fetch, and the blocks
-// the servers precoded per fetch: their servers are fresh, so that is the
-// blocks some fetch was sent repair symbols of, over b.N.
+// the decoder, symbols slid over and re-grants per fetch, the share of
+// fetches that received more symbols than the object's source symbols (so
+// were sent repair), and the blocks the servers precoded per fetch: their
+// servers are fresh, so that is the blocks some fetch was sent repair
+// symbols of, over b.N.
 func BenchmarkFetch2x1MiB(b *testing.B) {
 	obj := make([]byte, 1<<20)
 	for i := range obj {
@@ -47,6 +49,7 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	defer conn.Close()
 
 	var total FetchStats
+	repaired := 0
 	b.SetBytes(int64(len(obj)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,6 +59,9 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 			b.Fatalf("fetch %d: %v", i, err)
 		}
 		total.Symbols += st.Symbols
+		if st.Symbols > len(obj)/cfg.SymbolSize {
+			repaired++
+		}
 		total.Duplicates += st.Duplicates
 		total.Retries += st.Retries
 		total.ReadCalls += st.ReadCalls
@@ -91,6 +97,7 @@ func BenchmarkFetch2x1MiB(b *testing.B) {
 	b.ReportMetric(float64(total.Decode)/float64(total.Elapsed), "decode/elapsed")
 	b.ReportMetric(float64(total.Lost)/float64(b.N), "lost/fetch")
 	b.ReportMetric(float64(total.Regrants)/float64(b.N), "regrants/fetch")
+	b.ReportMetric(float64(repaired)/float64(b.N), "repair-fetches/fetch")
 	b.ReportMetric(float64(sent.Precoded)/float64(b.N), "precoded/fetch")
 }
 

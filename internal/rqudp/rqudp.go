@@ -11,28 +11,40 @@
 //	   |          grant: w} ------------>  |    the ESI partition)
 //	   | <-- Announce{F, T, maxK} ------   |
 //	   | <== Data{seq 0..w-1} ==========   |   (source symbols first;
-//	   | -- Pull{grant: hi+w} --------->   |    <== is one train)
-//	   | <== Data{seq w..hi+w-1} =======   |
+//	   | -- Pull{grant, blocks done} -->   |    <== is one train)
+//	   | <== Data{seq w..grant-1} ======   |
 //	   | -- Done ---------------------->   |
 //
 // The sender numbers a session's Data packets as it emits them (Seq), and
 // a grant is cumulative: "you may have emitted this many in all". The
 // receiver keeps, per sender, hi — one past the highest Seq a fresh symbol
-// carried — and after each drain of its socket grants hi+w, w being the
-// sender's share of the standing window, one full train at most. A lost
-// symbol leaves a gap below hi, and that is all: the window has slid over
-// it, so the pull that its successors earn asks for its replacement too,
-// which is what a trimmed header tells the paper's receiver. A lost pull
-// is restated by the next; a repeated, late or stale one changes nothing,
-// because the sender keeps the highest. A clock matters only when all
-// that was outstanding is lost at once. The mechanisms, each with a test
-// that fails without it:
+// carried — and after each drain of its socket grants the standing window
+// source first (slide), so a lossless fetch is sent exactly its source
+// symbols and solves nothing. A lost symbol leaves a gap below hi, and
+// that is all: the window has slid over it, and its block lacks a symbol
+// nothing covers, which the next grant asks for — what a trimmed header
+// tells the paper's receiver. A lost pull is restated by the next; a
+// repeated, late or stale one changes nothing, because the sender keeps the
+// highest grant, and the finished blocks the latest pull named,
+// whose symbols it sends no more. A clock matters only when all a sender
+// owed is lost at once. The mechanisms, each with a test that fails
+// without it:
 //
 //   - the sliding grant (TestCoalescedCreditsBounded);
-//   - the backoff re-grant (TestSilentSenderRecovered): a window more for a
-//     sender unheard for quiet of waiting, then after 2q, 4q... up to
-//     RetryInterval, until it is heard. q is 4 srtt, 2 ms to RetryInterval/4;
-//     no test needs the srtt, kept as 4 srtt measured 7.6 ms under loss;
+//   - source first, repair for what nothing covers (TestFetchAttribution,
+//     TestStragglerIdleIsNotSilent); its allowance for the loss measured
+//     is pinned by TestFetchAttribution alone: no ladder rung needs it;
+//   - the server's block cursor (TestFinishedBlocksSkipped; the network
+//     shim's breach check holds every shimmed test to it);
+//   - the backoff re-grant (TestSilentSenderRecovered): a sender that owes
+//     symbols and is unheard for quiet of waiting is silent — it covers
+//     nothing, the others take its share (TestStragglerTakesOver) — and is
+//     granted a symbol more, then again after 2q, 4q... up to
+//     RetryInterval, until it is heard. An idle sender owes nothing and is
+//     not silent, and its wait starts at its next grant
+//     (TestIdleSenderWaitsFromItsGrant). q is 4 srtt, 2 ms to
+//     RetryInterval/4; no test needs the srtt, kept as 4 srtt measured
+//     7.6 ms under loss;
 //   - a Hello, not a Pull, until the sender is heard (TestLostHelloRegranted);
 //   - the abort after MaxRetries RetryIntervals and one more with nothing
 //     fresh, duplicates being no progress (TestFetchStatsStallCounting);
@@ -54,8 +66,8 @@
 // The code is systematic, and the sender is too: a source symbol goes
 // out from where it lies in the object, and a block is precoded only when
 // some receiver is first owed a repair symbol of it. NewServer therefore
-// does no codec work, and a fetch that loses nothing, and whose senders
-// do not run past the source symbols, costs no precode at all.
+// does no codec work, and a fetch that loses nothing costs no precode at
+// all.
 //
 // Multi-source fetches send one Hello per sender with a distinct index;
 // senders partition source symbols and use disjoint repair ESI residue
@@ -189,13 +201,15 @@ type sessionKey struct {
 	flow uint32
 }
 
-// serveSession tracks one receiver's cursors and its window: the next Seq
-// and the highest grant heard, which wrap and are equal between drains.
+// serveSession tracks one receiver's cursors, the blocks its pulls said it
+// has finished, and its window: the next Seq and the highest grant heard,
+// which wrap and are equal between drains.
 type serveSession struct {
 	key           sessionKey
 	cursors       []senderCursor
 	srcBlock      int // first block whose source symbols are not all sent
 	rrBlock       int // round-robin block pointer for repair symbols
+	blocks        wire.Blocks
 	sent, granted uint32
 	lastActive    time.Time
 }
@@ -402,6 +416,7 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		if int32(hello.Grant-sess.sent) < 0 {
 			hello.Grant += sess.sent
 		}
+		sess.blocks = wire.Blocks{} // a new fetch's blocks are all to do
 		s.grant(sess, hello.Grant)
 	case wire.MsgPull:
 		pull, err := wire.ParsePull(hdr.Flow, body)
@@ -414,6 +429,10 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 		}
 		s.pullsReceived.Add(1)
 		sess.lastActive = now
+		if sess.blocks = sess.blocks.Merge(pull.Blocks); int(sess.blocks.Low) >= len(sess.cursors) {
+			sess.granted = sess.sent // every block finished: nothing more is owed
+			return
+		}
 		s.grant(sess, pull.Grant)
 	case wire.MsgDone:
 		if sess := s.sessions[key]; sess != nil {
@@ -430,24 +449,25 @@ func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 	n := int64(h.SenderCount)
 	idx := int64(h.SenderIdx)
 	for _, k := range layout.K {
-		kk := int64(k)
-		il, is, jl, _ := raptorq.Partition(k, int(n))
-		var start int64
-		span := int64(is)
-		if idx < int64(jl) {
-			span = int64(il)
-			start = idx * int64(il)
-		} else {
-			start = int64(jl)*int64(il) + (idx-int64(jl))*int64(is)
-		}
+		start, span := partition(k, int(idx), int(n))
 		sess.cursors = append(sess.cursors, senderCursor{
-			srcNext:    start,
-			srcEnd:     start + span,
-			repairNext: kk + idx,
+			srcNext:    int64(start),
+			srcEnd:     int64(start + span),
+			repairNext: int64(k) + idx,
 			stride:     n,
 		})
 	}
 	return sess
+}
+
+// partition is the slice of a block of k source symbols that sender idx of
+// n sends: ESIs start to start+span-1.
+func partition(k, idx, n int) (start, span int) {
+	il, is, jl, _ := raptorq.Partition(k, n)
+	if idx < jl {
+		return idx * il, il
+	}
+	return jl*il + (idx-jl)*is, is
 }
 
 // grant lets a session have been sent g symbols in all, to be paid when
@@ -466,18 +486,22 @@ func (s *Server) grant(sess *serveSession, g uint32) {
 }
 
 // next advances the session's schedule by one symbol: the source symbols
-// of its partition block by block, then repair symbols round-robin
-// across blocks.
+// of its partition block by block, then repair symbols round-robin across
+// blocks, in both phases passing over the blocks the receiver said it has
+// finished, which are never all of them (handle).
 func (sess *serveSession) next() (sbn int, esi uint32) {
 	for ; sess.srcBlock < len(sess.cursors); sess.srcBlock++ {
-		if cur := &sess.cursors[sess.srcBlock]; cur.srcNext < cur.srcEnd {
+		if cur := &sess.cursors[sess.srcBlock]; cur.srcNext < cur.srcEnd && !sess.blocks.Done(uint32(sess.srcBlock)) {
 			esi := cur.srcNext
 			cur.srcNext++
 			return sess.srcBlock, uint32(esi)
 		}
 	}
-	sbn = sess.rrBlock % len(sess.cursors)
-	sess.rrBlock++
+	z, low := len(sess.cursors), int(sess.blocks.Low)
+	// Block low is unfinished, so this ends within 65 blocks of it.
+	for sbn = max(sess.rrBlock%z, low); sess.blocks.Done(uint32(sbn)); sbn = max((sbn+1)%z, low) {
+	}
+	sess.rrBlock = sbn + 1
 	cur := &sess.cursors[sbn]
 	repair := cur.repairNext
 	cur.repairNext += cur.stride
@@ -548,7 +572,7 @@ type FetchStats struct {
 // schedule. Remotes must be IP addresses with a port.
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg Config) ([]byte, FetchStats, error) {
 	start := time.Now()
-	f := fetcher{cfg: cfg, flow: flow, now: start}
+	f := fetcher{cfg: cfg, flow: flow, now: start, ctl: make([]byte, 0, 32)} // room for any control packet
 	f.stats.PerSender = make([]int, len(remotes))
 	if err := cfg.validate(); err != nil {
 		return nil, f.stats, err
@@ -592,22 +616,31 @@ type fetcher struct {
 	stats   FetchStats
 	dec     *raptorq.ObjectDecoder // nil until the first Announce
 
-	// window is each sender's share of the standing window. Grants are
-	// multiples of step, a quarter of it: a socket read one datagram at a
-	// time asks once per step, and bursts end where source partitions do.
+	// window is each sender's share of the standing window. Source grants
+	// are multiples of step, a quarter of it: a socket read one datagram at
+	// a time asks once per step, and bursts end where source partitions do.
 	window, step uint32
 	now          time.Time     // when the current drain was read
 	srtt         time.Duration // smoothed time from a grant to its first symbol; 0 before the first
 	ctl          []byte        // scratch for outgoing control packets
+
+	ks  []int // each block's K, from the Announce on
+	low int   // no block below it is unfinished
 }
 
 // sender is one remote's window. hi is one past the highest Seq a fresh
 // symbol from it carried and granted the last grant sent to it: what lies
 // between is in flight, lost, or unsent because the pull was lost, and
 // nothing records which. A gap below hi is simply no longer in flight.
+// Its Seqs from base, its first, on carry its source symbols, block by
+// block, src of them. A silent sender's debt is written off, and it covers
+// nothing until it is heard again.
 type sender struct {
-	peer        netip.AddrPort
-	hi, granted uint32
+	peer              netip.AddrPort
+	hi, granted, want uint32
+	base              uint32
+	src               int  // its source symbols, to the block uncovered is at; all, after
+	silent, due       bool // due: made silent, or re-granted as such, by this drain
 	// A round trip is timed from probeAt (zero: none is), when a grant
 	// beyond probe went out, to the first Seq that only it can have let out.
 	probe    uint32
@@ -615,6 +648,19 @@ type sender struct {
 	heard    time.Duration // stats.Idle at the last fresh symbol from it, or re-grant to it
 	regrants int           // re-grants since that symbol: each doubles the wait for the next
 }
+
+// from is the first of its Seqs still counted on.
+func (s *sender) from() uint32 {
+	if s.silent {
+		return s.granted
+	}
+	return s.hi
+}
+
+// grantable reports whether the drain's grants are for it: those of a fetch
+// with live senders are theirs, and when every sender is silent they go to
+// those whose re-grant fell due.
+func (s *sender) grantable(live int) bool { return !s.silent || live == 0 && s.due }
 
 // setWindow splits the standing window over the senders.
 func (f *fetcher) setWindow() {
@@ -689,30 +735,116 @@ func (f *fetcher) quiet() time.Duration {
 	return q
 }
 
-// slide ends a drain: each sender whose window has room for another step
-// beyond its grant is sent one Pull for all of it, and each silent for
+// slide ends a drain. Each sender that owes symbols and was unheard for
 // quiet, doubled for each re-grant since it was heard, RetryInterval at
-// most, is granted a window more: what is outstanding, the symbols or the
-// pull, is taken for lost, the round trip being timed with it.
+// most, is made silent; the window is shared out; and a silent sender due
+// that got no share is granted one more symbol, to find out if it is back.
 func (f *fetcher) slide() {
-	quiet := f.quiet()
+	quiet, live := f.quiet(), 0
 	for i := range f.senders {
 		s := &f.senders[i]
-		want := s.hi + f.window
-		want -= want % f.step
 		wait := quiet
 		for r := s.regrants; r > 0 && wait < f.cfg.RetryInterval; r-- {
 			wait *= 2
 		}
-		if int32(want-s.granted) > 0 {
-			f.grant(i, want)
-		} else if f.stats.Idle-s.heard >= min(wait, f.cfg.RetryInterval) {
+		s.due = (s.silent || int32(s.granted-s.hi) > 0) && f.stats.Idle-s.heard >= min(wait, f.cfg.RetryInterval)
+		if s.due {
 			f.stats.Regrants++
-			s.regrants, s.heard, s.probeAt = s.regrants+1, f.stats.Idle, time.Time{}
-			f.grant(i, s.granted+f.window)
+			s.regrants, s.heard, s.probeAt, s.silent = s.regrants+1, f.stats.Idle, time.Time{}, true
+		}
+		if !s.silent {
+			live++
+		}
+		s.want = s.granted
+	}
+	if f.dec != nil { // before the Announce, no symbol moves a window
+		f.share(live)
+	}
+	for i := range f.senders {
+		s := &f.senders[i]
+		if s.due && s.want == s.granted {
+			s.want++
+		}
+		if int32(s.want-s.granted) > 0 {
+			f.grant(i, s.want)
 		}
 	}
 }
+
+// share grants the standing window source first: a sender with source
+// symbols still to grant is granted up to a share of the window beyond its
+// highest Seq, taking the shares of those past their partitions once it
+// has been heard. The one past its partition owing fewest is granted
+// repair for what the unfinished blocks lack beyond what is in flight or
+// still to come, and as many more as the fetch has lost of those so far.
+func (f *fetcher) share(live int) {
+	gap, nsrc := f.uncovered(live), 0
+	for i := range f.senders {
+		if s := &f.senders[i]; s.grantable(live) && past(s.base+uint32(s.src), s.granted) > 0 {
+			nsrc++
+		}
+	}
+	share, inflight, next := f.window*uint32(len(f.senders))/uint32(max(nsrc, 1)), 0, -1
+	for i := range f.senders {
+		s := &f.senders[i]
+		if !s.grantable(live) {
+			continue
+		}
+		end := s.base + uint32(s.src)
+		gap -= max(0, past(s.granted, s.from())-past(end, s.from())) // repair in flight
+		if past(end, s.want) > 0 {
+			w := s.from() + share
+			if f.stats.PerSender[i] == 0 {
+				w = s.from() + f.window // not heard yet: no one else's share
+			}
+			w -= w % f.step
+			if past(w, end) > 0 {
+				w = end
+			}
+			if past(w, s.want) > 0 {
+				s.want = w
+			}
+		}
+		inflight += past(s.want, s.from())
+		if past(end, s.want) == 0 && (next < 0 || past(s.want, s.from()) < past(f.senders[next].want, f.senders[next].from())) {
+			next = i // past its partition, and owing the fewest
+		}
+	}
+	if gap > 0 && next >= 0 {
+		lost := (gap*f.stats.Lost + f.stats.Symbols - 1) / max(f.stats.Symbols, 1)
+		if n := min(gap+lost, standingWindow-inflight); n > 0 {
+			f.senders[next].want += uint32(n)
+		}
+	}
+}
+
+// uncovered is how many symbols the unfinished blocks lack beyond the
+// source symbols the grantable senders have still to send, each to its
+// block. It counts each sender's src as it goes.
+func (f *fetcher) uncovered(live int) int {
+	for i := range f.senders {
+		f.senders[i].src = 0
+	}
+	lack := 0
+	for b, k := range f.ks {
+		need := 0
+		if !f.dec.BlockComplete(b) {
+			need = max(1, k-f.dec.BlockReceived(b))
+		}
+		for i := range f.senders {
+			s := &f.senders[i]
+			_, span := partition(k, i, len(f.senders))
+			if s.src += span; s.grantable(live) {
+				need -= max(0, s.src-max(past(s.from(), s.base), s.src-span))
+			}
+		}
+		lack += max(0, need)
+	}
+	return lack
+}
+
+// past is how far Seq a is past b, as serial numbers; 0 if it is not.
+func past(a, b uint32) int { return max(0, int(int32(a-b))) }
 
 // handle processes one datagram of a drain. It returns an error only
 // for an Announce the fetch cannot continue from.
@@ -740,6 +872,7 @@ func (f *fetcher) handle(d datagram) error {
 			return err
 		}
 		f.dec.SetWorkers(f.cfg.Workers)
+		f.ks = layout.K
 		if layout.T > f.cfg.SymbolSize {
 			// The sender's symbols are longer than this side was configured
 			// for: make room. A silent sender's re-grant asks again for what
@@ -782,9 +915,9 @@ func (f *fetcher) handle(d datagram) error {
 			if f.stats.PerSender[i]++; f.stats.PerSender[i] == 1 {
 				// Its first symbol says where the sender counts from: not
 				// from 0 on a session left over from an earlier fetch.
-				s.hi, s.granted = data.Seq, s.granted+data.Seq
+				s.hi, s.granted, s.base = data.Seq, s.granted+data.Seq, data.Seq
 			}
-			s.heard, s.regrants = f.stats.Idle, 0
+			s.heard, s.regrants, s.silent = f.stats.Idle, 0, false
 			if !s.probeAt.IsZero() && int32(data.Seq-s.probe) >= 0 {
 				if rtt := f.now.Sub(s.probeAt); f.srtt == 0 {
 					f.srtt = rtt
@@ -814,6 +947,9 @@ func (f *fetcher) grant(i int, to uint32) {
 	if s.probeAt.IsZero() {
 		s.probe, s.probeAt = s.granted, f.now
 	}
+	if int32(s.granted-s.hi) <= 0 {
+		s.heard = f.stats.Idle // an idle sender's wait starts now
+	}
 	s.granted = to
 	if f.stats.PerSender[i] > 0 {
 		f.sendPull(s.peer, to)
@@ -829,9 +965,23 @@ func (f *fetcher) grant(i int, to uint32) {
 }
 
 func (f *fetcher) sendPull(to netip.AddrPort, grant uint32) {
-	f.ctl = wire.AppendPull(f.ctl[:0], wire.Pull{Flow: f.flow, Grant: grant})
+	f.ctl = wire.AppendPull(f.ctl[:0], wire.Pull{Flow: f.flow, Grant: grant, Blocks: f.blocks()})
 	f.send(f.ctl, to)
 	f.stats.PullsSent++
+}
+
+// blocks is the fetch's block state as a Pull tells it.
+func (f *fetcher) blocks() (b wire.Blocks) {
+	for f.low < len(f.ks) && f.dec.BlockComplete(f.low) {
+		f.low++
+	}
+	for i := 0; i < 64 && f.low+1+i < len(f.ks); i++ {
+		if f.dec.BlockComplete(f.low + 1 + i) {
+			b.Above |= 1 << i
+		}
+	}
+	b.Low = uint32(f.low)
+	return b
 }
 
 // send writes one packet and counts a refusal.

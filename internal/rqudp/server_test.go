@@ -369,6 +369,12 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(frame(hello(1), hello(1), pull(1, 1<<32-1), pull(1, 0), pull(1, 1<<32-1)))           // the counter's last value
 	f.Add(frame(hello(1), hello(1), []byte{0xA7, 1, byte(wire.MsgPull), 0, 0, 0, 0, 1, 0, 9})) // a version 1 Pull, 9 credits
 	f.Add(frame(wire.AppendHello(nil, wire.Hello{Flow: 1, SenderCount: 1, Grant: 1<<32 - 1}), hello(1), hello(1)))
+	f.Add(frame(hello(1), hello(1), []byte{0xA7, 2, byte(wire.MsgPull), 0, 0, 0, 0, 1, 0, 0, 0, 90})) // a version 2 Pull, refused
+	pullBlocks := func(grant uint32, b wire.Blocks) []byte {
+		return wire.AppendPull(nil, wire.Pull{Flow: 1, Grant: grant, Blocks: b})
+	}
+	f.Add(frame(hello(1), hello(1), pullBlocks(40, wire.Blocks{Above: 1}), pullBlocks(80, wire.Blocks{Low: 1<<32 - 1}))) // block 1 finished, then all
+	f.Add(frame(hello(1), hello(1), pullBlocks(90, wire.Blocks{Low: 0, Above: ^uint64(0)}), hello(1), pullBlocks(99, wire.Blocks{})))
 
 	s := newScriptedServer(f)
 	f.Fuzz(func(t *testing.T, in []byte) {

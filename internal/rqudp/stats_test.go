@@ -83,10 +83,12 @@ func TestFetchStatsMultiSourceBalance(t *testing.T) {
 // it is from; a duplicate counts for nobody and moves nothing; the Seqs a
 // sender skipped are counted lost when a later one arrives, late arrivals
 // too; a fresh symbol from an address the fetch was not given is granted
-// a window there, at once, and attributed to no sender. Then the senders
-// fall silent: each is granted another window after quiet of waiting, and
-// again after twice as long each time, RetryInterval apart at most, until
-// it is heard again.
+// a window there, at once, and attributed to no sender. When the drain
+// ends each sender is granted the rest of its source partition, and the one
+// owing fewest the symbol the block lacks beyond them, and one more for
+// the loss measured. Then the senders fall silent: each is granted again
+// after quiet of waiting, and again after twice as long each time,
+// RetryInterval apart at most, until it is heard again.
 func TestFetchAttribution(t *testing.T) {
 	const symbolSize, k, flow = 32, 30, 14
 	snd := newFakeSender(t, randObject(t, symbolSize*k), symbolSize, flow)
@@ -150,9 +152,11 @@ func TestFetchAttribution(t *testing.T) {
 	if ff.stats.PullsSent != wantStranger+3 || sent[5000] != 1 || sent[5001] != 1 || sent[5002] != 1 {
 		t.Fatalf("after the drain: %d pulls sent, packets by port %v; want one to each sender", ff.stats.PullsSent, sent)
 	}
-	for i, s := range ff.senders {
-		if ahead := s.granted - s.hi; ahead > ff.window || ahead <= ff.window-ff.step || s.granted%ff.step != 0 {
-			t.Fatalf("sender %d: window at %d, granted %d; want a multiple of %d within the last step of %d ahead", i, s.hi, s.granted, ff.step, ff.window)
+	// 14 of the block's 30 symbols are in; 15 source symbols are still to
+	// come, 5, 4 and 6 from the three; 4 of 14 Seqs were lost.
+	for i, want := range []uint32{10, 10 + 1 + 1, 10} {
+		if s := ff.senders[i]; s.src != 10 || s.granted != want {
+			t.Fatalf("sender %d: window at %d, granted %d; want %d", i, s.hi, s.granted, want)
 		}
 	}
 	ff.slide()
@@ -169,7 +173,10 @@ func TestFetchAttribution(t *testing.T) {
 	if 50*q != ff.cfg.RetryInterval {
 		t.Fatalf("quiet %v, RetryInterval %v", q, ff.cfg.RetryInterval)
 	}
-	granted := ff.senders[0].granted
+	var granted [3]uint32
+	for i, s := range ff.senders {
+		granted[i] = s.granted
+	}
 	due := []time.Duration{q, 3 * q, 7 * q, 15 * q, 31 * q, 63 * q, 113 * q, 163 * q}
 	n := 0 // of due, those past
 	for idle := time.Duration(0); idle <= due[len(due)-1]; idle += q / 2 {
@@ -182,8 +189,13 @@ func TestFetchAttribution(t *testing.T) {
 			t.Fatalf("silent for %v: %d re-grants and %d pulls, want %d of each", idle, ff.stats.Regrants, ff.stats.PullsSent-wantStranger-3, want)
 		}
 	}
-	if got := ff.senders[0].granted; got != granted+uint32(len(due))*ff.window {
-		t.Fatalf("sender 0 granted %d after %d re-grants of %d from %d", got, len(due), ff.window, granted)
+	// All silent, all written off: each time, the first is granted the 16
+	// symbols the block lacks and 5 for the loss measured, the others one
+	// symbol each, to find out whether they are back.
+	for i, more := range []uint32{16 + 5, 1, 1} {
+		if got := ff.senders[i].granted; got != granted[i]+uint32(len(due))*more {
+			t.Fatalf("sender %d granted %d after %d re-grants of %d from %d", i, got, len(due), more, granted[i])
+		}
 	}
 	// Sender 0 is heard again, far along its new grants: the rest of the
 	// window it skipped is lost, and its count starts over, at q and 3q,
@@ -350,4 +362,51 @@ func regrantsDue(idle, q, most time.Duration) (n int) {
 		wait = min(2*wait, most)
 	}
 	return n
+}
+
+// A sender that owes nothing is idle, not silent: however long it waits it
+// is not granted again. When a silent partner's share falls to it, its
+// wait starts at that grant, not at the last symbol it sent.
+func TestIdleSenderWaitsFromItsGrant(t *testing.T) {
+	const symbolSize, k, flow = 32, 60, 16 // one block, 30 source symbols a sender
+	snd := newFakeSender(t, randObject(t, symbolSize*k), symbolSize, flow)
+	ff := newFetcherFeed(flow, 2)
+	feed := func(i int, esi, seq uint32) {
+		t.Helper()
+		if err := ff.handle(datagram{data: snd.dataSeq(esi, seq), from: ff.senders[i].peer}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ff.handle(datagram{data: snd.announce(), from: ff.senders[0].peer}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint32(0); seq < 30; seq++ {
+		feed(0, seq, seq) // all of sender 0's partition
+		if seq < 20 {
+			feed(1, 30+seq, seq)
+		}
+	}
+	ff.slide()
+	q := ff.quiet()
+	// Sender 1 goes on sending its partition for 4q; sender 0 waits, idle.
+	for seq := uint32(20); seq < 28; seq++ {
+		ff.stats.Idle += q / 2
+		feed(1, 30+seq, seq)
+		ff.slide()
+	}
+	if ff.stats.Regrants != 0 || ff.senders[0].granted != 30 {
+		t.Fatalf("sender 0, idle for %v: %d re-grants, granted %d; want none, and its 30", ff.stats.Idle, ff.stats.Regrants, ff.senders[0].granted)
+	}
+	// Sender 1 falls silent owing 2: they fall to sender 0, whose wait
+	// starts there.
+	ff.stats.Idle += q
+	ff.slide()
+	if s := ff.senders[0]; ff.stats.Regrants != 1 || !ff.senders[1].silent || s.granted != 32 {
+		t.Fatalf("%d re-grants, sender 1 silent: %v, sender 0 granted %d; want 1, true and 32", ff.stats.Regrants, ff.senders[1].silent, s.granted)
+	}
+	ff.stats.Idle += q / 2
+	ff.slide()
+	if ff.stats.Regrants != 1 || ff.senders[0].silent {
+		t.Fatalf("sender 0 was made silent %v after its grant, quiet being %v", q/2, q)
+	}
 }

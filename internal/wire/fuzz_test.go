@@ -21,6 +21,9 @@ func FuzzParse(f *testing.F) {
 	f.Add(append(AppendData(nil, Data{Flow: 3, Payload: []byte{1}}), 9)) // a byte after the payload
 	f.Add(AppendPull(nil, Pull{Flow: 4, Grant: 1<<32 - 1}))
 	f.Add(AppendPull(nil, Pull{Flow: 4})) // a grant of zero: the counter wraps
+	f.Add(AppendPull(nil, Pull{Flow: 4, Grant: 9, Blocks: Blocks{Low: 1<<32 - 1, Above: ^uint64(0)}}))
+	f.Add(AppendPull(nil, Pull{Flow: 4, Grant: 9, Blocks: Blocks{Low: 3, Above: 0b101}})[:headerLen+15]) // cut short in the done bits
+	f.Add([]byte{Magic, 2, byte(MsgPull), 0, 0, 0, 0, 4, 0, 0, 0, 16})                                   // a version 2 Pull, refused
 	f.Add(AppendDone(nil, 5))
 	f.Add([]byte{Magic, Version, byte(MsgDone), 0xFF, 0, 0, 0, 5}) // the reserved byte set
 	f.Add([]byte{Magic, Version + 1, byte(MsgDone), 0, 0, 0, 0, 5})

@@ -4,14 +4,15 @@
 // versioned and deliberately tiny — symbols are self-describing via
 // (SBN, ESI), which is all a rateless receiver needs.
 //
-// Version 2, byte by byte (version 1 counted credits per pull and had no
-// Seq; a packet of it is refused with ErrBadVersion):
+// Version 3, byte by byte (version 2's Pull carried the grant alone, and
+// version 1 counted credits per pull and had no Seq; a packet of either is
+// refused with ErrBadVersion):
 //
-//	header    magic 0xA7 | version 2 | type | 0 | flow u32
+//	header    magic 0xA7 | version 3 | type | 0 | flow u32
 //	Hello     idx u8 | count u8 | grant u32
 //	Announce  object bytes u64 | symbol bytes u32 | max K u32
 //	Data      SBN u32 | ESI u32 | seq u32 | len u16 | payload
-//	Pull      grant u32
+//	Pull      grant u32 | low SBN u32 | done above u64
 //	Done      (header only)
 //
 // Seq numbers the Data packets of one session in the order their sender
@@ -19,6 +20,9 @@
 // many in all". Both wrap at 2^32 and are compared as serial numbers; a
 // grant restates everything before it, so one that is lost, repeated or
 // overtaken changes nothing.
+// A Pull also names the blocks the receiver has finished (Blocks). Blocks
+// only ever finish, so a sender keeps what all it was told says, and
+// here too a Pull lost, repeated or overtaken changes nothing.
 package wire
 
 import (
@@ -30,7 +34,7 @@ import (
 // Magic and Version guard against cross-protocol traffic.
 const (
 	Magic   = 0xA7
-	Version = 2
+	Version = 3
 )
 
 // MsgType enumerates protocol messages.
@@ -215,23 +219,55 @@ func ParseData(flow uint32, body []byte) (Data, error) {
 
 // Pull requests more symbols.
 type Pull struct {
-	Flow  uint32
-	Grant uint32 // how many symbols the sender may have emitted in all
+	Flow   uint32
+	Grant  uint32 // how many symbols the sender may have emitted in all
+	Blocks Blocks // the blocks the receiver needs nothing more of
+}
+
+// Blocks is a receiver's block state: every block below Low is finished,
+// Low is not, and block Low+1+i is where bit i of Above is set. Of the
+// blocks beyond Low+64 it says nothing.
+type Blocks struct {
+	Low   uint32
+	Above uint64
+}
+
+// Done reports whether b says block sbn is finished.
+func (b Blocks) Done(sbn uint32) bool {
+	return sbn < b.Low || sbn > b.Low && sbn-b.Low-1 < 64 && b.Above>>(sbn-b.Low-1)&1 != 0
+}
+
+// Merge is what b and c say together when one says all the other does, as
+// any two states of one receiver do, blocks only ever finishing: the one
+// with the higher Low, or at the same Low the bits of both.
+func (b Blocks) Merge(c Blocks) Blocks {
+	if c.Low > b.Low {
+		return c
+	}
+	if c.Low == b.Low {
+		b.Above |= c.Above
+	}
+	return b
 }
 
 // AppendPull marshals a Pull.
 func AppendPull(dst []byte, p Pull) []byte {
 	dst = appendHeader(dst, MsgPull, p.Flow)
-	return binary.BigEndian.AppendUint32(dst, p.Grant)
+	dst = binary.BigEndian.AppendUint32(dst, p.Grant)
+	dst = binary.BigEndian.AppendUint32(dst, p.Blocks.Low)
+	return binary.BigEndian.AppendUint64(dst, p.Blocks.Above)
 }
 
-// ParsePull unmarshals a Pull body. Every grant is valid: the counter
-// wraps.
+// ParsePull unmarshals a Pull body. Every grant and block state is valid:
+// the counter wraps, and a state says only what is finished.
 func ParsePull(flow uint32, body []byte) (Pull, error) {
-	if len(body) < 4 {
+	if len(body) < 16 {
 		return Pull{}, ErrTruncated
 	}
-	return Pull{Flow: flow, Grant: binary.BigEndian.Uint32(body[0:4])}, nil
+	return Pull{Flow: flow, Grant: binary.BigEndian.Uint32(body[0:4]), Blocks: Blocks{
+		Low:   binary.BigEndian.Uint32(body[4:8]),
+		Above: binary.BigEndian.Uint64(body[8:16]),
+	}}, nil
 }
 
 // AppendDone marshals a Done message (header only).

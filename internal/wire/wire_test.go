@@ -90,7 +90,7 @@ func TestDataTruncatedPayload(t *testing.T) {
 }
 
 func TestPullRoundTrip(t *testing.T) {
-	p := Pull{Flow: 4, Grant: 1 << 31}
+	p := Pull{Flow: 4, Grant: 1 << 31, Blocks: Blocks{Low: 7, Above: 1<<63 | 5}}
 	hdr, body, err := ParseHeader(AppendPull(nil, p))
 	if err != nil {
 		t.Fatal(err)
@@ -103,21 +103,51 @@ func TestPullRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v != %+v", got, p)
 	}
 	// Every grant is one: the counter wraps through zero.
-	if got, err := ParsePull(1, []byte{0, 0, 0, 0}); err != nil || got.Grant != 0 {
-		t.Fatalf("a grant of zero: %+v, %v", got, err)
+	if got, err := ParsePull(1, make([]byte, 16)); err != nil || got.Grant != 0 || got.Blocks != (Blocks{}) {
+		t.Fatalf("a grant of zero, no block finished: %+v, %v", got, err)
 	}
-	if _, err := ParsePull(1, []byte{0, 0, 1}); err != ErrTruncated {
+	// A version 2 Pull's body, the grant alone, is short of the block state.
+	if _, err := ParsePull(1, []byte{0, 0, 1, 0}); err != ErrTruncated {
 		t.Fatalf("short pull: %v", err)
 	}
 }
 
-// A packet of the version that counted credits is not half-understood:
-// it is refused whole, whatever its type.
+// A packet of the versions that counted credits (1) or pulled without
+// naming the finished blocks (2) is not half-understood: it is refused
+// whole, whatever its type.
 func TestVersion1Refused(t *testing.T) {
-	for typ := MsgHello; typ <= MsgDone; typ++ {
-		v1 := []byte{Magic, 1, byte(typ), 0, 0, 0, 0, 7, 0, 12, 0, 0, 0, 0}
-		if _, _, err := ParseHeader(v1); err != ErrBadVersion {
-			t.Fatalf("a version 1 %v: %v", typ, err)
+	for _, v := range []byte{1, 2} {
+		for typ := MsgHello; typ <= MsgDone; typ++ {
+			old := []byte{Magic, v, byte(typ), 0, 0, 0, 0, 7, 0, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+			if _, _, err := ParseHeader(old); err != ErrBadVersion {
+				t.Fatalf("a version %d %v: %v", v, typ, err)
+			}
+		}
+	}
+}
+
+// Done reads the state as the wire table says, and Merge keeps the later
+// of two states of one receiver, whichever order they come in.
+func TestBlocksDoneAndMerge(t *testing.T) {
+	b := Blocks{Low: 3, Above: 0b101} // 0-2 done, 3 not, 4 done, 5 not, 6 done
+	for sbn, want := range []bool{true, true, true, false, true, false, true, false} {
+		if b.Done(uint32(sbn)) != want {
+			t.Fatalf("block %d done: %v, want %v", sbn, !want, want)
+		}
+	}
+	if !(Blocks{Above: 1 << 63}).Done(64) || (Blocks{}).Done(65) || (Blocks{Above: ^uint64(0)}).Done(65) {
+		t.Fatal("bit 63 is block Low+64, and nothing beyond is done")
+	}
+	for _, tc := range []struct{ older, later Blocks }{
+		{Blocks{Low: 3, Above: 0b101}, Blocks{Low: 3, Above: 0b111}},
+		{Blocks{Low: 3, Above: 0b101}, Blocks{Low: 5, Above: 0b1}},
+		{Blocks{Low: 0, Above: 1 << 63}, Blocks{Low: 100}},
+		{Blocks{}, Blocks{}},
+	} {
+		for _, got := range []Blocks{tc.older.Merge(tc.later), tc.later.Merge(tc.older)} {
+			if got != tc.later {
+				t.Fatalf("%+v with %+v: %+v, want the later", tc.older, tc.later, got)
+			}
 		}
 	}
 }
