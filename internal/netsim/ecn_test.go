@@ -6,53 +6,96 @@ import (
 	"time"
 )
 
+// switchPort returns the switch egress port that twoHosts' Connect
+// built facing host B, with its queue discipline as cfg configures it.
+func switchPort(cfg Config) *Port {
+	_, _, _, sw := twoHosts(cfg)
+	return sw.Ports[1]
+}
+
+// ecnPort is switchPort on drop-tail switches that mark at markK.
+func ecnPort(capacity, markK int) *Port {
+	cfg := DefaultConfig()
+	cfg.Trimming = false
+	cfg.DropTailCap = capacity
+	cfg.ECNThreshold = markK
+	return switchPort(cfg)
+}
+
 func TestECNMarkingThreshold(t *testing.T) {
-	q := NewECNDropTail(10, 3)
+	q := ecnPort(10, 3)
 	// First three packets enqueue below the threshold: no marks.
 	for i := 0; i < 3; i++ {
 		p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-		if !q.Enqueue(p) || p.ECNMarked {
+		if !q.queue.enqueue(p) || p.ECNMarked {
 			t.Fatalf("packet %d marked below threshold", i)
 		}
 	}
 	// Subsequent packets see occupancy >= 3: marked.
 	p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-	q.Enqueue(p)
+	q.queue.enqueue(p)
 	if !p.ECNMarked {
 		t.Fatal("packet at threshold not marked")
 	}
-	if q.Stats().Marked != 1 {
-		t.Fatalf("Marked = %d", q.Stats().Marked)
+	if q.QueueStats().Marked != 1 {
+		t.Fatalf("Marked = %d", q.QueueStats().Marked)
 	}
 }
 
 func TestECNIgnoresNonCapable(t *testing.T) {
-	q := NewECNDropTail(10, 1)
-	q.Enqueue(&Packet{Kind: KindData, Size: DataSize})
+	q := ecnPort(10, 1)
+	q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize})
 	p := &Packet{Kind: KindData, Size: DataSize} // not ECN-capable
-	q.Enqueue(p)
-	if p.ECNMarked || q.Stats().Marked != 0 {
+	q.queue.enqueue(p)
+	if p.ECNMarked || q.QueueStats().Marked != 0 {
 		t.Fatal("non-capable packet marked")
 	}
 }
 
 func TestECNStillDropsAtCapacity(t *testing.T) {
-	q := NewECNDropTail(2, 1)
+	q := ecnPort(2, 1)
 	for i := 0; i < 5; i++ {
-		q.Enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
+		q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
 	}
-	if q.Stats().Dropped != 3 {
-		t.Fatalf("Dropped = %d, want 3", q.Stats().Dropped)
+	if q.QueueStats().Dropped != 3 || q.QueueLen() != 2 {
+		t.Fatalf("Dropped = %d with %d queued, want 3 and 2", q.QueueStats().Dropped, q.QueueLen())
 	}
 }
 
 func TestPlainDropTailNeverMarks(t *testing.T) {
-	q := NewDropTail(2)
+	q := ecnPort(2, 0)
 	p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-	q.Enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
-	q.Enqueue(p)
+	q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
+	q.queue.enqueue(p)
 	if p.ECNMarked {
 		t.Fatal("plain drop-tail marked a packet")
+	}
+}
+
+// A host NIC is drop-tail at HostQueueCap whatever the switches do: it
+// neither trims nor marks.
+func TestHostNICIsPlainDropTail(t *testing.T) {
+	for _, trimming := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Trimming = trimming
+		cfg.ECNThreshold = 1
+		cfg.HostQueueCap = 3
+		_, a, _, _ := twoHosts(cfg)
+		var ps []*Packet
+		for i := 0; i < 5; i++ {
+			p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
+			ps = append(ps, p)
+			a.NIC.queue.enqueue(p)
+		}
+		st := a.NIC.QueueStats()
+		if st.Enqueued != 3 || st.Dropped != 2 || st.Trimmed != 0 || st.Marked != 0 {
+			t.Fatalf("trimming=%v: NIC counted %+v, want 3 enqueued and 2 dropped", trimming, st)
+		}
+		for i, p := range ps {
+			if p.ECNMarked || p.Trimmed {
+				t.Fatalf("trimming=%v: NIC marked or trimmed packet %d", trimming, i)
+			}
+		}
 	}
 }
 
@@ -113,11 +156,13 @@ func TestPortCounters(t *testing.T) {
 }
 
 func TestTrimQueuePropertyNeverExceedsCaps(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DataQueueCap, cfg.HeaderQueueCap = 4, 6
 	f := func(ops []uint8) bool {
-		q := NewTrimQueue(4, 6)
+		q := &switchPort(cfg).queue
 		for _, op := range ops {
 			if op%3 == 0 {
-				q.Dequeue()
+				q.dequeue()
 				continue
 			}
 			pkt := &Packet{Kind: KindData, Size: DataSize}
@@ -125,12 +170,12 @@ func TestTrimQueuePropertyNeverExceedsCaps(t *testing.T) {
 				pkt.Kind = KindPull
 				pkt.Size = HeaderSize
 			}
-			q.Enqueue(pkt)
-			if q.Len() > 4+6 {
+			q.enqueue(pkt)
+			if q.data.len() > 4 || q.header.len() > 6 {
 				return false
 			}
 		}
-		st := q.Stats()
+		st := q.stats
 		return st.Enqueued >= 0 && st.Dropped >= 0 && st.Trimmed >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

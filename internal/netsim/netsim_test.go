@@ -314,24 +314,93 @@ func TestQueueTotalsAggregate(t *testing.T) {
 	}
 }
 
+// The fifo ring keeps FIFO order across wrap-around and growth, and
+// its buffer stays within twice the peak occupancy (or its first
+// capacity), however many packets pass through it.
 func TestFIFOCompaction(t *testing.T) {
 	var f fifo
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 100; i++ {
-			f.push(&Packet{Seq: int64(i)})
+	pushed, popped := int64(0), int64(0)
+	pop := func() {
+		p := f.pop()
+		if p == nil || p.Seq != popped {
+			t.Fatalf("pop %d = %+v", popped, p)
 		}
-		for i := 0; i < 100; i++ {
-			p := f.pop()
-			if p == nil || p.Seq != int64(i) {
-				t.Fatalf("round %d: pop %d = %+v", round, i, p)
-			}
-		}
-		if f.pop() != nil {
-			t.Fatal("pop on empty fifo")
+		popped++
+	}
+	// Occupancy steady at a few packets: the head wraps round the first
+	// ring over and over, and it never grows.
+	for i := 0; i < 10000; i++ {
+		f.push(&Packet{Seq: pushed})
+		pushed++
+		if i >= 4 {
+			pop()
 		}
 	}
-	if len(f.buf) > 128 {
-		t.Fatalf("fifo failed to compact: len(buf)=%d", len(f.buf))
+	if len(f.buf) != fifoMinCap {
+		t.Fatalf("ring holds %d slots at a steady 5 packets, want %d", len(f.buf), fifoMinCap)
+	}
+	// Three in, two out: the occupancy climbs by one a round, so the
+	// ring grows while its head sits mid-buffer.
+	peak := 0
+	for round := 0; round < 300; round++ {
+		for i := 0; i < 3; i++ {
+			f.push(&Packet{Seq: pushed})
+			pushed++
+		}
+		peak = max(peak, f.len())
+		pop()
+		pop()
+	}
+	if n := len(f.buf); n > 2*peak || n&(n-1) != 0 {
+		t.Fatalf("ring holds %d slots for a peak of %d packets", n, peak)
+	}
+	for popped < pushed {
+		pop()
+	}
+	if f.pop() != nil || f.len() != 0 {
+		t.Fatal("pop on empty fifo")
+	}
+}
+
+// The trimming discipline of a Connect-built switch port: data beyond
+// DataQueueCap is trimmed into the header queue, a header beyond
+// HeaderQueueCap is dropped, and headers leave first, each queue in
+// arrival order.
+func TestTrimDisciplineCaps(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DataQueueCap, cfg.HeaderQueueCap = 2, 3
+	port := switchPort(cfg)
+	q := &port.queue
+	data := func(seq int64) *Packet { return &Packet{Kind: KindData, Size: DataSize, Seq: seq} }
+	pull := func(seq int64) *Packet { return &Packet{Kind: KindPull, Size: HeaderSize, Seq: seq} }
+	for i, c := range []struct {
+		p       *Packet
+		kept    bool
+		trimmed bool
+	}{
+		{data(0), true, false},
+		{data(1), true, false},
+		{data(2), true, true}, // data queue full: trimmed into the header queue
+		{pull(3), true, false},
+		{pull(4), true, false}, // header queue now full
+		{pull(5), false, false},
+		{data(6), false, false}, // would be trimmed, but no header room
+	} {
+		if kept := q.enqueue(c.p); kept != c.kept || c.p.Trimmed != c.trimmed {
+			t.Fatalf("packet %d: kept=%v trimmed=%v, want %v and %v", i, kept, c.p.Trimmed, c.kept, c.trimmed)
+		}
+	}
+	st := port.QueueStats()
+	if st.Enqueued != 5 || st.Trimmed != 1 || st.Dropped != 2 || port.QueueLen() != 5 {
+		t.Fatalf("stats %+v with %d queued, want 5 enqueued, 1 trimmed, 2 dropped", st, port.QueueLen())
+	}
+	for _, want := range []int64{2, 3, 4, 0, 1} {
+		if p := q.dequeue(); p == nil || p.Seq != want {
+			t.Fatalf("dequeued %+v, want seq %d", p, want)
+		}
+	}
+	if q.dequeue() != nil {
+		t.Fatal("dequeue on an empty discipline")
 	}
 }
 

@@ -116,14 +116,11 @@ func (n *Network) AddSwitch(name string) *Switch {
 
 // switchQueue builds the configured queue discipline for a switch
 // egress port.
-func (n *Network) switchQueue() Queue {
+func (n *Network) switchQueue() discipline {
 	if n.Cfg.Trimming {
-		return NewTrimQueue(n.Cfg.DataQueueCap, n.Cfg.HeaderQueueCap)
+		return discipline{trimming: true, cap: n.Cfg.DataQueueCap, headerCap: n.Cfg.HeaderQueueCap}
 	}
-	if n.Cfg.ECNThreshold > 0 {
-		return NewECNDropTail(n.Cfg.DropTailCap, n.Cfg.ECNThreshold)
-	}
-	return NewDropTail(n.Cfg.DropTailCap)
+	return discipline{cap: n.Cfg.DropTailCap, markK: n.Cfg.ECNThreshold}
 }
 
 // Connect joins two nodes with a full-duplex link (two simplex ports).
@@ -132,10 +129,8 @@ func (n *Network) switchQueue() Queue {
 // the port on a facing b and the port on b facing a.
 func (n *Network) Connect(a, b Node) (pa, pb *Port) {
 	mk := func(owner, peer Node) *Port {
-		var q Queue
-		if _, isHost := owner.(*Host); isHost {
-			q = NewDropTail(n.Cfg.HostQueueCap)
-		} else {
+		q := discipline{cap: n.Cfg.HostQueueCap}
+		if _, isHost := owner.(*Host); !isHost {
 			q = n.switchQueue()
 		}
 		p := &Port{
@@ -209,7 +204,7 @@ type Port struct {
 	label      string // precomputed Label(), so drop hooks stay allocation-free
 	rate       int64
 	delay      sim.Time
-	queue      Queue
+	queue      discipline
 	busy       bool
 	up         bool
 	cut        bool // the in-flight frame crossed a down window: lose it
@@ -301,13 +296,13 @@ func (p *Port) LossRate() float64 { return p.lossRate }
 func (p *Port) Peer() Node { return p.peer }
 
 // QueueLen returns the instantaneous queue occupancy in packets.
-func (p *Port) QueueLen() int { return p.queue.Len() }
+func (p *Port) QueueLen() int { return p.queue.len() }
 
 // QueueStats returns the port's queue counters plus this port's
 // link-fault losses (LinkDrops = Lost). RouteDrops is a switch-level
 // counter and stays zero at port granularity.
 func (p *Port) QueueStats() QueueStats {
-	st := p.queue.Stats()
+	st := p.queue.stats
 	st.LinkDrops = p.Lost
 	return st
 }
@@ -327,15 +322,15 @@ func (p *Port) Send(pkt *Packet) {
 		p.net.FreePacket(pkt)
 		return
 	}
-	if !p.queue.Enqueue(pkt) {
-		// Dropped; counted by the queue. Enqueue reporting false means
+	if !p.queue.enqueue(pkt) {
+		// Dropped; counted by the queue. enqueue reporting false means
 		// the packet was kept in no form (a trim keeps the header), so
 		// this reference is the last one.
 		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvQueueDrop, -1, p.label)
 		p.net.FreePacket(pkt)
 		return
 	}
-	p.net.QueueHist.Record(float64(p.queue.Len()))
+	p.net.QueueHist.Record(float64(p.queue.len()))
 	p.kick()
 }
 
@@ -350,7 +345,7 @@ func (p *Port) kick() {
 	if p.busy || !p.up {
 		return
 	}
-	pkt := p.queue.Dequeue()
+	pkt := p.queue.dequeue()
 	if pkt == nil {
 		return
 	}
@@ -360,7 +355,7 @@ func (p *Port) kick() {
 		p.txSize, p.txRate = pkt.Size, p.rate
 		p.txTime = sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
 	}
-	p.net.Eng.After(p.txTime, p.txDone)
+	p.net.Eng.Post(p.txTime, p.txDone)
 }
 
 // onTxDone completes serialization of the frame on the wire: account
@@ -389,7 +384,7 @@ func (p *Port) onTxDone() {
 		p.net.FreePacket(pkt)
 	} else {
 		p.flight.push(pkt)
-		p.net.Eng.After(p.delay, p.deliver)
+		p.net.Eng.Post(p.delay, p.deliver)
 	}
 	p.kick()
 }
@@ -593,7 +588,7 @@ func (n *Network) RegisterProbes(p *telemetry.Probe) {
 		p.Gauge("q "+name, "pkt", func() float64 { return float64(pt.QueueLen()) })
 		p.Gauge("tx "+name, "bytes-cum", func() float64 { return float64(pt.TxBytes) })
 		p.Gauge("drops "+name, "pkt-cum", func() float64 {
-			return float64(pt.queue.Stats().Dropped + pt.Lost)
+			return float64(pt.queue.stats.Dropped + pt.Lost)
 		})
 	}
 	for _, s := range n.Switches {

@@ -3,11 +3,15 @@
 // store-and-forward output-queued switches with either classic
 // drop-tail queues (the TCP baseline) or NDP's two-queue architecture —
 // a short data queue plus a priority header queue with packet trimming
-// (Handley et al., SIGCOMM 2017) — which Polyraptor adopts. Unicast
-// forwarding supports per-flow ECMP hashing and per-packet spraying
-// over equal-cost paths; multicast forwarding replicates packets along
-// per-group directed trees, the paper's "native support for
-// multicasting".
+// (Handley et al., SIGCOMM 2017) — which Polyraptor adopts; drop-tail
+// queues can also mark ECN-capable packets at a threshold (DCTCP,
+// Alizadeh et al., SIGCOMM 2010). A port holds its discipline inline:
+// Connect builds it from the Config (host NICs are always plain
+// drop-tail), and its queues are rings that grow by doubling to their
+// peak occupancy and never slide. Unicast forwarding supports per-flow
+// ECMP hashing and per-packet spraying over equal-cost paths; multicast
+// forwarding replicates packets along per-group directed trees, the
+// paper's "native support for multicasting".
 package netsim
 
 import "polyraptor/internal/sim"

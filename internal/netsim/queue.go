@@ -1,17 +1,7 @@
 package netsim
 
-// Queue is an egress queue discipline. Enqueue may mutate the packet
-// (trimming) and reports whether the packet was kept in any form;
-// Dequeue returns nil when empty.
-type Queue interface {
-	Enqueue(p *Packet) bool
-	Dequeue() *Packet
-	Len() int
-	Stats() QueueStats
-}
-
 // QueueStats counts what happened to packets at this queue, plus the
-// two fault counters. Queue disciplines themselves never fill the
+// two fault counters. The queue discipline itself never fills the
 // fault fields: Port.QueueStats fills LinkDrops (that port's Lost),
 // and Network.QueueTotals additionally aggregates per-switch
 // RouteDrops blackholes and host-NIC losses.
@@ -24,129 +14,115 @@ type QueueStats struct {
 	LinkDrops  int64
 }
 
-// fifo is a slice-backed ring-free FIFO; head compaction keeps
-// amortised cost O(1) without a container dependency.
+// fifoMinCap is a fifo ring's first capacity (a power of two).
+const fifoMinCap = 16
+
+// fifo is a ring of packets whose length is zero or a power of two. A
+// full ring doubles, and nothing ever slides, so a push or a pop is one
+// store and a mask.
 type fifo struct {
 	buf  []*Packet
-	head int
+	head uint32 // ring index of the oldest packet
+	n    uint32 // packets held
 }
 
-func (f *fifo) push(p *Packet) { f.buf = append(f.buf, p) }
+//polyvet:noalloc runs per packet per hop; a full ring grows out of line
+func (f *fifo) push(p *Packet) {
+	if int(f.n) == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&uint32(len(f.buf)-1)] = p
+	f.n++
+}
 
+//polyvet:noalloc runs per packet per hop
 func (f *fifo) pop() *Packet {
-	if f.head >= len(f.buf) {
+	if f.n == 0 {
 		return nil
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & uint32(len(f.buf)-1)
+	f.n--
 	return p
 }
 
-func (f *fifo) len() int { return len(f.buf) - f.head }
+func (f *fifo) len() int { return int(f.n) }
 
-// DropTail is the classic single FIFO with a packet-count capacity —
-// the TCP baseline's switch queue. With a non-zero mark threshold it
-// additionally sets the CE codepoint on ECN-capable packets when the
-// instantaneous occupancy reaches the threshold (DCTCP-style marking,
-// Alizadeh et al., SIGCOMM 2010).
-type DropTail struct {
-	cap   int
-	markK int
-	q     fifo
-	stats QueueStats
+// grow moves a full ring into one twice its size, oldest packet first.
+// noinline keeps its allocation out of push under the compiler-verified
+// gate.
+//
+//go:noinline
+func (f *fifo) grow() {
+	buf := make([]*Packet, max(fifoMinCap, 2*len(f.buf)))
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
 }
 
-// NewDropTail returns a drop-tail queue holding at most capacity
-// packets.
-func NewDropTail(capacity int) *DropTail {
-	return &DropTail{cap: capacity}
-}
-
-// NewECNDropTail returns a drop-tail queue that marks ECN-capable
-// packets once occupancy reaches markThreshold packets.
-func NewECNDropTail(capacity, markThreshold int) *DropTail {
-	return &DropTail{cap: capacity, markK: markThreshold}
-}
-
-func (d *DropTail) Enqueue(p *Packet) bool {
-	if d.q.len() >= d.cap {
-		d.stats.Dropped++
-		return false
-	}
-	if d.markK > 0 && p.ECNCapable && d.q.len() >= d.markK {
-		p.ECNMarked = true
-		d.stats.Marked++
-	}
-	d.q.push(p)
-	d.stats.Enqueued++
-	return true
-}
-
-func (d *DropTail) Dequeue() *Packet  { return d.q.pop() }
-func (d *DropTail) Len() int          { return d.q.len() }
-func (d *DropTail) Stats() QueueStats { return d.stats }
-
-// TrimQueue is NDP's switch queue: a very short data queue plus a
-// larger strict-priority header queue. When the data queue is full an
-// arriving data packet is trimmed to its header and queued with
-// priority, so the receiver learns of the loss within one RTT instead
-// of waiting for a timeout; headers, pulls and acks always use the
-// priority queue. This is the mechanism the paper credits for
-// Polyraptor's Incast elimination and shallow-buffer operation.
-type TrimQueue struct {
-	dataCap   int
-	headerCap int
-	data      fifo
-	header    fifo
+// discipline is a port's egress queue, held by value in the Port and
+// built by Connect from the Config (see the package doc). Trimming cuts a
+// data packet that finds the data queue full to its header and queues it
+// with priority, so the receiver learns of the loss within one RTT;
+// headers, pulls and acks always take the priority queue.
+type discipline struct {
+	data      fifo // the data queue when trimming, the only queue otherwise
+	header    fifo // the priority header queue when trimming, empty otherwise
+	trimming  bool
+	cap       int // packets: the data queue's when trimming, the queue's otherwise
+	headerCap int // the header queue's capacity when trimming
+	markK     int // drop-tail's ECN mark threshold; zero or less disables marking
 	stats     QueueStats
 }
 
-// NewTrimQueue returns an NDP-style queue. dataCap is deliberately
-// small (NDP uses 8 full-size packets); headerCap bounds the priority
-// queue (headers are 64B, so even hundreds occupy little buffer).
-func NewTrimQueue(dataCap, headerCap int) *TrimQueue {
-	return &TrimQueue{dataCap: dataCap, headerCap: headerCap}
-}
-
-func (t *TrimQueue) Enqueue(p *Packet) bool {
-	if p.priority() {
-		if t.header.len() >= t.headerCap {
-			t.stats.Dropped++
+// enqueue queues p, trimming or marking it on the way, and reports
+// whether it was kept in any form.
+//
+//polyvet:noalloc runs per packet per hop
+func (q *discipline) enqueue(p *Packet) bool {
+	switch {
+	case !q.trimming:
+		if q.data.len() >= q.cap {
+			q.stats.Dropped++
 			return false
 		}
-		t.header.push(p)
-		t.stats.Enqueued++
-		return true
-	}
-	if t.data.len() >= t.dataCap {
+		if q.markK > 0 && p.ECNCapable && q.data.len() >= q.markK {
+			p.ECNMarked = true
+			q.stats.Marked++
+		}
+		q.data.push(p)
+	case p.priority():
+		if q.header.len() >= q.headerCap {
+			q.stats.Dropped++
+			return false
+		}
+		q.header.push(p)
+	case q.data.len() >= q.cap:
 		// Trim: payload is cut, header survives with priority.
-		if t.header.len() >= t.headerCap {
-			t.stats.Dropped++
+		if q.header.len() >= q.headerCap {
+			q.stats.Dropped++
 			return false
 		}
 		p.trim()
-		t.header.push(p)
-		t.stats.Trimmed++
-		t.stats.Enqueued++
-		return true
+		q.header.push(p)
+		q.stats.Trimmed++
+	default:
+		q.data.push(p)
 	}
-	t.data.push(p)
-	t.stats.Enqueued++
+	q.stats.Enqueued++
 	return true
 }
 
-func (t *TrimQueue) Dequeue() *Packet {
-	if p := t.header.pop(); p != nil {
+// dequeue returns the next packet to serialize, headers first, or nil
+// when the queue is empty.
+//
+//polyvet:noalloc runs per packet per hop
+func (q *discipline) dequeue() *Packet {
+	if p := q.header.pop(); p != nil {
 		return p
 	}
-	return t.data.pop()
+	return q.data.pop()
 }
 
-func (t *TrimQueue) Len() int          { return t.data.len() + t.header.len() }
-func (t *TrimQueue) Stats() QueueStats { return t.stats }
+func (q *discipline) len() int { return q.data.len() + q.header.len() }

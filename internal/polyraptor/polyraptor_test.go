@@ -1,6 +1,7 @@
 package polyraptor
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -276,6 +277,69 @@ func TestStragglerDetachment(t *testing.T) {
 	// background-limited pace.
 	if h := byRecv[1].GoodputGbps(); h < 0.5 {
 		t.Fatalf("healthy receiver goodput %.3f Gbps despite detachment", h)
+	}
+}
+
+// Two multicast receivers, passed in descending host order, are crushed
+// by the same background load and tie at the minimum credit when the
+// grace check fires. They are detached together in ascending host
+// order, so the lower host's tail draws the first ESI of each pair: the
+// pinned values below.
+func TestTiedStragglersDetachInHostOrder(t *testing.T) {
+	st := topology.NewStar(9, netsim.DefaultConfig())
+	pcfg := DefaultConfig()
+	pcfg.StragglerDetach = true
+	sys := NewSystem(st.Net, pcfg, 9)
+	var detached []int
+	var detachedAt []time.Duration
+	sys.PruneGroup = func(g int32, r int) {
+		detached = append(detached, r)
+		detachedAt = append(detachedAt, st.Net.Now())
+		st.PruneMulticastLeaf(g, r)
+	}
+	var bg []CompletionEvent
+	for s := 5; s <= 8; s++ {
+		sys.StartUnicast(s, 3+(s-5)/2, 4<<20, collect(&bg)) // 5, 6 -> 3; 7, 8 -> 4
+	}
+	receivers := []int{4, 3, 2, 1}
+	g := st.InstallMulticastGroup(0, receivers)
+	flow := int32(-1)
+	tails := map[int][]int64{}
+	for _, r := range receivers {
+		base := st.Hosts[r].Deliver
+		st.Hosts[r].Deliver = func(p *netsim.Packet) {
+			if p.Flow == flow && p.Kind == netsim.KindData && p.Group < 0 && !p.Trimmed {
+				tails[r] = append(tails[r], p.Seq)
+			}
+			base(p)
+		}
+	}
+	var evs []CompletionEvent
+	flow = sys.StartMulticast(0, receivers, g, 2<<20, collect(&evs))
+	st.Net.Eng.Run()
+	if len(evs) != len(receivers) {
+		t.Fatalf("completions = %d, want %d", len(evs), len(receivers))
+	}
+	if len(detached) != 2 || detached[0] != 3 || detached[1] != 4 || detachedAt[0] != detachedAt[1] {
+		t.Fatalf("detached %v at %v, want 3 then 4 in one grace check", detached, detachedAt)
+	}
+	for r, want := range map[int]struct {
+		n     int
+		sum   int64
+		first []int64
+	}{
+		3: {1382, 3612553, []int64{130, 133, 137, 142, 147, 152}},
+		4: {1382, 3614654, []int64{131, 134, 138, 143, 148, 153}},
+	} {
+		got := tails[r]
+		sum := int64(0)
+		for _, esi := range got {
+			sum += esi
+		}
+		if len(got) != want.n || sum != want.sum || !slices.Equal(got[:len(want.first)], want.first) {
+			t.Fatalf("tail %d served %d ESIs summing to %d, first %v; want %d summing to %d, first %v",
+				r, len(got), sum, got[:min(len(got), len(want.first))], want.n, want.sum, want.first)
+		}
 	}
 }
 

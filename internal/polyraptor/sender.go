@@ -1,7 +1,6 @@
 package polyraptor
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -34,8 +33,8 @@ type senderSession struct {
 	// Multicast state.
 	group     int32 // -1 for unicast
 	receivers []int32
-	pulls     map[int32]int // outstanding pull credits per receiver
-	doneRecv  int           // receivers that reported completion
+	pulls     []credit // attached receivers in host order
+	doneRecv  int      // receivers that reported completion
 	detached  map[int32]*detachedTail
 	// emitted counts symbols sent; the straggler detector compares its
 	// growth against the link's symbol rate.
@@ -46,6 +45,32 @@ type senderSession struct {
 	emittedAtArm int64
 
 	finished bool
+}
+
+// credit is one attached receiver's outstanding pull credits. A group
+// has a handful of receivers, so a pull walks a slice, not a map.
+type credit struct {
+	host int32
+	n    int
+}
+
+// attached returns host's index in pulls, or -1 when it is not attached.
+func (ss *senderSession) attached(host int32) int {
+	for i := range ss.pulls {
+		if ss.pulls[i].host == host {
+			return i
+		}
+	}
+	return -1
+}
+
+// creditRange returns the fewest and most credits a receiver holds.
+func (ss *senderSession) creditRange() (lo, hi int) {
+	lo = int(^uint(0) >> 1)
+	for _, c := range ss.pulls {
+		lo, hi = min(lo, c.n), max(hi, c.n)
+	}
+	return lo, hi
 }
 
 // detachedTail serves a straggler receiver privately after detachment:
@@ -124,11 +149,10 @@ func (ss *senderSession) onPull(pkt *netsim.Packet) {
 		ss.emit(ss.nextESI(), from)
 		return
 	}
-	if _, ok := ss.pulls[from]; !ok {
-		return // completed receiver's stale pull
+	if i := ss.attached(from); i >= 0 { // else a completed receiver's stale pull
+		ss.pulls[i].n++
+		ss.pump()
 	}
-	ss.pulls[from]++
-	ss.pump()
 }
 
 // pump multicasts one new symbol for every full round of pulls (one
@@ -136,14 +160,10 @@ func (ss *senderSession) onPull(pkt *netsim.Packet) {
 // enabled.
 func (ss *senderSession) pump() {
 	for {
-		minP, maxP := int(^uint(0)>>1), 0
-		for _, c := range ss.pulls {
-			minP = min(minP, c)
-			maxP = max(maxP, c)
-		}
 		if len(ss.pulls) == 0 {
 			return
 		}
+		minP, maxP := ss.creditRange()
 		if ss.sys.Cfg.StragglerDetach && len(ss.pulls) > 1 &&
 			maxP-minP > ss.sys.Cfg.StragglerThreshold {
 			// A deficit exists. It may be a harmless leftover of a past
@@ -157,8 +177,8 @@ func (ss *senderSession) pump() {
 		if minP < 1 {
 			return
 		}
-		for r := range ss.pulls {
-			ss.pulls[r]--
+		for i := range ss.pulls {
+			ss.pulls[i].n--
 		}
 		ss.emit(ss.nextESI(), -1)
 	}
@@ -182,11 +202,7 @@ func (ss *senderSession) armGraceCheck() {
 		if ss.finished || len(ss.pulls) <= 1 {
 			return
 		}
-		minP, maxP := int(^uint(0)>>1), 0
-		for _, c := range ss.pulls {
-			minP = min(minP, c)
-			maxP = max(maxP, c)
-		}
+		minP, maxP := ss.creditRange()
 		if maxP-minP <= ss.sys.Cfg.StragglerThreshold {
 			return
 		}
@@ -196,22 +212,24 @@ func (ss *senderSession) armGraceCheck() {
 		if float64(ss.emitted-ss.emittedAtArm) >= expected/2 {
 			return // group is healthy; deficit is historical
 		}
-		// Detach in receiver-ID order: each detachment draws sequential
-		// ESIs via emit, so when several receivers tie at minP the
-		// emission order — and therefore which ESI serves which tail —
-		// must not depend on map iteration order.
-		for _, r := range slices.Sorted(maps.Keys(ss.pulls)) {
-			c := ss.pulls[r]
-			if c == minP {
-				ss.detached[r] = &detachedTail{}
-				delete(ss.pulls, r)
-				ss.sys.detachReceiver(ss.flow, ss.group, r)
-				// Honour its already-banked credits privately.
-				for i := 0; i < c; i++ {
-					ss.emit(ss.nextESI(), r)
-				}
+		// Detach in receiver-ID order (pulls is kept in it): each
+		// detachment draws sequential ESIs via emit, so when several
+		// receivers tie at minP the emission order decides which ESI
+		// serves which tail.
+		kept := ss.pulls[:0]
+		for _, c := range ss.pulls {
+			if c.n != minP {
+				kept = append(kept, c)
+				continue
+			}
+			ss.detached[c.host] = &detachedTail{}
+			ss.sys.detachReceiver(ss.flow, ss.group, c.host)
+			// Honour its already-banked credits privately.
+			for i := 0; i < c.n; i++ {
+				ss.emit(ss.nextESI(), c.host)
 			}
 		}
+		ss.pulls = kept
 		ss.pump()
 	})
 }
@@ -230,12 +248,11 @@ func (ss *senderSession) onReceiverDone(host int32) {
 		ss.finish()
 		return
 	}
-	_, attached := ss.pulls[host]
-	_, tailed := ss.detached[host]
-	if !attached && !tailed {
+	if i := ss.attached(host); i >= 0 {
+		ss.pulls = slices.Delete(ss.pulls, i, i+1)
+	} else if _, tailed := ss.detached[host]; !tailed {
 		return // duplicate ctrl from an already-counted receiver
 	}
-	delete(ss.pulls, host)
 	delete(ss.detached, host)
 	ss.doneRecv++
 	if ss.doneRecv >= len(ss.receivers) {

@@ -3,6 +3,7 @@ package polyraptor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/netsim"
@@ -183,12 +184,12 @@ func (s *System) StartMulticast(src int, receivers []int, group int32, bytes int
 		srcEnd:     int64(k),
 		repairNext: int64(k),
 		stride:     1,
-		pulls:      make(map[int32]int, len(receivers)),
+		pulls:      make([]credit, 0, len(receivers)),
 		detached:   make(map[int32]*detachedTail),
 	}
 	for _, r := range receivers {
 		snd.receivers = append(snd.receivers, int32(r))
-		snd.pulls[int32(r)] = 0
+		snd.pulls = append(snd.pulls, credit{host: int32(r)})
 		recv := &receiverSession{
 			sys:      s,
 			flow:     flow,
@@ -203,6 +204,7 @@ func (s *System) StartMulticast(src int, receivers []int, group int32, bytes int
 		s.Agents[r].recvSess[flow] = recv
 		recv.armTimeout()
 	}
+	slices.SortFunc(snd.pulls, func(a, b credit) int { return int(a.host - b.host) }) // detachment order
 	s.Agents[src].sendSess[flow] = snd
 	snd.sendInitialWindow()
 	return flow
@@ -433,7 +435,7 @@ func (a *Agent) drainPull() {
 		pull.Spray = true
 		a.host.Send(pull)
 		interval := sim.Time(int64(netsim.DataSize) * 8 * 1e9 / a.sys.Net.Cfg.LinkRate)
-		a.sys.Net.Eng.After(interval, a.drainFn)
+		a.sys.Net.Eng.Post(interval, a.drainFn)
 		return
 	}
 	a.pullQ = a.pullQ[:0]

@@ -143,6 +143,45 @@ func TestDriftAllocRegression(t *testing.T) {
 	}
 }
 
+// TestDriftSocketCellsJudgedByCeiling: a socket cell's allocations
+// depend on scheduling, so a rise between reports is listed, not failed;
+// its ALLOC_BUDGET.json ceiling still gates it.
+func TestDriftSocketCellsJudgedByCeiling(t *testing.T) {
+	dir := t.TempDir()
+	writeJSON(t, filepath.Join(dir, "BENCH_0.json"), benchJSON(0, []cellSpec{
+		{"e2e/UDPFetch2x1MiB", 26, 0},
+		{"e2e/busy", 100000, 0},
+	}))
+	writeJSON(t, filepath.Join(dir, "BENCH_1.json"), benchJSON(1, []cellSpec{
+		{"e2e/UDPFetch2x1MiB", 31, 0}, // +19 %
+		{"e2e/busy", 104000, 0},       // +4 %: still a failure
+	}))
+	diags, err := CheckDrift(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := diagLines(diags)
+	if fatalCount(diags) != 1 || !strings.Contains(all, "e2e/busy: allocs/op rose") {
+		t.Errorf("the simulator cell's rise must be the only failure:\n%s", all)
+	}
+	if !strings.Contains(all, "e2e/UDPFetch2x1MiB: allocs/op rose 26.00 → 31.00") {
+		t.Errorf("the socket cell's rise must still be listed:\n%s", all)
+	}
+
+	bp := filepath.Join(dir, "budget.json")
+	writeJSON(t, bp, budgetJSON(map[string]BudgetCell{
+		"e2e/UDPFetch2x1MiB": {AllocsPerOp: 30},
+		"e2e/busy":           {AllocsPerOp: 110000},
+	}))
+	diags, err = CheckBudget(dir, bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := diagLines(diags); fatalCount(diags) != 1 || !strings.Contains(all, "e2e/UDPFetch2x1MiB allocs/op 31.00 exceeds locked ceiling 30.00") {
+		t.Errorf("the socket cell over its ceiling must fail the budget gate:\n%s", all)
+	}
+}
+
 // TestDriftThroughputLockIsOptIn: a report_mbps cell's MB/s drop is listed
 // as information, never fatal — time drifts with the host, allocation
 // counts do not — and a cell without report_mbps is not even listed.
