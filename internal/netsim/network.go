@@ -355,7 +355,7 @@ func (p *Port) kick() {
 		p.txSize, p.txRate = pkt.Size, p.rate
 		p.txTime = sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
 	}
-	p.net.Eng.Post(p.txTime, p.txDone)
+	p.net.Eng.After(p.txTime, p.txDone)
 }
 
 // onTxDone completes serialization of the frame on the wire: account
@@ -384,7 +384,7 @@ func (p *Port) onTxDone() {
 		p.net.FreePacket(pkt)
 	} else {
 		p.flight.push(pkt)
-		p.net.Eng.Post(p.delay, p.deliver)
+		p.net.Eng.After(p.delay, p.deliver)
 	}
 	p.kick()
 }

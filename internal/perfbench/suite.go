@@ -528,10 +528,9 @@ func simCases() []Case {
 	// a single FIFO lane. NetsimMix is the hold model (every fired event
 	// schedules its successor) at the depth and delay mix PolyBench's
 	// sim_rq pass actually shows: about 1300 pending events, 45 % link
-	// propagation, 25 % header and 25 % data serialization, posted
-	// without a handle as netsim posts them, and 5 % timers with a delay
-	// of their own — RTOs and one-offs, which go to the heap — half of
-	// which are cancelled before they fire.
+	// propagation, 25 % header and 25 % data serialization, and 5 %
+	// timers with a delay of their own — RTOs and one-offs, which go to
+	// the heap — half of which are cancelled before they fire.
 	mixCase := Case{
 		Name:       "sim/EventEngine/NetsimMix",
 		RateName:   "events_per_sec",
@@ -557,12 +556,12 @@ func simCases() []Case {
 				}
 				return
 			}
-			e.Post(d, hold)
+			e.After(d, hold)
 			if doomed.Active() {
 				// Cancelled like an RTO by the next arrival; its
 				// successor keeps the depth constant.
 				doomed.Cancel()
-				e.Post(d, hold)
+				e.After(d, hold)
 			}
 		}
 		for i := 0; i < depth; i++ {

@@ -435,7 +435,7 @@ func (a *Agent) drainPull() {
 		pull.Spray = true
 		a.host.Send(pull)
 		interval := sim.Time(int64(netsim.DataSize) * 8 * 1e9 / a.sys.Net.Cfg.LinkRate)
-		a.sys.Net.Eng.Post(interval, a.drainFn)
+		a.sys.Net.Eng.After(interval, a.drainFn)
 		return
 	}
 	a.pullQ = a.pullQ[:0]

@@ -284,4 +284,17 @@ func TestRepoBudgetLocksHold(t *testing.T) {
 	if n := fatalCount(drift); n != 0 {
 		t.Errorf("checked-in trajectory violates drift gate:\n%s", diagLines(drift))
 	}
+	// A socket cell is gated by its ceiling alone, so the ceiling must stay
+	// close to what the cell measures.
+	reports, err := benchTrajectory(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := reports[len(reports)-1]
+	for name, cell := range budget.Cells {
+		allocs, _, ok := latest.cell(name)
+		if ok && strings.HasPrefix(name, socketCells) && cell.AllocsPerOp > 4*allocs {
+			t.Errorf("%s: ceiling %.0f is over 4x the %.2f allocs/op %s measured; lower it", name, cell.AllocsPerOp, allocs, latest.path)
+		}
+	}
 }

@@ -19,7 +19,8 @@ import (
 // (e2e/UDPFetch*) are judged against their ALLOC_BUDGET.json ceiling
 // only: how many buffers a fetch allocates depends on how the runtime
 // schedules its fetcher and servers, so a rise between reports is an
-// info line there.
+// info line there, and their ceilings are kept within a few times what
+// the latest report measured (TestRepoBudgetLocksHold).
 
 // DriftMBpsTolerance is the fractional MB/s regression between
 // consecutive reports beyond which a cell with report_mbps is reported.

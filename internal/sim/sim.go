@@ -19,8 +19,7 @@
 // the order of a single heap holding every event.
 //
 // Events are stored by value (no per-event allocation in steady state)
-// and timers are generation-tagged handles into a slot table; an event
-// scheduled by Post cannot be cancelled and takes no slot. Cancel
+// and timers are generation-tagged handles into a slot table. Cancel
 // removes a heap event in O(log n); a lane event becomes a tombstone
 // that is dropped at once if it is the lane's head or tail and
 // otherwise when the head reaches it or the ring repacks. A lane's
@@ -54,7 +53,6 @@ const (
 	// indices 0..numLanes-1.
 	inHeap  = -1
 	noEvent = -2
-	noSlot  = -1 // the slot of an event scheduled by Post
 )
 
 // event is a scheduled callback, stored by value in the heap or a lane.
@@ -63,7 +61,7 @@ type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among simultaneous events
 	fn   func()
-	slot int32 // index into Engine.slots, or noSlot
+	slot int32 // index into Engine.slots
 }
 
 // slot maps a timer handle to its queue position. gen disambiguates
@@ -143,6 +141,13 @@ type Timer struct {
 //
 //polyvet:noalloc event scheduling runs per packet; slot/queue/ring reuse keeps it amortized alloc-free
 func (e *Engine) At(t Time, fn func()) Timer {
+	if t < e.now {
+		panic("sim: scheduling event in the past")
+	}
+	if fn == nil {
+		panic("sim: scheduling a nil callback")
+	}
+	e.seq++
 	var s int32
 	if n := len(e.free); n > 0 {
 		s = e.free[n-1]
@@ -151,32 +156,9 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		e.slots = append(e.slots, slot{})
 		s = int32(len(e.slots) - 1)
 	}
-	e.slots[s].gen++
-	e.schedule(t, fn, s)
-	return Timer{engine: e, slot: s, gen: e.slots[s].gen}
-}
-
-// Post schedules fn after delay d like After, but returns no Timer: the
-// event cannot be cancelled, so it takes no slot and nothing tracks where
-// it sits. It fires in the same (time, seq) order as any other event.
-//
-//polyvet:noalloc schedules both events of every simulated hop
-func (e *Engine) Post(d Time, fn func()) {
-	e.schedule(e.now+d, fn, noSlot)
-}
-
-// schedule queues fn at t under slot s (noSlot for Post) and records
-// where it went in s.
-//
-//polyvet:noalloc shared by At and Post; queue/ring reuse keeps it amortized alloc-free
-func (e *Engine) schedule(t Time, fn func(), s int32) {
-	if t < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	if fn == nil {
-		panic("sim: scheduling a nil callback")
-	}
-	e.seq++
+	sl := &e.slots[s]
+	sl.gen++
+	tm := Timer{engine: e, slot: s, gen: sl.gen}
 	ev := event{at: t, seq: e.seq, fn: fn, slot: s}
 
 	// The lane keyed on this delay, if any: the tail it appends to was
@@ -195,16 +177,15 @@ func (e *Engine) schedule(t Time, fn func(), s int32) {
 	}
 	if li == inHeap {
 		e.missed[0], e.missed[1] = d, e.missed[0]
-		if s != noSlot {
-			e.slots[s].lane, e.slots[s].pos = inHeap, int32(len(e.queue))
-		}
+		sl.lane = inHeap
+		sl.pos = int32(len(e.queue))
 		e.queue = append(e.queue, ev)
 		e.siftUp(len(e.queue) - 1)
-		return
+		return tm
 	}
 	l := &e.lanes[li]
 	if int(l.n) == len(l.buf) {
-		e.laneRepack(l) // may rewrite slot positions, so before s's is set
+		e.laneRepack(l) // may rewrite slot positions, so before sl.pos is set
 	}
 	if l.n == 0 {
 		e.laneAt[li] = t
@@ -213,9 +194,8 @@ func (e *Engine) schedule(t Time, fn func(), s int32) {
 	l.buf[pos] = ev
 	l.n++
 	l.live++
-	if s != noSlot {
-		e.slots[s].lane, e.slots[s].pos = int8(li), int32(pos)
-	}
+	sl.lane, sl.pos = int8(li), int32(pos)
+	return tm
 }
 
 // After schedules fn after delay d.
@@ -278,15 +258,12 @@ func (t Timer) Active() bool {
 	return sl.gen == t.gen && sl.pos >= 0
 }
 
-// release returns a fired or cancelled event's slot, if it has one, to
-// the free list.
+// release returns a fired or cancelled event's slot to the free list.
 //
 //polyvet:inline runs on every event fire and cancel
 func (e *Engine) release(s int32) {
-	if s != noSlot {
-		e.slots[s].pos = -1
-		e.free = append(e.free, s)
-	}
+	e.slots[s].pos = -1
+	e.free = append(e.free, s)
 }
 
 // laneAdmit gives delay d, which no lane is keyed on, an empty lane if
@@ -330,9 +307,7 @@ func (e *Engine) laneRepack(l *lane) {
 		}
 		pos := (base + w) & dmask
 		dst[pos] = ev
-		if ev.slot != noSlot {
-			e.slots[ev.slot].pos = int32(pos)
-		}
+		e.slots[ev.slot].pos = int32(pos)
 		w++
 	}
 	if len(dst) == len(old) {
@@ -372,9 +347,7 @@ func (e *Engine) removeAt(i int) {
 	n := len(e.queue) - 1
 	if i != n {
 		e.queue[i] = e.queue[n]
-		if s := e.queue[i].slot; s != noSlot {
-			e.slots[s].pos = int32(i)
-		}
+		e.slots[e.queue[i].slot].pos = int32(i)
 	}
 	e.queue[n] = event{} // release the fn reference
 	e.queue = e.queue[:n]
@@ -481,12 +454,8 @@ func (e *Engine) less(i, j int) bool {
 //polyvet:inline heap swap; called O(log n) times per event
 func (e *Engine) swap(i, j int) {
 	e.queue[i], e.queue[j] = e.queue[j], e.queue[i]
-	if s := e.queue[i].slot; s != noSlot {
-		e.slots[s].pos = int32(i)
-	}
-	if s := e.queue[j].slot; s != noSlot {
-		e.slots[s].pos = int32(j)
-	}
+	e.slots[e.queue[i].slot].pos = int32(i)
+	e.slots[e.queue[j].slot].pos = int32(j)
 }
 
 func (e *Engine) siftUp(i int) {

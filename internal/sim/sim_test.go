@@ -233,45 +233,6 @@ func TestTimerActive(t *testing.T) {
 	}
 }
 
-// Post events fire in (time, seq) order with timers, whether they share
-// a lane or the heap with them, and hold no slot while queued.
-func TestPostInterleavesWithTimers(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	rec := func(i int) func() { return func() { order = append(order, i) } }
-	e.Post(time.Microsecond, rec(0))
-	e.After(time.Microsecond, rec(1))
-	e.Post(time.Microsecond, rec(2))
-	doomed := e.After(time.Microsecond, rec(-1))
-	e.Post(time.Microsecond, rec(3))
-	e.Post(7*time.Microsecond, rec(6)) // a one-off delay: the heap
-	e.At(5*time.Microsecond, rec(5))
-	e.Post(3*time.Microsecond, rec(4))
-	if len(e.slots)-len(e.free) != 3 {
-		t.Fatalf("%d slots held for 3 pending timers", len(e.slots)-len(e.free))
-	}
-	doomed.Cancel()
-	if e.Pending() != 7 {
-		t.Fatalf("Pending = %d, want 7", e.Pending())
-	}
-	e.Run()
-	if fmt.Sprint(order) != "[0 1 2 3 4 5 6]" {
-		t.Fatalf("order = %v", order)
-	}
-	if len(e.slots)-len(e.free) != 0 {
-		t.Fatalf("%d slots held after the run", len(e.slots)-len(e.free))
-	}
-}
-
-func TestPostInPastPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Post with a negative delay did not panic")
-		}
-	}()
-	NewEngine().Post(-1, func() {})
-}
-
 // refModel is a brute-force reference event queue: a flat slice scanned
 // linearly, with the same (at, seq) ordering contract as the engine.
 // events[i] was the (i+1)-th event scheduled, so its seq is i+1.
@@ -281,23 +242,18 @@ type refModel struct {
 }
 
 type refEvent struct {
-	at     Time
-	dead   bool // fired or cancelled
-	posted bool // scheduled by Post: no handle, no slot
+	at   Time
+	dead bool // fired or cancelled
 }
 
-// live counts the events not yet fired or cancelled, and those of them
-// that hold a slot.
-func (m *refModel) live() (n, held int) {
+func (m *refModel) live() int {
+	n := 0
 	for _, ev := range m.events {
 		if !ev.dead {
 			n++
-			if !ev.posted {
-				held++
-			}
 		}
 	}
-	return n, held
+	return n
 }
 
 // step fires the (at, seq)-minimum live event with at <= deadline,
@@ -366,9 +322,6 @@ func checkLanes(t testing.TB, e *Engine) {
 				continue
 			}
 			live++
-			if ev.slot == noSlot {
-				continue
-			}
 			if sl := e.slots[ev.slot]; int(sl.lane) != li || uint32(sl.pos) != pos {
 				t.Fatalf("lane %d: slot of entry %d points at lane %d pos %d", li, i, sl.lane, sl.pos)
 			}
@@ -386,32 +339,19 @@ func checkLanes(t testing.TB, e *Engine) {
 // singly and in bursts, random delays (heap), absolute times that tie
 // with queued events, cancels aimed at a lane's head, middle, tail or
 // every other entry or at any timer ever issued (fired ones included),
-// RunUntil and single Steps. Bit 4 of a scheduling opcode schedules
-// with Post instead of At, so handle-free events share lanes and the
-// heap with timers, sit beside the ones cancelled, and move when a ring
-// repacks; cancels aimed at them are skipped, as they have no handle.
+// RunUntil and single Steps.
 func checkAgainstModel(t testing.TB, prog []byte) {
 	t.Helper()
 	e := NewEngine()
 	m := &refModel{}
 	var got, want []int
-	var timers []Timer // timers[i] is the handle of m.events[i]; zero if posted
-	post := false
+	var timers []Timer // timers[i] is the handle of m.events[i]
 	schedule := func(at Time) {
 		id := len(timers)
-		fn := func() { got = append(got, id) }
-		if post {
-			e.Post(at-e.Now(), fn)
-			timers = append(timers, Timer{})
-		} else {
-			timers = append(timers, e.At(at, fn))
-		}
-		m.events = append(m.events, refEvent{at: at, posted: post})
+		timers = append(timers, e.At(at, func() { got = append(got, id) }))
+		m.events = append(m.events, refEvent{at: at})
 	}
 	cancel := func(id int) {
-		if m.events[id].posted {
-			return
-		}
 		timers[id].Cancel()
 		m.events[id].dead = true // a no-op if it already fired
 		if timers[id].Active() {
@@ -420,7 +360,6 @@ func checkAgainstModel(t testing.TB, prog []byte) {
 	}
 	for op := 0; op+3 <= len(prog); op += 3 {
 		arg := int(prog[op+1]) | int(prog[op+2])<<8
-		post = prog[op]&16 != 0
 		switch code := prog[op] % 16; {
 		case code < 4:
 			schedule(e.Now() + modelDeltas[arg%len(modelDeltas)])
@@ -480,12 +419,11 @@ func checkAgainstModel(t testing.TB, prog []byte) {
 		if e.Now() != m.now {
 			t.Fatalf("op %d: clock %v, model %v", op/3, e.Now(), m.now)
 		}
-		live, timersLive := m.live()
-		if e.Pending() != live {
-			t.Fatalf("op %d: Pending = %d, model has %d live", op/3, e.Pending(), live)
+		if e.Pending() != m.live() {
+			t.Fatalf("op %d: Pending = %d, model has %d live", op/3, e.Pending(), m.live())
 		}
-		if held := len(e.slots) - len(e.free); held != timersLive {
-			t.Fatalf("op %d: %d slots held for %d pending timers", op/3, held, timersLive)
+		if held := len(e.slots) - len(e.free); held != e.Pending() {
+			t.Fatalf("op %d: %d slots held for %d pending events", op/3, held, e.Pending())
 		}
 		checkLanes(t, e)
 	}
