@@ -7,14 +7,29 @@
 // as prescribed by the RFC (OCT_LOG / OCT_EXP). Row operations used by
 // the RaptorQ encoder and decoder (AddRow, MulAddRow, ScaleRow) operate
 // on byte slices and form the hot path of matrix elimination, so they
-// are written to be allocation-free and operate on 8-byte words with
-// byte tails: XOR proceeds a uint64 at a time, and multiplication uses
-// a branchless bit-plane decomposition over eight byte lanes. On amd64
-// with SSSE3 the multiply kernels additionally dispatch to a PSHUFB
-// nibble-table routine processing 16 bytes per instruction group. The
-// scalar byte-at-a-time paths are retained (AddRowScalar and friends)
-// as the reference implementations for parity tests and perf
-// baselines.
+// are allocation-free and run on the widest kernel tier the CPU offers,
+// chosen once at init from CPUID (and XCR0, for the OS-saved register
+// state):
+//
+//   - GFNI/AVX-512 (amd64 with AVX512F, AVX512BW and GFNI): 64 bytes per
+//     instruction, the ragged end of a row under a byte mask. A multiply
+//     by c is one VGF2P8AFFINEQB against c's 8x8 bit matrix (affTab).
+//     GF2P8MULB would be a single instruction too, but it is hard-wired
+//     to AES's polynomial 0x11B; the affine form multiplies in any
+//     field, so it is the one that is exact for 0x11D.
+//   - AVX2: 32 bytes per step, multiplies through PSHUFB lookups in
+//     16-entry nibble product tables (nibTab), then the SSE tier for a
+//     16-byte remainder.
+//   - SSSE3 (multiplies) and SSE2 (XOR): the same at 16 bytes.
+//   - Words, everywhere else and for the last <16 bytes of a row on the
+//     AVX2 and SSE tiers: XOR a uint64 at a time, and multiply by a
+//     branchless bit-plane decomposition over eight byte lanes, with
+//     byte tails.
+//
+// Every tier is exact GF(2^8) arithmetic, so every tier produces the
+// same bytes. The scalar byte-at-a-time paths are retained
+// (AddRowScalar and friends) as the reference implementations for
+// parity tests and perf baselines.
 //
 // MulAddRow requires dst and src to not overlap; ScaleRow is in-place
 // by definition.
@@ -39,6 +54,9 @@ func Features() []string {
 	}
 	if useAVX2 {
 		fs = append(fs, "avx2")
+	}
+	if useGFNI {
+		fs = append(fs, "avx512", "gfni")
 	}
 	return fs
 }
@@ -79,6 +97,15 @@ func init() {
 			nibTab[c][v] = Mul(byte(c), byte(v))
 			nibTab[c][16+v] = Mul(byte(c), byte(v<<4))
 		}
+		// Bit matrix for GF2P8AFFINEQB: output bit i is the parity of
+		// (matrix byte 7-i AND x), and c*x = XOR over set bits j of x of
+		// c*2^j, so bit j of byte 7-i is bit i of c*2^j. 2 KB total.
+		for j := 0; j < 8; j++ {
+			p := Mul(byte(c), 1<<j)
+			for i := 0; i < 8; i++ {
+				affTab[c] |= uint64(p>>i&1) << (8*(7-i) + j)
+			}
+		}
 	}
 }
 
@@ -86,6 +113,10 @@ func init() {
 // products of c with the 16 low-nibble values, then with the 16
 // high-nibble values.
 var nibTab [256][32]byte
+
+// affTab[c] is the 8x8 bit matrix of multiplication by c, in the
+// qword layout GF2P8AFFINEQB reads (row for output bit i in byte 7-i).
+var affTab [256]uint64
 
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
 // so Sub is identical.
@@ -174,9 +205,10 @@ func mulWord(w uint64, m *[8]uint64) uint64 {
 		(w>>7&lsbLanes)*m[7]
 }
 
-// AddRow sets dst[i] ^= src[i] for every position — 16 bytes per step
-// on amd64, 8-byte words elsewhere, with a byte tail. dst and src must
-// have equal length and not overlap. Empty rows are a no-op.
+// AddRow sets dst[i] ^= src[i] for every position — 64, 32 or 16 bytes
+// per step on amd64 (see the package doc for the tiers), 8-byte words
+// elsewhere, with a byte tail. dst and src must have equal length and
+// not overlap. Empty rows are a no-op.
 //
 //polyvet:noalloc matrix-elimination hot path; runs O(K^2) times per block
 func AddRow(dst, src []byte) {
@@ -184,6 +216,10 @@ func AddRow(dst, src []byte) {
 		return
 	}
 	_ = dst[len(src)-1] // bounds-check hint
+	if useGFNI {
+		galXorAVX512(&dst[0], &src[0], len(src))
+		return
+	}
 	i := 0
 	if useAVX2 {
 		if n := len(src) &^ 31; n > 0 {
@@ -236,7 +272,7 @@ func AddRowScalar(dst, src []byte) {
 
 // MulAddRow sets dst[i] ^= c * src[i] for non-overlapping rows. A zero
 // coefficient is a no-op; coefficient one degenerates to AddRow. It
-// runs 16 bytes per step on amd64 with SSSE3, 8-byte words elsewhere,
+// runs 64, 32 or 16 bytes per step on amd64, 8-byte words elsewhere,
 // with a scalar byte tail.
 //
 //polyvet:noalloc matrix-elimination hot path; runs O(K^2) times per block
@@ -249,6 +285,10 @@ func MulAddRow(dst, src []byte, c byte) {
 		return
 	}
 	_ = dst[len(src)-1]
+	if useGFNI {
+		galMulAddGFNI(&affTab[c], &dst[0], &src[0], len(src))
+		return
+	}
 	i := 0
 	if useAVX2 {
 		if n := len(src) &^ 31; n > 0 {
@@ -320,8 +360,8 @@ func MulAddRowScalar(dst, src []byte, c byte) {
 	}
 }
 
-// ScaleRow multiplies every element of row by c in place, 16 bytes per
-// step on amd64 with SSSE3, 8-byte words elsewhere, with a scalar byte
+// ScaleRow multiplies every element of row by c in place, 64, 32 or 16
+// bytes per step on amd64, 8-byte words elsewhere, with a scalar byte
 // tail.
 //
 //polyvet:noalloc pivot-normalization hot path of matrix elimination
@@ -333,6 +373,10 @@ func ScaleRow(row []byte, c byte) {
 		}
 		return
 	case 1:
+		return
+	}
+	if useGFNI && len(row) > 0 {
+		galMulGFNI(&affTab[c], &row[0], len(row))
 		return
 	}
 	i := 0

@@ -7,8 +7,10 @@ package gf256
 // startup via CPUID.
 var useSSSE3 = cpuidFeatureECX()&(1<<9) != 0
 
-// haveSSE2 gates the XOR kernel; SSE2 is part of the amd64 baseline.
-const haveSSE2 = true
+// haveSSE2 gates the XOR kernel; SSE2 is part of the amd64 baseline. It
+// is a variable, not a constant, only so the parity tests can select
+// the word tier.
+var haveSSE2 = true
 
 // cpuidFeatureECX returns ECX of CPUID leaf 1 (feature flags;
 // bit 9 = SSSE3). Implemented in gf256_amd64.s.
@@ -46,15 +48,37 @@ var useAVX2 = func() bool {
 	if xgetbv0()&6 != 6 {
 		return false
 	}
-	return cpuidLeaf7EBX()&(1<<5) != 0
+	ebx, _ := cpuidLeaf7()
+	return ebx&(1<<5) != 0
 }()
 
-// cpuidLeaf7EBX returns EBX of CPUID leaf 7 subleaf 0 (extended
-// features; bit 5 = AVX2). Implemented in gf256_amd64.s.
-func cpuidLeaf7EBX() (ebx uint32)
+// useGFNI gates the 64-byte-wide tier: AVX-512 XOR for AddRow and the
+// GFNI affine multiply for MulAddRow and ScaleRow.
+var useGFNI = haveGFNI()
+
+// haveGFNI reports whether the CPU runs the GFNI/AVX-512 tier: it must
+// report AVX512F (leaf 7 EBX bit 16), AVX512BW (EBX bit 30, for the
+// byte-masked tails) and GFNI (ECX bit 8), and the OS must save/restore
+// the opmask and zmm state as well as the ymm state (XCR0 bits 1:2 and
+// 5:7, readable once OSXSAVE is set).
+func haveGFNI() bool {
+	const osxsave = 1 << 27
+	const avx512f, avx512bw, gfni = 1 << 16, 1 << 30, 1 << 8
+	if cpuidFeatureECX()&osxsave == 0 || xgetbv0()&0xE6 != 0xE6 {
+		return false
+	}
+	ebx, ecx := cpuidLeaf7()
+	return ebx&avx512f != 0 && ebx&avx512bw != 0 && ecx&gfni != 0
+}
+
+// cpuidLeaf7 returns EBX and ECX of CPUID leaf 7 subleaf 0 (extended
+// features; EBX bit 5 = AVX2, 16 = AVX512F, 30 = AVX512BW; ECX bit 8 =
+// GFNI). Implemented in gf256_amd64.s.
+func cpuidLeaf7() (ebx, ecx uint32)
 
 // xgetbv0 returns the low 32 bits of XCR0 (the XSAVE feature mask;
-// bits 1:2 = SSE and AVX register state). Implemented in gf256_amd64.s.
+// bits 1:2 = SSE and AVX register state, 5:7 = opmask and zmm state).
+// Implemented in gf256_amd64.s.
 func xgetbv0() (eax uint32)
 
 // galXorAVX2 computes dst[i] ^= src[i] for i in [0, n) where n is a
@@ -76,3 +100,33 @@ func galMulAddAVX2(tab, dst, src *byte, n int)
 //
 //go:noescape
 func galMulAVX2(tab, row *byte, n int)
+
+// galXorAVX512 computes dst[i] ^= src[i] for i in [0, n), any n > 0:
+// 64 bytes per VPXORQ, the last n mod 64 under a byte mask. dst and src
+// must not overlap. Implemented in gf256_amd64.s.
+//
+//go:noescape
+func galXorAVX512(dst, src *byte, n int)
+
+// galMulAddGFNI computes dst[i] ^= c*src[i] for i in [0, n), any n > 0,
+// where mat points at affTab[c]. dst and src must not overlap.
+//
+//go:noescape
+func galMulAddGFNI(mat *uint64, dst, src *byte, n int)
+
+// galMulGFNI computes row[i] = c*row[i] for i in [0, n), with mat and n
+// as in galMulAddGFNI.
+//
+//go:noescape
+func galMulGFNI(mat *uint64, row *byte, n int)
+
+// SetGFNI switches the GFNI/AVX-512 tier on or off and reports whether
+// it was on; it switches it on only on a CPU that has it. Off, the row
+// operations take the AVX2 tier's kernels. It exists for byte-identity
+// tests in the packages above gf256, and must not be called while row
+// operations run on other goroutines.
+func SetGFNI(on bool) (was bool) {
+	was = useGFNI
+	useGFNI = on && haveGFNI()
+	return was
+}

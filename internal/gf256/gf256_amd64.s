@@ -99,12 +99,13 @@ mulLoop:
 	JNZ    mulLoop
 	RET
 
-// func cpuidLeaf7EBX() (ebx uint32)
-TEXT ·cpuidLeaf7EBX(SB), NOSPLIT, $0-4
+// func cpuidLeaf7() (ebx, ecx uint32)
+TEXT ·cpuidLeaf7(SB), NOSPLIT, $0-8
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
 	MOVL BX, ebx+0(FP)
+	MOVL CX, ecx+4(FP)
 	RET
 
 // func xgetbv0() (eax uint32)
@@ -205,5 +206,167 @@ mulLoop32:
 	ADDQ    $32, DI
 	SUBQ    $32, CX
 	JNZ     mulLoop32
+	VZEROUPPER
+	RET
+
+// The AVX-512 kernels take any n > 0. They run 128 bytes per main-loop
+// step, one 64-byte step if 64 or more remain, and finish the last
+// n mod 64 bytes with byte-masked loads and stores: K1 holds one bit per
+// remaining byte, masked-off lanes are neither written nor faulted on,
+// so no scalar tail is needed. A multiply is one VGF2P8AFFINEQB against
+// the coefficient's 8x8 bit matrix (affTab[c]) broadcast to every
+// qword; its constant term is 0, so a zeroed lane maps to 0.
+
+// func galXorAVX512(dst, src *byte, n int)
+//
+// dst[i] ^= src[i] for i in [0, n).
+TEXT ·galXorAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+	SUBQ $128, CX
+	JL   xor512Tail
+
+xor512Loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VPXORQ    (DI), Z0, Z0
+	VPXORQ    64(DI), Z1, Z1
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	ADDQ      $128, SI
+	ADDQ      $128, DI
+	SUBQ      $128, CX
+	JGE       xor512Loop
+
+xor512Tail:
+	ADDQ $128, CX
+	CMPQ CX, $64
+	JL   xor512Mask
+	VMOVDQU64 (SI), Z0
+	VPXORQ    (DI), Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $64, DI
+	SUBQ      $64, CX
+
+xor512Mask:
+	TESTQ CX, CX
+	JZ    xor512Done
+	MOVQ  $-1, AX
+	SHLQ  CX, AX
+	NOTQ  AX
+	KMOVQ AX, K1
+	VMOVDQU8.Z (SI), K1, Z0
+	VMOVDQU8.Z (DI), K1, Z1
+	VPXORQ     Z1, Z0, Z0
+	VMOVDQU8   Z0, K1, (DI)
+
+xor512Done:
+	VZEROUPPER
+	RET
+
+// func galMulAddGFNI(mat *uint64, dst, src *byte, n int)
+//
+// dst[i] ^= c*src[i] for i in [0, n), mat pointing at affTab[c].
+TEXT ·galMulAddGFNI(SB), NOSPLIT, $0-32
+	MOVQ         mat+0(FP), AX
+	MOVQ         dst+8(FP), DI
+	MOVQ         src+16(FP), SI
+	MOVQ         n+24(FP), CX
+	VPBROADCASTQ (AX), Z7
+
+	SUBQ $128, CX
+	JL   mulAdd512Tail
+
+mulAdd512Loop:
+	VMOVDQU64      (SI), Z0
+	VMOVDQU64      64(SI), Z1
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VGF2P8AFFINEQB $0, Z7, Z1, Z1
+	VPXORQ         (DI), Z0, Z0
+	VPXORQ         64(DI), Z1, Z1
+	VMOVDQU64      Z0, (DI)
+	VMOVDQU64      Z1, 64(DI)
+	ADDQ           $128, SI
+	ADDQ           $128, DI
+	SUBQ           $128, CX
+	JGE            mulAdd512Loop
+
+mulAdd512Tail:
+	ADDQ $128, CX
+	CMPQ CX, $64
+	JL   mulAdd512Mask
+	VMOVDQU64      (SI), Z0
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VPXORQ         (DI), Z0, Z0
+	VMOVDQU64      Z0, (DI)
+	ADDQ           $64, SI
+	ADDQ           $64, DI
+	SUBQ           $64, CX
+
+mulAdd512Mask:
+	TESTQ CX, CX
+	JZ    mulAdd512Done
+	MOVQ  $-1, AX
+	SHLQ  CX, AX
+	NOTQ  AX
+	KMOVQ AX, K1
+	VMOVDQU8.Z     (SI), K1, Z0
+	VMOVDQU8.Z     (DI), K1, Z1
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VPXORQ         Z1, Z0, Z0
+	VMOVDQU8       Z0, K1, (DI)
+
+mulAdd512Done:
+	VZEROUPPER
+	RET
+
+// func galMulGFNI(mat *uint64, row *byte, n int)
+//
+// row[i] = c*row[i] for i in [0, n), mat pointing at affTab[c].
+TEXT ·galMulGFNI(SB), NOSPLIT, $0-24
+	MOVQ         mat+0(FP), AX
+	MOVQ         row+8(FP), DI
+	MOVQ         n+16(FP), CX
+	VPBROADCASTQ (AX), Z7
+
+	SUBQ $128, CX
+	JL   mul512Tail
+
+mul512Loop:
+	VMOVDQU64      (DI), Z0
+	VMOVDQU64      64(DI), Z1
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VGF2P8AFFINEQB $0, Z7, Z1, Z1
+	VMOVDQU64      Z0, (DI)
+	VMOVDQU64      Z1, 64(DI)
+	ADDQ           $128, DI
+	SUBQ           $128, CX
+	JGE            mul512Loop
+
+mul512Tail:
+	ADDQ $128, CX
+	CMPQ CX, $64
+	JL   mul512Mask
+	VMOVDQU64      (DI), Z0
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VMOVDQU64      Z0, (DI)
+	ADDQ           $64, DI
+	SUBQ           $64, CX
+
+mul512Mask:
+	TESTQ CX, CX
+	JZ    mul512Done
+	MOVQ  $-1, AX
+	SHLQ  CX, AX
+	NOTQ  AX
+	KMOVQ AX, K1
+	VMOVDQU8.Z     (DI), K1, Z0
+	VGF2P8AFFINEQB $0, Z7, Z0, Z0
+	VMOVDQU8       Z0, K1, (DI)
+
+mul512Done:
 	VZEROUPPER
 	RET

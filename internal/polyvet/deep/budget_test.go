@@ -182,21 +182,25 @@ func TestDriftSocketCellsJudgedByCeiling(t *testing.T) {
 	}
 }
 
-// TestDriftThroughputLockIsOptIn: a report_mbps cell's MB/s drop is listed
-// as information, never fatal — time drifts with the host, allocation
-// counts do not — and a cell without report_mbps is not even listed.
+// TestDriftThroughputLockIsOptIn: a report_mbps cell's MB/s drop or rise
+// is listed as information, never fatal — time drifts with the host,
+// allocation counts do not — and a cell without report_mbps is not even
+// listed.
 func TestDriftThroughputLockIsOptIn(t *testing.T) {
 	dir := t.TempDir()
 	writeJSON(t, filepath.Join(dir, "BENCH_0.json"), benchJSON(0, []cellSpec{
 		{"kernel/reported", 0, 1000},
+		{"kernel/faster", 0, 1000},
 		{"kernel/noisy", 0, 1000},
 	}))
 	writeJSON(t, filepath.Join(dir, "BENCH_1.json"), benchJSON(1, []cellSpec{
 		{"kernel/reported", 0, 800}, // −20%
+		{"kernel/faster", 0, 2500},  // +150%
 		{"kernel/noisy", 0, 500},    // −50%
 	}))
 	budget := budgetJSON(map[string]BudgetCell{
 		"kernel/reported": {AllocsPerOp: 0, ReportMBps: true},
+		"kernel/faster":   {AllocsPerOp: 0, ReportMBps: true},
 		"kernel/noisy":    {AllocsPerOp: 0}, // no report_mbps
 	})
 
@@ -207,6 +211,9 @@ func TestDriftThroughputLockIsOptIn(t *testing.T) {
 	all := diagLines(diags)
 	if !strings.Contains(all, "kernel/reported: MB/s fell 1000.0 → 800.0") {
 		t.Errorf("report_mbps throughput drop not reported:\n%s", all)
+	}
+	if !strings.Contains(all, "kernel/faster: MB/s rose 1000.0 → 2500.0 (+150%") {
+		t.Errorf("report_mbps throughput rise not reported:\n%s", all)
 	}
 	if n := fatalCount(diags); n != 0 {
 		t.Errorf("a throughput drop must be a report, not a failure:\n%s", all)

@@ -3,6 +3,7 @@ package deep
 import (
 	"fmt"
 	"go/token"
+	"math"
 	"strings"
 
 	"polyraptor/internal/polyvet"
@@ -11,8 +12,9 @@ import (
 // The benchdrift gate diffs consecutive BENCH_<n>.json reports: an
 // allocs/op increase in any shared cell is a failure (allocation
 // counts are deterministic, so any rise is a real regression, not
-// noise), and a throughput drop beyond DriftMBpsTolerance is reported
-// (never failed) for cells marked report_mbps in ALLOC_BUDGET.json.
+// noise), and a throughput move beyond DriftMBpsTolerance, a drop or a
+// rise, is reported (never failed) for cells marked report_mbps in
+// ALLOC_BUDGET.json.
 // Time is a report, and an opt-in one, because the trajectory was
 // recorded across different containers: the BENCH_3→BENCH_4 hop alone
 // moved gf256 AddRow by −40% with zero code change. The socket cells
@@ -22,8 +24,8 @@ import (
 // info line there, and their ceilings are kept within a few times what
 // the latest report measured (TestRepoBudgetLocksHold).
 
-// DriftMBpsTolerance is the fractional MB/s regression between
-// consecutive reports beyond which a cell with report_mbps is reported.
+// DriftMBpsTolerance is the fractional MB/s change between consecutive
+// reports beyond which a cell with report_mbps is reported.
 const DriftMBpsTolerance = 0.15
 
 // allocSlack is the fractional allocs/op headroom between consecutive
@@ -82,12 +84,16 @@ func diffReports(prev, cur *benchReport, budget *Budget) []polyvet.Diagnostic {
 			})
 		}
 		if budget != nil && budget.Cells[res.Name].ReportMBps && pMBps > 0 {
-			drop := (pMBps - res.MBPerS) / pMBps
-			if drop > DriftMBpsTolerance {
+			change := (res.MBPerS - pMBps) / pMBps
+			if math.Abs(change) > DriftMBpsTolerance {
+				verb, sign := "rose", "+"
+				if change < 0 {
+					verb, sign = "fell", "−"
+				}
 				diags = append(diags, polyvet.Diagnostic{
 					Pos: pos, Analyzer: "benchdrift", Info: true,
-					Message: fmt.Sprintf("%s: MB/s fell %.1f → %.1f (−%.0f%%, tolerance %.0f%%) vs %s in a report_mbps cell",
-						res.Name, pMBps, res.MBPerS, drop*100, DriftMBpsTolerance*100, prev.path),
+					Message: fmt.Sprintf("%s: MB/s %s %.1f → %.1f (%s%.0f%%, tolerance %.0f%%) vs %s in a report_mbps cell",
+						res.Name, verb, pMBps, res.MBPerS, sign, math.Abs(change)*100, DriftMBpsTolerance*100, prev.path),
 				})
 			}
 		}

@@ -102,6 +102,13 @@ func TestLiveGF256KernelsBoundsCheckFree(t *testing.T) {
 // and requires the escape gate to turn red. The injection point is
 // located from the live package, not hard-coded, so the test cannot go
 // vacuously green when gf256.go drifts.
+//
+// The canned output is keyed by gf256 line numbers, so any edit that
+// moves lines in internal/gf256 turns this test red ("canned baseline
+// not clean") until the fixture is regenerated from the repo root:
+//
+//	go build -gcflags='-m=2 -d=ssa/check_bce' ./internal/gf256/ \
+//		> internal/polyvet/deep/testdata/m2_gf256.txt 2>&1
 func TestMutatedFixtureReintroducesEscape(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
 	if err != nil {

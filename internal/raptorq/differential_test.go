@@ -101,41 +101,44 @@ func decodeWith(t *testing.T, k, symSize int, enc *Encoder, missing []int, repai
 //     times to place the crossover).
 //
 // One reused decoder per path and (K, size) also checks that nothing
-// leaks between blocks.
+// leaks between blocks. Both sweeps run on every gf256 kernel tier
+// (eachGFTier).
 func TestPartialMatchesFullDifferential(t *testing.T) {
-	for _, k := range []int{10, 101, 256, 1000} {
-		for _, symSize := range []int{1024, 1436, 64} {
-			rng, enc, source, full, part := partialPair(t, k, symSize)
-			for m := 1; m <= partialMaxMissing(k); m++ {
-				pat := lossPatterns[m%len(lossPatterns)]
-				for _, c := range []struct {
-					name    string
-					missing []int
-				}{{pat.name, pat.rows(k, m)}, {"random", rng.Perm(k)[:m]}} {
-					if err := partialMatchesFull(full, part, enc, source, c.missing); err != nil {
-						t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, c.name, m, err)
+	eachGFTier(t, func(t *testing.T) {
+		for _, k := range []int{10, 101, 256, 1000} {
+			for _, symSize := range []int{1024, 1436, 64} {
+				rng, enc, source, full, part := partialPair(t, k, symSize)
+				for m := 1; m <= partialMaxMissing(k); m++ {
+					pat := lossPatterns[m%len(lossPatterns)]
+					for _, c := range []struct {
+						name    string
+						missing []int
+					}{{pat.name, pat.rows(k, m)}, {"random", rng.Perm(k)[:m]}} {
+						if err := partialMatchesFull(full, part, enc, source, c.missing); err != nil {
+							t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, c.name, m, err)
+						}
 					}
 				}
 			}
 		}
-	}
-	for _, k := range []int{16, 64, 256} {
-		for _, symSize := range []int{64, 1024} {
-			rng, enc, source, full, part := partialPair(t, k, symSize)
-			for _, m := range []int{1, 2, k / 16, k / 8, k / 4} {
-				for _, pat := range lossPatterns {
-					if err := partialMatchesFull(full, part, enc, source, pat.rows(k, m)); err != nil {
-						t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, pat.name, m, err)
+		for _, k := range []int{16, 64, 256} {
+			for _, symSize := range []int{64, 1024} {
+				rng, enc, source, full, part := partialPair(t, k, symSize)
+				for _, m := range []int{1, 2, k / 16, k / 8, k / 4} {
+					for _, pat := range lossPatterns {
+						if err := partialMatchesFull(full, part, enc, source, pat.rows(k, m)); err != nil {
+							t.Fatalf("k=%d T=%d %s m=%d: %v", k, symSize, pat.name, m, err)
+						}
 					}
-				}
-				for s := 0; s < 3; s++ {
-					if err := partialMatchesFull(full, part, enc, source, rng.Perm(k)[:m]); err != nil {
-						t.Fatalf("k=%d T=%d random#%d m=%d: %v", k, symSize, s, m, err)
+					for s := 0; s < 3; s++ {
+						if err := partialMatchesFull(full, part, enc, source, rng.Perm(k)[:m]); err != nil {
+							t.Fatalf("k=%d T=%d random#%d m=%d: %v", k, symSize, s, m, err)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // partialPair makes a random K-symbol block of size symSize, its encoder,
@@ -302,54 +305,57 @@ func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 // TestPartialReusedDecoderDifferential drives one reused decoder
 // through many Reset cycles with varying loss patterns, comparing
 // against fresh full-solver decodes each time — the steady-state arena
-// reuse must never leak bytes between blocks.
+// reuse must never leak bytes between blocks. Runs on every gf256
+// kernel tier (eachGFTier).
 func TestPartialReusedDecoderDifferential(t *testing.T) {
-	const k, symSize = 64, 48
-	dec, err := NewDecoder(k, symSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.forcePartial = true
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 20; round++ {
-		source := make([][]byte, k)
-		for i := range source {
-			source[i] = make([]byte, symSize)
-			rng.Read(source[i])
-		}
-		enc, err := NewEncoder(source)
+	eachGFTier(t, func(t *testing.T) {
+		const k, symSize = 64, 48
+		dec, err := NewDecoder(k, symSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := 1 + rng.Intn(k/8)
-		missing := rng.Perm(k)[:m]
-		gone := make(map[int]bool, m)
-		for _, r := range missing {
-			gone[r] = true
-		}
-		dec.Reset()
-		for i := 0; i < k; i++ {
-			if !gone[i] {
-				dec.AddSymbol(uint32(i), enc.Symbol(uint32(i)))
+		dec.forcePartial = true
+		rng := rand.New(rand.NewSource(99))
+		for round := 0; round < 20; round++ {
+			source := make([][]byte, k)
+			for i := range source {
+				source[i] = make([]byte, symSize)
+				rng.Read(source[i])
+			}
+			enc, err := NewEncoder(source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := 1 + rng.Intn(k/8)
+			missing := rng.Perm(k)[:m]
+			gone := make(map[int]bool, m)
+			for _, r := range missing {
+				gone[r] = true
+			}
+			dec.Reset()
+			for i := 0; i < k; i++ {
+				if !gone[i] {
+					dec.AddSymbol(uint32(i), enc.Symbol(uint32(i)))
+				}
+			}
+			for r := 0; r < m+partialExtraRows; r++ {
+				dec.AddSymbol(uint32(k+r), enc.Symbol(uint32(k+r)))
+			}
+			part, err := dec.Decode()
+			if err != nil {
+				t.Fatalf("round %d m=%d: %v", round, m, err)
+			}
+			full, err := decodeWith(t, k, symSize, enc, missing, m+partialExtraRows, false)
+			if err != nil {
+				t.Fatalf("round %d m=%d: full solver: %v", round, m, err)
+			}
+			for i := 0; i < k; i++ {
+				if !bytes.Equal(part[i], full[i]) || !bytes.Equal(full[i], source[i]) {
+					t.Fatalf("round %d m=%d: mismatch at symbol %d", round, m, i)
+				}
 			}
 		}
-		for r := 0; r < m+partialExtraRows; r++ {
-			dec.AddSymbol(uint32(k+r), enc.Symbol(uint32(k+r)))
-		}
-		part, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("round %d m=%d: %v", round, m, err)
-		}
-		full, err := decodeWith(t, k, symSize, enc, missing, m+partialExtraRows, false)
-		if err != nil {
-			t.Fatalf("round %d m=%d: full solver: %v", round, m, err)
-		}
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(part[i], full[i]) || !bytes.Equal(full[i], source[i]) {
-				t.Fatalf("round %d m=%d: mismatch at symbol %d", round, m, i)
-			}
-		}
-	}
+	})
 }
 
 // TestObjectParallelIdenticalToSerial checks that the block-parallel
