@@ -130,6 +130,63 @@ func TestScaleRowParity(t *testing.T) {
 	})
 }
 
+// The portable word-wise cores must stay byte-identical to the scalar
+// paths when called directly too, not only through the exported
+// kernels' dispatch.
+func TestPortableWordCoresParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 64, 1031} {
+		src := randRow(rng, n)
+		dst := randRow(rng, n)
+		wantAdd := append([]byte(nil), dst...)
+		AddRowScalar(wantAdd, src)
+		gotAdd := append([]byte(nil), dst...)
+		addRowWords(gotAdd, src)
+		if !bytes.Equal(gotAdd, wantAdd) {
+			t.Fatalf("addRowWords n=%d diverges from scalar", n)
+		}
+		for _, c := range []byte{2, 3, 0x35, 0x80, 0xFF} {
+			want := append([]byte(nil), dst...)
+			MulAddRowScalar(want, src, c)
+			got := append([]byte(nil), dst...)
+			mulAddRowWords(got, src, c)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("mulAddRowWords n=%d c=%d diverges from scalar", n, c)
+			}
+			wantRow := append([]byte(nil), src...)
+			ScaleRowScalar(wantRow, c)
+			gotRow := append([]byte(nil), src...)
+			scaleRowWords(gotRow, c)
+			if !bytes.Equal(gotRow, wantRow) {
+				t.Fatalf("scaleRowWords n=%d c=%d diverges from scalar", n, c)
+			}
+		}
+	}
+}
+
+// Unaligned sub-slices: no tier may assume alignment of the slice data
+// pointer.
+func TestRowOpsUnalignedParity(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		backingSrc := randRow(rng, 256)
+		backingDst := randRow(rng, 256)
+		for off := 0; off < 8; off++ {
+			for _, n := range []int{24, 25, 31} {
+				src := backingSrc[off : off+n]
+				dst := backingDst[off : off+n]
+				want := append([]byte(nil), dst...)
+				MulAddRowScalar(want, src, 0x53)
+				got := append([]byte(nil), dst...)
+				MulAddRow(got, src, 0x53)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("MulAddRow off=%d n=%d diverges from scalar", off, n)
+				}
+			}
+		}
+	})
+}
+
 // TestAffineTable emulates GF2P8AFFINEQB with a zero constant term in
 // pure Go — output bit i is the parity of (matrix byte 7-i AND x) — and
 // requires affTab to give Mul(c, x) for all 65,536 pairs, so a host
