@@ -3,7 +3,7 @@ package polyraptor_test
 // One benchmark per table/figure of the paper (plus the A1-A4
 // ablations and E1-E3 extensions of EXPERIMENTS.md). Each bench regenerates its figure at a load-preserving
 // scaled-down configuration (see EXPERIMENTS.md for the scaling
-// argument and paper-scale results from cmd/polybench) and prints the
+// argument and paper-scale results from poly bench) and prints the
 // series the paper plots — who wins, by what factor, where crossings
 // fall — exactly once, regardless of b.N.
 //

@@ -1,26 +1,8 @@
-// Command polybench regenerates every figure of the Polyraptor paper
-// (SIGCOMM 2018) as text tables or CSV.
-//
-// Usage:
-//
-//	polybench -fig 1a                 # scaled-down default
-//	polybench -fig 1b -scale medium   # larger fabric, more sessions
-//	polybench -fig 1c -scale paper    # the paper's exact parameters
-//	polybench -fig ablations          # A1-A4
-//	polybench -fig ext                # extensions E1-E4 and Ext-S
-//	polybench -fig all -csv
-//
-// Scaled-down runs preserve per-host delivered load, so the *shape*
-// of every figure (who wins, by what factor, where crossings fall)
-// matches the paper; see EXPERIMENTS.md.
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"polyraptor/internal/harness"
@@ -28,8 +10,6 @@ import (
 	"polyraptor/internal/store"
 	"polyraptor/internal/workload"
 )
-
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // bench carries one invocation through the figure printers. err is
 // the first failed run; once set, printf goes quiet, so a block of
@@ -41,37 +21,40 @@ type bench struct {
 	err  error
 }
 
-// run is main with its dependencies injected, so tests can drive the
-// whole CLI in-process.
-func run(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("polybench", flag.ContinueOnError)
-	fs.SetOutput(errw)
+// runBench regenerates the figures of the Polyraptor paper (SIGCOMM
+// 2018), the A1-A4 ablations and the E1-E4/Ext-S extensions as text
+// tables or CSV. Scaled-down runs preserve per-host delivered load, so
+// the shape of every figure (who wins, by what factor, where crossings
+// fall) matches the paper; see EXPERIMENTS.md.
+func runBench(c *cli, args []string) int {
 	var (
-		fig    = fs.String("fig", "all", "figure to regenerate: 1a, 1b, 1c, ablations, ext, all")
-		scale  = fs.String("scale", "bench", "experiment scale: bench, medium, paper")
-		csv    = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		points = fs.Int("points", 16, "max points per rank curve (1a/1b)")
-		seed   = fs.Int64("seed", 1, "base seed")
-		reps   = fs.Int("reps", 0, "override Figure 1c repetitions (0 = scale default)")
+		fig    = c.fs.String("fig", "all", "figure to regenerate: 1a, 1b, 1c, ablations, ext, all")
+		scale  = c.fs.String("scale", "bench", "experiment scale: bench, medium, paper")
+		points = c.fs.Int("points", 16, "max points per rank curve (1a/1b; 0 = every session)")
+		reps   = c.fs.Int("reps", 0, "override Figure 1c repetitions (0 = scale default)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	c.flags(formatFlag)
+	if code := c.parse(args); code != proceed {
+		return code
 	}
 	sc, inc, ok := scales(*scale)
-	if !ok {
-		fmt.Fprintf(errw, "polybench: unknown scale %q (bench|medium|paper)\n", *scale)
-		return 2
+	switch {
+	case c.format == "json":
+		return c.fail(2, "bench prints -format table or csv")
+	case !ok:
+		return c.fail(2, "unknown scale %q (bench|medium|paper)", *scale)
+	case *points < 0:
+		return c.fail(2, "-points must be >= 0, got %d", *points)
+	case *reps < 0:
+		return c.fail(2, "-reps must be >= 0, got %d", *reps)
 	}
-	sc.Seed = *seed
-	inc.Seed = *seed
+	sc.Seed = c.seed
+	inc.Seed = c.seed
 	if *reps > 0 {
 		inc.Repetitions = *reps
 	}
 
-	b := &bench{out: out, csv: *csv, seed: *seed}
+	b := &bench{out: c.out, csv: c.format == "csv", seed: c.seed}
 	rankNote := fmt.Sprintf("k=%d hosts=%d sessions=%d bytes=%d",
 		sc.FatTreeK, sc.FatTreeK*sc.FatTreeK*sc.FatTreeK/4, sc.Sessions, sc.Bytes)
 	figures := []struct {
@@ -101,13 +84,12 @@ func run(args []string, out, errw io.Writer) int {
 		}
 	}
 	if !ran {
-		fmt.Fprintf(errw, "polybench: unknown figure %q\n", *fig)
-		fs.Usage()
+		c.logf("unknown figure %q", *fig)
+		c.fs.Usage()
 		return 2
 	}
 	if b.err != nil {
-		fmt.Fprintf(errw, "polybench: %v\n", b.err)
-		return 1
+		return c.fail(1, "%v", b.err)
 	}
 	return 0
 }

@@ -3,10 +3,11 @@ package main
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
-func TestScales(t *testing.T) {
+func TestBenchScales(t *testing.T) {
 	sc, inc, _ := scales("bench")
 	if sc.Sessions == 0 || len(inc.SenderCounts) == 0 {
 		t.Fatalf("bench scale empty: %+v / %+v", sc, inc)
@@ -39,18 +40,34 @@ func TestGoldenFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errw bytes.Buffer
-	if code := run([]string{"-fig", "all", "-csv"}, &out, &errw); code != 0 {
+	if code := runSub("bench", []string{"-fig", "all", "-format", "csv"}, &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("polybench -fig all -csv differs from the golden:\n%s", out.String())
+		t.Fatalf("poly bench -fig all -format csv differs from the golden:\n%s", out.String())
 	}
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{{"-fig", "2z"}, {"-scale", "galactic"}, {"-nope"}} {
+// TestBenchOnePointPerCurve: -points 1 keeps each rank curve's first
+// point. It used to divide by zero in stats.Downsample.
+func TestBenchOnePointPerCurve(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := runSub("bench", []string{"-fig", "1b", "-points", "1", "-format", "csv"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], "rank,") || !strings.HasPrefix(lines[2], "0,") {
+		t.Fatalf("want a title, a header and the rank-0 row:\n%s", out.String())
+	}
+}
+
+func TestBenchRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "2z"}, {"-scale", "galactic"}, {"-nope"},
+		{"-points", "-1"}, {"-reps", "-1"}, {"-format", "json"}, {"-format", "yaml"},
+	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 || errw.Len() == 0 {
+		if code := runSub("bench", args, &out, &errw); code != 2 || errw.Len() == 0 {
 			t.Fatalf("run(%v) exited %d with stderr %q, want 2 and an error", args, code, errw.String())
 		}
 	}

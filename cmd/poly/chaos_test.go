@@ -7,20 +7,20 @@ import (
 	"testing"
 )
 
-// tinyArgs keeps the in-process CLI runs sub-second: a k=4 fabric,
+// chaosArgs keeps the in-process CLI runs sub-second: a k=4 fabric,
 // 256 KB flows, fault at 500 µs, scored at 1 s.
-func tinyArgs(extra ...string) []string {
+func chaosArgs(extra ...string) []string {
 	return append([]string{
 		"-k", "4", "-flows", "6", "-bytes", "262144",
 		"-fail-at", "500us", "-deadline", "1s",
 	}, extra...)
 }
 
-// TestRunSmoke drives the whole CLI in-process: the headline contrast
+// TestChaosSmoke drives the whole CLI in-process: the headline contrast
 // (rq zero stalls, tcp stranded) must show in the table.
-func TestRunSmoke(t *testing.T) {
+func TestChaosSmoke(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-backend", "rq,tcp"), &out, &errw)
+	code := runSub("chaos", chaosArgs("-backends", "rq,tcp"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -32,11 +32,11 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunVerboseSchedule: -v appends the struck targets and the fault
+// TestChaosVerboseSchedule: -v appends the struck targets and the fault
 // event log.
-func TestRunVerboseSchedule(t *testing.T) {
+func TestChaosVerboseSchedule(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-backend", "rq", "-recover-at", "50ms", "-v"), &out, &errw)
+	code := runSub("chaos", chaosArgs("-backends", "rq", "-recover-at", "50ms", "-v"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -48,9 +48,9 @@ func TestRunVerboseSchedule(t *testing.T) {
 	}
 }
 
-func TestRunCSV(t *testing.T) {
+func TestChaosCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-backend", "rq", "-csv"), &out, &errw)
+	code := runSub("chaos", chaosArgs("-backends", "rq", "-format", "csv"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -66,13 +66,17 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: every invalid flag combination exits 2 with
+// TestChaosRejectsBadFlags: every invalid flag combination exits 2 with
 // a diagnostic, before any simulation runs.
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestChaosRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-backend", "quic"},
-		{"-backend", ","},
+		{"-backends", "quic"},
+		{"-backends", ","},
 		{"-nope"},
+		{"-trace", "-seeds", "2"},
+		{"-trace", "-format", "json"},
+		{"-slo-fct", "5ms"}, // sweep mode only
+		{"-slo-fct", "-1ms", "-seeds", "2"},
 		{"-k", "5"},
 		{"-pattern", "tornado"},
 		{"-flows", "0"},
@@ -94,14 +98,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-fault", "flap", "-flap-period", "1ns", "-recover-at", "1ms"}, // toggle-event storm
 		{"-deadline", "0s"},
 		{"-deadline", "1ms"}, // deadline before the default 2 ms fault
-		{"-runs", "0"},
-		{"-csv", "-json"},
+		{"-seeds", "0"},
+		{"-format", "yaml"},
 		{"-plan", "meteor core 0.5"},
 		{"-plan", "link core 0.5 rate 0.1"}, // rate is loss-only
 		{"-plan", "link core 0.5 @10ms recover 1ms"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
+		if code := runSub("chaos", args, &out, &errw); code != 2 {
 			t.Fatalf("run(%v) exited %d, want 2; stderr: %s", args, code, errw.String())
 		}
 		if errw.Len() == 0 {
@@ -110,19 +114,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunMultiSeed: -runs > 1 aggregates per backend over derived
+// TestChaosMultiSeed: -seeds > 1 aggregates per backend over derived
 // sub-seeds, byte-identically at any parallelism — the sweep
 // determinism criterion at the CLI surface.
-func TestRunMultiSeed(t *testing.T) {
-	sweepArgs := func(extra ...string) []string {
-		return tinyArgs(append([]string{"-backend", "rq,tcp", "-runs", "3"}, extra...)...)
+func TestChaosMultiSeed(t *testing.T) {
+	multiArgs := func(extra ...string) []string {
+		return chaosArgs(append([]string{"-backends", "rq,tcp", "-seeds", "3"}, extra...)...)
 	}
 	var serial, parallel, errw bytes.Buffer
-	if code := run(sweepArgs("-parallel", "1", "-json"), &serial, &errw); code != 0 {
+	if code := runSub("chaos", multiArgs("-parallel", "1", "-format", "json"), &serial, &errw); code != 0 {
 		t.Fatalf("serial run exited %d: %s", code, errw.String())
 	}
 	errw.Reset()
-	if code := run(sweepArgs("-json"), &parallel, &errw); code != 0 {
+	if code := runSub("chaos", multiArgs("-format", "json"), &parallel, &errw); code != 0 {
 		t.Fatalf("parallel run exited %d: %s", code, errw.String())
 	}
 	if serial.String() != parallel.String() {
@@ -150,7 +154,7 @@ func TestRunMultiSeed(t *testing.T) {
 
 	var table bytes.Buffer
 	errw.Reset()
-	if code := run(sweepArgs(), &table, &errw); code != 0 {
+	if code := runSub("chaos", multiArgs(), &table, &errw); code != 0 {
 		t.Fatalf("table run exited %d: %s", code, errw.String())
 	}
 	for _, want := range []string{"chaos/polyraptor", "chaos/tcp", "stall_rate", "±CI95"} {
@@ -160,33 +164,22 @@ func TestRunMultiSeed(t *testing.T) {
 	}
 }
 
-// TestRunPlanFlag: -plan parses the compact grammar and overrides the
+// TestChaosPlanFlag: -plan parses the compact grammar and overrides the
 // individual fault flags — the spec below must produce the same run as
 // the equivalent -fault/-frac/-recover-at invocation.
-func TestRunPlanFlag(t *testing.T) {
+func TestChaosPlanFlag(t *testing.T) {
 	var specOut, flagOut, errw bytes.Buffer
-	args := []string{"-k", "4", "-flows", "6", "-bytes", "262144", "-deadline", "1s", "-backend", "rq"}
-	code := run(append(args, "-plan", "link core 0.5 @500us recover 50ms"), &specOut, &errw)
+	args := []string{"-k", "4", "-flows", "6", "-bytes", "262144", "-deadline", "1s", "-backends", "rq"}
+	code := runSub("chaos", append(args, "-plan", "link core 0.5 @500us recover 50ms"), &specOut, &errw)
 	if code != 0 {
 		t.Fatalf("run(-plan) exited %d: %s", code, errw.String())
 	}
-	code = run(append(args, "-fault", "link", "-layer", "core", "-frac", "0.5",
+	code = runSub("chaos", append(args, "-fault", "link", "-layer", "core", "-frac", "0.5",
 		"-fail-at", "500us", "-recover-at", "50ms"), &flagOut, &errw)
 	if code != 0 {
 		t.Fatalf("run(flags) exited %d: %s", code, errw.String())
 	}
 	if specOut.String() != flagOut.String() {
 		t.Fatalf("-plan and flag spellings diverge:\n%s\nvs\n%s", specOut.String(), flagOut.String())
-	}
-}
-
-// TestRunHelpExitsZero: -h prints usage and exits 0.
-func TestRunHelpExitsZero(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-h) exited %d, want 0", code)
-	}
-	if !strings.Contains(errw.String(), "Usage") {
-		t.Fatalf("help output missing usage: %s", errw.String())
 	}
 }

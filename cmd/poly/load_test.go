@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// quickArgs keeps CLI tests to a few hundred milliseconds: a tiny
+// loadArgs keeps CLI tests to a few hundred milliseconds: a tiny
 // ladder on the k=4 fabric, one seed per probe.
-func quickArgs(extra ...string) []string {
+func loadArgs(extra ...string) []string {
 	base := []string{
 		"-k", "4", "-senders", "4", "-bytes", "16384",
 		"-scenarios", "incast", "-backends", "rq",
@@ -20,9 +20,9 @@ func quickArgs(extra ...string) []string {
 	return append(base, extra...)
 }
 
-func TestRunTable(t *testing.T) {
+func TestLoadTable(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run(quickArgs(), &out, &errw); code != 0 {
+	if code := runSub("load", loadArgs(), &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	for _, want := range []string{"PolyLoad saturation search", "incast/polyraptor", "knee:"} {
@@ -32,9 +32,9 @@ func TestRunTable(t *testing.T) {
 	}
 }
 
-func TestRunCSV(t *testing.T) {
+func TestLoadCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run(quickArgs("-format", "csv"), &out, &errw); code != 0 {
+	if code := runSub("load", loadArgs("-format", "csv"), &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -51,12 +51,12 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-func TestRunJSONSchemaAndDeterminism(t *testing.T) {
+func TestLoadJSONSchemaAndDeterminism(t *testing.T) {
 	var a, b, errw bytes.Buffer
-	if code := run(quickArgs("-format", "json"), &a, &errw); code != 0 {
+	if code := runSub("load", loadArgs("-format", "json"), &a, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	if code := run(quickArgs("-format", "json", "-parallel", "4"), &b, &errw); code != 0 {
+	if code := runSub("load", loadArgs("-format", "json", "-parallel", "4"), &b, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	if a.String() != b.String() {
@@ -86,10 +86,10 @@ func TestRunJSONSchemaAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunHistOut(t *testing.T) {
+func TestLoadHistOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hists.json")
 	var out, errw bytes.Buffer
-	if code := run(quickArgs("-hist-out", path), &out, &errw); code != 0 {
+	if code := runSub("load", loadArgs("-hist-out", path), &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	var dump []histDump
@@ -109,33 +109,34 @@ func TestRunHistOut(t *testing.T) {
 }
 
 // Every bad flag combination must fail fast with exit code 2 and a
-// polyload-prefixed message, before any simulation runs.
-func TestBadFlags(t *testing.T) {
+// "poly load:"-prefixed message, before any simulation runs.
+func TestLoadBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 	}{
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
 		{"positional args", []string{"stray"}},
-		{"bad scenario", quickArgs("-scenarios", "nope")},
-		{"bad backend", quickArgs("-backends", "quic")},
-		{"bad format", quickArgs("-format", "yaml")},
-		{"negative slo", quickArgs("-slo-fct", "-1ms")},
-		{"negative goodput floor", quickArgs("-slo-goodput", "-2")},
-		{"negative p99 ceiling", quickArgs("-p99-max", "-5ms")},
-		{"zero target", quickArgs("-target", "0")},
-		{"target above one", quickArgs("-target", "1.5")},
-		{"inverted ladder", quickArgs("-load-min", "2", "-load-max", "1")},
-		{"zero load floor", quickArgs("-load-min", "0")},
-		{"one rung", quickArgs("-rungs", "1")},
-		{"negative refine", quickArgs("-refine", "-1")},
-		{"zero seeds", quickArgs("-seeds", "0")},
-		{"odd arity", quickArgs("-k", "5")},
+		{"bad scenario", loadArgs("-scenarios", "nope")},
+		{"bad backend", loadArgs("-backends", "quic")},
+		{"bad format", loadArgs("-format", "yaml")},
+		{"negative slo", loadArgs("-slo-fct", "-1ms")},
+		{"negative goodput floor", loadArgs("-slo-goodput", "-2")},
+		{"negative p99 ceiling", loadArgs("-p99-max", "-5ms")},
+		{"zero target", loadArgs("-target", "0")},
+		{"target above one", loadArgs("-target", "1.5")},
+		{"inverted ladder", loadArgs("-load-min", "2", "-load-max", "1")},
+		{"zero load floor", loadArgs("-load-min", "0")},
+		{"one rung", loadArgs("-rungs", "1")},
+		{"negative refine", loadArgs("-refine", "-1")},
+		{"zero seeds", loadArgs("-seeds", "0")},
+		{"odd arity", loadArgs("-k", "5")},
+		{"empty scenario list", loadArgs("-scenarios", " , ")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errw bytes.Buffer
-			code := run(tc.args, &out, &errw)
+			code := runSub("load", tc.args, &out, &errw)
 			if code != 2 {
 				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errw.String())
 			}
@@ -146,14 +147,18 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// -help prints usage and exits 0.
-func TestHelp(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-help"}, &out, &errw); code != 0 {
-		t.Fatalf("-help exited %d", code)
+// TestLoadSkipsBlankScenarios: -scenarios goes through the same list
+// parser as poly sweep's, so a trailing comma is not a scenario.
+func TestLoadSkipsBlankScenarios(t *testing.T) {
+	var want, got, errw bytes.Buffer
+	if code := runSub("load", loadArgs("-format", "csv"), &want, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	if !strings.Contains(errw.String(), "-scenarios") {
-		t.Error("usage text missing flag docs")
+	if code := runSub("load", loadArgs("-format", "csv", "-scenarios", "incast,"), &got, &errw); code != 0 {
+		t.Fatalf("-scenarios incast, exited %d, stderr: %s", code, errw.String())
+	}
+	if got.String() != want.String() {
+		t.Fatalf("-scenarios incast, differs from -scenarios incast:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 
@@ -167,11 +172,11 @@ func TestGoldenReport(t *testing.T) {
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scenarios", "incast,shuffle", "-backends", "rq,tcp", "-format", "json"}
-	if code := run(args, &out, &errw); code != 0 {
+	if code := runSub("load", args, &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("polyload %v differs from the golden report (%d vs %d bytes)", args, out.Len(), len(want))
+		t.Fatalf("poly load %v differs from the golden report (%d vs %d bytes)", args, out.Len(), len(want))
 	}
 }
 
@@ -181,7 +186,7 @@ func TestGoldenReport(t *testing.T) {
 func TestFanoutBeyondFabricIsAFlagError(t *testing.T) {
 	var out, errw bytes.Buffer
 	args := []string{"-k", "2", "-scenarios", "fig1a", "-backends", "rq", "-rungs", "2", "-refine", "0", "-seeds", "1"}
-	if code := run(args, &out, &errw); code != 2 {
+	if code := runSub("load", args, &out, &errw); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "replicas") {

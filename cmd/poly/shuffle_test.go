@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// tinyArgs keeps the in-process CLI runs sub-second.
-func tinyArgs(extra ...string) []string {
+// shuffleArgs keeps the in-process CLI runs sub-second.
+func shuffleArgs(extra ...string) []string {
 	return append([]string{
 		"-k", "4", "-mappers", "3", "-reducers", "4", "-bytes", "32768",
 	}, extra...)
 }
 
-// TestRunSmoke drives the whole CLI in-process on a tiny matrix.
-func TestRunSmoke(t *testing.T) {
+// TestShuffleSmoke drives the whole CLI in-process on a tiny matrix.
+func TestShuffleSmoke(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-backend", "rq,tcp"), &out, &errw)
+	code := runSub("shuffle", shuffleArgs("-backends", "rq,tcp"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -29,9 +29,9 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-func TestRunCSV(t *testing.T) {
+func TestShuffleCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-backend", "rq", "-csv"), &out, &errw)
+	code := runSub("shuffle", shuffleArgs("-backends", "rq", "-format", "csv"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -44,11 +44,12 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestShuffleRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-backend", "quic"},
-		{"-backend", ","},
+		{"-backends", "quic"},
+		{"-backends", ","},
 		{"-nope"},
+		{"-trace", "-format", "json"},
 		{"-k", "5"},
 		{"-k", "4", "-mappers", "10", "-reducers", "7"}, // 17 hosts > 16
 		{"-mappers", "0"},
@@ -56,11 +57,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bytes", "0"},
 		{"-skew", "-1"},
 		{"-straggler", "0.5"},
-		{"-runs", "0"},
-		{"-csv", "-json"},
+		{"-seeds", "0"},
+		{"-format", "yaml"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
+		if code := runSub("shuffle", args, &out, &errw); code != 2 {
 			t.Fatalf("run(%v) exited %d, want 2; stderr: %s", args, code, errw.String())
 		}
 		if errw.Len() == 0 {
@@ -69,11 +70,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunValidatesBeforeRunning: an impossible mapper/reducer count is
+// TestShuffleValidatesBeforeRunning: an impossible mapper/reducer count is
 // reported with the host arithmetic, up front.
-func TestRunValidatesBeforeRunning(t *testing.T) {
+func TestShuffleValidatesBeforeRunning(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{"-k", "4", "-mappers", "10", "-reducers", "7"}, &out, &errw)
+	code := runSub("shuffle", []string{"-k", "4", "-mappers", "10", "-reducers", "7"}, &out, &errw)
 	if code != 2 {
 		t.Fatalf("run exited %d, want 2", code)
 	}
@@ -88,18 +89,18 @@ func TestRunValidatesBeforeRunning(t *testing.T) {
 	}
 }
 
-// TestRunMultiSeed: -runs > 1 aggregates per backend over derived
+// TestShuffleMultiSeed: -seeds > 1 aggregates per backend over derived
 // sub-seeds, byte-identically at any parallelism.
-func TestRunMultiSeed(t *testing.T) {
-	sweepArgs := func(extra ...string) []string {
-		return tinyArgs(append([]string{"-backend", "rq,tcp", "-runs", "3"}, extra...)...)
+func TestShuffleMultiSeed(t *testing.T) {
+	multiArgs := func(extra ...string) []string {
+		return shuffleArgs(append([]string{"-backends", "rq,tcp", "-seeds", "3"}, extra...)...)
 	}
 	var serial, parallel, errw bytes.Buffer
-	if code := run(sweepArgs("-parallel", "1", "-json"), &serial, &errw); code != 0 {
+	if code := runSub("shuffle", multiArgs("-parallel", "1", "-format", "json"), &serial, &errw); code != 0 {
 		t.Fatalf("serial run exited %d: %s", code, errw.String())
 	}
 	errw.Reset()
-	if code := run(sweepArgs("-json"), &parallel, &errw); code != 0 {
+	if code := runSub("shuffle", multiArgs("-format", "json"), &parallel, &errw); code != 0 {
 		t.Fatalf("parallel run exited %d: %s", code, errw.String())
 	}
 	if serial.String() != parallel.String() {
@@ -127,23 +128,12 @@ func TestRunMultiSeed(t *testing.T) {
 
 	var table bytes.Buffer
 	errw.Reset()
-	if code := run(sweepArgs(), &table, &errw); code != 0 {
+	if code := runSub("shuffle", multiArgs(), &table, &errw); code != 0 {
 		t.Fatalf("table run exited %d: %s", code, errw.String())
 	}
 	for _, want := range []string{"shuffle/polyraptor", "shuffle/tcp", "shuffle_s", "±CI95"} {
 		if !strings.Contains(table.String(), want) {
 			t.Fatalf("aggregate table missing %q:\n%s", want, table.String())
 		}
-	}
-}
-
-// TestRunHelpExitsZero: -h prints usage and exits 0.
-func TestRunHelpExitsZero(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-h) exited %d, want 0", code)
-	}
-	if !strings.Contains(errw.String(), "Usage") {
-		t.Fatalf("help output missing usage: %s", errw.String())
 	}
 }

@@ -12,15 +12,15 @@ import (
 	"polyraptor/internal/topology"
 )
 
-// TestPickInvariants checks the peer picker: n distinct hosts, none in
+// TestSimPickInvariants checks the peer picker: n distinct hosts, none in
 // the client's rack, never the client itself.
-func TestPickInvariants(t *testing.T) {
+func TestSimPickInvariants(t *testing.T) {
 	ft, err := topology.NewFatTree(4, netsim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		got := pick(ft, 0, seed, 4)
+		got := pickPeers(ft, 0, seed, 4)
 		if len(got) != 4 {
 			t.Fatalf("seed %d: got %d peers, want 4", seed, len(got))
 		}
@@ -37,17 +37,17 @@ func TestPickInvariants(t *testing.T) {
 	}
 }
 
-// TestRunSmoke exercises the verbose single-run paths end to end on a
+// TestSimSmoke exercises the verbose single-run paths end to end on a
 // small fabric, in-process.
-func TestRunSmoke(t *testing.T) {
+func TestSimSmoke(t *testing.T) {
 	for _, args := range [][]string{
-		{"-proto", "rq", "-pattern", "multisource", "-k", "4", "-bytes", "65536", "-replicas", "3"},
-		{"-proto", "rq", "-pattern", "incast", "-k", "4", "-bytes", "32768", "-senders", "4"},
-		{"-proto", "tcp", "-pattern", "multicast", "-k", "4", "-bytes", "65536", "-replicas", "3"},
-		{"-proto", "dctcp", "-pattern", "unicast", "-k", "4", "-bytes", "65536"},
+		{"-backends", "rq", "-pattern", "multisource", "-k", "4", "-bytes", "65536", "-replicas", "3"},
+		{"-backends", "rq", "-pattern", "incast", "-k", "4", "-bytes", "32768", "-senders", "4"},
+		{"-backends", "tcp", "-pattern", "multicast", "-k", "4", "-bytes", "65536", "-replicas", "3"},
+		{"-backends", "dctcp", "-pattern", "unicast", "-k", "4", "-bytes", "65536"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 0 {
+		if code := runSub("sim", args, &out, &errw); code != 0 {
 			t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
 		}
 		s := out.String()
@@ -59,17 +59,17 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunMultiSeed: -runs > 1 aggregates over derived sub-seeds on the
+// TestSimMultiSeed: -seeds > 1 aggregates over derived sub-seeds on the
 // worker pool, and the aggregate table is identical at -parallel 1.
-func TestRunMultiSeed(t *testing.T) {
+func TestSimMultiSeed(t *testing.T) {
 	table := func(parallel string) string {
 		args := []string{
-			"-proto", "rq", "-pattern", "incast", "-k", "4",
+			"-backends", "rq", "-pattern", "incast", "-k", "4",
 			"-bytes", "32768", "-senders", "4",
-			"-runs", "3", "-parallel", parallel,
+			"-seeds", "3", "-parallel", parallel,
 		}
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 0 {
+		if code := runSub("sim", args, &out, &errw); code != 0 {
 			t.Fatalf("run(-parallel %s) exited %d: %s", parallel, code, errw.String())
 		}
 		return out.String()
@@ -90,12 +90,12 @@ func TestRunMultiSeed(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: impossible configurations fail fast with a
+// TestSimRejectsBadFlags: impossible configurations fail fast with a
 // clear error instead of hanging in the peer picker or panicking in
 // the engine.
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestSimRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-proto", "quic"},
+		{"-backends", "quic"},
 		{"-pattern", "broadcast"},
 		{"-k", "5"},
 		{"-k", "0"},
@@ -103,11 +103,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-pattern", "incast", "-k", "4", "-senders", "15"}, // 14 out-of-rack hosts
 		{"-pattern", "multicast", "-k", "4", "-replicas", "15"},
 		{"-pattern", "multisource", "-k", "4", "-replicas", "0"},
-		{"-runs", "0"},
+		{"-seeds", "0"},
 		{"-nope"},
+		{"-backends", "rq,tcp"}, // one backend at a time
+		{"-backends", "all"},
+		{"-seeds", "2", "-trace"}, // tracing is single-run only
+		{"stray"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
+		if code := runSub("sim", args, &out, &errw); code != 2 {
 			t.Fatalf("run(%v) exited %d, want 2; stderr: %s", args, code, errw.String())
 		}
 		if errw.Len() == 0 {
@@ -116,28 +120,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestScenarioValidateBounds pins the out-of-rack arithmetic: a k=4
+// TestSimScenarioValidateBounds pins the out-of-rack arithmetic: a k=4
 // fabric has 16 hosts, 2 per rack, so at most 14 eligible peers.
-func TestScenarioValidateBounds(t *testing.T) {
-	sc := scenario{pattern: "incast", k: 4, bytes: 1, senders: 14}
+func TestSimScenarioValidateBounds(t *testing.T) {
+	sc := simScenario{pattern: "incast", k: 4, bytes: 1, senders: 14}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("14 senders on k=4 should be valid: %v", err)
 	}
 	sc.senders = 15
 	if err := sc.Validate(); err == nil {
 		t.Fatal("15 senders on k=4 accepted")
-	}
-}
-
-// TestRunHelpExitsZero: -h prints usage and exits 0, matching the
-// pre-refactor flag.ExitOnError behaviour.
-func TestRunHelpExitsZero(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-h) exited %d, want 0", code)
-	}
-	if !strings.Contains(errw.String(), "Usage") {
-		t.Fatalf("help output missing usage: %s", errw.String())
 	}
 }
 
@@ -148,7 +140,7 @@ func TestRunHelpExitsZero(t *testing.T) {
 // full object; the flows its trace records must sum to -bytes.
 func TestTCPMultiSourceMovesEveryByte(t *testing.T) {
 	const size, replicas = 100001, 3 // 33333 + 33333 + 33335
-	sc := scenario{pattern: "multisource", k: 4, bytes: size, replicas: replicas, trim: true}
+	sc := simScenario{pattern: "multisource", k: 4, bytes: size, replicas: replicas, trim: true}
 	for _, be := range []store.BackendKind{store.BackendTCP, store.BackendDCTCP} {
 		res, err := harness.Run(sc, be, 1, harness.Observers{Trace: &telemetry.Options{}})
 		if err != nil {
@@ -165,8 +157,8 @@ func TestTCPMultiSourceMovesEveryByte(t *testing.T) {
 	}
 	// The CLI surface agrees: one line per share.
 	var out, errw bytes.Buffer
-	args := []string{"-proto", "tcp", "-pattern", "multisource", "-k", "4", "-bytes", "100001", "-replicas", "3"}
-	if code := run(args, &out, &errw); code != 0 {
+	args := []string{"-backends", "tcp", "-pattern", "multisource", "-k", "4", "-bytes", "100001", "-replicas", "3"}
+	if code := runSub("sim", args, &out, &errw); code != 0 {
 		t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
 	}
 	if n := strings.Count(out.String(), "\nflow "); n != replicas {

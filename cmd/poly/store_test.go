@@ -9,12 +9,12 @@ import (
 	"polyraptor/internal/store"
 )
 
-// TestRunSmoke drives the whole CLI in-process on a tiny cluster.
-func TestRunSmoke(t *testing.T) {
+// TestStoreSmoke drives the whole CLI in-process on a tiny cluster.
+func TestStoreSmoke(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{
+	code := runSub("store", []string{
 		"-k", "4", "-objects", "16", "-bytes", "65536", "-requests", "40",
-		"-backend", "rq,tcp", "-fail", "rack",
+		"-backends", "rq,tcp", "-fail", "rack",
 	}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
@@ -27,11 +27,11 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-func TestRunCSV(t *testing.T) {
+func TestStoreCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{
+	code := runSub("store", []string{
 		"-k", "4", "-objects", "8", "-bytes", "65536", "-requests", "20",
-		"-backend", "rq", "-fail", "none", "-csv",
+		"-backends", "rq", "-fail", "none", "-format", "csv",
 	}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
@@ -45,11 +45,11 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestStoreRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fail", "meteor"},
-		{"-backend", "quic"},
-		{"-backend", ","},
+		{"-backends", "quic"},
+		{"-backends", ","},
 		{"-nope"},
 		{"-k", "5"},
 		{"-k", "4", "-replicas", "8"}, // 9 racks needed, k=4 has 8
@@ -61,11 +61,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-zipf", "-1"},
 		{"-requests", "-1"},
 		{"-load", "0", "-lambda", "0"},
-		{"-runs", "0"},
-		{"-csv", "-json"},
+		{"-seeds", "0"},
+		{"-format", "yaml"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
+		if code := runSub("store", args, &out, &errw); code != 2 {
 			t.Fatalf("run(%v) exited %d, want 2; stderr: %s", args, code, errw.String())
 		}
 		if errw.Len() == 0 {
@@ -74,11 +74,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunValidatesBeforeRunning: an impossible replicas/rack combo is
+// TestStoreValidatesBeforeRunning: an impossible replicas/rack combo is
 // reported with the rack arithmetic, up front.
-func TestRunValidatesBeforeRunning(t *testing.T) {
+func TestStoreValidatesBeforeRunning(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{"-k", "4", "-replicas", "8"}, &out, &errw)
+	code := runSub("store", []string{"-k", "4", "-replicas", "8"}, &out, &errw)
 	if code != 2 {
 		t.Fatalf("run exited %d, want 2", code)
 	}
@@ -93,21 +93,21 @@ func TestRunValidatesBeforeRunning(t *testing.T) {
 	}
 }
 
-// TestRunMultiSeed: -runs > 1 aggregates per backend over derived
+// TestStoreMultiSeed: -seeds > 1 aggregates per backend over derived
 // sub-seeds, byte-identically at any parallelism.
-func TestRunMultiSeed(t *testing.T) {
-	sweepArgs := func(extra ...string) []string {
+func TestStoreMultiSeed(t *testing.T) {
+	multiArgs := func(extra ...string) []string {
 		return append([]string{
 			"-k", "4", "-objects", "8", "-bytes", "65536", "-requests", "20",
-			"-backend", "rq,tcp", "-fail", "rack", "-runs", "3",
+			"-backends", "rq,tcp", "-fail", "rack", "-seeds", "3",
 		}, extra...)
 	}
 	var serial, parallel, errw bytes.Buffer
-	if code := run(sweepArgs("-parallel", "1", "-json"), &serial, &errw); code != 0 {
+	if code := runSub("store", multiArgs("-parallel", "1", "-format", "json"), &serial, &errw); code != 0 {
 		t.Fatalf("serial run exited %d: %s", code, errw.String())
 	}
 	errw.Reset()
-	if code := run(sweepArgs("-json"), &parallel, &errw); code != 0 {
+	if code := runSub("store", multiArgs("-format", "json"), &parallel, &errw); code != 0 {
 		t.Fatalf("parallel run exited %d: %s", code, errw.String())
 	}
 	if serial.String() != parallel.String() {
@@ -129,7 +129,7 @@ func TestRunMultiSeed(t *testing.T) {
 
 	var table bytes.Buffer
 	errw.Reset()
-	if code := run(sweepArgs(), &table, &errw); code != 0 {
+	if code := runSub("store", multiArgs(), &table, &errw); code != 0 {
 		t.Fatalf("table run exited %d: %s", code, errw.String())
 	}
 	for _, want := range []string{"storage/polyraptor", "storage/tcp", "get_gbps", "±CI95"} {
@@ -147,17 +147,5 @@ func TestParseBackends(t *testing.T) {
 	got, err := store.ParseBackends("rq, dctcp")
 	if err != nil || len(got) != 2 || got[0] != store.BackendPolyraptor || got[1] != store.BackendDCTCP {
 		t.Fatalf("ParseBackends(rq, dctcp) = %v, %v", got, err)
-	}
-}
-
-// TestRunHelpExitsZero: -h prints usage and exits 0, like
-// flag.ExitOnError tools do.
-func TestRunHelpExitsZero(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-h) exited %d, want 0", code)
-	}
-	if !strings.Contains(errw.String(), "Usage") {
-		t.Fatalf("help output missing usage: %s", errw.String())
 	}
 }

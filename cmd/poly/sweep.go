@@ -1,0 +1,211 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"strings"
+	"sync"
+	"time"
+
+	"polyraptor/internal/chaos"
+	"polyraptor/internal/harness"
+	"polyraptor/internal/metrics"
+	"polyraptor/internal/store"
+	"polyraptor/internal/sweep"
+	"polyraptor/internal/telemetry"
+)
+
+// runSweep runs a declarative experiment sweep: a matrix of backend x
+// scenario cells, each repeated over derived sub-seeds on a worker pool
+// and aggregated to mean, 95% confidence interval and tail percentiles.
+// Each run gets its own sub-seed and simulation, and aggregation order
+// is fixed by the matrix, so results are byte-identical at any
+// -parallel.
+func runSweep(c *cli, args []string) int {
+	fs := c.fs
+	p := harness.DefaultSweepParams()
+	var (
+		scenarios  = fs.String("scenarios", "incast,storage", "comma list of fig1a, fig1b, incast, shuffle, storage, chaos, ablations, or all")
+		verbose    = fs.Bool("v", false, "print per-run progress to stderr as cells finish")
+		meterOn    = fs.Bool("meter", false, "attach PolyMeter: pooled FCT/goodput/queue/stall histograms and slo_attainment per cell")
+		sloFCT     = fs.Duration("slo-fct", 0, "SLO: per-flow completion deadline; implies -meter (0 = no deadline)")
+		sloGbps    = fs.Float64("slo-goodput", 0, "SLO: per-flow goodput floor in Gbps; implies -meter (0 = no floor)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
+		failMode   = fs.String("fail", p.Store.FailMode.String(), "storage: mid-run failure: none, server, rack")
+	)
+	sizeFlags(fs, &p)
+	fs.IntVar(&p.Replicas, "replicas", p.Replicas, "replica count (fig1a/fig1b, storage)")
+	fs.Float64Var(&p.ShuffleSkew, "skew", p.ShuffleSkew, "shuffle: Zipf skew of partition sizes across reducers")
+	fs.Float64Var(&p.Straggler, "straggler", p.Straggler, "shuffle: scale one mapper's partitions by this factor (0 = off)")
+	fs.Float64Var(&p.Store.PutFrac, "putfrac", p.Store.PutFrac, "storage: fraction of requests that are PUTs")
+	fs.Float64Var(&p.Store.ZipfSkew, "zipf", p.Store.ZipfSkew, "storage: Zipf popularity skew")
+	parseFault := faultFlags(fs, "chaos-", &p.Chaos)
+	c.seeds = 5
+	c.flags(runFlags | formatFlag | traceFlags)
+	if code := c.parse(args); code != proceed {
+		return code
+	}
+	slo := metrics.SLO{FCTDeadline: sloFCT.Seconds(), GoodputFloor: *sloGbps}
+	if err := slo.Validate(); err != nil {
+		return c.fail(2, "%v", err)
+	}
+	mode, ok := store.ParseFailMode(*failMode)
+	if !ok {
+		return c.fail(2, "unknown failure mode %q", *failMode)
+	}
+	if err := parseFault(); err != nil {
+		return c.fail(2, "%v", err)
+	}
+	p.Store.FatTreeK = p.FatTreeK
+	p.Store.ObjectBytes = p.Bytes
+	p.Store.Replicas = p.Replicas
+	p.Store.FailMode = mode
+	p.Store.Seed = c.seed
+	p.Chaos.FatTreeK = p.FatTreeK
+	p.Chaos.Bytes = p.Bytes
+	p.Chaos.Senders = p.Senders
+	p.Chaos.Replicas = p.Replicas
+	p.Chaos.Mappers = p.Mappers
+	p.Chaos.Reducers = p.Reducers
+	if slo.Enabled() {
+		p.SLO = &slo
+	} else if *meterOn {
+		p.Meter = true
+	}
+
+	scen, err := sweepScenarios(*scenarios)
+	if err != nil {
+		return c.fail(2, "%v", err)
+	}
+	if c.trace {
+		p.Trace = &telemetry.Options{}
+		var traceMu sync.Mutex
+		p.TraceSink = func(scenario, backend string, seed int64, tr *telemetry.Trace) {
+			base := fmt.Sprintf("%s-%s-%s-s%d", c.traceOut, scenario, backend, seed)
+			paths, err := tr.WriteFiles(base)
+			traceMu.Lock()
+			defer traceMu.Unlock()
+			if err != nil {
+				c.logf("trace %s: %v", base, err)
+				return
+			}
+			c.logf("wrote %s", strings.Join(paths, ", "))
+		}
+	}
+
+	// Building a cell validates its scenario against the fabric, so
+	// every impossible parameter is an error here, before anything runs
+	// (or is profiled).
+	var cells []sweep.Cell
+	for _, s := range scen {
+		var more []sweep.Cell
+		if s == "ablations" {
+			// Ablations contrast Polyraptor against itself (trimming
+			// off, pull-only start, ...), so the backend axis does not
+			// apply — say so instead of silently dropping it.
+			if c.backends != "all" && c.backends != "rq" && c.backends != "polyraptor" {
+				c.logf("note: ablation cells always run on the rq backend; -backends does not apply to them")
+			}
+			more, err = harness.AblationCells(p)
+		} else {
+			more, err = harness.SweepCells(s, c.kinds, p)
+		}
+		if err != nil {
+			return c.fail(2, "%v", err)
+		}
+		cells = append(cells, more...)
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return c.fail(2, "%v", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return c.fail(2, "%v", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memprofile); err != nil {
+				c.logf("%v", err)
+			}
+		}()
+	}
+
+	m := sweep.Matrix{Cells: cells, Seeds: c.seeds, BaseSeed: c.seed, Parallelism: c.parallel}
+	if *verbose {
+		// Progress lines go to stderr in completion order; stdout stays
+		// byte-identical across parallelism settings.
+		m.Progress = func(p sweep.Progress) {
+			c.logf("[%d/%d] %s seed=%d elapsed=%v eta=%v",
+				p.Done, p.Total, p.Cell.Name(), p.Seed,
+				p.Elapsed.Round(time.Millisecond), p.ETA.Round(time.Millisecond))
+		}
+	}
+	start := time.Now()
+	code := m.Emit(c.name, c.format, c.out, c.errw)
+	// Wall clock goes to stderr so machine-readable stdout stays
+	// byte-identical across parallelism settings.
+	c.logf("%d cells x %d seeds (%d runs) in %v",
+		len(cells), c.seeds, len(cells)*c.seeds, time.Since(start).Round(time.Millisecond))
+	return code
+}
+
+// sweepScenarios expands -scenarios, keeping its order: "all" is every
+// canned scenario plus the ablation bundle. Names are checked when their
+// cells are built.
+func sweepScenarios(arg string) ([]string, error) {
+	if arg == "all" {
+		return append(harness.SweepScenarios(), "ablations"), nil
+	}
+	return parseList(arg, "scenarios")
+}
+
+// faultFlags binds the chaos pattern and fault flags to o, each name
+// after prefix (bare in poly chaos, "chaos-" in poly sweep), defaulting
+// to o's values. The returned func sets the fault kind and layer once
+// the flags are parsed.
+func faultFlags(fs *flag.FlagSet, prefix string, o *harness.ChaosOptions) func() error {
+	fs.StringVar(&o.Pattern, prefix+"pattern", o.Pattern, "chaos traffic pattern: one2one, incast, multicast, shuffle")
+	fs.IntVar(&o.Flows, prefix+"flows", o.Flows, "chaos one2one: cross-pod flow count")
+	kind := fs.String(prefix+"fault", o.Fault.Kind.String(), "fault kind: link (blackhole), switch (kill), loss, flap")
+	layer := fs.String(prefix+"layer", o.Fault.Layer.String(), "fault's fabric tier: core, agg, host")
+	fs.Float64Var(&o.Fault.Frac, prefix+"frac", o.Fault.Frac, "fraction of the tier's links/switches to strike")
+	fs.DurationVar(&o.Fault.FailAt, prefix+"fail-at", o.Fault.FailAt, "when the fault strikes (sim time)")
+	fs.DurationVar(&o.Fault.RecoverAt, prefix+"recover-at", o.Fault.RecoverAt, "when it heals (0 = never; required for flap)")
+	fs.DurationVar(&o.Fault.FlapPeriod, prefix+"flap-period", o.Fault.FlapPeriod, "flap: full down+up cycle length")
+	fs.Float64Var(&o.Fault.LossRate, prefix+"loss-rate", o.Fault.LossRate, "loss: per-frame destruction probability (0, 1]")
+	fs.DurationVar(&o.Deadline, prefix+"deadline", o.Deadline, "chaos sim-time budget; incomplete flows count as stalled")
+	return func() error {
+		var ok bool
+		if o.Fault.Kind, ok = chaos.ParseKind(*kind); !ok {
+			return fmt.Errorf("unknown fault kind %q (link, switch, loss, flap)", *kind)
+		}
+		if o.Fault.Layer, ok = chaos.ParseLayer(*layer); !ok {
+			return fmt.Errorf("unknown layer %q (core, agg, host)", *layer)
+		}
+		return nil
+	}
+}
+
+// writeHeapProfile snapshots the heap after a GC — the sweep's live
+// set, not transient garbage — into the named file.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

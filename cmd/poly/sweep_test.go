@@ -9,8 +9,8 @@ import (
 	"polyraptor/internal/sweep"
 )
 
-// tinyArgs keeps CLI smoke tests sub-second.
-func tinyArgs(extra ...string) []string {
+// sweepArgs keeps CLI smoke tests sub-second.
+func sweepArgs(extra ...string) []string {
 	base := []string{
 		"-k", "4", "-bytes", "32768", "-senders", "4",
 		"-objects", "8", "-requests", "20", "-seeds", "2",
@@ -18,10 +18,10 @@ func tinyArgs(extra ...string) []string {
 	return append(base, extra...)
 }
 
-// TestRunSmokeTable drives the default table path in-process.
-func TestRunSmokeTable(t *testing.T) {
+// TestSweepSmokeTable drives the default table path in-process.
+func TestSweepSmokeTable(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-scenarios", "incast", "-backends", "rq,tcp"), &out, &errw)
+	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq,tcp"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -36,11 +36,11 @@ func TestRunSmokeTable(t *testing.T) {
 	}
 }
 
-// TestRunShuffleScenario: the shuffle cell runs through the CLI and
+// TestSweepShuffleScenario: the shuffle cell runs through the CLI and
 // reports its completion-time metric.
-func TestRunShuffleScenario(t *testing.T) {
+func TestSweepShuffleScenario(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-scenarios", "shuffle", "-backends", "rq,tcp",
+	code := runSub("sweep", sweepArgs("-scenarios", "shuffle", "-backends", "rq,tcp",
 		"-mappers", "3", "-reducers", "4"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
@@ -53,12 +53,12 @@ func TestRunShuffleScenario(t *testing.T) {
 	}
 }
 
-// TestRunJSONParallelIdentical: the CLI's acceptance property — JSON
+// TestSweepJSONParallelIdentical: the CLI's acceptance property — JSON
 // on stdout is byte-identical at -parallel 1 and the default pool.
-func TestRunJSONParallelIdentical(t *testing.T) {
+func TestSweepJSONParallelIdentical(t *testing.T) {
 	runJSON := func(parallel string) string {
 		var out, errw bytes.Buffer
-		code := run(tinyArgs("-scenarios", "incast,storage", "-backends", "rq,tcp",
+		code := runSub("sweep", sweepArgs("-scenarios", "incast,storage", "-backends", "rq,tcp",
 			"-seeds", "5", "-format", "json", "-parallel", parallel), &out, &errw)
 		if code != 0 {
 			t.Fatalf("run(-parallel %s) exited %d: %s", parallel, code, errw.String())
@@ -79,10 +79,10 @@ func TestRunJSONParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestRunCSV: CSV has a header and one row per (cell, metric).
-func TestRunCSV(t *testing.T) {
+// TestSweepCSV: CSV has a header and one row per (cell, metric).
+func TestSweepCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(tinyArgs("-scenarios", "incast", "-backends", "rq", "-format", "csv"), &out, &errw)
+	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq", "-format", "csv"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -98,9 +98,9 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: every malformed invocation fails fast with
+// TestSweepRejectsBadFlags: every malformed invocation fails fast with
 // exit code 2, before any simulation runs.
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestSweepRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenarios", "figure9"},
 		{"-backends", "quic"},
@@ -118,40 +118,29 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-nope"},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code == 0 {
+		if code := runSub("sweep", args, &out, &errw); code == 0 {
 			t.Fatalf("run(%v) succeeded, want failure; stderr: %s", args, errw.String())
 		}
 	}
 }
 
-// TestParseScenariosAll: "all" covers every canned scenario plus the
+// TestSweepScenariosAll: "all" covers every canned scenario plus the
 // ablation bundle.
-func TestParseScenariosAll(t *testing.T) {
-	got, err := parseScenarios("all")
+func TestSweepScenariosAll(t *testing.T) {
+	got, err := sweepScenarios("all")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 7 || got[len(got)-1] != "ablations" {
-		t.Fatalf("parseScenarios(all) = %v", got)
+		t.Fatalf("sweepScenarios(all) = %v", got)
 	}
 }
 
-// TestRunHelpExitsZero: -h prints usage and exits 0.
-func TestRunHelpExitsZero(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-h) exited %d, want 0", code)
-	}
-	if !strings.Contains(errw.String(), "Usage") {
-		t.Fatalf("help output missing usage: %s", errw.String())
-	}
-}
-
-// TestRunAblationsBackendNote: selecting a non-rq backend with the
+// TestSweepAblationsBackendNote: selecting a non-rq backend with the
 // ablations scenario is called out instead of silently ignored.
-func TestRunAblationsBackendNote(t *testing.T) {
+func TestSweepAblationsBackendNote(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{"-scenarios", "ablations", "-backends", "tcp", "-k", "4", "-seeds", "1"}, &out, &errw)
+	code := runSub("sweep", []string{"-scenarios", "ablations", "-backends", "tcp", "-k", "4", "-seeds", "1"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -160,11 +149,11 @@ func TestRunAblationsBackendNote(t *testing.T) {
 	}
 }
 
-// TestRunRejectsSmallFabricForAblations: a k=2 fabric cannot host the
+// TestSweepRejectsSmallFabricForAblations: a k=2 fabric cannot host the
 // 12-sender A1 incast; this used to spin the peer picker forever.
-func TestRunRejectsSmallFabricForAblations(t *testing.T) {
+func TestSweepRejectsSmallFabricForAblations(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-scenarios", "ablations", "-k", "2", "-seeds", "1"}, &out, &errw); code != 2 {
+	if code := runSub("sweep", []string{"-scenarios", "ablations", "-k", "2", "-seeds", "1"}, &out, &errw); code != 2 {
 		t.Fatalf("run exited %d, want 2; stderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "out-of-rack") {

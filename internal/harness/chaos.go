@@ -54,7 +54,7 @@ type ChaosOptions struct {
 	Deadline sim.Time
 }
 
-// DefaultChaosOptions is the cmd/polychaos default: a k=6 fabric, 12
+// DefaultChaosOptions is the poly chaos default: a k=6 fabric, 12
 // cross-pod flows, a quarter of the core links blackholed 2 ms in
 // (mid-flow for 1 MB objects), never healed.
 func DefaultChaosOptions() ChaosOptions {

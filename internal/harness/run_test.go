@@ -183,7 +183,7 @@ func TestRunRejectsBadConfigurations(t *testing.T) {
 }
 
 // TestLibraryFanoutValidation covers the reproducers of the picker
-// hang: polyload's k=2 fig1a search, and Figure 1c with more senders
+// hang: poly load's k=2 fig1a search, and Figure 1c with more senders
 // than a k=4 fabric has out-of-rack hosts. All must fail up front.
 func TestLibraryFanoutValidation(t *testing.T) {
 	p := DefaultSweepParams()
@@ -207,11 +207,11 @@ func TestLibraryFanoutValidation(t *testing.T) {
 	}
 }
 
-// goldenSweep rebuilds the document `polysweep -scenarios all -backends
+// goldenSweep rebuilds the document `poly sweep -scenarios all -backends
 // all -seeds 2 -format json` prints, through the library.
 func goldenSweep(t *testing.T, p SweepParams, parallelism int) []byte {
 	t.Helper()
-	p.Store.Seed = 1 // polysweep stamps -seed into the store template
+	p.Store.Seed = 1 // poly sweep stamps -seed into the store template
 	var cells []sweep.Cell
 	for _, name := range SweepScenarios() {
 		more, err := SweepCells(name, allBackends, p)

@@ -61,7 +61,7 @@ type SaturationOptions struct {
 	// does not depend on it.
 	Parallelism int
 	// KeepHists retains each probe's merged histogram aggregates on
-	// its Rung (the polyload -hist-out dump).
+	// its Rung (the poly load -hist-out dump).
 	KeepHists bool
 }
 
@@ -93,6 +93,9 @@ func (o SaturationOptions) Validate() error {
 	}
 	if o.P99Max < 0 {
 		return fmt.Errorf("saturation: p99 ceiling must be >= 0, got %g", o.P99Max)
+	}
+	if err := o.SLO.Validate(); err != nil {
+		return fmt.Errorf("saturation: %w", err)
 	}
 	if o.LoadMin <= 0 || o.LoadMax <= o.LoadMin {
 		return fmt.Errorf("saturation: need 0 < LoadMin < LoadMax, got [%g, %g]", o.LoadMin, o.LoadMax)

@@ -34,7 +34,7 @@ type ShuffleOptions struct {
 	StragglerFactor float64
 }
 
-// DefaultShuffleOptions is the cmd/polyshuffle default: a medium
+// DefaultShuffleOptions is the poly shuffle default: a medium
 // fabric with an 8x8 matrix and mildly skewed partitions.
 func DefaultShuffleOptions() ShuffleOptions {
 	return ShuffleOptions{

@@ -107,7 +107,7 @@ func (r StorageRun) Interference() (ratio float64, ok bool) {
 }
 
 // storageMetrics reduces one storage run to headline scalars (the
-// table columns of cmd/polystore). Goodput means are taken over the
+// table columns of poly store). Goodput means are taken over the
 // requests in completion order, as every BENCH and golden file has
 // them — not the sorted-sample mean of the summaries.
 func storageMetrics(r StorageRun) sweep.Metrics {

@@ -11,8 +11,8 @@ import (
 )
 
 // Sweep cells: any Scenario behind the one sweep.Runner interface, so
-// cmd/polysweep (and the -runs flags of the other CLIs) can execute
-// any backend x scenario x seed matrix on the worker pool.
+// poly sweep (and -seeds in the other poly subcommands) can execute any
+// backend x scenario x seed matrix on the worker pool.
 
 // SweepParams sizes the canned sweep scenarios. The zero value is not
 // useful; start from DefaultSweepParams.
@@ -89,8 +89,8 @@ func DefaultSweepParams() SweepParams {
 }
 
 // testChaosOptions shrinks the chaos defaults to the sweep engine's
-// test-sized k=4 fabric (sub-second cells); cmd/polychaos scales them
-// up via flags.
+// test-sized k=4 fabric (sub-second cells); poly chaos scales them up
+// via flags.
 func testChaosOptions() ChaosOptions {
 	o := DefaultChaosOptions()
 	o.FatTreeK = 4

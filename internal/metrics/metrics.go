@@ -20,6 +20,7 @@
 package metrics
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 )
@@ -271,6 +272,14 @@ type SLO struct {
 
 // Enabled reports whether any criterion is set.
 func (s SLO) Enabled() bool { return s.FCTDeadline > 0 || s.GoodputFloor > 0 }
+
+// Validate rejects a negative deadline or floor.
+func (s SLO) Validate() error {
+	if s.FCTDeadline < 0 || s.GoodputFloor < 0 {
+		return fmt.Errorf("SLO deadline and goodput floor must be >= 0, got %gs and %g Gbps", s.FCTDeadline, s.GoodputFloor)
+	}
+	return nil
+}
 
 // MetFCT reports whether a flow-completion time meets the deadline.
 // NaN (a stalled flow that never completed) always misses.

@@ -118,6 +118,12 @@ func TestSLO(t *testing.T) {
 	if !s.Enabled() {
 		t.Fatal("SLO with criteria must be enabled")
 	}
+	if none.Validate() != nil || s.Validate() != nil {
+		t.Fatal("valid SLO rejected")
+	}
+	if (SLO{FCTDeadline: -1}).Validate() == nil || (SLO{GoodputFloor: -1}).Validate() == nil {
+		t.Fatal("negative SLO criterion accepted")
+	}
 	if !s.MetFCT(0.4) || s.MetFCT(0.6) {
 		t.Fatal("FCT deadline misapplied")
 	}

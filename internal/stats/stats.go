@@ -208,10 +208,14 @@ func RankSeries(xs []float64) []float64 {
 }
 
 // Downsample returns at most n points evenly spaced over the series
-// (first and last always included), for readable plot output.
+// (first and last always included, except that n == 1 keeps only the
+// first), for readable plot output.
 func Downsample(xs []float64, n int) []float64 {
 	if n <= 0 || len(xs) <= n {
 		return append([]float64(nil), xs...)
+	}
+	if n == 1 {
+		return []float64{xs[0]}
 	}
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {

@@ -116,6 +116,12 @@ func TestDownsample(t *testing.T) {
 	if got := Downsample(xs, 200); len(got) != 100 {
 		t.Fatal("Downsample should not upsample")
 	}
+	if got := Downsample(xs, 1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("Downsample(xs, 1) = %v, want [0]", got)
+	}
+	if got := Downsample(xs, 2); len(got) != 2 || got[0] != 0 || got[1] != 99 {
+		t.Fatalf("Downsample(xs, 2) = %v, want [0 99]", got)
+	}
 }
 
 func TestRenderTable(t *testing.T) {

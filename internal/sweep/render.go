@@ -149,18 +149,6 @@ func (m Matrix) Emit(prog, format string, out, errw io.Writer) int {
 	return 0
 }
 
-// Format maps the -csv/-json flag pair of the scenario CLIs to a Write
-// format name.
-func Format(csv, json bool) string {
-	switch {
-	case json:
-		return "json"
-	case csv:
-		return "csv"
-	}
-	return "table"
-}
-
 // Write renders the result in the named format: "table", "csv" or
 // "json" (newline-terminated).
 func (r *Result) Write(w io.Writer, format string) error {
