@@ -1,23 +1,22 @@
-// Command polyvet runs the repo's custom determinism/RNG/hot-path
-// analyzer suite (internal/polyvet). It drives in two modes:
+// Command polyvet runs the repo's determinism, RNG-stream and hot-path
+// checks (internal/polyvet). There is one way to run it:
 //
-//	polyvet [-deep] [-analyzers a,b] [packages]   standalone, via `go list`
-//	go vet -vettool=$(which polyvet) [-deep] ./...  unitchecker protocol
+//	polyvet [packages]   default ./... in the current module
 //
-// -deep additionally compiles each package with
-// -gcflags='-m=2 -d=ssa/check_bce' and enforces the //polyvet:noalloc,
-// //polyvet:nobce and //polyvet:inline directives against the
-// compiler's real escape, bounds-check and inlining decisions
-// (internal/polyvet/deep), reconciling the syntactic hotpath findings
-// against the compiler's stack proofs along the way.
+// It loads the packages through `go list`, runs the detmap, simclock
+// and rngstream analyzers, then compiles them with
+// -gcflags='-m=2 -d=ssa/check_bce' and holds the //polyvet:noalloc,
+// //polyvet:nobce and //polyvet:inline directives to the compiler's
+// real escape, bounds-check and inlining decisions
+// (internal/polyvet/deep).
 //
-// Two benchmark gates run instead of package analysis when package
-// patterns are omitted, over the reports in -benchdir (default bench/):
+// Two benchmark gates run over the reports in -benchdir (default
+// bench/), instead of package analysis when package patterns are
+// omitted:
 //
 //	polyvet -allocbudget ALLOC_BUDGET.json   newest BENCH_<n>.json vs ceilings
 //	polyvet -benchdrift                      consecutive BENCH_<n>.json diffs
 //
-// Standalone package mode defaults to ./... in the current module.
 // Exit status: 0 clean (informational findings do not fail), 2
 // findings, 1 internal error (matching go vet's conventions).
 package main
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"go/token"
 	"os"
-	"strings"
 
 	"polyraptor/internal/polyvet"
 	"polyraptor/internal/polyvet/deep"
@@ -38,30 +36,16 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet handshakes before sending any cfg; answer them first.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			polyvet.PrintVersion(os.Stdout, "polyvet")
-			return 0
-		case a == "-flags" || a == "--flags":
-			polyvet.PrintFlagDefs(os.Stdout)
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("polyvet", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: polyvet [-deep] [-analyzers names] [package patterns]\n")
-		fmt.Fprintf(fs.Output(), "       polyvet [-allocbudget file] [-benchdrift] [-benchdir dir]\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=$(which polyvet) -deep ./...\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: polyvet [package patterns]\n")
+		fmt.Fprintf(fs.Output(), "       polyvet [-allocbudget file] [-benchdrift] [-benchdir dir]\n\nanalyzers:\n")
 		for _, a := range polyvet.Suite() {
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
 		}
+		fmt.Fprintf(fs.Output(), "compiler gates: %v\n", polyvet.CompilerGates)
 		fs.PrintDefaults()
 	}
-	names := fs.String("analyzers", "", "comma-separated subset of the suite (default: all)")
-	deepMode := fs.Bool("deep", false, "also run the compiler-ground-truth gates (escape, bce, inline)")
 	budgetPath := fs.String("allocbudget", "", "check the newest BENCH_<n>.json against this budget file")
 	benchDrift := fs.Bool("benchdrift", false, "diff consecutive BENCH_<n>.json reports for alloc/throughput drift")
 	benchDir := fs.String("benchdir", deep.BenchDir, "directory holding the BENCH_<n>.json trajectory")
@@ -72,78 +56,25 @@ func run(args []string) int {
 		return 1
 	}
 
-	rest := fs.Args()
+	patterns := fs.Args()
+	benchGates := *budgetPath != "" || *benchDrift
 
 	// Benchmark gates: with no package patterns they run alone, so CI
 	// can gate reports without re-analyzing the tree.
-	if (*budgetPath != "" || *benchDrift) && len(rest) == 0 {
+	if benchGates && len(patterns) == 0 {
 		return report(runBenchGates(*benchDir, *budgetPath, *benchDrift))
 	}
 
-	var sel []string
-	if *names != "" {
-		sel = strings.Split(*names, ",")
-	}
-	analyzers, err := polyvet.ByName(sel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	if len(rest) == 1 && polyvet.IsVetCfg(rest[0]) {
-		unit, err := polyvet.LoadUnit(rest[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if unit.Pkg == nil {
-			return 0
-		}
-		diags, err := polyvet.RunPackage(unit.Pkg, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if *deepMode && !unit.Test {
-			res, err := deep.AnalyzePackages(unit.Dir, []string{unit.ImportPath}, []*polyvet.Package{unit.Pkg})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			diags = deep.Reconcile(diags, res.Facts)
-			diags = append(diags, res.Diags...)
-		}
-		return report(diags)
-	}
-
-	patterns := rest
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := polyvet.Load("", patterns)
+	res, err := deep.Analyze("", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	var all []polyvet.Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := polyvet.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		all = append(all, diags...)
-	}
-	if *deepMode {
-		res, err := deep.AnalyzePackages("", patterns, pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		all = deep.Reconcile(all, res.Facts)
-		all = append(all, res.Diags...)
-	}
-	if *budgetPath != "" || *benchDrift {
+	all := res.Diags
+	if benchGates {
 		all = append(all, runBenchGates(*benchDir, *budgetPath, *benchDrift)...)
 	}
 	return report(all)

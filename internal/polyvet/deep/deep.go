@@ -11,12 +11,12 @@ import (
 	"polyraptor/internal/polyvet"
 )
 
-// GCFlags is the compiler flag set deep mode builds with: -m=2 for
+// GCFlags is the compiler flag set the gates build with: -m=2 for
 // escape analysis with flow traces and inlining decisions with costs,
 // check_bce for the bounds checks the SSA prove pass kept.
 const GCFlags = "-m=2 -d=ssa/check_bce"
 
-// A Result is one deep run's findings. Fatal reports whether any
+// A Result is one run's findings. Fatal reports whether any
 // non-informational diagnostic is present (the exit-status signal).
 type Result struct {
 	Diags []polyvet.Diagnostic
@@ -24,8 +24,7 @@ type Result struct {
 	// diagnostic stream was unrecognizable — the signal for tests to
 	// skip-and-warn rather than fail on a new Go release.
 	FormatSkew bool
-	// Facts is the parsed compiler model, exposed for tests and for
-	// callers that reconcile their own syntactic findings.
+	// Facts is the parsed compiler model, exposed for tests.
 	Facts *Facts
 }
 
@@ -39,25 +38,15 @@ func (r *Result) Fatal() bool {
 	return false
 }
 
-// Analyze loads the packages matching patterns (rooted at dir, "" =
-// cwd), compiles them with GCFlags, and enforces the noalloc, nobce
-// and inline directives against the compiler's decisions. The
-// returned diagnostics also include the syntactic-vs-compiler
-// reconciliation input: callers that already ran the syntactic suite
-// should pass its findings through Reconcile with the returned Facts.
+// Analyze is PolyVet's one run. It loads the packages matching
+// patterns (rooted at dir, "" = cwd), runs the syntactic suite over
+// each, compiles them with GCFlags, and enforces the noalloc, nobce
+// and inline directives against the compiler's decisions.
 func Analyze(dir string, patterns []string) (*Result, error) {
 	pkgs, err := polyvet.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return AnalyzePackages(dir, patterns, pkgs)
-}
-
-// AnalyzePackages is Analyze for callers that already loaded the
-// packages (the unitchecker path, which receives them from go vet).
-// patterns name what to compile; pkgs are the loaded packages the
-// directives are read from.
-func AnalyzePackages(dir string, patterns []string, pkgs []*polyvet.Package) (*Result, error) {
 	out, err := CompileDiagnostics(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -65,11 +54,13 @@ func AnalyzePackages(dir string, patterns []string, pkgs []*polyvet.Package) (*R
 	facts := ParseDiagnostics(out, moduleRoot(dir))
 	res := &Result{Facts: facts}
 	for _, pkg := range pkgs {
-		diags := Check(pkg, facts)
-		for _, d := range diags {
-			if d.Info {
-				res.FormatSkew = res.FormatSkew || isSkipNote(d)
-			}
+		diags, err := polyvet.RunPackage(pkg, polyvet.Suite())
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range Check(pkg, facts) {
+			res.FormatSkew = res.FormatSkew || isSkipNote(d)
+			diags = append(diags, d)
 		}
 		res.Diags = append(res.Diags, diags...)
 	}
@@ -112,8 +103,7 @@ func CompileDiagnostics(dir string, patterns []string) (string, error) {
 // relative to the enclosing module's root, not the working directory
 // (verified empirically: building ./sim/ from internal/ still prints
 // internal/sim/sim.go), so joining against dir itself would break
-// every position match when dir is a package subdirectory — exactly
-// the situation in go vet's per-unit invocations.
+// every position match when dir is a package subdirectory.
 func moduleRoot(dir string) string {
 	if dir == "" {
 		dir = "."

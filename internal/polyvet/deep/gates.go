@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"polyraptor/internal/polyvet"
 )
 
 // The three compiler-ground-truth gates. Their names are registered
-// in polyvet.DeepGates so //polyvet:allow can target them and so the
-// syntactic suite knows which directive verbs belong to deep mode.
+// in polyvet.CompilerGates so //polyvet:allow can target them.
 const (
 	GateEscape = "escape"
 	GateBCE    = "bce"
@@ -28,23 +28,19 @@ func Check(pkg *polyvet.Package, facts *Facts) []polyvet.Diagnostic {
 	diags = append(diags, checkEscapes(pkg, facts)...)
 	diags = append(diags, checkBCE(pkg, facts)...)
 	diags = append(diags, checkInlines(pkg, facts)...)
-	return polyvet.ApplyAllows(pkg, polyvet.DeepGates, diags)
+	return polyvet.ApplyAllows(pkg, polyvet.CompilerGates, diags)
 }
 
 func checkEscapes(pkg *polyvet.Package, facts *Facts) []polyvet.Diagnostic {
 	marks, stale := polyvet.FuncMarks(pkg, "noalloc")
-	// Stale noalloc directives are already reported by the syntactic
-	// suite (hotpath owns the verb there); reporting them here too
-	// would duplicate. Only nobce/inline staleness is deep's job.
-	_ = stale
+	diags := append(stale, unseenAllocs(pkg, marks)...)
 	if len(marks) == 0 {
-		return nil
+		return diags
 	}
 	if !facts.EscapesSeen() {
-		return []polyvet.Diagnostic{skipNote(pkg, GateEscape, marks[0],
-			"no escape-analysis output recognized (-m format drift?); escape gate skipped")}
+		return append(diags, skipNote(pkg, GateEscape, marks[0],
+			"no escape-analysis output recognized (-m format drift?); escape gate skipped"))
 	}
-	var diags []polyvet.Diagnostic
 	for _, m := range marks {
 		for _, e := range facts.Escapes {
 			if !inSpan(e.Pos, m) {
@@ -64,6 +60,37 @@ func checkEscapes(pkg *polyvet.Package, facts *Facts) []polyvet.Diagnostic {
 					"heap allocation", m.Name, e.What, verb, escapeWhy(e)),
 			})
 		}
+	}
+	return diags
+}
+
+// unseenAllocs reports the allocations escape analysis cannot see
+// from the call site: a fmt call allocates inside fmt even when its
+// arguments do not box (fmt.Sprintf("x")), and `go f()` allocates a
+// goroutine without any value escaping. Both are flagged syntactically
+// in noalloc functions.
+func unseenAllocs(pkg *polyvet.Package, marks []polyvet.FuncMark) []polyvet.Diagnostic {
+	var diags []polyvet.Diagnostic
+	for _, m := range marks {
+		ast.Inspect(m.Decl.Body, func(n ast.Node) bool {
+			what := ""
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				what = "goroutine spawn"
+			case *ast.SelectorExpr:
+				if f, ok := pkg.Info.Uses[n.Sel].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "fmt" {
+					what = "fmt." + f.Name() + " call"
+				}
+			}
+			if what != "" {
+				diags = append(diags, polyvet.Diagnostic{
+					Pos:      pkg.Fset.Position(n.Pos()),
+					Analyzer: GateEscape,
+					Message:  fmt.Sprintf("heap allocation in noalloc function %s: %s", m.Name, what),
+				})
+			}
+			return true
+		})
 	}
 	return diags
 }
@@ -163,29 +190,6 @@ func checkInlines(pkg *polyvet.Package, facts *Facts) []polyvet.Diagnostic {
 		}
 	}
 	return diags
-}
-
-// Reconcile downgrades syntactic hotpath findings the compiler
-// disproves: a make/closure/literal flagged by the AST walk but
-// proven by escape analysis to stay on the stack becomes
-// informational — printed, not fatal. Findings without a stack proof
-// pass through untouched, so a real escape stays red in both modes.
-// When the stream carried no escape output at all, nothing is
-// downgraded (fail safe toward the stricter verdict).
-func Reconcile(diags []polyvet.Diagnostic, facts *Facts) []polyvet.Diagnostic {
-	if !facts.EscapesSeen() {
-		return diags
-	}
-	out := make([]polyvet.Diagnostic, len(diags))
-	for i, d := range diags {
-		if d.Analyzer == polyvet.HotPath.Name && !d.Info &&
-			facts.ProvedStackAt(d.Pos.Filename, d.Pos.Line) {
-			d.Info = true
-			d.Message += " — compiler proves it stack-allocated (syntactic finding downgraded)"
-		}
-		out[i] = d
-	}
-	return out
 }
 
 // loopSpans returns the [startLine, endLine] spans of every for/range

@@ -29,7 +29,7 @@ func skipOnSkew(t *testing.T, res *Result) {
 	t.Helper()
 	if res.FormatSkew {
 		t.Skipf("compiler diagnostic format drift detected (unrecognized: %d lines) — "+
-			"deep gates skipped; refresh the parsers and testdata fixtures for this toolchain",
+			"compiler gates skipped; refresh the parsers and testdata fixtures for this toolchain",
 			len(res.Facts.Unrecognized))
 	}
 }
@@ -41,7 +41,7 @@ func TestLiveCleanPackagePasses(t *testing.T) {
 	}
 	skipOnSkew(t, res)
 	if res.Fatal() {
-		t.Fatalf("clean fixture package must pass all deep gates, got:\n%s", diagLines(res.Diags))
+		t.Fatalf("clean fixture package must pass all compiler gates, got:\n%s", diagLines(res.Diags))
 	}
 }
 
@@ -55,11 +55,16 @@ func TestLiveDirtyPackageFailsEveryGate(t *testing.T) {
 		t.Fatal("dirty fixture package must fail")
 	}
 	wants := map[string]string{
-		"escape (Leaky)":        "noalloc function Leaky",
-		"escape (LeakyBuffer)":  "noalloc function LeakyBuffer",
-		"bce in-loop (Gather)":  "nobce function Gather",
-		"bce no-rent (NoLoops)": "pays no rent",
-		"inline (Heavy)":        "cannot be inlined",
+		"escape (Leaky)":         "noalloc function Leaky",
+		"escape (LeakyBuffer)":   "noalloc function LeakyBuffer",
+		"escape (Deferred)":      "noalloc function Deferred: func literal escapes to heap",
+		"escape (Spawn)":         "noalloc function Spawn: goroutine spawn",
+		"escape (Boxed)":         "noalloc function Boxed: n escapes to heap",
+		"escape (Formatted)":     "noalloc function Formatted: fmt.Sprintf call",
+		"bce in-loop (Gather)":   "nobce function Gather",
+		"bce no-rent (NoLoops)":  "pays no rent",
+		"inline (Heavy)":         "cannot be inlined",
+		"stale noalloc (Orphan)": "noalloc directive not attached to a function declaration",
 	}
 	all := diagLines(res.Diags)
 	for label, frag := range wants {
@@ -69,7 +74,7 @@ func TestLiveDirtyPackageFailsEveryGate(t *testing.T) {
 	}
 	// Gate failures must be fatal, not informational.
 	for _, d := range res.Diags {
-		if d.Info && d.Analyzer != polyvet.HotPath.Name {
+		if d.Info {
 			t.Errorf("gate finding downgraded to info: %s", d)
 		}
 	}
@@ -242,65 +247,6 @@ func TestMutatedFixtureLosesInlinability(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("lost inlinability of Mix not flagged:\n%s", diagLines(diags))
-	}
-}
-
-// TestReconcileBothDirections pins the syntactic-vs-compiler contract:
-// a hotpath finding with a stack proof downgrades to informational; a
-// hotpath finding on a real escape stays fatal.
-func TestReconcileBothDirections(t *testing.T) {
-	dir := fixtureDir(t)
-	for _, tc := range []struct {
-		pattern   string
-		fn        string
-		downgrade bool
-	}{
-		{"./clean/", "StackBuffer", true},
-		{"./dirty/", "LeakyBuffer", false},
-	} {
-		pkgs, err := polyvet.Load(dir, []string{tc.pattern})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg := pkgs[0]
-		syntactic, err := polyvet.RunPackage(pkg, []*polyvet.Analyzer{polyvet.HotPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := AnalyzePackages(dir, []string{tc.pattern}, pkgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		skipOnSkew(t, res)
-		reconciled := Reconcile(syntactic, res.Facts)
-
-		var got *polyvet.Diagnostic
-		for i := range reconciled {
-			if reconciled[i].Analyzer == polyvet.HotPath.Name &&
-				strings.Contains(reconciled[i].Message, "make") {
-				got = &reconciled[i]
-			}
-		}
-		if got == nil {
-			t.Fatalf("%s: hotpath make finding missing before/after reconcile:\n%s",
-				tc.fn, diagLines(reconciled))
-		}
-		if got.Info != tc.downgrade {
-			t.Errorf("%s: finding Info=%v, want %v (%s)", tc.fn, got.Info, tc.downgrade, got.Message)
-		}
-		if tc.downgrade && !strings.Contains(got.Message, "compiler proves it stack-allocated") {
-			t.Errorf("%s: downgrade lacks explanation: %s", tc.fn, got.Message)
-		}
-	}
-}
-
-// TestReconcileFailsSafeWithoutEscapeFacts: no escape output, no
-// downgrades — the stricter verdict wins when the compiler is silent.
-func TestReconcileFailsSafeWithoutEscapeFacts(t *testing.T) {
-	diags := []polyvet.Diagnostic{{Analyzer: polyvet.HotPath.Name, Message: "make in noalloc function F"}}
-	out := Reconcile(diags, &Facts{})
-	if out[0].Info {
-		t.Fatal("finding downgraded with zero escape facts")
 	}
 }
 

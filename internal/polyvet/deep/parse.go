@@ -1,20 +1,19 @@
-// Package deep is PolyVet's compiler-ground-truth mode: instead of
-// pattern-matching the AST (the syntactic suite in internal/polyvet),
-// it derives facts from the gc toolchain itself by compiling each
-// package with `-gcflags='-m=2 -d=ssa/check_bce'` and parsing the
-// diagnostic stream into a structured model — heap-escape decisions
-// (with the compiler's own flow traces), bounds-check sites the SSA
-// prove pass could not eliminate, and inlining decisions with costs.
+// Package deep holds PolyVet's compiler-ground-truth gates and its one
+// run (Analyze). Instead of pattern-matching the AST (the syntactic
+// suite in internal/polyvet), the gates derive facts from the gc
+// toolchain itself by compiling each package with
+// `-gcflags='-m=2 -d=ssa/check_bce'` and parsing the diagnostic stream
+// into a structured model — heap-escape decisions (with the
+// compiler's own flow traces), bounds-check sites the SSA prove pass
+// could not eliminate, and inlining decisions with costs.
 //
 // Three function directives are enforced against that model:
 //
 //   - //polyvet:noalloc — no "escapes to heap" / "moved to heap" site
 //     inside the function (panic-only escapes exempt: a constant that
 //     heap-boxes on the crash path never allocates in steady state).
-//     This is the interprocedural upgrade of the syntactic hotpath
-//     check, and also its corrector: a make/closure the compiler
-//     proves stack-allocated downgrades the syntactic finding to
-//     informational (see Reconcile).
+//     The compiler does not report allocations made inside a callee,
+//     so fmt calls and go statements are flagged syntactically too.
 //   - //polyvet:nobce — the function's loops compile with zero bounds
 //     checks. Prologue checks outside loops (the `dst =
 //     dst[:len(src)]` hint idiom) are allowed: they run once, not per
@@ -82,13 +81,6 @@ func (e EscapeSite) PanicOnly() bool {
 	return found
 }
 
-// A NoEscapeSite is a compiler proof that the value allocated at Pos
-// stays on the stack ("... does not escape").
-type NoEscapeSite struct {
-	Pos  Pos
-	What string
-}
-
 // An InlineDecision is the compiler's verdict on one function.
 type InlineDecision struct {
 	Pos       Pos
@@ -106,10 +98,9 @@ type BoundsCheck struct {
 
 // Facts is the structured model of one build's diagnostic stream.
 type Facts struct {
-	Escapes   []EscapeSite
-	NoEscapes []NoEscapeSite
-	Inlines   []InlineDecision
-	Bounds    []BoundsCheck
+	Escapes []EscapeSite
+	Inlines []InlineDecision
+	Bounds  []BoundsCheck
 
 	// Unrecognized holds diagnostic-shaped lines that matched no known
 	// pattern — the early-warning signal for message-format drift
@@ -168,17 +159,6 @@ func (f *Facts) InlineByName(file, name string) (InlineDecision, bool) {
 		}
 	}
 	return InlineDecision{}, false
-}
-
-// ProvedStackAt reports whether a "does not escape" proof exists at
-// file:line.
-func (f *Facts) ProvedStackAt(file string, line int) bool {
-	for _, s := range f.NoEscapes {
-		if s.Pos.Line == line && s.Pos.File == file {
-			return true
-		}
-	}
-	return false
 }
 
 // ParseDiagnostics parses the combined stderr of a
@@ -241,10 +221,7 @@ func ParseDiagnostics(output string, dir string) *Facts {
 			f.Escapes = append(f.Escapes, EscapeSite{Pos: pos, What: what, Moved: true})
 			last = &f.Escapes[len(f.Escapes)-1]
 		case strings.HasSuffix(msg, " does not escape"):
-			f.escapeLines++
-			f.NoEscapes = append(f.NoEscapes, NoEscapeSite{
-				Pos: pos, What: strings.TrimSuffix(msg, " does not escape"),
-			})
+			f.escapeLines++ // a stack proof: nothing to gate
 		case strings.HasPrefix(msg, "can inline "):
 			f.inlineLines++
 			name := strings.TrimPrefix(msg, "can inline ")

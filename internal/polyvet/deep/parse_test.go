@@ -104,18 +104,6 @@ func TestParseCannedDeepmod(t *testing.T) {
 	if len(facts.Bounds) != 4 {
 		t.Errorf("bounds checks parsed: got %d want 4: %+v", len(facts.Bounds), facts.Bounds)
 	}
-
-	// Stack proofs feed the reconciliation path.
-	cleanFile := filepath.Join("/mod", "clean", "clean.go")
-	proved := false
-	for _, s := range facts.NoEscapes {
-		if s.Pos.File == cleanFile && strings.Contains(s.What, "make([]byte, 64)") {
-			proved = ProvedStackAtSite(facts, s.Pos)
-		}
-	}
-	if !proved {
-		t.Error("StackBuffer's make([]byte, 64) stack proof not parsed")
-	}
 }
 
 // Two panic strings in one function: the compiler prints both flow
@@ -146,9 +134,6 @@ internal/sim/sim.go:148:9: "nil" escapes to heap
 		}
 	}
 }
-
-// ProvedStackAtSite adapts ProvedStackAt for a parsed position.
-func ProvedStackAtSite(f *Facts, p Pos) bool { return f.ProvedStackAt(p.File, p.Line) }
 
 func TestParseCannedGF256(t *testing.T) {
 	facts := ParseDiagnostics(readFixture(t, "m2_gf256.txt"), "/repo")

@@ -44,9 +44,9 @@ func Mix(a, b uint64) uint64 {
 	return a * 0x9E3779B97F4A7C15
 }
 
-// StackBuffer exercises the reconciliation path: the syntactic
-// hotpath analyzer flags the make, but the compiler proves it never
-// leaves the stack, so deep mode downgrades the finding.
+// StackBuffer is the false-positive guard: a make the compiler
+// proves never leaves the stack is not an allocation, so the escape
+// gate must accept it.
 //
 //polyvet:noalloc scratch buffer is stack-allocated
 func StackBuffer(seed byte) uint64 {

@@ -1,8 +1,10 @@
-// Package dirty holds one deliberate violation per deep gate: the
-// regression tests compile it for real and require every injected
+// Package dirty holds deliberate violations of every compiler gate:
+// the regression tests compile it for real and require every injected
 // defect to be reported. If a toolchain change makes any of these
 // pass, the corresponding gate has gone blind.
 package dirty
+
+import "fmt"
 
 // Sink keeps results observable.
 var Sink int
@@ -41,12 +43,51 @@ func Heavy(fn func()) int {
 //polyvet:nobce injected regression: directive on a loop-free function
 func NoLoops(a, b int) int { return a + b }
 
-// LeakyBuffer is the anti-reconciliation case: the syntactic hotpath
-// analyzer flags the make AND the compiler confirms it escapes, so
-// the finding must stay fatal — no stack proof, no downgrade.
+// LeakyBuffer violates noalloc: the make outlives the call, where
+// clean.StackBuffer's identical make stays on the stack.
 //
 //polyvet:noalloc injected regression: the returned buffer escapes
 func LeakyBuffer(n int) []byte {
 	buf := make([]byte, n)
 	return buf
 }
+
+// Hook keeps Deferred's closure reachable.
+var Hook func()
+
+// Deferred violates noalloc: the closure captures n and outlives the
+// call, so the compiler heap-allocates it.
+//
+//polyvet:noalloc injected regression: the capturing closure escapes
+func Deferred(n int) {
+	Hook = func() { Sink += n }
+}
+
+// Spawn violates noalloc: a goroutine costs an allocation though no
+// value escapes, so escape analysis reports nothing here.
+//
+//polyvet:noalloc injected regression: a goroutine per call
+func Spawn(fn func()) {
+	go fn()
+}
+
+// Boxed violates noalloc: fmt.Sprint boxes its int argument.
+//
+//polyvet:noalloc injected regression: an interface-boxed argument
+func Boxed(n int) string {
+	return fmt.Sprint(n)
+}
+
+// Formatted violates noalloc with no boxing at all: fmt allocates the
+// result inside the callee, where escape analysis does not look.
+//
+//polyvet:noalloc injected regression: fmt allocates internally
+func Formatted() string {
+	return fmt.Sprintf("x")
+}
+
+// Orphan carries a noalloc directive that guards no function, so it
+// pays no rent and must be flagged.
+//
+//polyvet:noalloc injected regression: directive on a variable
+var Orphan int

@@ -2,32 +2,23 @@ package polyvet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// DetMap flags `range` over a map in sim-visible packages unless the
-// loop body is provably order-insensitive. Go randomizes map
-// iteration order per run, so any order that leaks into simulation
-// state, RNG draw order, or output breaks the byte-identical
-// reproducibility bar every sweep and trace clears — exactly the PR 1
-// tcpsim bug, where feeding an RTT EWMA in map order made DCTCP
-// figures vary run to run.
+// DetMap flags every `range` over a map in sim-visible packages. Go
+// randomizes map iteration order per run, so any order that leaks
+// into simulation state, RNG draw order, or output breaks the
+// byte-identical reproducibility bar every sweep and trace clears —
+// exactly the tcpsim bug where feeding an RTT EWMA in map order made
+// DCTCP figures vary run to run.
 //
-// A body is accepted as order-insensitive when every statement is one
-// of: integer commutative accumulation (x += e, x++, x |= e, ...);
-// setting a bool flag to a constant; writing or deleting a map entry
-// keyed by the range key (distinct keys — each iteration touches its
-// own entry); integer min/max via the builtins (x = min(x, e));
-// declaring iteration-local variables; branching on conditions that
-// read only the range variables, iteration-locals and loop-invariant
-// state; continue; and early returns of loop-invariant values. Float
-// accumulation is rejected on purpose: float addition is not
-// associative, so even a "commutative" sum is order-dependent in its
-// low bits. Anything else needs //polyvet:orderfree <reason>.
+// There is no proof of order-insensitivity: iterate a sorted key
+// slice (slices.Sorted(maps.Keys(m)) is not a range over the map), or
+// annotate the loop //polyvet:orderfree <reason> so a reader sees why
+// its order cannot matter.
 var DetMap = &Analyzer{
 	Name: "detmap",
-	Doc:  "flag range-over-map in sim-visible packages unless the body is provably order-insensitive",
+	Doc:  "flag range-over-map in sim-visible packages unless annotated //polyvet:orderfree",
 	Run:  runDetMap,
 }
 
@@ -37,22 +28,12 @@ func runDetMap(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.TypesInfo.Types[rs.X]
-			if !ok {
-				return true
-			}
-			_, isMap := tv.Type.Underlying().(*types.Map)
-			if !isMap && mapIterCall(pass.TypesInfo, rs.X) == "" {
-				return true
-			}
-			if !orderInsensitive(pass.TypesInfo, rs) {
-				pass.Reportf(rs.Pos(),
-					"range over map %s: iteration order is nondeterministic and the body is not provably order-insensitive; iterate a sorted/ordered key slice, or annotate //polyvet:orderfree <reason>",
-					types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)))
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if m := rangedMap(pass.TypesInfo, rs.X); m != nil {
+					pass.Reportf(rs.Pos(),
+						"range over map %s: iteration order is nondeterministic; iterate a sorted key slice, or annotate //polyvet:orderfree <reason>",
+						types.TypeString(m, types.RelativeTo(pass.Pkg)))
+				}
 			}
 			return true
 		})
@@ -60,544 +41,22 @@ func runDetMap(pass *Pass) error {
 	return nil
 }
 
-// loopEnv carries the classification state for one range-over-map
-// body.
-type loopEnv struct {
-	info *types.Info
-	// rangeVars are the key/value objects: per-iteration values that
-	// conditions and RHSs may freely read.
-	rangeVars map[types.Object]bool
-	// keyVars is just the key object: map keys are distinct per
-	// iteration, so indexing another map by the range key can never
-	// collide (the range value can).
-	keyVars map[types.Object]bool
-	// locals are objects declared inside the body — also
-	// per-iteration.
-	locals map[types.Object]bool
-	// written are objects assigned inside the body but declared
-	// outside it: cross-iteration accumulators. Reading one anywhere
-	// except the blessed accumulation forms is order-sensitive.
-	written map[types.Object]bool
-	// rangeObj is the object of the ranged map expression, when it is
-	// a plain identifier or field chain; writing through it (other
-	// than delete-by-range-key) is order-sensitive.
-	rangeObj types.Object
-	// usesRangeVars records whether any statement reads the range
-	// variables; a body that never looks at them (the `for range m {
-	// n++ }` and emptiness-probe idioms) may break early.
-	usesRangeVars bool
-}
-
-// mapIterCall recognizes `range maps.Keys(m)` / maps.Values / maps.All
-// — the iterator forms are exactly as order-randomized as ranging the
-// map directly, and without this check they would be a silent bypass.
-func mapIterCall(info *types.Info, x ast.Expr) string {
-	call, ok := ast.Unparen(x).(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
-	f := funcFor(info, call)
-	if f == nil {
-		return ""
-	}
-	for _, name := range []string{"Keys", "Values", "All"} {
-		if isPkgFunc(f, "maps", name) {
-			return name
+// rangedMap returns the type of the map a range statement iterates,
+// or nil. The map is the ranged expression itself or the argument of
+// maps.Keys, maps.Values or maps.All: the iterator forms are exactly
+// as order-randomized as ranging the map directly, and without this
+// check they would be a silent bypass.
+func rangedMap(info *types.Info, x ast.Expr) types.Type {
+	if call, ok := ast.Unparen(x).(*ast.CallExpr); ok && len(call.Args) == 1 {
+		f := funcFor(info, call)
+		if isPkgFunc(f, "maps", "Keys") || isPkgFunc(f, "maps", "Values") || isPkgFunc(f, "maps", "All") {
+			x = call.Args[0]
 		}
 	}
-	return ""
-}
-
-func orderInsensitive(info *types.Info, rs *ast.RangeStmt) bool {
-	rangeX := rs.X
-	iterName := mapIterCall(info, rs.X)
-	if iterName != "" {
-		// Analyze relative to the underlying map, not the iterator
-		// value: maps.Keys(m) yields m's keys as the single range var.
-		if call, ok := ast.Unparen(rs.X).(*ast.CallExpr); ok && len(call.Args) == 1 {
-			rangeX = call.Args[0]
+	if t := info.TypeOf(x); t != nil {
+		if _, ok := t.Underlying().(*types.Map); ok {
+			return t
 		}
-	}
-	env := &loopEnv{
-		info:      info,
-		rangeVars: map[types.Object]bool{},
-		keyVars:   map[types.Object]bool{},
-		locals:    map[types.Object]bool{},
-		written:   map[types.Object]bool{},
-		rangeObj:  rootObject(info, rangeX),
-	}
-	for i, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				env.rangeVars[obj] = true
-				// The first variable is the map key — except for
-				// maps.Values, whose single yielded variable is a value
-				// and gets no distinctness guarantee.
-				if i == 0 && iterName != "Values" {
-					env.keyVars[obj] = true
-				}
-			} else if obj := info.Uses[id]; obj != nil {
-				// `for k = range m` assigning an outer variable: the
-				// final value is the last key visited — order-sensitive.
-				return false
-			}
-		}
-	}
-	// First pass: classify every object assigned or declared in the
-	// body, and note whether the range variables are read at all.
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if env.rangeVars[env.info.Uses[n]] {
-				env.usesRangeVars = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					if obj := env.info.Defs[id]; obj != nil {
-						env.locals[obj] = true
-					} else if obj := env.info.Uses[id]; obj != nil {
-						env.written[obj] = true
-					}
-				} else if obj := rootObject(env.info, lhs); obj != nil {
-					env.written[obj] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if obj := rootObject(env.info, n.X); obj != nil && !env.locals[obj] {
-				env.written[obj] = true
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						if obj := env.info.Defs[id]; obj != nil {
-							env.locals[obj] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	for obj := range env.locals {
-		delete(env.written, obj)
-	}
-	return env.stmtsOK(rs.Body.List)
-}
-
-func (env *loopEnv) stmtsOK(stmts []ast.Stmt) bool {
-	for _, s := range stmts {
-		if !env.stmtOK(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func (env *loopEnv) stmtOK(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return env.stmtsOK(s.List)
-	case *ast.EmptyStmt:
-		return true
-	case *ast.BranchStmt:
-		if s.Tok == token.CONTINUE && s.Label == nil {
-			return true
-		}
-		// break is order-sensitive in general (which elements were
-		// visited before it?) — except when the body never reads the
-		// range variables, i.e. the emptiness-probe / bounded-count
-		// idiom where every iteration does the same thing.
-		return s.Tok == token.BREAK && s.Label == nil && !env.usesRangeVars
-	case *ast.ReturnStmt:
-		// Early return: acceptable only when the returned values are
-		// loop-invariant, so it does not matter which element
-		// triggered the exit.
-		for _, r := range s.Results {
-			if !env.pureExpr(r) || env.readsAny(r, env.rangeVars) || env.readsAny(r, env.locals) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil && !env.stmtOK(s.Init) {
-			return false
-		}
-		if !env.pureExpr(s.Cond) {
-			return false
-		}
-		if !env.stmtOK(s.Body) {
-			return false
-		}
-		return s.Else == nil || env.stmtOK(s.Else)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return false
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				return false
-			}
-			for _, v := range vs.Values {
-				if !env.pureExpr(v) {
-					return false
-				}
-			}
-		}
-		return true
-	case *ast.IncDecStmt:
-		// x++ / x-- on an integer accumulator commutes; on the ranged
-		// map itself (m[k]++ histogramming) each key has its own cell.
-		return env.integer(s.X) && env.lvalueOK(s.X)
-	case *ast.AssignStmt:
-		return env.assignOK(s)
-	case *ast.ExprStmt:
-		// Only delete(m, key-derived) has blessed side effects.
-		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		return env.deleteByRangeKey(call)
-	case *ast.ForStmt:
-		// An inner ordered loop is fine as long as its own body obeys
-		// the same rules relative to the outer map iteration.
-		if s.Init != nil && !env.stmtOK(s.Init) {
-			return false
-		}
-		if !env.pureExpr(s.Cond) {
-			return false
-		}
-		if s.Post != nil && !env.stmtOK(s.Post) {
-			return false
-		}
-		return env.stmtOK(s.Body)
-	case *ast.RangeStmt:
-		// An inner range: its variables are per-(outer-)iteration
-		// values. If it ranges a map itself, the top-level walk flags
-		// it separately on its own merits.
-		if !env.pureExpr(s.X) {
-			return false
-		}
-		return env.stmtOK(s.Body)
-	case *ast.SwitchStmt:
-		if s.Init != nil && !env.stmtOK(s.Init) {
-			return false
-		}
-		if !env.pureExpr(s.Tag) {
-			return false
-		}
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				return false
-			}
-			for _, e := range cc.List {
-				if !env.pureExpr(e) {
-					return false
-				}
-			}
-			if !env.stmtsOK(cc.Body) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func (env *loopEnv) assignOK(s *ast.AssignStmt) bool {
-	switch s.Tok {
-	case token.DEFINE:
-		for _, r := range s.Rhs {
-			if !env.pureExpr(r) {
-				return false
-			}
-		}
-		return true
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN, token.AND_NOT_ASSIGN:
-		// Commutative/associative accumulation — integers only: float
-		// addition is order-dependent in its low bits, and string +=
-		// is concatenation.
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-			return false
-		}
-		return env.integer(s.Lhs[0]) && env.lvalueOK(s.Lhs[0]) && env.pureExpr(s.Rhs[0])
-	case token.ASSIGN:
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-			return false
-		}
-		lhs, rhs := s.Lhs[0], s.Rhs[0]
-		// Flag-setting: x = true / x = false is idempotent.
-		if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && (id.Name == "true" || id.Name == "false") && env.info.Uses[id] == types.Universe.Lookup(id.Name) {
-			return env.lvalueOK(lhs)
-		}
-		// Integer min/max tracking via the builtins: x = min(x, e).
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && env.minMaxSelf(lhs, call) {
-			return true
-		}
-		// Indexed writes. Order-free shapes: an entry keyed by exactly
-		// the range key (map keys are distinct — each iteration owns
-		// its entry; this includes the ranged map itself, since the
-		// spec guarantees updating an existing entry during iteration
-		// is safe), a self-append at the range key (m[k] = append(m[k],
-		// pure...)), or an idempotent write (the stored value does not
-		// depend on which iteration performs it, so collisions via the
-		// range *value*, a derived index, or a constant key do not
-		// matter). Inserting arbitrary keys into the ranged map is
-		// unspecified and stays flagged.
-		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && env.pureExpr(ix.Index) {
-			obj := rootObject(env.info, ix.X)
-			if obj == nil {
-				return false
-			}
-			switch env.typeOf(ix.X).Underlying().(type) {
-			case *types.Map:
-				if env.isKeyVar(ix.Index) {
-					return env.selfAppend(lhs, rhs) || env.pureExpr(rhs)
-				}
-				if obj == env.rangeObj {
-					return false
-				}
-				return env.pureExpr(rhs) &&
-					!env.readsAny(rhs, env.rangeVars) && !env.readsAny(rhs, env.locals)
-			case *types.Slice, *types.Array:
-				if obj == env.rangeObj {
-					return false
-				}
-				if env.isKeyVar(ix.Index) {
-					return env.pureExpr(rhs)
-				}
-				// Idempotent slice write (e.g. coeff[idx[c]] = 1): even
-				// if derived indices collide, every iteration stores the
-				// same iteration-invariant value.
-				return env.pureExpr(rhs) &&
-					!env.readsAny(rhs, env.rangeVars) && !env.readsAny(rhs, env.locals)
-			}
-		}
-		return false
-	}
-	return false
-}
-
-// minMaxSelf recognizes x = min(x, e...) / x = max(x, e...) over
-// integers, which is order-insensitive (unlike tracking an argmin
-// key, which ties break by visit order).
-func (env *loopEnv) minMaxSelf(lhs ast.Expr, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || (id.Name != "min" && id.Name != "max") || env.info.Uses[id] != types.Universe.Lookup(id.Name) {
-		return false
-	}
-	if !env.integer(lhs) || !env.lvalueOK(lhs) {
-		return false
-	}
-	lobj := rootObject(env.info, lhs)
-	if lobj == nil {
-		return false
-	}
-	self := false
-	for _, arg := range call.Args {
-		if rootObject(env.info, arg) == lobj && env.sameShape(arg, lhs) {
-			self = true
-			continue
-		}
-		if !env.pureExpr(arg) {
-			return false
-		}
-	}
-	return self
-}
-
-// sameShape conservatively matches x against x, a.b against a.b, and
-// m[k] against m[k].
-func (env *loopEnv) sameShape(a, b ast.Expr) bool {
-	switch a := ast.Unparen(a).(type) {
-	case *ast.Ident:
-		bid, ok := ast.Unparen(b).(*ast.Ident)
-		return ok && env.info.Uses[a] != nil && env.info.Uses[a] == env.info.Uses[bid]
-	case *ast.SelectorExpr:
-		bsel, ok := ast.Unparen(b).(*ast.SelectorExpr)
-		return ok && a.Sel.Name == bsel.Sel.Name && env.sameShape(a.X, bsel.X)
-	case *ast.IndexExpr:
-		bix, ok := ast.Unparen(b).(*ast.IndexExpr)
-		return ok && env.sameShape(a.X, bix.X) && env.sameShape(a.Index, bix.Index)
-	}
-	return false
-}
-
-// isKeyVar reports whether e is exactly the range-key variable (not
-// merely an expression reading it — k%2 can collide, k cannot).
-func (env *loopEnv) isKeyVar(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && env.keyVars[env.info.Uses[id]]
-}
-
-// selfAppend recognizes m[k] = append(m[k], pure...) — a per-key
-// accumulation where each iteration extends its own entry.
-func (env *loopEnv) selfAppend(lhs, rhs ast.Expr) bool {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" || env.info.Uses[id] != types.Universe.Lookup("append") {
-		return false
-	}
-	if !env.sameShape(call.Args[0], lhs) {
-		return false
-	}
-	for _, arg := range call.Args[1:] {
-		if !env.pureExpr(arg) {
-			return false
-		}
-	}
-	return true
-}
-
-// lvalueOK accepts accumulation targets: a variable, field chain, or
-// map/slice element keyed by a pure index. The target may be an
-// accumulator (that is the point); order-sensitivity is governed by
-// what reads it.
-func (env *loopEnv) lvalueOK(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name != "_"
-	case *ast.SelectorExpr:
-		return env.lvalueOK(e.X)
-	case *ast.IndexExpr:
-		// Indexing the ranged map itself is fine when keyed by exactly
-		// the range key (m[k]-- updates an existing, distinct entry);
-		// any other index into it could insert mid-iteration.
-		obj := rootObject(env.info, e.X)
-		if obj == env.rangeObj && !env.isKeyVar(e.Index) {
-			return false
-		}
-		return env.pureExpr(e.Index) && env.lvalueOK(e.X)
-	}
-	return false
-}
-
-// pureExpr reports whether e can be evaluated in any iteration order
-// with the same result: no calls (other than len/cap/min/max and
-// basic conversions), no reads of cross-iteration accumulators, no
-// channel/pointer tricks.
-func (env *loopEnv) pureExpr(e ast.Expr) bool {
-	if e == nil {
-		return true
-	}
-	ok := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		if !ok {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if !env.pureCall(n) {
-				ok = false
-			}
-		case *ast.Ident:
-			if obj := env.info.Uses[n]; obj != nil && env.written[obj] {
-				ok = false
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND || n.Op == token.ARROW {
-				ok = false
-			}
-		case *ast.FuncLit:
-			ok = false
-			return false
-		}
-		return ok
-	})
-	return ok
-}
-
-func (env *loopEnv) pureCall(call *ast.CallExpr) bool {
-	// Conversions to basic or named types are value-pure.
-	if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if obj := env.info.Uses[fun]; obj != nil {
-			if _, isType := obj.(*types.TypeName); isType {
-				return true
-			}
-			if obj == types.Universe.Lookup(fun.Name) {
-				switch fun.Name {
-				case "len", "cap", "min", "max":
-					return true
-				}
-			}
-		}
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if obj := env.info.Uses[sel.Sel]; obj != nil {
-			if _, isType := obj.(*types.TypeName); isType {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (env *loopEnv) deleteByRangeKey(call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "delete" || env.info.Uses[id] != types.Universe.Lookup("delete") {
-		return false
-	}
-	if len(call.Args) != 2 {
-		return false
-	}
-	// Deleting the range key from any map (including the one being
-	// ranged — explicitly allowed by the spec) touches a distinct
-	// entry per iteration.
-	return env.readsAny(call.Args[1], env.rangeVars) && env.pureExpr(call.Args[1])
-}
-
-func (env *loopEnv) readsAny(e ast.Expr, set map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && set[env.info.Uses[id]] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func (env *loopEnv) integer(e ast.Expr) bool {
-	t := env.typeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-func (env *loopEnv) typeOf(e ast.Expr) types.Type {
-	if tv, ok := env.info.Types[e]; ok {
-		return tv.Type
-	}
-	return types.Typ[types.Invalid]
-}
-
-// rootObject resolves the base object of an identifier or selector
-// chain (a, a.b.c, a[i].b → a); nil when the expression is anything
-// else.
-func rootObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[e]; obj != nil {
-			return obj
-		}
-		return info.Defs[e]
-	case *ast.SelectorExpr:
-		return rootObject(info, e.X)
-	case *ast.IndexExpr:
-		return rootObject(info, e.X)
-	case *ast.StarExpr:
-		return rootObject(info, e.X)
 	}
 	return nil
 }

@@ -11,17 +11,17 @@ import (
 //	//polyvet:orderfree <reason>   — suppresses a detmap finding on the
 //	                                 next (or same) line
 //	//polyvet:allow <analyzer> <reason> — suppresses that analyzer's (or
-//	                                 deep gate's) finding on the next
-//	                                 (or same) line
-//	//polyvet:noalloc <reason>     — marks the following function for
-//	                                 the hotpath allocation check and
-//	                                 deep mode's escape gate
+//	                                 compiler gate's) finding on the
+//	                                 next (or same) line
+//	//polyvet:noalloc <reason>     — marks the following function as
+//	                                 heap-allocation-free (escape gate,
+//	                                 compiler -m output)
 //	//polyvet:nobce <reason>       — marks the following function's
-//	                                 loops as bounds-check-free (deep
-//	                                 mode, compiler check_bce output)
+//	                                 loops as bounds-check-free (bce
+//	                                 gate, compiler check_bce output)
 //	//polyvet:inline <reason>      — marks the following function as
 //	                                 one the compiler must keep
-//	                                 inlinable (deep mode, -m output)
+//	                                 inlinable (inline gate, -m output)
 //
 // A reason is mandatory: an escape hatch with no justification is a
 // finding of its own. Suppressions must be adjacent (same line or the
@@ -37,11 +37,11 @@ type directive struct {
 	used   bool
 }
 
-// DeepGates names the compiler-ground-truth gates run by deep mode
+// CompilerGates names the compiler-ground-truth gates
 // (internal/polyvet/deep). They are valid //polyvet:allow targets and
-// own the function-marking verbs: escape owns noalloc (jointly with
-// hotpath), bce owns nobce, inline owns inline.
-var DeepGates = []string{"escape", "bce", "inline"}
+// own the function-marking verbs: escape owns noalloc, bce owns nobce,
+// inline owns inline.
+var CompilerGates = []string{"escape", "bce", "inline"}
 
 func knownGate(name string) bool {
 	for _, a := range Suite() {
@@ -49,7 +49,7 @@ func knownGate(name string) bool {
 			return true
 		}
 	}
-	for _, g := range DeepGates {
+	for _, g := range CompilerGates {
 		if g == name {
 			return true
 		}
@@ -164,18 +164,12 @@ func (ds *Directives) markedFor(fset *token.FileSet, fn *ast.FuncDecl, verb stri
 	return "", false
 }
 
-// noallocFor reports whether fn carries a //polyvet:noalloc directive.
-func (ds *Directives) noallocFor(fset *token.FileSet, fn *ast.FuncDecl) bool {
-	_, ok := ds.markedFor(fset, fn, "noalloc")
-	return ok
-}
-
 // A FuncMark is one function annotated with a //polyvet:<verb>
-// function directive, with everything deep mode needs to match it
-// against compiler diagnostics: the compiler-style name, the position
-// of the name token (where inline decisions are reported) and the
-// file span of the declaration (where escape and bounds-check sites
-// land).
+// function directive, with everything the compiler gates need to match
+// it against compiler diagnostics: the compiler-style name, the
+// position of the name token (where inline decisions are reported) and
+// the file span of the declaration (where escape and bounds-check
+// sites land).
 type FuncMark struct {
 	Decl    *ast.FuncDecl
 	Name    string // compiler-style: Name, T.Name or (*T).Name
@@ -232,7 +226,7 @@ func FuncMarks(pkg *Package, verb string) ([]FuncMark, []Diagnostic) {
 // directives for the given gate names: an adjacent allow drops the
 // finding, and an allow targeting one of the gates that suppressed
 // nothing is reported stale. This is RunPackage's suppression
-// contract, exported for deep mode, whose gates run outside the
+// contract, exported for the compiler gates, which run outside the
 // analyzer suite.
 func ApplyAllows(pkg *Package, gates []string, diags []Diagnostic) []Diagnostic {
 	files := withoutTestFiles(pkg.Fset, pkg.Files)
@@ -289,8 +283,9 @@ func recvTypeName(e ast.Expr) string {
 
 // unused returns diagnostics for malformed directives and for
 // suppressions that matched nothing this run. Only directives owned
-// by an analyzer in the run are checked, so running a subset of the
-// suite never flags another analyzer's annotations.
+// by an analyzer in the run are checked, so a fixture test running one
+// analyzer never flags another's annotations. The function verbs
+// belong to the compiler gates, which report their own stale marks.
 func (ds *Directives) unused(analyzers []*Analyzer) []Diagnostic {
 	inRun := map[string]bool{}
 	for _, a := range analyzers {
@@ -302,18 +297,9 @@ func (ds *Directives) unused(analyzers []*Analyzer) []Diagnostic {
 			if dir.used {
 				continue
 			}
-			owner := ""
-			switch dir.verb {
-			case "orderfree":
+			owner := dir.arg // allow's target; "" for the function verbs
+			if dir.verb == "orderfree" {
 				owner = DetMap.Name
-			case "noalloc":
-				owner = HotPath.Name
-			case "nobce":
-				owner = "bce" // deep-mode gate; never in a syntactic run
-			case "inline":
-				owner = "inline"
-			case "allow":
-				owner = dir.arg
 			}
 			if !inRun[owner] {
 				continue

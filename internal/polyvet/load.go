@@ -16,11 +16,9 @@ import (
 	"strings"
 )
 
-// The standalone driver. `go vet -vettool` hands us one pre-planned
-// compilation at a time (see unitchecker.go); this path instead loads
-// packages itself so `polyvet ./...` and the in-repo enforcement test
-// work with nothing but the go tool: `go list -export -deps` yields
-// every package's file list plus compiled export data for its
+// The module loader. `polyvet ./...` and the in-repo enforcement test
+// load packages with nothing but the go tool: `go list -export -deps`
+// yields every package's file list plus compiled export data for its
 // dependencies, and the stdlib gc importer consumes that export data
 // for type checking. This is the same shape golang.org/x/tools'
 // go/packages driver uses, minus the dependency.

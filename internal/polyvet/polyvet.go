@@ -2,32 +2,28 @@
 // the simulator's determinism, RNG-stream and hot-path invariants.
 // Every headline result in this repo rests on properties that are
 // otherwise only spot-tested: byte-identical sweep output at any
-// parallelism, traced runs bit-identical to untraced, zero-cost
-// disabled telemetry hooks, and seeded RNG streams with no shared
-// state. The seed's own history shows how these rot silently — the
-// tcpsim map-iteration nondeterminism fixed in PR 1 shipped in the
-// original code and corrupted every DCTCP figure. polyvet turns the
-// invariants into compile-time properties checked on every build.
+// parallelism, traced runs bit-identical to untraced, and seeded RNG
+// streams with no shared state. The project's own history shows how
+// these rot silently — a tcpsim map-iteration nondeterminism shipped
+// in the original code and corrupted every DCTCP figure until it was
+// found by hand. polyvet turns the invariants into properties checked
+// on every push.
 //
-// The suite:
+// The syntactic suite:
 //
-//   - detmap: no `range` over a map in sim-visible packages unless the
-//     loop body is provably order-insensitive or annotated
-//     //polyvet:orderfree <reason>.
+//   - detmap: no `range` over a map in sim-visible packages unless
+//     annotated //polyvet:orderfree <reason>.
 //   - simclock: no wall-clock (time.Now/Since/Sleep/...) and no global
 //     math/rand top-level functions in sim packages — time comes from
 //     the engine, randomness from a named seeded stream.
 //   - rngstream: every *rand.Rand is constructed through the blessed
 //     deriver (sim.RNG's seeded, stream-labelled derivation) and no
 //     package-level RNG state is shared across sweep workers.
-//   - nilhook: every exported *telemetry.Recorder method begins with
-//     the nil-receiver guard, and call sites with allocation-free
-//     arguments do not redundantly pre-check (the 0.36 ns
-//     disabled-path contract).
-//   - hotpath: functions annotated //polyvet:noalloc are checked for
-//     obvious allocation sources (fmt calls, string concatenation,
-//     capturing closures, interface boxing, map/slice literals,
-//     make/new, byte/string conversions).
+//
+// The //polyvet:noalloc, //polyvet:nobce and //polyvet:inline function
+// directives are held to the compiler's own escape, bounds-check and
+// inlining decisions by the gates in internal/polyvet/deep, which
+// every polyvet run applies after the suite.
 //
 // polyvet is deliberately built on the standard library only (go/ast,
 // go/types, `go list -export` for export data): the build environment
@@ -90,10 +86,9 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	// Info marks an informational diagnostic: printed, but not a
-	// failure. Deep mode downgrades syntactic hotpath findings to Info
-	// when the compiler proves the flagged site stack-allocated, and
-	// uses Info for skip-and-warn notes when a toolchain's diagnostic
-	// format is unrecognized.
+	// failure: the compiler gates' skip-and-warn notes when a
+	// toolchain's diagnostic format is unrecognized, and the benchmark
+	// gates' reports (throughput drift, unlocked cells).
 	Info bool
 }
 
@@ -111,43 +106,11 @@ func Suite() []*Analyzer {
 		DetMap,
 		SimClock,
 		RNGStream,
-		NilHook,
-		HotPath,
 	}
-}
-
-// ByName resolves a subset of Suite by name; unknown names error.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := Suite()
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("polyvet: unknown analyzer %q (have %s)", n, strings.Join(analyzerNames(all), ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func analyzerNames(as []*Analyzer) []string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return names
 }
 
 // A Package is one type-checked unit handed to RunPackage by a driver
-// (the standalone loader, the unitchecker protocol, or the fixture
-// harness).
+// (the module loader or the fixture harness).
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File

@@ -28,18 +28,6 @@ func TestBlessedDeriver(t *testing.T) {
 	RunFixture(t, "sim", RNGStream, SimClock, DetMap)
 }
 
-func TestNilHookMethodGuards(t *testing.T) {
-	RunFixture(t, "telemetry", NilHook)
-}
-
-func TestNilHookCallSites(t *testing.T) {
-	RunFixture(t, "nilhook", NilHook)
-}
-
-func TestHotPathFixture(t *testing.T) {
-	RunFixture(t, "hotpath", HotPath)
-}
-
 func TestDirectiveHygiene(t *testing.T) {
 	RunFixture(t, "directives", DetMap)
 }

@@ -1,30 +1,29 @@
-package polyvet
+package polyvet_test
 
-import "testing"
+import (
+	"testing"
+
+	"polyraptor/internal/polyvet/deep"
+)
 
 // TestRepoIsClean is the enforcement test: the whole module must pass
-// the full suite with zero findings. Every invariant violation either
-// gets fixed or gets an adjacent //polyvet: annotation with a reason —
-// there is no third state, and CI runs this on every push (plus the
-// `go vet -vettool` job, which exercises the unitchecker path).
+// exactly what `polyvet ./...` runs — the detmap, simclock and
+// rngstream suite plus the escape, bce and inline compiler gates —
+// with zero findings. Every invariant violation either gets fixed or
+// gets an adjacent //polyvet: annotation with a reason; there is no
+// third state.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads the whole module via go list -export")
+		t.Skip("loads and compiles the whole module")
 	}
-	pkgs, err := Load("../..", []string{"./..."})
+	res, err := deep.Analyze("../..", []string{"./..."})
 	if err != nil {
-		t.Fatalf("loading module: %v", err)
+		t.Fatalf("analyzing module: %v", err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("go list returned no packages")
+	if res.FormatSkew {
+		t.Errorf("compiler diagnostic format drift: a gate skipped")
 	}
-	for _, pkg := range pkgs {
-		diags, err := RunPackage(pkg, Suite())
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.Pkg.Path(), err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+	for _, d := range res.Diags {
+		t.Errorf("%s", d)
 	}
 }

@@ -1,12 +1,15 @@
 // Fixture for the detmap analyzer: package name netsim makes it
-// sim-visible.
+// sim-visible. Every range over a map is a finding unless annotated,
+// including the bodies whose order provably cannot matter (integer
+// sums, min/max, writes keyed by the range key, idempotent flags,
+// deletes): the annotation is where a reader finds that proof.
 package netsim
 
 import "maps"
 
 func sumInts(m map[string]int) int {
 	n := 0
-	for _, v := range m { // ok: integer accumulation commutes
+	for _, v := range m { // want "iteration order is nondeterministic" (integer accumulation commutes)
 		n += v
 	}
 	return n
@@ -38,7 +41,7 @@ func iterBypass(m map[string]int) []string {
 
 func valuesBypass(m map[string]int) int {
 	n := 0
-	for v := range maps.Values(m) { // ok: accumulation through the iterator form
+	for v := range maps.Values(m) { // want "iteration order is nondeterministic" (accumulation through the iterator form)
 		n += v
 	}
 	return n
@@ -46,7 +49,7 @@ func valuesBypass(m map[string]int) int {
 
 func minMax(m map[int32]int) (int, int) {
 	lo, hi := 1<<62, -(1 << 62)
-	for _, v := range m { // ok: min/max builtins self-update
+	for _, v := range m { // want "iteration order is nondeterministic" (min/max builtins self-update)
 		lo = min(lo, v)
 		hi = max(hi, v)
 	}
@@ -54,7 +57,7 @@ func minMax(m map[int32]int) (int, int) {
 }
 
 func drain(pulls map[int32]int) {
-	for r := range pulls { // ok: updates the ranged map's own entry at the range key
+	for r := range pulls { // want "iteration order is nondeterministic" (updates the ranged map's own entry at the range key)
 		pulls[r]--
 	}
 }
@@ -66,26 +69,26 @@ func invert(m map[string]int, out map[int]string) {
 }
 
 func double(m map[string]int, out map[string]int) {
-	for k, v := range m { // ok: keyed by the distinct range key
+	for k, v := range m { // want "iteration order is nondeterministic" (keyed by the distinct range key)
 		out[k] = v * 2
 	}
 }
 
 func collect(m map[string][]int, byKey map[string][]int) {
-	for k, v := range m { // ok: self-append at the range key
+	for k, v := range m { // want "iteration order is nondeterministic" (self-append at the range key)
 		byKey[k] = append(byKey[k], len(v))
 	}
 }
 
 func mark(m map[int]struct{}, idx map[int]int, seen []bool) {
-	for c := range m { // ok: idempotent slice write — every iteration stores the same value
+	for c := range m { // want "iteration order is nondeterministic" (idempotent slice write — every iteration stores the same value)
 		seen[idx[c]] = true
 	}
 }
 
 func anyNegative(m map[string]int) bool {
 	found := false
-	for _, v := range m { // ok: idempotent flag set under a pure condition
+	for _, v := range m { // want "iteration order is nondeterministic" (idempotent flag set under a pure condition)
 		if v < 0 {
 			found = true
 		}
@@ -94,7 +97,7 @@ func anyNegative(m map[string]int) bool {
 }
 
 func prune(m map[string]int) {
-	for k, v := range m { // ok: delete at the range key (spec-blessed)
+	for k, v := range m { // want "iteration order is nondeterministic" (delete at the range key, spec-blessed)
 		if v == 0 {
 			delete(m, k)
 		}
@@ -103,7 +106,7 @@ func prune(m map[string]int) {
 
 func nonEmpty(m map[string]int) bool {
 	found := false
-	for range m { // ok: the body never reads the range variables, so break is safe
+	for range m { // want "iteration order is nondeterministic" (the body never reads the range variables, so break is safe)
 		found = true
 		break
 	}

@@ -316,6 +316,7 @@ func (m Matrix) Run() (*Result, error) {
 				cr.Errors = append(cr.Errors, fmt.Sprintf("rep %d: %v", rep, o.err))
 				continue
 			}
+			//polyvet:orderfree each name appends to its own sample slice; repetitions stay in rep order per name
 			for name, v := range o.metrics {
 				samples[name] = append(samples[name], v)
 			}

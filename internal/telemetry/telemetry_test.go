@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,6 +26,38 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	p.Start(sim.NewEngine())
 	if p.Samples() != 0 || p.Series() != nil {
 		t.Fatal("nil probe must observe nothing")
+	}
+}
+
+// A nil *Recorder is the disabled state, and hooks are called through
+// it unconditionally, so every exported method must open with the
+// nil-receiver guard. Reflection finds the methods: a new one, or an
+// old one that loses its guard, panics here with zero-valued
+// arguments instead of in whichever untraced scenario reaches it.
+func TestEveryRecorderMethodIsNilSafe(t *testing.T) {
+	nilRec := reflect.ValueOf((*Recorder)(nil))
+	typ := nilRec.Type()
+	if typ.NumMethod() == 0 {
+		t.Fatal("*Recorder has no exported methods")
+	}
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		t.Run(m.Name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("(*Recorder)(nil).%s panics: %v", m.Name, p)
+				}
+			}()
+			args := []reflect.Value{nilRec}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			if m.Type.IsVariadic() {
+				m.Func.CallSlice(args)
+			} else {
+				m.Func.Call(args)
+			}
+		})
 	}
 }
 
