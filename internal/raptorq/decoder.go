@@ -45,10 +45,11 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 // requires:
 //
 //   - all K source symbols present: no matrix work at all;
-//   - few missing sources (m <= partialMaxMissing): the partial-
-//     systematic path back-substitutes repair equations against the
-//     received sources and solves only an m x m system (see
-//     partial.go);
+//   - few missing sources (m <= partialMaxMissing, K <=
+//     sourceMatrixMaxK): the direct path back-substitutes repair
+//     equations read off the source matrix cached per K against the
+//     received sources and solves only an m x m system, m*K row
+//     operations and no replay (see partial.go);
 //   - otherwise: the full inactivation decode — plan the elimination
 //     over the received ESI set (solver.go), prune it, replay it over
 //     the received symbols (schedule.go). A loss pattern is new on
@@ -89,11 +90,10 @@ type Decoder struct {
 	// on first use, unless an ObjectDecoder lends its worker's.
 	sc *solveScratch
 
-	// Test hooks: force one decode path regardless of eligibility.
-	// forcePartial also disables the fall-back to the full solver so
-	// differential tests observe the partial path's own verdict.
-	forceFull    bool
-	forcePartial bool
+	// force is a test hook: a path other than pathAuto runs regardless
+	// of partialPath's choice, so differential tests can run the direct
+	// path past its crossover and pit it against the full solver.
+	force decodePath
 }
 
 // repairRef is one repair symbol a block has seen: its ESI and its slot
@@ -141,8 +141,10 @@ type solveScratch struct {
 	slots     slotArena // replay slots
 	rowBuf    [][]byte  // the rows of the system being loaded into slots
 	ltScratch []int32
-	liveSlot  []bool // partial path: slots its repair rows read
-	keepOp    []bool // partial path: precode ops that reach those slots
+	hBuf      []byte      // direct path: h_e of the kept repair rows
+	redBuf    []byte      // direct path: their coefficient rows, reduced
+	pivotCol  []int       // direct path: the pivot column of each
+	keptRep   []repairRef // direct path: the kept repair rows
 	rhsBuf    []byte
 	eqRows    [][]byte
 	eqSymRows [][]byte
@@ -318,14 +320,16 @@ func (d *Decoder) decode() error {
 		d.sc = new(solveScratch)
 	}
 	m := k - d.srcHave
-	partial := !d.forceFull && (d.forcePartial || m <= partialMaxMissing(k))
-	var err error
-	if partial {
-		err = d.decodePartial(m)
+	path := d.force
+	if path == pathAuto {
+		path = partialPath(m, k)
 	}
-	// The partial path caps how many repair rows it considers, so it can
-	// miss rank the full system still has: fall back on any failure.
-	if !d.forcePartial && (!partial || err != nil) {
+	// The direct path considers every received repair row, so it is
+	// singular exactly when the full system is: no fall-back.
+	var err error
+	if path == pathDirect {
+		err = d.decodeDirect(m)
+	} else {
 		err = d.decodeFull()
 	}
 	if err != nil {

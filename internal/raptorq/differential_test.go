@@ -59,14 +59,13 @@ var lossPatterns = []lossPattern{
 
 // decodeWith runs one decode of the given received set with the decoder
 // pinned to a single path.
-func decodeWith(t *testing.T, k, symSize int, enc *Encoder, missing []int, repairs int, partial bool) ([][]byte, error) {
+func decodeWith(t *testing.T, k, symSize int, enc *Encoder, missing []int, repairs int, path decodePath) ([][]byte, error) {
 	t.Helper()
 	dec, err := NewDecoder(k, symSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec.forceFull = !partial
-	dec.forcePartial = partial
+	dec.force = path
 	gone := make(map[int]bool, len(missing))
 	for _, r := range missing {
 		gone[r] = true
@@ -88,16 +87,20 @@ func decodeWith(t *testing.T, k, symSize int, enc *Encoder, missing []int, repai
 	return dec.Decode()
 }
 
-// TestPartialMatchesFullDifferential asserts that the partial-systematic
-// decode is byte-identical to the full solver, which in turn must
+// spareRepairs is how many repair symbols beyond m the differential
+// tests deliver, so that a rank-deficient draw stays rare.
+const spareRepairs = 8
+
+// TestPartialMatchesFullDifferential asserts that the direct partial
+// path decodes byte-identically to the full solver, which in turn must
 // reproduce the source exactly, in two sweeps:
-//   - K x every m the partial path takes on x symbol sizes — 1,024 and 64
-//     replay through the 32-byte vector kernels, 1,436 (not a multiple of
-//     32) through the checked ones — with a random mask and, in turn, one
+//   - K x every m the direct path takes on x symbol sizes — 1,024 and 64
+//     through the 32-byte vector kernels, 1,436 (not a multiple of 32)
+//     through the checked ones — with a random mask and, in turn, one
 //     of the fixed patterns per m;
 //   - every fixed pattern plus three random masks at m in {1, 2, K/16,
 //     K/8, K/4}, so the partialMaxMissing edge sees every pattern and
-//     K/4 runs the partial path past it (the range BenchmarkPartialVsFull
+//     K/4 runs the direct path past it (the range BenchmarkPartialVsFull
 //     times to place the crossover).
 //
 // One reused decoder per path and (K, size) also checks that nothing
@@ -142,15 +145,11 @@ func TestPartialMatchesFullDifferential(t *testing.T) {
 }
 
 // partialPair makes a random K-symbol block of size symSize, its encoder,
-// and two decoders pinned to the full and the partial path.
+// and two decoders pinned to the full and the direct path.
 func partialPair(t *testing.T, k, symSize int) (rng *rand.Rand, enc *Encoder, source [][]byte, full, part *Decoder) {
 	t.Helper()
 	rng = rand.New(rand.NewSource(int64(1000*k + symSize)))
-	source = make([][]byte, k)
-	for i := range source {
-		source[i] = make([]byte, symSize)
-		rng.Read(source[i])
-	}
+	source = randSymbols(rng, k, symSize)
 	var err error
 	if enc, err = NewEncoder(source); err != nil {
 		t.Fatal(err)
@@ -161,12 +160,12 @@ func partialPair(t *testing.T, k, symSize int) (rng *rand.Rand, enc *Encoder, so
 	if part, err = NewDecoder(k, symSize); err != nil {
 		t.Fatal(err)
 	}
-	full.forceFull, part.forcePartial = true, true
+	full.force, part.force = pathFull, pathDirect
 	return rng, enc, source, full, part
 }
 
 // partialMatchesFull decodes one received set — every source but missing,
-// m + partialExtraRows repair symbols — on both decoders and compares.
+// m + spareRepairs repair symbols — on both decoders and compares.
 func partialMatchesFull(full, part *Decoder, enc *Encoder, source [][]byte, missing []int) error {
 	k := len(source)
 	gone := make([]bool, k)
@@ -181,16 +180,15 @@ func partialMatchesFull(full, part *Decoder, enc *Encoder, source [][]byte, miss
 				dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi)))
 			}
 		}
-		for esi := k; esi < k+len(missing)+partialExtraRows; esi++ {
+		for esi := k; esi < k+len(missing)+spareRepairs; esi++ {
 			dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi)))
 		}
 		var err error
 		if got[i], err = dec.Decode(); err != nil {
-			// The partial path caps its repair subset; a rank-deficient
-			// subset is legal (Decode would fall back) but with
-			// partialExtraRows spare equations it should not happen on
-			// these fixed seeds.
-			return fmt.Errorf("%s path: %w", [2]string{"full", "partial"}[i], err)
+			// The direct path fails only where the full one does, and
+			// with spareRepairs spare equations neither should on these
+			// fixed seeds.
+			return fmt.Errorf("%s path: %w", [2]string{"full", "direct"}[i], err)
 		}
 	}
 	for i := 0; i < k; i++ {
@@ -198,16 +196,16 @@ func partialMatchesFull(full, part *Decoder, enc *Encoder, source [][]byte, miss
 			return fmt.Errorf("full decode corrupt at %d", i)
 		}
 		if !bytes.Equal(got[1][i], got[0][i]) {
-			return fmt.Errorf("partial != full at symbol %d:\n  partial %x\n  full    %x", i, got[1][i], got[0][i])
+			return fmt.Errorf("direct != full at symbol %d:\n  direct %x\n  full   %x", i, got[1][i], got[0][i])
 		}
 	}
 	return nil
 }
 
 // TestLivePassKeepsEveryOutput: the cached precode schedule is already
-// pruned, so the partial path's liveness pass seeded with every column
-// must keep every op — exactly the ops prune kept — and seeded with the
-// columns of a few repair rows it must drop some.
+// pruned, so the liveness pass seeded with every column must keep every
+// op — exactly the ops prune kept — and seeded with the columns of a few
+// repair rows it must drop some.
 func TestLivePassKeepsEveryOutput(t *testing.T) {
 	for _, k := range []int{10, 101, 256, 1000} {
 		p, err := NewParams(k)
@@ -253,8 +251,8 @@ func TestLivePassKeepsEveryOutput(t *testing.T) {
 
 // TestConcurrentDecodersLeaveSchedulesUntouched runs block-parallel
 // object decodes — partial and full paths, all blocks of one K — and
-// checks that the precode schedule every worker shares is the one that
-// was cached. Runs under -race in CI.
+// checks that the precode schedule and the source matrix every worker
+// shares are the ones that were cached. Runs under -race in CI.
 func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 	const symSize, maxK = 256, 64
 	p, err := NewParams(maxK)
@@ -266,6 +264,11 @@ func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops, outSlot := slices.Clone(sched.ops), slices.Clone(sched.outSlot)
+	matrix, err := sourceMatrixFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := slices.Clone(matrix.rows)
 
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 16*maxK*symSize)
@@ -300,58 +303,60 @@ func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 	if !slices.Equal(sched.ops, ops) || !slices.Equal(sched.outSlot, outSlot) {
 		t.Fatal("concurrent decoders changed the cached precode schedule")
 	}
+	if !bytes.Equal(matrix.rows, rows) {
+		t.Fatal("concurrent decoders changed the cached source matrix")
+	}
 }
 
-// TestPartialReusedDecoderDifferential drives one reused decoder
-// through many Reset cycles with varying loss patterns, comparing
-// against fresh full-solver decodes each time — the steady-state arena
-// reuse must never leak bytes between blocks. Runs on every gf256
-// kernel tier (eachGFTier).
+// TestPartialReusedDecoderDifferential drives one reused decoder pinned
+// to the direct path through Reset cycles with varying loss patterns — m
+// up to K/4, past its crossover — comparing against fresh full-solver
+// decodes each time: the steady-state scratch reuse must never leak
+// bytes between blocks. Runs on every gf256 kernel tier (eachGFTier).
 func TestPartialReusedDecoderDifferential(t *testing.T) {
 	eachGFTier(t, func(t *testing.T) {
-		const k, symSize = 64, 48
-		dec, err := NewDecoder(k, symSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec.forcePartial = true
-		rng := rand.New(rand.NewSource(99))
-		for round := 0; round < 20; round++ {
-			source := make([][]byte, k)
-			for i := range source {
-				source[i] = make([]byte, symSize)
-				rng.Read(source[i])
-			}
-			enc, err := NewEncoder(source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := 1 + rng.Intn(k/8)
-			missing := rng.Perm(k)[:m]
-			gone := make(map[int]bool, m)
-			for _, r := range missing {
-				gone[r] = true
-			}
-			dec.Reset()
-			for i := 0; i < k; i++ {
-				if !gone[i] {
-					dec.AddSymbol(uint32(i), enc.Symbol(uint32(i)))
+		for _, k := range []int{10, 101, 256, 1000} {
+			for _, symSize := range []int{64, 1024, 1436} {
+				rng := rand.New(rand.NewSource(int64(99 + k + symSize)))
+				dec, err := NewDecoder(k, symSize)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for r := 0; r < m+partialExtraRows; r++ {
-				dec.AddSymbol(uint32(k+r), enc.Symbol(uint32(k+r)))
-			}
-			part, err := dec.Decode()
-			if err != nil {
-				t.Fatalf("round %d m=%d: %v", round, m, err)
-			}
-			full, err := decodeWith(t, k, symSize, enc, missing, m+partialExtraRows, false)
-			if err != nil {
-				t.Fatalf("round %d m=%d: full solver: %v", round, m, err)
-			}
-			for i := 0; i < k; i++ {
-				if !bytes.Equal(part[i], full[i]) || !bytes.Equal(full[i], source[i]) {
-					t.Fatalf("round %d m=%d: mismatch at symbol %d", round, m, i)
+				dec.force = pathDirect
+				for round := 0; round < 6; round++ {
+					source := randSymbols(rng, k, symSize)
+					enc, err := NewEncoder(source)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := 1 + rng.Intn(max(1, k/4))
+					missing := rng.Perm(k)[:m]
+					gone := make(map[int]bool, m)
+					for _, r := range missing {
+						gone[r] = true
+					}
+					dec.Reset()
+					for i := 0; i < k; i++ {
+						if !gone[i] {
+							dec.AddSymbol(uint32(i), enc.Symbol(uint32(i)))
+						}
+					}
+					for r := 0; r < m+spareRepairs; r++ {
+						dec.AddSymbol(uint32(k+r), enc.Symbol(uint32(k+r)))
+					}
+					part, err := dec.Decode()
+					if err != nil {
+						t.Fatalf("K=%d T=%d round %d m=%d: %v", k, symSize, round, m, err)
+					}
+					full, err := decodeWith(t, k, symSize, enc, missing, m+spareRepairs, pathFull)
+					if err != nil {
+						t.Fatalf("K=%d T=%d round %d m=%d: full solver: %v", k, symSize, round, m, err)
+					}
+					for i := 0; i < k; i++ {
+						if !bytes.Equal(part[i], full[i]) || !bytes.Equal(full[i], source[i]) {
+							t.Fatalf("K=%d T=%d round %d m=%d: mismatch at symbol %d", k, symSize, round, m, i)
+						}
+					}
 				}
 			}
 		}

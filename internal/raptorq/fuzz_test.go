@@ -11,7 +11,10 @@ import (
 //  1. Round trip: encode a deterministic source block, deliver the
 //     symbols the mask selects (source and repair ESIs interleaved),
 //     and require Decode to either report a sentinel error or
-//     reproduce the source bytes exactly.
+//     reproduce the source bytes exactly. The same set also goes to a
+//     decoder pinned to the direct partial path and one pinned to the
+//     full solver, whatever m is: the two must agree on the verdict and
+//     the bytes.
 //  2. Adversarial: feed the raw fuzz bytes themselves as symbol data.
 //     Garbage in may mean garbage out, but never a panic.
 //
@@ -57,30 +60,47 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewEncoder(k=%d t=%d): %v", k, symSize, err)
 		}
-		dec, err := NewDecoder(k, symSize)
-		if err != nil {
-			t.Fatalf("NewDecoder(k=%d t=%d): %v", k, symSize, err)
-		}
+		var decs [3]*Decoder // the decode rule's, direct, full
+		for n, path := range []decodePath{pathAuto, pathDirect, pathFull} {
+			dec, err := NewDecoder(k, symSize)
+			if err != nil {
+				t.Fatalf("NewDecoder(k=%d t=%d): %v", k, symSize, err)
+			}
+			dec.force = path
+			decs[n] = dec
 
-		// Wrong-size symbols must be rejected without mutating state.
-		if _, err := dec.AddSymbol(0, make([]byte, symSize+1)); err == nil {
-			t.Fatal("AddSymbol accepted a wrong-size symbol")
-		}
+			// Wrong-size symbols must be rejected without mutating state.
+			if _, err := dec.AddSymbol(0, make([]byte, symSize+1)); err == nil {
+				t.Fatal("AddSymbol accepted a wrong-size symbol")
+			}
 
-		// Deliver mask-selected ESIs: bit b of mask byte i covers ESI
-		// 8*i+b, walking from the systematic range into repair space.
-		for i, m := range mask {
-			for b := 0; b < 8; b++ {
-				if m&(1<<b) == 0 {
-					continue
-				}
-				esi := uint32(8*i + b)
-				if _, err := dec.AddSymbol(esi, enc.Symbol(esi)); err != nil {
-					t.Fatalf("AddSymbol(%d): %v", esi, err)
+			// Deliver mask-selected ESIs: bit b of mask byte i covers ESI
+			// 8*i+b, walking from the systematic range into repair space.
+			for i, m := range mask {
+				for b := 0; b < 8; b++ {
+					if m&(1<<b) == 0 {
+						continue
+					}
+					esi := uint32(8*i + b)
+					if _, err := dec.AddSymbol(esi, enc.Symbol(esi)); err != nil {
+						t.Fatalf("AddSymbol(%d): %v", esi, err)
+					}
 				}
 			}
 		}
 
+		direct, directErr := decs[1].Decode()
+		full, fullErr := decs[2].Decode()
+		if !errors.Is(directErr, fullErr) {
+			t.Fatalf("direct path: %v, full path: %v", directErr, fullErr)
+		}
+		for i := range full {
+			if !bytes.Equal(direct[i], full[i]) {
+				t.Fatalf("symbol %d: direct path %x, full path %x", i, direct[i], full[i])
+			}
+		}
+
+		dec := decs[0]
 		out, err := dec.Decode()
 		switch {
 		case err == nil:
@@ -152,7 +172,7 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.forceFull = true
+		dec.force = pathFull
 		rounds := prog[1:]
 		if len(rounds) > 3*16 {
 			rounds = rounds[:3*16]

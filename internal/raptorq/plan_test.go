@@ -111,7 +111,7 @@ func TestPlanMatchesRankOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.forceFull = true
+		dec.force = pathFull
 		masks := 3
 		if k <= 10 {
 			masks = 40 // singular sets are a per-cent event: draw enough to meet some

@@ -23,9 +23,10 @@ import (
 //     plans afresh each time — on planner scratch its Decoder (or its
 //     ObjectDecoder worker) owns, at a fraction of the replay's cost —
 //     and nothing is cached;
-//   - the partial-systematic decode path replays the part of the
-//     precode schedule its repair rows read, once, to reduce the whole
-//     decode to an m x m system over the missing rows.
+//   - the direct partial decode reduces the decode to an m x m system
+//     over the m missing rows, its coefficients read off the source
+//     matrix, which one replay of the precode schedule over unit
+//     vectors computes once per K (sourceMatrixFor).
 
 // schedOp is one recorded row operation over the replay slots.
 type schedOp struct {
@@ -207,6 +208,13 @@ var (
 	// of distinct block sizes the process touches — in practice one or
 	// two.
 	precodeCache = map[int]*schedule{}
+	// sourceMatrixCache holds the source matrix of every K the direct
+	// partial path has decoded, under precodeMu as well. Like
+	// precodeCache it is never trimmed, and an entry is L*K bytes, so
+	// the bound is the sum over the distinct K a process decodes: 6.7 MB
+	// if it sees every K up to 256 (rqudp's default MaxBlockK), 389 MB
+	// for every K up to sourceMatrixMaxK.
+	sourceMatrixCache = map[int]*sourceMatrix{}
 )
 
 // precodeSchedule returns the precode elimination for p, planning and
@@ -241,4 +249,72 @@ func planPrecode(p Params) (schedule, error) {
 		pl.addESI(uint32(i))
 	}
 	return pl.plan()
+}
+
+// sourceMatrix is the precode written as a matrix: intermediate symbol
+// col is sum_i rows[col*K+i] * source_i, so the L rows of K bytes are
+// the L x K matrix B with C = B*s (partial.go). It is immutable once
+// built, and every decoder of its K reads it.
+type sourceMatrix struct {
+	k    int
+	rows []byte
+}
+
+// sourceMatrixFor returns the source matrix of p, building and caching
+// it on first use. Like precodeSchedule, two goroutines racing on a cold
+// K may both build it; the matrices are equal and either may win.
+//
+//polyvet:noalloc per-block lookup on the direct decode path; the build is split out cold
+func sourceMatrixFor(p Params) (*sourceMatrix, error) {
+	precodeMu.Lock()
+	b := sourceMatrixCache[p.K]
+	precodeMu.Unlock()
+	if b != nil {
+		return b, nil
+	}
+	sched, err := precodeSchedule(p)
+	if err != nil {
+		return nil, err
+	}
+	b = buildSourceMatrix(p, sched)
+	precodeMu.Lock()
+	sourceMatrixCache[p.K] = b
+	precodeMu.Unlock()
+	return b, nil
+}
+
+// buildSourceMatrix replays the precode schedule once with the unit
+// vector e_i, K bytes wide, in the slot of source row i: by linearity
+// the slot of intermediate column col then holds row col of B. It is
+// the cold path of sourceMatrixFor, so noinline keeps its allocations
+// out of the annotated caller.
+//
+//go:noinline
+func buildSourceMatrix(p Params, sched *schedule) *sourceMatrix {
+	k := p.K
+	var a slotArena
+	syms := a.load(sched.nSlots, k, p.S, nil)
+	for i := 0; i < k; i++ {
+		syms[p.S+i][i] = 1
+	}
+	sched.replay(syms, nil)
+	b := &sourceMatrix{k: k, rows: make([]byte, len(sched.outSlot)*k)}
+	for col, slot := range sched.outSlot {
+		copy(b.rows[col*k:], syms[slot])
+	}
+	return b
+}
+
+// combine sets dst (K bytes) to h_e, the source coefficients of encoding
+// symbol esi: the sum of the rows of B at its LT and PI columns. cols is
+// scratch for those columns, returned for reuse.
+//
+//polyvet:noalloc direct partial decode: one coefficient row per repair symbol over reused scratch
+func (b *sourceMatrix) combine(dst []byte, p Params, esi uint32, cols []int32) []int32 {
+	clear(dst)
+	cols = p.AppendLTIndices(cols[:0], esi)
+	for _, col := range cols {
+		gf256.AddRow(dst, b.rows[int(col)*b.k:int(col+1)*b.k])
+	}
+	return cols
 }

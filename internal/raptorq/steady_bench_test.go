@@ -1,6 +1,8 @@
 package raptorq
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -142,56 +144,84 @@ func BenchmarkDecodeCold30pct(b *testing.B) {
 	}
 }
 
-// BenchmarkPartialVsFull times the two matrix paths on the same
-// blocks — m missing sources out of K=256, K+2 symbols held, a fresh
-// choice of the m per op — to place the partialMaxMissing crossover
-// (docs/perf/pr28-partial-decode.md), at T=1,024 and
-// at T=1,436, whose partial slots are no multiple of 32 wide and replay
-// through the checked kernels.
+// BenchmarkPartialVsFull times the two matrix paths on the same blocks —
+// m missing sources out of K, K+2 symbols held, a fresh choice of the m
+// per op — to place the directMaxMissing and partialMaxMissing
+// crossovers (docs/perf/pr38-partial-matrix.md), at T=1,024 and at
+// T=1,436, whose rows are no multiple of 32 wide and run through the
+// checked kernels. The direct path's source matrix is built before the
+// timer starts, as it is once per K in a process. Every op checks its
+// verdict and the recovered symbols, so a path that breaks fails the
+// benchmark.
 func BenchmarkPartialVsFull(b *testing.B) {
-	const k = 256
-	for _, t := range []int{1024, 1436} {
-		enc, err := NewEncoder(benchSource(k, t))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := make([][]byte, 2*k)
-		for i := range pool {
-			pool[i] = enc.Symbol(uint32(i))
-		}
-		for _, m := range []int{1, 4, 8, 16, 32, 48, 64} {
-			for _, path := range []string{"partial", "full"} {
-				b.Run(fmt.Sprintf("T=%d/m=%d/%s", t, m, path), func(b *testing.B) {
-					dec, err := NewDecoder(k, t)
-					if err != nil {
-						b.Fatal(err)
-					}
-					dec.forcePartial, dec.forceFull = path == "partial", path == "full"
-					rng := rand.New(rand.NewSource(int64(m)))
-					gone := make([]bool, k)
-					run := func() {
-						clear(gone)
-						for _, i := range rng.Perm(k)[:m] {
-							gone[i] = true
+	for _, k := range []int{256, 1024} {
+		for _, t := range []int{1024, 1436} {
+			enc, err := NewEncoder(benchSource(k, t))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := make([][]byte, 2*k)
+			for i := range pool {
+				pool[i] = enc.Symbol(uint32(i))
+			}
+			for _, m := range []int{1, 4, 8, 13, 16, 24, 32, 48, 64, 128} {
+				if m > k/4 {
+					continue
+				}
+				for _, p := range []struct {
+					name string
+					path decodePath
+				}{{"direct", pathDirect}, {"full", pathFull}} {
+					b.Run(fmt.Sprintf("K=%d/T=%d/m=%d/%s", k, t, m, p.name), func(b *testing.B) {
+						dec, err := NewDecoder(k, t)
+						if err != nil {
+							b.Fatal(err)
 						}
-						dec.Reset()
-						for i := 0; i < k; i++ {
-							if !gone[i] {
-								dec.AddSymbol(uint32(i), pool[i])
+						dec.force = p.path
+						rng := rand.New(rand.NewSource(int64(m)))
+						gone := make([]bool, k)
+						singular := 0
+						run := func() {
+							clear(gone)
+							for _, i := range rng.Perm(k)[:m] {
+								gone[i] = true
+							}
+							dec.Reset()
+							for i := 0; i < k; i++ {
+								if !gone[i] {
+									dec.AddSymbol(uint32(i), pool[i])
+								}
+							}
+							for esi := k; esi < k+m+2; esi++ {
+								dec.AddSymbol(uint32(esi), pool[esi])
+							}
+							out, err := dec.Decode()
+							switch {
+							case errors.Is(err, ErrSingular):
+								// A singular draw costs the same solve; at
+								// K+2 it is rare (~1e-4).
+								singular++
+							case err != nil:
+								b.Fatal(err)
+							default:
+								for i, g := range gone {
+									if g && !bytes.Equal(out[i], pool[i]) {
+										b.Fatalf("source symbol %d decoded wrong", i)
+									}
+								}
 							}
 						}
-						for esi := k; esi < k+m+2; esi++ {
-							dec.AddSymbol(uint32(esi), pool[esi])
-						}
-						dec.Decode() // a singular draw costs the same solve
-					}
-					run()
-					b.SetBytes(int64(k * t))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
 						run()
-					}
-				})
+						b.SetBytes(int64(k * t))
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							run()
+						}
+						if singular > (b.N+1)/2 {
+							b.Fatalf("%d of %d decodes singular", singular, b.N+1)
+						}
+					})
+				}
 			}
 		}
 	}
