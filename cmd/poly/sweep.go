@@ -71,10 +71,8 @@ func runSweep(c *cli, args []string) int {
 	p.Chaos.Replicas = p.Replicas
 	p.Chaos.Mappers = p.Mappers
 	p.Chaos.Reducers = p.Reducers
-	if slo.Enabled() {
+	if slo.Enabled() || *meterOn {
 		p.SLO = &slo
-	} else if *meterOn {
-		p.Meter = true
 	}
 
 	scen, err := sweepScenarios(*scenarios)

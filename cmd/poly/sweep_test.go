@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +78,52 @@ func TestSweepJSONParallelIdentical(t *testing.T) {
 	}
 	if len(res.Cells) != 4 || res.Seeds != 5 {
 		t.Fatalf("decoded %d cells x %d seeds, want 4 x 5", len(res.Cells), res.Seeds)
+	}
+}
+
+// TestSweepMeterIsZeroSLO: -meter alone meters with the zero SLO,
+// which scores completion only, so every cell's pooled histograms and
+// slo_attainment match a deadline no flow can miss (-slo-fct 1h), and
+// the metered document differs from the unmetered one only by those
+// fields.
+func TestSweepMeterIsZeroSLO(t *testing.T) {
+	runJSON := func(extra ...string) sweep.Result {
+		var out, errw bytes.Buffer
+		args := sweepArgs(append([]string{"-scenarios", "incast,storage", "-format", "json"}, extra...)...)
+		if code := runSub("sweep", args, &out, &errw); code != 0 {
+			t.Fatalf("sweep %v exited %d: %s", extra, code, errw.String())
+		}
+		var res sweep.Result
+		if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+			t.Fatalf("sweep %v: stdout is not valid JSON: %v", extra, err)
+		}
+		return res
+	}
+	metered, loose, plain := runJSON("-meter"), runJSON("-slo-fct", "1h"), runJSON()
+	if len(metered.Cells) != len(plain.Cells) || len(loose.Cells) != len(plain.Cells) {
+		t.Fatalf("cell counts %d/%d/%d differ", len(metered.Cells), len(loose.Cells), len(plain.Cells))
+	}
+	for i := range metered.Cells {
+		m, l := metered.Cells[i], loose.Cells[i]
+		name := m.Scenario + "/" + m.Backend
+		att, ok := m.Metric("slo_attainment")
+		if !ok || len(m.Hists) == 0 {
+			t.Fatalf("%s: -meter produced no slo_attainment (%v) or no hists (%d)", name, ok, len(m.Hists))
+		}
+		if latt, _ := l.Metric("slo_attainment"); att != latt ||
+			!reflect.DeepEqual(m.Samples["slo_attainment"], l.Samples["slo_attainment"]) {
+			t.Errorf("%s: slo_attainment %+v under -meter, %+v under -slo-fct 1h", name, att, latt)
+		}
+		if !reflect.DeepEqual(m.Hists, l.Hists) {
+			t.Errorf("%s: hists differ between -meter and -slo-fct 1h", name)
+		}
+		m.Hists = nil
+		m.Metrics = slices.DeleteFunc(m.Metrics, func(a sweep.Aggregate) bool { return a.Metric == "slo_attainment" })
+		delete(m.Samples, "slo_attainment")
+		if !reflect.DeepEqual(m, plain.Cells[i]) {
+			t.Errorf("%s: metered cell differs from the unmetered one beyond hists and slo_attainment:\nmetered %+v\nplain   %+v",
+				name, m, plain.Cells[i])
+		}
 	}
 }
 

@@ -58,17 +58,17 @@ func demo(w io.Writer, k int, fracs []float64, flows int, bytes int64, reps, par
 				Scenario: "chaos",
 				Backend:  be.String(),
 				Params:   map[string]string{"frac": fmt.Sprint(frac)},
-				Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
+				Run: func(seed int64) (sweep.Metrics, sweep.Hists, error) {
 					res, err := harness.Run(opt, be, seed, harness.Observers{})
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					r := res.Detail.(harness.ChaosRun)
 					return sweep.Metrics{
 						"stall_rate": r.StallRate(),
 						"fct_p99_s":  r.FCT.P99,
-					}, nil
-				}),
+					}, nil, nil
+				},
 			})
 		}
 	}

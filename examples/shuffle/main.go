@@ -54,10 +54,10 @@ func demo(w io.Writer, k int, mappers []int, reducers int, pairBytes int64, reps
 				Scenario: "shuffle",
 				Backend:  be.String(),
 				Params:   map[string]string{"mappers": fmt.Sprint(m)},
-				Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
+				Run: func(seed int64) (sweep.Metrics, sweep.Hists, error) {
 					res, err := harness.Run(opt, be, seed, harness.Observers{})
-					return res.Metrics, err
-				}),
+					return res.Metrics, nil, err
+				},
 			})
 		}
 	}

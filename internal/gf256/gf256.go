@@ -437,13 +437,3 @@ func ScaleRowScalar(row []byte, c byte) {
 		}
 	}
 }
-
-// DotProduct returns the GF(2^8) inner product of a and b, which must
-// have equal length.
-func DotProduct(a, b []byte) byte {
-	var acc byte
-	for i := range a {
-		acc ^= Mul(a[i], b[i])
-	}
-	return acc
-}

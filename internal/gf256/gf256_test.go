@@ -186,15 +186,6 @@ func TestScaleRow(t *testing.T) {
 	}
 }
 
-func TestDotProduct(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	want := Add(Add(Mul(1, 4), Mul(2, 5)), Mul(3, 6))
-	if got := DotProduct(a, b); got != want {
-		t.Fatalf("DotProduct = %d, want %d", got, want)
-	}
-}
-
 func TestMulAddRowZeroAndOneFastPaths(t *testing.T) {
 	src := []byte{10, 20, 30}
 	dst := []byte{1, 2, 3}

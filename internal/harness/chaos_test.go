@@ -140,7 +140,7 @@ func TestNewSweepCellChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := cell.Runner.Run(1)
+	m, _, err := cell.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func (f Fig1) Run(env *Env) (Result, error) {
 	// sessions from the goodputs (fct = bytes over goodput).
 	env.Offered(len(goodputs))
 	for _, g := range goodputs {
-		env.mt.flow(fctFromGoodput(f.Bytes, g), g)
+		env.obs.Meter.flow("", fctFromGoodput(f.Bytes, g), g)
 	}
 	sum := stats.Summarize(goodputs)
 	return Result{Detail: goodputs, Metrics: sweep.Metrics{

@@ -7,67 +7,92 @@ import (
 	"polyraptor/internal/sweep"
 )
 
-// PolyMeter wiring. A metered run owns a metrics.Registry built for
-// that run alone (single goroutine, nothing shared across sweep
-// workers); Run wraps it with the run's label set and the SLO under
-// test. The zero meter (nil registry) is the disabled state: every
-// instrument the registry hands out is nil and every recording site
-// degenerates to a single branch, so an unmetered run is bit-identical
-// to one that never heard of PolyMeter.
+// Meter is one run's PolyMeter: the per-flow FCT and goodput
+// histograms, fabric queue depth and Polyraptor stall durations,
+// keyed by name, plus the flows offered and the flows that met the
+// SLO. A Meter belongs to one run (single goroutine, nothing shared
+// across sweep workers). A nil *Meter is the disabled state: every
+// histogram it hands out is nil and every recording site degenerates
+// to a single branch, so an unmetered run is bit-identical to one that
+// never heard of PolyMeter.
+type Meter struct {
+	// SLO scores every metered flow; the zero SLO scores completion
+	// only (a flow that never completed still misses).
+	SLO metrics.SLO
 
-// meter bundles one run's PolyMeter attachments.
-type meter struct {
-	reg *metrics.Registry
-	l   metrics.Labels
-	slo metrics.SLO
+	hists        sweep.Hists
+	met, offered int
 }
 
-// offered declares how many flows the run offers. Attainment divides
-// by this gauge, so a flow that stalls and never completes still
-// counts against the SLO.
-func (mt meter) offered(n int) {
-	mt.reg.Gauge("offered_flows", mt.l).Set(float64(n))
+// hist returns the named histogram, creating it on first use. Nil on
+// a nil Meter.
+func (m *Meter) hist(name string) *metrics.Histogram {
+	if m == nil {
+		return nil
+	}
+	h := m.hists[name]
+	if h == nil {
+		if m.hists == nil {
+			m.hists = sweep.Hists{}
+		}
+		h = metrics.NewHistogram()
+		m.hists[name] = h
+	}
+	return h
 }
 
-// flow records one completed flow: its completion time and goodput
-// enter the histograms, and the slo_met counter advances if the flow
-// met every enabled SLO criterion.
-func (mt meter) flow(fct, goodputGbps float64) {
-	mt.reg.Histogram("fct_s", mt.l).Record(fct)
-	mt.reg.Histogram("goodput_gbps", mt.l).Record(goodputGbps)
-	if mt.slo.MetFCT(fct) && mt.slo.MetGoodput(goodputGbps) {
-		mt.reg.Counter("slo_met", mt.l).Add(1)
+// offer adds n flows to the offered count. Attainment divides by it,
+// so a flow that stalls and never completes still counts against the
+// SLO.
+func (m *Meter) offer(n int) {
+	if m != nil {
+		m.offered += n
 	}
 }
 
-// registryAttainment reads a run's SLO attainment: met flows over
-// offered flows, summed across every label set (the storage scenario
-// meters its GET and PUT sides as separate tenants). 0 when nothing
-// was offered.
-func registryAttainment(reg *metrics.Registry) float64 {
-	var met, offered float64
-	reg.EachCounter(func(name string, _ metrics.Labels, c *metrics.Counter) {
-		if name == "slo_met" {
-			met += float64(c.Value())
-		}
-	})
-	reg.EachGauge(func(name string, _ metrics.Labels, g *metrics.Gauge) {
-		if name == "offered_flows" {
-			offered += g.Value()
-		}
-	})
-	if offered <= 0 {
+// flow meters one completed flow: its completion time and goodput
+// enter the tenant+"fct_s" and tenant+"goodput_gbps" histograms, and
+// it counts as met if it meets every enabled SLO criterion. tenant is
+// "" except in the storage scenario, which meters its GET and PUT
+// sides apart as "get_" and "put_".
+func (m *Meter) flow(tenant string, fct, goodputGbps float64) {
+	if m == nil {
+		return
+	}
+	m.hist(tenant + "fct_s").Record(fct)
+	m.hist(tenant + "goodput_gbps").Record(goodputGbps)
+	if m.SLO.MetFCT(fct) && m.SLO.MetGoodput(goodputGbps) {
+		m.met++
+	}
+}
+
+// Attainment is the fraction of offered flows that met the SLO, 0 when
+// nothing was offered.
+func (m *Meter) Attainment() float64 {
+	if m == nil || m.offered <= 0 {
 		return 0
 	}
-	return met / offered
+	return float64(m.met) / float64(m.offered)
 }
 
-// tenant returns a meter for a sub-workload of the run (the storage
-// cluster's GET and PUT sides), sharing the registry and SLO.
-func (mt meter) tenant(name string) meter {
-	t := mt
-	t.l.Tenant = name
-	return t
+// Hists returns the run's non-empty histograms (stall_s stays empty in
+// a run with no stalls), nil when there are none.
+func (m *Meter) Hists() sweep.Hists {
+	if m == nil {
+		return nil
+	}
+	var hs sweep.Hists
+	//polyvet:orderfree each name is copied into its own key; the sweep sorts names before output
+	for name, h := range m.hists {
+		if h.Count() == 0 {
+			continue
+		}
+		if hs == nil {
+			hs = sweep.Hists{}
+		}
+		hs[name] = h
+	}
+	return hs
 }
 
 // perFlowGbps is one flow's goodput: its bytes over its own
@@ -87,29 +112,4 @@ func fctFromGoodput(bytes int64, gbps float64) float64 {
 		return math.NaN()
 	}
 	return float64(bytes) * 8 / 1e9 / gbps
-}
-
-// registryHists flattens a run registry into the sweep's Hists map.
-// Tenant-labelled histograms get a "tenant_" name prefix; empty
-// histograms (e.g. stall_s in a run with no stalls) are dropped. The
-// iteration order is deterministic but irrelevant: histogram merge is
-// commutative.
-func registryHists(reg *metrics.Registry) sweep.Hists {
-	if reg == nil {
-		return nil
-	}
-	hs := sweep.Hists{}
-	reg.EachHistogram(func(name string, l metrics.Labels, h *metrics.Histogram) {
-		if h.Count() == 0 {
-			return
-		}
-		if l.Tenant != "" {
-			name = l.Tenant + "_" + name
-		}
-		hs[name] = h
-	})
-	if len(hs) == 0 {
-		return nil
-	}
-	return hs
 }

@@ -9,14 +9,13 @@
 // A scenario builds the fabric its backend assumes, draws a seeded
 // workload, starts transfer patterns on the store.Transport adapter
 // and scores the completions. The zero Observers is the plain run;
-// attaching a trace or a metrics registry never changes a result.
+// attaching a trace or a Meter never changes a result.
 package harness
 
 import (
 	"fmt"
 	"strconv"
 
-	"polyraptor/internal/metrics"
 	"polyraptor/internal/netsim"
 	"polyraptor/internal/polyraptor"
 	"polyraptor/internal/sim"
@@ -29,7 +28,7 @@ import (
 // Scenario is one experiment, parametrised by everything except the
 // transport under test and the seed.
 type Scenario interface {
-	// Name labels sweep cells, traces and meter series.
+	// Name labels sweep cells and traces.
 	Name() string
 	// Params are the sizing knobs worth echoing in reports.
 	Params() map[string]string
@@ -62,13 +61,11 @@ type Observers struct {
 	// PolyScope flight recorder and timeline probes; the finished
 	// trace is returned in Result.Trace.
 	Trace *telemetry.Options
-	// Registry, when non-nil, receives the run's PolyMeter series:
-	// per-flow FCT and goodput histograms, fabric queue depth,
-	// Polyraptor stall durations, and offered/slo_met counts, under
-	// (scenario, backend) labels. It must be owned by this run alone.
-	Registry *metrics.Registry
-	// SLO scores every metered flow.
-	SLO metrics.SLO
+	// Meter, when non-nil, meters the run: per-flow FCT and goodput
+	// histograms, fabric queue depth, Polyraptor stall durations, and
+	// the offered and SLO-meeting flow counts. It must be owned by this
+	// run alone.
+	Meter *Meter
 }
 
 // Result is one run's output.
@@ -93,7 +90,6 @@ func Run(sc Scenario, backend store.BackendKind, seed int64, obs Observers) (Res
 		return Result{}, err
 	}
 	env := &Env{Backend: backend, Seed: seed, scenario: sc.Name(), obs: obs}
-	env.mt = meter{reg: obs.Registry, l: metrics.Labels{Scenario: sc.Name(), Backend: backend.String()}, slo: obs.SLO}
 	res, err := sc.Run(env)
 	if err == nil && env.tr != nil {
 		err = env.tr.Audit()
@@ -137,7 +133,6 @@ type Env struct {
 
 	scenario string
 	obs      Observers
-	mt       meter
 	net      *netsim.Network // the fabric under test, set by Build
 	tr       *store.Transport
 	trace    *telemetry.Trace
@@ -184,20 +179,20 @@ func (e *Env) Observe() {
 		e.trace.SetMeta("seed", strconv.FormatInt(e.Seed, 10))
 		e.net.Rec = e.trace.Rec
 	}
-	e.net.QueueHist = e.mt.reg.Histogram("queue_depth_pkts", e.mt.l)
+	e.net.QueueHist = e.obs.Meter.hist("queue_depth_pkts")
 	if e.tr.RQ != nil {
-		e.tr.RQ.StallHist = e.mt.reg.Histogram("stall_s", e.mt.l)
+		e.tr.RQ.StallHist = e.obs.Meter.hist("stall_s")
 	}
 }
 
 // Offered declares how many flows the run offers. SLO attainment
 // divides by it, so a flow that never completes still counts.
-func (e *Env) Offered(n int) { e.mt.offered(n) }
+func (e *Env) Offered(n int) { e.obs.Meter.offer(n) }
 
 // Flow meters one completed flow by its own completion time.
 func (e *Env) Flow(c store.Completion) {
 	fct := (c.End - c.Start).Seconds()
-	e.mt.flow(fct, perFlowGbps(c.Bytes, fct))
+	e.obs.Meter.flow("", fct, perFlowGbps(c.Bytes, fct))
 }
 
 // Drain runs the simulation to quiescence — or to the deadline, when

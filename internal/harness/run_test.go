@@ -64,9 +64,9 @@ func tinyScenarios() []tinyScenario {
 
 // TestObserversDoNotPerturbAnyScenario is the zero-cost guarantee
 // through the one entry point: for every scenario on every backend, a
-// run with a live registry and SLO — and a trace, where the scenario
-// supports one — reproduces the plain run's metrics and typed detail
-// exactly. Observation is observability, never a different experiment.
+// run with a live Meter — and a trace, where the scenario supports one
+// — reproduces the plain run's metrics and typed detail exactly.
+// Observation is observability, never a different experiment.
 func TestObserversDoNotPerturbAnyScenario(t *testing.T) {
 	slo := metrics.SLO{FCTDeadline: 0.05}
 	for _, e := range tinyScenarios() {
@@ -78,8 +78,8 @@ func TestObserversDoNotPerturbAnyScenario(t *testing.T) {
 			if plain.Trace != nil {
 				t.Fatalf("%s/%v: plain run returned a trace", e.sc.Name(), be)
 			}
-			reg := metrics.NewRegistry()
-			obs := Observers{Registry: reg, SLO: slo}
+			mt := &Meter{SLO: slo}
+			obs := Observers{Meter: mt}
 			if e.traceable {
 				obs.Trace = &telemetry.Options{}
 			}
@@ -93,26 +93,65 @@ func TestObserversDoNotPerturbAnyScenario(t *testing.T) {
 			if !reflect.DeepEqual(plain.Detail, observed.Detail) {
 				t.Errorf("%s/%v: observers changed detail:\nplain    %+v\nobserved %+v", e.sc.Name(), be, plain.Detail, observed.Detail)
 			}
-			if e.traceable {
-				if observed.Trace == nil || observed.Trace.Rec.Len() == 0 {
-					t.Errorf("%s/%v: traced run recorded nothing", e.sc.Name(), be)
+			if run, ok := observed.Detail.(StorageRun); ok {
+				checkStorageMeter(t, be, mt, run.Result)
+			}
+			if !e.traceable {
+				if _, err := Run(e.sc, be, 3, Observers{Trace: &telemetry.Options{}}); err == nil {
+					t.Errorf("%s/%v: trace request on an unobserved scenario was silently dropped", e.sc.Name(), be)
 				}
-				// Every offered flow that completed was metered once.
-				l := metrics.Labels{Scenario: e.sc.Name(), Backend: be.String()}
-				flows, offered := reg.Histogram("fct_s", l).Count(), reg.Gauge("offered_flows", l).Value()
-				if completed, ok := plain.Metrics["completed"]; ok {
-					offered = completed // chaos: stalled flows never complete
-				}
-				if flows == 0 || float64(flows) != offered {
-					t.Errorf("%s/%v: metered %d flows of %v offered", e.sc.Name(), be, flows, offered)
-				}
-				if reg.Histogram("queue_depth_pkts", l).Count() == 0 {
-					t.Errorf("%s/%v: queue-depth histogram is empty; fabric hook not attached", e.sc.Name(), be)
-				}
-			} else if _, err := Run(e.sc, be, 3, Observers{Trace: &telemetry.Options{}}); err == nil {
-				t.Errorf("%s/%v: trace request on an unobserved scenario was silently dropped", e.sc.Name(), be)
+				continue
+			}
+			if observed.Trace == nil || observed.Trace.Rec.Len() == 0 {
+				t.Errorf("%s/%v: traced run recorded nothing", e.sc.Name(), be)
+			}
+			// Every offered flow that completed was metered once.
+			flows, offered := mt.hists["fct_s"].Count(), float64(mt.offered)
+			if completed, ok := plain.Metrics["completed"]; ok {
+				offered = completed // chaos: stalled flows never complete
+			}
+			if flows == 0 || float64(flows) != offered {
+				t.Errorf("%s/%v: metered %d flows of %v offered", e.sc.Name(), be, flows, offered)
+			}
+			if mt.hists["queue_depth_pkts"].Count() == 0 {
+				t.Errorf("%s/%v: queue-depth histogram is empty; fabric hook not attached", e.sc.Name(), be)
 			}
 		}
+	}
+}
+
+// checkStorageMeter: the storage scenario meters its GET and PUT sides
+// under "get_"/"put_" names, and its attainment pools both tenants:
+// Σmet / Σoffered, where a skipped GET is offered but never met.
+func checkStorageMeter(t *testing.T, be store.BackendKind, mt *Meter, res *store.Result) {
+	t.Helper()
+	getF, getG := res.GetFCTs(), res.GetGoodputs()
+	putF, putG := res.PutFCTs(), res.PutGoodputs()
+	for name, n := range map[string]int{
+		"get_fct_s": len(getF), "get_goodput_gbps": len(getG),
+		"put_fct_s": len(putF), "put_goodput_gbps": len(putG),
+	} {
+		if got := mt.hists[name].Count(); n == 0 || got != uint64(n) {
+			t.Errorf("storage/%v: %s holds %d samples, want %d (> 0)", be, name, got, n)
+		}
+	}
+	if h, ok := mt.hists["fct_s"]; ok {
+		t.Errorf("storage/%v: untenanted fct_s histogram with %d samples", be, h.Count())
+	}
+	met := 0
+	for i, f := range getF {
+		if mt.SLO.MetFCT(f) && mt.SLO.MetGoodput(getG[i]) {
+			met++
+		}
+	}
+	for i, f := range putF {
+		if mt.SLO.MetFCT(f) && mt.SLO.MetGoodput(putG[i]) {
+			met++
+		}
+	}
+	want := float64(met) / float64(len(getF)+res.SkippedGets+len(putF))
+	if got := mt.Attainment(); got != want {
+		t.Errorf("storage/%v: attainment %v, want Σmet/Σoffered = %v", be, got, want)
 	}
 }
 

@@ -52,23 +52,18 @@ func (o ShuffleOptions) Validate() error {
 	if err := topology.CheckArity(o.FatTreeK); err != nil {
 		return err
 	}
-	if o.Mappers < 1 || o.Reducers < 1 {
-		return fmt.Errorf("shuffle needs >= 1 mapper and >= 1 reducer, got %dx%d", o.Mappers, o.Reducers)
-	}
-	if hosts := topology.HostsFor(o.FatTreeK); o.Mappers+o.Reducers > hosts {
-		return fmt.Errorf("shuffle needs %d distinct hosts, k=%d fabric has %d",
-			o.Mappers+o.Reducers, o.FatTreeK, hosts)
-	}
-	if o.BytesPerPair < 1 {
-		return fmt.Errorf("shuffle needs bytes >= 1, got %d", o.BytesPerPair)
-	}
-	if o.Skew < 0 {
-		return fmt.Errorf("shuffle skew must be non-negative, got %g", o.Skew)
-	}
-	if o.StragglerFactor != 0 && o.StragglerFactor < 1 {
-		return fmt.Errorf("shuffle straggler factor must be 0 (off) or >= 1, got %g", o.StragglerFactor)
+	if err := o.config(0).Validate(topology.HostsFor(o.FatTreeK)); err != nil {
+		return fmt.Errorf("k=%d: %w", o.FatTreeK, err)
 	}
 	return nil
+}
+
+// config is the workload draw of one seeded shuffle.
+func (o ShuffleOptions) config(seed int64) workload.ShuffleConfig {
+	return workload.ShuffleConfig{
+		Mappers: o.Mappers, Reducers: o.Reducers, BytesPerPair: o.BytesPerPair,
+		Skew: o.Skew, StragglerFactor: o.StragglerFactor, Seed: seed,
+	}
 }
 
 // ShuffleRun is one shuffle's reduced measurements.
@@ -116,10 +111,7 @@ func (o ShuffleOptions) Run(env *Env) (Result, error) {
 		return Result{}, err
 	}
 	env.Observe()
-	sh := workload.GenerateShuffle(workload.ShuffleConfig{
-		Mappers: o.Mappers, Reducers: o.Reducers, BytesPerPair: o.BytesPerPair,
-		Skew: o.Skew, StragglerFactor: o.StragglerFactor, Seed: env.Seed,
-	}, ft)
+	sh := workload.GenerateShuffle(o.config(env.Seed), ft)
 	pairs := o.Mappers * o.Reducers
 	env.Offered(pairs)
 	fcts := make([]float64, 0, pairs)

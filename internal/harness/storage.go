@@ -41,8 +41,8 @@ func (s Storage) ScaleLoad(mult float64) (Loadable, float64) {
 
 // Run runs the cluster once. The store engine owns its fabric and
 // request loop, so the run is metered from the finished result: the
-// GET and PUT sides are separate tenants of the registry (their
-// latency targets differ in practice, and the pooled histograms stay
+// GET and PUT sides are separate tenants of the Meter (their latency
+// targets differ in practice, and the pooled histograms stay
 // separable). A skipped GET (its object lost) never ran, so it counts
 // as offered but cannot meet the SLO.
 func (s Storage) Run(env *Env) (Result, error) {
@@ -53,16 +53,15 @@ func (s Storage) Run(env *Env) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	gm, pm := env.mt.tenant("get"), env.mt.tenant("put")
+	mt := env.obs.Meter
 	getF, getG := res.GetFCTs(), res.GetGoodputs()
 	putF, putG := res.PutFCTs(), res.PutGoodputs()
-	gm.offered(len(getF) + res.SkippedGets)
-	pm.offered(len(putF))
+	mt.offer(len(getF) + res.SkippedGets + len(putF))
 	for i, f := range getF {
-		gm.flow(f, getG[i])
+		mt.flow("get_", f, getG[i])
 	}
 	for i, f := range putF {
-		pm.flow(f, putG[i])
+		mt.flow("put_", f, putG[i])
 	}
 	run := StorageRun{
 		Backend:      res.Backend.String(),

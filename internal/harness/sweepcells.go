@@ -10,7 +10,7 @@ import (
 	"polyraptor/internal/telemetry"
 )
 
-// Sweep cells: any Scenario behind the one sweep.Runner interface, so
+// Sweep cells: any Scenario behind the one sweep.Cell run function, so
 // poly sweep (and -seeds in the other poly subcommands) can execute any
 // backend x scenario x seed matrix on the worker pool.
 
@@ -44,19 +44,15 @@ type SweepParams struct {
 	// overridden per run.
 	Chaos ChaosOptions
 
-	// Meter attaches a PolyMeter registry to every run: per-flow FCT
-	// and goodput histograms (plus fabric queue depth and Polyraptor
-	// stall durations where the scenario drives the fabric directly),
-	// merged across repetitions into the cell's pooled distributions,
-	// and an "slo_attainment" metric. Metering never changes run
-	// results: a metered run's metrics are bit-identical to an
-	// unmetered run of the same seed.
-	Meter bool
-	// SLO, when non-nil, scores every metered flow against the spec;
-	// slo_attainment is the fraction of offered flows that completed
-	// within it. Implies Meter. With no SLO, attainment degenerates to
-	// the completion rate (every completed flow trivially meets the
-	// empty spec; stalled or skipped flows still miss).
+	// SLO, when non-nil, attaches a fresh Meter to every run: per-flow
+	// FCT and goodput histograms (plus fabric queue depth and
+	// Polyraptor stall durations where the scenario drives the fabric
+	// directly), merged across repetitions into the cell's pooled
+	// distributions, and an "slo_attainment" metric, the fraction of
+	// offered flows that met the SLO. The zero SLO scores completion
+	// only: every completed flow meets it, and stalled or skipped flows
+	// still miss. Metering never changes run results: a metered run's
+	// metrics are bit-identical to an unmetered run of the same seed.
 	SLO *metrics.SLO
 
 	// Trace, when non-nil, attaches a PolyScope flight recorder and
@@ -183,7 +179,7 @@ func NewSweepCell(scenario string, backend store.BackendKind, p SweepParams) (sw
 }
 
 // Cells wraps any scenario as one sweep cell per backend; only p's
-// observation fields (Meter, SLO, Trace, TraceSink) apply.
+// observation fields (SLO, Trace, TraceSink) apply.
 func (p SweepParams) Cells(sc Scenario, backends []store.BackendKind) ([]sweep.Cell, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("harness: no backends selected")
@@ -200,39 +196,28 @@ func (p SweepParams) Cells(sc Scenario, backends []store.BackendKind) ([]sweep.C
 
 // cell wraps one scenario x backend point as a sweep cell whose every
 // repetition is one Run. Unmetered, the run gets the zero Observers.
-// Metered (Meter or SLO), each run gets a fresh single-goroutine
-// registry whose histograms become the cell's pooled distributions and
-// whose counters become slo_attainment.
+// Metered (SLO set), each run gets a fresh Meter whose histograms
+// become the cell's pooled distributions and whose counts become
+// slo_attainment.
 func (p SweepParams) cell(sc Scenario, backend store.BackendKind) sweep.Cell {
-	run := func(seed int64, reg *metrics.Registry) (sweep.Metrics, error) {
-		obs := Observers{Trace: p.Trace, Registry: reg}
+	run := func(seed int64) (sweep.Metrics, sweep.Hists, error) {
+		obs := Observers{Trace: p.Trace}
 		if p.SLO != nil {
-			obs.SLO = *p.SLO
+			obs.Meter = &Meter{SLO: *p.SLO}
 		}
 		res, err := Run(sc, backend, seed, obs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if res.Trace != nil && p.TraceSink != nil {
 			p.TraceSink(sc.Name(), backend.String(), seed, res.Trace)
 		}
-		return res.Metrics, nil
-	}
-	cell := sweep.Cell{Scenario: sc.Name(), Backend: backend.String(), Params: sc.Params()}
-	if !p.Meter && p.SLO == nil {
-		cell.Runner = sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) { return run(seed, nil) })
-		return cell
-	}
-	cell.Runner = sweep.HistRunnerFunc(func(seed int64) (sweep.Metrics, sweep.Hists, error) {
-		reg := metrics.NewRegistry()
-		m, err := run(seed, reg)
-		if err != nil {
-			return nil, nil, err
+		if obs.Meter != nil {
+			res.Metrics["slo_attainment"] = obs.Meter.Attainment()
 		}
-		m["slo_attainment"] = registryAttainment(reg)
-		return m, registryHists(reg), nil
-	})
-	return cell
+		return res.Metrics, obs.Meter.Hists(), nil
+	}
+	return sweep.Cell{Scenario: sc.Name(), Backend: backend.String(), Params: sc.Params(), Run: run}
 }
 
 // AblationCells returns the A1–A4 ablations (EXPERIMENTS.md
@@ -255,17 +240,17 @@ func AblationCells(p SweepParams) ([]sweep.Cell, error) {
 		cells = append(cells, sweep.Cell{
 			Scenario: name, Backend: "rq",
 			Params: map[string]string{"k": strconv.Itoa(k)},
-			Runner: sweep.RunnerFunc(func(seed int64) (sweep.Metrics, error) {
+			Run: func(seed int64) (sweep.Metrics, sweep.Hists, error) {
 				ra, err := Run(a, store.BackendPolyraptor, seed, Observers{})
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				rb, err := Run(b, store.BackendPolyraptor, seed, Observers{})
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return sweep.Metrics{aKey: ra.Metrics[metric], bKey: rb.Metrics[metric]}, nil
-			}),
+				return sweep.Metrics{aKey: ra.Metrics[metric], bKey: rb.Metrics[metric]}, nil, nil
+			},
 		})
 	}
 	a, b := AblationTrim(k, 12, 70<<10)

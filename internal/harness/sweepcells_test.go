@@ -33,7 +33,7 @@ func TestNewSweepCellFig1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSweepCell(%s, %v): %v", scenario, be, err)
 			}
-			m, err := cell.Runner.Run(sweep.SubSeed(1, 0))
+			m, _, err := cell.Run(sweep.SubSeed(1, 0))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", scenario, be, err)
 			}
@@ -74,7 +74,7 @@ func TestAblationCells(t *testing.T) {
 		t.Fatalf("AblationCells returned %d cells, want 4", len(cells))
 	}
 	for _, c := range cells {
-		m, err := c.Runner.Run(sweep.SubSeed(1, 0))
+		m, _, err := c.Run(sweep.SubSeed(1, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", c.Scenario, err)
 		}

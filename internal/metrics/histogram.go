@@ -51,12 +51,6 @@ func makeBucketMids() *[NumBuckets]float64 {
 	return &m
 }
 
-// BucketValue returns the representative (midpoint) value of dense
-// bucket i — the inverse of the bucketing, for snapshot consumers.
-func BucketValue(i int) float64 {
-	return bucketMid[i]
-}
-
 // Histogram is a log-linear HDR-style histogram. Its state — bucket
 // counts, zero/NaN counts, exact min/max — forms a commutative
 // monoid under Merge, so merging any number of histograms in any
@@ -167,14 +161,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// NaNs returns the number of NaN samples skipped.
-func (h *Histogram) NaNs() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.nans
-}
-
 // Min returns the exact minimum recorded sample (0 when empty).
 func (h *Histogram) Min() float64 {
 	if h == nil || h.count == 0 {
@@ -274,39 +260,10 @@ func (h *Histogram) clampRange(v float64) float64 {
 	return v
 }
 
-// CDF returns the fraction of recorded samples <= v, at bucket
-// resolution: all samples sharing v's bucket count as <= v. Returns 0
-// when empty or for v < 0.
-func (h *Histogram) CDF(v float64) float64 {
-	if h == nil || h.count == 0 || v != v || v < 0 {
-		return 0
-	}
-	cum := h.zero
-	if v > 0 {
-		hi := NumBuckets - 1
-		if v < maxTrackable {
-			f, e := math.Frexp(v)
-			o := e - 1
-			switch {
-			case o < minExp:
-				hi = 0
-			case o > maxExp:
-				hi = NumBuckets - 1
-			default:
-				hi = (o-minExp)<<subBits + int(f*(2*SubBuckets)) - SubBuckets
-			}
-		}
-		for i := 0; i <= hi; i++ {
-			cum += h.counts[i]
-		}
-	}
-	return float64(cum) / float64(h.count)
-}
-
 // BucketCount is one populated bucket of a Snapshot.
 type BucketCount struct {
-	// Index is the dense bucket index; BucketValue(Index) recovers the
-	// representative value.
+	// Index is the dense bucket index: octave Index/SubBuckets above
+	// the lowest, sub-bucket Index%SubBuckets within it.
 	Index int `json:"i"`
 	// Count is the bucket's sample count.
 	Count uint64 `json:"n"`

@@ -155,8 +155,8 @@ func TestMergeOrderByteIdentical(t *testing.T) {
 func TestRecordEdgeCases(t *testing.T) {
 	h := NewHistogram()
 	h.Record(math.NaN())
-	if h.Count() != 0 || h.NaNs() != 1 {
-		t.Fatalf("NaN must be skipped: count=%d nans=%d", h.Count(), h.NaNs())
+	if h.Count() != 0 || h.Snapshot().NaNs != 1 {
+		t.Fatalf("NaN must be skipped: count=%d nans=%d", h.Count(), h.Snapshot().NaNs)
 	}
 	h.Record(0)
 	h.Record(-3)
@@ -189,7 +189,7 @@ func TestEmptyAndNilHistogram(t *testing.T) {
 	nilH.Record(1)
 	nilH.Merge(NewHistogram())
 	if nilH.Count() != 0 || nilH.Mean() != 0 || nilH.Quantile(50) != 0 ||
-		nilH.Min() != 0 || nilH.Max() != 0 || nilH.CDF(1) != 0 {
+		nilH.Min() != 0 || nilH.Max() != 0 {
 		t.Fatal("nil histogram accessors must return zeros")
 	}
 	if nilH.Snapshot() != nil {
@@ -201,27 +201,6 @@ func TestEmptyAndNilHistogram(t *testing.T) {
 	}
 	if _, err := json.Marshal(empty.Snapshot()); err != nil {
 		t.Fatalf("empty snapshot must marshal (no infinities): %v", err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(float64(i))
-	}
-	if got := h.CDF(1000); got != 1 {
-		t.Errorf("CDF above max = %g, want 1", got)
-	}
-	if got := h.CDF(0); got != 0 {
-		t.Errorf("CDF(0) = %g, want 0 (no zero samples)", got)
-	}
-	// Bucket resolution: CDF(50) within RelError of the exact 0.50.
-	if got := h.CDF(50); math.Abs(got-0.5) > RelError+0.01 {
-		t.Errorf("CDF(50) = %g, want ~0.5", got)
-	}
-	h.Record(0)
-	if got := h.CDF(0); got != 1.0/101 {
-		t.Errorf("CDF(0) with one zero sample = %g, want %g", got, 1.0/101)
 	}
 }
 

@@ -132,37 +132,6 @@ func Summarize(xs []float64) Summary {
 	return SummarizeSorted(s)
 }
 
-// HistSource is the read side of a quantile sketch — the subset of
-// polyraptor/internal/metrics.Histogram that SummarizeHist needs.
-// Keeping it an interface keeps stats a leaf package.
-type HistSource interface {
-	Count() uint64
-	Mean() float64
-	Min() float64
-	Max() float64
-	// Quantile returns the p-th percentile (0..100) with the sketch's
-	// documented relative-error bound.
-	Quantile(p float64) float64
-}
-
-// SummarizeHist condenses a histogram into the same Summary shape as
-// the exact-sample path, with percentiles read from the sketch
-// (bounded relative error) instead of a full sample sort.
-func SummarizeHist(h HistSource) Summary {
-	if h == nil || h.Count() == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:    int(h.Count()),
-		Mean: h.Mean(),
-		Min:  h.Min(),
-		P50:  h.Quantile(50),
-		P95:  h.Quantile(95),
-		P99:  h.Quantile(99),
-		Max:  h.Max(),
-	}
-}
-
 // SummarizeSorted is Summarize for a sample already sorted ascending:
 // the fast path for callers that have sorted (or can keep) the sample
 // themselves.

@@ -291,27 +291,3 @@ func TestDropNaN(t *testing.T) {
 		t.Error("DropNaN must not modify its input")
 	}
 }
-
-// fakeHist drives SummarizeHist without importing internal/metrics
-// (stats stays a leaf package; the real implementation is
-// metrics.Histogram, wired up in internal/sweep).
-type fakeHist struct{ n uint64 }
-
-func (f fakeHist) Count() uint64              { return f.n }
-func (f fakeHist) Mean() float64              { return 2 }
-func (f fakeHist) Min() float64               { return 1 }
-func (f fakeHist) Max() float64               { return 3 }
-func (f fakeHist) Quantile(p float64) float64 { return 1 + 2*p/100 }
-
-func TestSummarizeHist(t *testing.T) {
-	s := SummarizeHist(fakeHist{n: 10})
-	if s.N != 10 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.P50 != 2 {
-		t.Errorf("SummarizeHist = %+v", s)
-	}
-	if s := SummarizeHist(fakeHist{}); s != (Summary{}) {
-		t.Errorf("empty hist summary = %+v, want zero", s)
-	}
-	if s := SummarizeHist(nil); s != (Summary{}) {
-		t.Errorf("nil hist summary = %+v, want zero", s)
-	}
-}

@@ -1,8 +1,8 @@
 // Package sweep is the experiment-sweep engine: it takes a declarative
-// run matrix (cells = backend x scenario, each with a Runner), executes
-// the independent discrete-event simulations concurrently on a worker
-// pool, and aggregates per-cell metrics across repetition seeds into
-// mean, 95% confidence interval and tail percentiles.
+// run matrix (cells = backend x scenario, each with a run function),
+// executes the independent discrete-event simulations concurrently on a
+// worker pool, and aggregates per-cell metrics across repetition seeds
+// into mean, 95% confidence interval and tail percentiles.
 //
 // Determinism is the design constraint everything else serves. Each
 // (cell, repetition) run gets its own SplitMix-derived sub-seed
@@ -25,53 +25,21 @@ import (
 	"polyraptor/internal/stats"
 )
 
-// Metrics is the named scalar outputs of one run. A runner may omit a
+// Metrics is the named scalar outputs of one run. A run may omit a
 // metric on some repetitions (e.g. an interference ratio that could
 // not be measured); aggregation then uses the repetitions that
 // reported it.
 type Metrics map[string]float64
 
-// Runner executes one simulation for one derived seed. Implementations
-// must be safe for concurrent calls: every Run builds its own
-// simulation state and shares nothing mutable.
-type Runner interface {
-	Run(seed int64) (Metrics, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(seed int64) (Metrics, error)
-
-// Run implements Runner.
-func (f RunnerFunc) Run(seed int64) (Metrics, error) { return f(seed) }
-
 // Hists is the histogram-valued output of one run, keyed by metric
 // name: whole per-sample distributions (per-flow FCT, goodput, queue
-// depth) rather than pre-reduced scalars. Returned histograms are
-// owned by the sweep and must not be mutated after return.
+// depth) rather than pre-reduced scalars. Aggregation merges each
+// metric's histograms across repetitions in repetition order
+// (histogram merge is associative and commutative, so the result is
+// byte-identical at any parallelism) instead of concatenating raw
+// samples. Returned histograms are owned by the sweep and must not be
+// mutated after return.
 type Hists map[string]*metrics.Histogram
-
-// HistRunner is a Runner that additionally emits mergeable histograms.
-// Aggregation merges each metric's histograms across repetitions in
-// repetition order (histogram merge is associative and commutative,
-// so the result is byte-identical at any parallelism) instead of
-// concatenating raw samples.
-type HistRunner interface {
-	Runner
-	RunHist(seed int64) (Metrics, Hists, error)
-}
-
-// HistRunnerFunc adapts a function to the HistRunner interface.
-type HistRunnerFunc func(seed int64) (Metrics, Hists, error)
-
-// Run implements Runner (histograms are computed and dropped — prefer
-// running HistRunnerFuncs through a Matrix, which keeps them).
-func (f HistRunnerFunc) Run(seed int64) (Metrics, error) {
-	m, _, err := f(seed)
-	return m, err
-}
-
-// RunHist implements HistRunner.
-func (f HistRunnerFunc) RunHist(seed int64) (Metrics, Hists, error) { return f(seed) }
 
 // Cell is one point of the run matrix: a scenario under a backend,
 // plus any extra parameters worth echoing in reports.
@@ -82,8 +50,10 @@ type Cell struct {
 	Backend string
 	// Params are extra axis values, rendered sorted by key.
 	Params map[string]string
-	// Runner executes the cell for one seed.
-	Runner Runner
+	// Run executes the cell for one derived seed. It must be safe for
+	// concurrent calls: every call builds its own simulation state and
+	// shares nothing mutable. An unmetered run returns nil Hists.
+	Run func(seed int64) (Metrics, Hists, error)
 }
 
 // Name returns the cell's display label: scenario/backend plus sorted
@@ -180,8 +150,7 @@ type CellResult struct {
 	Seeds []int64 `json:"seeds"`
 	// Metrics are the aggregates, sorted by metric name.
 	Metrics []Aggregate `json:"metrics"`
-	// Hists are the histogram-valued metrics of a HistRunner cell,
-	// merged across repetitions in repetition order and sorted by
+	// Hists are the histogram-valued metrics of a metered cell, merged across repetitions in repetition order and sorted by
 	// metric name.
 	Hists []HistAggregate `json:"hists,omitempty"`
 	// Samples holds the raw per-repetition values behind each
@@ -266,8 +235,8 @@ func (m Matrix) Run() (*Result, error) {
 		return nil, fmt.Errorf("sweep: Seeds must be >= 1, got %d", m.Seeds)
 	}
 	for i, c := range m.Cells {
-		if c.Runner == nil {
-			return nil, fmt.Errorf("sweep: cell %d (%s) has no runner", i, c.Name())
+		if c.Run == nil {
+			return nil, fmt.Errorf("sweep: cell %d (%s) has no run function", i, c.Name())
 		}
 	}
 	seeds := SubSeeds(m.BaseSeed, m.Seeds)
@@ -354,20 +323,15 @@ type runOut struct {
 	err     error
 }
 
-// runCell executes one repetition, converting runner panics into
-// errors so one malformed cell cannot abort a whole sweep. Runners
-// that implement HistRunner also contribute histograms.
+// runCell executes one repetition, converting run panics into errors
+// so one malformed cell cannot abort a whole sweep.
 func runCell(c Cell, seed int64) (o runOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = runOut{err: fmt.Errorf("panic: %v", r)}
 		}
 	}()
-	if hr, ok := c.Runner.(HistRunner); ok {
-		o.metrics, o.hists, o.err = hr.RunHist(seed)
-		return o
-	}
-	o.metrics, o.err = c.Runner.Run(seed)
+	o.metrics, o.hists, o.err = c.Run(seed)
 	return o
 }
 
@@ -394,19 +358,18 @@ func aggregate(name string, xs []float64) Aggregate {
 	}
 }
 
-// histAggregate summarizes one merged histogram through the shared
-// Summary shape (quantiles within metrics.RelError of exact).
+// histAggregate summarizes one merged histogram (quantiles within
+// metrics.RelError of exact; every field 0 when it is empty).
 func histAggregate(name string, h *metrics.Histogram) HistAggregate {
-	sum := stats.SummarizeHist(h)
 	return HistAggregate{
 		Metric:   name,
 		Count:    h.Count(),
-		Mean:     sum.Mean,
-		Min:      sum.Min,
-		P50:      sum.P50,
-		P95:      sum.P95,
-		P99:      sum.P99,
-		Max:      sum.Max,
+		Mean:     h.Mean(),
+		Min:      h.Min(),
+		P50:      h.Quantile(50),
+		P95:      h.Quantile(95),
+		P99:      h.Quantile(99),
+		Max:      h.Max(),
 		Snapshot: h.Snapshot(),
 	}
 }

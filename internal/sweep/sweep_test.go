@@ -3,10 +3,13 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"polyraptor/internal/metrics"
 )
 
 // fakeRunner records the seeds it was called with and returns metrics
@@ -17,37 +20,48 @@ type fakeRunner struct {
 	seeds []int64
 }
 
-func (f *fakeRunner) Run(seed int64) (Metrics, error) {
+func (f *fakeRunner) Run(seed int64) (Metrics, Hists, error) {
 	f.mu.Lock()
 	f.seeds = append(f.seeds, seed)
 	f.mu.Unlock()
 	return Metrics{
 		"value":  float64(seed % 1000),
 		"square": float64((seed % 100) * (seed % 100)),
-	}, nil
+	}, nil, nil
 }
 
-func testMatrix(par int) Matrix {
+// scalarRun adapts a metrics-only function to Cell.Run.
+func scalarRun(f func(seed int64) (Metrics, error)) func(int64) (Metrics, Hists, error) {
+	return func(seed int64) (Metrics, Hists, error) {
+		m, err := f(seed)
+		return m, nil, err
+	}
+}
+
+func testMatrix(par int) (Matrix, []*fakeRunner) {
+	fs := []*fakeRunner{{}, {}, {}}
 	return Matrix{
 		Cells: []Cell{
-			{Scenario: "s1", Backend: "b1", Runner: &fakeRunner{}},
-			{Scenario: "s1", Backend: "b2", Runner: &fakeRunner{}},
-			{Scenario: "s2", Backend: "b1", Params: map[string]string{"k": "4"}, Runner: &fakeRunner{}},
+			{Scenario: "s1", Backend: "b1", Run: fs[0].Run},
+			{Scenario: "s1", Backend: "b2", Run: fs[1].Run},
+			{Scenario: "s2", Backend: "b1", Params: map[string]string{"k": "4"}, Run: fs[2].Run},
 		},
 		Seeds:       5,
 		BaseSeed:    7,
 		Parallelism: par,
-	}
+	}, fs
 }
 
 // TestRunSerialParallelIdentical: the acceptance property — aggregated
 // JSON is byte-identical at parallelism 1 and parallelism 8.
 func TestRunSerialParallelIdentical(t *testing.T) {
-	serial, err := testMatrix(1).Run()
+	ms, _ := testMatrix(1)
+	serial, err := ms.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := testMatrix(8).Run()
+	mp, _ := testMatrix(8)
+	parallel, err := mp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +87,7 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 // TestRunSeedsAreDerived: every cell sees exactly the SubSeeds stream,
 // once per repetition.
 func TestRunSeedsAreDerived(t *testing.T) {
-	m := testMatrix(4)
+	m, fs := testMatrix(4)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +95,7 @@ func TestRunSeedsAreDerived(t *testing.T) {
 	for _, s := range SubSeeds(m.BaseSeed, m.Seeds) {
 		want[s] = true
 	}
-	for i, c := range m.Cells {
-		fr := c.Runner.(*fakeRunner)
+	for i, fr := range fs {
 		if len(fr.seeds) != m.Seeds {
 			t.Fatalf("cell %d ran %d times, want %d", i, len(fr.seeds), m.Seeds)
 		}
@@ -99,7 +112,7 @@ func TestRunSeedsAreDerived(t *testing.T) {
 func TestRunAggregates(t *testing.T) {
 	var rep atomic.Int64
 	m := Matrix{
-		Cells: []Cell{{Scenario: "s", Backend: "b", Runner: RunnerFunc(func(seed int64) (Metrics, error) {
+		Cells: []Cell{{Scenario: "s", Backend: "b", Run: scalarRun(func(seed int64) (Metrics, error) {
 			// 1, 2, 3, 4, 5 in some order; value independent of seed so
 			// parallelism cannot reorder the aggregate.
 			return Metrics{"v": float64(rep.Add(1))}, nil
@@ -123,18 +136,56 @@ func TestRunAggregates(t *testing.T) {
 	}
 }
 
+// TestRunMergesHists: a cell's histograms pool across repetitions and
+// are summarized from the merged sketch; a run that returns no Hists
+// adds nothing, and an empty or nil histogram summarizes to zeros.
+func TestRunMergesHists(t *testing.T) {
+	m := Matrix{
+		Cells: []Cell{{Scenario: "s", Backend: "b", Run: func(seed int64) (Metrics, Hists, error) {
+			if seed == SubSeed(3, 2) {
+				return Metrics{"v": 1}, nil, nil
+			}
+			h := metrics.NewHistogram()
+			for v := 1; v <= 50; v++ {
+				h.Record(float64(v))
+			}
+			return Metrics{"v": 1}, Hists{"fct_s": h}, nil
+		}}},
+		Seeds:    3,
+		BaseSeed: 3,
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := res.Cells[0].Hist("fct_s")
+	if !ok || a.Count != 100 || a.Min != 1 || a.Max != 50 || a.Snapshot.Count != 100 {
+		t.Fatalf("pooled fct_s = %+v (present %v), want 100 samples in [1, 50]", a, ok)
+	}
+	if math.Abs(a.P50-25.5) > 25.5*metrics.RelError || math.Abs(a.Mean-25.5) > 25.5*metrics.RelError {
+		t.Errorf("pooled p50 %g, mean %g: want 25.5 within RelError", a.P50, a.Mean)
+	}
+	for _, h := range []*metrics.Histogram{metrics.NewHistogram(), nil} {
+		got := histAggregate("x", h)
+		got.Snapshot = nil
+		if got != (HistAggregate{Metric: "x"}) {
+			t.Errorf("empty/nil histogram aggregate = %+v, want zeros", got)
+		}
+	}
+}
+
 // TestRunRecordsErrorsAndPanics: failing repetitions land in Errors,
 // do not poison aggregation, and panics are converted to errors.
 func TestRunRecordsErrorsAndPanics(t *testing.T) {
 	m := Matrix{
 		Cells: []Cell{
-			{Scenario: "bad", Backend: "err", Runner: RunnerFunc(func(seed int64) (Metrics, error) {
+			{Scenario: "bad", Backend: "err", Run: scalarRun(func(seed int64) (Metrics, error) {
 				return nil, fmt.Errorf("boom %d", seed%2)
 			})},
-			{Scenario: "bad", Backend: "panic", Runner: RunnerFunc(func(seed int64) (Metrics, error) {
+			{Scenario: "bad", Backend: "panic", Run: scalarRun(func(seed int64) (Metrics, error) {
 				panic("kaboom")
 			})},
-			{Scenario: "good", Backend: "ok", Runner: RunnerFunc(func(seed int64) (Metrics, error) {
+			{Scenario: "good", Backend: "ok", Run: scalarRun(func(seed int64) (Metrics, error) {
 				return Metrics{"v": 1}, nil
 			})},
 		},
@@ -167,11 +218,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := (Matrix{Seeds: 1}).Run(); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
-	if _, err := (Matrix{Cells: []Cell{{Scenario: "s", Backend: "b", Runner: &fakeRunner{}}}}).Run(); err == nil {
+	if _, err := (Matrix{Cells: []Cell{{Scenario: "s", Backend: "b", Run: (&fakeRunner{}).Run}}}).Run(); err == nil {
 		t.Fatal("Seeds=0 accepted")
 	}
 	if _, err := (Matrix{Cells: []Cell{{Scenario: "s", Backend: "b"}}, Seeds: 1}).Run(); err == nil {
-		t.Fatal("nil runner accepted")
+		t.Fatal("cell without a run function accepted")
 	}
 }
 
@@ -195,10 +246,10 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func TestTableMissingMetric(t *testing.T) {
 	m := Matrix{
 		Cells: []Cell{
-			{Scenario: "a", Backend: "x", Runner: RunnerFunc(func(int64) (Metrics, error) {
+			{Scenario: "a", Backend: "x", Run: scalarRun(func(int64) (Metrics, error) {
 				return Metrics{"only_a": 1}, nil
 			})},
-			{Scenario: "b", Backend: "x", Runner: RunnerFunc(func(int64) (Metrics, error) {
+			{Scenario: "b", Backend: "x", Run: scalarRun(func(int64) (Metrics, error) {
 				return Metrics{"shared": 2}, nil
 			})},
 		},

@@ -55,27 +55,38 @@ func (s Shuffle) TotalBytes() int64 {
 // polyraptor.System.StartShuffle consumes.
 func (s Shuffle) PairBytes(mi, ri int) int64 { return s.Bytes[mi][ri] }
 
+// Validate rejects a configuration that cannot be drawn on a fabric of
+// hosts hosts: an empty mapper or reducer set, more of them than the
+// fabric has distinct hosts, an empty partition, a negative skew, or a
+// straggler factor in (0, 1).
+func (cfg ShuffleConfig) Validate(hosts int) error {
+	if cfg.Mappers < 1 || cfg.Reducers < 1 {
+		return fmt.Errorf("shuffle needs >= 1 mapper and >= 1 reducer, got %dx%d", cfg.Mappers, cfg.Reducers)
+	}
+	if cfg.Mappers+cfg.Reducers > hosts {
+		return fmt.Errorf("shuffle needs %d distinct hosts, fabric has %d", cfg.Mappers+cfg.Reducers, hosts)
+	}
+	if cfg.BytesPerPair < 1 {
+		return fmt.Errorf("shuffle needs bytes >= 1, got %d", cfg.BytesPerPair)
+	}
+	if cfg.Skew < 0 {
+		return fmt.Errorf("shuffle skew must be non-negative, got %g", cfg.Skew)
+	}
+	if cfg.StragglerFactor != 0 && cfg.StragglerFactor < 1 {
+		return fmt.Errorf("shuffle straggler factor must be 0 (off) or >= 1, got %g", cfg.StragglerFactor)
+	}
+	return nil
+}
+
 // GenerateShuffle draws disjoint mapper and reducer host sets and
 // builds the partition-size matrix. Reducer-side skew follows the
 // existing Zipf popularity model; the straggler mapper (if enabled) is
-// one uniform draw. All choices are deterministic per seed. Invalid
-// configurations panic: they are configuration errors, not runtime
-// conditions.
+// one uniform draw. All choices are deterministic per seed.
 func GenerateShuffle(cfg ShuffleConfig, racks RackView) Shuffle {
-	if cfg.Mappers < 1 || cfg.Reducers < 1 {
-		panic(fmt.Sprintf("workload: shuffle needs >= 1 mapper and reducer, got %dx%d", cfg.Mappers, cfg.Reducers))
-	}
-	if n := racks.NumHosts(); cfg.Mappers+cfg.Reducers > n {
-		panic(fmt.Sprintf("workload: shuffle needs %d distinct hosts, fabric has %d", cfg.Mappers+cfg.Reducers, n))
-	}
-	if cfg.BytesPerPair < 1 {
-		panic(fmt.Sprintf("workload: shuffle BytesPerPair must be >= 1, got %d", cfg.BytesPerPair))
-	}
-	if cfg.Skew < 0 {
-		panic("workload: shuffle Skew must be non-negative")
-	}
-	if cfg.StragglerFactor != 0 && cfg.StragglerFactor < 1 {
-		panic(fmt.Sprintf("workload: shuffle StragglerFactor must be 0 (off) or >= 1, got %g", cfg.StragglerFactor))
+	// Internal invariant: every caller validates the configuration
+	// before anything runs (harness.ShuffleOptions.Validate).
+	if err := cfg.Validate(racks.NumHosts()); err != nil {
+		panic("workload: " + err.Error())
 	}
 
 	rng := sim.RNG(cfg.Seed, "shuffle")

@@ -126,19 +126,32 @@ func TestGenerateShuffleDeterministic(t *testing.T) {
 
 func TestGenerateShuffleValidation(t *testing.T) {
 	ft := shuffleFabric(t)
-	expectPanic := func(name string, cfg ShuffleConfig) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
+	for _, c := range []struct {
+		name string
+		cfg  ShuffleConfig
+	}{
+		{"no mappers", ShuffleConfig{Mappers: 0, Reducers: 1, BytesPerPair: 1}},
+		{"no reducers", ShuffleConfig{Mappers: 1, Reducers: 0, BytesPerPair: 1}},
+		{"too many hosts", ShuffleConfig{Mappers: 10, Reducers: 7, BytesPerPair: 1}}, // k=4 has 16 hosts
+		{"zero bytes", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 0}},
+		{"negative skew", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 1, Skew: -1}},
+		{"fractional straggler", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 1, StragglerFactor: 0.5}},
+	} {
+		name, cfg := c.name, c.cfg
+		if cfg.Validate(ft.NumHosts()) == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: GenerateShuffle did not panic", name)
+				}
+			}()
+			GenerateShuffle(cfg, ft)
 		}()
-		GenerateShuffle(cfg, ft)
 	}
-	expectPanic("no mappers", ShuffleConfig{Mappers: 0, Reducers: 1, BytesPerPair: 1})
-	expectPanic("no reducers", ShuffleConfig{Mappers: 1, Reducers: 0, BytesPerPair: 1})
-	expectPanic("too many hosts", ShuffleConfig{Mappers: 10, Reducers: 7, BytesPerPair: 1}) // k=4 has 16 hosts
-	expectPanic("zero bytes", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 0})
-	expectPanic("negative skew", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 1, Skew: -1})
-	expectPanic("fractional straggler", ShuffleConfig{Mappers: 1, Reducers: 1, BytesPerPair: 1, StragglerFactor: 0.5})
+	ok := ShuffleConfig{Mappers: 8, Reducers: 8, BytesPerPair: 1, StragglerFactor: 1}
+	if err := ok.Validate(ft.NumHosts()); err != nil {
+		t.Errorf("Validate rejected a full-fabric shuffle: %v", err)
+	}
 }
