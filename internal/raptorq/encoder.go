@@ -87,9 +87,8 @@ func hdpcSeed(p Params) uint64 {
 // 2^32-1, making the code rateless.
 //
 // An Encoder is safe for concurrent use after construction: Symbol only
-// reads the intermediate symbols, the precode of a lazily built block
-// runs once under its own lock, and the repair-expansion cache is
-// internally synchronised. Reset, however, must not run concurrently
+// reads the intermediate symbols, and the precode of a lazily built block
+// runs once under its own lock. Reset, however, must not run concurrently
 // with any other method.
 type Encoder struct {
 	p   Params
@@ -108,24 +107,11 @@ type Encoder struct {
 	// total; nil for an Encoder of its own.
 	precodes *atomic.Int64
 
-	mu sync.Mutex // guards ltRepair
-	// ltRepair memoises LT expansions of repair ESIs. Entries are
-	// immutable once stored, so readers copy the reference out under mu
-	// and XOR outside it. Bounded: serving the same object to many
-	// receivers revisits the same repair ESIs (disjoint residue classes
-	// per sender index), while a one-shot unicast stream pays one map
-	// insert per symbol until the cap and nothing after.
-	ltRepair map[uint32][]int32
-
 	// sched is the recorded precode elimination for K (shared, from the
 	// global per-K cache); slots is the arena it replays over.
 	sched *schedule
 	slots slotArena
 }
-
-// ltRepairCacheCap bounds the repair-expansion memo (~a few hundred KB
-// at the default symbol sizes).
-const ltRepairCacheCap = 4096
 
 // NewEncoder builds an encoder for the given source symbols. All
 // symbols must be non-empty and the same size. The source slice is
@@ -189,7 +175,6 @@ func (e *Encoder) rekey(source [][]byte) error {
 		e.p = p
 		e.sched = sched
 		e.c = nil
-		e.ltRepair = nil
 	}
 	e.t = t
 	e.src = source
@@ -247,25 +232,6 @@ func (e *Encoder) replayPrecode(source [][]byte) {
 	}
 }
 
-// ltIndices returns the memoised LT expansion for a repair ESI. Source
-// ESIs never reach it: AppendSymbol's systematic fast path returns the
-// source symbol directly.
-func (e *Encoder) ltIndices(esi uint32) []int32 {
-	e.mu.Lock()
-	idx, ok := e.ltRepair[esi]
-	if !ok {
-		idx = e.p.LTIndices(esi)
-		if e.ltRepair == nil {
-			e.ltRepair = make(map[uint32][]int32) // first repair symbol of this K
-		}
-		if len(e.ltRepair) < ltRepairCacheCap {
-			e.ltRepair[esi] = idx
-		}
-	}
-	e.mu.Unlock()
-	return idx
-}
-
 // K returns the number of source symbols.
 func (e *Encoder) K() int { return e.p.K }
 
@@ -285,8 +251,8 @@ func (e *Encoder) Symbol(esi uint32) []byte {
 }
 
 // AppendSymbol appends encoding symbol esi to dst and returns the
-// extended slice. It performs no allocation when dst has capacity and
-// the expansion for esi is already cached.
+// extended slice. It performs no allocation when dst has capacity: a
+// repair symbol's LT expansion is made on the stack, anew each time.
 //
 //polyvet:noalloc per-packet repair generation; alloc-free when dst has capacity
 func (e *Encoder) AppendSymbol(dst []byte, esi uint32) []byte {
@@ -302,7 +268,8 @@ func (e *Encoder) AppendSymbol(dst []byte, esi uint32) []byte {
 	}
 	buf := dst[start:]
 	c := e.intermediates()
-	for _, col := range e.ltIndices(esi) {
+	var cols [maxLTIndices]int32
+	for _, col := range e.p.AppendLTIndices(cols[:0], esi) {
 		gf256.AddRow(buf, c[col])
 	}
 	return dst

@@ -38,6 +38,10 @@ func (p Params) tuple(x uint32) (d int, a, b uint32, d1 int, a1, b1 uint32) {
 	return d, a, b, d1, a1, b1
 }
 
+// maxLTIndices bounds the columns of one encoding symbol: an LT degree of
+// at most len(degCum)-1 (deg) and at most three PI neighbours (tuple).
+const maxLTIndices = len(degCum) - 1 + 3
+
 // LTIndices returns the (distinct) intermediate-symbol column indices
 // combined to form encoding symbol X: d indices in the LT region
 // [0, W) followed by d1 indices in the PI region [W, L). The encoding

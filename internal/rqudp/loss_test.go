@@ -23,9 +23,9 @@ type rung struct {
 	conn    net.PacketConn
 	flow    uint32
 
-	best, bestNet     time.Duration // the quickest fetch, and the quickest but for its decoding
-	symbols           []int         // of each fetch
-	retries, regrants int           // the most of any fetch
+	best, bestNet           time.Duration // the quickest fetch, and the quickest but for its decoding
+	symbols                 []int         // of each fetch
+	retries, regrants, lost int           // the most of any fetch
 }
 
 func newRung(t *testing.T, obj []byte, senders, muted int, hostile netshim.Config) *rung {
@@ -57,7 +57,7 @@ func (r *rung) fetch(t *testing.T, obj []byte) {
 		r.bestNet = net
 	}
 	r.symbols = append(r.symbols, st.Symbols)
-	r.retries, r.regrants = max(r.retries, st.Retries), max(r.regrants, st.Regrants)
+	r.retries, r.regrants, r.lost = max(r.retries, st.Retries), max(r.regrants, st.Regrants), max(r.lost, st.Lost)
 }
 
 // quartile is quartile q (2: the median) of the symbol counts of the
@@ -85,7 +85,9 @@ func (r *rung) quartile(q int) int {
 // whose 8 MiB buffer comes fresh from the system pays for its page faults
 // with up to twice the time, at random. A fetch pulls only what it lacks
 // (ROADMAP item 4): on every rung the median fetch receives at most 2 %
-// more symbols than the object's 8,192, and none more than 9,000.
+// more symbols than the object's 8,192, and none more than 9,000. Where the
+// network loses nothing, no fetch loses a symbol to its own socket either:
+// the window it keeps in flight fits the receive buffer it was granted.
 func TestLossLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fetches 8 MiB seventy times")
@@ -151,8 +153,12 @@ func TestLossLadder(t *testing.T) {
 			pulledOnly(t, r)
 		})
 	}
-	pulledOnly(t, clean)
-	pulledOnly(t, single)
+	for _, r := range []*rung{clean, single} {
+		pulledOnly(t, r)
+		if r.lost != 0 {
+			t.Errorf("a fetch over a lossless network slid over %d symbols", r.lost)
+		}
+	}
 }
 
 // slowConn is a server's socket that takes its time over its packets, as
@@ -264,12 +270,12 @@ func TestStragglerIdleIsNotSilent(t *testing.T) {
 	t.Fatal(err)
 }
 
-// The quick sender of two goes silent for good a quarter of the way through
-// its partition. After quiet it is written off: the slow one takes its
-// share, then the repair symbols its blocks lack, and the fetch completes
-// within what one sender alone takes, plus quiet. No repair symbol goes to
-// a block that a Pull which reached the server had said was finished (the
-// network shims check it).
+// The quick sender of two goes silent for good once its first window has
+// been sent, before half its partition. After quiet it is written off: the
+// slow one takes its share, then the repair symbols its blocks lack, and
+// the fetch completes within what one sender alone takes, plus quiet. No
+// repair symbol goes to a block that a Pull which reached the server had
+// said was finished (the network shims check it).
 func TestStragglerTakesOver(t *testing.T) {
 	obj := randObject(t, 1<<20)
 	cfg := DefaultConfig()
@@ -278,6 +284,7 @@ func TestStragglerTakesOver(t *testing.T) {
 	remotes, nets, _, trip := stragglerPair(t, obj, cfg, 0, 0)
 	conn := newUDP(t)
 	defer conn.Close()
+	window, _ := fetchWindow(conn, 2, cfg.SymbolSize)
 	var alone, muted time.Duration
 	for flow := uint32(1); flow <= 6; flow += 2 {
 		nets[0].Mute(0, time.Nanosecond) // heard again, from the start
@@ -290,7 +297,7 @@ func TestStragglerTakesOver(t *testing.T) {
 		if alone == 0 || st.Elapsed < alone {
 			alone = st.Elapsed
 		}
-		trip.trip.Store(trip.n.Load() + 128)
+		trip.trip.Store(trip.n.Load() + int64(window) + 1) // its first Data packet past the Hello's grant
 		got, st, err = FetchMultiSourceStats(ctx, conn, remotes, flow+1, cfg)
 		cancel()
 		if err != nil || !bytes.Equal(got, obj) {

@@ -98,15 +98,18 @@ func (p *pktIO) setMaxPacket(n int) {
 // one message it was sent as (UDP_GRO) and makes room for such messages.
 // Where there is no batched reader, or the kernel refuses, nothing
 // changes. The socket is not ours: whoever turns this on calls
-// restoreReads before handing it back. What stays is a receive buffer of
-// twice the usual size: a window that arrives packet by packet is charged
-// over 2 KB a packet, and a fetcher that fell behind would lose its end.
-func (p *pktIO) coalesceReads() {
+// restoreReads before handing it back. What stays is the receive buffer
+// it asks for, room for the largest window; it returns what the kernel
+// granted, in bytes (0: unknown), which sizes the window (standingWindow).
+func (p *pktIO) coalesceReads() (granted int) {
 	if p.udp != nil {
-		_ = p.udp.SetReadBuffer(standingWindow * 4096)
+		_ = p.udp.SetReadBuffer(maxWindow * 4096)
+	}
+	if p.mm != nil {
+		granted = p.mm.readBuffer()
 	}
 	if p.mm == nil || p.mm.setGRO(1) != nil {
-		return
+		return granted
 	}
 	select {
 	case p.gro = <-groRings:
@@ -115,6 +118,7 @@ func (p *pktIO) coalesceReads() {
 	}
 	p.ring, p.pkts = nil, p.gro.pkts[:]
 	p.mm.bind(p.gro.buf[:], groSlot, groMsgs)
+	return granted
 }
 
 // restoreReads undoes coalesceReads. Nothing may read p afterwards.

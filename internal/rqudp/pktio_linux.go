@@ -115,6 +115,14 @@ func (r *mmsgReader) setGRO(v int) error {
 	return errors.Join(err, serr)
 }
 
+// readBuffer returns the receive buffer the kernel granted (SO_RCVBUF).
+func (r *mmsgReader) readBuffer() (n int) {
+	_ = r.rc.Control(func(fd uintptr) {
+		n, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	})
+	return n
+}
+
 // recv blocks until the socket is readable (or its read deadline
 // passes), takes up to msgs queued messages and describes in pkts the
 // datagrams each was sent as.

@@ -24,6 +24,8 @@ func (*mmsgReader) bind([]byte, int, int) {}
 
 func (*mmsgReader) setGRO(int) error { return errors.ErrUnsupported }
 
+func (*mmsgReader) readBuffer() int { return 0 }
+
 func (*mmsgReader) recv([]datagram) (int, error) {
 	panic("rqudp: no batched reader on this platform")
 }

@@ -187,7 +187,8 @@ func TestShimDifferential(t *testing.T) {
 			if st.Idle <= 0 || st.Idle > st.Elapsed {
 				t.Fatalf("idle for %v of %v", st.Idle, st.Elapsed)
 			}
-			pulls, window := 0, standingWindow
+			window, _ := fetchWindow(conn, 2, cfg.SymbolSize)
+			pulls, standing := 0, 2*int(window)
 			for i, n := range nets {
 				select {
 				case <-n.Done():
@@ -199,8 +200,8 @@ func TestShimDifferential(t *testing.T) {
 				if b.Hellos < 1 || b.Hellos > 1+st.Regrants || b.Missed != 0 {
 					t.Fatalf("server %d: %d Hellos reached it, the shim missed %d symbols", i, b.Hellos, b.Missed)
 				}
-				if int(b.MaxStep) > window {
-					t.Fatalf("sender %d was granted %d symbols at once; the standing window is %d", i, b.MaxStep, window)
+				if int(b.MaxStep) > standing {
+					t.Fatalf("sender %d was granted %d symbols at once; the standing window is %d", i, b.MaxStep, standing)
 				}
 				if err := followsSchedule(layout.K, i, 2, b.Emitted); err != nil {
 					t.Fatalf("sender %d emitted %d symbols that are not its schedule in order: %v", i, len(b.Emitted), err)
@@ -208,7 +209,7 @@ func TestShimDifferential(t *testing.T) {
 				// What a server emitted arrived, but for what was in flight
 				// when the object was complete: the standing window at most,
 				// and one more for each time the fetcher would not wait.
-				if out := len(b.Emitted) - st.PerSender[i]; out < 0 || out > window*(1+st.Regrants) {
+				if out := len(b.Emitted) - st.PerSender[i]; out < 0 || out > standing*(1+st.Regrants) {
 					t.Fatalf("sender %d emitted %d symbols, %d arrived, %d re-grants", i, len(b.Emitted), st.PerSender[i], st.Regrants)
 				}
 				// The counters trail the wire by the burst being sent.
@@ -355,22 +356,28 @@ type fakeSender struct {
 	conn net.PacketConn
 	enc  *raptorq.ObjectEncoder
 	flow uint32
+	maxK int
 }
 
 func newFakeSender(t *testing.T, obj []byte, symbolSize int, flow uint32) *fakeSender {
+	return newFakeSenderK(t, obj, symbolSize, 256, flow)
+}
+
+// newFakeSenderK is newFakeSender with blocks of up to maxK symbols.
+func newFakeSenderK(t *testing.T, obj []byte, symbolSize, maxK int, flow uint32) *fakeSender {
 	t.Helper()
-	enc, err := raptorq.NewObjectEncoder(obj, symbolSize, 256)
+	enc, err := raptorq.NewObjectEncoder(obj, symbolSize, maxK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &fakeSender{conn: newUDP(t), enc: enc, flow: flow}
+	s := &fakeSender{conn: newUDP(t), enc: enc, flow: flow, maxK: maxK}
 	t.Cleanup(func() { s.conn.Close() })
 	return s
 }
 
 func (s *fakeSender) announce() []byte {
 	l := s.enc.Layout()
-	return wire.AppendAnnounce(nil, wire.Announce{Flow: s.flow, ObjectSize: uint64(l.F), SymbolSize: uint32(l.T), MaxK: 256})
+	return wire.AppendAnnounce(nil, wire.Announce{Flow: s.flow, ObjectSize: uint64(l.F), SymbolSize: uint32(l.T), MaxK: uint32(s.maxK)})
 }
 
 // data is symbol esi of block 0, emitted as the esi-th of the session.
@@ -421,22 +428,85 @@ func (s *fakeSender) grants(upTo uint32) []uint32 {
 	}
 }
 
-// A fetcher that was away while a hundred symbols queued up slides its
-// window over them drain by drain: the grants only ever rise, none is
-// further ahead of what the sender has emitted than the sender's window,
-// and they come a step of the window apart at the closest, not one per
-// symbol, however few datagrams a read takes.
-func TestCoalescedCreditsBounded(t *testing.T) {
-	if standingWindow > maxPullCredits {
-		t.Fatalf("a fetch's whole window (%d) is more than a server pays out at once (%d)", standingWindow, maxPullCredits)
+// fetchWindow is the window a fetch on conn grants each of n senders, and
+// the step of its source grants, for symbols of symbolSize bytes: it sizes
+// conn's receive buffer as the fetch does.
+func fetchWindow(conn net.PacketConn, n, symbolSize int) (window, step uint32) {
+	io := newPktIO(conn)
+	granted := io.coalesceReads()
+	io.restoreReads()
+	return windowAfterAnnounce(granted, n, symbolSize, symbolSize)
+}
+
+// windowAfterAnnounce is the window of a fetch from n senders, configured
+// for symbols of symbolSize bytes, whose socket was granted a receive
+// buffer of granted bytes, and its step once an Announce of symbols of
+// announced bytes arrived.
+func windowAfterAnnounce(granted, n, symbolSize, announced int) (window, step uint32) {
+	ff := newFetcherFeed(1, n)
+	ff.cfg.SymbolSize = symbolSize
+	ff.setWindow(granted)
+	a := wire.AppendAnnounce(nil, wire.Announce{Flow: 1, ObjectSize: 1 << 20, SymbolSize: uint32(announced), MaxK: 256})
+	if err := ff.handle(datagram{data: a, from: ff.senders[0].peer}); err != nil {
+		panic(err)
 	}
-	const symbolSize, k, queued = 64, 200, 100
-	obj := randObject(t, symbolSize*k)
-	const flow = 5
-	snd := newFakeSender(t, obj, symbolSize, flow)
+	return ff.window, ff.step
+}
+
+// The standing window is what the fetcher's socket was granted, at
+// symbolCharge a symbol: maxWindow at most, one at least, defaultWindow
+// where the buffer is unknown. Each sender is granted its share of it in
+// whole trains, 62 symbols of 1 KiB or 64 short ones, and grants step by a
+// quarter of a share, in whole trains of the announced symbols once there
+// is one.
+func TestWindowFromGrantedBuffer(t *testing.T) {
+	for _, tc := range []struct{ granted, want int }{
+		{4 << 20, maxWindow}, // 2 MiB asked for and allowed
+		{425_984, 184},       // Linux's default rmem_max of 212,992, doubled
+		{symbolCharge - 1, 1},
+		{0, defaultWindow},
+	} {
+		if got := standingWindow(tc.granted); got != tc.want {
+			t.Errorf("a receive buffer of %d bytes: standing window %d, want %d", tc.granted, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		granted, senders, symbolSize, announced int
+		window, step                            uint32
+	}{
+		{4 << 20, 1, 1024, 1024, 496, 124}, // the whole window: 8 trains, a step of 2
+		{4 << 20, 2, 1024, 1024, 248, 62},  // half each: 4 trains, a step of 1
+		{4 << 20, 1, 64, 64, 512, 128},     // trains of 64: the whole window exactly
+		{4 << 20, 2, 64, 64, 256, 64},
+		{4 << 20, 2, 1024, 8192, 248, 56}, // longer symbols announced: trains of 7
+		{425_984, 2, 1024, 1024, 62, 15},  // 92 each: one train, and a quarter of it
+		{0, 2, 1024, 1024, 62, 15},
+		{1, 3, 1024, 1024, 1, 1},
+	} {
+		if window, step := windowAfterAnnounce(tc.granted, tc.senders, tc.symbolSize, tc.announced); window != tc.window || step != tc.step {
+			t.Errorf("%d bytes granted, %d senders, symbols of %d announced as %d: window %d, step %d; want %d, %d",
+				tc.granted, tc.senders, tc.symbolSize, tc.announced, window, step, tc.window, tc.step)
+		}
+	}
+}
+
+// A fetcher that was away while its window and half as much again queued
+// up slides its window over them drain by drain: the grants only ever
+// rise, none is further ahead of what the sender has emitted than the
+// sender's window, and they come a step of the window apart at the
+// closest, not one per symbol, however few datagrams a read takes.
+func TestCoalescedCreditsBounded(t *testing.T) {
+	if maxWindow > maxPullCredits {
+		t.Fatalf("a fetch's whole window (%d) is more than a server pays out at once (%d)", maxWindow, maxPullCredits)
+	}
+	const symbolSize, flow = 64, 5
 	conn := newUDP(t)
 	defer conn.Close()
-	window := uint32(min(trainMax, standingWindow))
+	window, step := fetchWindow(conn, 1, symbolSize) // the buffer is the fetch's from here on
+	queued := int(window) * 3 / 2
+	k := 2 * queued
+	obj := randObject(t, symbolSize*k)
+	snd := newFakeSenderK(t, obj, symbolSize, k, flow) // one block: data(esi) is all of it
 
 	// Everything is in the socket before the fetch starts reading.
 	pkts := [][]byte{snd.announce()}
@@ -447,7 +517,7 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	// The rest follows once the fetcher has slid its window over that.
 	rest := make(chan []uint32, 1)
 	go func() {
-		grants := snd.grants(queued + window - window/4)
+		grants := snd.grants(uint32(queued) + window - window/4)
 		for esi := queued; grants != nil && esi < k; esi++ {
 			_, _ = snd.conn.WriteTo(snd.data(uint32(esi)), conn.LocalAddr())
 		}
@@ -473,16 +543,16 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 		t.Fatalf("the Hello granted %d, want the sender's window %d: %v", grants[0], window, grants)
 	}
 	for i := 1; i < len(grants); i++ {
-		if step := grants[i] - grants[i-1]; step < window/4 || step > window {
-			t.Fatalf("grant %d follows %d: want steps of %d to %d: %v", grants[i], grants[i-1], window/4, window, grants)
+		if d := grants[i] - grants[i-1]; d < step || d > window {
+			t.Fatalf("grant %d follows %d: want steps of %d to %d: %v", grants[i], grants[i-1], step, window, grants)
 		}
 	}
-	if last := grants[len(grants)-1]; last > queued+window {
+	if last := grants[len(grants)-1]; last > uint32(queued)+window {
 		t.Fatalf("granted %d with %d symbols emitted and a window of %d: %v", last, queued, window, grants)
 	}
 	// One pull per step, and three re-grants at most: a loaded host may
 	// keep the sender quiet past a wait or two, but the fetch is lossless.
-	if st.Duplicates != 0 || st.Retries != 0 || st.Lost != 0 || st.Regrants > 3 || st.PullsSent > k/int(window/4)+3 {
+	if st.Duplicates != 0 || st.Retries != 0 || st.Lost != 0 || st.Regrants > 3 || st.PullsSent > k/int(step)+3 {
 		t.Fatalf("not clean: %+v", st)
 	}
 }

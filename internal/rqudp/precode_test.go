@@ -55,11 +55,16 @@ func TestPrecodedCountsTheBlocksRepairTouched(t *testing.T) {
 // symbols, then repair round-robin over the blocks the fetcher's pulls have
 // not said are finished, so the blocks precoded are those it sent repair
 // symbols of, and no more than those that lost a symbol or whose source
-// symbols the last window was still carrying — of 38 in all.
+// symbols the last window was still carrying. The object is 64 blocks, all
+// of which a Pull can name finished, and a window spans a quarter of them.
 func TestPrecodedAfterALossyFetch(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxBlockK = 8
-	obj := randObject(t, 300_000)
+	conn := newUDP(t)
+	defer conn.Close()
+	window, _ := fetchWindow(conn, 1, cfg.SymbolSize)
+	cfg.MaxBlockK = max(8, int(window)/16)
+	tail := (int(window)+cfg.MaxBlockK-1)/cfg.MaxBlockK + 1 // blocks one window of source symbols spans
+	obj := randObject(t, 64*cfg.MaxBlockK*cfg.SymbolSize)
 	srv, err := NewServer(newUDP(t), obj, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +83,6 @@ func TestPrecodedAfterALossyFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	conn := newUDP(t)
-	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	got, st, err := FetchMultiSourceStats(ctx, conn, []net.Addr{sh.Addr()}, 1, cfg)
@@ -99,7 +102,6 @@ func TestPrecodedAfterALossyFetch(t *testing.T) {
 	if st.Lost == 0 || len(repaired) == 0 {
 		t.Fatalf("the network lost %d symbols and the server sent repair symbols of %d blocks: no repair to count", st.Lost, len(repaired))
 	}
-	tail := (trainMax+cfg.MaxBlockK-1)/cfg.MaxBlockK + 1 // blocks one window of source symbols spans
 	if p := srv.Stats().Precoded; p != len(repaired) || p > down.Lost+tail || p >= layout.Z() {
 		t.Fatalf("%d blocks precoded, repair sent of %d, %d symbols lost; want as many as were repaired, at most %d, of %d", p, len(repaired), down.Lost, down.Lost+tail, layout.Z())
 	}

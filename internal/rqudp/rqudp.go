@@ -30,7 +30,8 @@
 // owed is lost at once. The mechanisms, each with a test that fails
 // without it:
 //
-//   - the sliding grant (TestCoalescedCreditsBounded);
+//   - the sliding grant (TestCoalescedCreditsBounded), of what the receive
+//     buffer holds (TestWindowFromGrantedBuffer, TestLossLadder);
 //   - source first, repair for what nothing covers (TestFetchAttribution,
 //     TestStragglerIdleIsNotSilent); its allowance for the loss measured
 //     is pinned by TestFetchAttribution alone: no ladder rung needs it;
@@ -445,7 +446,7 @@ func (s *Server) handle(pkt []byte, from netip.AddrPort, now time.Time) {
 // newSession builds the per-block cursors for one receiver.
 func (s *Server) newSession(key sessionKey, h wire.Hello) *serveSession {
 	layout := s.enc.Layout()
-	sess := &serveSession{key: key}
+	sess := &serveSession{key: key, cursors: make([]senderCursor, 0, len(layout.K))}
 	n := int64(h.SenderCount)
 	idx := int64(h.SenderIdx)
 	for _, k := range layout.K {
@@ -586,9 +587,8 @@ func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []n
 			return nil, f.stats, fmt.Errorf("rqudp: remote %v is not an IP address and port", r)
 		}
 	}
-	f.setWindow()
 	f.io = newPktIO(conn)
-	f.io.coalesceReads() // a sender's train is to arrive as one read
+	f.setWindow(f.io.coalesceReads()) // a train is to arrive as one read, a window to fit the buffer
 	defer f.io.restoreReads()
 	f.io.setMaxPacket(cfg.SymbolSize + wire.DataOverhead)
 	obj, err := f.run(ctx)
@@ -598,9 +598,13 @@ func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []n
 
 // Receiver-side constants. Like the server's, none is configurable.
 const (
-	// standingWindow is how many symbols a fetch keeps in flight over all
-	// its senders: what a receive socket queues, with room to spare.
-	standingWindow = 128
+	// A fetch keeps in flight over all its senders what its receive buffer
+	// holds of symbols that arrive one by one, each charged symbolCharge
+	// bytes (a 1 KiB symbol's), maxWindow at most; defaultWindow on a conn
+	// whose buffer it cannot learn.
+	maxWindow     = 512
+	defaultWindow = 128
+	symbolCharge  = 2304
 	// A sender is silent after quietRTTs smoothed round trips without a
 	// fresh symbol, quietFloor at the least.
 	quietRTTs  = 4
@@ -662,10 +666,29 @@ func (s *sender) from() uint32 {
 // those whose re-grant fell due.
 func (s *sender) grantable(live int) bool { return !s.silent || live == 0 && s.due }
 
-// setWindow splits the standing window over the senders.
-func (f *fetcher) setWindow() {
-	f.window = uint32(max(1, min(trainMax, standingWindow/len(f.senders))))
-	f.step = max(1, f.window/4)
+// standingWindow is how many symbols a fetch whose socket was granted a
+// receive buffer of granted bytes (0: unknown) keeps in flight.
+func standingWindow(granted int) int {
+	if granted <= 0 {
+		return defaultWindow
+	}
+	return max(1, min(maxWindow, granted/symbolCharge))
+}
+
+// setWindow splits the standing window over the senders, in whole trains
+// of symbols of the configured size: the Hello's grant is no runt, and
+// the Announce makes the step whole trains of the senders' symbols.
+func (f *fetcher) setWindow(granted int) {
+	f.window = inTrains(uint32(max(1, standingWindow(granted)/len(f.senders))), f.cfg.SymbolSize)
+}
+
+// inTrains rounds n symbols of t bytes down to whole trains, if that
+// leaves one.
+func inTrains(n uint32, t int) uint32 {
+	if train := uint32(min(trainMax, trainBytes/(t+wire.DataOverhead))); n >= train {
+		n -= n % train
+	}
+	return n
 }
 
 // run is the receive loop: drain the socket into the decoder, then slide
@@ -776,7 +799,9 @@ func (f *fetcher) slide() {
 // highest Seq, taking the shares of those past their partitions once it
 // has been heard. The one past its partition owing fewest is granted
 // repair for what the unfinished blocks lack beyond what is in flight or
-// still to come, and as many more as the fetch has lost of those so far.
+// still to come, and as many more as the fetch has lost of those so far,
+// up to one sender's window in flight: repair in flight is waste once its
+// block completes or the silent sender it stands in for is heard again.
 func (f *fetcher) share(live int) {
 	gap, nsrc := f.uncovered(live), 0
 	for i := range f.senders {
@@ -812,7 +837,7 @@ func (f *fetcher) share(live int) {
 	}
 	if gap > 0 && next >= 0 {
 		lost := (gap*f.stats.Lost + f.stats.Symbols - 1) / max(f.stats.Symbols, 1)
-		if n := min(gap+lost, standingWindow-inflight); n > 0 {
+		if n := min(gap+lost, int(f.window)-inflight); n > 0 {
 			f.senders[next].want += uint32(n)
 		}
 	}
@@ -873,6 +898,7 @@ func (f *fetcher) handle(d datagram) error {
 		}
 		f.dec.SetWorkers(f.cfg.Workers)
 		f.ks = layout.K
+		f.step = max(1, inTrains(f.window/4, layout.T))
 		if layout.T > f.cfg.SymbolSize {
 			// The sender's symbols are longer than this side was configured
 			// for: make room. A silent sender's re-grant asks again for what

@@ -66,8 +66,9 @@ func TestFetchStatsMultiSourceBalance(t *testing.T) {
 		t.Fatal("object corrupted")
 	}
 	total := 0
+	window, _ := fetchWindow(conn, len(remotes), cfg.SymbolSize)
 	for i, n := range stats.PerSender {
-		if n < standingWindow/len(remotes) {
+		if n < int(window) {
 			t.Fatalf("sender %d delivered %d symbols, not even its initial window: %+v", i, n, stats)
 		}
 		total += n
