@@ -5,11 +5,11 @@
 // polynomial 0x11D, with generator element 2. Multiplication and
 // division are performed through logarithm/exponential tables, exactly
 // as prescribed by the RFC (OCT_LOG / OCT_EXP). Row operations used by
-// the RaptorQ encoder and decoder (AddRow, MulAddRow, ScaleRow) operate
-// on byte slices and form the hot path of matrix elimination, so they
-// are allocation-free and run on the widest kernel tier the CPU offers,
-// chosen once at init from CPUID (and XCR0, for the OS-saved register
-// state):
+// the RaptorQ encoder and decoder (AddRow, MulAddRow, ScaleRow, and
+// MulAddRows, a whole matrix product of rows) operate on byte slices and
+// form the hot path of matrix elimination, so they are allocation-free
+// and run on the widest kernel tier the CPU offers, chosen once at init
+// from CPUID (and XCR0, for the OS-saved register state):
 //
 //   - GFNI/AVX-512 (amd64 with AVX512F, AVX512BW and GFNI): 64 bytes per
 //     instruction, the ragged end of a row under a byte mask. A multiply
@@ -359,6 +359,66 @@ func MulAddRowScalar(dst, src []byte, c byte) {
 		}
 	}
 }
+
+// MulAddRows adds a matrix product into dst: dst[j][x] ^= sum over i
+// of c[j][i]*src[i][x] for every x < n, n = len(src[0]), with one
+// coefficient row c[j] per destination row and one coefficient in it per
+// source row. Every row must be at least n bytes long and c[j] at least
+// len(src); no destination row may overlap a source row.
+//
+// On the GFNI/AVX-512 tier the destination rows go up to eight at a
+// time, in passes as even as their count allows. A pass's rows stay in
+// zmm registers while each 64-byte chunk of a source is loaded once and
+// multiplied into all of them, so the sources are read once per pass
+// and not once per coefficient. The coefficients are expanded to the
+// bit matrices the kernel reads in mats, which MulAddRows grows when it
+// must and returns: a caller that keeps it allocates nothing once warm.
+// Every other tier, and rows under 64 bytes, run one MulAddRow per
+// coefficient and leave mats as it is.
+//
+//polyvet:noalloc partial decode's product; the expanded coefficients live in caller scratch
+func MulAddRows(dst, src, c [][]byte, mats []uint64) []uint64 {
+	if len(dst) == 0 || len(src) == 0 || len(src[0]) == 0 {
+		return mats
+	}
+	n, ns := len(src[0]), len(src)
+	for _, s := range src {
+		_ = s[n-1] // bounds-check hint: the kernel reads n bytes of every row
+	}
+	c = c[:len(dst)]
+	for j, d := range dst {
+		_, _ = d[n-1], c[j][ns-1]
+	}
+	if !useGFNI || n < 64 {
+		for i, s := range src {
+			for j, d := range dst {
+				MulAddRow(d[:n], s[:n], c[j][i])
+			}
+		}
+		return mats
+	}
+	// Row j's coefficients expand to m[j*ns:], every row's before the
+	// first pass streams the sources through the cache.
+	if cap(mats) < ns*len(dst) {
+		mats = grownMats(2 * ns * len(dst))
+	}
+	m := mats[:ns*len(dst)]
+	for j, cj := range c {
+		galExpandGFNI(&m[j*ns], &cj[0], ns)
+	}
+	for j0, passes := 0, (len(dst)+7)/8; j0 < len(dst); passes-- {
+		r := (len(dst) - j0 + passes - 1) / passes
+		galMulAddRowsGFNI(&m[j0*ns], &src[0], ns, &dst[j0], r, n)
+		j0 += r
+	}
+	return mats
+}
+
+// grownMats is the cold half of MulAddRows' scratch: noinline keeps its
+// allocation out of the annotated caller under the escape gate.
+//
+//go:noinline
+func grownMats(n int) []uint64 { return make([]uint64, n) }
 
 // ScaleRow multiplies every element of row by c in place, 64, 32 or 16
 // bytes per step on amd64, 8-byte words elsewhere, with a scalar byte

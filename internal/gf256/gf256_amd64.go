@@ -120,6 +120,25 @@ func galMulAddGFNI(mat *uint64, dst, src *byte, n int)
 //go:noescape
 func galMulGFNI(mat *uint64, row *byte, n int)
 
+// galMulAddRowsGFNI computes dst[j][x] ^= sum over i < nsrc of
+// c(j, i)*src[i][x] for j < rows and x < n, where mats[j*nsrc+i] is
+// affTab[c(j, i)]: src and dst point at the first of nsrc and rows
+// slice headers. rows is 1 to 8, nsrc and n at least 1 and 64, and no
+// destination row may overlap a source row. Generated by gen_rows.go
+// into gf256_rows_amd64.s.
+//
+//go:noescape
+func galMulAddRowsGFNI(mats *uint64, src *[]byte, nsrc int, dst *[]byte, rows, n int)
+
+// galExpandGFNI sets mats[i] = affTab[c[i]] for i in [0, n), n > 0:
+// MulAddRows' coefficients in the form its kernel reads. Implemented in
+// gf256_amd64.s.
+//
+//go:noescape
+func galExpandGFNI(mats *uint64, c *byte, n int)
+
+//go:generate go run gen_rows.go
+
 // SetGFNI switches the GFNI/AVX-512 tier on or off and reports whether
 // it was on; it switches it on only on a CPU that has it. Off, the row
 // operations take the AVX2 tier's kernels. It exists for byte-identity

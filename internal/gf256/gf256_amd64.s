@@ -370,3 +370,43 @@ mul512Mask:
 mul512Done:
 	VZEROUPPER
 	RET
+
+// func galExpandGFNI(mats *uint64, c *byte, n int)
+//
+// mats[i] = affTab[c[i]] for i in [0, n), n > 0: eight coefficients
+// widened to qword indices per VPMOVZXBQ and their matrices fetched by
+// one VPGATHERQQ, the last n mod 8 one at a time.
+TEXT ·galExpandGFNI(SB), NOSPLIT, $0-24
+	MOVQ mats+0(FP), DI
+	MOVQ c+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·affTab(SB), AX
+	SUBQ $8, CX
+	JL   expandTail
+
+expandLoop:
+	VPMOVZXBQ  (SI), Z0
+	KXNORB     K2, K2, K2
+	VPGATHERQQ (AX)(Z0*8), K2, Z1
+	VMOVDQU64  Z1, (DI)
+	ADDQ       $8, SI
+	ADDQ       $64, DI
+	SUBQ       $8, CX
+	JGE        expandLoop
+
+expandTail:
+	ADDQ $8, CX
+	JZ   expandDone
+
+expandOne:
+	MOVBQZX (SI), BX
+	MOVQ    (AX)(BX*8), BX
+	MOVQ    BX, (DI)
+	INCQ    SI
+	ADDQ    $8, DI
+	DECQ    CX
+	JNZ     expandOne
+
+expandDone:
+	VZEROUPPER
+	RET

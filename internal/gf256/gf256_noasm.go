@@ -47,5 +47,13 @@ func galMulGFNI(mat *uint64, row *byte, n int) {
 	panic("gf256: GFNI kernel called without asm support")
 }
 
+func galMulAddRowsGFNI(mats *uint64, src *[]byte, nsrc int, dst *[]byte, rows, n int) {
+	panic("gf256: GFNI kernel called without asm support")
+}
+
+func galExpandGFNI(mats *uint64, c *byte, n int) {
+	panic("gf256: GFNI kernel called without asm support")
+}
+
 // SetGFNI has no tier to switch on targets without the assembly kernels.
 func SetGFNI(on bool) (was bool) { return false }

@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -220,4 +221,39 @@ func BenchmarkAddRow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		AddRow(dst, src)
 	}
+}
+
+// BenchmarkMulAddRows is one pass of the multi-row kernel, 8
+// destination rows over 256 sources of 1,024 bytes, against the same
+// product as one MulAddRow per coefficient. Bytes are row-operation
+// bytes, 8*256 rows of 1,024 an op, as in polyperf's cell.
+func BenchmarkMulAddRows(b *testing.B) {
+	const rows, ns, n = 8, 256, 1024
+	rng := rand.New(rand.NewSource(8))
+	src, dst, c := make([][]byte, ns), make([][]byte, rows), make([][]byte, rows)
+	for i := range src {
+		src[i] = make([]byte, n)
+		rng.Read(src[i])
+	}
+	for j := range dst {
+		dst[j], c[j] = make([]byte, n), make([]byte, ns)
+		rng.Read(c[j])
+	}
+	b.Run("rows", func(b *testing.B) {
+		var mats []uint64
+		b.SetBytes(rows * ns * n)
+		for i := 0; i < b.N; i++ {
+			mats = MulAddRows(dst, src, c, mats)
+		}
+	})
+	b.Run("per-row", func(b *testing.B) {
+		b.SetBytes(rows * ns * n)
+		for i := 0; i < b.N; i++ {
+			for k, s := range src {
+				for j, d := range dst {
+					MulAddRow(d, s, c[j][k])
+				}
+			}
+		}
+	})
 }

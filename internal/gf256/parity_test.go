@@ -130,6 +130,53 @@ func TestScaleRowParity(t *testing.T) {
 	})
 }
 
+// MulAddRows must equal one MulAddRowScalar per coefficient on every
+// tier: 1 to 9 destination rows, so that a second, remainder pass runs;
+// 1, 2, 3, 8, 255 and 258 sources, odd counts leaving the kernel a
+// single source after its pairs, and counts with and without a remainder
+// of eight for the coefficient expansion; rows of 1, 64, 1,024 and 1,436
+// bytes, the last a ragged 64-byte end; coefficients with zeros and ones
+// among them. Rows sit at odd offsets inside larger arrays, so a write outside
+// a row shows.
+func TestMulAddRowsParity(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		var mats []uint64
+		for _, n := range []int{1, 64, 1024, 1436} {
+			for _, ns := range []int{1, 2, 3, 8, 255, 258} {
+				src := make([][]byte, ns)
+				for i := range src {
+					_, src[i] = window(rng, i%3, n)
+				}
+				for nd := 1; nd <= 9; nd++ {
+					bufs, want := make([][]byte, nd), make([][]byte, nd)
+					dst, c := make([][]byte, nd), make([][]byte, nd)
+					for j := range dst {
+						off := j % 5
+						bufs[j], dst[j] = window(rng, off, n)
+						c[j] = randRow(rng, ns)
+						for i := range c[j] {
+							if rng.Intn(8) == 0 {
+								c[j][i] = 1
+							}
+						}
+						want[j] = bytes.Clone(bufs[j])
+						for i, s := range src {
+							MulAddRowScalar(want[j][off:off+n], s, c[j][i])
+						}
+					}
+					mats = MulAddRows(dst, src, c, mats)
+					for j := range dst {
+						if !bytes.Equal(bufs[j], want[j]) {
+							t.Fatalf("MulAddRows n=%d sources=%d rows=%d: row %d diverges from scalar", n, ns, nd, j)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // The portable word-wise cores must stay byte-identical to the scalar
 // paths when called directly too, not only through the exported
 // kernels' dispatch.
@@ -214,8 +261,12 @@ func TestKernelTier(t *testing.T) {
 	for i, k := range tiers {
 		names[i] = k.name
 	}
-	t.Logf("row kernels run on the %s tier (Features %v); parity covers %s",
-		tiers[0].name, Features(), strings.Join(names, ", "))
+	rows := "one MulAddRow per coefficient"
+	if tiers[0].gfni {
+		rows = "the multi-row GFNI kernel"
+	}
+	t.Logf("row kernels run on the %s tier (Features %v), MulAddRows on %s; parity covers %s",
+		tiers[0].name, Features(), rows, strings.Join(names, ", "))
 	if gfni := slices.Contains(Features(), "gfni"); gfni != tiers[0].gfni {
 		t.Errorf("Features() reports gfni=%v, but the selected tier has gfni=%v", gfni, tiers[0].gfni)
 	}

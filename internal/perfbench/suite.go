@@ -191,6 +191,7 @@ func gf256Cases() []Case {
 		}
 	}
 	return []Case{
+		mulAddRowsCase(),
 		mk("AddRow", func(dst, src []byte, n int) {
 			for i := 0; i < n; i++ {
 				gf256.AddRow(dst, src)
@@ -226,6 +227,34 @@ func gf256Cases() []Case {
 				gf256.ScaleRowScalar(src, 0x35)
 			}
 		}),
+	}
+}
+
+// mulAddRowsCase is one call of the multi-row kernel at the shape of a
+// partial decode: 8 missing symbols recovered from 256 inputs of 1,024
+// bytes. Its bytes are row-operation bytes, 8*256 rows of 1,024 a call,
+// so its MB/s reads against MulAddRow's.
+func mulAddRowsCase() Case {
+	const rows, ns, n = 8, 256, 1024
+	rng := rand.New(rand.NewSource(9))
+	src, dst, c := make([][]byte, ns), make([][]byte, rows), make([][]byte, rows)
+	for i := range src {
+		src[i] = make([]byte, n)
+		rng.Read(src[i])
+	}
+	for j := range dst {
+		dst[j], c[j] = make([]byte, n), make([]byte, ns)
+		rng.Read(c[j])
+	}
+	var mats []uint64
+	return Case{
+		Name:       fmt.Sprintf("gf256/MulAddRows/%dx%d/%d", rows, ns, n),
+		BytesPerOp: rows * ns * n,
+		Fn: func(k int) {
+			for i := 0; i < k; i++ {
+				mats = gf256.MulAddRows(dst, src, c, mats)
+			}
+		},
 	}
 }
 

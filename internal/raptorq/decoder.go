@@ -46,10 +46,10 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 //
 //   - all K source symbols present: no matrix work at all;
 //   - few missing sources (m <= partialMaxMissing, K <=
-//     sourceMatrixMaxK): the direct path back-substitutes repair
-//     equations read off the source matrix cached per K against the
-//     received sources and solves only an m x m system, m*K row
-//     operations and no replay (see partial.go);
+//     sourceMatrixMaxK): the direct path reads m repair equations off
+//     the source matrix cached per K, inverts them on bytes into an
+//     m x (K+m) decode matrix, and writes the missing symbols with one
+//     gf256.MulAddRows over the K inputs: no replay (see partial.go);
 //   - otherwise: the full inactivation decode — plan the elimination
 //     over the received ESI set (solver.go), prune it, replay it over
 //     the received symbols (schedule.go). A loss pattern is new on
@@ -137,19 +137,18 @@ func (s repairStore) sym(slot uint32, t int) []byte {
 // does not alias, so one instance serves any number of blocks in turn
 // (see partial.go for the partial-path pieces).
 type solveScratch struct {
-	plan      planner
-	slots     slotArena // replay slots
-	rowBuf    [][]byte  // the rows of the system being loaded into slots
+	plan  planner
+	slots slotArena // replay slots
+	// rowBuf holds views of the last system's symbol rows: those loaded
+	// into slots, or the direct path's product's inputs and outputs.
+	rowBuf    [][]byte
 	ltScratch []int32
-	hBuf      []byte      // direct path: h_e of the kept repair rows
-	redBuf    []byte      // direct path: their coefficient rows, reduced
+	redBuf    []byte      // direct path: the kept repair rows, reduced
 	pivotCol  []int       // direct path: the pivot column of each
-	keptRep   []repairRef // direct path: the kept repair rows
-	rhsBuf    []byte
-	eqRows    [][]byte
-	eqSymRows [][]byte
-	rowOfCol  []int
-	missBuf   []uint32
+	keptRep   []repairRef // direct path: the kept repair symbols
+	missBuf   []uint32    // direct path: the missing sources
+	coefRows  [][]byte    // direct path: the rows of D, views of redBuf
+	mats      []uint64    // direct path: D expanded for gf256.MulAddRows
 }
 
 // NewDecoder creates a decoder for a block of k source symbols of the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 )
 
 // A block of NewObjectEncoder is precoded by its first repair symbol and
@@ -101,7 +102,10 @@ func TestLazyPrecodeConcurrentFirstRepair(t *testing.T) {
 // An ObjectDecoder that completes passes its solve scratch and repair
 // store on to the next one made: the second of two lossy objects of one
 // layout, decoded one after the other, allocates its object and little
-// else — no replay arena, no planner, no store.
+// else — no replay arena, no planner, no store. The memory passed on
+// holds no view of the object it came from: once the next decoder has
+// taken it, the finished object is garbage. The last block solves on the
+// direct path, whose product's row table views that object.
 func TestObjectDecoderPassesSolveMemoryOn(t *testing.T) {
 	const k, symSize = 64, 1024
 	data := make([]byte, 2*k*symSize)
@@ -117,7 +121,9 @@ func TestObjectDecoderPassesSolveMemoryOn(t *testing.T) {
 			syms[sbn] = append(syms[sbn], enc.Symbol(sbn, esi))
 		}
 	}
-	decode := func(seed int64) {
+	// decode decodes one object, block 0 a third lost and block 1 four
+	// sources short, and returns a weak pointer to the object's bytes.
+	decode := func(seed int64) weak.Pointer[byte] {
 		dec, err := NewObjectDecoder(layout)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +132,7 @@ func TestObjectDecoderPassesSolveMemoryOn(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for sbn := range syms {
 			for esi := 0; esi < k; esi++ {
-				if rng.Float64() >= 0.3 {
+				if lost := sbn == 0 && rng.Float64() < 0.3 || sbn == 1 && esi%16 == 3; !lost {
 					dec.AddSymbol(sbn, uint32(esi), syms[sbn][esi])
 				}
 			}
@@ -139,6 +145,7 @@ func TestObjectDecoderPassesSolveMemoryOn(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("seed %d: object did not decode to its bytes (%v)", seed, err)
 		}
+		return weak.Make(&got[0])
 	}
 	// Start from an empty free list: other tests' decoders may have filled it.
 	for len(decodeMems) > 0 {
@@ -148,15 +155,30 @@ func TestObjectDecoderPassesSolveMemoryOn(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	decode(2)
+	obj := decode(2)
 	runtime.ReadMemStats(&after)
 	m := <-decodeMems
 	decodeMems <- m
 	if len(m.scratch) != 1 {
 		t.Fatalf("the free list holds %d solve scratches, want the one of a serial decoder", len(m.scratch))
 	}
+	if n := len(m.scratch[0].missBuf); n != 4 {
+		t.Fatalf("the last solve recovered %d sources on the direct path, want block 1's 4", n)
+	}
 	arena := cap(m.scratch[0].slots.buf)
 	if extra := after.TotalAlloc - before.TotalAlloc - uint64(len(data)); arena == 0 || extra >= uint64(arena) {
 		t.Fatalf("the second object allocated %d bytes beyond its own %d, want less than one replay arena (%d)", extra, len(data), arena)
 	}
+	next, err := NewObjectDecoder(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.scratch == nil {
+		t.Fatal("the next decoder did not take the memory passed on")
+	}
+	runtime.GC()
+	if obj.Value() != nil {
+		t.Fatal("the memory passed on keeps the finished object alive")
+	}
+	runtime.KeepAlive(next)
 }

@@ -512,46 +512,3 @@ func (pl *planner) backSubstitute() {
 	}
 	pl.ops, pl.outSlot = ops, outSlot
 }
-
-// gaussJordanScratch solves the dense len(eq) x u system over GF(256)
-// in place using only caller-provided storage: after it returns nil,
-// unknown j's symbol is eqSym[rowOfCol[j]]. It is the partial decode
-// path's solver — small (u = missing source count) and allocation-free.
-//
-//polyvet:noalloc partial-path dense solve over caller-owned scratch
-func gaussJordanScratch(eq, eqSym [][]byte, u int, rowOfCol []int) error {
-	if len(eq) < u {
-		return ErrSingular
-	}
-	row := 0
-	for col := 0; col < u; col++ {
-		sel := -1
-		for r := row; r < len(eq); r++ {
-			if eq[r][col] != 0 {
-				sel = r
-				break
-			}
-		}
-		if sel < 0 {
-			return ErrSingular
-		}
-		eq[row], eq[sel] = eq[sel], eq[row]
-		eqSym[row], eqSym[sel] = eqSym[sel], eqSym[row]
-		if pc := eq[row][col]; pc != 1 {
-			inv := gf256.Inv(pc)
-			gf256.ScaleRow(eq[row], inv)
-			gf256.ScaleRow(eqSym[row], inv)
-		}
-		for r := 0; r < len(eq); r++ {
-			if r == row || eq[r][col] == 0 {
-				continue
-			}
-			beta := eq[r][col]
-			gf256.MulAddRow(eq[r], eq[row], beta)
-			gf256.MulAddRow(eqSym[r], eqSym[row], beta)
-		}
-		rowOfCol[col] = row
-		row++
-	}
-	return nil
-}

@@ -164,8 +164,8 @@ func BenchmarkPartialVsFull(b *testing.B) {
 			for i := range pool {
 				pool[i] = enc.Symbol(uint32(i))
 			}
-			for _, m := range []int{1, 4, 8, 13, 16, 24, 32, 48, 64, 128} {
-				if m > k/4 {
+			for _, m := range []int{1, 4, 8, 13, 16, 24, 32, 48, 64, 77, 96, 128} {
+				if m > k/2 {
 					continue
 				}
 				for _, p := range []struct {

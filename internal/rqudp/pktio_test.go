@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -526,6 +527,7 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.SymbolSize = symbolSize
+	cfg.MaxBlockK = k // the sender's
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	got, st, err := FetchMultiSourceStats(ctx, conn, []net.Addr{snd.conn.LocalAddr()}, flow, cfg)
@@ -554,6 +556,26 @@ func TestCoalescedCreditsBounded(t *testing.T) {
 	// keep the sender quiet past a wait or two, but the fetch is lossless.
 	if st.Duplicates != 0 || st.Retries != 0 || st.Lost != 0 || st.Regrants > 3 || st.PullsSent > k/int(step)+3 {
 		t.Fatalf("not clean: %+v", st)
+	}
+}
+
+// A fetcher refuses a server that announces blocks larger than its own
+// MaxBlockK, which would otherwise choose the K whose precode and source
+// matrix the fetcher builds and keeps.
+func TestAnnounceBeyondMaxBlockKRefused(t *testing.T) {
+	const symbolSize, flow = 64, 7
+	cfg := DefaultConfig()
+	cfg.SymbolSize = symbolSize
+	k := cfg.MaxBlockK + 1
+	snd := newFakeSenderK(t, randObject(t, symbolSize*k), symbolSize, k, flow)
+	conn := newUDP(t)
+	defer conn.Close()
+	snd.send(t, conn.LocalAddr(), snd.announce())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, st, err := FetchMultiSourceStats(ctx, conn, []net.Addr{snd.conn.LocalAddr()}, flow, cfg)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(k)) || !strings.Contains(err.Error(), fmt.Sprint(cfg.MaxBlockK)) {
+		t.Fatalf("a fetch with MaxBlockK %d from a sender of blocks of %d: %v (%+v), want an error naming both", cfg.MaxBlockK, k, err, st)
 	}
 }
 

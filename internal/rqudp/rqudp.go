@@ -94,7 +94,10 @@ type Config struct {
 	// keeps packets under typical MTUs with headroom).
 	SymbolSize int
 	// MaxBlockK bounds source symbols per block (default 256; larger
-	// blocks amortise better but decode slower).
+	// blocks amortise better but decode slower). A server cuts its object
+	// into blocks of at most this many; a fetcher refuses a server that
+	// announces larger ones, whose precode and source matrices it would
+	// otherwise build and keep for a K of the server's choosing.
 	MaxBlockK int
 	// RetryInterval is the receiver's stall period, and the longest it
 	// waits on a silent sender before granting it again.
@@ -883,6 +886,9 @@ func (f *fetcher) handle(d datagram) error {
 		a, err := wire.ParseAnnounce(hdr.Flow, body)
 		if err != nil || f.dec != nil {
 			return nil
+		}
+		if uint64(a.MaxK) > uint64(f.cfg.MaxBlockK) {
+			return fmt.Errorf("rqudp: announce of blocks of %d symbols, more than MaxBlockK %d", a.MaxK, f.cfg.MaxBlockK)
 		}
 		t := uint64(a.SymbolSize)
 		kt := a.ObjectSize/t + min(a.ObjectSize%t, 1) // source symbols
