@@ -92,8 +92,8 @@ func chaosTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, 
 	fmt.Fprintf(w, "k=%d, pattern=%s, %d KB objects; fault: %s x%d at %s tier (frac %.2f) at %v, %s%s; deadline %v\n\n",
 		opt.FatTreeK, opt.Pattern, opt.Bytes>>10,
 		opt.Fault.Kind, targets, opt.Fault.Layer, opt.Fault.Frac, opt.Fault.FailAt, heal, extra, opt.Deadline)
-	fmt.Fprintf(w, "%-11s %9s %8s %10s %10s %9s %11s %10s\n",
-		"backend", "done", "stalled", "FCTp50ms", "FCTp99ms", "Gbps", "blackholed", "queuedrop")
+	fmt.Fprintf(w, "%-11s %9s %8s %11s %10s %10s %9s %11s %10s\n",
+		"backend", "done", "stalled", "partitioned", "FCTp50ms", "FCTp99ms", "Gbps", "blackholed", "queuedrop")
 	for _, r := range runs {
 		// No finite FCT exists when every flow stalled; 0.00 would
 		// read as instant completion.
@@ -102,8 +102,8 @@ func chaosTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, 
 			p50 = fmt.Sprintf("%.2f", r.FCT.P50*1e3)
 			p99 = fmt.Sprintf("%.2f", r.FCT.P99*1e3)
 		}
-		fmt.Fprintf(w, "%-11s %5d/%-3d %8d %10s %10s %9.3f %11d %10d\n",
-			r.Backend, r.Completed, r.Flows, r.Stalled,
+		fmt.Fprintf(w, "%-11s %5d/%-3d %8d %11d %10s %10s %9.3f %11d %10d\n",
+			r.Backend, r.Completed, r.Flows, r.Stalled, r.Partitioned,
 			p50, p99, r.GoodputGbps, r.RouteDrops, r.QueueDrops)
 	}
 	if verbose && len(runs) > 0 {
@@ -120,7 +120,7 @@ func chaosTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, 
 }
 
 func chaosCSV(w io.Writer, runs []harness.ChaosRun) {
-	fmt.Fprintln(w, "backend,flows,completed,stalled,stall_rate,fct_p50_s,fct_p99_s,goodput_gbps,blackholed,link_drops,queue_drops,fault_targets")
+	fmt.Fprintln(w, "backend,flows,completed,stalled,partitioned,stall_rate,fct_p50_s,fct_p99_s,goodput_gbps,blackholed,link_drops,queue_drops,fault_targets")
 	for _, r := range runs {
 		// Empty FCT fields when nothing completed: there is no finite
 		// completion time to report.
@@ -129,8 +129,8 @@ func chaosCSV(w io.Writer, runs []harness.ChaosRun) {
 			p50 = fmt.Sprintf("%.6f", r.FCT.P50)
 			p99 = fmt.Sprintf("%.6f", r.FCT.P99)
 		}
-		fmt.Fprintf(w, "%s,%d,%d,%d,%.6f,%s,%s,%.6f,%d,%d,%d,%d\n",
-			r.Backend, r.Flows, r.Completed, r.Stalled, r.StallRate(),
+		fmt.Fprintf(w, "%s,%d,%d,%d,%d,%.6f,%s,%s,%.6f,%d,%d,%d,%d\n",
+			r.Backend, r.Flows, r.Completed, r.Stalled, r.Partitioned, r.StallRate(),
 			p50, p99, r.GoodputGbps,
 			r.RouteDrops, r.LinkDrops, r.QueueDrops, len(r.FaultTargets))
 	}

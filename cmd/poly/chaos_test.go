@@ -25,7 +25,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
 	s := out.String()
-	for _, want := range []string{"PolyChaos failure injection", "pattern=one2one", "link x4 at core tier", "polyraptor", "tcp", "blackholed"} {
+	for _, want := range []string{"PolyChaos failure injection", "pattern=one2one", "link x4 at core tier", "polyraptor", "tcp", "partitioned", "blackholed"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
@@ -58,11 +58,26 @@ func TestChaosCSV(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("CSV should have header + 1 row, got %d lines:\n%s", len(lines), out.String())
 	}
-	if !strings.HasPrefix(lines[0], "backend,flows,completed,stalled") {
+	if !strings.HasPrefix(lines[0], "backend,flows,completed,stalled,partitioned,") {
 		t.Fatalf("CSV header %q", lines[0])
 	}
 	if !strings.HasPrefix(lines[1], "polyraptor,6,") {
 		t.Fatalf("CSV row %q", lines[1])
+	}
+}
+
+// TestChaosReportsPartitioned replays the seed whose fault cuts every
+// core path between pods 1 and 3: rq strands one flow, and that flow
+// is partitioned, so no transport could have finished it.
+func TestChaosReportsPartitioned(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := runSub("chaos", chaosArgs("-backends", "rq", "-format", "csv", "-seed", "8196980753821780235"), &out, &errw)
+	if code != 0 {
+		t.Fatalf("run exited %d: %s", code, errw.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "polyraptor,6,5,1,1,") {
+		t.Fatalf("want rq 5 of 6 done, 1 stalled, 1 partitioned:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -136,6 +137,11 @@ type ChaosRun struct {
 	// Completed and Stalled partition Flows at the deadline.
 	Completed int
 	Stalled   int
+	// Partitioned counts the stalled flows that no transport could have
+	// finished: at the deadline the routes left no live path between
+	// their endpoints, in one direction or the other
+	// (netsim.Network.Reachable).
+	Partitioned int
 	// FCT summarises completion times in seconds, completed flows
 	// only (a stalled flow has no finite FCT).
 	FCT stats.Summary
@@ -306,14 +312,34 @@ func (o ChaosOptions) Run(env *Env) (Result, error) {
 	run := ChaosRun{Backend: env.Backend.String(), FaultTargets: inj.Targets, Flows: len(w.srcs)}
 	env.Offered(run.Flows)
 	var fcts []float64
-	var completedBytes int64
-	var last sim.Time
+	// got.done marks finished flows by workload index: a fresh system
+	// numbers its flows from 0 in start order on either transport, and
+	// rq multicast is one session whose receivers are w.dsts.
+	var got struct {
+		bytes int64
+		last  sim.Time
+		done  []bool
+	}
+	got.done = make([]bool, run.Flows)
+	rqMulticast := env.Backend == store.BackendPolyraptor && o.Pattern == "multicast"
+	dsts := w.dsts
 	each := func(c store.Completion) {
 		env.Flow(c)
 		run.Completed++
-		completedBytes += c.Bytes
+		got.bytes += c.Bytes
 		fcts = append(fcts, (c.End - c.Start).Seconds())
-		last = max(last, c.End)
+		got.last = max(got.last, c.End)
+		i, dst := int(c.TCP.Flow), c.TCP.Dst
+		if env.Backend == store.BackendPolyraptor {
+			i, dst = int(c.RQ.Flow), c.RQ.Receiver
+			if rqMulticast {
+				i = slices.Index(dsts, dst)
+			}
+		}
+		if i < 0 || i >= len(dsts) || dsts[i] != dst {
+			panic(fmt.Sprintf("harness: chaos completion of flow %d at host %d matches no transfer", i, dst))
+		}
+		got.done[i] = true
 	}
 	// FCTs are per transfer on every pattern; multicast completes once
 	// per receiver on both transports (rq runs one group session, TCP
@@ -329,12 +355,19 @@ func (o ChaosOptions) Run(env *Env) (Result, error) {
 
 	run.FaultEvents = inj.Events
 	run.Stalled = run.Flows - run.Completed
+	if run.Stalled > 0 {
+		for i, done := range got.done {
+			if !done && !(ft.Net.Reachable(w.srcs[i], w.dsts[i]) && ft.Net.Reachable(w.dsts[i], w.srcs[i])) {
+				run.Partitioned++
+			}
+		}
+	}
 	run.FCT = stats.Summarize(fcts)
-	makespan := last
+	makespan := got.last
 	if run.Stalled > 0 {
 		makespan = o.Deadline
 	}
-	run.GoodputGbps = gbps(completedBytes, makespan)
+	run.GoodputGbps = gbps(got.bytes, makespan)
 	tot := ft.Net.QueueTotals()
 	run.RouteDrops = tot.RouteDrops
 	run.LinkDrops = tot.LinkDrops
@@ -352,6 +385,7 @@ func chaosMetrics(r ChaosRun) sweep.Metrics {
 	m := sweep.Metrics{
 		"completed":     float64(r.Completed),
 		"stalled":       float64(r.Stalled),
+		"partitioned":   float64(r.Partitioned),
 		"stall_rate":    r.StallRate(),
 		"goodput_gbps":  r.GoodputGbps,
 		"blackholed":    float64(r.RouteDrops),

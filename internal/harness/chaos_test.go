@@ -7,6 +7,7 @@ import (
 
 	"polyraptor/internal/chaos"
 	"polyraptor/internal/store"
+	"polyraptor/internal/sweep"
 	"polyraptor/internal/telemetry"
 )
 
@@ -23,38 +24,24 @@ func tinyChaosOptions() ChaosOptions {
 	return testChaosOptions()
 }
 
-// TestChaosRQCompletesWhereTCPStrands is the subsystem's acceptance
-// test (the paper's headline under real mid-flow faults): with a
-// seeded fraction of core links killed mid-flow, Polyraptor completes
-// every flow — per-packet spraying plus rateless coding need any
-// surviving path, no rerouting — while hash-pinned TCP strands the
-// flows whose ECMP hash leads into a remote blackhole. Seed 1's draw
-// keeps every pod reachable (a draw that severs all core links into
-// one pod strands any transport; that physics is exercised in
-// TestChaosSeveredPodStallsEveryone-like sweeps, not here).
-func TestChaosRQCompletesWhereTCPStrands(t *testing.T) {
+// TestChaosPartitioned: on the sweep chaos cell's fourth seed the fault
+// cuts every core route between pods 1 and 3 (TestReachableFollowsRoutes
+// in internal/topology has the cut), so one flow is partitioned on
+// every transport. Healed at 100 ms, the same plan partitions nothing.
+// The claims table holds rq's stalls to exactly these flows.
+func TestChaosPartitioned(t *testing.T) {
 	o := tinyChaosOptions()
-	rq := chaosRun(t, o, store.BackendPolyraptor, 1)
-	tcp := chaosRun(t, o, store.BackendTCP, 1)
-
-	if len(rq.FaultTargets) == 0 || len(tcp.FaultTargets) == 0 {
-		t.Fatal("no links were targeted; the fault plan is vacuous")
+	seed := sweep.SubSeed(1, 3)
+	for _, be := range allBackends {
+		if r := chaosRun(t, o, be, seed); r.Partitioned != 1 || r.Stalled < r.Partitioned {
+			t.Fatalf("%v: %d partitioned, %d stalled; want 1 partitioned", be, r.Partitioned, r.Stalled)
+		}
 	}
-	if rq.RouteDrops == 0 {
-		t.Fatal("no packets were blackholed; the fault did not bite")
-	}
-	if rq.Stalled != 0 || rq.Completed != rq.Flows {
-		t.Fatalf("rq stalled %d/%d flows under core blackholes (want zero stalls)", rq.Stalled, rq.Flows)
-	}
-	if tcp.Stalled == 0 {
-		t.Fatalf("tcp stranded no flows (completed %d/%d); the contrast is vacuous", tcp.Completed, tcp.Flows)
-	}
-	if rq.GoodputGbps <= tcp.GoodputGbps {
-		t.Fatalf("rq goodput %.4f <= tcp %.4f under faults", rq.GoodputGbps, tcp.GoodputGbps)
-	}
-	// Completed-flow FCTs stay finite and inside the deadline.
-	if rq.FCT.Max >= o.Deadline.Seconds() {
-		t.Fatalf("rq FCT max %.3fs reached the deadline %v", rq.FCT.Max, o.Deadline)
+	o.Fault.RecoverAt = 100 * time.Millisecond
+	for _, be := range allBackends {
+		if r := chaosRun(t, o, be, seed); r.Partitioned != 0 {
+			t.Fatalf("%v: %d partitioned after the fault healed", be, r.Partitioned)
+		}
 	}
 }
 
@@ -144,7 +131,7 @@ func TestNewSweepCellChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"completed", "stalled", "stall_rate", "fct_p50_s", "fct_p99_s", "goodput_gbps", "blackholed", "link_drops", "queue_drops", "fault_targets"} {
+	for _, key := range []string{"completed", "stalled", "partitioned", "stall_rate", "fct_p50_s", "fct_p99_s", "goodput_gbps", "blackholed", "link_drops", "queue_drops", "fault_targets"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("chaos metrics missing %q: %v", key, m)
 		}

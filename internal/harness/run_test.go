@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,33 +280,52 @@ func goldenSweep(t *testing.T, p SweepParams, parallelism int) []byte {
 // every registered scenario on every backend plus the ablations —
 // reproduces, byte for byte, the documents captured from polysweep at
 // commit b5526c0 (before the harness was collapsed onto Run), plain
-// and metered, and does so at parallelism 1 and GOMAXPROCS alike. It
-// is also the serial==parallel determinism test for every scenario,
-// and, because Run audits every run that drains, the conservation
-// test: 192 of its 208 runs end with no session open and every packet
-// accounted for (the rest stop at a chaos deadline). CI runs it under
-// -race.
+// and metered, and does so at parallelism 1 and GOMAXPROCS alike. The
+// plain document is kept to read; the metered one is its SHA-256 in
+// testdata/goldens.sha256. Both gained the chaos cells' "partitioned"
+// metric since, and nothing else. It is also the serial==parallel
+// determinism test for every scenario, and, because Run audits every
+// run that drains, the conservation test: 192 of its 208 runs end with
+// no session open and every packet accounted for (the rest stop at a
+// chaos deadline). CI runs it under -race.
 func TestGoldenSweeps(t *testing.T) {
+	want, err := os.ReadFile("testdata/polysweep_all.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	metered := DefaultSweepParams()
 	metered.SLO = &metrics.SLO{FCTDeadline: 0.005}
-	for _, g := range []struct {
-		file   string
-		params SweepParams
-	}{
-		{"testdata/polysweep_all.json", DefaultSweepParams()},
-		{"testdata/polysweep_all_metered.json", metered},
-	} {
-		want, err := os.ReadFile(g.file)
-		if err != nil {
-			t.Fatal(err)
+	for _, parallelism := range []int{1, 0} {
+		if got := goldenSweep(t, DefaultSweepParams(), parallelism); !bytes.Equal(got, want) {
+			t.Errorf("polysweep_all.json at parallelism %d: output differs from the golden (first difference at byte %d)",
+				parallelism, firstDiff(got, want))
 		}
-		for _, parallelism := range []int{1, 0} {
-			if got := goldenSweep(t, g.params, parallelism); !bytes.Equal(got, want) {
-				t.Errorf("%s at parallelism %d: output differs from the golden (first difference at byte %d)",
-					g.file, parallelism, firstDiff(got, want))
-			}
-		}
+		checkDigest(t, "testdata/goldens.sha256", "polysweep_all_metered.json", goldenSweep(t, metered, parallelism))
 	}
+}
+
+// checkDigest requires the line "<sha256 of got>  name" in the
+// sha256sum-format file digests, which CI checks with sha256sum -c.
+// On a mismatch it keeps got in a temp file to diff.
+func checkDigest(t *testing.T, digests, name string, got []byte) {
+	t.Helper()
+	list, err := os.ReadFile(digests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("%x  %s\n", sha256.Sum256(got), name)
+	if bytes.Contains(list, []byte(line)) {
+		return
+	}
+	f, err := os.CreateTemp("", "*-"+name)
+	if err == nil {
+		_, err = f.Write(got)
+		f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s is not in %s; the output is in %s", strings.TrimSpace(line), digests, f.Name())
 }
 
 func firstDiff(a, b []byte) int {

@@ -482,6 +482,41 @@ func (s *Switch) probeCands(cands []int) []int {
 	return cands
 }
 
+// Reachable reports whether a unicast packet from host src could reach
+// host dst now. It walks the routes, not the graph: every hop offers
+// only its switch's Route candidates, kept by the liveness rule Receive
+// applies (probeCands), so a detour no switch would take does not
+// count. Chaos scoring asks it of flows a deadline cut off.
+func (n *Network) Reachable(src, dst int) bool {
+	pkt := Packet{Src: int32(src), Dst: int32(dst), Group: -1}
+	// A switch that failed once fails again: its candidates depend on
+	// Dst alone.
+	seen := make([]bool, len(n.Switches))
+	var walk func(p *Port) bool
+	walk = func(p *Port) bool {
+		if !p.up {
+			return false
+		}
+		s := p.peerSwitch
+		if s == nil {
+			return p.peer == Node(n.Hosts[dst])
+		}
+		if s.down || seen[s.ID] {
+			return false
+		}
+		seen[s.ID] = true
+		// probeCands reuses s.candBuf; seen keeps the walk from
+		// re-entering s while it iterates.
+		for _, c := range s.probeCands(s.Route(&pkt)) {
+			if walk(s.Ports[c]) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(n.Hosts[src].NIC)
+}
+
 // Receive forwards a packet: multicast replication along the group
 // tree, or unicast via spraying / per-flow ECMP over the live subset
 // of the candidate set. A packet with no live candidate is blackholed

@@ -163,3 +163,74 @@ func TestDegradeCoreLinksValidation(t *testing.T) {
 	}()
 	ft.DegradeCoreLinks(0.5, 0, 1)
 }
+
+// TestReachableFollowsRoutes applies the cut that a chaos sweep drew on
+// its fourth sub-seed (SubSeed(1, 3)): every core path out of pod 1
+// leaves through cores 1 and 3, every one into pod 3 through cores 0
+// and 2. The routes then join no pair across pods 1 and 3, in either
+// direction, although a valley through pod 0's aggregation switch
+// (core-1, agg-0-0, core-0) still joins them in the graph.
+func TestReachableFollowsRoutes(t *testing.T) {
+	ft := mustTree(t, 4)
+	n := ft.NumHosts()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b && !ft.Net.Reachable(a, b) {
+				t.Fatalf("healthy fabric: host %d cannot reach host %d", a, b)
+			}
+		}
+	}
+	cut := map[string]bool{
+		"agg-1-0<->core-0": true, "agg-1-1<->core-2": true,
+		"agg-3-0<->core-1": true, "agg-3-1<->core-3": true,
+	}
+	for _, l := range ft.CoreLinks() {
+		if cut[l.Name] {
+			l.SetUp(false)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a == b {
+				continue
+			}
+			pods := [2]int{ft.Pod(a), ft.Pod(b)}
+			severed := pods == [2]int{1, 3} || pods == [2]int{3, 1}
+			if got := ft.Net.Reachable(a, b); got == severed {
+				t.Fatalf("host %d (pod %d) -> host %d (pod %d): reachable %v, want %v",
+					a, pods[0], b, pods[1], got, !severed)
+			}
+		}
+	}
+	if !graphConnected(ft, 14, 6) {
+		t.Fatal("the cut also severs the graph; the test no longer tells routes from links")
+	}
+}
+
+// graphConnected is the search Reachable must not be: any live link,
+// in any direction, whether or not a route would take it.
+func graphConnected(ft *FatTree, src, dst int) bool {
+	seen := map[netsim.Node]bool{}
+	queue := []netsim.Node{ft.Hosts[src]}
+	for len(queue) > 0 {
+		node := queue[0]
+		queue = queue[1:]
+		if node == netsim.Node(ft.Hosts[dst]) {
+			return true
+		}
+		var ports []*netsim.Port
+		switch x := node.(type) {
+		case *netsim.Host:
+			ports = []*netsim.Port{x.NIC}
+		case *netsim.Switch:
+			ports = x.Ports
+		}
+		for _, p := range ports {
+			if p.Up() && !seen[p.Peer()] {
+				seen[p.Peer()] = true
+				queue = append(queue, p.Peer())
+			}
+		}
+	}
+	return false
+}
