@@ -5,11 +5,12 @@
 // polynomial 0x11D, with generator element 2. Multiplication and
 // division are performed through logarithm/exponential tables, exactly
 // as prescribed by the RFC (OCT_LOG / OCT_EXP). Row operations used by
-// the RaptorQ encoder and decoder (AddRow, MulAddRow, ScaleRow, and
-// MulAddRows, a whole matrix product of rows) operate on byte slices and
-// form the hot path of matrix elimination, so they are allocation-free
-// and run on the widest kernel tier the CPU offers, chosen once at init
-// from CPUID (and XCR0, for the OS-saved register state):
+// the RaptorQ encoder and decoder (AddRow, MulAddRow, ScaleRow,
+// MulAddRows, a whole matrix product of rows, and AddSlots, a sum of
+// rows of one arena) operate on byte slices and form the hot path of
+// matrix elimination, so they are allocation-free and run on the
+// widest kernel tier the CPU offers, chosen once at init from CPUID
+// (and XCR0, for the OS-saved register state):
 //
 //   - GFNI/AVX-512 (amd64 with AVX512F, AVX512BW and GFNI): 64 bytes per
 //     instruction, the ragged end of a row under a byte mask. A multiply
@@ -419,6 +420,38 @@ func MulAddRows(dst, src, c [][]byte, mats []uint64) []uint64 {
 //
 //go:noinline
 func grownMats(n int) []uint64 { return make([]uint64, n) }
+
+// AddSlots adds slots of an arena into dst: dst[x] ^= sum over s in idx
+// of arena[s*stride+x] for every x < len(dst), slot s being the len(dst)
+// bytes at s*stride. Every slot must lie inside arena, and no slot may
+// overlap dst; slots may overlap one another.
+//
+// On the GFNI/AVX-512 tier 256 bytes of dst stay in four zmm registers
+// while that chunk of every slot streams through them, so dst is read
+// and written once however many slots there are, and a slot is addressed
+// by its index, with no slice header built for it. Every other tier runs
+// one AddRow per slot.
+//
+//polyvet:noalloc schedule replay's grouped XOR: one call per peel or back-substitution row of a solve
+func AddSlots(dst, arena []byte, stride int, idx []int32) {
+	n := len(dst)
+	if n == 0 || len(idx) == 0 {
+		return
+	}
+	lo, hi := idx[0], idx[0]
+	for _, s := range idx[1:] {
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	// With the lowest and highest slot inside arena, every slot is.
+	_, _ = arena[int(lo)*stride:][:n], arena[int(hi)*stride:][:n]
+	if useGFNI {
+		galAddSlotsAVX512(&dst[0], &arena[0], stride, &idx[0], len(idx), n)
+		return
+	}
+	for _, s := range idx {
+		AddRow(dst, arena[int(s)*stride:][:n])
+	}
+}
 
 // ScaleRow multiplies every element of row by c in place, 64, 32 or 16
 // bytes per step on amd64, 8-byte words elsewhere, with a scalar byte

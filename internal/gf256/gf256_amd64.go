@@ -130,6 +130,15 @@ func galMulGFNI(mat *uint64, row *byte, n int)
 //go:noescape
 func galMulAddRowsGFNI(mats *uint64, src *[]byte, nsrc int, dst *[]byte, rows, n int)
 
+// galAddSlotsAVX512 computes dst[x] ^= sum over i < nidx of
+// arena[idx[i]*stride+x] for x in [0, n), nidx and n at least 1: the
+// multi-source XOR of AddSlots. No slot may overlap dst; the caller
+// checks that every slot lies inside the arena. Implemented in
+// gf256_amd64.s.
+//
+//go:noescape
+func galAddSlotsAVX512(dst, arena *byte, stride int, idx *int32, nidx, n int)
+
 // galExpandGFNI sets mats[i] = affTab[c[i]] for i in [0, n), n > 0:
 // MulAddRows' coefficients in the form its kernel reads. Implemented in
 // gf256_amd64.s.

@@ -410,3 +410,161 @@ expandOne:
 expandDone:
 	VZEROUPPER
 	RET
+
+// func galAddSlotsAVX512(dst, arena *byte, stride int, idx *int32, nidx, n int)
+//
+// dst[x] ^= sum over i < nidx of arena[idx[i]*stride+x] for x in [0, n),
+// nidx and n at least 1. Each 256-byte chunk of dst is loaded into Z0-Z3
+// once, the slots' chunks are added into it two slots per step (one
+// loaded into Z4-Z7, the other read by VPTERNLOGQ straight from memory,
+// imm 0x96 being a three-way XOR), and the chunk is stored once. Slot
+// i's address is arena + idx[i]*stride, computed anew per chunk: one
+// load, one multiply, one add beside four 64-byte loads. The last
+// n mod 256 bytes take one more pass, a slot per step, with every load
+// and the store under the byte masks K1-K4, one per 64-byte lane: all
+// ones, the lane's share of the ragged end, or none.
+TEXT ·galAddSlotsAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DX
+	MOVQ arena+8(FP), AX
+	MOVQ stride+16(FP), CX
+	MOVQ idx+24(FP), BX
+	MOVQ nidx+32(FP), R8
+	MOVQ n+40(FP), DI
+	XORQ SI, SI
+	SUBQ $256, DI
+	JL   slotsTail
+
+slotsChunk:
+	VMOVDQU64 (DX)(SI*1), Z0
+	VMOVDQU64 64(DX)(SI*1), Z1
+	VMOVDQU64 128(DX)(SI*1), Z2
+	VMOVDQU64 192(DX)(SI*1), Z3
+	MOVQ      BX, R9
+	MOVQ      R8, R10
+	SUBQ      $2, R10
+	JL        slotsChunkOne
+
+slotsChunkPair:
+	MOVLQSX    (R9), R11
+	MOVLQSX    4(R9), R12
+	IMULQ      CX, R11
+	IMULQ      CX, R12
+	ADDQ       AX, R11
+	ADDQ       AX, R12
+	VMOVDQU64  (R11)(SI*1), Z4
+	VMOVDQU64  64(R11)(SI*1), Z5
+	VMOVDQU64  128(R11)(SI*1), Z6
+	VMOVDQU64  192(R11)(SI*1), Z7
+	VPTERNLOGQ $0x96, (R12)(SI*1), Z4, Z0
+	VPTERNLOGQ $0x96, 64(R12)(SI*1), Z5, Z1
+	VPTERNLOGQ $0x96, 128(R12)(SI*1), Z6, Z2
+	VPTERNLOGQ $0x96, 192(R12)(SI*1), Z7, Z3
+	ADDQ       $8, R9
+	SUBQ       $2, R10
+	JGE        slotsChunkPair
+
+slotsChunkOne:
+	ADDQ    $2, R10
+	JZ      slotsChunkStore
+	MOVLQSX (R9), R11
+	IMULQ   CX, R11
+	ADDQ    AX, R11
+	VPXORQ  (R11)(SI*1), Z0, Z0
+	VPXORQ  64(R11)(SI*1), Z1, Z1
+	VPXORQ  128(R11)(SI*1), Z2, Z2
+	VPXORQ  192(R11)(SI*1), Z3, Z3
+
+slotsChunkStore:
+	VMOVDQU64 Z0, (DX)(SI*1)
+	VMOVDQU64 Z1, 64(DX)(SI*1)
+	VMOVDQU64 Z2, 128(DX)(SI*1)
+	VMOVDQU64 Z3, 192(DX)(SI*1)
+	ADDQ      $256, SI
+	CMPQ      SI, DI
+	JLE       slotsChunk
+
+slotsTail:
+	ADDQ $256, DI
+	SUBQ SI, DI
+	JZ   slotsDone
+
+	// DI bytes remain, 0 < DI < 256. Lane j's mask keeps its first
+	// DI - 64j bytes, clamped to [0, 64]; SHLQ shifts by CL, so the
+	// stride waits in R12.
+	MOVQ CX, R12
+	MOVQ DI, CX
+	MOVQ $-1, R13
+	CMPQ CX, $64
+	JGE  slotsLane0
+	SHLQ CX, R13
+	NOTQ R13
+
+slotsLane0:
+	KMOVQ R13, K1
+	SUBQ  $64, CX
+	MOVQ  $-1, R13
+	CMPQ  CX, $64
+	JGE   slotsLane1
+	XORQ  R13, R13
+	CMPQ  CX, $0
+	JLE   slotsLane1
+	MOVQ  $-1, R13
+	SHLQ  CX, R13
+	NOTQ  R13
+
+slotsLane1:
+	KMOVQ R13, K2
+	SUBQ  $64, CX
+	MOVQ  $-1, R13
+	CMPQ  CX, $64
+	JGE   slotsLane2
+	XORQ  R13, R13
+	CMPQ  CX, $0
+	JLE   slotsLane2
+	MOVQ  $-1, R13
+	SHLQ  CX, R13
+	NOTQ  R13
+
+slotsLane2:
+	KMOVQ R13, K3
+	SUBQ  $64, CX
+	XORQ  R13, R13
+	CMPQ  CX, $0
+	JLE   slotsLane3
+	MOVQ  $-1, R13
+	SHLQ  CX, R13
+	NOTQ  R13
+
+slotsLane3:
+	KMOVQ R13, K4
+	MOVQ  R12, CX
+
+	VMOVDQU8.Z (DX)(SI*1), K1, Z0
+	VMOVDQU8.Z 64(DX)(SI*1), K2, Z1
+	VMOVDQU8.Z 128(DX)(SI*1), K3, Z2
+	VMOVDQU8.Z 192(DX)(SI*1), K4, Z3
+
+slotsTailSlot:
+	MOVLQSX    (BX), R11
+	IMULQ      CX, R11
+	ADDQ       AX, R11
+	VMOVDQU8.Z (R11)(SI*1), K1, Z4
+	VMOVDQU8.Z 64(R11)(SI*1), K2, Z5
+	VMOVDQU8.Z 128(R11)(SI*1), K3, Z6
+	VMOVDQU8.Z 192(R11)(SI*1), K4, Z7
+	VPXORQ     Z4, Z0, Z0
+	VPXORQ     Z5, Z1, Z1
+	VPXORQ     Z6, Z2, Z2
+	VPXORQ     Z7, Z3, Z3
+	ADDQ       $4, BX
+	DECQ       R8
+	JNZ        slotsTailSlot
+
+	VMOVDQU8 Z0, K1, (DX)(SI*1)
+	VMOVDQU8 Z1, K2, 64(DX)(SI*1)
+	VMOVDQU8 Z2, K3, 128(DX)(SI*1)
+	VMOVDQU8 Z3, K4, 192(DX)(SI*1)
+
+slotsDone:
+	VZEROUPPER
+	RET

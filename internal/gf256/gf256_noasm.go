@@ -51,6 +51,10 @@ func galMulAddRowsGFNI(mats *uint64, src *[]byte, nsrc int, dst *[]byte, rows, n
 	panic("gf256: GFNI kernel called without asm support")
 }
 
+func galAddSlotsAVX512(dst, arena *byte, stride int, idx *int32, nidx, n int) {
+	panic("gf256: AVX-512 kernel called without asm support")
+}
+
 func galExpandGFNI(mats *uint64, c *byte, n int) {
 	panic("gf256: GFNI kernel called without asm support")
 }

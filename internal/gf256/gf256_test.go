@@ -257,3 +257,32 @@ func BenchmarkMulAddRows(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAddSlots sums ten 1,436-byte slots of an arena into a row,
+// as one AddSlots call and as one AddRow per slot. Its bytes are
+// row-operation bytes, ten rows a call, so its MB/s reads against
+// AddRow's.
+func BenchmarkAddSlots(b *testing.B) {
+	const ns, n = 10, 1436
+	rng := rand.New(rand.NewSource(10))
+	arena, dst := make([]byte, 4*ns*n), make([]byte, n)
+	rng.Read(arena)
+	idx := make([]int32, ns)
+	for i := range idx {
+		idx[i] = int32(4*i + 1)
+	}
+	b.Run("slots", func(b *testing.B) {
+		b.SetBytes(ns * n)
+		for i := 0; i < b.N; i++ {
+			AddSlots(dst, arena, n, idx)
+		}
+	})
+	b.Run("per-slot", func(b *testing.B) {
+		b.SetBytes(ns * n)
+		for i := 0; i < b.N; i++ {
+			for _, s := range idx {
+				AddRow(dst, arena[int(s)*n:][:n])
+			}
+		}
+	})
+}

@@ -177,6 +177,54 @@ func TestMulAddRowsParity(t *testing.T) {
 	})
 }
 
+// AddSlots must equal one AddRowScalar per slot on every tier: rows of
+// 1, 4, 63, 64, 65, 1,024 and 1,436 bytes (a masked lane alone, one
+// full lane, a masked lane behind full ones, no ragged end, a ragged end
+// over three lanes) and 1 to 64 slots, drawn with repeats from an arena
+// whose stride leaves a gap behind each slot. dst sits at an odd offset
+// inside a larger array, so a write outside it shows.
+func TestAddSlotsParity(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for _, n := range []int{1, 4, 63, 64, 65, 1024, 1436} {
+			const slots = 80
+			stride := n + 3
+			arena := randRow(rng, slots*stride)
+			for ns := 1; ns <= 64; ns++ {
+				idx := make([]int32, ns)
+				for i := range idx {
+					idx[i] = int32(rng.Intn(slots))
+				}
+				buf, dst := window(rng, ns%5, n)
+				want := bytes.Clone(buf)
+				for _, s := range idx {
+					AddRowScalar(want[ns%5:ns%5+n], arena[int(s)*stride:][:n])
+				}
+				AddSlots(dst, arena, stride, idx)
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("AddSlots n=%d slots=%d diverges from scalar", n, ns)
+				}
+			}
+		}
+	})
+}
+
+// AddSlots refuses a slot that does not lie inside the arena before it
+// reads a byte.
+func TestAddSlotsBounds(t *testing.T) {
+	arena, dst := make([]byte, 4*64), make([]byte, 64)
+	for _, idx := range [][]int32{{4}, {0, 4}, {-1}, {3, -1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSlots with slots %v in a 4-slot arena did not panic", idx)
+				}
+			}()
+			AddSlots(dst, arena, 64, idx)
+		}()
+	}
+}
+
 // The portable word-wise cores must stay byte-identical to the scalar
 // paths when called directly too, not only through the exported
 // kernels' dispatch.
@@ -261,12 +309,12 @@ func TestKernelTier(t *testing.T) {
 	for i, k := range tiers {
 		names[i] = k.name
 	}
-	rows := "one MulAddRow per coefficient"
+	rows, slots := "one MulAddRow per coefficient", "one AddRow per slot"
 	if tiers[0].gfni {
-		rows = "the multi-row GFNI kernel"
+		rows, slots = "the multi-row GFNI kernel", "the multi-source AVX-512 XOR kernel"
 	}
-	t.Logf("row kernels run on the %s tier (Features %v), MulAddRows on %s; parity covers %s",
-		tiers[0].name, Features(), rows, strings.Join(names, ", "))
+	t.Logf("row kernels run on the %s tier (Features %v), MulAddRows on %s, AddSlots on %s; parity covers %s",
+		tiers[0].name, Features(), rows, slots, strings.Join(names, ", "))
 	if gfni := slices.Contains(Features(), "gfni"); gfni != tiers[0].gfni {
 		t.Errorf("Features() reports gfni=%v, but the selected tier has gfni=%v", gfni, tiers[0].gfni)
 	}

@@ -192,6 +192,7 @@ func gf256Cases() []Case {
 	}
 	return []Case{
 		mulAddRowsCase(),
+		addSlotsCase(),
 		mk("AddRow", func(dst, src []byte, n int) {
 			for i := 0; i < n; i++ {
 				gf256.AddRow(dst, src)
@@ -253,6 +254,30 @@ func mulAddRowsCase() Case {
 		Fn: func(k int) {
 			for i := 0; i < k; i++ {
 				mats = gf256.MulAddRows(dst, src, c, mats)
+			}
+		},
+	}
+}
+
+// addSlotsCase is one call of the multi-source XOR at the shape of a
+// schedule's back-substitution row: ten 1,436-byte slots of an arena
+// summed into a row. Its bytes are row-operation bytes, ten rows a call,
+// so its MB/s reads against AddRow's.
+func addSlotsCase() Case {
+	const ns, n = 10, rowLen
+	rng := rand.New(rand.NewSource(10))
+	arena, dst := make([]byte, 4*ns*n), make([]byte, n)
+	rng.Read(arena)
+	idx := make([]int32, ns)
+	for i := range idx {
+		idx[i] = int32(4*i + 1)
+	}
+	return Case{
+		Name:       fmt.Sprintf("gf256/AddSlots/%dx%d", ns, n),
+		BytesPerOp: ns * n,
+		Fn: func(k int) {
+			for i := 0; i < k; i++ {
+				gf256.AddSlots(dst, arena, n, idx)
 			}
 		},
 	}
@@ -322,7 +347,7 @@ func codecCases(quick bool) []Case {
 	// Decode cells: one reused decoder per loss regime, each regime
 	// exercising a different pipeline layer — keep=1 the no-matrix
 	// systematic path, 5% the partial-systematic m x m solve, 30% the
-	// full inactivation decode: plan, prune, replay. The mask is fixed, so
+	// full inactivation decode: plan, then replay. The mask is fixed, so
 	// the 30% cell plans the same system every op; DecodeCold30pct below
 	// draws a new one.
 	mkDecode := func(name string, keep float64) Case {

@@ -51,10 +51,13 @@ var ErrNeedMoreSymbols = errors.New("raptorq: need more symbols")
 //     m x (K+m) decode matrix, and writes the missing symbols with one
 //     gf256.MulAddRows over the K inputs: no replay (see partial.go);
 //   - otherwise: the full inactivation decode — plan the elimination
-//     over the received ESI set (solver.go), prune it, replay it over
-//     the received symbols (schedule.go). A loss pattern is new on
-//     every block, so nothing is remembered between blocks; the plan is
-//     cheap enough not to need it.
+//     over the received ESI set (solver.go), the received source rows'
+//     LT columns read off the per-K precode entry, and replay it over
+//     the received symbols (schedule.go), each row's XOR terms one
+//     gf256.AddSlots call; each missing source is one more, over its LT
+//     columns' intermediates. A loss pattern is new on every block, so
+//     no plan is remembered between blocks; planning is cheap enough
+//     not to need it.
 //
 // A Decoder can be reused for many blocks via Reset; in the steady
 // state (same K, same symbol size, any loss pattern) the whole
@@ -345,14 +348,19 @@ func (d *Decoder) decode() error {
 // of the received set, then replay it over the received symbols. Slot
 // layout for the decode system: S LDPC rows (zero RHS), the received
 // symbols in ascending-ESI order, H HDPC rows and the Horner scratch
-// (zero RHS).
+// (zero RHS). A received source row's LT columns are read off the
+// precode entry of K, which holds every source ESI's.
 func (d *Decoder) decodeFull() error {
+	pc, err := precodeFor(d.p)
+	if err != nil {
+		return err
+	}
 	pl := &d.sc.plan
 	pl.reset(d.p, d.Received())
 	rows := d.sc.rowBuf[:0]
 	for i := 0; i < d.p.K; i++ {
 		if d.has(i) {
-			pl.addESI(uint32(i))
+			pl.addRow(pc.lt(i))
 			rows = append(rows, d.src(i))
 		}
 	}
@@ -365,30 +373,31 @@ func (d *Decoder) decodeFull() error {
 	if err != nil {
 		return err
 	}
-	syms := d.sc.slots.load(sched.nSlots, d.t, d.p.S, rows)
-	sched.replay(syms, nil)
-	d.fillFromSlots(syms, sched.outSlot)
+	d.sc.slots.load(sched.nSlots, d.t, d.p.S, rows)
+	sched.replay(d.sc.slots.buf, d.t)
+	d.fillFromSlots(pc, sched.outSlot)
 	return nil
 }
 
 // fillFromSlots completes the block after a schedule replay: every
-// missing source symbol is regenerated by LT expansion over the
-// intermediate slots, straight into its own slot, cleared first of
-// whatever an earlier block left there.
+// missing source symbol is the sum of the intermediate slots at its LT
+// columns, written by one gf256.AddSlots straight into its own slot,
+// cleared first of whatever an earlier block left there.
 //
 //polyvet:noalloc steady-state decode assembly, in place
-func (d *Decoder) fillFromSlots(syms [][]byte, outSlot []int32) {
-	scratch := d.sc.ltScratch
+func (d *Decoder) fillFromSlots(pc *precode, outSlot []int32) {
+	idx := reserved(d.sc.ltScratch[:0], maxRowCols)
 	for i := 0; i < d.p.K; i++ {
 		if d.has(i) {
 			continue
 		}
+		idx = idx[:0]
+		for _, col := range pc.lt(i) {
+			idx = append(idx, outSlot[col])
+		}
 		dst := d.src(i)
 		clear(dst)
-		scratch = d.p.AppendLTIndices(scratch[:0], uint32(i))
-		for _, col := range scratch {
-			gf256.AddRow(dst, syms[outSlot[col]])
-		}
+		gf256.AddSlots(dst, d.sc.slots.buf, d.t, idx)
 	}
-	d.sc.ltScratch = scratch
+	d.sc.ltScratch = idx
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"polyraptor/internal/gf256"
 )
 
 // Differential tests for the layered decode pipeline: the partial-
@@ -202,51 +204,105 @@ func partialMatchesFull(full, part *Decoder, enc *Encoder, source [][]byte, miss
 	return nil
 }
 
-// TestLivePassKeepsEveryOutput: the cached precode schedule is already
-// pruned, so the liveness pass seeded with every column must keep every
-// op — exactly the ops prune kept — and seeded with the columns of a few
-// repair rows it must drop some.
-func TestLivePassKeepsEveryOutput(t *testing.T) {
-	for _, k := range []int{10, 101, 256, 1000} {
+// replayOpByOp is the schedule's replay one row operation at a time,
+// each opXor group as one AddRow per source slot: the reference the
+// fused replay must match byte for byte.
+func replayOpByOp(sc *schedule, syms [][]byte) {
+	for _, op := range sc.ops {
+		switch op.kind {
+		case opXor:
+			for _, s := range sc.terms[op.src:][:op.n] {
+				gf256.AddRow(syms[op.dst], syms[s])
+			}
+		case opAdd:
+			gf256.AddRow(syms[op.dst], syms[op.src])
+		case opMulAdd:
+			gf256.MulAddRow(syms[op.dst], syms[op.src], op.beta)
+		default:
+			gf256.ScaleRow(syms[op.dst], op.beta)
+		}
+	}
+}
+
+// replaysAgree replays sc over random slots of t bytes twice, fused over
+// one arena and op by op over separate rows, and reports the first slot
+// that differs, or -1.
+func replaysAgree(rng *rand.Rand, sc *schedule, t int) int {
+	arena := make([]byte, sc.nSlots*t)
+	rng.Read(arena)
+	rows := make([][]byte, sc.nSlots)
+	for i := range rows {
+		rows[i] = bytes.Clone(arena[i*t : (i+1)*t])
+	}
+	sc.replay(arena, t)
+	replayOpByOp(sc, rows)
+	for i, row := range rows {
+		if !bytes.Equal(arena[i*t:(i+1)*t], row) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGroupedReplayMatchesOpByOp: the fused replay of a grouped
+// schedule leaves every slot, the intermediates among them, as the
+// op-by-op replay does — for the precode at five K and for 100 decode
+// plans each at 5, 30 and 60 % loss, on every gf256 tier. Slots of 300
+// bytes run the kernel's 256-byte chunk and its masked tail. The precode
+// entry's source-row columns are the tuple hash's. Runs under -race in
+// CI.
+func TestGroupedReplayMatchesOpByOp(t *testing.T) {
+	eachGFTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		for _, k := range []int{10, 101, 256, 1000, 1024} {
+			p, err := NewParams(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pc, err := precodeFor(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if want := p.AppendLTIndices(nil, uint32(i)); !slices.Equal(pc.lt(i), want) {
+					t.Fatalf("K=%d: source %d's columns %v, want %v", k, i, pc.lt(i), want)
+				}
+			}
+			if slot := replaysAgree(rng, &pc.sched, 300); slot >= 0 {
+				t.Fatalf("K=%d precode: slot %d differs from the op-by-op replay", k, slot)
+			}
+		}
+		const k = 256
 		p, err := NewParams(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := precodeSchedule(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := make([]bool, sched.nSlots)
-		keep := make([]bool, len(sched.ops))
-		for _, s := range sched.outSlot {
-			live[s] = true
-		}
-		sched.liveOps(live, keep)
-		for i, kept := range keep {
-			if !kept {
-				t.Fatalf("K=%d: op %d of %d dropped with every column live", k, i, len(keep))
-			}
-		}
-		for _, rows := range []int{3, 21} {
-			clear(live)
-			for esi := k; esi < k+rows; esi++ {
-				for _, col := range p.AppendLTIndices(nil, uint32(esi)) {
-					live[sched.outSlot[col]] = true
+		var pl planner
+		for _, loss := range []float64{0.05, 0.3, 0.6} {
+			for plans := 0; plans < 100; {
+				pl.reset(p, k+2)
+				n := 0
+				for i := 0; i < k; i++ {
+					if rng.Float64() >= loss {
+						pl.addESI(uint32(i))
+						n++
+					}
 				}
-			}
-			sched.liveOps(live, keep)
-			n := 0
-			for _, kept := range keep {
-				if kept {
+				for esi := k + rng.Intn(1000); n < k+2; esi++ {
+					pl.addESI(uint32(esi))
 					n++
 				}
-			}
-			t.Logf("K=%d: %d repair rows read %d of %d ops", k, rows, n, len(keep))
-			if k >= 256 && n == len(keep) {
-				t.Errorf("K=%d: %d repair rows replay the whole schedule", k, rows)
+				sc, err := pl.plan()
+				if err != nil {
+					continue // singular: rare at K+2, and not a plan
+				}
+				if slot := replaysAgree(rng, &sc, 300); slot >= 0 {
+					t.Fatalf("loss %.2f plan %d: slot %d differs from the op-by-op replay", loss, plans, slot)
+				}
+				plans++
 			}
 		}
-	}
+	})
 }
 
 // TestConcurrentDecodersLeaveSchedulesUntouched runs block-parallel
@@ -259,11 +315,12 @@ func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := precodeSchedule(p)
+	pc, err := precodeFor(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, outSlot := slices.Clone(sched.ops), slices.Clone(sched.outSlot)
+	sched := &pc.sched
+	ops, terms, outSlot := slices.Clone(sched.ops), slices.Clone(sched.terms), slices.Clone(sched.outSlot)
 	matrix, err := sourceMatrixFor(p)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +357,7 @@ func TestConcurrentDecodersLeaveSchedulesUntouched(t *testing.T) {
 			t.Fatalf("loss %.2f: object corrupt (%v)", loss, err)
 		}
 	}
-	if !slices.Equal(sched.ops, ops) || !slices.Equal(sched.outSlot, outSlot) {
+	if !slices.Equal(sched.ops, ops) || !slices.Equal(sched.terms, terms) || !slices.Equal(sched.outSlot, outSlot) {
 		t.Fatal("concurrent decoders changed the cached precode schedule")
 	}
 	if !bytes.Equal(matrix.rows, rows) {

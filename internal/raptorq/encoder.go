@@ -108,7 +108,7 @@ type Encoder struct {
 	precodes *atomic.Int64
 
 	// sched is the recorded precode elimination for K (shared, from the
-	// global per-K cache); slots is the arena it replays over.
+	// per-K precode entry); slots is the arena it replays over.
 	sched *schedule
 	slots slotArena
 }
@@ -166,14 +166,14 @@ func (e *Encoder) rekey(source [][]byte) error {
 		if err != nil {
 			return err
 		}
-		sched, err := precodeSchedule(p)
+		pc, err := precodeFor(p)
 		if err != nil {
 			// The systematic index search guarantees an invertible precode,
 			// so this is unreachable unless the cache was poisoned.
 			return fmt.Errorf("raptorq: precode solve failed: %w", err)
 		}
 		e.p = p
-		e.sched = sched
+		e.sched = &pc.sched
 		e.c = nil
 	}
 	e.t = t
@@ -226,7 +226,7 @@ func (e *Encoder) precodeOnce() {
 //polyvet:noalloc steady-state precode solve: arena slots plus recorded gf256 kernels
 func (e *Encoder) replayPrecode(source [][]byte) {
 	syms := e.slots.load(e.sched.nSlots, e.t, e.p.S, source)
-	e.sched.replay(syms, nil)
+	e.sched.replay(e.slots.buf, e.t)
 	for c, slot := range e.sched.outSlot {
 		e.c[c] = syms[slot]
 	}

@@ -196,6 +196,7 @@ func systematicIndex(p Params) (int, error) {
 // The planner works on structure alone, so the verdict costs no symbol
 // work; the schedule that comes with it is dropped.
 func precodeRankOK(p Params) bool {
-	_, err := planPrecode(p)
+	var pl planner
+	_, err := planPrecode(&pl, p)
 	return err == nil
 }

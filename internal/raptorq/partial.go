@@ -84,7 +84,7 @@ func partialMaxMissing(k int) int {
 // sourceMatrixMaxK is the largest K whose source matrix is built and
 // kept: L*K bytes, 75,776 at K=256 and 1.1 MB at K=1,024 (but 17 MB at
 // 4,096). Larger blocks always take the full solver. The cache keeps
-// every K it has built (see sourceMatrixCache for its worst case).
+// every K it has built (see precodes for its worst case).
 const sourceMatrixMaxK = 1024
 
 // decodePath names a decode path: the one partialPath picks, or a test

@@ -2,6 +2,7 @@ package raptorq
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"polyraptor/internal/gf256"
@@ -14,104 +15,77 @@ import (
 // sequence of GF(256) row operations that solves the system; replaying
 // that sequence over a set of right-hand-side symbols performs the
 // solve at pure-kernel speed, with zero allocation and zero structural
-// work. Every matrix solve in the codec is plan, prune, replay:
+// work. Most of a solve is XOR: every peel elimination into a row and
+// every back-substitution term of a pivot row. The planner emits each
+// row's XOR terms as one group, its source slots laid out flat, and the
+// replay sums a group into its row with one gf256.AddSlots call. Every
+// matrix solve in the codec is plan, then replay:
 //
 //   - the encoder's precode system depends only on K, so one schedule
-//     per K serves every encode (precodeCache);
+//     per K serves every encode (the per-K precode entry);
 //   - a decoder's system depends on (K, received-ESI set), and on a
 //     lossy fabric that set is new on every block, so a full decode
 //     plans afresh each time — on planner scratch its Decoder (or its
 //     ObjectDecoder worker) owns, at a fraction of the replay's cost —
-//     and nothing is cached;
+//     and nothing is cached; the received source rows' LT columns come
+//     from the precode entry, not from the tuple hash;
 //   - the direct partial decode reduces the decode to an m x m system
 //     over the m missing rows, its coefficients read off the source
 //     matrix, which one replay of the precode schedule over unit
 //     vectors computes once per K (sourceMatrixFor).
+//
+// A schedule is replayed whole. The few operations that reach no output
+// (the rows of a decode's dense system beyond its rank) cost less to
+// replay than a liveness pass costs to find.
 
 // schedOp is one recorded row operation over the replay slots.
 type schedOp struct {
 	dst, src int32
+	n        int32 // opXor: the number of source slots
 	kind     uint8
 	beta     byte
 }
 
 // schedOp kinds.
 const (
-	opAdd    uint8 = iota // syms[dst] ^= syms[src]
+	opXor    uint8 = iota // syms[dst] ^= the n slots terms[src:src+n]
+	opAdd                 // syms[dst] ^= syms[src]
 	opMulAdd              // syms[dst] += beta * syms[src]
 	opScale               // syms[dst] *= beta (src == dst)
 )
 
 // schedule is a replayable elimination: ops over nSlots row slots,
-// and outSlot mapping each intermediate column to the slot that holds
-// its value after replay. Slot layout follows the planner: binary row
-// r is slot r, HDPC row j is slot (number of binary rows)+j, then the
-// Horner scratch slot. A schedule is immutable after prune and safe
-// for concurrent replay over distinct slot sets.
+// terms holding the source slots of its opXor groups, and outSlot
+// mapping each intermediate column to the slot that holds its value
+// after replay. Slot layout follows the planner: binary row r is slot
+// r, HDPC row j is slot (number of binary rows)+j, then the Horner
+// scratch slot. A schedule is immutable once planned and safe for
+// concurrent replay over distinct slot sets.
 type schedule struct {
 	nSlots  int
 	ops     []schedOp
+	terms   []int32
 	outSlot []int32
 }
 
-// replay applies the recorded operations to the caller's slot symbols,
-// all of them when keep is nil, else op i only where keep[i]. syms must
-// have nSlots rows of one width (any width: the schedule is
-// structure-only).
+// replay applies the recorded operations to the slots of buf, slot i
+// being the t bytes at i*t (any t: the schedule is structure-only).
 //
 //polyvet:noalloc schedule replay is the steady-state codec solve: pure gf256 kernel calls over caller-provided slots
-func (sc *schedule) replay(syms [][]byte, keep []bool) {
-	for i, op := range sc.ops {
-		if keep != nil && !keep[i] {
-			continue
-		}
+func (sc *schedule) replay(buf []byte, t int) {
+	for _, op := range sc.ops {
+		dst := buf[int(op.dst)*t:][:t]
 		switch op.kind {
+		case opXor:
+			gf256.AddSlots(dst, buf, t, sc.terms[op.src:][:op.n])
 		case opAdd:
-			gf256.AddRow(syms[op.dst], syms[op.src])
+			gf256.AddRow(dst, buf[int(op.src)*t:][:t])
 		case opMulAdd:
-			gf256.MulAddRow(syms[op.dst], syms[op.src], op.beta)
+			gf256.MulAddRow(dst, buf[int(op.src)*t:][:t], op.beta)
 		default:
-			gf256.ScaleRow(syms[op.dst], op.beta)
+			gf256.ScaleRow(dst, op.beta)
 		}
 	}
-}
-
-// liveOps sets keep[i] for exactly the ops that can reach a slot marked
-// in live, which it extends backwards to every slot they read. It leaves
-// the schedule — shared by every decoder of its K — as it is.
-//
-//polyvet:noalloc liveness over reused scratch
-func (sc *schedule) liveOps(live, keep []bool) {
-	for i := len(sc.ops) - 1; i >= 0; i-- {
-		op := sc.ops[i]
-		keep[i] = live[op.dst]
-		if keep[i] {
-			live[op.src] = true
-		}
-	}
-}
-
-// prune drops operations that cannot influence any output slot: liveOps
-// seeded from outSlot, over the caller's nSlots- and len(ops)-wide
-// scratch. Every elimination is logged while planning, whether or not
-// its row ever becomes a pivot or a Gauss-Jordan row —
-// the HDPC rows absorb the whole Horner chain but only a handful reach
-// an output — so this is where that work vanishes from the replay.
-//
-//polyvet:noalloc plan phase over reused scratch
-func (sc *schedule) prune(live, keep []bool) {
-	clear(live)
-	for _, s := range sc.outSlot {
-		live[s] = true
-	}
-	sc.liveOps(live, keep)
-	out := sc.ops[:0]
-	for i, op := range sc.ops {
-		if keep[i] {
-			out = append(out, op)
-		}
-	}
-	sc.ops = out
 }
 
 // slotArena owns the backing store for one set of replay slots. The
@@ -200,50 +174,76 @@ func (a *slotArena) growLoaded(n, t, first int, rows [][]byte) {
 	}
 }
 
+// precode is everything the codec derives from K alone, planned on
+// the first use of a K and shared by every encoder and decoder of it:
+// the precode schedule, the LT columns of the K source ESIs (the
+// schedule's source rows, kept so that no decode hashes them again) and,
+// from the first direct decode of the K on, its source matrix. At K=256
+// the schedule is 2,448 ops over 4,145 terms and the entry 73 kB before
+// the matrix's 75,776 bytes; at K=1,024, 0.30 MB and 1.1 MB (the matrix
+// is L*K bytes).
+type precode struct {
+	sched schedule
+	// Source symbol i's LT columns are ltCols[ltStart[i]:ltStart[i+1]].
+	ltStart, ltCols []int32
+	matrix          *sourceMatrix // nil until sourceMatrixFor builds it
+}
+
+// lt returns the LT columns of source symbol i.
+func (pc *precode) lt(i int) []int32 {
+	return pc.ltCols[pc.ltStart[i]:pc.ltStart[i+1]]
+}
+
 var (
 	precodeMu sync.Mutex
-	// precodeCache holds one recorded precode elimination per K. The
-	// precode system (S LDPC + H HDPC + K LT rows over L columns) is a
-	// function of K alone, so the entry count is bounded by the number
-	// of distinct block sizes the process touches — in practice one or
-	// two.
-	precodeCache = map[int]*schedule{}
-	// sourceMatrixCache holds the source matrix of every K the direct
-	// partial path has decoded, under precodeMu as well. Like
-	// precodeCache it is never trimmed, and an entry is L*K bytes, so
-	// the bound is the sum over the distinct K a process decodes: 6.7 MB
-	// if it sees every K up to 256 (rqudp's default MaxBlockK), 389 MB
-	// for every K up to sourceMatrixMaxK.
-	sourceMatrixCache = map[int]*sourceMatrix{}
+	// precodes holds one entry per K, never trimmed, so the bound is the
+	// sum over the distinct K a process touches: every K up to 256
+	// (rqudp's default MaxBlockK) costs 10 MB, and 6.7 MB more if each
+	// also built its source matrix; every K up to sourceMatrixMaxK
+	// 150 MB and 390 MB.
+	precodes = map[int]*precode{}
 )
 
-// precodeSchedule returns the precode elimination for p, planning and
+// precodeFor returns the per-K entry of p, planning the precode and
 // caching it on first use. Two goroutines racing on a cold K may both
-// plan; the schedules are equivalent and either may win the cache slot.
-func precodeSchedule(p Params) (*schedule, error) {
+// plan; the entries are equivalent and either may win the cache slot.
+//
+//polyvet:noalloc per-block lookup; the plan is split out cold
+func precodeFor(p Params) (*precode, error) {
 	precodeMu.Lock()
-	sc := precodeCache[p.K]
+	pc := precodes[p.K]
 	precodeMu.Unlock()
-	if sc != nil {
-		return sc, nil
+	if pc != nil {
+		return pc, nil
 	}
-	planned, err := planPrecode(p)
+	return planPrecodeEntry(p)
+}
+
+// planPrecodeEntry is the cold path of precodeFor. noinline keeps its
+// allocations out of the annotated caller.
+//
+//go:noinline
+func planPrecodeEntry(p Params) (*precode, error) {
+	var pl planner
+	sched, err := planPrecode(&pl, p)
 	if err != nil {
 		// The systematic index search guarantees an invertible precode,
 		// so this is unreachable unless the cache was poisoned.
 		return nil, err
 	}
+	// The planner is this call's own: the entry keeps copies of its
+	// slices trimmed to length, which is a third of their capacity.
+	sched.ops, sched.terms, sched.outSlot = slices.Clone(sched.ops), slices.Clone(sched.terms), slices.Clone(sched.outSlot)
+	pc := &precode{sched: sched, ltStart: slices.Clone(pl.rowStart[p.S:]), ltCols: slices.Clone(pl.rowCols)}
 	precodeMu.Lock()
-	precodeCache[p.K] = &planned
+	precodes[p.K] = pc
 	precodeMu.Unlock()
-	return &planned, nil
+	return pc, nil
 }
 
-// planPrecode plans the L x L precode system of p: the constraint rows
-// plus the LT rows of ESIs 0..K-1. The planner is the call's own, so
-// the returned schedule keeps its slices for good.
-func planPrecode(p Params) (schedule, error) {
-	var pl planner
+// planPrecode plans the L x L precode system of p on pl: the constraint
+// rows plus the LT rows of ESIs 0..K-1.
+func planPrecode(pl *planner, p Params) (schedule, error) {
 	pl.reset(p, p.K)
 	for i := 0; i < p.K; i++ {
 		pl.addESI(uint32(i))
@@ -260,25 +260,25 @@ type sourceMatrix struct {
 	rows []byte
 }
 
-// sourceMatrixFor returns the source matrix of p, building and caching
-// it on first use. Like precodeSchedule, two goroutines racing on a cold
-// K may both build it; the matrices are equal and either may win.
+// sourceMatrixFor returns the source matrix of p, building it into the
+// per-K entry on first use. Two goroutines racing on a cold K may both
+// build it; the matrices are equal and either may win.
 //
 //polyvet:noalloc per-block lookup on the direct decode path; the build is split out cold
 func sourceMatrixFor(p Params) (*sourceMatrix, error) {
+	pc, err := precodeFor(p)
+	if err != nil {
+		return nil, err
+	}
 	precodeMu.Lock()
-	b := sourceMatrixCache[p.K]
+	b := pc.matrix
 	precodeMu.Unlock()
 	if b != nil {
 		return b, nil
 	}
-	sched, err := precodeSchedule(p)
-	if err != nil {
-		return nil, err
-	}
-	b = buildSourceMatrix(p, sched)
+	b = buildSourceMatrix(p, &pc.sched)
 	precodeMu.Lock()
-	sourceMatrixCache[p.K] = b
+	pc.matrix = b
 	precodeMu.Unlock()
 	return b, nil
 }
@@ -297,7 +297,7 @@ func buildSourceMatrix(p Params, sched *schedule) *sourceMatrix {
 	for i := 0; i < k; i++ {
 		syms[p.S+i][i] = 1
 	}
-	sched.replay(syms, nil)
+	sched.replay(a.buf, k)
 	b := &sourceMatrix{k: k, rows: make([]byte, len(sched.outSlot)*k)}
 	for col, slot := range sched.outSlot {
 		copy(b.rows[col*k:], syms[slot])

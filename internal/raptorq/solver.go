@@ -16,8 +16,9 @@ var ErrSingular = errors.New("raptorq: equation system is singular")
 // the *structure* of the system alone. Which row operations solve a
 // system depends only on which rows are present, never on the symbol
 // bytes, so the planner never sees a symbol: it emits the sequence of
-// GF(256) row operations as a schedule (schedule.go) and the caller
-// replays that over the right-hand sides. One planner serves every
+// GF(256) row operations as a schedule (schedule.go), each row's XOR
+// terms as one group, and the caller replays that over the right-hand
+// sides. One planner serves every
 // solve of the codec — a decode over a received ESI set, the per-K
 // precode schedule, and the rank verdict of the systematic-index
 // search.
@@ -46,6 +47,14 @@ var ErrSingular = errors.New("raptorq: equation system is singular")
 // pivot row's inactive set is final when it pivots, so the second walk
 // reproduces exactly what tracking the sets during peeling would.
 //
+// The same two walks group the peel's symbol operations. A pivot row
+// receives no elimination once it pivots, so the rows eliminated into
+// row r are exactly the other pivot rows whose column r holds, each
+// final when it is read as long as the pivot rows are summed in pivot
+// order and the rest after them. Peel counts each row's terms, a prefix
+// sum over that order places them, and the second walk, in pivot order,
+// fills them in: one group per row, flat, with no per-row lists.
+//
 // Schedule slots: binary row r is slot r (the S LDPC rows first, then
 // the caller's rows in the order added), HDPC row j is slot nBin+j, and
 // one more slot holds the Horner chain's running sum.
@@ -70,7 +79,9 @@ type planner struct {
 	colStart []int32
 	colRows  []int32
 	byDegree []int32
-	count    []int32 // counting-sort and list-fill cursors
+	// count: counting-sort and list-fill cursors, then from peel on each
+	// binary row's peel terms (see fillInact).
+	count []int32
 
 	deg     []int32 // per row: active-column count
 	colXor  []int32 // per row: XOR of the active columns
@@ -82,15 +93,14 @@ type planner struct {
 	pivots   []pivot
 	inactive []int32
 
-	words    int      // bitset width: ceil(u/64)
-	inact    []uint64 // nBin bitsets over the inactive ordinals
-	coef     []byte   // dense coefficient rows, u bytes each
-	eq       [][]byte
-	eqSlot   []int32
-	ops      []schedOp
-	outSlot  []int32
-	liveSlot []bool
-	keepOp   []bool
+	words   int      // bitset width: ceil(u/64)
+	inact   []uint64 // nBin bitsets over the inactive ordinals
+	coef    []byte   // dense coefficient rows, u bytes each
+	eq      [][]byte
+	eqSlot  []int32
+	ops     []schedOp
+	terms   []int32
+	outSlot []int32
 
 	plans int // plan calls, for tests
 }
@@ -182,7 +192,7 @@ func xorBits(dst []byte, b []uint64) {
 	}
 }
 
-// plan eliminates the rows added since reset and returns the pruned
+// plan eliminates the rows added since reset and returns the
 // schedule, or ErrSingular. The schedule's slices are the planner's
 // own and stay valid until its next plan.
 func (pl *planner) plan() (schedule, error) {
@@ -195,11 +205,7 @@ func (pl *planner) plan() (schedule, error) {
 		return schedule{}, ErrSingular
 	}
 	pl.backSubstitute()
-	sc := schedule{nSlots: len(pl.rowStart) + pl.p.H, ops: pl.ops, outSlot: pl.outSlot}
-	pl.liveSlot = sized(pl.liveSlot, sc.nSlots)
-	pl.keepOp = sized(pl.keepOp, len(sc.ops))
-	sc.prune(pl.liveSlot, pl.keepOp)
-	return sc, nil
+	return schedule{nSlots: len(pl.rowStart) + pl.p.H, ops: pl.ops, terms: pl.terms, outSlot: pl.outSlot}, nil
 }
 
 // index builds the per-column row lists, the per-row degree state and
@@ -251,7 +257,7 @@ func (pl *planner) index() {
 }
 
 // peel runs steps 1 and 2 until every column is pivoted or inactive,
-// logging one row addition per eliminated (row, pivot) pair.
+// counting in count the pivot rows eliminated into each row.
 //
 //polyvet:noalloc plan phase over reused scratch
 func (pl *planner) peel() {
@@ -265,7 +271,8 @@ func (pl *planner) peel() {
 	// of pivots and inactive, and every (row, column) entry is eliminated
 	// at most once.
 	queue, pivots, inactive := reserved(pl.queue[:0], nBin), reserved(pl.pivots[:0], l), reserved(pl.inactive[:0], l)
-	ops := reserved(pl.ops[:0], len(pl.rowCols))
+	terms := pl.count[:nBin]
+	clear(terms)
 	for r, d := range deg {
 		if d == 1 {
 			queue = append(queue, int32(r))
@@ -291,7 +298,7 @@ func (pl *planner) peel() {
 				}
 				deg[o]--
 				colXor[o] ^= c
-				ops = append(ops, schedOp{dst: o, src: rid, kind: opAdd})
+				terms[o]++
 				if deg[o] == 1 {
 					queue = append(queue, o)
 				}
@@ -322,34 +329,68 @@ func (pl *planner) peel() {
 		inactive = append(inactive, best)
 	}
 	pl.isPivot, pl.colState, pl.colRef = isPivot, colState, colRef
-	pl.queue, pl.pivots, pl.inactive, pl.ops = queue, pivots, inactive, ops
+	pl.queue, pl.pivots, pl.inactive = queue, pivots, inactive
 }
 
 // fillInact computes every binary row's inactive bitset: the inactive
 // columns the row holds, plus the set of each pivot row eliminated from
-// it, in pivot order.
+// it, in pivot order. The same walk lays out the peel groups and emits
+// one opXor per row that has terms and is read afterwards: every pivot
+// row, in pivot order, then every other row left with an inactive
+// column, since a row without one drops out of the dense system.
 //
 //polyvet:noalloc plan phase over reused scratch
 func (pl *planner) fillInact() {
+	nBin := len(pl.rowStart) - 1
 	pl.words = (len(pl.inactive) + 63) / 64
-	pl.inact = sized(pl.inact, (len(pl.rowStart)-1)*pl.words)
+	pl.inact = sized(pl.inact, nBin*pl.words)
 	clear(pl.inact)
 	for i, c := range pl.inactive {
 		for _, o := range pl.rowsOf(c) {
 			pl.inactOf(o)[i>>6] |= 1 << (i & 63)
 		}
 	}
+	// at[r]: row r's term count from peel, then where its next term goes,
+	// and after the walk the end of its group.
+	at, n := pl.count[:nBin], int32(0)
+	for _, pv := range pl.pivots {
+		n, at[pv.row] = n+at[pv.row], n
+	}
+	for r := range at {
+		if !pl.isPivot[r] {
+			n, at[r] = n+at[r], n
+		}
+	}
+	terms := sized(pl.terms, int(n))
 	for _, pv := range pl.pivots {
 		src := pl.inactOf(pv.row)
 		for _, o := range pl.rowsOf(pv.col) {
 			if o == pv.row {
 				continue
 			}
+			terms[at[o]] = pv.row
+			at[o]++
 			for w, x := range src {
 				pl.inact[int(o)*pl.words+w] ^= x
 			}
 		}
 	}
+	ops, start := reserved(pl.ops[:0], nBin), int32(0)
+	for _, pv := range pl.pivots {
+		if end := at[pv.row]; end > start {
+			ops = append(ops, schedOp{dst: pv.row, src: start, n: end - start, kind: opXor})
+			start = end
+		}
+	}
+	for r, end := range at {
+		if !pl.isPivot[r] && end > start {
+			if !wordsZero(pl.inactOf(int32(r))) {
+				ops = append(ops, schedOp{dst: int32(r), src: start, n: end - start, kind: opXor})
+			}
+			start = end
+		}
+	}
+	pl.terms, pl.ops = terms, ops
 }
 
 // assembleDense builds the dense system over the u inactive columns —
@@ -485,9 +526,9 @@ func (pl *planner) gaussJordan() bool {
 }
 
 // backSubstitute completes each pivot row with the solved inactive
-// columns it references and records which slot holds every column.
-// Pivot equations reference only inactive columns, so their order is
-// irrelevant.
+// columns it references, one opXor per row, and records which slot
+// holds every column. Pivot equations reference only inactive columns,
+// so their order is irrelevant.
 //
 //polyvet:noalloc plan phase over reused scratch
 func (pl *planner) backSubstitute() {
@@ -497,18 +538,22 @@ func (pl *planner) backSubstitute() {
 			n += bits.OnesCount64(x)
 		}
 	}
-	ops, eqSlot := reserved(pl.ops, n), pl.eqSlot
+	ops, terms, eqSlot := reserved(pl.ops, len(pl.pivots)), reserved(pl.terms, n), pl.eqSlot
 	outSlot := sized(pl.outSlot, pl.p.L)
 	for i, c := range pl.inactive {
 		outSlot[c] = eqSlot[i]
 	}
 	for _, pv := range pl.pivots {
+		start := int32(len(terms))
 		for w, x := range pl.inactOf(pv.row) {
 			for ; x != 0; x &= x - 1 {
-				ops = append(ops, schedOp{dst: pv.row, src: eqSlot[w<<6+bits.TrailingZeros64(x)], kind: opAdd})
+				terms = append(terms, eqSlot[w<<6+bits.TrailingZeros64(x)])
 			}
+		}
+		if end := int32(len(terms)); end > start {
+			ops = append(ops, schedOp{dst: pv.row, src: start, n: end - start, kind: opXor})
 		}
 		outSlot[pv.col] = pv.row
 	}
-	pl.ops, pl.outSlot = ops, outSlot
+	pl.ops, pl.terms, pl.outSlot = ops, terms, outSlot
 }

@@ -10,7 +10,8 @@ import (
 
 // Steady-state benchmarks for the layered codec pipeline. These mirror
 // the perfbench codec cells (which drive ALLOC_BUDGET.json); keeping
-// them here too makes `go test -bench` useful during codec work.
+// them here too makes `go test -bench` useful during codec work. Each
+// checks what it produced, so a broken replay fails the benchmark.
 
 func benchSource(k, t int) [][]byte {
 	rng := rand.New(rand.NewSource(7))
@@ -22,6 +23,8 @@ func benchSource(k, t int) [][]byte {
 	return src
 }
 
+// BenchmarkEncodeReset precodes one block per op; the last op's
+// intermediates must equal the op-by-op replay of the same schedule.
 func BenchmarkEncodeReset(b *testing.B) {
 	const k, t = 256, 1024
 	src := benchSource(k, t)
@@ -29,12 +32,26 @@ func BenchmarkEncodeReset(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	want := make([][]byte, enc.sched.nSlots)
+	for i := range want {
+		want[i] = make([]byte, t)
+	}
+	for i, s := range src {
+		copy(want[enc.p.S+i], s)
+	}
+	replayOpByOp(enc.sched, want)
 	b.SetBytes(int64(k * t))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := enc.Reset(src); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for c, slot := range enc.sched.outSlot {
+		if !bytes.Equal(enc.c[c], want[slot]) {
+			b.Fatalf("intermediate %d differs from the op-by-op replay", c)
 		}
 	}
 }
@@ -63,9 +80,21 @@ func benchArrivals(b *testing.B, k, t int, keep float64) []benchArrival {
 	return arrivals
 }
 
+// benchDecode decodes one fixed arrival set per op, and every op checks
+// the symbols it recovered against the source.
 func benchDecode(b *testing.B, keep float64) {
 	const k, t = 256, 1024
 	arrivals := benchArrivals(b, k, t, keep)
+	src := benchSource(k, t)
+	gone := make([]bool, k)
+	for i := range gone {
+		gone[i] = true
+	}
+	for _, a := range arrivals {
+		if a.esi < k {
+			gone[a.esi] = false
+		}
+	}
 	dec, err := NewDecoder(k, t)
 	if err != nil {
 		b.Fatal(err)
@@ -77,8 +106,14 @@ func benchDecode(b *testing.B, keep float64) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := dec.Decode(); err != nil {
+		out, err := dec.Decode()
+		if err != nil {
 			b.Fatal(err)
+		}
+		for i, g := range gone {
+			if g && !bytes.Equal(out[i], src[i]) {
+				b.Fatalf("source symbol %d decoded wrong", i)
+			}
 		}
 	}
 	run() // warm caches and arenas
@@ -96,8 +131,9 @@ func BenchmarkDecode30pctLoss(b *testing.B)  { benchDecode(b, 0.70) }
 
 // BenchmarkDecodeCold30pct is the case the network actually produces:
 // one reused decoder, but a loss mask nobody has seen before on every
-// block, so each op pays plan + prune + replay. Symbols come from a
-// pregenerated pool; only the choice of survivors is drawn per op.
+// block, so each op pays plan + replay. Symbols come from a
+// pregenerated pool; only the choice of survivors is drawn per op, and
+// every op checks the symbols it recovered against the source.
 func BenchmarkDecodeCold30pct(b *testing.B) {
 	const k, t = 256, 1024
 	enc, err := NewEncoder(benchSource(k, t))
@@ -113,11 +149,12 @@ func BenchmarkDecodeCold30pct(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
+	gone := make([]bool, k)
 	run := func() {
 		dec.Reset()
 		n := 0
 		for i := 0; i < k; i++ {
-			if rng.Float64() < 0.70 {
+			if gone[i] = rng.Float64() >= 0.70; !gone[i] {
 				dec.AddSymbol(uint32(i), pool[i])
 				n++
 			}
@@ -126,11 +163,15 @@ func BenchmarkDecodeCold30pct(b *testing.B) {
 			dec.AddSymbol(uint32(esi), pool[esi])
 			n++
 		}
-		for esi := 2 * k; ; esi++ {
-			if _, err := dec.Decode(); err == nil {
-				return
-			}
+		out, err := dec.Decode()
+		for esi := 2 * k; err != nil; esi++ {
 			dec.AddSymbol(uint32(esi), enc.Symbol(uint32(esi))) // singular at K+2: rare
+			out, err = dec.Decode()
+		}
+		for i, g := range gone {
+			if g && !bytes.Equal(out[i], pool[i]) {
+				b.Fatalf("source symbol %d decoded wrong", i)
+			}
 		}
 	}
 	for i := 0; i < 8; i++ {
