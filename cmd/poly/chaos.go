@@ -19,30 +19,19 @@ import (
 // rides through path failures with no rerouting, while a hash-pinned
 // TCP flow routed into a blackhole is stranded until the fault heals.
 func runChaos(c *cli, args []string) int {
-	fs := c.fs
 	opt := harness.DefaultChaosOptions()
-	fs.IntVar(&opt.FatTreeK, "k", opt.FatTreeK, "fat-tree arity (k even; hosts = k^3/4)")
-	fs.IntVar(&opt.Senders, "senders", opt.Senders, "incast: fan-in")
-	fs.IntVar(&opt.Replicas, "replicas", opt.Replicas, "multicast: fan-out")
-	fs.IntVar(&opt.Mappers, "mappers", opt.Mappers, "shuffle: mapper count")
-	fs.IntVar(&opt.Reducers, "reducers", opt.Reducers, "shuffle: reducer count")
-	fs.Int64Var(&opt.Bytes, "bytes", opt.Bytes, "object bytes per flow/sender/receiver/pair")
-	parseFault := faultFlags(fs, "", &opt)
+	opt.Flags(c.fs, "")
 	var (
-		plan    = fs.String("plan", "", "compact fault spec, e.g. \"link core 0.25 @2ms recover 50ms\"; overrides the individual fault flags (a \"seed n\" clause overrides -seed)")
-		sloFCT  = fs.Duration("slo-fct", 0, "sweep mode: per-flow completion deadline; meters each run and reports slo_attainment + FCT/goodput histograms (0 = off)")
-		verbose = fs.Bool("v", false, "single-run mode: list struck targets and the fault event log")
+		plan    = c.fs.String("plan", "", "compact fault spec, e.g. \"link core 0.25 @2ms recover 50ms\"; overrides the individual fault flags (a \"seed n\" clause overrides -seed)")
+		sloFCT  = c.fs.Duration("slo-fct", 0, "sweep mode: per-flow completion deadline; meters each run and reports slo_attainment + FCT/goodput histograms (0 = off)")
+		verbose = c.fs.Bool("v", false, "single-run mode: list struck targets and the fault event log")
 	)
 	c.flags(runFlags | formatFlag | traceFlags)
 	if code := c.parse(args); code != proceed {
 		return code
 	}
-	// Validate every flag combination up front — fault grammar included
-	// — so an impossible plan is a clear immediate error instead of a
-	// panic mid-simulation.
-	if err := parseFault(); err != nil {
-		return c.fail(2, "%v", err)
-	}
+	// -plan replaces the fault flags; drive validates the result before
+	// anything runs.
 	if *plan != "" {
 		p, err := chaos.ParsePlan(*plan)
 		if err != nil {
@@ -53,9 +42,6 @@ func runChaos(c *cli, args []string) int {
 		}
 		p.Seed = 0 // the harness injects the per-run seed
 		opt.Fault = p
-	}
-	if err := opt.Validate(); err != nil {
-		return c.fail(2, "%v", err)
 	}
 	slo := metrics.SLO{FCTDeadline: sloFCT.Seconds()}
 	if err := slo.Validate(); err != nil {

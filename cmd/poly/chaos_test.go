@@ -7,20 +7,11 @@ import (
 	"testing"
 )
 
-// chaosArgs keeps the in-process CLI runs sub-second: a k=4 fabric,
-// 256 KB flows, fault at 500 µs, scored at 1 s.
-func chaosArgs(extra ...string) []string {
-	return append([]string{
-		"-k", "4", "-flows", "6", "-bytes", "262144",
-		"-fail-at", "500us", "-deadline", "1s",
-	}, extra...)
-}
-
 // TestChaosSmoke drives the whole CLI in-process: the headline contrast
 // (rq zero stalls, tcp stranded) must show in the table.
 func TestChaosSmoke(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("chaos", chaosArgs("-backends", "rq,tcp"), &out, &errw)
+	code := runSub("chaos", []string{"-backends", "rq,tcp"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -36,7 +27,7 @@ func TestChaosSmoke(t *testing.T) {
 // event log.
 func TestChaosVerboseSchedule(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("chaos", chaosArgs("-backends", "rq", "-recover-at", "50ms", "-v"), &out, &errw)
+	code := runSub("chaos", []string{"-backends", "rq", "-recover-at", "50ms", "-v"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -50,7 +41,7 @@ func TestChaosVerboseSchedule(t *testing.T) {
 
 func TestChaosCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("chaos", chaosArgs("-backends", "rq", "-format", "csv"), &out, &errw)
+	code := runSub("chaos", []string{"-backends", "rq", "-format", "csv"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -66,12 +57,13 @@ func TestChaosCSV(t *testing.T) {
 	}
 }
 
-// TestChaosReportsPartitioned replays the seed whose fault cuts every
-// core path between pods 1 and 3: rq strands one flow, and that flow
-// is partitioned, so no transport could have finished it.
+// TestChaosReportsPartitioned replays, at the defaults, the seed whose
+// fault cuts every core path between pods 1 and 3: rq strands one
+// flow, and that flow is partitioned, so no transport could have
+// finished it.
 func TestChaosReportsPartitioned(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("chaos", chaosArgs("-backends", "rq", "-format", "csv", "-seed", "8196980753821780235"), &out, &errw)
+	code := runSub("chaos", []string{"-backends", "rq", "-format", "csv", "-seed", "8196980753821780235"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -112,7 +104,7 @@ func TestChaosRejectsBadFlags(t *testing.T) {
 		{"-fault", "flap", "-flap-period", "1ms"},
 		{"-fault", "flap", "-flap-period", "1ns", "-recover-at", "1ms"}, // toggle-event storm
 		{"-deadline", "0s"},
-		{"-deadline", "1ms"}, // deadline before the default 2 ms fault
+		{"-deadline", "400us"}, // deadline before the default 500 µs fault
 		{"-seeds", "0"},
 		{"-format", "yaml"},
 		{"-plan", "meteor core 0.5"},
@@ -134,7 +126,7 @@ func TestChaosRejectsBadFlags(t *testing.T) {
 // determinism criterion at the CLI surface.
 func TestChaosMultiSeed(t *testing.T) {
 	multiArgs := func(extra ...string) []string {
-		return chaosArgs(append([]string{"-backends", "rq,tcp", "-seeds", "3"}, extra...)...)
+		return append([]string{"-backends", "rq,tcp", "-seeds", "3"}, extra...)
 	}
 	var serial, parallel, errw bytes.Buffer
 	if code := runSub("chaos", multiArgs("-parallel", "1", "-format", "json"), &serial, &errw); code != 0 {
@@ -184,7 +176,7 @@ func TestChaosMultiSeed(t *testing.T) {
 // the equivalent -fault/-frac/-recover-at invocation.
 func TestChaosPlanFlag(t *testing.T) {
 	var specOut, flagOut, errw bytes.Buffer
-	args := []string{"-k", "4", "-flows", "6", "-bytes", "262144", "-deadline", "1s", "-backends", "rq"}
+	args := []string{"-backends", "rq"}
 	code := runSub("chaos", append(args, "-plan", "link core 0.5 @500us recover 50ms"), &specOut, &errw)
 	if code != 0 {
 		t.Fatalf("run(-plan) exited %d: %s", code, errw.String())

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"polyraptor/internal/harness"
-	"polyraptor/internal/metrics"
 )
 
 // report is the polyload/v1 JSON document.
@@ -25,28 +24,28 @@ type report struct {
 // the incast fan-in, the shuffle partition size), scores each rung by
 // PolyMeter SLO attainment pooled across seeds, then bisects the
 // bracket where attainment (or the -p99-max FCT tail ceiling) first
-// crosses -target, and reports that knee. Every probe is a
+// crosses -target, and reports that knee; the table names the poly
+// sweep line that replays the first rung that missed. Every probe is a
 // deterministic metered sweep, so the output is a pure function of the
 // flags at any -parallel.
 func runLoad(c *cli, args []string) int {
 	fs := c.fs
-	params := harness.DefaultSweepParams()
-	defo := harness.DefaultSaturationOptions("incast")
+	o := harness.DefaultSaturationOptions("incast")
 	var (
 		scenarios = fs.String("scenarios", "incast", "comma list of "+strings.Join(harness.SaturationScenarios(), ", "))
 		sloFCT    = fs.Duration("slo-fct", 0, "SLO: per-flow completion deadline (0 = no deadline)")
-		sloGbps   = fs.Float64("slo-goodput", defo.SLO.GoodputFloor, "SLO: per-flow goodput floor in Gbps (0 = no floor)")
-		target    = fs.Float64("target", defo.Target, "required SLO attainment at a sustainable load")
 		p99Max    = fs.Duration("p99-max", 0, "pooled FCT P99 ceiling (0 = attainment only)")
-		loadMin   = fs.Float64("load-min", defo.LoadMin, "ladder floor as a multiplier of the base knob")
-		loadMax   = fs.Float64("load-max", defo.LoadMax, "ladder ceiling as a multiplier of the base knob")
-		rungs     = fs.Int("rungs", defo.Rungs, "geometric ladder size")
-		refine    = fs.Int("refine", defo.Refine, "bisection steps after the ladder brackets the knee (0 = ladder only)")
 		histOut   = fs.String("hist-out", "", "write per-rung merged histogram snapshots (JSON) to this file")
 	)
-	sizeFlags(fs, &params)
-	c.seed = defo.BaseSeed
-	c.seeds = defo.Seeds
+	fs.Float64Var(&o.SLO.GoodputFloor, "slo-goodput", o.SLO.GoodputFloor, "SLO: per-flow goodput floor in Gbps (0 = no floor)")
+	fs.Float64Var(&o.Target, "target", o.Target, "required SLO attainment at a sustainable load")
+	fs.Float64Var(&o.LoadMin, "load-min", o.LoadMin, "ladder floor as a multiplier of the base knob")
+	fs.Float64Var(&o.LoadMax, "load-max", o.LoadMax, "ladder ceiling as a multiplier of the base knob")
+	fs.IntVar(&o.Rungs, "rungs", o.Rungs, "geometric ladder size")
+	fs.IntVar(&o.Refine, "refine", o.Refine, "bisection steps after the ladder brackets the knee (0 = ladder only)")
+	forward := c.scenarioFlags(&o.Params, harness.SaturationScenarios())
+	c.seed = o.BaseSeed
+	c.seeds = o.Seeds
 	c.flags(runFlags | formatFlag)
 	if code := c.parse(args); code != proceed {
 		return code
@@ -55,39 +54,22 @@ func runLoad(c *cli, args []string) int {
 	if err != nil {
 		return c.fail(2, "%v", err)
 	}
-	params.Store.FatTreeK = params.FatTreeK
-	params.Store.LoadFactor = params.LoadFactor
-
+	if err := forward(names); err != nil {
+		return c.fail(2, "%v", err)
+	}
+	o.SLO.FCTDeadline, o.P99Max = sloFCT.Seconds(), p99Max.Seconds()
+	o.Seeds, o.BaseSeed, o.Parallelism = c.seeds, c.seed, c.parallel
+	o.KeepHists = *histOut != "" || c.format == "json"
 	var opts []harness.SaturationOptions
 	for _, name := range names {
-		o := harness.SaturationOptions{
-			Scenario:    name,
-			Params:      params,
-			SLO:         metrics.SLO{FCTDeadline: sloFCT.Seconds(), GoodputFloor: *sloGbps},
-			Target:      *target,
-			P99Max:      p99Max.Seconds(),
-			LoadMin:     *loadMin,
-			LoadMax:     *loadMax,
-			Rungs:       *rungs,
-			Refine:      *refine,
-			Seeds:       c.seeds,
-			BaseSeed:    c.seed,
-			Parallelism: c.parallel,
-			KeepHists:   *histOut != "" || c.format == "json",
-		}
+		o.Scenario = name
 		if err := o.Validate(); err != nil {
-			return c.fail(2, "%v", err)
-		}
-		// Cell construction validates the scenario options (fabric arity,
-		// fan-out, store config) without running anything — surface those
-		// as flag errors too.
-		if _, err := harness.SweepCells(o.Scenario, c.kinds, o.Params); err != nil {
 			return c.fail(2, "%v", err)
 		}
 		opts = append(opts, o)
 	}
 
-	rep := report{Schema: "polyload/v1", Target: *target, P99Max: p99Max.Seconds()}
+	rep := report{Schema: "polyload/v1", Target: o.Target, P99Max: o.P99Max}
 	for _, o := range opts {
 		for _, be := range c.kinds {
 			res, err := harness.FindSaturation(o, be)
@@ -193,6 +175,12 @@ func loadTable(w io.Writer, rep report) {
 		default:
 			fmt.Fprintf(w, "  knee: max sustainable load %.4g (%s=%.4g, attainment %.4f, FCTp99 %.3fms)\n",
 				res.Knee.Load, res.LoadKnob, res.Knee.Knob, res.Knee.Attainment, res.Knee.FCTP99*1e3)
+		}
+		for _, r := range res.Ladder {
+			if !r.OK {
+				fmt.Fprintf(w, "  first miss: %s\n", r.Replay)
+				break
+			}
 		}
 	}
 }

@@ -175,13 +175,16 @@ func (c *cli) emit(cells []sweep.Cell) int {
 	return m.Emit(c.name, c.format, c.out, c.errw)
 }
 
-// drive runs sc on every -backends backend. When c.sweeps() it is a
-// sweep, one cell per backend observed per p. Otherwise each backend
-// runs once at -seed on the worker pool, table or csv prints the
-// scenario's detailed results, and each traced run's files are
-// written, each followed on a table's stdout by its explain report
-// when explain is set.
+// drive validates sc and runs it on every -backends backend. When
+// c.sweeps() it is a sweep, one cell per backend observed per p.
+// Otherwise each backend runs once at -seed on the worker pool, table
+// or csv prints the scenario's detailed results, and each traced run's
+// files are written, each followed on a table's stdout by its explain
+// report when explain is set.
 func drive[T any](c *cli, sc harness.Scenario, p harness.SweepParams, table, csv func(io.Writer, []T), explain bool) int {
+	if err := sc.Validate(); err != nil {
+		return c.fail(2, "%v", err)
+	}
 	if c.sweeps() {
 		cells, err := p.Cells(sc, c.kinds)
 		if err != nil {
@@ -240,16 +243,41 @@ func parseList(arg, what string) ([]string, error) {
 	return out, nil
 }
 
-// sizeFlags binds the scenario size knobs poly sweep and poly load
-// share to p's fields, defaulting to their current values.
-func sizeFlags(fs *flag.FlagSet, p *harness.SweepParams) {
-	fs.IntVar(&p.FatTreeK, "k", p.FatTreeK, "fat-tree arity (k even; hosts = k^3/4)")
-	fs.Int64Var(&p.Bytes, "bytes", p.Bytes, "object bytes (per sender for incast; mean per pair for shuffle)")
-	fs.IntVar(&p.Senders, "senders", p.Senders, "incast fan-in")
-	fs.IntVar(&p.Sessions, "sessions", p.Sessions, "fig1a/fig1b session count")
-	fs.Float64Var(&p.LoadFactor, "load", p.LoadFactor, "fig1a/fig1b offered-load fraction")
-	fs.IntVar(&p.Mappers, "mappers", p.Mappers, "shuffle: mapper count M")
-	fs.IntVar(&p.Reducers, "reducers", p.Reducers, "shuffle: reducer count R (M+R distinct hosts)")
-	fs.IntVar(&p.Store.Objects, "objects", p.Store.Objects, "storage: pre-loaded catalogue objects")
-	fs.IntVar(&p.Store.Requests, "requests", p.Store.Requests, "storage: client requests")
+// scenarioFlags registers on c.fs, once each, the option flags that
+// the named scenarios bind in p (harness.SweepParams.Flags); each usage
+// lists every binder's default. The returned func forwards each flag
+// given on the command line to every scenario in selected that binds
+// it; a flag that none of them binds is an error.
+func (c *cli) scenarioFlags(p *harness.SweepParams, names []string) func(selected []string) error {
+	sets := map[string]*flag.FlagSet{}
+	given := map[string]string{}
+	for _, name := range names {
+		sets[name], _ = p.Flags(name) // names come from the harness registry
+		sets[name].VisitAll(func(f *flag.Flag) {
+			if g := c.fs.Lookup(f.Name); g != nil {
+				g.Usage += fmt.Sprintf(", %s %s", name, f.DefValue)
+				return
+			}
+			c.fs.Func(f.Name, fmt.Sprintf("%s; default %s %s", f.Usage, name, f.DefValue),
+				func(v string) error { given[f.Name] = v; return nil })
+		})
+	}
+	return func(selected []string) (err error) {
+		c.fs.Visit(func(f *flag.Flag) {
+			v, ok := given[f.Name]
+			if !ok || err != nil {
+				return
+			}
+			err = fmt.Errorf("flag -%s applies to none of the selected scenarios %v", f.Name, selected)
+			for _, s := range selected {
+				if fs := sets[s]; fs != nil && fs.Lookup(f.Name) != nil {
+					if err = fs.Set(f.Name, v); err != nil {
+						err = fmt.Errorf("invalid value %q for flag -%s: %v", v, f.Name, err)
+						return
+					}
+				}
+			}
+		})
+		return err
+	}
 }

@@ -14,20 +14,11 @@ import (
 // goodput. Partition sizes can be Zipf-skewed across reducers and one
 // mapper made a straggler.
 func runShuffle(c *cli, args []string) int {
-	fs := c.fs
 	opt := harness.DefaultShuffleOptions()
-	fs.IntVar(&opt.FatTreeK, "k", opt.FatTreeK, "fat-tree arity (k even; hosts = k^3/4)")
-	fs.IntVar(&opt.Mappers, "mappers", opt.Mappers, "mapper count M")
-	fs.IntVar(&opt.Reducers, "reducers", opt.Reducers, "reducer count R (M+R distinct hosts)")
-	fs.Int64Var(&opt.BytesPerPair, "bytes", opt.BytesPerPair, "mean partition bytes per (mapper, reducer) pair")
-	fs.Float64Var(&opt.Skew, "skew", opt.Skew, "Zipf skew of partition sizes across reducers (0 = uniform)")
-	fs.Float64Var(&opt.StragglerFactor, "straggler", opt.StragglerFactor, "scale one mapper's partitions by this factor (0 = off)")
+	opt.Flags(c.fs)
 	c.flags(runFlags | formatFlag | traceFlags)
 	if code := c.parse(args); code != proceed {
 		return code
-	}
-	if err := opt.Validate(); err != nil {
-		return c.fail(2, "%v", err)
 	}
 	table := func(w io.Writer, runs []harness.ShuffleRun) { shuffleTable(w, opt, runs) }
 	return drive(c, opt, harness.SweepParams{}, table, shuffleCSV, false)

@@ -13,34 +13,14 @@ import (
 // one-to-many and GETs assembled many-to-one, optionally with a server
 // or rack failure and its re-replication storm mid-run.
 func runStore(c *cli, args []string) int {
-	fs := c.fs
-	cfg := store.DefaultConfig()
-	fs.IntVar(&cfg.FatTreeK, "k", cfg.FatTreeK, "fat-tree arity (k even; hosts = k^3/4)")
-	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "replication factor R (needs R+1 racks)")
-	fs.IntVar(&cfg.Objects, "objects", cfg.Objects, "pre-loaded catalogue objects")
-	fs.Int64Var(&cfg.ObjectBytes, "bytes", cfg.ObjectBytes, "object (block) size in bytes")
-	fs.IntVar(&cfg.Requests, "requests", cfg.Requests, "client requests to issue")
-	fs.Float64Var(&cfg.ZipfSkew, "zipf", cfg.ZipfSkew, "Zipf popularity skew (0 = uniform)")
-	fs.Float64Var(&cfg.PutFrac, "putfrac", cfg.PutFrac, "fraction of requests that are PUTs")
-	fs.Float64Var(&cfg.LoadFactor, "load", cfg.LoadFactor, "target per-host delivered load fraction")
-	fs.Float64Var(&cfg.Lambda, "lambda", cfg.Lambda, "request arrival rate /s (0 = derive from -load)")
-	fs.Float64Var(&cfg.FailFrac, "failfrac", cfg.FailFrac, "failure position as a fraction of the request stream")
-	failMode := fs.String("fail", cfg.FailMode.String(), "mid-run failure: none, server, rack")
-	c.seed = cfg.Seed
+	st := harness.Storage{Cluster: store.DefaultConfig()}
+	st.Flags(c.fs)
 	c.flags(runFlags | formatFlag)
 	if code := c.parse(args); code != proceed {
 		return code
 	}
-	var ok bool
-	if cfg.FailMode, ok = store.ParseFailMode(*failMode); !ok {
-		return c.fail(2, "unknown failure mode %q", *failMode)
-	}
-	cfg.Seed = c.seed
-	if err := cfg.Validate(); err != nil {
-		return c.fail(2, "%v", err)
-	}
-	table := func(w io.Writer, runs []harness.StorageRun) { storeTable(w, cfg, runs) }
-	return drive(c, harness.Storage{Cluster: cfg}, harness.SweepParams{}, table, storeCSV, false)
+	table := func(w io.Writer, runs []harness.StorageRun) { storeTable(w, st.Cluster, runs) }
+	return drive(c, st, harness.SweepParams{}, table, storeCSV, false)
 }
 
 func storeTable(w io.Writer, cfg store.Config, runs []harness.StorageRun) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,10 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"polyraptor/internal/chaos"
 	"polyraptor/internal/harness"
 	"polyraptor/internal/metrics"
-	"polyraptor/internal/store"
 	"polyraptor/internal/sweep"
 	"polyraptor/internal/telemetry"
 )
@@ -35,15 +32,8 @@ func runSweep(c *cli, args []string) int {
 		sloGbps    = fs.Float64("slo-goodput", 0, "SLO: per-flow goodput floor in Gbps; implies -meter (0 = no floor)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-		failMode   = fs.String("fail", p.Store.FailMode.String(), "storage: mid-run failure: none, server, rack")
 	)
-	sizeFlags(fs, &p)
-	fs.IntVar(&p.Replicas, "replicas", p.Replicas, "replica count (fig1a/fig1b, storage)")
-	fs.Float64Var(&p.ShuffleSkew, "skew", p.ShuffleSkew, "shuffle: Zipf skew of partition sizes across reducers")
-	fs.Float64Var(&p.Straggler, "straggler", p.Straggler, "shuffle: scale one mapper's partitions by this factor (0 = off)")
-	fs.Float64Var(&p.Store.PutFrac, "putfrac", p.Store.PutFrac, "storage: fraction of requests that are PUTs")
-	fs.Float64Var(&p.Store.ZipfSkew, "zipf", p.Store.ZipfSkew, "storage: Zipf popularity skew")
-	parseFault := faultFlags(fs, "chaos-", &p.Chaos)
+	forward := c.scenarioFlags(&p, append(harness.SweepScenarios(), "ablations"))
 	c.seeds = 5
 	c.flags(runFlags | formatFlag | traceFlags)
 	if code := c.parse(args); code != proceed {
@@ -53,30 +43,14 @@ func runSweep(c *cli, args []string) int {
 	if err := slo.Validate(); err != nil {
 		return c.fail(2, "%v", err)
 	}
-	mode, ok := store.ParseFailMode(*failMode)
-	if !ok {
-		return c.fail(2, "unknown failure mode %q", *failMode)
-	}
-	if err := parseFault(); err != nil {
-		return c.fail(2, "%v", err)
-	}
-	p.Store.FatTreeK = p.FatTreeK
-	p.Store.ObjectBytes = p.Bytes
-	p.Store.Replicas = p.Replicas
-	p.Store.FailMode = mode
-	p.Store.Seed = c.seed
-	p.Chaos.FatTreeK = p.FatTreeK
-	p.Chaos.Bytes = p.Bytes
-	p.Chaos.Senders = p.Senders
-	p.Chaos.Replicas = p.Replicas
-	p.Chaos.Mappers = p.Mappers
-	p.Chaos.Reducers = p.Reducers
 	if slo.Enabled() || *meterOn {
 		p.SLO = &slo
 	}
-
 	scen, err := sweepScenarios(*scenarios)
 	if err != nil {
+		return c.fail(2, "%v", err)
+	}
+	if err := forward(scen); err != nil {
 		return c.fail(2, "%v", err)
 	}
 	if c.trace {
@@ -164,33 +138,6 @@ func sweepScenarios(arg string) ([]string, error) {
 		return append(harness.SweepScenarios(), "ablations"), nil
 	}
 	return parseList(arg, "scenarios")
-}
-
-// faultFlags binds the chaos pattern and fault flags to o, each name
-// after prefix (bare in poly chaos, "chaos-" in poly sweep), defaulting
-// to o's values. The returned func sets the fault kind and layer once
-// the flags are parsed.
-func faultFlags(fs *flag.FlagSet, prefix string, o *harness.ChaosOptions) func() error {
-	fs.StringVar(&o.Pattern, prefix+"pattern", o.Pattern, "chaos traffic pattern: one2one, incast, multicast, shuffle")
-	fs.IntVar(&o.Flows, prefix+"flows", o.Flows, "chaos one2one: cross-pod flow count")
-	kind := fs.String(prefix+"fault", o.Fault.Kind.String(), "fault kind: link (blackhole), switch (kill), loss, flap")
-	layer := fs.String(prefix+"layer", o.Fault.Layer.String(), "fault's fabric tier: core, agg, host")
-	fs.Float64Var(&o.Fault.Frac, prefix+"frac", o.Fault.Frac, "fraction of the tier's links/switches to strike")
-	fs.DurationVar(&o.Fault.FailAt, prefix+"fail-at", o.Fault.FailAt, "when the fault strikes (sim time)")
-	fs.DurationVar(&o.Fault.RecoverAt, prefix+"recover-at", o.Fault.RecoverAt, "when it heals (0 = never; required for flap)")
-	fs.DurationVar(&o.Fault.FlapPeriod, prefix+"flap-period", o.Fault.FlapPeriod, "flap: full down+up cycle length")
-	fs.Float64Var(&o.Fault.LossRate, prefix+"loss-rate", o.Fault.LossRate, "loss: per-frame destruction probability (0, 1]")
-	fs.DurationVar(&o.Deadline, prefix+"deadline", o.Deadline, "chaos sim-time budget; incomplete flows count as stalled")
-	return func() error {
-		var ok bool
-		if o.Fault.Kind, ok = chaos.ParseKind(*kind); !ok {
-			return fmt.Errorf("unknown fault kind %q (link, switch, loss, flap)", *kind)
-		}
-		if o.Fault.Layer, ok = chaos.ParseLayer(*layer); !ok {
-			return fmt.Errorf("unknown layer %q (core, agg, host)", *layer)
-		}
-		return nil
-	}
 }
 
 // writeHeapProfile snapshots the heap after a GC — the sweep's live

@@ -11,19 +11,20 @@ import (
 	"polyraptor/internal/sweep"
 )
 
-// sweepArgs keeps CLI smoke tests sub-second.
+// sweepArgs keeps CLI smoke tests sub-second. Every scenario binds -k
+// and -bytes; a test adds the flags of the scenarios it selects.
 func sweepArgs(extra ...string) []string {
-	base := []string{
-		"-k", "4", "-bytes", "32768", "-senders", "4",
-		"-objects", "8", "-requests", "20", "-seeds", "2",
-	}
-	return append(base, extra...)
+	return append([]string{"-k", "4", "-bytes", "32768", "-seeds", "2"}, extra...)
 }
+
+// incastStorage are the incast and storage size flags of poly sweep's
+// default scenarios.
+var incastStorage = []string{"-senders", "4", "-objects", "8", "-requests", "20"}
 
 // TestSweepSmokeTable drives the default table path in-process.
 func TestSweepSmokeTable(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq,tcp"), &out, &errw)
+	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq,tcp", "-senders", "4"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}
@@ -60,8 +61,8 @@ func TestSweepShuffleScenario(t *testing.T) {
 func TestSweepJSONParallelIdentical(t *testing.T) {
 	runJSON := func(parallel string) string {
 		var out, errw bytes.Buffer
-		code := runSub("sweep", sweepArgs("-scenarios", "incast,storage", "-backends", "rq,tcp",
-			"-seeds", "5", "-format", "json", "-parallel", parallel), &out, &errw)
+		code := runSub("sweep", sweepArgs(append(incastStorage, "-scenarios", "incast,storage", "-backends", "rq,tcp",
+			"-seeds", "5", "-format", "json", "-parallel", parallel)...), &out, &errw)
 		if code != 0 {
 			t.Fatalf("run(-parallel %s) exited %d: %s", parallel, code, errw.String())
 		}
@@ -85,11 +86,11 @@ func TestSweepJSONParallelIdentical(t *testing.T) {
 // which scores completion only, so every cell's pooled histograms and
 // slo_attainment match a deadline no flow can miss (-slo-fct 1h), and
 // the metered document differs from the unmetered one only by those
-// fields.
+// fields and the replay line's -meter.
 func TestSweepMeterIsZeroSLO(t *testing.T) {
 	runJSON := func(extra ...string) sweep.Result {
 		var out, errw bytes.Buffer
-		args := sweepArgs(append([]string{"-scenarios", "incast,storage", "-format", "json"}, extra...)...)
+		args := sweepArgs(append(append(incastStorage, "-scenarios", "incast,storage", "-format", "json"), extra...)...)
 		if code := runSub("sweep", args, &out, &errw); code != 0 {
 			t.Fatalf("sweep %v exited %d: %s", extra, code, errw.String())
 		}
@@ -117,6 +118,10 @@ func TestSweepMeterIsZeroSLO(t *testing.T) {
 		if !reflect.DeepEqual(m.Hists, l.Hists) {
 			t.Errorf("%s: hists differ between -meter and -slo-fct 1h", name)
 		}
+		if m.Replay != plain.Cells[i].Replay+" -meter" {
+			t.Errorf("%s: metered replay %q, want the unmetered one plus -meter", name, m.Replay)
+		}
+		m.Replay = plain.Cells[i].Replay
 		m.Hists = nil
 		m.Metrics = slices.DeleteFunc(m.Metrics, func(a sweep.Aggregate) bool { return a.Metric == "slo_attainment" })
 		delete(m.Samples, "slo_attainment")
@@ -130,7 +135,7 @@ func TestSweepMeterIsZeroSLO(t *testing.T) {
 // TestSweepCSV: CSV has a header and one row per (cell, metric).
 func TestSweepCSV(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq", "-format", "csv"), &out, &errw)
+	code := runSub("sweep", sweepArgs("-scenarios", "incast", "-backends", "rq", "-senders", "4", "-format", "csv"), &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errw.String())
 	}

@@ -84,6 +84,19 @@ func ParseKind(name string) (Kind, bool) {
 	return 0, false
 }
 
+// MarshalText and UnmarshalText spell a Kind by its CLI name, so a
+// flag can bind it (flag.TextVar).
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(name []byte) error {
+	v, ok := ParseKind(string(name))
+	if !ok {
+		return fmt.Errorf("unknown fault kind %q (link, switch, loss, flap)", name)
+	}
+	*k = v
+	return nil
+}
+
 // Layer selects which tier of the fat tree the plan targets.
 type Layer int
 
@@ -121,6 +134,19 @@ func ParseLayer(name string) (Layer, bool) {
 		return LayerHost, true
 	}
 	return 0, false
+}
+
+// MarshalText and UnmarshalText spell a Layer by its CLI name, so a
+// flag can bind it (flag.TextVar).
+func (l Layer) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
+
+func (l *Layer) UnmarshalText(name []byte) error {
+	v, ok := ParseLayer(string(name))
+	if !ok {
+		return fmt.Errorf("unknown layer %q (core, agg, host)", name)
+	}
+	*l = v
+	return nil
 }
 
 // Plan is one declarative fault script: what to break, how much of

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"polyraptor/internal/chaos"
@@ -55,27 +55,50 @@ type ChaosOptions struct {
 	Deadline sim.Time
 }
 
-// DefaultChaosOptions is the poly chaos default: a k=6 fabric, 12
-// cross-pod flows, a quarter of the core links blackholed 2 ms in
-// (mid-flow for 1 MB objects), never healed.
+// DefaultChaosOptions is the chaos default: a k=4 fabric, 6 cross-pod
+// flows of 256 KB, a quarter of the core links blackholed 500 µs in
+// (mid-flow at 1 Gbps), never healed, scored at a 1 s deadline.
 func DefaultChaosOptions() ChaosOptions {
 	return ChaosOptions{
-		FatTreeK: 6,
+		FatTreeK: 4,
 		Pattern:  "one2one",
-		Flows:    12,
+		Flows:    6,
 		Senders:  8,
 		Replicas: 3,
 		Mappers:  4,
 		Reducers: 4,
-		Bytes:    1 << 20,
+		Bytes:    256 << 10,
 		Fault: chaos.Plan{
 			Kind:   chaos.KindLinkDown,
 			Layer:  chaos.LayerCore,
 			Frac:   0.25,
-			FailAt: 2 * time.Millisecond,
+			FailAt: 500 * time.Microsecond,
 		},
-		Deadline: 2 * time.Second,
+		Deadline: time.Second,
 	}
+}
+
+// Flags binds o's options to fs, each defaulting to its current value;
+// the pattern, fault and deadline options after prefix ("chaos-" in poly
+// sweep, whose other scenarios share the sizes).
+func (o *ChaosOptions) Flags(fs *flag.FlagSet, prefix string) {
+	fs.IntVar(&o.FatTreeK, "k", o.FatTreeK, kUsage)
+	fs.IntVar(&o.Senders, "senders", o.Senders, "incast: fan-in")
+	fs.IntVar(&o.Replicas, "replicas", o.Replicas, "multicast: fan-out")
+	fs.IntVar(&o.Mappers, "mappers", o.Mappers, "shuffle: mapper count")
+	fs.IntVar(&o.Reducers, "reducers", o.Reducers, "shuffle: reducer count")
+	fs.Int64Var(&o.Bytes, "bytes", o.Bytes, "object bytes per flow/sender/receiver/pair")
+	fs.StringVar(&o.Pattern, prefix+"pattern", o.Pattern, "chaos traffic pattern: one2one, incast, multicast, shuffle")
+	fs.IntVar(&o.Flows, prefix+"flows", o.Flows, "chaos one2one: cross-pod flow count")
+	f := &o.Fault
+	fs.TextVar(&f.Kind, prefix+"fault", f.Kind, "fault kind: link (blackhole), switch (kill), loss, flap")
+	fs.TextVar(&f.Layer, prefix+"layer", f.Layer, "fault's fabric tier: core, agg, host")
+	fs.Float64Var(&f.Frac, prefix+"frac", f.Frac, "fraction of the tier's links/switches to strike")
+	fs.DurationVar(&f.FailAt, prefix+"fail-at", f.FailAt, "when the fault strikes (sim time)")
+	fs.DurationVar(&f.RecoverAt, prefix+"recover-at", f.RecoverAt, "when it heals (0 = never; required for flap)")
+	fs.DurationVar(&f.FlapPeriod, prefix+"flap-period", f.FlapPeriod, "flap: full down+up cycle length")
+	fs.Float64Var(&f.LossRate, prefix+"loss-rate", f.LossRate, "loss: per-frame destruction probability (0, 1]")
+	fs.DurationVar(&o.Deadline, prefix+"deadline", o.Deadline, "chaos sim-time budget; incomplete flows count as stalled")
 }
 
 // Validate surfaces impossible chaos configurations before anything
@@ -280,13 +303,7 @@ func drawChaosWorkload(o ChaosOptions, ft *topology.FatTree, seed int64) (chaosW
 func (o ChaosOptions) Name() string { return "chaos" }
 
 func (o ChaosOptions) Params() map[string]string {
-	return map[string]string{
-		"k":       strconv.Itoa(o.FatTreeK),
-		"pattern": o.Pattern,
-		"fault":   o.Fault.Kind.String(),
-		"layer":   o.Fault.Layer.String(),
-		"frac":    strconv.FormatFloat(o.Fault.Frac, 'g', -1, 64),
-	}
+	return flagParams(func(fs *flag.FlagSet) { o.Flags(fs, "") }, "k", "pattern", "fault", "layer", "frac")
 }
 
 // Run runs one transport under the fault plan for one seed. The

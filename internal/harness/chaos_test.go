@@ -17,20 +17,13 @@ func chaosRun(t *testing.T, o ChaosOptions, be store.BackendKind, seed int64) Ch
 	return mustRun(t, o, be, seed).Detail.(ChaosRun)
 }
 
-// tinyChaosOptions is the k=4 template the unit tests share: 6
-// cross-pod flows of 256 KB with a quarter of the core links
-// blackholed at 500 µs, never healed, scored at a 1 s deadline.
-func tinyChaosOptions() ChaosOptions {
-	return testChaosOptions()
-}
-
 // TestChaosPartitioned: on the sweep chaos cell's fourth seed the fault
 // cuts every core route between pods 1 and 3 (TestReachableFollowsRoutes
 // in internal/topology has the cut), so one flow is partitioned on
 // every transport. Healed at 100 ms, the same plan partitions nothing.
 // The claims table holds rq's stalls to exactly these flows.
 func TestChaosPartitioned(t *testing.T) {
-	o := tinyChaosOptions()
+	o := DefaultChaosOptions()
 	seed := sweep.SubSeed(1, 3)
 	for _, be := range allBackends {
 		if r := chaosRun(t, o, be, seed); r.Partitioned != 1 || r.Stalled < r.Partitioned {
@@ -49,7 +42,7 @@ func TestChaosPartitioned(t *testing.T) {
 // the stranded TCP flows — their RTO backoff retries land on restored
 // links — so stalls drop to zero but tail FCT keeps the scar.
 func TestChaosRecoveryUnstrandsTCP(t *testing.T) {
-	o := tinyChaosOptions()
+	o := DefaultChaosOptions()
 	o.Fault.RecoverAt = 100 * time.Millisecond
 	o.Deadline = 3 * time.Second
 	tcp := chaosRun(t, o, store.BackendTCP, 1)
@@ -65,7 +58,7 @@ func TestChaosRecoveryUnstrandsTCP(t *testing.T) {
 
 func TestChaosPatternsRunOnAllBackends(t *testing.T) {
 	for _, pattern := range ChaosPatterns() {
-		o := tinyChaosOptions()
+		o := DefaultChaosOptions()
 		o.Pattern = pattern
 		// Multicast trees are single-path (no spraying inside the
 		// group tree), so a permanent core blackhole can legitimately
@@ -92,11 +85,11 @@ func TestChaosPatternsRunOnAllBackends(t *testing.T) {
 }
 
 func TestChaosOptionsValidate(t *testing.T) {
-	if err := tinyChaosOptions().Validate(); err != nil {
+	if err := DefaultChaosOptions().Validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	mut := func(f func(*ChaosOptions)) ChaosOptions {
-		o := tinyChaosOptions()
+		o := DefaultChaosOptions()
 		f(&o)
 		return o
 	}
@@ -123,7 +116,7 @@ func TestChaosOptionsValidate(t *testing.T) {
 
 func TestNewSweepCellChaos(t *testing.T) {
 	p := tinySweepParams()
-	cell, err := NewSweepCell("chaos", store.BackendPolyraptor, p)
+	cell, err := newSweepCell("chaos", store.BackendPolyraptor, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +134,7 @@ func TestNewSweepCellChaos(t *testing.T) {
 	}
 	// An invalid template is an error at cell-build time, not run time.
 	p.Chaos.Fault.Frac = 9
-	if _, err := NewSweepCell("chaos", store.BackendPolyraptor, p); err == nil {
+	if _, err := newSweepCell("chaos", store.BackendPolyraptor, p); err == nil {
 		t.Fatal("invalid chaos template accepted")
 	}
 }
@@ -153,7 +146,7 @@ func TestNewSweepCellChaos(t *testing.T) {
 // EvRouteDrop stream — and never to congestion, even though the same
 // run also records genuine queue drops on healthy flows.
 func TestTracedChaosAttributesBlackholeToDeadPath(t *testing.T) {
-	res, err := Run(testChaosOptions(), store.BackendTCP, 1, Observers{Trace: &telemetry.Options{}})
+	res, err := Run(DefaultChaosOptions(), store.BackendTCP, 1, Observers{Trace: &telemetry.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,14 +26,14 @@ import (
 const claimSeeds = 10
 
 // cellRef names one sweep cell: a scenario on a backend, sized by
-// DefaultSweepParams changed only by poly sweep flags.
+// DefaultSweepParams changed only by poly sweep flags, parsed through
+// the scenario's flag set (SweepParams.Flags).
 type cellRef struct {
 	// scenario is a SweepScenarios name or an AblationCells one.
 	scenario string
 	// backend is rq, tcp or dctcp; ablation cells run on rq.
 	backend string
-	// flags are the poly sweep flags that differ from the defaults:
-	// only -senders, -bytes and -replicas (sweepParams).
+	// flags are the poly sweep flags that differ from the defaults.
 	flags string
 }
 
@@ -116,33 +115,6 @@ var claims = []claim{
 	{"A4-decode", rq("ablation-decode", "", "nolat_gbps"), atLeast, 1, rq("ablation-decode", "", "lat_gbps")},
 }
 
-// sweepParams applies a row's poly sweep flags to DefaultSweepParams.
-// The flags it knows set the fields the figure and incast cells read.
-func sweepParams(flags string) SweepParams {
-	p := DefaultSweepParams()
-	f := strings.Fields(flags)
-	for i := 0; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i+1], 10, 64)
-		if err != nil {
-			panic(fmt.Sprintf("claims: flag %s %s: %v", f[i], f[i+1], err))
-		}
-		switch f[i] {
-		case "-senders":
-			p.Senders = int(v)
-		case "-bytes":
-			p.Bytes = v
-		case "-replicas":
-			p.Replicas = int(v)
-		default:
-			panic("claims: no poly sweep flag " + f[i])
-		}
-	}
-	if len(f)%2 != 0 {
-		panic("claims: odd flag list " + flags)
-	}
-	return p
-}
-
 // runClaimCells runs every cell the rows name in one sweep.
 func runClaimCells(rows []claim) (map[cellRef]sweep.CellResult, error) {
 	var refs []cellRef
@@ -157,8 +129,19 @@ func runClaimCells(rows []claim) (map[cellRef]sweep.CellResult, error) {
 	}
 	cells := make([]sweep.Cell, len(refs))
 	for i, ref := range refs {
-		p := sweepParams(ref.flags)
-		if strings.HasPrefix(ref.scenario, "ablation-") {
+		p := DefaultSweepParams()
+		set := ref.scenario
+		if strings.HasPrefix(set, "ablation-") {
+			set = "ablations"
+		}
+		fs, err := p.Flags(set)
+		if err != nil {
+			return nil, err
+		}
+		if err := fs.Parse(strings.Fields(ref.flags)); err != nil {
+			return nil, fmt.Errorf("claims: %s %s: %v", ref.scenario, ref.flags, err)
+		}
+		if set == "ablations" {
 			ablations, err := AblationCells(p)
 			if err != nil {
 				return nil, err
@@ -177,7 +160,7 @@ func runClaimCells(rows []claim) (map[cellRef]sweep.CellResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("claims: no backend %q", ref.backend)
 		}
-		c, err := NewSweepCell(ref.scenario, be, p)
+		c, err := newSweepCell(ref.scenario, be, p)
 		if err != nil {
 			return nil, err
 		}
@@ -247,37 +230,13 @@ func sum(xs []float64) float64 {
 	return s
 }
 
-// replay returns the poly sweep command lines that rerun a row's cells,
-// one per scenario and flag set.
-func (c claim) replay() []string {
-	type key struct{ scenario, flags string }
-	var order []key
-	backends := map[key][]string{}
-	for _, s := range []side{c.a, c.b} {
-		if s.scenario == "" {
-			continue
-		}
-		k := key{s.scenario, s.flags}
-		if strings.HasPrefix(k.scenario, "ablation-") {
-			k.scenario = "ablations"
-		}
-		if _, ok := backends[k]; !ok {
-			order = append(order, k)
-		}
-		if !slices.Contains(backends[k], s.backend) {
-			backends[k] = append(backends[k], s.backend)
-		}
-	}
+// replay returns the replay lines of a row's cells, once each.
+func (c claim) replay(res map[cellRef]sweep.CellResult) []string {
 	var lines []string
-	for _, k := range order {
-		line := "go run ./cmd/poly sweep -scenarios " + k.scenario
-		if k.scenario != "ablations" {
-			line += " -backends " + strings.Join(backends[k], ",")
+	for _, s := range []side{c.a, c.b} {
+		if line := res[s.cellRef].Replay; s.scenario != "" && !slices.Contains(lines, line) {
+			lines = append(lines, line)
 		}
-		if k.flags != "" {
-			line += " " + k.flags
-		}
-		lines = append(lines, line+" -seeds "+strconv.Itoa(claimSeeds))
 	}
 	return lines
 }
@@ -306,7 +265,7 @@ func TestClaims(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ok, detail := c.eval(res)
 			if !ok {
-				t.Fatalf("%s does not hold: %s\nreplay:\n  %s", c.name, detail, strings.Join(c.replay(), "\n  "))
+				t.Fatalf("%s does not hold: %s\nreplay:\n  %s", c.name, detail, strings.Join(c.replay(res), "\n  "))
 			}
 			t.Log(detail)
 		})
@@ -329,7 +288,11 @@ func TestClaimsTurnRed(t *testing.T) {
 		if ok, detail := c.eval(res); ok {
 			t.Fatalf("%s still holds with DCTCP in TCP's place: %s", c.name, detail)
 		}
-		if got, want := c.replay(), "go run ./cmd/poly sweep -scenarios incast -backends dctcp,rq -senders 12 -bytes 71680 -seeds 10"; len(got) != 1 || got[0] != want {
+		want := []string{
+			"poly sweep -scenarios=incast -backends=dctcp -seed=1 -seeds=10 -bytes=71680 -senders=12",
+			"poly sweep -scenarios=incast -backends=polyraptor -seed=1 -seeds=10 -bytes=71680 -senders=12",
+		}
+		if got := c.replay(res); !slices.Equal(got, want) {
 			t.Fatalf("replay %q, want %q", got, want)
 		}
 		return

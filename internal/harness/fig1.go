@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
-	"strconv"
 
 	"polyraptor/internal/sim"
 	"polyraptor/internal/stats"
@@ -99,6 +99,21 @@ type Fig1 struct {
 	Replicas int
 }
 
+// DefaultFig1 is the fig1a/fig1b default (pattern multicast): a k=4
+// fabric, 80 sessions of 256 KB at the paper's 0.33 load, 3 replicas.
+func DefaultFig1() Fig1 {
+	return Fig1{Scale: Scale{FatTreeK: 4, Sessions: 80, Bytes: 256 << 10, LoadFactor: 0.33}, Replicas: 3}
+}
+
+// Flags binds f's options to fs, each defaulting to its current value.
+func (f *Fig1) Flags(fs *flag.FlagSet) {
+	fs.IntVar(&f.FatTreeK, "k", f.FatTreeK, kUsage)
+	fs.Int64Var(&f.Bytes, "bytes", f.Bytes, "object bytes")
+	fs.IntVar(&f.Sessions, "sessions", f.Sessions, "session count")
+	fs.Float64Var(&f.LoadFactor, "load", f.LoadFactor, "offered-load fraction")
+	fs.IntVar(&f.Replicas, "replicas", f.Replicas, "replica count")
+}
+
 // Name is fig1a for the multicast pattern, fig1b for multi-source.
 func (f Fig1) Name() string {
 	if f.Pattern == PatternMultiSource {
@@ -107,13 +122,7 @@ func (f Fig1) Name() string {
 	return "fig1a"
 }
 
-func (f Fig1) Params() map[string]string {
-	return map[string]string{
-		"k":        strconv.Itoa(f.FatTreeK),
-		"replicas": strconv.Itoa(f.Replicas),
-		"sessions": strconv.Itoa(f.Sessions),
-	}
-}
+func (f Fig1) Params() map[string]string { return flagParams(f.Flags, "k", "replicas", "sessions") }
 
 func (f Fig1) Validate() error {
 	if err := topology.CheckArity(f.FatTreeK); err != nil {

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"math"
-	"strconv"
 
 	"polyraptor/internal/netsim"
 	"polyraptor/internal/sim"
@@ -30,15 +30,19 @@ type Incast struct {
 	Oversubscribe int64
 }
 
+// DefaultIncast is the incast default: 8 senders of 256 KB on a k=4 fabric.
+func DefaultIncast() Incast { return Incast{FatTreeK: 4, Senders: 8, Bytes: 256 << 10} }
+
+// Flags binds o's options to fs, each defaulting to its current value.
+func (o *Incast) Flags(fs *flag.FlagSet) {
+	fs.IntVar(&o.FatTreeK, "k", o.FatTreeK, kUsage)
+	fs.IntVar(&o.Senders, "senders", o.Senders, "incast fan-in")
+	fs.Int64Var(&o.Bytes, "bytes", o.Bytes, "bytes per sender")
+}
+
 func (o Incast) Name() string { return "incast" }
 
-func (o Incast) Params() map[string]string {
-	return map[string]string{
-		"k":       strconv.Itoa(o.FatTreeK),
-		"senders": strconv.Itoa(o.Senders),
-		"bytes":   strconv.FormatInt(o.Bytes, 10),
-	}
-}
+func (o Incast) Params() map[string]string { return flagParams(o.Flags, "k", "senders", "bytes") }
 
 func (o Incast) Validate() error {
 	if err := topology.CheckArity(o.FatTreeK); err != nil {

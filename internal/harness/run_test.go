@@ -187,7 +187,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 // out-of-rack peer pickers used to fall into when asked for more hosts
 // than the fabric has.
 func TestRunRejectsBadConfigurations(t *testing.T) {
-	badPlan := testChaosOptions()
+	badPlan := DefaultChaosOptions()
 	badPlan.Fault.Frac = 9
 	cases := []struct {
 		name    string
@@ -200,7 +200,7 @@ func TestRunRejectsBadConfigurations(t *testing.T) {
 		{"fig1 zero load", Fig1{Scale: Scale{FatTreeK: 4, Sessions: 10, Bytes: 1 << 10}, Replicas: 1}, store.BackendTCP},
 		{"shuffle M+R beyond hosts", ShuffleOptions{FatTreeK: 4, Mappers: 20, Reducers: 4, BytesPerPair: 1 << 10}, store.BackendTCP},
 		{"invalid chaos plan", badPlan, store.BackendPolyraptor},
-		{"storage replicas beyond racks", Storage{Cluster: func() store.Config { c := store.ShortConfig(); c.Replicas = 50; return c }()}, store.BackendTCP},
+		{"storage replicas beyond racks", Storage{Cluster: func() store.Config { c := store.DefaultConfig(); c.Replicas = 50; return c }()}, store.BackendTCP},
 		{"hotspot senders beyond other pods", Hotspot(4, 0.3, 10, 2, 1<<10, 13), store.BackendPolyraptor},
 		{"multi-source senders beyond hosts", func() Scenario { _, b := AblationESI(2, 2, 2, 1<<10); return b }(), store.BackendPolyraptor},
 		{"straggler on tcp", Straggler{Bytes: 1 << 20}, store.BackendTCP},
@@ -228,8 +228,8 @@ func TestRunRejectsBadConfigurations(t *testing.T) {
 // than a k=4 fabric has out-of-rack hosts. All must fail up front.
 func TestLibraryFanoutValidation(t *testing.T) {
 	p := DefaultSweepParams()
-	p.FatTreeK = 2
-	if _, err := NewSweepCell("fig1a", store.BackendPolyraptor, p); err == nil {
+	p.Fig1.FatTreeK = 2
+	if _, err := newSweepCell("fig1a", store.BackendPolyraptor, p); err == nil {
 		t.Error("fig1a cell on k=2 with 3 replicas accepted")
 	}
 	o := DefaultSaturationOptions("fig1a")
@@ -242,7 +242,7 @@ func TestLibraryFanoutValidation(t *testing.T) {
 		t.Error("Figure1c with 15 senders on k=4 accepted")
 	}
 	p = DefaultSweepParams()
-	p.FatTreeK = 2
+	p.AblationK = 2
 	if _, err := AblationCells(p); err == nil {
 		t.Error("ablation cells on k=2 (A1 needs 12 out-of-rack hosts) accepted")
 	}
@@ -252,7 +252,6 @@ func TestLibraryFanoutValidation(t *testing.T) {
 // all -seeds 2 -format json` prints, through the library.
 func goldenSweep(t *testing.T, p SweepParams, parallelism int) []byte {
 	t.Helper()
-	p.Store.Seed = 1 // poly sweep stamps -seed into the store template
 	var cells []sweep.Cell
 	for _, name := range SweepScenarios() {
 		more, err := SweepCells(name, allBackends, p)
@@ -345,11 +344,11 @@ func TestMeteredCellMatchesUnmetered(t *testing.T) {
 	plain := p
 	plain.SLO = nil
 	for _, scenario := range SweepScenarios() {
-		mc, err := NewSweepCell(scenario, store.BackendPolyraptor, p)
+		mc, err := newSweepCell(scenario, store.BackendPolyraptor, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := NewSweepCell(scenario, store.BackendPolyraptor, plain)
+		pc, err := newSweepCell(scenario, store.BackendPolyraptor, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,11 +455,11 @@ func renderTrace(t *testing.T, tr *telemetry.Trace) []byte {
 func TestSweepRejectsUntraceableScenario(t *testing.T) {
 	p := tinySweepParams()
 	p.Trace = &telemetry.Options{}
-	if _, err := NewSweepCell("fig1a", store.BackendPolyraptor, p); err == nil {
+	if _, err := newSweepCell("fig1a", store.BackendPolyraptor, p); err == nil {
 		t.Fatal("fig1a cell accepted a trace request it cannot honour")
 	}
 	p.Trace = nil
-	if _, err := NewSweepCell("fig1a", store.BackendPolyraptor, p); err != nil {
+	if _, err := newSweepCell("fig1a", store.BackendPolyraptor, p); err != nil {
 		t.Fatalf("untraced fig1a cell rejected: %v", err)
 	}
 }

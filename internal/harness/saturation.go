@@ -81,11 +81,16 @@ func DefaultSaturationOptions(scenario string) SaturationOptions {
 	}
 }
 
-// Validate surfaces impossible searches before anything runs. Start
-// from DefaultSaturationOptions; the zero value fails here on every
-// numeric knob (Refine excepted — 0 legitimately means ladder-only).
+// Validate surfaces impossible searches, the scenario's options among
+// them, before anything runs. Start from DefaultSaturationOptions; the
+// zero value fails here on every numeric knob (Refine excepted — 0
+// legitimately means ladder-only).
 func (o SaturationOptions) Validate() error {
-	if _, err := o.template(); err != nil {
+	template, err := o.template()
+	if err != nil {
+		return err
+	}
+	if err := template.Validate(); err != nil {
 		return err
 	}
 	if o.Target <= 0 || o.Target > 1 {
@@ -146,6 +151,8 @@ type Rung struct {
 	// Hists holds the probe's merged histogram aggregates when
 	// SaturationOptions.KeepHists is set.
 	Hists []sweep.HistAggregate `json:"hists,omitempty"`
+	// Replay is the poly sweep command line that reruns the probe.
+	Replay string `json:"-"`
 }
 
 // SaturationResult is one completed knee search.
@@ -211,12 +218,14 @@ func FindSaturation(o SaturationOptions, backend store.BackendKind) (SaturationR
 			r.Load = load
 			return r, nil
 		}
-		if err := scaled.Validate(); err != nil {
+		scaledParams := params
+		scaledParams.set(scaled)
+		cells, err := SweepCells(o.Scenario, []store.BackendKind{backend}, scaledParams)
+		if err != nil {
 			return Rung{}, err
 		}
-		cell := params.cell(scaled, backend)
 		sr, err := (sweep.Matrix{
-			Cells: []sweep.Cell{cell}, Seeds: o.Seeds,
+			Cells: cells, Seeds: o.Seeds,
 			BaseSeed: o.BaseSeed, Parallelism: o.Parallelism,
 		}).Run()
 		if err != nil {
@@ -234,6 +243,7 @@ func FindSaturation(o SaturationOptions, backend store.BackendKind) (SaturationR
 			Attainment:  att.Mean,
 			FCTP99:      worstFCTP99(c),
 			GoodputGbps: goodput.Mean,
+			Replay:      c.Replay,
 		}
 		r.OK = r.Attainment >= o.Target && (o.P99Max <= 0 || r.FCTP99 <= o.P99Max)
 		if o.KeepHists {

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"math"
-	"strconv"
 
 	"polyraptor/internal/sim"
 	"polyraptor/internal/stats"
@@ -34,16 +34,26 @@ type ShuffleOptions struct {
 	StragglerFactor float64
 }
 
-// DefaultShuffleOptions is the poly shuffle default: a medium
-// fabric with an 8x8 matrix and mildly skewed partitions.
+// DefaultShuffleOptions is the shuffle default: a 4x4 matrix of
+// mildly skewed 256 KB partitions on a k=4 fabric.
 func DefaultShuffleOptions() ShuffleOptions {
 	return ShuffleOptions{
-		FatTreeK:     6,
-		Mappers:      8,
-		Reducers:     8,
+		FatTreeK:     4,
+		Mappers:      4,
+		Reducers:     4,
 		BytesPerPair: 256 << 10,
 		Skew:         0.9,
 	}
+}
+
+// Flags binds o's options to fs, each defaulting to its current value.
+func (o *ShuffleOptions) Flags(fs *flag.FlagSet) {
+	fs.IntVar(&o.FatTreeK, "k", o.FatTreeK, kUsage)
+	fs.IntVar(&o.Mappers, "mappers", o.Mappers, "mapper count M")
+	fs.IntVar(&o.Reducers, "reducers", o.Reducers, "reducer count R (M+R distinct hosts)")
+	fs.Int64Var(&o.BytesPerPair, "bytes", o.BytesPerPair, "mean partition bytes per (mapper, reducer) pair")
+	fs.Float64Var(&o.Skew, "skew", o.Skew, "Zipf skew of partition sizes across reducers (0 = uniform)")
+	fs.Float64Var(&o.StragglerFactor, "straggler", o.StragglerFactor, "scale one mapper's partitions by this factor (0 = off)")
 }
 
 // Validate surfaces impossible shuffle configurations before anything
@@ -85,12 +95,7 @@ type ShuffleRun struct {
 func (o ShuffleOptions) Name() string { return "shuffle" }
 
 func (o ShuffleOptions) Params() map[string]string {
-	return map[string]string{
-		"k":        strconv.Itoa(o.FatTreeK),
-		"mappers":  strconv.Itoa(o.Mappers),
-		"reducers": strconv.Itoa(o.Reducers),
-		"bytes":    strconv.FormatInt(o.BytesPerPair, 10),
-	}
+	return flagParams(o.Flags, "k", "mappers", "reducers", "bytes")
 }
 
 func (o ShuffleOptions) LoadKnob() string { return "bytes_per_pair" }

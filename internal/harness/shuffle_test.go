@@ -46,13 +46,13 @@ func TestShuffleOnAllBackends(t *testing.T) {
 
 func TestShuffleCellRejectsImpossibleMatrix(t *testing.T) {
 	p := tinySweepParams()
-	p.Mappers = 20 // 20+4 > 16 hosts on k=4
-	if _, err := NewSweepCell("shuffle", store.BackendTCP, p); err == nil {
+	p.Shuffle.Mappers = 20 // 20+4 > 16 hosts on k=4
+	if _, err := newSweepCell("shuffle", store.BackendTCP, p); err == nil {
 		t.Fatal("oversized shuffle matrix accepted")
 	}
 	p = tinySweepParams()
-	p.Straggler = 0.5
-	if _, err := NewSweepCell("shuffle", store.BackendTCP, p); err == nil {
+	p.Shuffle.StragglerFactor = 0.5
+	if _, err := newSweepCell("shuffle", store.BackendTCP, p); err == nil {
 		t.Fatal("fractional straggler factor accepted")
 	}
 }

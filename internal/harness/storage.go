@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"strconv"
+	"flag"
 
 	"polyraptor/internal/stats"
 	"polyraptor/internal/store"
@@ -17,15 +17,26 @@ type Storage struct {
 	Cluster store.Config
 }
 
+// Flags binds the cluster's options to fs, each at its current value.
+func (s *Storage) Flags(fs *flag.FlagSet) {
+	c := &s.Cluster
+	fs.IntVar(&c.FatTreeK, "k", c.FatTreeK, kUsage)
+	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "replication factor R (needs R+1 racks)")
+	fs.IntVar(&c.Objects, "objects", c.Objects, "pre-loaded catalogue objects")
+	fs.Int64Var(&c.ObjectBytes, "bytes", c.ObjectBytes, "object (block) size in bytes")
+	fs.IntVar(&c.Requests, "requests", c.Requests, "client requests to issue")
+	fs.Float64Var(&c.ZipfSkew, "zipf", c.ZipfSkew, "Zipf popularity skew (0 = uniform)")
+	fs.Float64Var(&c.PutFrac, "putfrac", c.PutFrac, "fraction of requests that are PUTs")
+	fs.Float64Var(&c.LoadFactor, "load", c.LoadFactor, "target per-host delivered load fraction")
+	fs.Float64Var(&c.Lambda, "lambda", c.Lambda, "request arrival rate /s (0 = derive from -load)")
+	fs.Float64Var(&c.FailFrac, "failfrac", c.FailFrac, "failure position as a fraction of the request stream")
+	fs.TextVar(&c.FailMode, "fail", c.FailMode, "mid-run failure: none, server, rack")
+}
+
 func (s Storage) Name() string { return "storage" }
 
 func (s Storage) Params() map[string]string {
-	return map[string]string{
-		"k":        strconv.Itoa(s.Cluster.FatTreeK),
-		"replicas": strconv.Itoa(s.Cluster.Replicas),
-		"requests": strconv.Itoa(s.Cluster.Requests),
-		"fail":     s.Cluster.FailMode.String(),
-	}
+	return flagParams(s.Flags, "k", "replicas", "requests", "fail")
 }
 
 func (s Storage) Validate() error { return s.Cluster.Validate() }

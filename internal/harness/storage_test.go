@@ -12,8 +12,8 @@ import (
 // rateless, replica-exploiting transport serves foreground GETs at
 // least as fast as TCP, and recovery restores full R-way replication.
 func TestRunStorageCluster(t *testing.T) {
-	results, err := RunEach(Storage{Cluster: store.ShortConfig()},
-		[]store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, store.ShortConfig().Seed, Observers{}, 0)
+	results, err := RunEach(Storage{Cluster: store.DefaultConfig()},
+		[]store.BackendKind{store.BackendPolyraptor, store.BackendTCP}, store.DefaultConfig().Seed, Observers{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

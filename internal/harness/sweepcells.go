@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
+	"math"
 	"strconv"
+	"time"
 
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/store"
@@ -14,50 +17,32 @@ import (
 // poly sweep (and -seeds in the other poly subcommands) can execute any
 // backend x scenario x seed matrix on the worker pool.
 
-// SweepParams sizes the canned sweep scenarios. The zero value is not
+// SweepParams sizes the sweep scenarios, one options value per
+// scenario, and says how their runs are observed. The zero value is not
 // useful; start from DefaultSweepParams.
 type SweepParams struct {
-	// FatTreeK is the fabric arity for the figure scenarios.
-	FatTreeK int
-	// Bytes is the object size (per sender for incast).
-	Bytes int64
-	// Replicas is the replica/sender count for fig1a/fig1b.
-	Replicas int
-	// Senders is the incast fan-in.
-	Senders int
-	// Sessions is the fig1a/fig1b session count.
-	Sessions int
-	// LoadFactor is the fig1a/fig1b offered-load fraction.
-	LoadFactor float64
-	// Mappers and Reducers size the shuffle scenario's transfer matrix
-	// (Bytes is the mean partition size per pair).
-	Mappers, Reducers int
-	// ShuffleSkew is the Zipf skew of partition sizes across reducers.
-	ShuffleSkew float64
-	// Straggler scales one mapper's partitions (0 disables, >= 1
-	// scales).
-	Straggler float64
-	// Store is the storage-cluster template; its Backend and Seed are
-	// overridden per run.
-	Store store.Config
-	// Chaos is the fault-injection template; its Fault.Seed is
-	// overridden per run.
+	// Fig1 sizes fig1a and fig1b; each overrides its Pattern.
+	Fig1    Fig1
+	Incast  Incast
+	Shuffle ShuffleOptions
+	// Storage's Backend and Seed are overridden per run.
+	Storage Storage
+	// Chaos's Fault.Seed is overridden per run.
 	Chaos ChaosOptions
+	// AblationK is the fabric arity of the A1–A4 ablation cells.
+	AblationK int
 
-	// SLO, when non-nil, attaches a fresh Meter to every run: per-flow
-	// FCT and goodput histograms (plus fabric queue depth and
-	// Polyraptor stall durations where the scenario drives the fabric
-	// directly), merged across repetitions into the cell's pooled
-	// distributions, and an "slo_attainment" metric, the fraction of
-	// offered flows that met the SLO. The zero SLO scores completion
-	// only: every completed flow meets it, and stalled or skipped flows
-	// still miss. Metering never changes run results: a metered run's
-	// metrics are bit-identical to an unmetered run of the same seed.
+	// SLO, when non-nil, meters every run with a fresh Meter: per-flow
+	// FCT and goodput histograms (plus queue depth and Polyraptor stall
+	// durations where the scenario drives the fabric), pooled across
+	// repetitions, and "slo_attainment", the fraction of offered flows
+	// that met the SLO. The zero SLO scores completion only. Metering
+	// never changes a run's metrics.
 	SLO *metrics.SLO
 
 	// Trace, when non-nil, attaches a PolyScope flight recorder and
 	// timeline probes to every run of the scenarios that support
-	// tracing (TraceableScenarios); NewSweepCell rejects it up front on
+	// tracing (TraceableScenarios); SweepCells rejects it up front on
 	// any other scenario. Tracing never changes run results.
 	Trace *telemetry.Options
 	// TraceSink receives each traced run's finished trace. It is
@@ -66,73 +51,116 @@ type SweepParams struct {
 	TraceSink func(scenario, backend string, seed int64, tr *telemetry.Trace)
 }
 
-// DefaultSweepParams returns test-sized scenario parameters (a k=4
-// fabric, sub-second cells) — the CLI scales them up via flags.
+// DefaultSweepParams returns every scenario at its one default (a k=4
+// fabric, sub-second cells), the defaults of poly sweep and poly <sub>.
 func DefaultSweepParams() SweepParams {
 	return SweepParams{
-		FatTreeK:    4,
-		Bytes:       256 << 10,
-		Replicas:    3,
-		Senders:     8,
-		Sessions:    80,
-		LoadFactor:  0.33,
-		Mappers:     4,
-		Reducers:    4,
-		ShuffleSkew: 0.9,
-		Store:       store.ShortConfig(),
-		Chaos:       testChaosOptions(),
+		Fig1:      DefaultFig1(),
+		Incast:    DefaultIncast(),
+		Shuffle:   DefaultShuffleOptions(),
+		Storage:   Storage{Cluster: store.DefaultConfig()},
+		Chaos:     DefaultChaosOptions(),
+		AblationK: 4,
 	}
 }
 
-// testChaosOptions shrinks the chaos defaults to the sweep engine's
-// test-sized k=4 fabric (sub-second cells); poly chaos scales them up
-// via flags.
-func testChaosOptions() ChaosOptions {
-	o := DefaultChaosOptions()
-	o.FatTreeK = 4
-	o.Flows = 6
-	o.Senders = 6
-	o.Bytes = 256 << 10
-	o.Fault.FailAt = 500 * 1000 // 500 µs: mid-flow for 256 KB at 1 Gbps
-	o.Deadline = 1e9            // 1 s
-	return o
-}
+const kUsage = "fat-tree arity (k even; hosts = k^3/4)"
 
-// sweepScenarios is the registry behind NewSweepCell: how each named
-// scenario is sized from SweepParams, and whether it observes its
-// fabric (Env.Observe) and so supports tracing. The figure scenarios
-// run many hundreds of overlapping sessions per cell and the storage
-// cluster owns its own fabric, so tracing there is rejected rather
-// than silently dropped.
+// sweepScenarios is the registry behind SweepCells: each scenario's
+// options in SweepParams, bound to poly sweep's flags, and whether it
+// observes its fabric (Env.Observe) and so supports tracing. The figure
+// scenarios run many hundreds of overlapping sessions per cell and the
+// storage cluster owns its own fabric, so tracing there is rejected.
 var sweepScenarios = []struct {
 	name      string
 	traceable bool
+	flags     func(p *SweepParams, fs *flag.FlagSet)
 	build     func(p SweepParams) Scenario
 }{
-	{"fig1a", false, func(p SweepParams) Scenario { return p.fig1(PatternMulticast) }},
-	{"fig1b", false, func(p SweepParams) Scenario { return p.fig1(PatternMultiSource) }},
-	{"incast", true, func(p SweepParams) Scenario {
-		return Incast{FatTreeK: p.FatTreeK, Senders: p.Senders, Bytes: p.Bytes}
-	}},
-	{"shuffle", true, func(p SweepParams) Scenario {
-		return ShuffleOptions{
-			FatTreeK: p.FatTreeK, Mappers: p.Mappers, Reducers: p.Reducers,
-			BytesPerPair: p.Bytes, Skew: p.ShuffleSkew, StragglerFactor: p.Straggler,
-		}
-	}},
-	{"storage", false, func(p SweepParams) Scenario { return Storage{Cluster: p.Store} }},
-	{"chaos", true, func(p SweepParams) Scenario { return p.Chaos }},
+	{"fig1a", false, func(p *SweepParams, fs *flag.FlagSet) { p.Fig1.Flags(fs) }, func(p SweepParams) Scenario { p.Fig1.Pattern = PatternMulticast; return p.Fig1 }},
+	{"fig1b", false, func(p *SweepParams, fs *flag.FlagSet) { p.Fig1.Flags(fs) }, func(p SweepParams) Scenario { p.Fig1.Pattern = PatternMultiSource; return p.Fig1 }},
+	{"incast", true, func(p *SweepParams, fs *flag.FlagSet) { p.Incast.Flags(fs) }, func(p SweepParams) Scenario { return p.Incast }},
+	{"shuffle", true, func(p *SweepParams, fs *flag.FlagSet) { p.Shuffle.Flags(fs) }, func(p SweepParams) Scenario { return p.Shuffle }},
+	{"storage", false, func(p *SweepParams, fs *flag.FlagSet) { p.Storage.Flags(fs) }, func(p SweepParams) Scenario { return p.Storage }},
+	{"chaos", true, func(p *SweepParams, fs *flag.FlagSet) { p.Chaos.Flags(fs, "chaos-") }, func(p SweepParams) Scenario { return p.Chaos }},
 }
 
-func (p SweepParams) fig1(pattern Pattern) Fig1 {
-	return Fig1{
-		Scale:    Scale{FatTreeK: p.FatTreeK, Sessions: p.Sessions, Bytes: p.Bytes, LoadFactor: p.LoadFactor},
-		Pattern:  pattern,
-		Replicas: p.Replicas,
+// set stores sc, a scenario of the registry, as its options in p.
+func (p *SweepParams) set(sc Scenario) {
+	switch o := sc.(type) {
+	case Fig1:
+		p.Fig1 = o
+	case Incast:
+		p.Incast = o
+	case ShuffleOptions:
+		p.Shuffle = o
+	case Storage:
+		p.Storage = o
+	case ChaosOptions:
+		p.Chaos = o
 	}
 }
 
-// SweepScenarios lists the scenario names NewSweepCell accepts.
+// Flags binds the options in p of the named scenario — a SweepScenarios
+// name or "ablations" — to a new flag set under poly sweep's flag
+// names, each defaulting to its value in p.
+func (p *SweepParams) Flags(scenario string) (*flag.FlagSet, error) {
+	fs := flag.NewFlagSet(scenario, flag.ContinueOnError)
+	if scenario == "ablations" {
+		fs.IntVar(&p.AblationK, "k", p.AblationK, kUsage)
+		return fs, nil
+	}
+	for _, e := range sweepScenarios {
+		if e.name == scenario {
+			e.flags(p, fs)
+			return fs, nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown sweep scenario %q (have %v)", scenario, SweepScenarios())
+}
+
+// replay returns the poly sweep line of a cell of the named scenario
+// sized by p: the option flags whose values differ from their defaults,
+// read through the scenario's flag set, then the SLO flags if p meters.
+func (p SweepParams) replay(scenario, backend string) func(baseSeed int64, seeds int) string {
+	bound := DefaultSweepParams()
+	fs, _ := bound.Flags(scenario)
+	bound = p // the flags now read p's values against the defaults' DefValue
+	opts := ""
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			opts += " -" + f.Name + "=" + v
+		}
+	})
+	switch {
+	case p.SLO == nil:
+	case !p.SLO.Enabled():
+		opts += " -meter"
+	default:
+		if p.SLO.FCTDeadline > 0 {
+			opts += fmt.Sprintf(" -slo-fct=%v", time.Duration(math.Round(p.SLO.FCTDeadline*1e9)))
+		}
+		if p.SLO.GoodputFloor > 0 {
+			opts += " -slo-goodput=" + strconv.FormatFloat(p.SLO.GoodputFloor, 'g', -1, 64)
+		}
+	}
+	return func(baseSeed int64, seeds int) string {
+		return fmt.Sprintf("poly sweep -scenarios=%s -backends=%s -seed=%d -seeds=%d%s", scenario, backend, baseSeed, seeds, opts)
+	}
+}
+
+// flagParams reads the named options of a scenario's flags, for Params.
+func flagParams(bind func(*flag.FlagSet), names ...string) map[string]string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	bind(fs)
+	params := make(map[string]string, len(names))
+	for _, name := range names {
+		params[name] = fs.Lookup(name).Value.String()
+	}
+	return params
+}
+
+// SweepScenarios lists the scenario names SweepCells accepts.
 func SweepScenarios() []string { return scenarioNames(func(int) bool { return true }) }
 
 // TraceableScenarios lists the sweep scenarios that support PolyScope
@@ -164,18 +192,13 @@ func SweepCells(scenario string, backends []store.BackendKind, p SweepParams) ([
 			return nil, fmt.Errorf("harness: scenario %q does not support tracing (traceable: %v)",
 				scenario, TraceableScenarios())
 		}
-		return p.Cells(e.build(p), backends)
+		cells, err := p.Cells(e.build(p), backends)
+		for i := range cells {
+			cells[i].Replay = p.replay(scenario, cells[i].Backend)
+		}
+		return cells, err
 	}
 	return nil, fmt.Errorf("harness: unknown sweep scenario %q (have %v)", scenario, SweepScenarios())
-}
-
-// NewSweepCell is SweepCells for a single backend.
-func NewSweepCell(scenario string, backend store.BackendKind, p SweepParams) (sweep.Cell, error) {
-	cells, err := SweepCells(scenario, []store.BackendKind{backend}, p)
-	if err != nil {
-		return sweep.Cell{}, err
-	}
-	return cells[0], nil
 }
 
 // Cells wraps any scenario as one sweep cell per backend; only p's
@@ -225,7 +248,8 @@ func (p SweepParams) cell(sc Scenario, backend store.BackendKind) sweep.Cell {
 // of its ablation per seed on the Polyraptor backend and reports them
 // as paired metrics, so the sweep's CI95 covers the per-seed contrast.
 func AblationCells(p SweepParams) ([]sweep.Cell, error) {
-	k := p.FatTreeK
+	k := p.AblationK
+	replay := SweepParams{AblationK: k}.replay("ablations", "rq")
 	var cells []sweep.Cell
 	var invalid error
 	if p.Trace != nil {
@@ -240,6 +264,7 @@ func AblationCells(p SweepParams) ([]sweep.Cell, error) {
 		cells = append(cells, sweep.Cell{
 			Scenario: name, Backend: "rq",
 			Params: map[string]string{"k": strconv.Itoa(k)},
+			Replay: replay,
 			Run: func(seed int64) (sweep.Metrics, sweep.Hists, error) {
 				ra, err := Run(a, store.BackendPolyraptor, seed, Observers{})
 				if err != nil {

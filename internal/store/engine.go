@@ -49,18 +49,18 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a medium cluster: 128-host fabric (k=8),
-// 3-way replication, web-like skew, 10% writes, a rack failure
-// mid-run.
+// DefaultConfig returns a small cluster: a 16-host fabric (k=4), 48
+// objects of 256 KB, 3-way replication, web-like skew, 160 requests
+// with 10% writes, a rack failure mid-run.
 func DefaultConfig() Config {
 	return Config{
-		FatTreeK:    8,
+		FatTreeK:    4,
 		Backend:     BackendPolyraptor,
-		Objects:     200,
-		ObjectBytes: 1 << 20,
+		Objects:     48,
+		ObjectBytes: 256 << 10,
 		Replicas:    3,
 		ZipfSkew:    0.9,
-		Requests:    600,
+		Requests:    160,
 		PutFrac:     0.1,
 		LoadFactor:  0.3,
 		FailMode:    FailRack,
@@ -68,18 +68,6 @@ func DefaultConfig() Config {
 		DetectDelay: 10 * 1e6, // 10 ms heartbeat timeout
 		Seed:        1,
 	}
-}
-
-// ShortConfig returns a k=4 run small enough for go test -short while
-// still exercising placement, both request patterns and a rack
-// failure.
-func ShortConfig() Config {
-	cfg := DefaultConfig()
-	cfg.FatTreeK = 4
-	cfg.Objects = 48
-	cfg.ObjectBytes = 256 << 10
-	cfg.Requests = 160
-	return cfg
 }
 
 // Hosts returns the fabric's host count, k^3/4 — the one place the

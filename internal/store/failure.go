@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+
 	"polyraptor/internal/sim"
 )
 
@@ -30,17 +32,18 @@ func (m FailMode) String() string {
 	return "unknown"
 }
 
-// ParseFailMode maps a CLI name to a FailMode.
-func ParseFailMode(name string) (FailMode, bool) {
-	switch name {
-	case "none":
-		return FailNone, true
-	case "server":
-		return FailServer, true
-	case "rack":
-		return FailRack, true
+// MarshalText and UnmarshalText spell a FailMode by its CLI name, so a
+// flag can bind it (flag.TextVar).
+func (m FailMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+func (m *FailMode) UnmarshalText(name []byte) error {
+	for _, v := range []FailMode{FailNone, FailServer, FailRack} {
+		if string(name) == v.String() {
+			*m = v
+			return nil
+		}
 	}
-	return 0, false
+	return fmt.Errorf("unknown failure mode %q (none, server, rack)", name)
 }
 
 // Recovery describes one failure and the re-replication storm that

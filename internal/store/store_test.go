@@ -112,7 +112,7 @@ func TestPlaceExhaustion(t *testing.T) {
 // TestConfigValidation: bad configurations are errors, not hangs or
 // codec panics.
 func TestConfigValidation(t *testing.T) {
-	base := ShortConfig()
+	base := DefaultConfig()
 	for name, mutate := range map[string]func(*Config){
 		"negative zipf":  func(c *Config) { c.ZipfSkew = -0.5 },
 		"zero rate":      func(c *Config) { c.Lambda = 0; c.LoadFactor = 0 },
@@ -160,7 +160,7 @@ func TestKillReportsDegradedObjects(t *testing.T) {
 // demands identical transfer logs — the property the paper's
 // five-seed error bars rest on.
 func TestRunDeterministicPerSeed(t *testing.T) {
-	cfg := ShortConfig()
+	cfg := DefaultConfig()
 	cfg.Requests = 60
 	cfg.Objects = 24
 	a, err := Run(cfg)
@@ -194,7 +194,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 // replication.
 func TestRecoveryStorm(t *testing.T) {
 	for _, mode := range []FailMode{FailServer, FailRack} {
-		cfg := ShortConfig()
+		cfg := DefaultConfig()
 		cfg.FailMode = mode
 		res, err := Run(cfg)
 		if err != nil {
@@ -237,7 +237,7 @@ func TestRecoveryStorm(t *testing.T) {
 // across backends for the same seed (same GET/PUT counts and arrival
 // pattern), so cross-backend comparisons are apples to apples.
 func TestBackendsShareSchedule(t *testing.T) {
-	cfg := ShortConfig()
+	cfg := DefaultConfig()
 	cfg.FailMode = FailNone
 	cfg.Requests = 80
 	var gets, puts int
@@ -275,13 +275,17 @@ func TestParseHelpers(t *testing.T) {
 		name string
 		want FailMode
 	}{{"none", FailNone}, {"server", FailServer}, {"rack", FailRack}} {
-		got, ok := ParseFailMode(c.name)
-		if !ok || got != c.want {
-			t.Fatalf("ParseFailMode(%q) = %v,%v", c.name, got, ok)
+		var got FailMode
+		if err := got.UnmarshalText([]byte(c.name)); err != nil || got != c.want {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", c.name, got, err)
+		}
+		if text, _ := got.MarshalText(); string(text) != c.name {
+			t.Fatalf("MarshalText(%v) = %q", got, text)
 		}
 	}
-	if _, ok := ParseFailMode("meteor"); ok {
-		t.Fatal("ParseFailMode accepted meteor")
+	var m FailMode
+	if err := m.UnmarshalText([]byte("meteor")); err == nil {
+		t.Fatal("UnmarshalText accepted meteor")
 	}
 }
 

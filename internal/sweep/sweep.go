@@ -50,6 +50,9 @@ type Cell struct {
 	Backend string
 	// Params are extra axis values, rendered sorted by key.
 	Params map[string]string
+	// Replay, when non-nil, returns the command line that reruns the
+	// cell at a matrix's base seed and seed count (CellResult.Replay).
+	Replay func(baseSeed int64, seeds int) string
 	// Run executes the cell for one derived seed. It must be safe for
 	// concurrent calls: every call builds its own simulation state and
 	// shares nothing mutable. An unmetered run returns nil Hists.
@@ -144,6 +147,7 @@ type HistAggregate struct {
 type CellResult struct {
 	Scenario string            `json:"scenario"`
 	Backend  string            `json:"backend"`
+	Replay   string            `json:"replay,omitempty"`
 	Params   map[string]string `json:"params,omitempty"`
 	// Seeds are the derived per-repetition sub-seeds, in repetition
 	// order (identical for every cell, so backends pair up).
@@ -276,6 +280,9 @@ func (m Matrix) Run() (*Result, error) {
 			Backend:  cell.Backend,
 			Params:   cell.Params,
 			Seeds:    seeds,
+		}
+		if cell.Replay != nil {
+			cr.Replay = cell.Replay(m.BaseSeed, m.Seeds)
 		}
 		samples := map[string][]float64{}
 		merged := map[string]*metrics.Histogram{}
