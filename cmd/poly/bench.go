@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"polyraptor/internal/harness"
@@ -15,21 +14,21 @@ import (
 // the first failed run; once set, printf goes quiet, so a block of
 // experiments prints as it goes and checks for failure once.
 type bench struct {
-	out  io.Writer
-	csv  bool
-	seed int64
-	err  error
+	c   *cli
+	csv bool
+	err error
 }
 
 // runBench regenerates the figures of the Polyraptor paper (SIGCOMM
 // 2018), the A1-A4 ablations and the E1-E4/Ext-S extensions as text
-// tables or CSV. Scaled-down runs preserve per-host delivered load, so
+// tables or CSV. -scale names a harness figure scale, a line of poly
+// sweep flags; scaled-down runs preserve per-host delivered load, so
 // the shape of every figure (who wins, by what factor, where crossings
 // fall) matches the paper; see EXPERIMENTS.md.
 func runBench(c *cli, args []string) int {
 	var (
 		fig    = c.fs.String("fig", "all", "figure to regenerate: 1a, 1b, 1c, ablations, ext, all")
-		scale  = c.fs.String("scale", "bench", "experiment scale: bench, medium, paper")
+		scale  = c.fs.String("scale", "bench", "experiment scale: bench, paper")
 		points = c.fs.Int("points", 16, "max points per rank curve (1a/1b; 0 = every session)")
 		reps   = c.fs.Int("reps", 0, "override Figure 1c repetitions (0 = scale default)")
 	)
@@ -37,44 +36,43 @@ func runBench(c *cli, args []string) int {
 	if code := c.parse(args); code != proceed {
 		return code
 	}
-	sc, inc, ok := scales(*scale)
+	sc, p, err := harness.LookupFigureScale(*scale)
 	switch {
 	case c.format == "json":
 		return c.fail(2, "bench prints -format table or csv")
-	case !ok:
-		return c.fail(2, "unknown scale %q (bench|medium|paper)", *scale)
+	case err != nil:
+		return c.fail(2, "%v", err)
 	case *points < 0:
 		return c.fail(2, "-points must be >= 0, got %d", *points)
 	case *reps < 0:
 		return c.fail(2, "-reps must be >= 0, got %d", *reps)
 	}
-	sc.Seed = c.seed
-	inc.Seed = c.seed
 	if *reps > 0 {
-		inc.Repetitions = *reps
+		sc.Reps = *reps
 	}
 
-	b := &bench{out: c.out, csv: c.format == "csv", seed: c.seed}
+	b := &bench{c: c, csv: c.format == "csv"}
+	f1 := p.Fig1.Scale
 	rankNote := fmt.Sprintf("k=%d hosts=%d sessions=%d bytes=%d",
-		sc.FatTreeK, sc.FatTreeK*sc.FatTreeK*sc.FatTreeK/4, sc.Sessions, sc.Bytes)
+		f1.FatTreeK, f1.FatTreeK*f1.FatTreeK*f1.FatTreeK/4, f1.Sessions, f1.Bytes)
 	figures := []struct {
 		name string
 		run  func()
 	}{
 		{"1a", func() {
 			b.figure("Figure 1a — multicast replication", rankNote, "rank", false,
-				func() ([]harness.FigureSeries, error) { return harness.Figure1a(sc, *points) })
+				func() ([]harness.FigureSeries, error) { return harness.Figure1a(f1, c.seed, *points) })
 		}},
 		{"1b", func() {
 			b.figure("Figure 1b — multi-source fetch", rankNote, "rank", false,
-				func() ([]harness.FigureSeries, error) { return harness.Figure1b(sc, *points) })
+				func() ([]harness.FigureSeries, error) { return harness.Figure1b(f1, c.seed, *points) })
 		}},
 		{"1c", func() {
-			b.figure("Figure 1c — incast", fmt.Sprintf("k=%d reps=%d", inc.FatTreeK, inc.Repetitions), "senders", true,
-				func() ([]harness.FigureSeries, error) { return harness.Figure1c(inc) })
+			b.figure("Figure 1c — incast", fmt.Sprintf("k=%d reps=%d", p.Incast.FatTreeK, sc.Reps), "senders", true,
+				func() ([]harness.FigureSeries, error) { return harness.Figure1c(p.Incast, sc.Senders, sc.Reps, c.seed) })
 		}},
-		{"ablations", func() { b.ablations(sc.FatTreeK) }},
-		{"ext", func() { b.extensions(sc.FatTreeK) }},
+		{"ablations", func() { b.ablations(f1.FatTreeK) }},
+		{"ext", func() { b.extensions(f1.FatTreeK) }},
 	}
 	ran := false
 	for _, f := range figures {
@@ -94,24 +92,6 @@ func runBench(c *cli, args []string) int {
 	return 0
 }
 
-// scales maps the -scale flag to figure and incast configurations.
-func scales(name string) (harness.Scale, harness.IncastOptions, bool) {
-	switch name {
-	case "bench":
-		return harness.BenchScale(), harness.BenchIncastOptions(), true
-	case "medium":
-		sc := harness.Scale{FatTreeK: 6, Sessions: 1000, Bytes: 1 << 20, LoadFactor: 0.33, Seed: 1}
-		inc := harness.DefaultIncastOptions()
-		inc.FatTreeK = 6
-		inc.SenderCounts = []int{2, 5, 10, 15, 20, 30, 40}
-		inc.Repetitions = 5
-		return sc, inc, true
-	case "paper":
-		return harness.PaperScale(), harness.DefaultIncastOptions(), true
-	}
-	return harness.Scale{}, harness.IncastOptions{}, false
-}
-
 const (
 	rq    = store.BackendPolyraptor
 	tcp   = store.BackendTCP
@@ -120,7 +100,7 @@ const (
 
 // result runs sc at the invocation's seed, recording the first failure.
 func (b *bench) result(sc harness.Scenario, backend store.BackendKind) harness.Result {
-	res, err := harness.Run(sc, backend, b.seed, harness.Observers{})
+	res, err := harness.Run(sc, backend, b.c.seed, harness.Observers{})
 	if err != nil && b.err == nil {
 		b.err = err
 	}
@@ -135,7 +115,7 @@ func (b *bench) gbps(sc harness.Scenario, backend store.BackendKind) float64 {
 // printf prints unless a run has failed (its numbers would be zeros).
 func (b *bench) printf(format string, args ...any) {
 	if b.err == nil {
-		fmt.Fprintf(b.out, format, args...)
+		fmt.Fprintf(b.c.out, format, args...)
 	}
 }
 
@@ -213,10 +193,11 @@ func (b *bench) figure(title, subtitle, xLabel string, withCI bool, regenerate f
 			cols = append(cols, stats.Series{Name: s.Label + " ±CI", Points: s.YErr})
 		}
 	}
+	// Wall clock goes to stderr: stdout is the figure alone.
+	b.c.logf("%s: %v", title, time.Since(start).Round(time.Millisecond))
 	if b.csv {
 		b.printf("# %s (%s)\n%s\n", title, subtitle, stats.RenderCSV(xLabel, xs, cols))
 		return
 	}
-	b.printf("== %s ==\n(%s, goodput in Gbps, elapsed %v)\n%s\n",
-		title, subtitle, time.Since(start).Round(time.Millisecond), stats.RenderTable(xLabel, xs, cols))
+	b.printf("== %s ==\n(%s, goodput in Gbps)\n%s\n", title, subtitle, stats.RenderTable(xLabel, xs, cols))
 }

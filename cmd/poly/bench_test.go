@@ -5,26 +5,45 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"polyraptor/internal/harness"
 )
 
+// TestBenchScales: -scale takes exactly the harness's figure scales.
+// bench is what the figure prints by default (Fig 1c on k = 4, senders
+// 2 to 12 over 3 repetitions); paper is the figure captions (k = 10,
+// 10,000 sessions, incast up to 70 senders), resolved without running;
+// the old medium scale is gone and exits 2.
 func TestBenchScales(t *testing.T) {
-	sc, inc, _ := scales("bench")
-	if sc.Sessions == 0 || len(inc.SenderCounts) == 0 {
-		t.Fatalf("bench scale empty: %+v / %+v", sc, inc)
+	var out, errw bytes.Buffer
+	if code := runSub("bench", []string{"-fig", "1c", "-scale", "bench", "-format", "csv"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	med, medInc, _ := scales("medium")
-	if med.Sessions <= sc.Sessions {
-		t.Fatal("medium must exceed bench")
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 6 || lines[0] != "# Figure 1c — incast (k=4 reps=3)" ||
+		!strings.HasPrefix(lines[2], "2,") || !strings.HasPrefix(lines[5], "12,") {
+		t.Fatalf("bench Fig 1c: want k=4 reps=3 over senders 2 to 12:\n%s", out.String())
 	}
-	if medInc.FatTreeK*medInc.FatTreeK*medInc.FatTreeK/4 <= medInc.SenderCounts[len(medInc.SenderCounts)-1] {
-		t.Fatal("medium incast fabric too small for its sender counts")
+	bench, bp, err := harness.LookupFigureScale("bench")
+	if err != nil {
+		t.Fatal(err)
 	}
-	paper, paperInc, _ := scales("paper")
-	if paper.FatTreeK != 10 || paper.Sessions != 10000 {
-		t.Fatalf("paper scale wrong: %+v", paper)
+	paper, pp, err := harness.LookupFigureScale("paper")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if paperInc.SenderCounts[len(paperInc.SenderCounts)-1] != 70 {
-		t.Fatal("paper incast must reach 70 senders")
+	if pp.Fig1.FatTreeK != 10 || pp.Fig1.Sessions != 10000 || pp.Incast.FatTreeK != 10 {
+		t.Fatalf("paper scale wrong: fig1 %+v, incast k=%d", pp.Fig1.Scale, pp.Incast.FatTreeK)
+	}
+	if bp.Fig1.Sessions >= pp.Fig1.Sessions || len(bench.Senders) == 0 {
+		t.Fatalf("bench scale not smaller than paper: %+v / %+v", bp.Fig1.Scale, bench)
+	}
+	if paper.Senders[len(paper.Senders)-1] != 70 {
+		t.Fatalf("paper incast must reach 70 senders: %v", paper.Senders)
+	}
+	errw.Reset()
+	if code := runSub("bench", []string{"-scale", "medium"}, &out, &errw); code != 2 || !strings.Contains(errw.String(), "medium") {
+		t.Fatalf("-scale medium exited %d with stderr %q, want 2 naming the scale", code, errw.String())
 	}
 }
 
@@ -63,7 +82,7 @@ func TestBenchOnePointPerCurve(t *testing.T) {
 
 func TestBenchRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-fig", "2z"}, {"-scale", "galactic"}, {"-nope"},
+		{"-fig", "2z"}, {"-scale", "galactic"}, {"-scale", "medium"}, {"-nope"},
 		{"-points", "-1"}, {"-reps", "-1"}, {"-format", "json"}, {"-format", "yaml"},
 	} {
 		var out, errw bytes.Buffer

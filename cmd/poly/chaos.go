@@ -19,7 +19,8 @@ import (
 // rides through path failures with no rerouting, while a hash-pinned
 // TCP flow routed into a blackhole is stranded until the fault heals.
 func runChaos(c *cli, args []string) int {
-	opt := harness.DefaultChaosOptions()
+	p := harness.DefaultSweepParams()
+	opt := &p.Chaos
 	opt.Flags(c.fs, "")
 	var (
 		plan    = c.fs.String("plan", "", "compact fault spec, e.g. \"link core 0.25 @2ms recover 50ms\"; overrides the individual fault flags (a \"seed n\" clause overrides -seed)")
@@ -47,15 +48,14 @@ func runChaos(c *cli, args []string) int {
 	if err := slo.Validate(); err != nil {
 		return c.fail(2, "%v", err)
 	}
-	var p harness.SweepParams
 	if slo.Enabled() {
 		if !c.sweeps() {
 			return c.fail(2, "-slo-fct applies to the sweep mode (add -seeds or -format json)")
 		}
 		p.SLO = &slo
 	}
-	table := func(w io.Writer, runs []harness.ChaosRun) { chaosTable(w, opt, runs, c.seed, *verbose) }
-	return drive(c, opt, p, table, chaosCSV, true)
+	table := func(w io.Writer, runs []harness.ChaosRun) { chaosTable(w, *opt, runs, c.seed, *verbose) }
+	return drive(c, *opt, p, table, chaosCSV, true)
 }
 
 func chaosTable(w io.Writer, opt harness.ChaosOptions, runs []harness.ChaosRun, seed int64, verbose bool) {

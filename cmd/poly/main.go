@@ -12,7 +12,7 @@
 //
 // Examples:
 //
-//	poly sim -backends tcp -pattern incast -senders 32 -bytes 262144 -trace
+//	poly sim -backends tcp -pattern incast -k 8 -senders 32 -trace
 //	poly sweep -scenarios all -seeds 5 -format json > sweep.json
 //	poly bench -fig 1c -scale paper
 //	poly chaos -plan "link core 0.5 @2ms recover 50ms" -v
@@ -55,11 +55,7 @@ func run(args []string, out, errw io.Writer) int {
 	if len(args) > 0 {
 		for _, s := range subcommands {
 			if s.name == args[0] {
-				c := &cli{name: "poly " + s.name, out: out, errw: errw,
-					backends: "all", seed: 1, seeds: 1, format: "table", traceOut: "polyscope"}
-				c.fs = flag.NewFlagSet(c.name, flag.ContinueOnError)
-				c.fs.SetOutput(errw)
-				return s.run(c, args[1:])
+				return s.run(newCLI(s.name, out, errw), args[1:])
 			}
 		}
 		switch args[0] {
@@ -91,6 +87,16 @@ type cli struct {
 	format   string
 	trace    bool
 	traceOut string
+}
+
+// newCLI returns an invocation of the named subcommand with the shared
+// flags at their defaults.
+func newCLI(sub string, out, errw io.Writer) *cli {
+	c := &cli{name: "poly " + sub, out: out, errw: errw,
+		backends: "all", seed: 1, seeds: 1, format: "table", traceOut: "polyscope"}
+	c.fs = flag.NewFlagSet(c.name, flag.ContinueOnError)
+	c.fs.SetOutput(errw)
+	return c
 }
 
 // shared names the groups of common flags a subcommand takes; every
@@ -175,8 +181,10 @@ func (c *cli) emit(cells []sweep.Cell) int {
 	return m.Emit(c.name, c.format, c.out, c.errw)
 }
 
-// drive validates sc and runs it on every -backends backend. When
-// c.sweeps() it is a sweep, one cell per backend observed per p.
+// drive validates sc, the options in p of one sweep scenario, and runs
+// it on every -backends backend. When c.sweeps() it is a sweep, one
+// cell per backend built as poly sweep builds it (harness.SweepCells),
+// so each cell carries the poly sweep line that replays it.
 // Otherwise each backend runs once at -seed on the worker pool, table
 // or csv prints the scenario's detailed results, and each traced run's
 // files are written, each followed on a table's stdout by its explain
@@ -186,7 +194,7 @@ func drive[T any](c *cli, sc harness.Scenario, p harness.SweepParams, table, csv
 		return c.fail(2, "%v", err)
 	}
 	if c.sweeps() {
-		cells, err := p.Cells(sc, c.kinds)
+		cells, err := harness.SweepCells(sc.Name(), c.kinds, p)
 		if err != nil {
 			return c.fail(2, "%v", err)
 		}

@@ -34,7 +34,8 @@ func rawCells(t *testing.T, doc []byte) []json.RawMessage {
 	return d.Cells
 }
 
-// replayArgs splits a cell's replay line into the arguments of run.
+// replayArgs splits a cell's replay line, a poly sweep line, into the
+// arguments of run.
 func replayArgs(t *testing.T, line string) []string {
 	t.Helper()
 	args := strings.Fields(line)
@@ -42,6 +43,23 @@ func replayArgs(t *testing.T, line string) []string {
 		t.Fatalf("replay %q is not a poly sweep line", line)
 	}
 	return args[1:]
+}
+
+// runDoc runs `poly args...` in-process and returns its sweep document:
+// what it prints with -format=json or, for poly sim, which takes no
+// -format, what its sweep mode renders as JSON.
+func runDoc(t *testing.T, args ...string) []byte {
+	t.Helper()
+	if args[0] != "sim" {
+		return runOK(t, append(args, "-format=json")...)
+	}
+	var out, errw bytes.Buffer
+	c := newCLI("sim", &out, &errw)
+	c.format = "json"
+	if code := runSim(c, args[1:]); code != 0 {
+		t.Fatalf("poly %s exited %d: %s", strings.Join(args, " "), code, errw.String())
+	}
+	return out.Bytes()
 }
 
 // TestSweepReplay: every cell of a sweep names the poly sweep line that
@@ -73,6 +91,34 @@ func TestSweepReplay(t *testing.T) {
 		switch c.Scenario {
 		case "chaos", "shuffle", "storage":
 			checkSubcommandSamples(t, c, args)
+		}
+	}
+
+	// The sweep documents of the other subcommands: each cell's line
+	// reruns it byte for byte. A -plan is written as its -chaos-* fault
+	// flags and its seed clause as -seed; poly sim's incast is the
+	// sweep's incast cell, its other patterns replay through poly sim.
+	for _, doc := range [][]string{
+		{"chaos", "-backends", "rq,tcp", "-seeds", "2"},
+		{"chaos", "-backends", "rq", "-seeds", "2", "-plan", "link agg 0.25 @300us recover 20ms seed 7"},
+		{"chaos", "-backends", "rq", "-seeds", "2", "-slo-fct", "5ms"},
+		{"shuffle", "-backends", "rq", "-seeds", "2", "-mappers", "3"},
+		{"store", "-backends", "tcp", "-seeds", "2", "-requests", "40"},
+		{"sim", "-pattern", "incast", "-backends", "tcp", "-seeds", "2", "-senders", "4"},
+		{"sim", "-pattern", "multicast", "-backends", "rq", "-seeds", "2", "-bytes", "65536", "-detach"},
+	} {
+		for _, raw := range rawCells(t, runDoc(t, doc...)) {
+			var c sweep.CellResult
+			if err := json.Unmarshal(raw, &c); err != nil {
+				t.Fatal(err)
+			}
+			args := strings.Fields(c.Replay)
+			if len(args) < 2 || args[0] != "poly" {
+				t.Fatalf("poly %v: cell %s/%s replays as %q", doc, c.Scenario, c.Backend, c.Replay)
+			}
+			if !slices.ContainsFunc(rawCells(t, runDoc(t, args[1:]...)), func(r json.RawMessage) bool { return bytes.Equal(r, raw) }) {
+				t.Errorf("poly %v: %q does not reprint cell %s/%s", doc, c.Replay, c.Scenario, c.Backend)
+			}
 		}
 	}
 }

@@ -14,14 +14,15 @@ import (
 // goodput. Partition sizes can be Zipf-skewed across reducers and one
 // mapper made a straggler.
 func runShuffle(c *cli, args []string) int {
-	opt := harness.DefaultShuffleOptions()
+	p := harness.DefaultSweepParams()
+	opt := &p.Shuffle
 	opt.Flags(c.fs)
 	c.flags(runFlags | formatFlag | traceFlags)
 	if code := c.parse(args); code != proceed {
 		return code
 	}
-	table := func(w io.Writer, runs []harness.ShuffleRun) { shuffleTable(w, opt, runs) }
-	return drive(c, opt, harness.SweepParams{}, table, shuffleCSV, false)
+	table := func(w io.Writer, runs []harness.ShuffleRun) { shuffleTable(w, *opt, runs) }
+	return drive(c, *opt, p, table, shuffleCSV, false)
 }
 
 func shuffleTable(w io.Writer, opt harness.ShuffleOptions, runs []harness.ShuffleRun) {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"polyraptor/internal/harness"
@@ -37,14 +39,10 @@ type simScenario struct {
 // per-session results, the exploratory companion to bench's fixed
 // figures. With -seeds N it aggregates N derived sub-seeds instead.
 func runSim(c *cli, args []string) int {
-	sc := simScenario{}
-	c.fs.StringVar(&sc.pattern, "pattern", "unicast", "unicast, multicast, multisource, incast")
-	c.fs.IntVar(&sc.k, "k", 4, "fat-tree arity (k even; hosts = k^3/4)")
-	c.fs.Int64Var(&sc.bytes, "bytes", 4<<20, "object bytes (per sender for incast)")
-	c.fs.IntVar(&sc.replicas, "replicas", 3, "replica count for multicast/multisource")
-	c.fs.IntVar(&sc.senders, "senders", 8, "sender count for incast")
-	c.fs.BoolVar(&sc.detach, "detach", false, "enable straggler detachment (rq multicast)")
-	c.fs.BoolVar(&sc.trim, "trim", true, "NDP packet trimming switches (rq)")
+	var sc simScenario
+	own := flag.NewFlagSet("", flag.ContinueOnError)
+	sc.Flags(own)
+	own.VisitAll(func(f *flag.Flag) { c.fs.Var(f.Value, f.Name, f.Usage) })
 	c.backends = "rq"
 	c.flags(runFlags | traceFlags)
 	if code := c.parse(args); code != proceed {
@@ -56,13 +54,22 @@ func runSim(c *cli, args []string) int {
 	if err := sc.Validate(); err != nil {
 		return c.fail(2, "%v", err)
 	}
-	// Reports name the backend as typed ("rq", not "polyraptor").
-	if c.seeds > 1 {
-		cells, err := harness.SweepParams{}.Cells(sc, c.kinds)
+	// A size flag reaches only the patterns that use it.
+	uses := map[string][]string{"senders": {"incast"}, "replicas": {"multicast", "multisource"}, "detach": {"multicast"}}
+	var misapplied error
+	c.fs.Visit(func(f *flag.Flag) {
+		if pats, ok := uses[f.Name]; ok && !slices.Contains(pats, sc.pattern) && misapplied == nil {
+			misapplied = fmt.Errorf("flag -%s applies to pattern %s, not %s", f.Name, strings.Join(pats, " or "), sc.pattern)
+		}
+	})
+	if misapplied != nil {
+		return c.fail(2, "%v", misapplied)
+	}
+	if c.sweeps() {
+		cells, err := sc.cells(c.kinds, own)
 		if err != nil {
 			return c.fail(2, "%v", err)
 		}
-		cells[0].Backend = c.backends
 		return c.emit(cells)
 	}
 
@@ -86,6 +93,46 @@ func runSim(c *cli, args []string) int {
 		c.backends, sc.pattern, res.Metrics["goodput_gbps"],
 		sim.Time(res.Metrics["makespan_s"]*1e9))
 	return 0
+}
+
+// Flags binds sc's options to fs. The sizes default to the sweep's
+// (harness.DefaultSweepParams): poly sim -pattern incast is the incast
+// cell of poly sweep.
+func (sc *simScenario) Flags(fs *flag.FlagSet) {
+	d := harness.DefaultSweepParams()
+	fs.StringVar(&sc.pattern, "pattern", "unicast", "unicast, multicast, multisource, incast")
+	fs.IntVar(&sc.k, "k", d.Incast.FatTreeK, "fat-tree arity (k even; hosts = k^3/4)")
+	fs.Int64Var(&sc.bytes, "bytes", d.Incast.Bytes, "object bytes (per sender for incast)")
+	fs.IntVar(&sc.replicas, "replicas", d.Fig1.Replicas, "replica count for multicast/multisource")
+	fs.IntVar(&sc.senders, "senders", d.Incast.Senders, "sender count for incast")
+	fs.BoolVar(&sc.detach, "detach", false, "enable straggler detachment (rq multicast)")
+	fs.BoolVar(&sc.trim, "trim", true, "NDP packet trimming switches (rq)")
+}
+
+// cells returns sc as a sweep cell per backend. An incast on trimming
+// switches is the sweep's incast scenario, so it is that cell, replayed
+// by poly sweep; any other configuration replays through poly sim with
+// the flags of own, sc's binding, that differ from their defaults.
+func (sc simScenario) cells(backends []store.BackendKind, own *flag.FlagSet) ([]sweep.Cell, error) {
+	if sc.pattern == "incast" && sc.trim {
+		p := harness.DefaultSweepParams()
+		p.Incast = harness.Incast{FatTreeK: sc.k, Senders: sc.senders, Bytes: sc.bytes}
+		return harness.SweepCells("incast", backends, p)
+	}
+	cells, err := harness.SweepParams{}.Cells(sc, backends)
+	opts := ""
+	own.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			opts += " -" + f.Name + "=" + v
+		}
+	})
+	for i := range cells {
+		be := cells[i].Backend
+		cells[i].Replay = func(baseSeed int64, seeds int) string {
+			return fmt.Sprintf("poly sim -backends=%s -seed=%d -seeds=%d%s", be, baseSeed, seeds, opts)
+		}
+	}
+	return cells, err
 }
 
 func (sc simScenario) Name() string { return sc.pattern }

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"polyraptor/internal/harness"
 	"polyraptor/internal/netsim"
 	"polyraptor/internal/store"
+	"polyraptor/internal/sweep"
 	"polyraptor/internal/telemetry"
 	"polyraptor/internal/topology"
 )
@@ -79,7 +84,7 @@ func TestSimMultiSeed(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("aggregate differs between -parallel 1 and -parallel 0:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
-	for _, want := range []string{"3 seeds", "incast/rq", "goodput_gbps", "±CI95"} {
+	for _, want := range []string{"3 seeds", "incast/polyraptor", "goodput_gbps", "±CI95"} {
 		if !strings.Contains(serial, want) {
 			t.Fatalf("aggregate output missing %q:\n%s", want, serial)
 		}
@@ -163,5 +168,50 @@ func TestTCPMultiSourceMovesEveryByte(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "\nflow "); n != replicas {
 		t.Fatalf("want %d flow lines, got %d:\n%s", replicas, n, out.String())
+	}
+}
+
+// TestSimSizeFlagsReachTheirPatterns: a size flag that the pattern
+// does not use exits 2 naming the flag, instead of being ignored.
+func TestSimSizeFlagsReachTheirPatterns(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pattern", "multicast", "-senders", "12"},
+		{"-pattern", "unicast", "-replicas", "2"},
+		{"-pattern", "incast", "-replicas", "2"},
+		{"-pattern", "multisource", "-detach"},
+	} {
+		var out, errw bytes.Buffer
+		if code := runSub("sim", args, &out, &errw); code != 2 || !strings.Contains(errw.String(), args[2]) {
+			t.Errorf("poly sim %v exited %d, want 2 naming %s: %s", args, code, args[2], errw.String())
+		}
+	}
+}
+
+// TestSimIncastIsTheSweepCell: poly sim -pattern incast with no size
+// flags is poly sweep's incast cell. At each backend, its single run
+// at sub-seed 0 reports that cell's sample, to the last bit in the
+// library and to the printed digits on the CLI.
+func TestSimIncastIsTheSweepCell(t *testing.T) {
+	var res sweep.Result
+	if err := json.Unmarshal(runOK(t, "sweep", "-scenarios", "incast", "-backends", "rq,tcp", "-seeds", "1", "-format", "json"), &res); err != nil {
+		t.Fatal(err)
+	}
+	var sc simScenario
+	sc.Flags(flag.NewFlagSet("", flag.ContinueOnError))
+	sc.pattern = "incast"
+	for _, cell := range res.Cells {
+		be, _ := store.ParseBackend(cell.Backend)
+		seed, want := cell.Seeds[0], cell.Samples["goodput_gbps"][0]
+		got, err := harness.Run(sc, be, seed, harness.Observers{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Metrics["goodput_gbps"] != want {
+			t.Errorf("%s: poly sim incast reads %v Gbps, the sweep cell %v", cell.Backend, got.Metrics["goodput_gbps"], want)
+		}
+		line := fmt.Sprintf("%s incast: %.3f Gbps", be, want)
+		if out := runOK(t, "sim", "-pattern", "incast", "-backends", be.String(), "-seed", strconv.FormatInt(seed, 10)); !bytes.Contains(out, []byte(line)) {
+			t.Errorf("poly sim prints\n%s\nwant %q", out, line)
+		}
 	}
 }

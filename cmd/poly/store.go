@@ -13,14 +13,15 @@ import (
 // one-to-many and GETs assembled many-to-one, optionally with a server
 // or rack failure and its re-replication storm mid-run.
 func runStore(c *cli, args []string) int {
-	st := harness.Storage{Cluster: store.DefaultConfig()}
+	p := harness.DefaultSweepParams()
+	st := &p.Storage
 	st.Flags(c.fs)
 	c.flags(runFlags | formatFlag)
 	if code := c.parse(args); code != proceed {
 		return code
 	}
 	table := func(w io.Writer, runs []harness.StorageRun) { storeTable(w, st.Cluster, runs) }
-	return drive(c, st, harness.SweepParams{}, table, storeCSV, false)
+	return drive(c, *st, p, table, storeCSV, false)
 }
 
 func storeTable(w io.Writer, cfg store.Config, runs []harness.StorageRun) {

@@ -121,30 +121,3 @@ func ExampleFetchMultiSource() {
 	// Output:
 	// fetched 262144 bytes from 3 sources, bit-exact: true
 }
-
-// ExampleFigure1c regenerates a miniature of the paper's incast
-// figure.
-func ExampleFigure1c() {
-	opt := polyraptor.IncastOptions{
-		FatTreeK:       4,
-		SenderCounts:   []int{4},
-		BytesPerSender: []int64{70 << 10},
-		Repetitions:    1,
-		Seed:           1,
-		Trimming:       true,
-	}
-	series, err := polyraptor.Figure1c(opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, s := range series {
-		ok := "collapsed"
-		if s.Y[0] > 0.5 {
-			ok = "healthy"
-		}
-		fmt.Println(s.Label, ok)
-	}
-	// Output:
-	// RQ 70KB healthy
-	// TCP 70KB healthy
-}

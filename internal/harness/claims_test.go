@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -24,6 +25,39 @@ import (
 // not chosen per row. At five seeds Fig 1a's "3 replicas ≥ 0.5 × 1
 // replica" fails (0.3217 < 0.5 × 0.6528); at ten it holds.
 const claimSeeds = 10
+
+// paperClaimSeeds is the seed count of the paper-scale tier, whose
+// figure cells take minutes of CPU a run.
+const paperClaimSeeds = 3
+
+// paperTier reports whether POLY_CLAIMS=paper selects the paper-scale
+// tier, which tier-1 and CI do not run (43 min wall, 75 CPU-minutes on
+// 2 CPUs).
+func paperTier() bool { return os.Getenv("POLY_CLAIMS") == "paper" }
+
+// claimTable returns the rows TestClaims holds and their seed count:
+// the table at ten seeds or, in the paper tier, the figure rows (fig1a,
+// fig1b and fig1c) with the paper scale's flags in front of their own,
+// at paperClaimSeeds. Chaos, shuffle and the ablations have no paper
+// size.
+func claimTable() ([]claim, int) {
+	if !paperTier() {
+		return claims, claimSeeds
+	}
+	paper, _, _ := LookupFigureScale("paper")
+	prefix := map[string]string{"fig1a": paper.Fig1, "fig1b": paper.Fig1, "incast": paper.Incast}
+	var rows []claim
+	for _, c := range claims {
+		if _, ok := prefix[c.a.scenario]; !ok {
+			continue
+		}
+		for _, s := range []*side{&c.a, &c.b} {
+			s.flags = strings.TrimSpace(prefix[s.scenario] + " " + s.flags)
+		}
+		rows = append(rows, c)
+	}
+	return rows, paperClaimSeeds
+}
 
 // cellRef names one sweep cell: a scenario on a backend, sized by
 // DefaultSweepParams changed only by poly sweep flags, parsed through
@@ -115,8 +149,9 @@ var claims = []claim{
 	{"A4-decode", rq("ablation-decode", "", "nolat_gbps"), atLeast, 1, rq("ablation-decode", "", "lat_gbps")},
 }
 
-// runClaimCells runs every cell the rows name in one sweep.
-func runClaimCells(rows []claim) (map[cellRef]sweep.CellResult, error) {
+// runClaimCells runs every cell the rows name in one sweep of seeds
+// seeds.
+func runClaimCells(rows []claim, seeds int) (map[cellRef]sweep.CellResult, error) {
 	var refs []cellRef
 	seen := map[cellRef]bool{}
 	for _, r := range rows {
@@ -166,7 +201,7 @@ func runClaimCells(rows []claim) (map[cellRef]sweep.CellResult, error) {
 		}
 		cells[i] = c
 	}
-	res, err := sweep.Matrix{Cells: cells, Seeds: claimSeeds, BaseSeed: 1}.Run()
+	res, err := sweep.Matrix{Cells: cells, Seeds: seeds, BaseSeed: 1}.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +226,9 @@ func (c claim) eval(res map[cellRef]sweep.CellResult) (bool, string) {
 		a, lo, hi := bounds(s)
 		return fmt.Sprintf("%s/%s %s %.4f [%.4f, %.4f] n=%d", s.scenario, s.backend, s.metric, a.Mean, lo, hi, a.N)
 	}
-	if len(samples(c.a)) != claimSeeds || (c.rel != everySeedAtLeast && len(samples(c.b)) != claimSeeds) {
-		return false, fmt.Sprintf("want %d samples a side: %v against %v", claimSeeds, samples(c.a), samples(c.b))
+	n := len(res[c.a.cellRef].Seeds)
+	if len(samples(c.a)) != n || (c.rel != everySeedAtLeast && len(samples(c.b)) != n) {
+		return false, fmt.Sprintf("want %d samples a side: %v against %v", n, samples(c.a), samples(c.b))
 	}
 	_, aLo, aHi := bounds(c.a)
 	_, bLo, bHi := bounds(c.b)
@@ -247,10 +283,10 @@ var claimResults struct {
 	err  error
 }
 
-// claimCells runs the table's cells once per test binary.
+// claimCells runs claimTable's cells once per test binary.
 func claimCells(t *testing.T) map[cellRef]sweep.CellResult {
 	t.Helper()
-	claimResults.once.Do(func() { claimResults.res, claimResults.err = runClaimCells(claims) })
+	claimResults.once.Do(func() { claimResults.res, claimResults.err = runClaimCells(claimTable()) })
 	if claimResults.err != nil {
 		t.Fatal(claimResults.err)
 	}
@@ -259,9 +295,11 @@ func claimCells(t *testing.T) map[cellRef]sweep.CellResult {
 
 // TestClaims holds every row of the table. -v prints each row's
 // numbers; a red row prints the command lines that replay its cells.
+// POLY_CLAIMS=paper runs the paper-scale tier instead (claimTable).
 func TestClaims(t *testing.T) {
 	res := claimCells(t)
-	for _, c := range claims {
+	rows, _ := claimTable()
+	for _, c := range rows {
 		t.Run(c.name, func(t *testing.T) {
 			ok, detail := c.eval(res)
 			if !ok {
@@ -276,6 +314,9 @@ func TestClaims(t *testing.T) {
 // "TCP collapses at N = 12" must fail, so the table can tell a
 // transport that collapses from one that does not.
 func TestClaimsTurnRed(t *testing.T) {
+	if paperTier() {
+		t.Skip("checks the ten-seed table's replay lines")
+	}
 	res := claimCells(t)
 	for _, c := range claims {
 		if c.name != "fig1c-70KB-tcp-collapses" {

@@ -3,6 +3,7 @@ package harness
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"polyraptor/internal/sim"
 	"polyraptor/internal/stats"
@@ -12,9 +13,10 @@ import (
 	"polyraptor/internal/workload"
 )
 
-// Scale selects the experiment size. The paper's full scale (k=10,
-// 10,000 x 4 MB sessions) is minutes of CPU; the scaled defaults
-// preserve per-host offered load and therefore the figures' shape.
+// Scale sizes a Fig1 run. DefaultFig1 is a k=4 fabric; the figure
+// scales (LookupFigureScale) reach the paper's k=10, 10,000 x 4 MB.
+// Every size derives its arrival rate from LoadFactor, so scaled-down
+// runs keep per-host offered load and therefore the figures' shape.
 type Scale struct {
 	// FatTreeK is the fat-tree arity (paper: 10 -> 250 hosts).
 	FatTreeK int
@@ -26,20 +28,6 @@ type Scale struct {
 	// link rate; lambda is derived from it so scaled-down runs keep the
 	// paper's utilisation (~0.33 at paper parameters).
 	LoadFactor float64
-	// Seed is the base seed of Figure1a/Figure1b (Run takes its seed
-	// as an argument).
-	Seed int64
-}
-
-// PaperScale reproduces the figure captions exactly.
-func PaperScale() Scale {
-	return Scale{FatTreeK: 10, Sessions: 10000, Bytes: 4 << 20, LoadFactor: 0.33, Seed: 1}
-}
-
-// BenchScale is small enough for go test -bench while preserving load
-// and shape.
-func BenchScale() Scale {
-	return Scale{FatTreeK: 4, Sessions: 150, Bytes: 512 << 10, LoadFactor: 0.33, Seed: 1}
 }
 
 // lambda converts the load factor to a Poisson arrival rate.
@@ -225,20 +213,59 @@ type FigureSeries struct {
 	YErr []float64
 }
 
+// FigureScale is one size of poly bench's figures: a line of poly
+// sweep flags per scenario binding, parsed through SweepParams.Flags as
+// a replay line or a claims row is, plus Figure 1c's axis.
+type FigureScale struct {
+	// Fig1 sizes Figures 1a and 1b (and the ablation and extension
+	// fabrics); Incast sizes Figure 1c's fabric.
+	Fig1, Incast string
+	// Senders is Figure 1c's x-axis, and Reps the seeds of each point.
+	Senders []int
+	Reps    int
+}
+
+// figureScales are poly bench's -scale values. paper is the figure
+// captions: k=10 (250 hosts), 10,000 x 4 MB sessions, incast up to 70
+// senders over 5 seeds. bench keeps per-host load on the default k=4.
+var figureScales = map[string]FigureScale{
+	"bench": {Fig1: "-sessions=150 -bytes=524288", Senders: []int{2, 4, 8, 12}, Reps: 3},
+	"paper": {Fig1: "-k=10 -sessions=10000 -bytes=4194304", Incast: "-k=10",
+		Senders: []int{2, 5, 10, 20, 30, 40, 50, 60, 70}, Reps: 5},
+}
+
+// LookupFigureScale returns the named figure scale, bench or paper, and
+// DefaultSweepParams with its lines parsed into the fig1 and incast
+// options.
+func LookupFigureScale(name string) (FigureScale, SweepParams, error) {
+	s, ok := figureScales[name]
+	if !ok {
+		return s, SweepParams{}, fmt.Errorf("unknown scale %q (bench|paper)", name)
+	}
+	p := DefaultSweepParams()
+	for _, l := range []struct{ scenario, line string }{{"fig1a", s.Fig1}, {"incast", s.Incast}} {
+		fs, _ := p.Flags(l.scenario)
+		if err := fs.Parse(strings.Fields(l.line)); err != nil {
+			return s, p, fmt.Errorf("harness: %s scale %q: %v", l.scenario, l.line, err)
+		}
+	}
+	return s, p, nil
+}
+
 // Figure1a returns the four curves of Figure 1a (1/3 replicas x
-// RQ/TCP), each ranked descending and downsampled to at most maxPoints
-// points.
-func Figure1a(sc Scale, maxPoints int) ([]FigureSeries, error) {
-	return figure1(sc, PatternMulticast, maxPoints, "Replica")
+// RQ/TCP) at seed, each ranked descending and downsampled to at most
+// maxPoints points.
+func Figure1a(sc Scale, seed int64, maxPoints int) ([]FigureSeries, error) {
+	return figure1(sc, PatternMulticast, seed, maxPoints, "Replica")
 }
 
 // Figure1b returns the four curves of Figure 1b (1/3 senders x
-// RQ/TCP).
-func Figure1b(sc Scale, maxPoints int) ([]FigureSeries, error) {
-	return figure1(sc, PatternMultiSource, maxPoints, "Sender")
+// RQ/TCP) at seed.
+func Figure1b(sc Scale, seed int64, maxPoints int) ([]FigureSeries, error) {
+	return figure1(sc, PatternMultiSource, seed, maxPoints, "Sender")
 }
 
-func figure1(sc Scale, pattern Pattern, maxPoints int, noun string) ([]FigureSeries, error) {
+func figure1(sc Scale, pattern Pattern, seed int64, maxPoints int, noun string) ([]FigureSeries, error) {
 	// The four curves are independent simulations; run them on the
 	// sweep worker pool, each writing its pre-assigned slot so the
 	// series order (and content) is identical to the serial loop.
@@ -255,7 +282,7 @@ func figure1(sc Scale, pattern Pattern, maxPoints int, noun string) ([]FigureSer
 	errs := make([]error, len(arms))
 	sweep.ForEach(len(arms), 0, func(i int) {
 		a := arms[i]
-		res, err := Run(Fig1{Scale: sc, Pattern: pattern, Replicas: a.replicas}, a.backend, sc.Seed, Observers{})
+		res, err := Run(Fig1{Scale: sc, Pattern: pattern, Replicas: a.replicas}, a.backend, seed, Observers{})
 		if err != nil {
 			errs[i] = err
 			return

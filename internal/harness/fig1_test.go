@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"polyraptor/internal/stats"
@@ -10,14 +12,14 @@ import (
 // tinyScale keeps harness unit tests fast; shape assertions are loose
 // here and tight in the benches/EXPERIMENTS.md.
 func tinyScale() Scale {
-	return Scale{FatTreeK: 4, Sessions: 60, Bytes: 256 << 10, LoadFactor: 0.3, Seed: 1}
+	return Scale{FatTreeK: 4, Sessions: 60, Bytes: 256 << 10, LoadFactor: 0.3}
 }
 
 // fig1Goodputs runs one Figure 1 arm and returns its ranked goodputs.
 func fig1Goodputs(t *testing.T, pattern Pattern, replicas int, backend store.BackendKind) []float64 {
 	t.Helper()
 	sc := tinyScale()
-	return mustRun(t, Fig1{Scale: sc, Pattern: pattern, Replicas: replicas}, backend, sc.Seed).Detail.([]float64)
+	return mustRun(t, Fig1{Scale: sc, Pattern: pattern, Replicas: replicas}, backend, 1).Detail.([]float64)
 }
 
 func TestFig1RQMulticastProducesForegroundGoodputs(t *testing.T) {
@@ -70,7 +72,7 @@ func TestFig1MultiSource(t *testing.T) {
 }
 
 func TestFigure1aShape(t *testing.T) {
-	series, err := Figure1a(tinyScale(), 20)
+	series, err := Figure1a(tinyScale(), 1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,31 +97,25 @@ func TestFigure1aShape(t *testing.T) {
 }
 
 // TestFigure1cSerialParallelIdentical: the figure itself is a sweep;
-// its series, one per transport and size with a point and an error bar
-// per sender count, must not depend on parallelism.
+// its series, one per transport and block size with a point and an
+// error bar per sender count, must not depend on parallelism.
 func TestFigure1cSerialParallelIdentical(t *testing.T) {
-	opt := IncastOptions{
-		FatTreeK:       4,
-		SenderCounts:   []int{2, 4},
-		BytesPerSender: []int64{32 << 10},
-		Repetitions:    3,
-		Seed:           1,
-		Trimming:       true,
+	figure := func() []FigureSeries {
+		t.Helper()
+		series, err := Figure1c(DefaultIncast(), []int{2, 4}, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series
 	}
-	opt.Parallelism = 1
-	serial, err := Figure1c(opt)
-	if err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := figure()
+	runtime.GOMAXPROCS(max(2, runtime.NumCPU()))
+	parallel := figure()
+	if len(serial) != 4 || len(parallel) != 4 {
+		t.Fatalf("series counts = %d, %d, want 4", len(serial), len(parallel))
 	}
-	opt.Parallelism = 0
-	parallel, err := Figure1c(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 2 || len(parallel) != 2 {
-		t.Fatalf("series counts = %d, %d, want 2", len(serial), len(parallel))
-	}
-	for i, want := range []string{"RQ 32KB", "TCP 32KB"} {
+	for i, want := range []string{"RQ 256KB", "TCP 256KB", "RQ 70KB", "TCP 70KB"} {
 		if serial[i].Label != want || len(serial[i].Y) != 2 || len(serial[i].YErr) != 2 {
 			t.Fatalf("series %d: %q with %d points and %d error bars, want %q with 2 of each",
 				i, serial[i].Label, len(serial[i].Y), len(serial[i].YErr), want)
@@ -135,6 +131,37 @@ func TestFigure1cSerialParallelIdentical(t *testing.T) {
 					parallel[i].Y[j], parallel[i].YErr[j])
 			}
 		}
+	}
+}
+
+// TestFigureScales resolves both poly bench scales without running
+// them: paper is the figure captions, bench the sizes of the figure
+// golden.
+func TestFigureScales(t *testing.T) {
+	resolve := func(name string) (FigureScale, SweepParams) {
+		t.Helper()
+		s, p, err := LookupFigureScale(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, p
+	}
+	paper, pp := resolve("paper")
+	if want := (Scale{FatTreeK: 10, Sessions: 10000, Bytes: 4 << 20, LoadFactor: 0.33}); pp.Fig1.Scale != want || pp.Incast.FatTreeK != 10 {
+		t.Errorf("paper: fig1 %+v, incast k=%d; want %+v on k=10", pp.Fig1.Scale, pp.Incast.FatTreeK, want)
+	}
+	if paper.Senders[len(paper.Senders)-1] != 70 || paper.Reps != 5 {
+		t.Errorf("paper: Fig 1c axis %v over %d reps, want up to 70 over 5", paper.Senders, paper.Reps)
+	}
+	bench, bp := resolve("bench")
+	if want := (Scale{FatTreeK: 4, Sessions: 150, Bytes: 512 << 10, LoadFactor: 0.33}); bp.Fig1.Scale != want || bp.Incast != DefaultIncast() {
+		t.Errorf("bench: fig1 %+v, incast %+v; want %+v and the incast default", bp.Fig1.Scale, bp.Incast, want)
+	}
+	if !slices.Equal(bench.Senders, []int{2, 4, 8, 12}) || bench.Reps != 3 {
+		t.Errorf("bench: Fig 1c axis %v over %d reps, want [2 4 8 12] over 3", bench.Senders, bench.Reps)
+	}
+	if _, _, err := LookupFigureScale("medium"); err == nil {
+		t.Error("scale medium resolved")
 	}
 }
 
@@ -159,14 +186,22 @@ func TestAblationESI(t *testing.T) {
 }
 
 func TestScaleLambdaPreservesLoad(t *testing.T) {
-	paper := PaperScale()
+	scale := func(name string) Scale {
+		t.Helper()
+		_, p, err := LookupFigureScale(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Fig1.Scale
+	}
+	paper := scale("paper")
 	l := paper.lambda(1e9, 1)
 	// Paper parameters at 1 replica: 0.33 * 250 hosts * 1 Gbps /
 	// (8*4MB) ~ 2460/s — close to the quoted 2560.
 	if l < 2000 || l > 3000 {
 		t.Fatalf("paper-scale lambda = %.0f, want ~2500", l)
 	}
-	bench := BenchScale()
+	bench := scale("bench")
 	lb := bench.lambda(1e9, 1)
 	perHostPaper := l * float64(paper.Bytes) * 8 / (250 * 1e9)
 	perHostBench := lb * float64(bench.Bytes) * 8 / (16 * 1e9)

@@ -96,70 +96,27 @@ func (o Incast) Run(env *Env) (Result, error) {
 	return Result{Metrics: sweep.Metrics{"goodput_gbps": gbps(o.Bytes*int64(o.Senders), last)}}, nil
 }
 
-// IncastOptions parametrises Figure 1c.
-type IncastOptions struct {
-	// FatTreeK is the fabric arity.
-	FatTreeK int
-	// SenderCounts is the x-axis (paper: up to 70).
-	SenderCounts []int
-	// BytesPerSender are the block-size series (paper: 256 KB, 70 KB).
-	BytesPerSender []int64
-	// Repetitions is the number of seeds (paper: 5). Each repetition
-	// runs under its own SplitMix-derived sub-seed (sweep.SubSeed), so
-	// repetition streams are statistically independent.
-	Repetitions int
-	// Seed is the base seed.
-	Seed int64
-	// Trimming can be set false for ablation A1 (Polyraptor without
-	// packet trimming).
-	Trimming bool
-	// Parallelism caps concurrent (point, repetition) runs in
-	// Figure1c; <= 0 means GOMAXPROCS. Results are byte-identical at
-	// any setting.
-	Parallelism int
-}
-
-// DefaultIncastOptions mirrors Figure 1c at a fabric size that still
-// fits the largest sender count.
-func DefaultIncastOptions() IncastOptions {
-	return IncastOptions{
-		FatTreeK:       10,
-		SenderCounts:   []int{2, 5, 10, 20, 30, 40, 50, 60, 70},
-		BytesPerSender: []int64{256 << 10, 70 << 10},
-		Repetitions:    5,
-		Seed:           1,
-		Trimming:       true,
-	}
-}
-
-// BenchIncastOptions is sized for go test -bench.
-func BenchIncastOptions() IncastOptions {
-	return IncastOptions{
-		FatTreeK:       4,
-		SenderCounts:   []int{2, 4, 8, 12},
-		BytesPerSender: []int64{256 << 10, 70 << 10},
-		Repetitions:    3,
-		Seed:           1,
-		Trimming:       true,
-	}
-}
+// fig1cBytes are Figure 1c's block sizes, one series each per
+// protocol: the paper's 256 KB and 70 KB.
+var fig1cBytes = []int64{256 << 10, 70 << 10}
 
 // Figure1c returns mean goodput with 95% CI error bars versus sender
 // count, one series per (protocol, block size) — the paper's Figure 1c.
-// Every (block size, protocol, sender count) point is one sweep cell
-// run over Repetitions derived sub-seeds on the worker pool; the same
-// repetition uses the same sub-seed for every point, so protocols are
-// compared on paired workload draws.
-func Figure1c(opt IncastOptions) ([]FigureSeries, error) {
+// Each point is base with its Senders and Bytes set, one sweep cell run
+// over reps sub-seeds of seed (sweep.SubSeed) on the worker pool; the
+// same repetition uses the same sub-seed for every point, so protocols
+// are compared on paired workload draws.
+func Figure1c(base Incast, senders []int, reps int, seed int64) ([]FigureSeries, error) {
 	protos := []struct {
 		label   string
 		backend store.BackendKind
 	}{{"RQ", store.BackendPolyraptor}, {"TCP", store.BackendTCP}}
 	var cells []sweep.Cell
-	for _, bytes := range opt.BytesPerSender {
+	for _, bytes := range fig1cBytes {
 		for _, proto := range protos {
-			for _, n := range opt.SenderCounts {
-				sc := Incast{FatTreeK: opt.FatTreeK, Senders: n, Bytes: bytes, NoTrim: !opt.Trimming}
+			for _, n := range senders {
+				sc := base
+				sc.Senders, sc.Bytes = n, bytes
 				if err := sc.Validate(); err != nil {
 					return nil, err
 				}
@@ -169,22 +126,17 @@ func Figure1c(opt IncastOptions) ([]FigureSeries, error) {
 			}
 		}
 	}
-	res, err := sweep.Matrix{
-		Cells:       cells,
-		Seeds:       opt.Repetitions,
-		BaseSeed:    opt.Seed,
-		Parallelism: opt.Parallelism,
-	}.Run()
+	res, err := sweep.Matrix{Cells: cells, Seeds: reps, BaseSeed: seed}.Run()
 	if err != nil {
 		return nil, fmt.Errorf("harness: incast sweep: %w", err)
 	}
 
 	var out []FigureSeries
 	i := 0
-	for _, bytes := range opt.BytesPerSender {
+	for _, bytes := range fig1cBytes {
 		for _, proto := range protos {
 			se := FigureSeries{Label: fmt.Sprintf("%s %dKB", proto.label, bytes>>10)}
-			for _, n := range opt.SenderCounts {
+			for _, n := range senders {
 				a, ok := res.Cells[i].Metric("goodput_gbps")
 				if !ok {
 					return nil, fmt.Errorf("harness: incast point %s n=%d failed: %v",

@@ -197,6 +197,7 @@ func TestRunRejectsBadConfigurations(t *testing.T) {
 		{"odd k", Incast{FatTreeK: 3, Senders: 2, Bytes: 1 << 10}, store.BackendTCP},
 		{"incast fan-in beyond out-of-rack hosts", Incast{FatTreeK: 4, Senders: 15, Bytes: 1 << 10}, store.BackendPolyraptor},
 		{"fig1 replicas beyond out-of-rack hosts", Fig1{Scale: Scale{FatTreeK: 2, Sessions: 10, Bytes: 1 << 10, LoadFactor: 0.3}, Replicas: 3}, store.BackendPolyraptor},
+		{"fig1 odd k", Fig1{Scale: Scale{FatTreeK: 3, Sessions: 10, Bytes: 1 << 10, LoadFactor: 0.3}, Replicas: 1}, store.BackendPolyraptor},
 		{"fig1 zero load", Fig1{Scale: Scale{FatTreeK: 4, Sessions: 10, Bytes: 1 << 10}, Replicas: 1}, store.BackendTCP},
 		{"shuffle M+R beyond hosts", ShuffleOptions{FatTreeK: 4, Mappers: 20, Reducers: 4, BytesPerPair: 1 << 10}, store.BackendTCP},
 		{"invalid chaos plan", badPlan, store.BackendPolyraptor},
@@ -237,7 +238,7 @@ func TestLibraryFanoutValidation(t *testing.T) {
 	if _, err := FindSaturation(o, store.BackendPolyraptor); err == nil {
 		t.Error("fig1a saturation search on k=2 with 3 replicas accepted")
 	}
-	_, err := Figure1c(IncastOptions{FatTreeK: 4, SenderCounts: []int{15}, BytesPerSender: []int64{1 << 10}, Repetitions: 1, Seed: 1, Trimming: true})
+	_, err := Figure1c(DefaultIncast(), []int{15}, 1, 1)
 	if err == nil {
 		t.Error("Figure1c with 15 senders on k=4 accepted")
 	}

@@ -1,10 +1,9 @@
 // Package polyraptor is the public API of the Polyraptor
 // reproduction: a RaptorQ-coded, receiver-driven data transport for
 // one-to-many and many-to-one transfer patterns (Alasmar, Parisis,
-// Crowcroft — SIGCOMM 2018), together with the packet-level simulation
-// stack that regenerates the paper's evaluation.
+// Crowcroft — SIGCOMM 2018).
 //
-// Three layers are exposed:
+// Two layers are exposed:
 //
 //   - The systematic rateless codec (EncodeObject / NewObjectDecoder):
 //     a RaptorQ-architecture code — LDPC+HDPC precode, LT encoding
@@ -14,14 +13,12 @@
 //   - The real UDP transport (NewServer / Fetch / FetchMultiSource):
 //     the paper's pull-based protocol over any net.PacketConn, running
 //     the real codec end to end.
-//   - The evaluation harness (Figure1a / Figure1b / Figure1c):
-//     discrete-event simulations on a k-ary FatTree with NDP trimming
-//     switches that regenerate every figure of the paper. Each figure
-//     is a set of scenario runs through the one entry point
-//     internal/harness.Run(scenario, backend, seed, Observers), which
-//     also serves the ablations, extensions and CLIs; an impossible
-//     configuration (odd arity, more senders than out-of-rack hosts)
-//     is a returned error, never a panic or a hang.
+//
+// The packet-level simulation that regenerates the paper's evaluation
+// is not part of this API: cmd/poly runs it
+// (poly bench regenerates the paper's figures, poly sweep any scenario
+// over seeds), and internal/harness holds its scenarios, each sized by
+// one Default and one flag binding.
 //
 // See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
 // results.
@@ -31,7 +28,6 @@ import (
 	"context"
 	"net"
 
-	"polyraptor/internal/harness"
 	"polyraptor/internal/raptorq"
 	"polyraptor/internal/rqudp"
 )
@@ -157,44 +153,3 @@ func FetchMultiSource(ctx context.Context, conn net.PacketConn, remotes []net.Ad
 func FetchMultiSourceStats(ctx context.Context, conn net.PacketConn, remotes []net.Addr, flow uint32, cfg TransportConfig) ([]byte, FetchStats, error) {
 	return rqudp.FetchMultiSourceStats(ctx, conn, remotes, flow, cfg)
 }
-
-// Evaluation harness re-exports.
-type (
-	// SimScale sizes a Figure 1a/1b run (fabric arity, sessions, flow
-	// size, load).
-	SimScale = harness.Scale
-	// FigureSeries is one labelled curve of a regenerated figure.
-	FigureSeries = harness.FigureSeries
-	// IncastOptions sizes a Figure 1c run.
-	IncastOptions = harness.IncastOptions
-)
-
-// PaperScale reproduces the figure captions exactly (250-host
-// fat-tree, 10,000 x 4 MB sessions) — minutes of CPU.
-func PaperScale() SimScale { return harness.PaperScale() }
-
-// BenchScale is a load-preserving scaled-down configuration.
-func BenchScale() SimScale { return harness.BenchScale() }
-
-// Figure1a regenerates the paper's Figure 1a (multicast replication:
-// rank-ordered session goodput, 1/3 replicas, RQ vs TCP).
-func Figure1a(sc SimScale, maxPoints int) ([]FigureSeries, error) {
-	return harness.Figure1a(sc, maxPoints)
-}
-
-// Figure1b regenerates Figure 1b (multi-source fetch).
-func Figure1b(sc SimScale, maxPoints int) ([]FigureSeries, error) {
-	return harness.Figure1b(sc, maxPoints)
-}
-
-// Figure1c regenerates Figure 1c (incast: goodput vs sender count
-// with 95% CIs).
-func Figure1c(opt IncastOptions) ([]FigureSeries, error) {
-	return harness.Figure1c(opt)
-}
-
-// DefaultIncastOptions mirrors the paper's Figure 1c setup.
-func DefaultIncastOptions() IncastOptions { return harness.DefaultIncastOptions() }
-
-// BenchIncastOptions is a fast Figure 1c configuration.
-func BenchIncastOptions() IncastOptions { return harness.BenchIncastOptions() }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"polyraptor"
+	"polyraptor/internal/harness"
 )
 
 func TestFacadeCodecRoundTrip(t *testing.T) {
@@ -84,59 +86,37 @@ func TestFacadeUDPTransfer(t *testing.T) {
 	}
 }
 
+// TestFacadeSimulationScales: the simulation the package doc points to
+// is sized as the paper's figures are. Its paper scale is the captions
+// (k = 10, 10,000 sessions of 4 MiB, incast up to 70 senders), the
+// bench scale is smaller, and Figure 1c covers both block sizes.
 func TestFacadeSimulationScales(t *testing.T) {
-	paper := polyraptor.PaperScale()
-	if paper.FatTreeK != 10 || paper.Sessions != 10000 || paper.Bytes != 4<<20 {
-		t.Fatalf("paper scale = %+v", paper)
-	}
-	bench := polyraptor.BenchScale()
-	if bench.Sessions >= paper.Sessions {
-		t.Fatal("bench scale not smaller than paper scale")
-	}
-	opt := polyraptor.DefaultIncastOptions()
-	if opt.SenderCounts[len(opt.SenderCounts)-1] != 70 {
-		t.Fatalf("incast default must reach 70 senders: %v", opt.SenderCounts)
-	}
-	if len(opt.BytesPerSender) != 2 {
-		t.Fatal("incast default must cover both block sizes")
-	}
-}
-
-func TestFacadeFigure1cTiny(t *testing.T) {
-	opt := polyraptor.IncastOptions{
-		FatTreeK:       4,
-		SenderCounts:   []int{2, 6},
-		BytesPerSender: []int64{70 << 10},
-		Repetitions:    2,
-		Seed:           1,
-		Trimming:       true,
-	}
-	series, err := polyraptor.Figure1c(opt)
+	paperAxis, paper, err := harness.LookupFigureScale("paper")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
+	if sc := paper.Fig1.Scale; sc.FatTreeK != 10 || sc.Sessions != 10000 || sc.Bytes != 4<<20 {
+		t.Fatalf("paper scale = %+v", sc)
 	}
-	for _, s := range series {
-		if len(s.Y) != 2 {
-			t.Fatalf("%s: %d points", s.Label, len(s.Y))
-		}
+	benchAxis, bench, err := harness.LookupFigureScale("bench")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFacadeFigure1cRejectsImpossibleFanIn: a k=4 fabric has 14 hosts
-// outside any rack; asking for 15 senders used to spin the sender
-// picker forever and must now be an error.
-func TestFacadeFigure1cRejectsImpossibleFanIn(t *testing.T) {
-	opt := polyraptor.IncastOptions{
-		FatTreeK: 4, SenderCounts: []int{15}, BytesPerSender: []int64{70 << 10},
-		Repetitions: 1, Seed: 1, Trimming: true,
+	if bench.Fig1.Sessions >= paper.Fig1.Sessions {
+		t.Fatal("bench scale not smaller than paper scale")
 	}
-	if _, err := polyraptor.Figure1c(opt); err == nil {
-		t.Fatal("Figure1c accepted 15 senders on a k=4 fabric")
+	if n := paperAxis.Senders[len(paperAxis.Senders)-1]; n != 70 {
+		t.Fatalf("paper incast must reach 70 senders: %v", paperAxis.Senders)
 	}
-	if _, err := polyraptor.Figure1a(polyraptor.SimScale{FatTreeK: 3, Sessions: 10, Bytes: 1 << 10, LoadFactor: 0.3}, 4); err == nil {
-		t.Fatal("Figure1a accepted an odd arity")
+	series, err := harness.Figure1c(bench.Incast, benchAxis.Senders[:1], 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, se := range series {
+		labels = append(labels, se.Label)
+	}
+	if want := []string{"RQ 256KB", "TCP 256KB", "RQ 70KB", "TCP 70KB"}; !slices.Equal(labels, want) {
+		t.Fatalf("Figure 1c series %q, want both block sizes %q", labels, want)
 	}
 }
