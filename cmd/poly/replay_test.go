@@ -45,21 +45,11 @@ func replayArgs(t *testing.T, line string) []string {
 	return args[1:]
 }
 
-// runDoc runs `poly args...` in-process and returns its sweep document:
-// what it prints with -format=json or, for poly sim, which takes no
-// -format, what its sweep mode renders as JSON.
+// runDoc runs `poly args... -format=json` in-process and returns the
+// sweep document it prints.
 func runDoc(t *testing.T, args ...string) []byte {
 	t.Helper()
-	if args[0] != "sim" {
-		return runOK(t, append(args, "-format=json")...)
-	}
-	var out, errw bytes.Buffer
-	c := newCLI("sim", &out, &errw)
-	c.format = "json"
-	if code := runSim(c, args[1:]); code != 0 {
-		t.Fatalf("poly %s exited %d: %s", strings.Join(args, " "), code, errw.String())
-	}
-	return out.Bytes()
+	return runOK(t, append(args, "-format=json")...)
 }
 
 // TestSweepReplay: every cell of a sweep names the poly sweep line that
@@ -68,30 +58,44 @@ func runDoc(t *testing.T, args ...string) []byte {
 // shuffle and storage, the scenario's own subcommand at sub-seed i,
 // with the line's option flags, prints sample i in every CSV column
 // the cell's metrics share: the two entry points read one set of
-// defaults.
+// defaults. Each replay line and each subcommand document is a parallel
+// subtest: the cells that share a line share one rerun of it.
 func TestSweepReplay(t *testing.T) {
-	cells := rawCells(t, runOK(t, "sweep", "-scenarios", "all", "-seeds", "5", "-format", "json"))
+	cells := rawCells(t, runDoc(t, "sweep", "-scenarios", "all", "-seeds", "5"))
 	if len(cells) != 22 {
 		t.Fatalf("%d cells, want 22", len(cells))
 	}
-	replays := map[string][]json.RawMessage{}
+	type cell struct {
+		raw json.RawMessage
+		res sweep.CellResult
+	}
+	var lines []string
+	byLine := map[string][]cell{}
 	for _, raw := range cells {
 		var c sweep.CellResult
 		if err := json.Unmarshal(raw, &c); err != nil {
 			t.Fatal(err)
 		}
-		name := c.Scenario + "/" + c.Backend
-		args := replayArgs(t, c.Replay)
-		if _, ok := replays[c.Replay]; !ok {
-			replays[c.Replay] = rawCells(t, runOK(t, append(args, "-format=json")...))
+		if _, ok := byLine[c.Replay]; !ok {
+			lines = append(lines, c.Replay)
 		}
-		if !slices.ContainsFunc(replays[c.Replay], func(r json.RawMessage) bool { return bytes.Equal(r, raw) }) {
-			t.Errorf("%s: %q does not reprint the cell", name, c.Replay)
-		}
-		switch c.Scenario {
-		case "chaos", "shuffle", "storage":
-			checkSubcommandSamples(t, c, args)
-		}
+		byLine[c.Replay] = append(byLine[c.Replay], cell{raw, c})
+	}
+	for _, line := range lines {
+		t.Run(line, func(t *testing.T) {
+			t.Parallel()
+			args := replayArgs(t, line)
+			replayed := rawCells(t, runDoc(t, args...))
+			for _, c := range byLine[line] {
+				if !slices.ContainsFunc(replayed, func(r json.RawMessage) bool { return bytes.Equal(r, c.raw) }) {
+					t.Errorf("%s/%s: %q does not reprint the cell", c.res.Scenario, c.res.Backend, line)
+				}
+				switch c.res.Scenario {
+				case "chaos", "shuffle", "storage":
+					checkSubcommandSamples(t, c.res, args)
+				}
+			}
+		})
 	}
 
 	// The sweep documents of the other subcommands: each cell's line
@@ -107,19 +111,22 @@ func TestSweepReplay(t *testing.T) {
 		{"sim", "-pattern", "incast", "-backends", "tcp", "-seeds", "2", "-senders", "4"},
 		{"sim", "-pattern", "multicast", "-backends", "rq", "-seeds", "2", "-bytes", "65536", "-detach"},
 	} {
-		for _, raw := range rawCells(t, runDoc(t, doc...)) {
-			var c sweep.CellResult
-			if err := json.Unmarshal(raw, &c); err != nil {
-				t.Fatal(err)
+		t.Run(strings.Join(doc, " "), func(t *testing.T) {
+			t.Parallel()
+			for _, raw := range rawCells(t, runDoc(t, doc...)) {
+				var c sweep.CellResult
+				if err := json.Unmarshal(raw, &c); err != nil {
+					t.Fatal(err)
+				}
+				args := strings.Fields(c.Replay)
+				if len(args) < 2 || args[0] != "poly" {
+					t.Fatalf("poly %v: cell %s/%s replays as %q", doc, c.Scenario, c.Backend, c.Replay)
+				}
+				if !slices.ContainsFunc(rawCells(t, runDoc(t, args[1:]...)), func(r json.RawMessage) bool { return bytes.Equal(r, raw) }) {
+					t.Errorf("poly %v: %q does not reprint cell %s/%s", doc, c.Replay, c.Scenario, c.Backend)
+				}
 			}
-			args := strings.Fields(c.Replay)
-			if len(args) < 2 || args[0] != "poly" {
-				t.Fatalf("poly %v: cell %s/%s replays as %q", doc, c.Scenario, c.Backend, c.Replay)
-			}
-			if !slices.ContainsFunc(rawCells(t, runDoc(t, args[1:]...)), func(r json.RawMessage) bool { return bytes.Equal(r, raw) }) {
-				t.Errorf("poly %v: %q does not reprint cell %s/%s", doc, c.Replay, c.Scenario, c.Backend)
-			}
-		}
+		})
 	}
 }
 

@@ -44,12 +44,15 @@ func runSim(c *cli, args []string) int {
 	sc.Flags(own)
 	own.VisitAll(func(f *flag.Flag) { c.fs.Var(f.Value, f.Name, f.Usage) })
 	c.backends = "rq"
-	c.flags(runFlags | traceFlags)
+	c.flags(runFlags | formatFlag | traceFlags)
 	if code := c.parse(args); code != proceed {
 		return code
 	}
 	if len(c.kinds) > 1 {
 		return c.fail(2, "sim runs one backend at a time, got %q", c.backends)
+	}
+	if c.format == "csv" && !c.sweeps() {
+		return c.fail(2, "-format csv applies to -seeds > 1: a single run prints its own lines")
 	}
 	if err := sc.Validate(); err != nil {
 		return c.fail(2, "%v", err)

@@ -113,6 +113,9 @@ func TestSimRejectsBadFlags(t *testing.T) {
 		{"-backends", "rq,tcp"}, // one backend at a time
 		{"-backends", "all"},
 		{"-seeds", "2", "-trace"}, // tracing is single-run only
+		{"-format", "json", "-trace"},
+		{"-format", "csv"}, // a single run prints its own lines
+		{"-format", "xml"},
 		{"stray"},
 	} {
 		var out, errw bytes.Buffer

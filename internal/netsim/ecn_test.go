@@ -27,13 +27,13 @@ func TestECNMarkingThreshold(t *testing.T) {
 	// First three packets enqueue below the threshold: no marks.
 	for i := 0; i < 3; i++ {
 		p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-		if !q.queue.enqueue(p) || p.ECNMarked {
+		if !q.enqueue(p) || p.ECNMarked {
 			t.Fatalf("packet %d marked below threshold", i)
 		}
 	}
 	// Subsequent packets see occupancy >= 3: marked.
 	p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-	q.queue.enqueue(p)
+	q.enqueue(p)
 	if !p.ECNMarked {
 		t.Fatal("packet at threshold not marked")
 	}
@@ -44,9 +44,9 @@ func TestECNMarkingThreshold(t *testing.T) {
 
 func TestECNIgnoresNonCapable(t *testing.T) {
 	q := ecnPort(10, 1)
-	q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize})
+	q.enqueue(&Packet{Kind: KindData, Size: DataSize})
 	p := &Packet{Kind: KindData, Size: DataSize} // not ECN-capable
-	q.queue.enqueue(p)
+	q.enqueue(p)
 	if p.ECNMarked || q.QueueStats().Marked != 0 {
 		t.Fatal("non-capable packet marked")
 	}
@@ -55,7 +55,7 @@ func TestECNIgnoresNonCapable(t *testing.T) {
 func TestECNStillDropsAtCapacity(t *testing.T) {
 	q := ecnPort(2, 1)
 	for i := 0; i < 5; i++ {
-		q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
+		q.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
 	}
 	if q.QueueStats().Dropped != 3 || q.QueueLen() != 2 {
 		t.Fatalf("Dropped = %d with %d queued, want 3 and 2", q.QueueStats().Dropped, q.QueueLen())
@@ -65,8 +65,8 @@ func TestECNStillDropsAtCapacity(t *testing.T) {
 func TestPlainDropTailNeverMarks(t *testing.T) {
 	q := ecnPort(2, 0)
 	p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
-	q.queue.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
-	q.queue.enqueue(p)
+	q.enqueue(&Packet{Kind: KindData, Size: DataSize, ECNCapable: true})
+	q.enqueue(p)
 	if p.ECNMarked {
 		t.Fatal("plain drop-tail marked a packet")
 	}
@@ -85,7 +85,7 @@ func TestHostNICIsPlainDropTail(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			p := &Packet{Kind: KindData, Size: DataSize, ECNCapable: true}
 			ps = append(ps, p)
-			a.NIC.queue.enqueue(p)
+			a.NIC.enqueue(p)
 		}
 		st := a.NIC.QueueStats()
 		if st.Enqueued != 3 || st.Dropped != 2 || st.Trimmed != 0 || st.Marked != 0 {
@@ -159,7 +159,7 @@ func TestTrimQueuePropertyNeverExceedsCaps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DataQueueCap, cfg.HeaderQueueCap = 4, 6
 	f := func(ops []uint8) bool {
-		q := &switchPort(cfg).queue
+		q := switchPort(cfg)
 		for _, op := range ops {
 			if op%3 == 0 {
 				q.dequeue()
@@ -171,7 +171,7 @@ func TestTrimQueuePropertyNeverExceedsCaps(t *testing.T) {
 				pkt.Size = HeaderSize
 			}
 			q.enqueue(pkt)
-			if q.data.len() > 4 || q.header.len() > 6 {
+			if h := q.hot(); h.data.len() > 4 || h.header.len() > 6 {
 				return false
 			}
 		}

@@ -208,7 +208,7 @@ func TestMulticastReplication(t *testing.T) {
 			}
 		}
 	}
-	sw.Mcast[5] = []int{1, 2, 3}
+	sw.SetMcastPorts(5, []int{1, 2, 3})
 	src.Send(&Packet{Kind: KindData, Size: DataSize, Src: 0, Group: 5})
 	n.Eng.Run()
 	for i, c := range got {
@@ -229,7 +229,7 @@ func TestMulticastClonesAreIndependent(t *testing.T) {
 	bHost := n.AddHost()
 	n.Connect(sw, a)
 	n.Connect(sw, bHost)
-	sw.Mcast[1] = []int{1, 2}
+	sw.SetMcastPorts(1, []int{1, 2})
 	trimsSeen := map[int32]int{}
 	a.Deliver = func(p *Packet) {
 		if p.Trimmed {
@@ -315,13 +315,14 @@ func TestQueueTotalsAggregate(t *testing.T) {
 }
 
 // The fifo ring keeps FIFO order across wrap-around and growth, and
-// its buffer stays within twice the peak occupancy (or its first
-// capacity), however many packets pass through it.
+// its window of the slot slab stays within twice the peak occupancy (or
+// its first capacity), however many packets pass through it.
 func TestFIFOCompaction(t *testing.T) {
+	n := New(DefaultConfig())
 	var f fifo
 	pushed, popped := int64(0), int64(0)
 	pop := func() {
-		p := f.pop()
+		p := n.pop(&f)
 		if p == nil || p.Seq != popped {
 			t.Fatalf("pop %d = %+v", popped, p)
 		}
@@ -330,34 +331,42 @@ func TestFIFOCompaction(t *testing.T) {
 	// Occupancy steady at a few packets: the head wraps round the first
 	// ring over and over, and it never grows.
 	for i := 0; i < 10000; i++ {
-		f.push(&Packet{Seq: pushed})
+		n.push(&f, &Packet{Seq: pushed})
 		pushed++
 		if i >= 4 {
 			pop()
 		}
 	}
-	if len(f.buf) != fifoMinCap {
-		t.Fatalf("ring holds %d slots at a steady 5 packets, want %d", len(f.buf), fifoMinCap)
+	if f.size != fifoMinCap || len(n.slots) != fifoMinCap {
+		t.Fatalf("ring holds %d slots (slab %d) at a steady 5 packets, want %d", f.size, len(n.slots), fifoMinCap)
 	}
 	// Three in, two out: the occupancy climbs by one a round, so the
 	// ring grows while its head sits mid-buffer.
 	peak := 0
 	for round := 0; round < 300; round++ {
 		for i := 0; i < 3; i++ {
-			f.push(&Packet{Seq: pushed})
+			n.push(&f, &Packet{Seq: pushed})
 			pushed++
 		}
 		peak = max(peak, f.len())
 		pop()
 		pop()
 	}
-	if n := len(f.buf); n > 2*peak || n&(n-1) != 0 {
-		t.Fatalf("ring holds %d slots for a peak of %d packets", n, peak)
+	if s := int(f.size); s > 2*peak || s&(s-1) != 0 {
+		t.Fatalf("ring holds %d slots for a peak of %d packets", s, peak)
+	}
+	if len(n.slots) > 4*peak {
+		t.Fatalf("slab holds %d slots for a ring that peaked at %d packets", len(n.slots), peak)
+	}
+	for i, p := range n.slots[:f.off] {
+		if p != nil {
+			t.Fatalf("slot %d of a window the ring left still holds %+v", i, p)
+		}
 	}
 	for popped < pushed {
 		pop()
 	}
-	if f.pop() != nil || f.len() != 0 {
+	if n.pop(&f) != nil || f.len() != 0 {
 		t.Fatal("pop on empty fifo")
 	}
 }
@@ -370,7 +379,7 @@ func TestTrimDisciplineCaps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DataQueueCap, cfg.HeaderQueueCap = 2, 3
 	port := switchPort(cfg)
-	q := &port.queue
+	q := port
 	data := func(seq int64) *Packet { return &Packet{Kind: KindData, Size: DataSize, Seq: seq} }
 	pull := func(seq int64) *Packet { return &Packet{Kind: KindPull, Size: HeaderSize, Seq: seq} }
 	for i, c := range []struct {

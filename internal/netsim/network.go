@@ -3,8 +3,10 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
+	"polyraptor/internal/idring"
 	"polyraptor/internal/metrics"
 	"polyraptor/internal/sim"
 	"polyraptor/internal/telemetry"
@@ -86,6 +88,108 @@ type Network struct {
 	// faults counts the ports and switches that are down. While it is
 	// zero every candidate of every route is live.
 	faults int
+
+	// hot is every port's per-hop state, one cache line each, and ports
+	// the handles, both indexed by Port.id in Connect order. slots is the
+	// slab the ports' queue rings live in, discs the two queue
+	// disciplines (hostDisc, switchDisc) and flight the frames
+	// propagating on every link.
+	hot     []portHot
+	ports   []*Port
+	slots   []*Packet
+	freeWin [32][]uint32 // freed windows of the slab, by log2 of their size
+	discs   [2]discipline
+	flight  flight
+}
+
+// Flag bits of portHot.flags.
+const (
+	portUp    = 1 << iota // the link is up
+	portBusy              // a frame is serializing (txPkt)
+	portCut               // the frame on the wire crossed a down window: lose it
+	portLossy             // lossRate > 0
+)
+
+// portHot is the state of one port that a hop reads and writes: Send,
+// kick, onTxDone and the queue rings touch nothing else of the port but
+// its counters and its peer. It is one cache line (TestPortHotIsOneCacheLine), and a
+// network keeps them in one dense array, so the ports of a k = 8 fabric
+// take 48 KiB.
+type portHot struct {
+	// txPkt is the frame serializing, nil when the line is idle.
+	txPkt *Packet
+	// txTime is the serialization time of a txSize-byte frame at the
+	// port's rate, the last one kick worked out: frames come in two sizes,
+	// and the division is the dearest instruction on the path. SetRate
+	// works it out again; txSize is -1 until the first frame, and it is
+	// the size of txPkt while one serializes.
+	txTime sim.Time
+	// txDone completes the serialization of txPkt; one closure per port,
+	// made by Connect, so that kick allocates nothing.
+	txDone func()
+	// data is the data queue when trimming and the only queue otherwise;
+	// header is the priority header queue when trimming.
+	data, header fifo
+	txSize       int32
+	flags        uint8 // portUp | portBusy | portCut | portLossy
+	disc         uint8 // hostDisc or switchDisc, the index into Network.discs
+}
+
+// Indices into Network.discs: host NICs are plain drop-tail at
+// HostQueueCap, switch ports take the configured discipline.
+const (
+	hostDisc = iota
+	switchDisc
+)
+
+func (h *portHot) queueLen() int { return h.data.len() + h.header.len() }
+
+// inFlight is a frame propagating towards the node at the far end.
+type inFlight struct {
+	to  Node
+	pkt *Packet
+}
+
+// flight holds the frames propagating on every link, in the order they
+// left their ports. Every link has the network's LinkDelay, every frame
+// is scheduled that delay after its serialization ends, and the engine
+// fires events in (time, scheduling order), so deliveries come out of
+// the engine in exactly the order frames went in, whichever port sent
+// them: the head is always the frame that the firing deliver event is
+// for. One ring for the network keeps that walk sequential, where a ring
+// per port was the first touch of a cold port and a second, dependent
+// load.
+type flight struct {
+	delay   sim.Time
+	buf     []inFlight // a ring whose length is zero or a power of two
+	head, n uint32
+	deliver func() // pops the head and hands it to its node
+}
+
+//polyvet:noalloc runs per transmitted frame; a full ring grows out of line
+func (f *flight) push(to Node, pkt *Packet) {
+	if int(f.n) == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&uint32(len(f.buf)-1)] = inFlight{to, pkt}
+	f.n++
+}
+
+//polyvet:noalloc runs per delivered frame
+func (f *flight) pop() inFlight {
+	e := f.buf[f.head]
+	f.buf[f.head] = inFlight{}
+	f.head = (f.head + 1) & uint32(len(f.buf)-1)
+	f.n--
+	return e
+}
+
+//go:noinline
+func (f *flight) grow() {
+	buf := make([]inFlight, max(fifoMinCap, 2*len(f.buf)))
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
 }
 
 // New creates an empty network with the given configuration.
@@ -93,11 +197,23 @@ func New(cfg Config) *Network {
 	if cfg.LinkRate <= 0 {
 		panic("netsim: LinkRate must be positive")
 	}
-	return &Network{
+	n := &Network{
 		Eng: sim.NewEngine(),
 		Cfg: cfg,
 		rng: sim.RNG(cfg.Seed, "ecmp-spray"),
 	}
+	n.discs[hostDisc] = discipline{cap: cfg.HostQueueCap}
+	n.discs[switchDisc] = discipline{cap: cfg.DropTailCap, markK: cfg.ECNThreshold}
+	if cfg.Trimming {
+		n.discs[switchDisc] = discipline{trimming: true, cap: cfg.DataQueueCap, headerCap: cfg.HeaderQueueCap}
+	}
+	f := &n.flight
+	f.delay = cfg.LinkDelay
+	f.deliver = func() {
+		e := f.pop()
+		e.to.Receive(e.pkt)
+	}
+	return n
 }
 
 // AddHost creates a host. Its NIC port is created by Connect.
@@ -109,18 +225,9 @@ func (n *Network) AddHost() *Host {
 
 // AddSwitch creates a switch with the given name (for diagnostics).
 func (n *Network) AddSwitch(name string) *Switch {
-	s := &Switch{ID: int32(len(n.Switches)), Name: name, net: n, Mcast: map[int32][]int{}}
+	s := &Switch{ID: int32(len(n.Switches)), Name: name, net: n}
 	n.Switches = append(n.Switches, s)
 	return s
-}
-
-// switchQueue builds the configured queue discipline for a switch
-// egress port.
-func (n *Network) switchQueue() discipline {
-	if n.Cfg.Trimming {
-		return discipline{trimming: true, cap: n.Cfg.DataQueueCap, headerCap: n.Cfg.HeaderQueueCap}
-	}
-	return discipline{cap: n.Cfg.DropTailCap, markK: n.Cfg.ECNThreshold}
 }
 
 // Connect joins two nodes with a full-duplex link (two simplex ports).
@@ -129,24 +236,28 @@ func (n *Network) switchQueue() discipline {
 // the port on a facing b and the port on b facing a.
 func (n *Network) Connect(a, b Node) (pa, pb *Port) {
 	mk := func(owner, peer Node) *Port {
-		q := discipline{cap: n.Cfg.HostQueueCap}
-		if _, isHost := owner.(*Host); !isHost {
-			q = n.switchQueue()
+		disc := uint8(switchDisc)
+		if _, isHost := owner.(*Host); isHost {
+			disc = hostDisc
 		}
+		id := int32(len(n.ports))
 		p := &Port{
 			net:   n,
+			id:    id,
 			owner: owner,
 			peer:  peer,
 			rate:  n.Cfg.LinkRate,
-			delay: n.Cfg.LinkDelay,
-			queue: q,
-			up:    true,
 		}
 		if sw, ok := peer.(*Switch); ok {
 			p.peerSwitch = sw
 		}
-		p.txDone = p.onTxDone
-		p.deliver = p.onDeliver
+		n.ports = append(n.ports, p)
+		n.hot = append(n.hot, portHot{
+			txSize: -1,
+			txDone: func() { n.onTxDone(id) },
+			flags:  portUp,
+			disc:   disc,
+		})
 		p.index = owner.addPort(p)
 		// strconv, not fmt: 768 labels are a sixth of the time it takes
 		// to build a k=8 fabric.
@@ -195,45 +306,36 @@ func (n *Network) QueueTotals() QueueStats {
 // flag (down = blackhole: nothing serializes, a frame cut mid-wire is
 // lost) and a random loss rate (a transmitted frame is destroyed with
 // this probability — a lossy, not dead, link).
+//
+// A Port is the handle and holds what a hop does not read: its
+// per-hop state (link flags, the frame on the wire, the queue rings) is
+// the network's hot record at index id, and its frames in flight wait
+// in the network's flight FIFO.
 type Port struct {
+	// What a hop reads or writes of the handle comes first: the peer it
+	// delivers to and the counters of a kept or sent frame.
+	peer      Node
+	TxPackets int64
+	TxBytes   int64
+	stats     QueueStats
+
+	// Lost counts packets destroyed by link faults: sends attempted
+	// while the link was down, frames cut when the link failed
+	// mid-serialization, and random losses on a lossy link.
+	Lost       int64
 	net        *Network
+	id         int32 // index into net.hot and net.ports
 	owner      Node
-	peer       Node
 	peerSwitch *Switch // peer when it is a switch (avoids a hot-path type assert)
 	index      int
 	label      string // precomputed Label(), so drop hooks stay allocation-free
 	rate       int64
-	delay      sim.Time
-	queue      discipline
-	busy       bool
-	up         bool
-	cut        bool // the in-flight frame crossed a down window: lose it
 	lossRate   float64
-	// txTime is the serialization time of a txSize-byte frame at txRate,
-	// the last one kick worked out: frames come in two sizes, and the
-	// division is the dearest instruction on the path.
-	txSize int32
-	txRate int64
-	txTime sim.Time
-
-	// Serialization and propagation state. A port serializes one frame
-	// at a time (txPkt) and its propagation delay is constant, so frames
-	// in flight arrive strictly in emission order (flight is FIFO). That
-	// invariant lets kick reuse two per-port callbacks (txDone, deliver)
-	// instead of allocating fresh closures for every packet — the
-	// simulator's hottest allocation site before the packet pool.
-	txPkt   *Packet
-	flight  fifo
-	txDone  func()
-	deliver func()
-
-	TxPackets int64
-	TxBytes   int64
-	// Lost counts packets destroyed by link faults: sends attempted
-	// while the link was down, frames cut when the link failed
-	// mid-serialization, and random losses on a lossy link.
-	Lost int64
 }
+
+// hot returns the port's per-hop record. The pointer is good until the
+// next Connect.
+func (p *Port) hot() *portHot { return &p.net.hot[p.id] }
 
 // Index returns the port's position in its owner's port list.
 func (p *Port) Index() int { return p.index }
@@ -246,6 +348,11 @@ func (p *Port) SetRate(bps int64) {
 		panic("netsim: rate must be positive")
 	}
 	p.rate = bps
+	if h := p.hot(); h.txSize >= 0 {
+		// Keep the cached serialization time true for the new rate: the
+		// frame on the wire (if any) still counts txSize bytes when done.
+		h.txTime = txTime(h.txSize, bps)
+	}
 }
 
 // Rate returns the port's current transmission rate in bits/s.
@@ -256,26 +363,28 @@ func (p *Port) Rate() int64 { return p.rate }
 // in Lost, queued packets stay parked, and new Sends are dropped.
 // Bringing it back up restarts transmission from the surviving queue.
 func (p *Port) SetUp(up bool) {
-	if p.up == up {
+	h := p.hot()
+	if (h.flags&portUp != 0) == up {
 		return
 	}
-	p.up = up
 	if up {
+		h.flags |= portUp
 		p.net.faults--
-		p.kick()
+		p.net.kick(p.id)
 		return
 	}
+	h.flags &^= portUp
 	p.net.faults++
-	if p.busy {
+	if h.flags&portBusy != 0 {
 		// Mark the in-flight frame cut now: a flap faster than one
 		// serialization time must still lose the frame even though the
 		// link is back up when serialization completes.
-		p.cut = true
+		h.flags |= portCut
 	}
 }
 
 // Up reports whether the link is up.
-func (p *Port) Up() bool { return p.up }
+func (p *Port) Up() bool { return p.hot().flags&portUp != 0 }
 
 // SetLossRate makes the link lossy: each transmitted frame is
 // destroyed with probability r in [0, 1]. Zero restores a clean link.
@@ -287,6 +396,11 @@ func (p *Port) SetLossRate(r float64) {
 		p.net.lossRNG = sim.RNG(p.net.Cfg.Seed, "link-loss")
 	}
 	p.lossRate = r
+	if h := p.hot(); r > 0 {
+		h.flags |= portLossy
+	} else {
+		h.flags &^= portLossy
+	}
 }
 
 // LossRate returns the link's current random-loss probability.
@@ -296,13 +410,13 @@ func (p *Port) LossRate() float64 { return p.lossRate }
 func (p *Port) Peer() Node { return p.peer }
 
 // QueueLen returns the instantaneous queue occupancy in packets.
-func (p *Port) QueueLen() int { return p.queue.len() }
+func (p *Port) QueueLen() int { return p.hot().queueLen() }
 
 // QueueStats returns the port's queue counters plus this port's
 // link-fault losses (LinkDrops = Lost). RouteDrops is a switch-level
 // counter and stays zero at port granularity.
 func (p *Port) QueueStats() QueueStats {
-	st := p.queue.stats
+	st := p.stats
 	st.LinkDrops = p.Lost
 	return st
 }
@@ -315,23 +429,30 @@ func (p *Port) Label() string { return p.label }
 
 // Send enqueues a packet for transmission. A down link drops it
 // immediately (the interface is dead), counted in Lost.
-func (p *Port) Send(pkt *Packet) {
-	if !p.up {
+func (p *Port) Send(pkt *Packet) { p.net.send(p.id, pkt) }
+
+// send is Send on port id.
+//
+//polyvet:noalloc runs per packet per hop
+func (n *Network) send(id int32, pkt *Packet) {
+	h := &n.hot[id]
+	if h.flags&portUp == 0 {
+		p := n.ports[id]
 		p.Lost++
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
+		n.FreePacket(pkt)
 		return
 	}
-	if !p.queue.enqueue(pkt) {
+	if !n.enqueue(h, &n.ports[id].stats, pkt) {
 		// Dropped; counted by the queue. enqueue reporting false means
 		// the packet was kept in no form (a trim keeps the header), so
 		// this reference is the last one.
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvQueueDrop, -1, p.label)
-		p.net.FreePacket(pkt)
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvQueueDrop, -1, n.ports[id].label)
+		n.FreePacket(pkt)
 		return
 	}
-	p.net.QueueHist.Record(float64(p.queue.len()))
-	p.kick()
+	n.QueueHist.Record(float64(h.queueLen()))
+	n.kick(id)
 }
 
 // kick starts transmitting if the line is idle: serialize for
@@ -340,89 +461,145 @@ func (p *Port) Send(pkt *Packet) {
 // loses that frame (checked when serialization completes) and parks
 // the rest of the queue until SetUp re-kicks.
 //
-//polyvet:noalloc runs per transmitted packet; the reused txDone/deliver callbacks keep it closure-free
-func (p *Port) kick() {
-	if p.busy || !p.up {
+//polyvet:noalloc runs per transmitted packet; the port's txDone closure is made once, by Connect
+func (n *Network) kick(id int32) {
+	h := &n.hot[id]
+	if h.flags&(portBusy|portUp) != portUp {
 		return
 	}
-	pkt := p.queue.dequeue()
+	pkt := n.dequeue(h)
 	if pkt == nil {
 		return
 	}
-	p.busy = true
-	p.txPkt = pkt
-	if pkt.Size != p.txSize || p.rate != p.txRate {
-		p.txSize, p.txRate = pkt.Size, p.rate
-		p.txTime = sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
+	h.flags |= portBusy
+	h.txPkt = pkt
+	if pkt.Size != h.txSize {
+		h.txSize = pkt.Size
+		h.txTime = txTime(pkt.Size, n.ports[id].rate)
 	}
-	p.net.Eng.After(p.txTime, p.txDone)
+	n.Eng.After(h.txTime, h.txDone)
 }
 
-// onTxDone completes serialization of the frame on the wire: account
-// for it, apply link faults, and hand survivors to propagation.
-func (p *Port) onTxDone() {
-	pkt := p.txPkt
-	p.txPkt = nil
-	p.busy = false
-	if p.cut || !p.up {
+// txTime returns the serialization time of a size-byte frame at rate
+// bits/s.
+func txTime(size int32, rate int64) sim.Time {
+	return sim.Time(int64(size) * 8 * 1e9 / rate)
+}
+
+// onTxDone completes serialization of the frame on port id's wire:
+// account for it, apply link faults, and hand survivors to propagation.
+//
+//polyvet:noalloc runs per transmitted packet
+func (n *Network) onTxDone(id int32) {
+	h := &n.hot[id]
+	pkt, fl := h.txPkt, h.flags
+	h.txPkt = nil
+	h.flags = fl &^ (portBusy | portCut)
+	p := n.ports[id]
+	if fl&portCut != 0 || fl&portUp == 0 {
 		// The link failed at some point while this frame was on
 		// the wire (it may have already recovered): the frame is
 		// cut. kick() resumes the queue if the link is back up and
 		// is a no-op while it is still down (recovery re-kicks).
-		p.cut = false
 		p.Lost++
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
-		p.kick()
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
+		n.FreePacket(pkt)
+		n.kick(id)
 		return
 	}
 	p.TxPackets++
-	p.TxBytes += int64(pkt.Size)
-	if p.lossRate > 0 && p.net.lossRNG.Float64() < p.lossRate {
+	p.TxBytes += int64(h.txSize) // kick set it from pkt.Size: the packet stays untouched
+	if fl&portLossy != 0 && n.lossRNG.Float64() < p.lossRate {
 		p.Lost++ // corrupted on a lossy link
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
+		n.FreePacket(pkt)
 	} else {
-		p.flight.push(pkt)
-		p.net.Eng.After(p.delay, p.deliver)
+		n.flight.push(p.peer, pkt)
+		n.Eng.After(n.flight.delay, n.flight.deliver)
 	}
-	p.kick()
-}
-
-// onDeliver completes propagation of the oldest in-flight frame. The
-// FIFO matches deliveries to packets because the delay is constant and
-// the engine fires simultaneous events in scheduling order.
-func (p *Port) onDeliver() {
-	p.peer.Receive(p.flight.pop())
+	n.kick(id)
 }
 
 // Switch is an output-queued switch. Route supplies the candidate
-// egress ports for a unicast packet (equal-cost set); Mcast maps a
-// group ID to the egress ports of the group's directed tree at this
-// switch.
+// egress ports for a unicast packet (equal-cost set); the multicast
+// table maps a group ID to the egress ports of the group's directed tree
+// at this switch (McastPorts and its setters).
 type Switch struct {
-	ID    int32
-	Name  string
-	net   *Network
-	Ports []*Port
+	net *Network
 	// Route returns the equal-cost candidate egress port indices for a
 	// unicast packet. Installed by the topology package.
 	Route func(pkt *Packet) []int
-	// Mcast maps group -> egress port indices.
-	Mcast map[int32][]int
+	// ids holds Ports[i].id: forwarding goes straight to the hot record.
+	ids []int32
+	// mcast is the multicast table: group ID to the egress ports of
+	// the group's tree here.
+	mcast idring.Table[[]int]
+	down  bool
+
+	ID    int32
+	Name  string
+	Ports []*Port
 	// RouteDrops counts packets blackholed at this switch: arrivals
 	// while the switch was killed, and unicast packets whose candidate
 	// set was empty or held no live port. Chaos runs report it against
 	// queue drops to separate "routed into a hole" from "congested".
 	RouteDrops int64
 
-	down    bool
 	candBuf []int // scratch for live-candidate filtering (single-threaded sim)
 }
 
 func (s *Switch) addPort(p *Port) int {
 	s.Ports = append(s.Ports, p)
+	s.ids = append(s.ids, p.id)
 	return len(s.Ports) - 1
+}
+
+// McastPorts returns the egress ports of group g's tree at this switch,
+// or nil when g has none. The slice is the table's own: read it, and do
+// not keep it past the next change to g.
+//
+//polyvet:noalloc runs per multicast packet per hop
+func (s *Switch) McastPorts(g int32) []int {
+	if outs := s.mcast.Get(g); outs != nil {
+		return *outs
+	}
+	return nil
+}
+
+// AddMcastPort adds port to group g's tree at this switch; a port the
+// tree already has is not added twice.
+func (s *Switch) AddMcastPort(g int32, port int) {
+	outs := s.mcast.Claim(g)
+	if !slices.Contains(*outs, port) {
+		*outs = append(*outs, port)
+	}
+}
+
+// SetMcastPorts replaces group g's egress ports at this switch with a
+// copy of ports, duplicates and order as given.
+func (s *Switch) SetMcastPorts(g int32, ports []int) {
+	outs := s.mcast.Claim(g)
+	*outs = append((*outs)[:0], ports...)
+}
+
+// RemoveMcastPort takes port out of group g's tree at this switch,
+// keeping the order of the rest. A group pruned to no port stays in the
+// table, and this switch frees its packets, until RemoveMcastGroup.
+func (s *Switch) RemoveMcastPort(g int32, port int) {
+	if outs := s.mcast.Get(g); outs != nil {
+		if i := slices.Index(*outs, port); i >= 0 {
+			*outs = slices.Delete(*outs, i, i+1)
+		}
+	}
+}
+
+// RemoveMcastGroup tears down group g's forwarding state at this switch.
+// Its port slice stays in the table for the next group in its slot.
+func (s *Switch) RemoveMcastGroup(g int32) {
+	if outs := s.mcast.Get(g); outs != nil {
+		*outs = (*outs)[:0]
+		s.mcast.Free(g)
+	}
 }
 
 // SetDown kills or restores the whole switch. A killed switch drops
@@ -449,7 +626,7 @@ func (s *Switch) Down() bool { return s.down }
 // own link is up and, when the peer is a switch, the peer is alive.
 func (s *Switch) portLive(i int) bool {
 	p := s.Ports[i]
-	return p.up && (p.peerSwitch == nil || !p.peerSwitch.down)
+	return p.Up() && (p.peerSwitch == nil || !p.peerSwitch.down)
 }
 
 // liveCands filters the equal-cost candidate set to live ports. The
@@ -494,7 +671,7 @@ func (n *Network) Reachable(src, dst int) bool {
 	seen := make([]bool, len(n.Switches))
 	var walk func(p *Port) bool
 	walk = func(p *Port) bool {
-		if !p.up {
+		if !p.Up() {
 			return false
 		}
 		s := p.peerSwitch
@@ -522,23 +699,24 @@ func (n *Network) Reachable(src, dst int) bool {
 // of the candidate set. A packet with no live candidate is blackholed
 // and counted in RouteDrops.
 func (s *Switch) Receive(pkt *Packet) {
+	n := s.net
 	if s.down {
 		s.RouteDrops++
-		s.net.Rec.RecordLabel(s.net.Eng.Now(), pkt.Flow, telemetry.EvRouteDrop, -1, s.Name)
-		s.net.FreePacket(pkt)
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvRouteDrop, -1, s.Name)
+		n.FreePacket(pkt)
 		return
 	}
 	if pkt.Group >= 0 {
-		outs := s.Mcast[pkt.Group]
+		outs := s.McastPorts(pkt.Group)
 		if len(outs) == 0 {
-			s.net.FreePacket(pkt) // pruned-empty tree at this switch
+			n.FreePacket(pkt) // pruned-empty tree at this switch
 			return
 		}
 		for i, out := range outs {
 			if i == len(outs)-1 {
-				s.Ports[out].Send(pkt) // last copy moves, not clones
+				n.send(s.ids[out], pkt) // last copy moves, not clones
 			} else {
-				s.Ports[out].Send(s.net.clonePacket(pkt))
+				n.send(s.ids[out], n.clonePacket(pkt))
 			}
 		}
 		return
@@ -549,8 +727,8 @@ func (s *Switch) Receive(pkt *Packet) {
 	cands := s.liveCands(s.Route(pkt))
 	if len(cands) == 0 {
 		s.RouteDrops++
-		s.net.Rec.RecordLabel(s.net.Eng.Now(), pkt.Flow, telemetry.EvRouteDrop, -1, s.Name)
-		s.net.FreePacket(pkt)
+		n.Rec.RecordLabel(n.Eng.Now(), pkt.Flow, telemetry.EvRouteDrop, -1, s.Name)
+		n.FreePacket(pkt)
 		return
 	}
 	var out int
@@ -558,11 +736,11 @@ func (s *Switch) Receive(pkt *Packet) {
 	case len(cands) == 1:
 		out = cands[0]
 	case pkt.Spray:
-		out = cands[s.net.rng.Intn(len(cands))]
+		out = cands[n.rng.Intn(len(cands))]
 	default:
 		out = cands[flowHash(pkt.Flow, pkt.Sender)%uint32(len(cands))]
 	}
-	s.Ports[out].Send(pkt)
+	n.send(s.ids[out], pkt)
 }
 
 // flowHash is a deterministic per-flow ECMP hash (fmix32).
@@ -581,13 +759,14 @@ func flowHash(flow, sender int32) uint32 {
 type Host struct {
 	ID  int32
 	NIC *Port
+	nic int32 // NIC.id
 	net *Network
 	// Deliver is invoked for every packet arriving at the host.
 	Deliver func(pkt *Packet)
 }
 
 func (h *Host) addPort(p *Port) int {
-	h.NIC = p
+	h.NIC, h.nic = p, p.id
 	return 0
 }
 
@@ -604,7 +783,7 @@ func (h *Host) Send(pkt *Packet) {
 		panic("netsim: host is not connected")
 	}
 	pkt.Born = h.net.Eng.Now()
-	h.NIC.Send(pkt)
+	h.net.send(h.nic, pkt)
 }
 
 // Now returns the network's current simulated time.
@@ -623,7 +802,7 @@ func (n *Network) RegisterProbes(p *telemetry.Probe) {
 		p.Gauge("q "+name, "pkt", func() float64 { return float64(pt.QueueLen()) })
 		p.Gauge("tx "+name, "bytes-cum", func() float64 { return float64(pt.TxBytes) })
 		p.Gauge("drops "+name, "pkt-cum", func() float64 {
-			return float64(pt.queue.stats.Dropped + pt.Lost)
+			return float64(pt.stats.Dropped + pt.Lost)
 		})
 	}
 	for _, s := range n.Switches {

@@ -5,13 +5,21 @@
 // a short data queue plus a priority header queue with packet trimming
 // (Handley et al., SIGCOMM 2017) — which Polyraptor adopts; drop-tail
 // queues can also mark ECN-capable packets at a threshold (DCTCP,
-// Alizadeh et al., SIGCOMM 2010). A port holds its discipline inline:
-// Connect builds it from the Config (host NICs are always plain
-// drop-tail), and its queues are rings that grow by doubling to their
-// peak occupancy and never slide. Unicast forwarding supports per-flow
-// ECMP hashing and per-packet spraying over equal-cost paths; multicast
-// forwarding replicates packets along per-group directed trees, the
-// paper's "native support for multicasting".
+// Alizadeh et al., SIGCOMM 2010). New builds the disciplines from the
+// Config (host NICs are always plain drop-tail), and a port's queues are
+// rings that grow by doubling to their peak occupancy and
+// never slide. Unicast forwarding supports per-flow ECMP hashing and
+// per-packet spraying over equal-cost paths; multicast forwarding
+// replicates packets along per-group directed trees, the paper's
+// "native support for multicasting".
+//
+// The per-hop path is laid out for the cache. What Send, kick and
+// onTxDone touch of a port is one 64-byte record in a dense array per
+// network (portHot: the link flags, the frame on the wire, its
+// serialization time and the two queue rings, whose slots live in one
+// slab); the Port is the handle and keeps the rest. Frames in flight
+// wait in one FIFO for the whole network, not a ring per port, and a
+// switch's multicast table is an idring.Table keyed by group ID.
 package netsim
 
 import "polyraptor/internal/sim"

@@ -250,6 +250,6 @@ func (rs *receiverSession) onDoneAck(from int32) {
 	delete(rs.pendingDone, from)
 	if len(rs.pendingDone) == 0 {
 		rs.doneRetry.Cancel()
-		delete(rs.sys.Agents[rs.receiver].recvSess, rs.flow)
+		rs.sys.Agents[rs.receiver].flows.dropReceiver(rs.flow)
 	}
 }

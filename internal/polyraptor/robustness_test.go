@@ -85,12 +85,12 @@ func TestSessionsFreeStateOnCompletion(t *testing.T) {
 	if len(evs) != 10 {
 		t.Fatalf("%d/10 completed", len(evs))
 	}
-	if n := len(sys.Agents[1].recvSess); n != 0 {
+	if n := sys.Agents[1].flows.recv; n != 0 {
 		t.Fatalf("%d receiver sessions leaked", n)
 	}
 	// Finished sender sessions are deleted outright (the PR 4 leak
 	// fix), not merely marked finished.
-	if n := len(sys.Agents[0].sendSess); n != 0 {
+	if n := sys.Agents[0].flows.send; n != 0 {
 		t.Fatalf("%d sender sessions leaked", n)
 	}
 }

@@ -35,7 +35,7 @@ type senderSession struct {
 	receivers []int32
 	pulls     []credit // attached receivers in host order
 	doneRecv  int      // receivers that reported completion
-	detached  map[int32]*detachedTail
+	tails     []int32  // detached receivers, served privately (see onPull)
 	// emitted counts symbols sent; the straggler detector compares its
 	// growth against the link's symbol rate.
 	emitted int64
@@ -73,10 +73,10 @@ func (ss *senderSession) creditRange() (lo, hi int) {
 	return lo, hi
 }
 
-// detachedTail serves a straggler receiver privately after detachment:
-// every pull from it yields one fresh unicast repair symbol.
-type detachedTail struct {
-	served int
+// tail returns host's index in tails, or -1 when it is not detached. A
+// group detaches few receivers, if any, so they are a slice, not a map.
+func (ss *senderSession) tail(host int32) int {
+	return slices.Index(ss.tails, host)
 }
 
 // nextESI advances the symbol cursor: source partition first, then
@@ -143,9 +143,9 @@ func (ss *senderSession) onPull(pkt *netsim.Packet) {
 		return
 	}
 	from := pkt.Src
-	if tail, ok := ss.detached[from]; ok {
-		// Straggler tail: serve privately.
-		tail.served++
+	if ss.tail(from) >= 0 {
+		// Straggler tail: every pull from a detached receiver yields one
+		// fresh unicast repair symbol.
 		ss.emit(ss.nextESI(), from)
 		return
 	}
@@ -222,7 +222,7 @@ func (ss *senderSession) armGraceCheck() {
 				kept = append(kept, c)
 				continue
 			}
-			ss.detached[c.host] = &detachedTail{}
+			ss.tails = append(ss.tails, c.host)
 			ss.sys.detachReceiver(ss.flow, ss.group, c.host)
 			// Honour its already-banked credits privately.
 			for i := 0; i < c.n; i++ {
@@ -250,10 +250,11 @@ func (ss *senderSession) onReceiverDone(host int32) {
 	}
 	if i := ss.attached(host); i >= 0 {
 		ss.pulls = slices.Delete(ss.pulls, i, i+1)
-	} else if _, tailed := ss.detached[host]; !tailed {
+	} else if i := ss.tail(host); i >= 0 {
+		ss.tails = slices.Delete(ss.tails, i, i+1)
+	} else {
 		return // duplicate ctrl from an already-counted receiver
 	}
-	delete(ss.detached, host)
 	ss.doneRecv++
 	if ss.doneRecv >= len(ss.receivers) {
 		ss.finished = true
@@ -264,10 +265,10 @@ func (ss *senderSession) onReceiverDone(host int32) {
 	ss.pump()
 }
 
-// finish releases the completed session from its agent's map. Without
+// finish releases the completed session from its agent's table. Without
 // this, every flow in a long run leaked a senderSession (plus its
-// pulls/detached maps): onReceiverDone used to set finished and stop,
+// pulls and detached tails): onReceiverDone used to set finished and stop,
 // and nothing ever deleted the entry.
 func (ss *senderSession) finish() {
-	delete(ss.sys.Agents[ss.src].sendSess, ss.flow)
+	ss.sys.Agents[ss.src].flows.dropSender(ss.flow)
 }

@@ -42,7 +42,7 @@ func (s *System) detachReceiver(flow, group int32, receiver int32) {
 	if s.PruneGroup != nil {
 		s.PruneGroup(group, int(receiver))
 	}
-	if rs, ok := s.Agents[receiver].recvSess[flow]; ok {
+	if rs := s.Agents[receiver].flows.receiver(flow); rs != nil {
 		rs.detached = true
 	}
 }
@@ -128,7 +128,7 @@ func (s *System) StartMultiSource(senders []int, dst int, bytes int64, onDone fu
 	if s.Cfg.RandomESI && n > 1 {
 		recv.seen = make(map[int64]struct{}, k+16)
 	}
-	s.Agents[dst].recvSess[flow] = recv
+	s.Agents[dst].flows.putReceiver(flow, recv)
 	recv.armTimeout()
 
 	// Partition[K, n] source symbols across senders in ESI order.
@@ -156,7 +156,7 @@ func (s *System) StartMultiSource(senders []int, dst int, bytes int64, onDone fu
 			snd.randESI = sim.RNG(int64(flow)*1000+int64(i), "random-esi")
 		}
 		startESI += span
-		s.Agents[host].sendSess[flow] = snd
+		s.Agents[host].flows.putSender(flow, snd)
 		snd.sendInitialWindow()
 	}
 	return flow
@@ -185,7 +185,6 @@ func (s *System) StartMulticast(src int, receivers []int, group int32, bytes int
 		repairNext: int64(k),
 		stride:     1,
 		pulls:      make([]credit, 0, len(receivers)),
-		detached:   make(map[int32]*detachedTail),
 	}
 	for _, r := range receivers {
 		snd.receivers = append(snd.receivers, int32(r))
@@ -201,11 +200,11 @@ func (s *System) StartMulticast(src int, receivers []int, group int32, bytes int
 			start:    s.Net.Now(),
 			onDone:   onDone,
 		}
-		s.Agents[r].recvSess[flow] = recv
+		s.Agents[r].flows.putReceiver(flow, recv)
 		recv.armTimeout()
 	}
 	slices.SortFunc(snd.pulls, func(a, b credit) int { return int(a.host - b.host) }) // detachment order
-	s.Agents[src].sendSess[flow] = snd
+	s.Agents[src].flows.putSender(flow, snd)
 	snd.sendInitialWindow()
 	return flow
 }
@@ -310,8 +309,8 @@ func (s *System) StartShuffle(mappers, reducers []int, bytesPerPair func(mi, ri 
 // down — the lifecycle contract the leak regression tests assert.
 func (s *System) OpenSessions() (send, recv int) {
 	for _, a := range s.Agents {
-		send += len(a.sendSess)
-		recv += len(a.recvSess)
+		send += a.flows.send
+		recv += a.flows.recv
 	}
 	return
 }
@@ -332,8 +331,7 @@ type Agent struct {
 	sys  *System
 	host *netsim.Host
 
-	sendSess map[int32]*senderSession
-	recvSess map[int32]*receiverSession
+	flows flowTable // the sessions open here, by flow
 
 	// Pull pacer state. drainFn is the bound drainPull callback,
 	// created once so per-pull pacing never allocates a method value.
@@ -349,12 +347,7 @@ type pullReq struct {
 }
 
 func newAgent(sys *System, host *netsim.Host) *Agent {
-	a := &Agent{
-		sys:      sys,
-		host:     host,
-		sendSess: make(map[int32]*senderSession),
-		recvSess: make(map[int32]*receiverSession),
-	}
+	a := &Agent{sys: sys, host: host}
 	a.drainFn = a.drainPull
 	host.Deliver = a.deliver
 	return a
@@ -363,11 +356,11 @@ func newAgent(sys *System, host *netsim.Host) *Agent {
 func (a *Agent) deliver(pkt *netsim.Packet) {
 	switch pkt.Kind {
 	case netsim.KindData:
-		if sess, ok := a.recvSess[pkt.Flow]; ok {
+		if sess := a.flows.receiver(pkt.Flow); sess != nil {
 			sess.onData(pkt)
 		}
 	case netsim.KindPull:
-		if sess, ok := a.sendSess[pkt.Flow]; ok {
+		if sess := a.flows.sender(pkt.Flow); sess != nil {
 			sess.onPull(pkt)
 		}
 	case netsim.KindCtrl:
@@ -375,7 +368,7 @@ func (a *Agent) deliver(pkt *netsim.Packet) {
 		// when the sender session is already gone — because the ctrl may
 		// be a retransmission whose predecessor's ack was lost; without
 		// the ack the receiver would retransmit forever.
-		if sess, ok := a.sendSess[pkt.Flow]; ok {
+		if sess := a.flows.sender(pkt.Flow); sess != nil {
 			sess.onReceiverDone(pkt.Src)
 		}
 		ack := a.sys.Net.AllocPacket()
@@ -389,7 +382,7 @@ func (a *Agent) deliver(pkt *netsim.Packet) {
 		a.host.Send(ack)
 	case netsim.KindAck:
 		// Sender's acknowledgement of our completion ctrl.
-		if sess, ok := a.recvSess[pkt.Flow]; ok {
+		if sess := a.flows.receiver(pkt.Flow); sess != nil {
 			sess.onDoneAck(pkt.Src)
 		}
 	default:
@@ -421,7 +414,7 @@ func (a *Agent) drainPull() {
 	for a.pullHead < len(a.pullQ) {
 		req := a.pullQ[a.pullHead]
 		a.pullHead++
-		if sess, ok := a.recvSess[req.flow]; !ok || sess.done {
+		if sess := a.flows.receiver(req.flow); sess == nil || sess.done {
 			continue
 		}
 		a.sys.Net.Rec.Record(a.sys.Net.Now(), req.flow, telemetry.EvPull, a.host.ID, int64(req.dst))

@@ -248,15 +248,10 @@ func (ft *FatTree) InstallMulticastGroup(sender int, receivers []int) int32 {
 	coreUp := half + core%half
 
 	add := func(sw *netsim.Switch, port int) {
-		for _, q := range sw.Mcast[g] {
-			if q == port {
-				return
-			}
-		}
-		if len(sw.Mcast[g]) == 0 {
+		if len(sw.McastPorts(g)) == 0 {
 			ft.groupTouched[g] = append(ft.groupTouched[g], sw)
 		}
-		sw.Mcast[g] = append(sw.Mcast[g], port)
+		sw.AddMcastPort(g, port)
 	}
 
 	sPod, sEdge, _ := ft.edgeOf(sender)
@@ -334,20 +329,13 @@ func (ft *FatTree) DegradeCoreLinks(frac float64, divisor int64, seed int64) int
 // it only carries traffic toward remaining leaves.
 func (ft *FatTree) PruneMulticastLeaf(g int32, receiver int) {
 	pod, e, pos := ft.edgeOf(receiver)
-	sw := ft.edge(pod, e)
-	outs := sw.Mcast[g]
-	for i, p := range outs {
-		if p == pos {
-			sw.Mcast[g] = append(outs[:i], outs[i+1:]...)
-			return
-		}
-	}
+	ft.edge(pod, e).RemoveMcastPort(g, pos)
 }
 
 // RemoveMulticastGroup tears down a group's forwarding state.
 func (ft *FatTree) RemoveMulticastGroup(g int32) {
 	for _, sw := range ft.groupTouched[g] {
-		delete(sw.Mcast, g)
+		sw.RemoveMcastGroup(g)
 	}
 	delete(ft.groupTouched, g)
 }
@@ -358,6 +346,8 @@ type Star struct {
 	Net   *netsim.Network
 	Hosts []*netsim.Host
 	SW    *netsim.Switch
+
+	nextGroup int32
 }
 
 // NewStar builds an n-host single-switch network.
@@ -382,24 +372,19 @@ func NewStar(n int, cfg netsim.Config) *Star {
 // InstallMulticastGroup installs a star multicast group and returns
 // its ID.
 func (st *Star) InstallMulticastGroup(sender int, receivers []int) int32 {
-	g := int32(len(st.SW.Mcast))
+	g := st.nextGroup
+	st.nextGroup++
 	var ports []int
 	for _, r := range receivers {
 		if r != sender {
 			ports = append(ports, r)
 		}
 	}
-	st.SW.Mcast[g] = ports
+	st.SW.SetMcastPorts(g, ports)
 	return g
 }
 
 // PruneMulticastLeaf removes one receiver from a star group.
 func (st *Star) PruneMulticastLeaf(g int32, receiver int) {
-	outs := st.SW.Mcast[g]
-	for i, p := range outs {
-		if p == receiver {
-			st.SW.Mcast[g] = append(outs[:i], outs[i+1:]...)
-			return
-		}
-	}
+	st.SW.RemoveMcastPort(g, receiver)
 }

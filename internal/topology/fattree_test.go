@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -249,7 +250,7 @@ func TestRemoveMulticastGroup(t *testing.T) {
 	g := ft.InstallMulticastGroup(0, []int{5, 10})
 	ft.RemoveMulticastGroup(g)
 	for _, sw := range append(append(append([]*netsim.Switch{}, ft.edges...), ft.aggs...), ft.cores...) {
-		if len(sw.Mcast[g]) != 0 {
+		if len(sw.McastPorts(g)) != 0 {
 			t.Fatalf("switch %s still has group state", sw.Name)
 		}
 	}
@@ -367,4 +368,62 @@ func TestRouteTablesMatchArithmetic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A group's tree forwards through install, prune to empty, removal and
+// re-install after 10,000 other groups have come and gone, as the
+// per-switch maps it replaced did: exactly the receivers still in the
+// tree get a copy, and every packet is freed by the time the fabric
+// drains.
+func TestMulticastGroupLifecycle(t *testing.T) {
+	ft, err := NewFatTree(4, netsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ft.Net
+	got := map[int]int{}
+	for i, h := range ft.Hosts {
+		i := i
+		h.Deliver = func(p *netsim.Packet) { got[i]++; net.FreePacket(p) }
+	}
+	send := func(g int32) map[int]int {
+		clear(got)
+		p := net.AllocPacket()
+		p.Kind, p.Size, p.Src, p.Group = netsim.KindData, netsim.DataSize, 0, g
+		ft.Hosts[0].Send(p)
+		net.Eng.Run()
+		if out := net.PacketsOutstanding(); out != 0 {
+			t.Fatalf("group %d: %d packets outstanding after the drain", g, out)
+		}
+		return maps.Clone(got)
+	}
+	receivers := []int{1, 5, 10} // same rack, same pod, other pod
+	check := func(step string, g int32, want ...int) {
+		t.Helper()
+		w := map[int]int{}
+		for _, r := range want {
+			w[r] = 1
+		}
+		if c := send(g); !maps.Equal(c, w) {
+			t.Fatalf("%s: group %d delivered %v, want %v", step, g, c, w)
+		}
+	}
+	g := ft.InstallMulticastGroup(0, receivers)
+	check("install", g, 1, 5, 10)
+	ft.PruneMulticastLeaf(g, 10)
+	check("prune", g, 1, 5)
+	ft.PruneMulticastLeaf(g, 1)
+	ft.PruneMulticastLeaf(g, 5)
+	check("prune to empty", g)
+	ft.RemoveMulticastGroup(g)
+	check("remove", g)
+	for i := 0; i < 10000; i++ {
+		ft.RemoveMulticastGroup(ft.InstallMulticastGroup(i%16, receivers))
+	}
+	g2 := ft.InstallMulticastGroup(0, receivers)
+	if g2 != g+10001 {
+		t.Fatalf("group IDs do not keep counting: got %d after %d", g2, g)
+	}
+	check("re-install after 10,000 groups", g2, 1, 5, 10)
+	check("the old ID stays removed", g)
 }
