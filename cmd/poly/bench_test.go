@@ -48,8 +48,10 @@ func TestBenchScales(t *testing.T) {
 }
 
 // TestGoldenFigures: every figure, ablation and extension at bench
-// scale reproduces, byte for byte, the CSV captured from polybench at
-// commit b5526c0 — before the harness was collapsed onto Run. ~15 s.
+// scale reproduces, byte for byte, the golden CSV. Its RQ numbers are
+// those captured from polybench at commit b5526c0, before the harness
+// was collapsed onto Run; its TCP numbers were regenerated when a new
+// ACK began to lift the TCP sender's nextSeq. ~15 s.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure (~15 s)")

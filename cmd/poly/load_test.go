@@ -165,9 +165,11 @@ func TestLoadSkipsBlankScenarios(t *testing.T) {
 }
 
 // TestGoldenReport: the default incast+shuffle knee search on rq and
-// tcp reproduces, byte for byte, the report captured from polyload at
-// commit b5526c0 — before the harness was collapsed onto Run. The
-// report is kept as its SHA-256 in testdata/goldens.sha256.
+// tcp reproduces, byte for byte, the golden report. Its rq results are
+// those captured from polyload at commit b5526c0, before the harness
+// was collapsed onto Run; the tcp results were regenerated when a new
+// ACK began to lift the TCP sender's nextSeq. The report is kept as its
+// SHA-256 in testdata/goldens.sha256.
 func TestGoldenReport(t *testing.T) {
 	var out, errw bytes.Buffer
 	args := []string{"-scenarios", "incast,shuffle", "-backends", "rq,tcp", "-format", "json"}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -25,49 +23,5 @@ func TestSplitComma(t *testing.T) {
 		if got := splitComma(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("splitComma(%q) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestThroughputOptsValidate(t *testing.T) {
-	good := throughputOpts{symbol: 1436, maxK: 256, reps: 3, workers: 0, loss: 0.3, seed: 1}
-	if err := good.validate(); err != nil {
-		t.Fatalf("valid opts rejected: %v", err)
-	}
-	bad := []throughputOpts{
-		{symbol: 0, maxK: 256, reps: 3, loss: 0.3},
-		{symbol: 60001, maxK: 256, reps: 3, loss: 0.3},
-		{symbol: 1436, maxK: 0, reps: 3, loss: 0.3},
-		{symbol: 1436, maxK: 256, reps: 0, loss: 0.3},
-		{symbol: 1436, maxK: 256, reps: 1001, loss: 0.3},
-		{symbol: 1436, maxK: 256, reps: 3, workers: -1, loss: 0.3},
-		{symbol: 1436, maxK: 256, reps: 3, loss: -0.1},
-		{symbol: 1436, maxK: 256, reps: 3, loss: 1.0},
-	}
-	for i, o := range bad {
-		if err := o.validate(); err == nil {
-			t.Errorf("bad opts %d accepted: %+v", i, o)
-		}
-	}
-}
-
-// TestRunThroughputSmoke runs the full throughput pipeline on a small
-// in-memory object and checks every phase reports and verifies.
-func TestRunThroughputSmoke(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	data := make([]byte, 200_000)
-	rng.Read(data)
-	opts := throughputOpts{symbol: 512, maxK: 64, reps: 2, workers: 2, loss: 0.25, seed: 7}
-	var out strings.Builder
-	if err := runThroughput(&out, data, opts); err != nil {
-		t.Fatalf("runThroughput: %v", err)
-	}
-	got := out.String()
-	for _, phase := range []string{"encode", "decode systematic", "decode 25% loss"} {
-		if !strings.Contains(got, phase) {
-			t.Errorf("output missing %q phase:\n%s", phase, got)
-		}
-	}
-	if !strings.Contains(got, "MB/s") || !strings.Contains(got, "allocs/op") {
-		t.Errorf("output missing throughput/alloc figures:\n%s", got)
 	}
 }

@@ -278,16 +278,17 @@ func goldenSweep(t *testing.T, p SweepParams, parallelism int) []byte {
 
 // TestGoldenSweeps is the refactor guard: the full 22-cell sweep —
 // every registered scenario on every backend plus the ablations —
-// reproduces, byte for byte, the documents captured from polysweep at
-// commit b5526c0 (before the harness was collapsed onto Run), plain
-// and metered, and does so at parallelism 1 and GOMAXPROCS alike. The
-// plain document is kept to read; the metered one is its SHA-256 in
-// testdata/goldens.sha256. Both gained the chaos cells' "partitioned"
-// metric since, and nothing else. It is also the serial==parallel
-// determinism test for every scenario, and, because Run audits every
-// run that drains, the conservation test: 192 of its 208 runs end with
-// no session open and every packet accounted for (the rest stop at a
-// chaos deadline). CI runs it under -race.
+// reproduces, byte for byte, the golden documents, plain and metered,
+// and does so at parallelism 1 and GOMAXPROCS alike. Their rq cells are
+// those captured from polysweep at commit b5526c0 (before the harness
+// was collapsed onto Run) plus the chaos cells' "partitioned" metric;
+// the tcp and dctcp cells were regenerated when a new ACK began to lift
+// the TCP sender's nextSeq. The plain document is kept to read; the
+// metered one is its SHA-256 in testdata/goldens.sha256. It is also the
+// serial==parallel determinism test for every scenario, and, because
+// Run audits every run that drains, the conservation test: 192 of its
+// 208 runs end with no session open and every packet accounted for (the
+// rest stop at a chaos deadline). CI runs it under -race.
 func TestGoldenSweeps(t *testing.T) {
 	want, err := os.ReadFile("testdata/polysweep_all.json")
 	if err != nil {

@@ -21,7 +21,7 @@ func TestStrayPacketsFreedAndIgnored(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		sys.StartUnicast(0, 1, 16<<10, count)
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	live := sys.StartUnicast(0, 1, 1<<20, count)
 	if live != 16 || sys.Agents[1].flows.ends.Len() != 16 {
 		t.Fatalf("flow %d in a %d-slot table, want flow 16 sharing flow 0's slot", live, sys.Agents[1].flows.ends.Len())
@@ -42,7 +42,7 @@ func TestStrayPacketsFreedAndIgnored(t *testing.T) {
 		t.Fatalf("a stray reached flow %d: %d symbols and %d queued pulls, want %d and %d",
 			live, rs.distinct, len(sys.Agents[1].pullQ), distinct, pulls)
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if done != 17 {
 		t.Fatalf("%d completions, want 17", done)
 	}
@@ -56,7 +56,7 @@ func TestStalePullSkipped(t *testing.T) {
 	st := topology.NewStar(2, netsim.DefaultConfig())
 	sys := NewSystem(st.Net, DefaultConfig(), 10)
 	flow := sys.StartUnicast(0, 1, 16<<10, nil)
-	st.Net.Eng.Run()
+	drain(t, sys)
 	nic := st.Hosts[1].NIC
 	sent := nic.TxPackets
 	a := sys.Agents[1]
@@ -65,7 +65,7 @@ func TestStalePullSkipped(t *testing.T) {
 	if a.pacing || len(a.pullQ) != 0 {
 		t.Fatalf("pacer left running (%v) with %d queued pulls after skipping both", a.pacing, len(a.pullQ))
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if nic.TxPackets != sent {
 		t.Fatalf("host sent %d packets for stale pulls", nic.TxPackets-sent)
 	}

@@ -83,7 +83,7 @@ func TestRealCodecDecodesSimulatedUnicastDelivery(t *testing.T) {
 	esis := capture(st.Hosts[1])
 	var done []CompletionEvent
 	sys.StartUnicast(0, 1, int64(len(object)), collect(&done))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(done) != 1 {
 		t.Fatal("transfer did not complete")
 	}
@@ -126,7 +126,7 @@ func TestRealCodecDecodesSimulatedIncastDeliveryWithTrims(t *testing.T) {
 		f := sys.StartUnicast(s, 0, int64(len(object)), collect(&done))
 		flows[f] = s
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(done) != 4 {
 		t.Fatalf("%d/4 sessions completed", len(done))
 	}
@@ -160,7 +160,7 @@ func TestRealCodecDecodesMultiSourceDelivery(t *testing.T) {
 	esis := capture(st.Hosts[0])
 	var done []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3}, 0, int64(len(object)), collect(&done))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(done) != 1 {
 		t.Fatal("multi-source transfer did not complete")
 	}

@@ -1,6 +1,8 @@
 package polyraptor
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +27,39 @@ func assertNoOpenSessions(t *testing.T, sys *System) {
 	}
 	if out := sys.Net.PacketsOutstanding(); out != 0 {
 		t.Fatalf("%d packets unaccounted for after the drain (leaked if positive, freed twice if negative)", out)
+	}
+}
+
+// drainCeiling is far past the simulated end of any test here: the
+// longest runs finish within a few simulated seconds.
+const drainCeiling = time.Minute
+
+// drain fires events until none is left, as Engine.Run does, but fails
+// the test once the clock passes drainCeiling, naming the sessions still
+// open: a session that lost its agent's table entry while its peer still
+// runs keeps the engine busy for ever. It steps rather than calling
+// RunUntil, which would move the clock to the deadline, so Now() after a
+// drain is the last event's time.
+func drain(t *testing.T, sys *System) {
+	t.Helper()
+	eng := sys.Net.Eng
+	for eng.Step() {
+		if eng.Now() > drainCeiling {
+			send, recv := sys.OpenSessions()
+			var open []string
+			for f := int32(0); f < sys.nextFlow; f++ {
+				for h, a := range sys.Agents {
+					if a.flows.sender(f) != nil {
+						open = append(open, fmt.Sprintf("flow %d sender at host %d", f, h))
+					}
+					if a.flows.receiver(f) != nil {
+						open = append(open, fmt.Sprintf("flow %d receiver at host %d", f, h))
+					}
+				}
+			}
+			t.Fatalf("still running at %v with %d sender and %d receiver sessions open: %s",
+				eng.Now(), send, recv, strings.Join(open, ", "))
+		}
 	}
 }
 
@@ -64,7 +99,7 @@ func TestSessionLifecycleNoLeak(t *testing.T) {
 			}
 		})
 	}
-	ft.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != flows {
 		t.Fatalf("completions = %d, want %d", len(evs), flows)
 	}
@@ -119,7 +154,7 @@ func TestMulticastCompletesDespiteDroppedCtrl(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("completions = %d, want 3 despite the dropped ctrl", len(evs))
 	}
-	st.Net.Eng.Run() // drain the remaining retransmit/ack handshake
+	drain(t, sys) // drain the remaining retransmit/ack handshake
 	assertNoOpenSessions(t, sys)
 }
 
@@ -133,7 +168,7 @@ func TestMultiSourceCompletesDespiteDroppedCtrl(t *testing.T) {
 	dropped := dropFirst(st.Net, st.Hosts[1], netsim.KindCtrl, 1)
 	var evs []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3}, 0, 512<<10, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if *dropped != 1 {
 		t.Fatal("no ctrl packet was dropped; test is vacuous")
 	}
@@ -155,7 +190,7 @@ func TestCompletionSurvivesDroppedAck(t *testing.T) {
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
 	sys.StartMulticast(0, receivers, g, 1<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if *dropped != 1 {
 		t.Fatal("no ack packet was dropped; test is vacuous")
 	}
@@ -190,7 +225,7 @@ func TestStallGuardRefiresEveryPullTimeout(t *testing.T) {
 
 	var evs []CompletionEvent
 	sys.StartUnicast(0, 1, 200<<10, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatal("flow did not complete after the blackout lifted")
 	}
@@ -271,7 +306,7 @@ func TestShuffleAllPairsComplete(t *testing.T) {
 		doneCalls++
 		res = r
 	})
-	ft.Net.Eng.Run()
+	drain(t, sys)
 
 	if doneCalls != 1 {
 		t.Fatalf("onDone fired %d times, want 1", doneCalls)

@@ -19,7 +19,7 @@ func TestUnicastTransferCompletes(t *testing.T) {
 	sys := NewSystem(st.Net, DefaultConfig(), 1)
 	var evs []CompletionEvent
 	sys.StartUnicast(0, 1, 1<<20, collect(&evs)) // 1 MB
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatalf("completions = %d, want 1", len(evs))
 	}
@@ -46,7 +46,7 @@ func TestUnicastShortFlowLowLatency(t *testing.T) {
 	var evs []CompletionEvent
 	bytes := int64(4 * netsim.PayloadSize) // 4 symbols < InitWindow
 	sys.StartUnicast(0, 1, bytes, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatal("no completion")
 	}
@@ -72,7 +72,7 @@ func TestIncastNoCollapse(t *testing.T) {
 		for s := 1; s <= n; s++ {
 			sys.StartUnicast(s, 0, per, collect(&evs))
 		}
-		st.Net.Eng.Run()
+		drain(t, sys)
 		if len(evs) != n {
 			t.Fatalf("n=%d: %d completions", n, len(evs))
 		}
@@ -99,7 +99,7 @@ func TestMulticastAllReceiversComplete(t *testing.T) {
 	g := ft.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
 	sys.StartMulticast(0, receivers, g, 1<<20, collect(&evs))
-	ft.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 3 {
 		t.Fatalf("completions = %d, want 3", len(evs))
 	}
@@ -118,7 +118,7 @@ func TestMulticastGoodputMatchesUnicast(t *testing.T) {
 	sys := NewSystem(ft.Net, DefaultConfig(), 4)
 	var uni []CompletionEvent
 	sys.StartUnicast(0, 5, 1<<20, collect(&uni))
-	ft.Net.Eng.Run()
+	drain(t, sys)
 
 	ft2, _ := topology.NewFatTree(4, netsim.DefaultConfig())
 	sys2 := NewSystem(ft2.Net, DefaultConfig(), 4)
@@ -126,7 +126,7 @@ func TestMulticastGoodputMatchesUnicast(t *testing.T) {
 	g := ft2.InstallMulticastGroup(0, receivers)
 	var mc []CompletionEvent
 	sys2.StartMulticast(0, receivers, g, 1<<20, collect(&mc))
-	ft2.Net.Eng.Run()
+	drain(t, sys2)
 
 	var worst time.Duration
 	for _, ev := range mc {
@@ -145,7 +145,7 @@ func TestMultiSourceCompletesAndBalances(t *testing.T) {
 	sys := NewSystem(st.Net, DefaultConfig(), 5)
 	var evs []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3}, 0, 3<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatalf("completions = %d", len(evs))
 	}
@@ -181,7 +181,7 @@ func TestMultiSourcePartitioningNoDuplicates(t *testing.T) {
 	}
 	var evs []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3}, 0, 2<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatal("no completion")
 	}
@@ -202,7 +202,7 @@ func TestRandomESIAblationProducesDuplicates(t *testing.T) {
 	sys := NewSystem(st.Net, cfg, 7)
 	var evs []CompletionEvent
 	sys.StartMultiSource([]int{1, 2, 3, 4}, 0, 512<<10, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 1 {
 		t.Fatal("random-ESI session did not complete")
 	}
@@ -221,7 +221,7 @@ func TestPullPacingLimitsAggregateRate(t *testing.T) {
 	for s := 1; s <= n; s++ {
 		sys.StartUnicast(s, 0, per, collect(&evs))
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	var last time.Duration
 	for _, ev := range evs {
 		if ev.End > last {
@@ -255,7 +255,7 @@ func TestStragglerDetachment(t *testing.T) {
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
 	sys.StartMulticast(0, receivers, g, 2<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 3 {
 		t.Fatalf("completions = %d, want 3", len(evs))
 	}
@@ -316,7 +316,7 @@ func TestTiedStragglersDetachInHostOrder(t *testing.T) {
 	}
 	var evs []CompletionEvent
 	flow = sys.StartMulticast(0, receivers, g, 2<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != len(receivers) {
 		t.Fatalf("completions = %d, want %d", len(evs), len(receivers))
 	}
@@ -359,7 +359,7 @@ func TestWithoutDetachmentGroupIsThrottled(t *testing.T) {
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
 	sys.StartMulticast(0, receivers, g, 2<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	byRecv := map[int]CompletionEvent{}
 	for _, ev := range evs {
 		byRecv[ev.Receiver] = ev
@@ -388,7 +388,7 @@ func TestManySessionsSameHostPairInterleave(t *testing.T) {
 	var evs []CompletionEvent
 	sys.StartUnicast(0, 1, 1<<20, collect(&evs))
 	sys.StartUnicast(0, 1, 1<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 2 {
 		t.Fatalf("completions = %d", len(evs))
 	}

@@ -23,7 +23,7 @@ func TestPullTimeoutRecoversFromControlLoss(t *testing.T) {
 	for s := 1; s <= 5; s++ {
 		sys.StartUnicast(s, 0, 256<<10, func(ev CompletionEvent) { done++ })
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if done != 5 {
 		t.Fatalf("%d/5 sessions survived control-plane loss", done)
 	}
@@ -61,7 +61,7 @@ func TestTrimmedSymbolsStillClockPulls(t *testing.T) {
 	for s := 1; s <= 3; s++ {
 		sys.StartUnicast(s, 0, 512<<10, collect(&evs))
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 3 {
 		t.Fatalf("%d/3 completed", len(evs))
 	}
@@ -81,7 +81,7 @@ func TestSessionsFreeStateOnCompletion(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sys.StartUnicast(0, 1, 64<<10, collect(&evs))
 	}
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 10 {
 		t.Fatalf("%d/10 completed", len(evs))
 	}
@@ -102,12 +102,12 @@ func TestLateDataAfterCompletionIsIgnored(t *testing.T) {
 	sys := NewSystem(st.Net, DefaultConfig(), 4)
 	count := 0
 	sys.StartUnicast(0, 1, 64<<10, func(ev CompletionEvent) { count++ })
-	st.Net.Eng.Run()
+	drain(t, sys)
 	st.Hosts[0].Send(&netsim.Packet{
 		Flow: 0, Kind: netsim.KindData, Size: netsim.DataSize,
 		Src: 0, Dst: 1, Group: -1, Seq: 99999,
 	})
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if count != 1 {
 		t.Fatalf("completions = %d", count)
 	}
@@ -115,14 +115,14 @@ func TestLateDataAfterCompletionIsIgnored(t *testing.T) {
 
 func TestUnknownFlowPacketsIgnored(t *testing.T) {
 	st := topology.NewStar(2, netsim.DefaultConfig())
-	NewSystem(st.Net, DefaultConfig(), 5)
+	sys := NewSystem(st.Net, DefaultConfig(), 5)
 	for _, kind := range []netsim.Kind{netsim.KindData, netsim.KindPull, netsim.KindCtrl, netsim.KindAck} {
 		st.Hosts[0].Send(&netsim.Packet{
 			Flow: 7777, Kind: kind, Size: netsim.HeaderSize,
 			Src: 0, Dst: 1, Group: -1,
 		})
 	}
-	st.Net.Eng.Run() // must not panic
+	drain(t, sys) // must not panic
 }
 
 func TestMulticastTwoReceiversOneStrugglesBriefly(t *testing.T) {
@@ -140,7 +140,7 @@ func TestMulticastTwoReceiversOneStrugglesBriefly(t *testing.T) {
 	g := st.InstallMulticastGroup(0, receivers)
 	var evs []CompletionEvent
 	sys.StartMulticast(0, receivers, g, 2<<20, collect(&evs))
-	st.Net.Eng.Run()
+	drain(t, sys)
 	if len(evs) != 2 {
 		t.Fatalf("%d/2 receivers completed", len(evs))
 	}

@@ -6,23 +6,37 @@ import (
 	"polyraptor/internal/netsim"
 )
 
-// TestLateAckAfterRTOSendsBelowAckPoint pins a flaw of the model that is
-// known and, for now, kept (ROADMAP item 6): after an RTO's go-back-N, a
-// cumulative ACK for the original flight moves highAck past nextSeq,
-// inflight() goes negative, and trySend walks nextSeq up from below the
-// ACK point, sending segments the receiver already has as fresh first
-// transmissions (timed by Karn's rule, not counted as retransmits).
+// firstSendsBelowAck counts the first transmissions the event just fired
+// made below the ACK point: segments that event stamped in the sent table
+// (a first transmission stamps its segment with the time it was sent, a
+// retransmission clears it) and that lie below highAck. An event moves
+// highAck before it sends, so highAck after the event is what it was when
+// the segment went out. next and high are nextSeq and highAck before the
+// event: its first transmissions start at nextSeq, or at highAck after an
+// RTO's rewind.
+func firstSendsBelowAck(s *tcpSender, next, high int64) int64 {
+	now := s.sys.Net.Now()
+	n := int64(0)
+	for seq := min(next, high); seq < min(s.nextSeq, s.highAck); seq++ {
+		if s.sent.at[seq] == now {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLateAckAfterRTOSendsNothingBelowAckPoint scripts the late ACK that
+// follows an RTO's go-back-N and checks that the sender does not resend
+// what the ACK covers as first transmissions.
 //
 // The script, on two hosts: segment 0 is lost twice, as sent and as
 // fast-retransmitted; 1..19 reach the receiver out of order, each
 // duplicate ACK clocking out a new segment; everything from 20 up is lost
 // until the ACK clock has run dry and the RTO fires. The RTO resends 0,
-// the ACK for it says 20, and the sender resends 1..19.
-//
-// The fix is one line in onAck — nextSeq = max(nextSeq, highAck) on a new
-// ACK — and moves every TCP and DCTCP figure, so it gets its own PR and
-// its own table. When it lands, below must read 0.
-func TestLateAckAfterRTOSendsBelowAckPoint(t *testing.T) {
+// and the ACK for it says 20. A sender that left nextSeq below that ACK
+// would send 1..19 again as fresh first transmissions; a new ACK lifts
+// nextSeq to 20 instead.
+func TestLateAckAfterRTOSendsNothingBelowAckPoint(t *testing.T) {
 	st := tcpNet(2)
 	sys := NewSystem(st.Net, TunedConfig())
 	const segs, held = 400, 20
@@ -44,28 +58,26 @@ func TestLateAckAfterRTOSendsBelowAckPoint(t *testing.T) {
 		}
 		return route(pkt)
 	}
-	// trySend is the only thing that moves nextSeq up, so what an event
-	// sent below the ACK point is the part of nextSeq's walk that the
-	// event's own highAck had already passed.
-	below := int64(0)
+	below, lateAcks := int64(0), 0
 	for !snd.done {
-		next := snd.nextSeq
+		next, high := snd.nextSeq, snd.highAck
 		if !st.Net.Eng.Step() {
 			break
 		}
-		if snd.highAck > next && snd.nextSeq > next {
-			below += min(snd.nextSeq, snd.highAck) - next
+		if snd.highAck > next {
+			lateAcks++
 		}
+		below += firstSendsBelowAck(snd, next, high)
 	}
 	st.Net.Eng.Run()
 	if res.Bytes == 0 || res.Timeouts != 1 {
 		t.Fatalf("flow finished with %+v, want a completion after 1 timeout", res)
 	}
-	if below == 0 {
-		t.Fatal("nothing was sent below the ACK point: the late-ACK behaviour is gone; update this test and ROADMAP item 6")
+	if lateAcks != 1 {
+		t.Fatalf("%d ACKs landed above nextSeq, want the 1 the script sets up", lateAcks)
 	}
-	if below != held-1 {
-		t.Fatalf("%d first transmissions below the ACK point, want %d (1..%d, resent after the ACK for %d)", below, held-1, held-1, held)
+	if below != 0 {
+		t.Fatalf("%d first transmissions below the ACK point, want 0 (1..%d are covered by the ACK for %d)", below, held-1, held)
 	}
 	assertAtRest(t, sys)
 }

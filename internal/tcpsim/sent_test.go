@@ -46,21 +46,25 @@ func (s *mapSender) sampleRTT(ackSeq int64, now sim.Time) {
 // runSentProgram drives a sentTable and the map reference through the
 // same sequence of sender steps, two bytes a step: first transmissions at
 // nextSeq, retransmissions, cumulative ACKs up to the highest segment ever
-// sent (so that after an RTO's rewind an ACK lands above nextSeq and the
-// next first transmissions are below the ACK point), and RTO rewinds.
+// sent, and RTO rewinds. After an RTO's rewind an ACK can land above
+// nextSeq; as in onAck, it lifts nextSeq to the ACK point, so a first
+// transmission is never below it.
 func runSentProgram(t *testing.T, total int64, prog []byte) {
 	t.Helper()
 	tbl := &tcpSender{sent: newSentTable(total)}
 	ref := &mapSender{sent: map[int64]sim.Time{}}
 	var now sim.Time
-	var nextSeq, highAck, maxSent int64
+	var nextSeq, maxSent int64
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i]%6, int64(prog[i+1])
 		now += sim.Time(arg)*1000 + 1
 		switch op {
-		case 0, 1, 2: // first transmission, below the ACK point too
+		case 0, 1, 2: // first transmission
 			if nextSeq >= total {
 				continue
+			}
+			if nextSeq < tbl.highAck {
+				t.Fatalf("step %d: first transmission of %d below the ACK point %d", i/2, nextSeq, tbl.highAck)
 			}
 			tbl.sent.first(nextSeq, now)
 			ref.sent[nextSeq] = now
@@ -74,14 +78,16 @@ func runSentProgram(t *testing.T, total int64, prog []byte) {
 			tbl.sent.clear(seq)
 			delete(ref.sent, seq)
 		case 4: // new cumulative ACK
-			if maxSent == highAck {
+			if maxSent == tbl.highAck {
 				continue
 			}
-			highAck += 1 + arg%(maxSent-highAck)
-			tbl.sampleRTT(highAck, now)
-			ref.sampleRTT(highAck, now)
+			ack := tbl.highAck + 1 + arg%(maxSent-tbl.highAck)
+			tbl.sampleRTT(ack, now)
+			tbl.highAck = ack
+			nextSeq = max(nextSeq, ack)
+			ref.sampleRTT(ack, now)
 		case 5: // RTO: go back to the ACK point
-			nextSeq = highAck
+			nextSeq = tbl.highAck
 		}
 		if tbl.srtt != ref.srtt || tbl.rttvar != ref.rttvar {
 			t.Fatalf("step %d (op %d): table srtt/rttvar = %v/%v, map %v/%v", i/2, op, tbl.srtt, tbl.rttvar, ref.srtt, ref.rttvar)
@@ -94,8 +100,8 @@ func runSentProgram(t *testing.T, total int64, prog []byte) {
 			if at != want {
 				t.Fatalf("step %d (op %d): segment %d timed %v in the table, %v in the map", i/2, op, seq, at, want)
 			}
-			if int64(seq) < tbl.sent.low && at != unsent {
-				t.Fatalf("step %d (op %d): segment %d is set below the low-water mark %d", i/2, op, seq, tbl.sent.low)
+			if int64(seq) < tbl.highAck && at != unsent {
+				t.Fatalf("step %d (op %d): segment %d is set below the ACK point %d", i/2, op, seq, tbl.highAck)
 			}
 		}
 	}
@@ -111,8 +117,9 @@ func TestSentTableMatchesMap(t *testing.T) {
 }
 
 func FuzzSentTable(f *testing.F) {
-	// Three segments out, an RTO, a late ACK for all three, four sends of
-	// which three are below it, then an ACK that must sample the first.
+	// Three segments out, an RTO, a late ACK for all three (which lifts
+	// nextSeq past them), four sends, then an ACK that must sample the
+	// first of those.
 	f.Add(uint16(40), []byte{0, 1, 0, 1, 0, 1, 5, 0, 4, 2, 0, 7, 0, 7, 0, 7, 0, 7, 4, 0})
 	f.Add(uint16(1), []byte{0, 0, 4, 0})
 	f.Add(uint16(300), []byte{1, 2, 3, 4, 4, 0, 5, 5, 2, 9, 4, 200})

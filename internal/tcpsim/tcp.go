@@ -310,7 +310,7 @@ type tcpSender struct {
 	done        bool
 }
 
-// inflight is the NewReno estimate of outstanding segments.
+// inflight is the NewReno estimate of outstanding segments, never negative.
 func (s *tcpSender) inflight() int64 { return s.nextSeq - s.highAck }
 
 // trySend transmits new segments while the window allows.
@@ -389,10 +389,9 @@ func (s *tcpSender) onRTO() {
 }
 
 // sentTable holds the first-transmission time of every segment still
-// to be timed (Karn), indexed by segment number.
+// to be timed (Karn), indexed by segment number; none is below the ACK point.
 type sentTable struct {
-	at  []sim.Time // unsent where there is nothing to time
-	low int64      // every entry below low is unsent
+	at []sim.Time // unsent where there is nothing to time
 }
 
 const unsent sim.Time = -1
@@ -405,22 +404,16 @@ func newSentTable(segs int64) sentTable {
 	return t
 }
 
-// first records a first transmission of seq. After an RTO's go-back-N a
-// late ACK can leave nextSeq below the ACK point, and trySend then sends
-// from there as first transmissions, so seq may be below low.
-func (t *sentTable) first(seq int64, now sim.Time) {
-	t.at[seq] = now
-	t.low = min(t.low, seq)
-}
+func (t *sentTable) first(seq int64, now sim.Time) { t.at[seq] = now }
 
 func (t *sentTable) clear(seq int64) { t.at[seq] = unsent }
 
-// take clears every entry below ack and returns the earliest segment's
-// time among them, unsent if there is none — one sample per ACK, whatever
-// it covers.
-func (t *sentTable) take(ack int64) sim.Time {
+// take clears the entries in [from, ack), the segments an ACK newly
+// covers, and returns the earliest segment's time among them, unsent if
+// there is none — one sample per ACK, whatever it covers.
+func (t *sentTable) take(from, ack int64) sim.Time {
 	at := unsent
-	for seq := t.low; seq < ack; seq++ {
+	for seq := from; seq < ack; seq++ {
 		if t.at[seq] != unsent {
 			if at == unsent {
 				at = t.at[seq]
@@ -428,12 +421,12 @@ func (t *sentTable) take(ack int64) sim.Time {
 			t.at[seq] = unsent
 		}
 	}
-	t.low = max(t.low, ack)
 	return at
 }
 
+// sampleRTT samples the ACK that moves the ACK point from s.highAck to ack.
 func (s *tcpSender) sampleRTT(ack int64, now sim.Time) {
-	at := s.sent.take(ack)
+	at := s.sent.take(s.highAck, ack)
 	if at == unsent {
 		return
 	}
@@ -457,10 +450,12 @@ func (s *tcpSender) onAck(ack int64, ecnEcho bool) {
 	}
 	if ack > s.highAck {
 		newly := ack - s.highAck
+		s.sampleRTT(ack, s.sys.Net.Now())
 		s.highAck = ack
+		// A late ACK after an RTO's go-back-N covers segments not yet resent.
+		s.nextSeq = max(s.nextSeq, ack)
 		s.dupAcks = 0
 		s.backoff = 0
-		s.sampleRTT(ack, s.sys.Net.Now())
 		if s.sys.Cfg.DCTCP {
 			s.dctcpOnAck(newly, ecnEcho)
 		}
